@@ -30,6 +30,49 @@ from .rings import Z
 from .scomplex import RelationReport
 
 
+class _Ladder:
+    """The blocks delta1 v^j (C -> R) and v^j delta2 (R -> C) of one complex,
+    for j = 0, 1, 2, ...
+
+    Each power of v is one product with the power before it, and each block
+    is built once, the first time it is asked for.  Once a power of v is zero
+    every later block is the zero block and no further product is made.  A
+    ladder is built for one call and dropped with it.
+    """
+
+    def __init__(self, x):
+        self._x = x
+        self._power = None  # the last power of v used, v^(len(self._left) - 1)
+        self._left = []
+        self._right = []
+
+    def _grow(self, j):
+        x = self._x
+        while len(self._left) <= j:
+            if self._left and self._power.is_zero:
+                self._left.append(self._left[-1])
+                self._right.append(self._right[-1])
+                continue
+            p = x.v @ self._power if self._left else GradedMatrix.identity(x.irr)
+            self._power = p
+            if p.is_zero:
+                self._left.append(GradedMatrix.zero(x.irr, x.red, x.delta1.degree))
+                self._right.append(GradedMatrix.zero(x.red, x.irr, x.delta2.degree))
+            else:
+                self._left.append(x.delta1 @ p)
+                self._right.append(p @ x.delta2)
+
+    def left(self, j):
+        """delta1 v^j."""
+        self._grow(j)
+        return self._left[j]
+
+    def right(self, j):
+        """v^j delta2."""
+        self._grow(j)
+        return self._right[j]
+
+
 def _nilpotency(v):
     """Least e with v^e = 0, or None if v is not nilpotent within rank+1."""
     if v.is_zero:
@@ -84,6 +127,7 @@ class SmallEquivariantComplex:
 
     def _build_diff(self):
         x = self.base
+        ladder = _Ladder(x)
         ent = {}
         if self.flavor == "hat":
             for (t, s), val in x.d.entries.items():
@@ -91,7 +135,7 @@ class SmallEquivariantComplex:
             for p in self.powers:
                 if p < 0:
                     continue
-                m = (x.v.power(p) @ x.delta2) if p else (x.delta2)
+                m = ladder.right(p)
                 for (t, s), val in m.entries.items():
                     key = (self.irr_index(t), self.red_index(s, p))
                     ent[key] = ent.get(key, val.ring.zero()) - val if key in ent else -val
@@ -102,7 +146,7 @@ class SmallEquivariantComplex:
                 j = -p - 1
                 if j < 0:
                     continue
-                m = x.delta1 @ x.v.power(j)
+                m = ladder.left(j)
                 for (t, s), val in m.entries.items():
                     key = (self.red_index(t, p), self.irr_index(s))
                     cur = ent.get(key)
@@ -221,6 +265,7 @@ def ijp_maps(x, n):
 def _ijp_matrices(x, hat, chk, bar, e):
     ring = x.ring
     one = ring.one()
+    ladder = _Ladder(x)
 
     def i_rule(col):
         kind, *rest = _col_info(hat, col)
@@ -228,7 +273,7 @@ def _ijp_matrices(x, hat, chk, bar, e):
         if kind == "irr":
             c = rest[0]
             for j in range(e):
-                m = x.delta1 @ x.v.power(j)
+                m = ladder.left(j)
                 for (t, s), val in m.entries.items():
                     if s == c and bar.has_power(-j - 1):
                         out.append((bar.red_index(t, -j - 1), val))
@@ -248,7 +293,7 @@ def _ijp_matrices(x, hat, chk, bar, e):
         kind, g, p = _col_info(bar, col)
         out = []
         if p >= 0:
-            m = x.v.power(p) @ x.delta2
+            m = ladder.right(p)
             for (t, s), val in m.entries.items():
                 if s == g:
                     out.append((chk.irr_index(t), val))
@@ -452,54 +497,58 @@ class FroyshovProfile:
         return f"FroyshovProfile({vals}; h={self.h})"
 
 
-def _j_module(x, i):
-    """Generating columns for J_i as a submodule of R, via the finite system."""
+def _j_module(x, i, ladder=None):
+    """Generating columns for J_i as a submodule of R, via the finite system.
+
+    `ladder` holds the complex's delta1 v^j and v^j delta2 blocks; a caller
+    that solves several systems of one complex passes one ladder to all.
+    """
     ring = x.ring
     nc, nr = x.irr.rank, x.red.rank
+    if ladder is None:
+        ladder = _Ladder(x)
+    is_z = ring == Z
+    zero = 0 if is_z else ring.zero()
+
+    def fill(rows, m, row_off, col_off, neg=False):
+        # the rows share one zero element; only m's nonzero entries are written
+        for (t, s), val in m.entries.items():
+            val = val.val if is_z else val
+            rows[row_off + t][col_off + s] = -val if neg else val
+
     if i >= 1:
-        rows = []
-        for t in range(nc):
-            rows.append([x.d.entry(t, s) for s in range(nc)])
+        rows = [[zero] * nc for _ in range(nc + (i - 1) * nr)]
+        fill(rows, x.d, 0, 0)
         for j in range(i - 1):
-            m = x.delta1 @ x.v.power(j)
-            for t in range(nr):
-                rows.append([m.entry(t, s) for s in range(nc)])
-        lead = x.delta1 @ x.v.power(i - 1)
-        if ring == Z:
-            int_rows = [[e.val for e in row] for row in rows]
-            kern = int_kernel_basis(int_rows, ncols=nc) if nc else []
-            cols = []
-            for vec in kern:
-                col = [0] * nr
-                for (t, s), val in lead.entries.items():
-                    col[t] += val.val * vec[s]
-                cols.append(col)
-            return cols
-        kern = field_kernel_basis(rows, ring, ncols=nc) if nc else []
+            fill(rows, ladder.left(j), nc + j * nr, 0)
+        lead = ladder.left(i - 1)
+        if is_z:
+            kern = int_kernel_basis(rows, ncols=nc) if nc else []
+        else:
+            kern = field_kernel_basis(rows, ring, ncols=nc) if nc else []
         cols = []
         for vec in kern:
-            col = [ring.zero()] * nr
+            col = [zero] * nr
             for (t, s), val in lead.entries.items():
-                col[t] = col[t] + val * vec[s]
+                if is_z:
+                    col[t] += val.val * vec[s]
+                else:
+                    col[t] = col[t] + val * vec[s]
             cols.append(col)
         return cols
     m = -i
     # variables (alpha, theta_0..theta_m); equation d a - sum v^j delta2 t_j = 0
     nvar = nc + (m + 1) * nr
-    rows = []
-    for t in range(nc):
-        row = [x.d.entry(t, s) for s in range(nc)]
-        for j in range(m + 1):
-            blk = x.v.power(j) @ x.delta2
-            row += [-blk.entry(t, g) for g in range(nr)]
-        rows.append(row)
-    if ring == Z:
-        int_rows = [[e.val for e in row] for row in rows]
-        kern = int_kernel_basis(int_rows, ncols=nvar) if rows else \
+    rows = [[zero] * nvar for _ in range(nc)]
+    fill(rows, x.d, 0, 0)
+    for j in range(m + 1):
+        fill(rows, ladder.right(j), 0, nc + j * nr, neg=True)
+    if is_z:
+        kern = int_kernel_basis(rows, ncols=nvar) if rows else \
             [[1 if a == b else 0 for a in range(nvar)] for b in range(nvar)]
-        return [vec[nc + m * nr: nc + (m + 1) * nr] for vec in kern]
-    kern = field_kernel_basis(rows, ring, ncols=nvar) if rows else \
-        [[ring.one() if a == b else ring.zero() for a in range(nvar)] for b in range(nvar)]
+    else:
+        kern = field_kernel_basis(rows, ring, ncols=nvar) if rows else \
+            [[ring.one() if a == b else zero for a in range(nvar)] for b in range(nvar)]
     return [vec[nc + m * nr: nc + (m + 1) * nr] for vec in kern]
 
 
@@ -527,10 +576,11 @@ def froyshov_profile(x):
         raise UnsupportedRing("Froyshov profile needs Z or field coefficients")
     nr = x.red.rank
     w = x.irr.rank + nr + 1
+    ladder = _Ladder(x)
     d = {}
     j_bases = {}
     for i in range(-w, w + 1):
-        cols = _j_module(x, i)
+        cols = _j_module(x, i, ladder)
         basis, rank = _module_basis_and_rank(cols, ring, nr)
         d[i] = rank
         j_bases[i] = basis
@@ -681,11 +731,8 @@ def j_module_oracle(x, i, n=None):
 
 def _i_coeff(x, hat, cycle, gen, power, ring):
     """Coefficient of (gen, x^power) in the i-image of a hat chain vector."""
-    nc, nr = x.irr.rank, x.red.rank
     if power >= 0:
-        col = hat.red_index(gen, power)
-        val = cycle[col]
-        return val if ring != Z else val
+        return cycle[hat.red_index(gen, power)]
     j = -power - 1
     m = x.delta1 @ x.v.power(j)
     acc = 0 if ring == Z else ring.zero()

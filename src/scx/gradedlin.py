@@ -373,11 +373,33 @@ def _mat_mul_int(a, b):
 
 
 def _check_snf(a, d, u, v):
+    """Check U A V = D entry by entry, then the order and divisibility of D's
+    diagonal.  The product is formed over the nonzero entries of A and V
+    only; every entry of it is still compared with D."""
     if not a:
         return
-    prod = _mat_mul_int(_mat_mul_int(u, a), v)
-    if prod != d:
-        raise AssertionError("Smith normal form transform check failed")
+    n = len(a[0])
+    if not len(u) == len(d) == len(a):
+        raise AssertionError("Smith normal form transform check failed: "
+                             f"U, A and D have {len(u)}, {len(a)} and {len(d)} rows")
+    a_nz = [[(j, x) for j, x in enumerate(row) if x] for row in a]
+    v_nz = [[(j, x) for j, x in enumerate(row) if x] for row in v]
+    for i, (u_row, d_row) in enumerate(zip(u, d)):
+        ua = [0] * n
+        for k, c in enumerate(u_row):
+            if c:
+                for j, x in a_nz[k]:
+                    ua[j] += c * x
+        uav = [0] * n
+        for k, c in enumerate(ua):
+            if c:
+                for j, x in v_nz[k]:
+                    uav[j] += c * x
+        if uav != d_row:
+            j = next((j for j, (x, y) in enumerate(zip(uav, d_row)) if x != y),
+                     min(len(uav), len(d_row)))
+            raise AssertionError("Smith normal form transform check failed "
+                                 f"at entry ({i}, {j})")
     diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
     for x, y in zip(diag, diag[1:]):
         if x == 0 and y != 0:
@@ -558,9 +580,7 @@ def field_column_space_basis(cols, ring):
     """Subset of (echelonized) columns spanning the column space."""
     if not cols:
         return []
-    rows = [[c[i] for c in cols] for i in range(len(cols[0]))]
-    rr, piv = field_rref([[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))], ring)
-    del rows
+    rr, piv = field_rref([[c[i] for c in cols] for i in range(len(cols[0]))], ring)
     return [cols[j] for j in piv]
 
 

@@ -314,6 +314,10 @@ class SMorphism:
         place_block(ent, self.rho, 2 * mc, 2 * nc)
         return GradedMatrix(ts, tt, self.degree, ent)
 
+    def named_triples(self):
+        """(target name, source name, value) triples of the assembled matrix."""
+        return self.assemble().named_triples()
+
     @classmethod
     def identity(cls, x):
         return cls(x, x, 0,

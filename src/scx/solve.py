@@ -10,7 +10,7 @@ from __future__ import annotations
 from .errors import UnsupportedRing
 from .gradedlin import GradedMatrix, field_solve, int_solve
 from .rings import Z
-from .scomplex import SHomotopy
+from .scomplex import SHomotopy, SMorphism
 
 
 class _Lin:
@@ -348,7 +348,7 @@ def solve_triangle_witnesses(complexes, morphisms, targets):
         ku, comp = kus[i]
         zero = SMorphism.zero(comp.source, comp.target, comp.degree)
         homotopies.append(ku.realize(values, zero, comp))
-    n_maps = [nus[i].realize(values, ring) for i in range(3)]
+    n_maps = [nus[i].realize(values) for i in range(3)]
     return homotopies, n_maps
 
 
@@ -381,42 +381,30 @@ class _SharedUnknown:
 
         a_vars = alloc(nc, nc, 0, 0, 1)          # A on C
         alloc(nc, nc, nc, nc, 1, mirror=a_vars)  # the same A on C[-1]
-        alloc(nc, nc, nc, 0, 0)                  # C-block
-        alloc(nc, nr, nc, 2 * nc, 0)             # D
-        alloc(nr, nc, 2 * nc, 0, 1)              # E
-        alloc(nr, nr, 2 * nc, 2 * nc, 1)         # G
+        self.blocks = {
+            "A": a_vars,
+            "C": alloc(nc, nc, nc, 0, 0),
+            "D": alloc(nc, nr, nc, 2 * nc, 0),
+            "E": alloc(nr, nc, 2 * nc, 0, 1),
+            "G": alloc(nr, nr, 2 * nc, 2 * nc, 1),
+        }
         self.nvars = idx - offset
-        self.module = tot
+        self.x = x
 
-    def realize(self, values, ring):
-        ent = {}
-        for pos, v in self.var.items():
-            val = values[v]
-            if not val.is_zero:
-                ent[pos] = val
-        return GradedMatrix(self.module, self.module, 1, ent)
+    def realize(self, values):
+        """The solved N as a degree-1 morphism-shaped map: A is lambda, C is
+        mu, D is Delta2, E is Delta1 and G is rho."""
+        x = self.x
 
+        def mk(block, src, tgt, deg):
+            ent = {}
+            for pos, var in self.blocks[block].items():
+                val = values[var]
+                if not val.is_zero:
+                    ent[pos] = val
+            return GradedMatrix(src, tgt, deg, ent)
 
-def solve_n_map(x, rhs):
-    """A chi-commuting degree-1 map N with d N - N d = rhs, or None.
-
-    `rhs` is an assembled matrix on the total module of x (e.g. a target
-    isomorphism minus the lambda K - K lambda combination of a triangle)."""
-    ring = x.ring
-    d = x.total_differential()
-    u = _SharedUnknown(x, 0)
-    total = {}
-    _accumulate(total, _known_after_unknown(d, u), 1)
-    _accumulate(total, _unknown_after_known(u, d), -1)
-    eqs = []
-    n = u.module.rank
-    for s in range(n):
-        for t in range(n):
-            lin = total.get((t, s), _Lin())
-            const = rhs.entry(t, s)
-            if lin.terms or not const.is_zero:
-                eqs.append((lin, const))
-    values = _solve_system(eqs, u.nvars, ring)
-    if values is None:
-        return None
-    return u.realize(values, ring)
+        return SMorphism(x, x, 1,
+                         mk("A", x.irr, x.irr, 1), mk("C", x.irr, x.irr, 0),
+                         mk("E", x.irr, x.red, 1), mk("D", x.red, x.irr, 0),
+                         mk("G", x.red, x.red, 1))

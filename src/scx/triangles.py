@@ -55,7 +55,7 @@ class ExactTriangleData:
         expr = lam_im2 @ k_i - k_im1 @ lam_i
         n = self.n_maps[i]
         if n is not None:
-            nm = n if isinstance(n, GradedMatrix) else n.assemble()
+            nm = n.assemble()
             expr = expr + d @ nm - nm @ d
         return expr
 

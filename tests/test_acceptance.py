@@ -18,5 +18,7 @@ def test_criterion(name, fn):
     # stated runtime bounds
     if name.startswith("1"):
         assert dt < 30, f"criterion 1 took {dt:.1f}s (limit 30s)"
+    if name.startswith("5"):
+        assert dt < 20, f"criterion 5 took {dt:.1f}s (limit 20s)"
     if name.startswith("6"):
         assert dt < 10, f"criterion 6 took {dt:.1f}s (limit 10s)"

@@ -146,3 +146,26 @@ def test_triangle_verify_verb(tmp_path, capsys):
     path = tmp_path / "tri.json"
     path.write_text(json.dumps(triangle_to_json(t)))
     assert run("triangle-verify", "--in", str(path)) == 0
+
+
+def test_triangle_verify_verb_on_solved_witnesses(tmp_path, capsys):
+    # witnesses re-derived by the joint linear solve serialize like the
+    # closed-form ones, their N maps included, and verify from the file
+    import random
+
+    from scx.randgen import rand_morphism, rand_scomplex
+    from scx.rings import Q
+    from scx.solve import solve_triangle_witnesses
+    from scx.triangles import ExactTriangleData, cone_triangle, triangle_to_json
+
+    rng = random.Random(5)
+    x = rand_scomplex(Q, rng, max_rank=3)
+    t = cone_triangle(rand_morphism(x, x, rng, 0))
+    targets = [t.iso_expression(j) for j in range(3)]
+    homs, nmaps = solve_triangle_witnesses(t.complexes, t.morphisms, targets)
+    solved = ExactTriangleData(t.complexes, t.morphisms, homs, nmaps)
+    doc = triangle_to_json(solved)
+    assert all(n is not None for n in doc["n_maps"])
+    path = tmp_path / "solved.json"
+    path.write_text(json.dumps(doc))
+    assert run("triangle-verify", "--in", str(path)) == 0

@@ -4,7 +4,9 @@ import pytest
 
 from scx.equivariant import (
     _j_module,
+    _Ladder,
     _module_basis_and_rank,
+    _nilpotency,
     build_small,
     froyshov_profile,
     froyshov_properties_check,
@@ -15,10 +17,11 @@ from scx.equivariant import (
 )
 from scx.errors import NotRPerfect, UnsupportedRing
 from scx.functors import atomic, direct_sum, dual, suspend
-from scx.gradedlin import field_span_contains
+from scx.gradedlin import GradedMatrix, GradedModule, field_span_contains
 from scx.linkfam import hopf_complex, torus_knot_summand, torus_link_complex
 from scx.randgen import rand_scomplex
-from scx.rings import FRAC_LAURENT_Q, LAURENT_Z, Q, RingMap, Zp, eval_t_at_one
+from scx.rings import FRAC_LAURENT_Q, LAURENT_Z, Q, RingMap, Z, Zp, eval_t_at_one
+from scx.scomplex import SComplex
 
 INC = RingMap(RingMap.LAURENT_TO_FRAC, LAURENT_Z, FRAC_LAURENT_Q)
 
@@ -181,3 +184,51 @@ def test_o1_image_leading_exponent():
     b1, r1 = _module_basis_and_rank(_j_module(o1, 1), Q, 1)
     b2, r2 = _module_basis_and_rank(_j_module(o1, 2), Q, 1)
     assert r1 == 1 and r2 == 0
+
+
+def _non_nilpotent_complex():
+    # mod 2 gradings let v (degree -2) act within a degree: v is unipotent
+    # on the degree-0 pair and invertible on the degree-1 pair, so no power
+    # of it vanishes
+    c = GradedModule(Q, 2, [("a", 0), ("a2", 0), ("b", 1), ("b2", 1)])
+    r = GradedModule(Q, 2, [("r", 1)])
+    q = Q.from_int
+    v = GradedMatrix(c, c, 0, {(0, 0): q(1), (0, 1): q(1), (1, 1): q(1),
+                               (2, 3): q(2), (3, 2): q(-1), (3, 3): q(1)})
+    delta1 = GradedMatrix(c, r, 1, {(0, 0): q(1), (0, 1): q(3)})
+    delta2 = GradedMatrix(r, c, 0, {(2, 0): q(1), (3, 0): q(-2)})
+    zero_c = GradedMatrix.zero(c, c, 1)
+    return SComplex(c, r, zero_c, v, delta1, delta2, GradedMatrix.zero(r, r, 1))
+
+
+@pytest.mark.parametrize("x,nilpotent", [
+    (atomic(3, Q, 4), True),
+    (atomic(-3, Q, 4), True),
+    (atomic(2, Z, 4), True),
+    (torus_link_complex(4).base_change(eval_t_at_one()), True),
+    (_non_nilpotent_complex(), False),
+])
+def test_ladder_blocks_match_powers(x, nilpotent):
+    e = _nilpotency(x.v)
+    assert (e is not None) == nilpotent
+    ladder = _Ladder(x)
+    for j in range((e or 4) + 4):
+        vj = x.v.power(j)
+        assert ladder.left(j) == x.delta1 @ vj
+        assert ladder.right(j) == vj @ x.delta2
+
+
+def test_ladder_makes_no_product_past_a_zero_power(monkeypatch):
+    x = atomic(3, Q, 4)
+    e = _nilpotency(x.v)
+    calls = []
+    matmul = GradedMatrix.__matmul__
+    monkeypatch.setattr(GradedMatrix, "__matmul__",
+                        lambda a, b: calls.append(1) or matmul(a, b))
+    ladder = _Ladder(x)
+    ladder.right(e)
+    # v^1 .. v^e are one product each; v^0 .. v^(e-1) are nonzero, two blocks each
+    assert len(calls) == e + 2 * e
+    for j in range(e, e + 10):
+        assert ladder.left(j).is_zero and ladder.right(j).is_zero
+    assert len(calls) == 3 * e

@@ -6,6 +6,8 @@ from scx.errors import NotAComplex, ShapeMismatch, UnsupportedRingForHomology
 from scx.gradedlin import (
     GradedMatrix,
     GradedModule,
+    _check_snf,
+    _mat_mul_int,
     homology_of_pair,
     smith_normal_form,
     snf_diagonal,
@@ -55,6 +57,86 @@ def test_snf_random_transform_and_divisibility():
         for x, y in zip(diag, diag[1:]):
             assert (x == 0 and y == 0) or (x != 0 and y % x == 0)
         assert all(x >= 0 for x in diag)
+
+
+def _transform_rejected(a, d, u, v):
+    """Whether _check_snf rejects U A V = D (the order and divisibility
+    checks that follow it may still reject D on their own)."""
+    try:
+        _check_snf(a, d, u, v)
+    except AssertionError as exc:
+        return "transform check failed" in str(exc)
+    return False
+
+
+def _dense_equal(a, d, u, v):
+    return _mat_mul_int(_mat_mul_int(u, a), v) == d
+
+
+def _random_int_matrix(rng, m, n, density):
+    return [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(m)]
+
+
+def test_sparse_check_snf_agrees_with_dense_product():
+    # the sparse check accepts U A V = D exactly when the dense product does,
+    # on SNF transforms, on corrupted ones and on unrelated random U, V, D
+    rng = random.Random(21)
+    shapes = [(0, 0), (1, 0), (3, 0), (1, 1), (2, 3), (3, 2), (4, 4), (5, 3)]
+    for m, n in shapes:
+        for density in (0.0, 0.3, 1.0):
+            a = _random_int_matrix(rng, m, n, density)
+            if not a:
+                d, u, v = [], [], []
+            else:
+                d, u, v = smith_normal_form(a)
+            assert not _transform_rejected(a, d, u, v)
+            assert _dense_equal(a, d, u, v)
+            for which in range(3):
+                mats = [[list(r) for r in x] for x in (u, v, d)]
+                target = mats[which]
+                if not target or not target[0]:
+                    continue
+                i, j = rng.randrange(len(target)), rng.randrange(len(target[0]))
+                target[i][j] += rng.choice([-2, -1, 1, 3])
+                cu, cv, cd = mats
+                assert _transform_rejected(a, cd, cu, cv) == (not _dense_equal(a, cd, cu, cv))
+            if m and n:
+                u2 = _random_int_matrix(rng, m, m, 0.5)
+                v2 = _random_int_matrix(rng, n, n, 0.5)
+                prod = _mat_mul_int(_mat_mul_int(u2, a), v2)
+                assert not _transform_rejected(a, prod, u2, v2)
+                off = [list(r) for r in prod]
+                off[rng.randrange(m)][rng.randrange(n)] += 1
+                assert _transform_rejected(a, off, u2, v2)
+
+
+def test_sparse_check_snf_rejects_corrupted_transforms():
+    rng = random.Random(22)
+    for _ in range(20):
+        a = _random_int_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), 0.5)
+        if not any(any(row) for row in a):
+            a[0][0] = 3
+        d, u, v = smith_normal_form(a)
+        m, n = len(a), len(a[0])
+        # U: row k of A V is nonzero, so adding 1 at U[i][k] moves row i of U A V
+        av = _mat_mul_int(a, v)
+        k = next(k for k in range(m) if any(av[k]))
+        bad_u = [list(r) for r in u]
+        bad_u[rng.randrange(m)][k] += 1
+        with pytest.raises(AssertionError):
+            _check_snf(a, d, bad_u, v)
+        # V: column k of U A is nonzero, so adding 1 at V[k][j] moves column j
+        ua = _mat_mul_int(u, a)
+        k = next(k for k in range(n) if any(row[k] for row in ua))
+        bad_v = [list(r) for r in v]
+        bad_v[k][rng.randrange(n)] += 1
+        with pytest.raises(AssertionError):
+            _check_snf(a, d, u, bad_v)
+        bad_d = [list(r) for r in d]
+        bad_d[rng.randrange(m)][rng.randrange(n)] -= 1
+        with pytest.raises(AssertionError):
+            _check_snf(a, bad_d, u, v)
 
 
 def _ungraded_pair(rows, ring):
