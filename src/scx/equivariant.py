@@ -18,13 +18,15 @@ from .errors import PlateauNotReached, UnsupportedRing
 from .gradedlin import (
     GradedMatrix,
     GradedModule,
-    field_column_space_basis,
-    field_kernel_basis,
-    field_span_contains,
-    int_column_lattice_basis,
-    int_kernel_basis,
-    int_lattice_contains,
+    apply,
+    coeffs,
+    column_basis,
+    dense_zero,
     exactness_at,
+    field_kernel_basis,
+    int_kernel_basis,
+    kernel_basis,
+    span_contains,
 )
 from .rings import Z
 from .scomplex import RelationReport
@@ -507,13 +509,11 @@ def _j_module(x, i, ladder=None):
     nc, nr = x.irr.rank, x.red.rank
     if ladder is None:
         ladder = _Ladder(x)
-    is_z = ring == Z
-    zero = 0 if is_z else ring.zero()
+    zero = dense_zero(ring)
 
     def fill(rows, m, row_off, col_off, neg=False):
         # the rows share one zero element; only m's nonzero entries are written
-        for (t, s), val in m.entries.items():
-            val = val.val if is_z else val
+        for (t, s), val in coeffs(m).items():
             rows[row_off + t][col_off + s] = -val if neg else val
 
     if i >= 1:
@@ -521,21 +521,7 @@ def _j_module(x, i, ladder=None):
         fill(rows, x.d, 0, 0)
         for j in range(i - 1):
             fill(rows, ladder.left(j), nc + j * nr, 0)
-        lead = ladder.left(i - 1)
-        if is_z:
-            kern = int_kernel_basis(rows, ncols=nc) if nc else []
-        else:
-            kern = field_kernel_basis(rows, ring, ncols=nc) if nc else []
-        cols = []
-        for vec in kern:
-            col = [zero] * nr
-            for (t, s), val in lead.entries.items():
-                if is_z:
-                    col[t] += val.val * vec[s]
-                else:
-                    col[t] = col[t] + val * vec[s]
-            cols.append(col)
-        return cols
+        return apply(ladder.left(i - 1), kernel_basis(rows, nc, ring))
     m = -i
     # variables (alpha, theta_0..theta_m); equation d a - sum v^j delta2 t_j = 0
     nvar = nc + (m + 1) * nr
@@ -543,23 +529,11 @@ def _j_module(x, i, ladder=None):
     fill(rows, x.d, 0, 0)
     for j in range(m + 1):
         fill(rows, ladder.right(j), 0, nc + j * nr, neg=True)
-    if is_z:
-        kern = int_kernel_basis(rows, ncols=nvar) if rows else \
-            [[1 if a == b else 0 for a in range(nvar)] for b in range(nvar)]
-    else:
-        kern = field_kernel_basis(rows, ring, ncols=nvar) if rows else \
-            [[ring.one() if a == b else zero for a in range(nvar)] for b in range(nvar)]
-    return [vec[nc + m * nr: nc + (m + 1) * nr] for vec in kern]
+    return [vec[nc + m * nr:] for vec in kernel_basis(rows, nvar, ring)]
 
 
-def _module_basis_and_rank(cols, ring, nr):
-    if not cols:
-        return [], 0
-    if ring == Z:
-        rows = [[c[t] for c in cols] for t in range(nr)]
-        basis = int_column_lattice_basis(rows)
-        return basis, len(basis)
-    basis = field_column_space_basis(cols, ring)
+def _module_basis_and_rank(cols, ring):
+    basis = column_basis(cols, ring)
     return basis, len(basis)
 
 
@@ -581,7 +555,7 @@ def froyshov_profile(x):
     j_bases = {}
     for i in range(-w, w + 1):
         cols = _j_module(x, i, ladder)
-        basis, rank = _module_basis_and_rank(cols, ring, nr)
+        basis, rank = _module_basis_and_rank(cols, ring)
         d[i] = rank
         j_bases[i] = basis
     if d[-w] != nr or d[w] != 0:
@@ -599,17 +573,8 @@ def froyshov_profile(x):
 def j_nesting_ok(profile, ring, nr):
     """J_{i+1} contained in J_i for every window index."""
     lo, hi = profile.window
-    for i in range(lo, hi):
-        big = profile.j_bases[i]
-        small = profile.j_bases[i + 1]
-        for vec in small:
-            if ring == Z:
-                if not int_lattice_contains(big, vec):
-                    return False
-            else:
-                if not field_span_contains(big, vec, ring):
-                    return False
-    return True
+    return all(span_contains(profile.j_bases[i], vec, ring)
+               for i in range(lo, hi) for vec in profile.j_bases[i + 1])
 
 
 def froyshov_properties_check(x, y):

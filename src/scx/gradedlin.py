@@ -10,7 +10,7 @@ from .errors import (
     ShapeMismatch,
     UnsupportedRingForHomology,
 )
-from .rings import Z
+from .rings import FRAC_LAURENT_Q, LAU_ONE, LAURENT_Z, Q, RingMap, Z
 
 
 class GradedModule:
@@ -57,9 +57,6 @@ class GradedModule:
         rn = rename or (lambda n: n)
         return GradedModule(self.ring, self.modulus, [(rn(n), d + k) for n, d in self.gens])
 
-    def renamed(self, fn):
-        return GradedModule(self.ring, self.modulus, [(fn(n), d) for n, d in self.gens])
-
     def reduce_mod2(self):
         if self.modulus == 2:
             return self
@@ -78,19 +75,6 @@ class GradedModule:
 
     def __repr__(self):
         return f"GradedModule({self.ring!r}, mod {self.modulus}, {list(self.gens)})"
-
-
-def direct_sum_modules(parts, prefixes):
-    """Concatenate modules, renaming each part's generators with its prefix."""
-    ring, modulus = parts[0].ring, parts[0].modulus
-    gens = []
-    for part, pre in zip(parts, prefixes):
-        if part.ring != ring:
-            raise RingMismatch("direct sum over mixed rings")
-        if part.modulus != modulus:
-            raise ShapeMismatch("direct sum over mixed moduli")
-        gens.extend((pre + n, d) for n, d in part.gens)
-    return GradedModule(ring, modulus, gens)
 
 
 class GradedMatrix:
@@ -245,12 +229,6 @@ class GradedMatrix:
         return [[self.entries.get((t, s), zero) for s in range(self.source.rank)]
                 for t in range(self.target.rank)]
 
-    def to_int_rows(self):
-        if self.ring != Z:
-            raise UnsupportedRingForHomology("integer matrix expected")
-        return [[self.entries.get((t, s), Z.zero()).val for s in range(self.source.rank)]
-                for t in range(self.target.rank)]
-
     def named_triples(self):
         return sorted(
             (self.target.name(t), self.source.name(s), x)
@@ -260,11 +238,6 @@ class GradedMatrix:
     def __repr__(self):
         return (f"GradedMatrix({self.source.rank}->{self.target.rank}, deg {self.degree}, "
                 f"{len(self.entries)} entries)")
-
-
-def matrix_compose(a, b):
-    """Exact product a . b (b first); degrees add mod the modulus."""
-    return a @ b
 
 
 def place_block(entries, sub, row_offset, col_offset, coeff_fn=None):
@@ -413,10 +386,6 @@ def snf_diagonal(rows):
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
-def int_rank(rows):
-    return sum(1 for x in snf_diagonal(rows) if x != 0)
-
-
 def int_kernel_basis(rows, ncols=None):
     """Basis (list of int column vectors) of ker over Z; saturated lattice."""
     m = len(rows)
@@ -466,21 +435,6 @@ def int_column_lattice_basis(rows):
         if d[j][j] != 0:
             out.append([av[i][j] for i in range(m)])
     return out
-
-
-def int_lattice_contains(basis_cols, vec):
-    if not basis_cols:
-        return all(x == 0 for x in vec)
-    rows = [[col[i] for col in basis_cols] for i in range(len(vec))]
-    return int_solve(rows, list(vec)) is not None
-
-
-def int_lattices_equal(cols_a, cols_b):
-    ba = int_column_lattice_basis(_cols_to_rows(cols_a)) if cols_a else []
-    bb = int_column_lattice_basis(_cols_to_rows(cols_b)) if cols_b else []
-    return all(int_lattice_contains(bb, v) for v in ba) and all(
-        int_lattice_contains(ba, v) for v in bb
-    )
 
 
 def _cols_to_rows(cols):
@@ -562,26 +516,135 @@ def field_solve(rows, rhs, ring):
     return x
 
 
-def field_is_invertible(rows, ring):
-    m = len(rows)
-    if m != (len(rows[0]) if m else 0):
-        return False
-    return field_rank(rows, ring) == m
-
-
-def field_span_contains(basis_cols, vec, ring):
-    if not basis_cols:
-        return all(x.is_zero for x in vec)
-    rows = [[col[i] for col in basis_cols] for i in range(len(vec))]
-    return field_solve(rows, list(vec), ring) is not None
-
-
 def field_column_space_basis(cols, ring):
     """Subset of (echelonized) columns spanning the column space."""
     if not cols:
         return []
     rr, piv = field_rref([[c[i] for c in cols] for i in range(len(cols[0]))], ring)
     return [cols[j] for j in piv]
+
+
+# ---------------------------------------------------------------------------
+# Exact linear algebra over Z or a field.  This is the one place that decides
+# between the two: over Z dense values are ints and elimination is the Smith
+# normal form; over a field they are RingElements and elimination is
+# field_rref.  Callers combine dense values with + and * only.
+
+
+def dense_zero(ring):
+    return 0 if ring == Z else ring.zero()
+
+
+def dense_value(x):
+    """The dense value of one ring element."""
+    return x.val if x.ring == Z else x
+
+
+def element(ring, value):
+    """The ring element of one dense value."""
+    return Z.from_int(value) if ring == Z else value
+
+
+def coeffs(m):
+    """m's nonzero entries as {(target, source): dense value}; read only."""
+    if m.ring == Z:
+        return {k: x.val for k, x in m.entries.items()}
+    return m.entries
+
+
+def dense_rows(m):
+    zero = dense_zero(m.ring)
+    rows = [[zero] * m.source.rank for _ in range(m.target.rank)]
+    for (t, s), x in coeffs(m).items():
+        rows[t][s] = x
+    return rows
+
+
+def dense_cols(m):
+    zero = dense_zero(m.ring)
+    cols = [[zero] * m.target.rank for _ in range(m.source.rank)]
+    for (t, s), x in coeffs(m).items():
+        cols[s][t] = x
+    return cols
+
+
+def _image_cols(m):
+    """The nonzero columns of m, which span its image."""
+    cols = dense_cols(m)
+    return [cols[s] for s in sorted({s for _, s in m.entries})]
+
+
+def apply(m, vecs):
+    """m applied to each dense vector of `vecs`."""
+    zero = dense_zero(m.ring)
+    ent = list(coeffs(m).items())
+    out = []
+    for vec in vecs:
+        col = [zero] * m.target.rank
+        for (t, s), x in ent:
+            col[t] = col[t] + x * vec[s]
+        out.append(col)
+    return out
+
+
+def kernel_basis(rows, ncols, ring):
+    """Basis of the kernel of a dense matrix with `ncols` columns (a saturated
+    lattice over Z)."""
+    if ring == Z:
+        return int_kernel_basis(rows, ncols=ncols)
+    return field_kernel_basis(rows, ring, ncols=ncols)
+
+
+def solve_linear(rows, rhs, ncols, ring):
+    """One solution x of rows . x = rhs with `ncols` unknowns, or None."""
+    if not rows:
+        return [dense_zero(ring)] * ncols
+    if ring == Z:
+        return int_solve(rows, rhs)
+    return field_solve(rows, rhs, ring)
+
+
+def column_basis(cols, ring):
+    """Basis of the lattice (over Z) or the space spanned by dense columns."""
+    if not cols:
+        return []
+    if ring == Z:
+        return int_column_lattice_basis(_cols_to_rows(cols))
+    return field_column_space_basis(cols, ring)
+
+
+def span_contains(basis_cols, vec, ring):
+    rows = [[col[i] for col in basis_cols] for i in range(len(vec))]
+    return solve_linear(rows, vec, len(basis_cols), ring) is not None
+
+
+def spans_equal(cols_a, cols_b, ring):
+    """Whether two sets of dense columns span the same lattice or space."""
+    ba, bb = column_basis(cols_a, ring), column_basis(cols_b, ring)
+    return (all(span_contains(bb, v, ring) for v in ba)
+            and all(span_contains(ba, v, ring) for v in bb))
+
+
+def is_invertible(m):
+    """Whether m is square and invertible over its own ring.
+
+    Over Z[T^{+-1}] that means invertible over Q(T) with an inverse whose
+    entries are Laurent polynomials, i.e. have denominator 1.
+    """
+    n = m.source.rank
+    if m.target.rank != n:
+        return False
+    ring = m.ring
+    if ring == Z:
+        return all(x == 1 for x in snf_diagonal(dense_rows(m)))
+    if ring == LAURENT_Z:
+        to_frac = RingMap(RingMap.LAURENT_TO_FRAC, LAURENT_Z, FRAC_LAURENT_Q)
+        zero, one = FRAC_LAURENT_Q.zero(), FRAC_LAURENT_Q.one()
+        aug = [[to_frac(x) for x in row] + [one if j == i else zero for j in range(n)]
+               for i, row in enumerate(dense_rows(m))]
+        rr, piv = field_rref(aug, FRAC_LAURENT_Q)
+        return piv == list(range(n)) and all(x.val[1] == LAU_ONE for row in rr for x in row[n:])
+    return field_rank(dense_rows(m), ring) == n
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +667,6 @@ class GradedHomology:
     @property
     def total_rank(self):
         return sum(f for f, _ in self.table.values())
-
-    @property
-    def has_torsion(self):
-        return any(t for _, t in self.table.values())
 
     def ranks_by_degree(self):
         return {d: f for d, (f, _) in sorted(self.table.items()) if f}
@@ -718,59 +777,17 @@ def exactness_at(d_prev, f, g, d_next, d_mid):
     ring = f.ring
     _check_ring_for_homology(ring)
     nb = d_mid.source.rank
-    if ring == Z:
-        # L1 = { z in ker d_mid : g z in im d_next }
-        gz = _int_rows(g)
-        dn = _int_rows(d_next)
-        stacked = []
-        nc_src = d_next.source.rank
-        for i in range(d_mid.target.rank):
-            stacked.append([d_mid.entry(i, s).val for s in range(nb)] + [0] * nc_src)
-        for i in range(g.target.rank):
-            stacked.append([gz[i][s] for s in range(nb)] + [-dn[i][w] for w in range(nc_src)])
-        l1_cols = [v[:nb] for v in int_kernel_basis(stacked, ncols=nb + nc_src)]
-        # L2 = f(ker d_prev) + im(d_mid)
-        ka = int_kernel_basis(_int_rows(d_prev), ncols=d_prev.source.rank)
-        fr = _int_rows(f)
-        l2_cols = [[sum(fr[i][j] * vec[j] for j in range(len(vec))) for i in range(nb)] for vec in ka]
-        for s in range(d_mid.source.rank):
-            col = [d_mid.entry(t, s).val for t in range(nb)]
-            if any(col):
-                l2_cols.append(col)
-        return int_lattices_equal(l1_cols, l2_cols)
-    zero = ring.zero()
-    stacked = []
+    zero = dense_zero(ring)
+    # L1 = { z in ker d_mid : g z in im d_next }
     nc_src = d_next.source.rank
-    for i in range(d_mid.target.rank):
-        stacked.append([d_mid.entry(i, s) for s in range(nb)] + [zero] * nc_src)
-    for i in range(g.target.rank):
-        stacked.append([g.entry(i, s) for s in range(nb)]
-                       + [-d_next.entry(i, w) for w in range(nc_src)])
-    l1_cols = [v[:nb] for v in field_kernel_basis(stacked, ring, ncols=nb + nc_src)]
-    ka = field_kernel_basis(_dense(d_prev), ring, ncols=d_prev.source.rank)
-    l2_cols = []
-    for vec in ka:
-        col = [zero] * nb
-        for (t, s), x in f.entries.items():
-            col[t] = col[t] + x * vec[s]
-        l2_cols.append(col)
-    for s in range(d_mid.source.rank):
-        col = [d_mid.entry(t, s) for t in range(nb)]
-        if any(not x.is_zero for x in col):
-            l2_cols.append(col)
-    b1 = field_column_space_basis(l1_cols, ring)
-    b2 = field_column_space_basis(l2_cols, ring)
-    return all(field_span_contains(b2, v, ring) for v in b1) and all(
-        field_span_contains(b1, v, ring) for v in b2
-    )
-
-
-def _int_rows(m):
-    return [[m.entry(t, s).val for s in range(m.source.rank)] for t in range(m.target.rank)]
-
-
-def _dense(m):
-    return m.to_dense()
+    stacked = [row + [zero] * nc_src for row in dense_rows(d_mid)]
+    stacked += [row + [-x for x in nrow]
+                for row, nrow in zip(dense_rows(g), dense_rows(d_next))]
+    l1_cols = [v[:nb] for v in kernel_basis(stacked, nb + nc_src, ring)]
+    # L2 = f(ker d_prev) + im(d_mid)
+    ka = kernel_basis(dense_rows(d_prev), d_prev.source.rank, ring)
+    l2_cols = apply(f, ka) + _image_cols(d_mid)
+    return spans_equal(l1_cols, l2_cols, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -781,95 +798,44 @@ class HomologyMaps:
     """Induced maps on H(B, d) for chain maps into/out of the complex.
 
     Over a field this is the honest induced map in a chosen homology basis.
-    Over Z a presentation of the free part is used; torsion is reported but
-    the induced matrix is on free generators only.
+    Over Z it is the map on the free part, read over Q: the representatives
+    are integer cycles, independent over Q modulo boundaries, and class
+    coordinates are rational.
     """
 
     def __init__(self, d_mid):
         ring = d_mid.ring
         _check_ring_for_homology(ring)
         self.ring = ring
-        self.d = d_mid
         self.module = d_mid.source
-        if ring == Z:
-            self._init_z()
-        else:
-            self._init_field()
-
-    def _init_field(self):
-        ring = self.ring
-        rows = self.d.to_dense()
-        kern = field_kernel_basis(rows, ring, ncols=self.d.source.rank)
+        self.field = Q if ring == Z else ring
+        kern = kernel_basis(dense_rows(d_mid), d_mid.source.rank, ring)
         # boundaries live in the same module only when d is an endomorphism
-        img = []
-        if self.d.target == self.module:
-            for s in range(self.d.source.rank):
-                col = [self.d.entry(t, s) for t in range(self.module.rank)]
-                if any(not x.is_zero for x in col):
-                    img.append(col)
-        bnd = field_column_space_basis(img, self.ring)
-        reps = []
+        img = _image_cols(d_mid) if d_mid.target == self.module else []
+        self.boundaries = field_column_space_basis([self._over_field(c) for c in img],
+                                                   self.field)
+        self.reps = []
+        self._field_reps = []
         for v in kern:
-            if not field_span_contains(bnd + reps, v, self.ring):
-                reps.append(v)
-        self.boundaries = bnd
-        self.reps = reps
+            fv = self._over_field(v)
+            if not span_contains(self.boundaries + self._field_reps, fv, self.field):
+                self.reps.append(v)
+                self._field_reps.append(fv)
 
-    def _init_z(self):
-        rows = _int_rows(self.d)
-        kern = int_kernel_basis(rows, ncols=self.d.source.rank)
-        img = []
-        if self.d.target == self.module:
-            for s in range(self.d.source.rank):
-                col = [self.d.entry(t, s).val for t in range(self.module.rank)]
-                if any(col):
-                    img.append(col)
-        self.kernel = kern
-        self.image = img
-        # free-part representatives over Q
-        from .rings import Q as QQ
-        qv = lambda v: [QQ.from_int(x) for x in v]
-        bnd = field_column_space_basis([qv(c) for c in img], QQ)
-        reps = []
-        for v in kern:
-            if not field_span_contains(bnd + reps, qv(v), QQ):
-                reps.append(v)
-        self._q_bnd = bnd
-        self.reps = reps
+    def _over_field(self, vec):
+        return [Q.from_int(x) for x in vec] if self.ring == Z else vec
 
     @property
     def rank(self):
         return len(self.reps)
 
     def class_coords(self, vec):
-        """Coordinates of a cycle's class in the chosen representative basis."""
-        if self.ring == Z:
-            from .rings import Q as QQ
-            qvec = [QQ.from_int(x) for x in vec]
-            cols = self._q_bnd + [[QQ.from_int(x) for x in r] for r in self.reps]
-            rows = [[c[i] for c in cols] for i in range(len(qvec))]
-            sol = field_solve(rows, qvec, QQ)
-            if sol is None:
-                raise NotAComplex("vector is not a cycle class")
-            return sol[len(self._q_bnd):]
-        cols = self.boundaries + self.reps
-        rows = [[c[i] for c in cols] for i in range(len(vec))]
-        sol = field_solve(rows, list(vec), self.ring)
+        """Coordinates of a cycle's class in the chosen representative basis,
+        over the field (over Q for Z)."""
+        cols = self.boundaries + self._field_reps
+        fvec = self._over_field(vec)
+        rows = [[c[i] for c in cols] for i in range(len(fvec))]
+        sol = field_solve(rows, fvec, self.field)
         if sol is None:
             raise NotAComplex("vector is not a cycle class")
         return sol[len(self.boundaries):]
-
-    def induced_from(self, chain_map, source_hm):
-        """Matrix (list of coordinate columns) of the induced map H(src)->H(self)."""
-        cols = []
-        for rep in source_hm.reps:
-            if self.ring == Z:
-                img = [0] * self.module.rank
-                for (t, s), x in chain_map.entries.items():
-                    img[t] += x.val * rep[s]
-            else:
-                img = [self.ring.zero()] * self.module.rank
-                for (t, s), x in chain_map.entries.items():
-                    img[t] = img[t] + x * rep[s]
-            cols.append(self.class_coords(img))
-        return cols

@@ -13,8 +13,7 @@ and the nonpositive tau_i enter the four generalized chain relations.
 from __future__ import annotations
 
 from .errors import ShapeMismatch
-from .gradedlin import GradedMatrix, field_is_invertible, place_block
-from .rings import Z
+from .gradedlin import GradedMatrix, is_invertible, place_block
 from .scomplex import RelationReport, SMorphism, _rel
 from .functors import suspend, suspend_once
 
@@ -127,15 +126,7 @@ class HeightMorphism:
 
     @property
     def is_strong(self):
-        t = self.tau_at(self.height)
-        if t.source.rank != t.target.rank:
-            return False
-        ring = t.ring
-        if ring == Z:
-            from .gradedlin import snf_diagonal
-            diag = snf_diagonal(t.to_int_rows()) if t.source.rank else []
-            return all(x == 1 for x in diag) and len(diag) == t.source.rank
-        return field_is_invertible(t.to_dense(), ring)
+        return is_invertible(self.tau_at(self.height))
 
     def verify(self, claimed_height=None):
         """All four relations, the tau closed formula, and the height claim.
@@ -179,10 +170,6 @@ class HeightMorphism:
             ok = all(self.tau_at(i).is_zero for i in range(-bound, min(claimed_height, bound + 1)))
             checks.append((f"height >= {claimed_height}", ok, None))
         return RelationReport(checks)
-
-
-def verify_height(f, claimed_height=None):
-    return f.verify(claimed_height)
 
 
 def iota(x, n):

@@ -76,10 +76,6 @@ class AlexPoly:
     def is_zero(self):
         return not self.lau
 
-    @property
-    def half_exponents(self):
-        return any(e % 2 for e, _ in self.lau)
-
     def eval_minus_one(self):
         """Delta(-1) via u = sqrt(-1), as a Gaussian integer (re, im)."""
         re = im = 0
@@ -526,10 +522,6 @@ class SkeinLeaf:
         self.chi = None if chi is None else Fraction(chi)
         self.xi = None if xi is None else Fraction(xi)
         self.name = name or "leaf"
-
-    @property
-    def has_value(self):
-        return self.chi is not None or self.xi is not None
 
     def value(self):
         if self.chi is not None:

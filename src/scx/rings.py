@@ -51,25 +51,12 @@ def lau_mul(a, b):
     return lau_from_dict(d)
 
 
-def lau_scale(a, k):
-    if k == 0:
-        return LAU_ZERO
-    return tuple((e, c * k) for e, c in a)
-
-
 def lau_shift(a, k):
     return tuple((e + k, c) for e, c in a)
 
 
 def lau_min_exp(a):
     return a[0][0]
-
-
-def lau_content(a):
-    g = 0
-    for _, c in a:
-        g = gcd(g, abs(c))
-    return g
 
 
 def lau_is_monomial(a):
@@ -272,10 +259,6 @@ class RingElement:
         if k == Ring.LAURENT:
             return self.val == LAU_ZERO
         return self.val[0] == LAU_ZERO
-
-    @property
-    def is_one(self):
-        return self == self.ring.one()
 
     @property
     def is_unit(self):
@@ -602,10 +585,6 @@ class RingMap:
                 power = power * base
             total = total + power * self.target.from_int(c)
         return total
-
-
-def identity_map(ring):
-    return RingMap(RingMap.IDENTITY, ring, ring)
 
 
 def eval_t_at_one():

@@ -21,6 +21,9 @@ from .gradedlin import (
     GradedMatrix,
     GradedModule,
     HomologyMaps,
+    apply,
+    dense_cols,
+    dense_zero,
     homology_of_pair,
     place_block,
 )
@@ -168,34 +171,15 @@ class SComplex:
         if not self.r.is_zero:
             raise NotRPerfect("induced delta maps need r = 0")
         hm = HomologyMaps(self.d)
-        ring = self.ring
-        d2_cols = []
-        for j in range(self.red.rank):
-            if ring == Z:
-                vec = [self.delta2.entry(t, j).val for t in range(self.irr.rank)]
-            else:
-                vec = [self.delta2.entry(t, j) for t in range(self.irr.rank)]
-            d2_cols.append(hm.class_coords(vec))
-        d1_cols = []
-        for rep in hm.reps:
-            if ring == Z:
-                out = [0] * self.red.rank
-                for (t, s), x in self.delta1.entries.items():
-                    out[t] += x.val * rep[s]
-            else:
-                out = [ring.zero()] * self.red.rank
-                for (t, s), x in self.delta1.entries.items():
-                    out[t] = out[t] + x * rep[s]
-            d1_cols.append(out)
-        return hm, d2_cols, d1_cols
+        d2_cols = [hm.class_coords(col) for col in dense_cols(self.delta2)]
+        return hm, d2_cols, apply(self.delta1, hm.reps)
 
     def delta_maps_zero(self):
         """Convenience: are both induced delta maps zero?"""
         _, d2, d1 = self.induced_delta_maps()
-        flat = [x for col in d2 for x in col] + [x for col in d1 for x in col]
-        if self.ring == Z:
-            return all((x == 0 if isinstance(x, int) else x.is_zero) for x in flat)
-        return all(x.is_zero for x in flat)
+        zero = dense_zero(self.ring)
+        return (all(x.is_zero for col in d2 for x in col)
+                and all(x == zero for col in d1 for x in col))
 
     # -- restructuring
 
@@ -241,10 +225,6 @@ class SComplex:
     def __repr__(self):
         return (f"SComplex(C rank {self.irr.rank}, R rank {self.red.rank}, "
                 f"mod {self.modulus} over {self.ring!r})")
-
-
-def verify_complex(x):
-    return x.verify()
 
 
 def base_change(obj, ring_map):
@@ -366,14 +346,6 @@ class SMorphism:
         return f"SMorphism(deg {self.degree}: {self.source!r} -> {self.target!r})"
 
 
-def compose_morphisms(g, f):
-    return g.compose_after(f)
-
-
-def verify_morphism(f):
-    return f.verify()
-
-
 class SHomotopy:
     """Homotopy data (K, L, M1, M2, J) between morphisms of equal degree k.
 
@@ -455,10 +427,6 @@ class SHomotopy:
 
     def __repr__(self):
         return f"SHomotopy(deg {self.frm.degree}: {self.frm.source!r} -> {self.frm.target!r})"
-
-
-def verify_homotopy(h):
-    return h.verify()
 
 
 def s_map_discrepancy(f):
@@ -550,13 +518,21 @@ _COMPLEX_KEYS = {"ring", "modulus", "irreducible", "reducible",
 
 
 def _gens_from_json(items, modulus, grz, gri):
+    if not isinstance(items, list):
+        raise SchemaError("generators must be a list")
     gens = []
     for g in items:
+        if not isinstance(g, dict):
+            raise SchemaError("a generator must be an object")
         extra = set(g) - {"name", "degree", "gr_z", "gr_i"}
         if extra:
             raise SchemaError(f"unknown generator keys {sorted(extra)}")
         if "name" not in g or "degree" not in g:
             raise SchemaError("generator needs name and degree")
+        if not isinstance(g["name"], str):
+            raise SchemaError(f"generator name must be a string, got {g['name']!r}")
+        if type(g["degree"]) is not int:
+            raise SchemaError(f"degree of {g['name']!r} must be an integer, got {g['degree']!r}")
         gens.append((g["name"], g["degree"] % modulus))
         if "gr_z" in g:
             grz[g["name"]] = g["gr_z"]
@@ -567,11 +543,15 @@ def _gens_from_json(items, modulus, grz, gri):
 
 
 def _matrix_from_json(items, source, target, degree, ring):
+    if not isinstance(items, list):
+        raise SchemaError("matrix entries must be a list")
     triples = []
     for row in items:
         if not isinstance(row, list) or len(row) != 3:
             raise SchemaError("matrix entries are [target, source, coeff] triples")
         tn, sn, cs = row
+        if not isinstance(cs, str):
+            raise SchemaError(f"coefficient must be a string, got {cs!r}")
         if tn not in [n for n, _ in target.gens]:
             raise SchemaError(f"unknown target generator {tn!r}")
         if sn not in [n for n, _ in source.gens]:
@@ -657,7 +637,9 @@ def morphism_from_json(doc, source=None, target=None):
         if "target" not in doc:
             raise SchemaError("morphism document needs an inline target complex")
         target = scomplex_from_json(doc["target"])
-    k = doc["degree"]
+    k = doc.get("degree")
+    if type(k) is not int:
+        raise SchemaError(f"morphism degree must be an integer, got {k!r}")
     ring = source.ring
     return SMorphism(
         source, target, k,

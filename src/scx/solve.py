@@ -8,7 +8,7 @@ solving one exact linear system.  Supported coefficients: Z and fields.
 from __future__ import annotations
 
 from .errors import UnsupportedRing
-from .gradedlin import GradedMatrix, field_solve, int_solve
+from .gradedlin import GradedMatrix, dense_value, dense_zero, element, solve_linear
 from .rings import Z
 from .scomplex import SHomotopy, SMorphism
 
@@ -93,33 +93,19 @@ def _accumulate(total, part, sign=1):
 
 def _solve_system(equations, nvars, ring):
     """equations: list of (_Lin, rhs element) meaning sum = rhs."""
-    if ring == Z:
-        rows = []
-        rhs = []
-        for lin, const in equations:
-            row = [0] * nvars
-            for var, coeff in lin.terms.items():
-                row[var] = coeff.val
-            rows.append(row)
-            rhs.append(const.val)
-        sol = int_solve(rows, rhs) if rows else [0] * nvars
-        if sol is None:
-            return None
-        return [Z.from_int(v) for v in sol]
-    if not ring.is_field:
+    if ring != Z and not ring.is_field:
         raise UnsupportedRing("linear solving needs Z or field coefficients")
-    zero = ring.zero()
+    zero = dense_zero(ring)
     rows = []
     rhs = []
     for lin, const in equations:
         row = [zero] * nvars
         for var, coeff in lin.terms.items():
-            row[var] = coeff
+            row[var] = dense_value(coeff)
         rows.append(row)
-        rhs.append(const)
-    if not rows:
-        return [zero] * nvars
-    return field_solve(rows, rhs, ring)
+        rhs.append(dense_value(const))
+    sol = solve_linear(rows, rhs, nvars, ring)
+    return None if sol is None else [element(ring, v) for v in sol]
 
 
 def solve_homotopy(frm, to):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from scx.cli import main
 from scx.scomplex import load_scomplex
 
@@ -39,6 +41,48 @@ def test_exit_codes(tmp_path):
     # froyshov over Z[T^{+-1}] is refused with the unsupported exit code
     assert run("froyshov", "--in", str(out)) == 3
     assert run("family", "--name", "twisted", "--p", "2", "--q", "1", "--k", "1") == 3
+
+
+def _set_degree_true(doc):
+    doc["irreducible"][0]["degree"] = True
+
+
+def _set_degree_text(doc):
+    doc["irreducible"][0]["degree"] = "x"
+
+
+def _set_coefficient_int(doc):
+    doc["delta1"][0][2] = 7
+
+
+def _set_generators_int(doc):
+    doc["irreducible"] = 5
+
+
+@pytest.mark.parametrize("edit", [_set_degree_true, _set_degree_text,
+                                  _set_coefficient_int, _set_generators_int])
+def test_malformed_complex_is_a_usage_error(tmp_path, capsys, edit):
+    path = tmp_path / "o1.json"
+    run("atomic", "--n", "1", "--out", str(path))
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("verify", "--in", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_morphism_degree_must_be_an_integer(tmp_path, capsys):
+    from scx.functors import atomic
+    from scx.scomplex import SMorphism, morphism_to_json
+
+    doc = morphism_to_json(SMorphism.identity(atomic(1)))
+    doc["degree"] = "x"
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(doc))
+    assert run("cone", "--map", str(path), "--out", str(tmp_path / "c.json")) == 2
+    assert capsys.readouterr().err.startswith("error: morphism degree")
 
 
 def test_functor_verbs(tmp_path):

@@ -9,6 +9,7 @@ from scx.gradedlin import (
     _check_snf,
     _mat_mul_int,
     homology_of_pair,
+    is_invertible,
     smith_normal_form,
     snf_diagonal,
 )
@@ -218,3 +219,20 @@ def test_base_change_commutes_with_compose():
         lhs = (a @ b).map_entries(f, mz, mz)
         rhs = a.map_entries(f, mz, mz) @ b.map_entries(f, mz, mz)
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("rows, invertible", [
+    ([["1", "0"], ["0", "1"]], True),
+    ([["T", "0"], ["0", "-T^-1"]], True),
+    ([["2", "0"], ["0", "2"]], False),
+    ([["1 + T", "0"], ["0", "1 + T"]], False),
+    ([["1 + T", "T"], ["1", "1"]], True),  # det 1
+    ([["T", "T^2"], ["1", "T"]], False),  # singular
+])
+def test_is_invertible_over_laurent(rows, invertible):
+    # invertible over Z[T^{+-1}] iff invertible over Q(T) with a Laurent inverse
+    m = GradedModule(LAURENT_Z, 2, [("a", 0), ("b", 0)])
+    ent = {(t, s): parse_element(LAURENT_Z, x)
+           for t, row in enumerate(rows) for s, x in enumerate(row)}
+    a = GradedMatrix(m, m, 0, ent)
+    assert is_invertible(a) is invertible

@@ -16,6 +16,7 @@ from scx.heights import (
     kappa,
     odd_to_suspension_morphism,
 )
+from scx.linkfam import torus_link_complex
 from scx.randgen import rand_height_morphism, rand_morphism, rand_scomplex
 from scx.rings import Q, Zp
 from scx.scomplex import SMorphism
@@ -36,6 +37,13 @@ def test_even_morphism_with_invertible_rho_is_strong_height_zero():
     x = rand_scomplex(Q, rng, max_rank=4, r_perfect=True, allow_cone=False)
     h = HeightMorphism.from_morphism(SMorphism.identity(x))
     assert h.height == 0 and h.is_strong
+
+
+def test_strong_over_laurent_needs_a_laurent_inverse():
+    x = torus_link_complex(2)
+    one = SMorphism.identity(x)
+    assert HeightMorphism.from_morphism(one).is_strong
+    assert not HeightMorphism.from_morphism(one + one).is_strong
 
 
 def test_kappa_iota_composite_is_identity_like():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from scx.errors import MissingSMap, NotRPerfect, SchemaError
-from scx.functors import atomic
+from scx.functors import atomic, direct_sum
 from scx.gradedlin import GradedMatrix, GradedModule
 from scx.linkfam import (
     hopf_complex,
@@ -125,6 +125,14 @@ def test_induced_deltas_compose_to_zero():
                 for t in range(x.red.rank):
                     out[t] = out[t] + c * d1_cols[r][t]
             assert all(v.is_zero for v in out)
+
+
+def test_induced_delta_maps_over_z_read_the_free_part_over_q():
+    for ring in (Z, Q):
+        x = direct_sum(atomic(1, ring, 4), atomic(1, ring, 4))
+        hm, d2_cols, d1_cols = x.induced_delta_maps()
+        assert hm.rank == 2
+        assert not x.delta_maps_zero()
 
 
 def test_induced_deltas_need_r_zero():

@@ -22,6 +22,12 @@ from scx.triangles import (
 )
 
 
+def test_cone_triangle_verifies_over_laurent():
+    # the N expressions are invertible over Z[T^{+-1}] itself
+    t = cone_triangle(SMorphism.identity(torus_link_complex(2)))
+    assert verify_triangle(t).ok
+
+
 def test_cone_triangle_passes_over_fields():
     rng = random.Random(2)
     for ring in (Q, Zp(2)):
