@@ -448,32 +448,52 @@ def _cols_to_rows(cols):
 
 
 def field_rref(rows, ring):
-    """Reduced row echelon form; returns (rref rows, pivot column list)."""
-    a = [list(r) for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
+    """Reduced row echelon form; returns (rref rows, pivot column list).
+
+    Eliminates on sparse rows {column: nonzero entry}: only the pivot row's
+    nonzero entries are scaled, and a row is updated only if its pivot-column
+    entry is nonzero, at the pivot row's nonzero columns.  Canonical forms make
+    x - f*0 == x and 0*inv == 0, so the result equals the dense elimination's.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    zero = ring.zero()
+    zv = zero.val  # canonical, so x is zero exactly when x.val == zv
+    a = [{c: x for c, x in enumerate(row) if x.val != zv} for row in rows]
     pivots = []
     r = 0
     for c in range(n):
-        pr = None
-        for i in range(r, m):
-            if not a[i][c].is_zero:
-                pr = i
+        for pr in range(r, m):
+            if c in a[pr]:
                 break
-        if pr is None:
+        else:
             continue
         a[r], a[pr] = a[pr], a[r]
         inv = a[r][c].inverse()
-        a[r] = [x * inv for x in a[r]]
+        prow = a[r] = {k: x * inv for k, x in a[r].items()}
         for i in range(m):
-            if i != r and not a[i][c].is_zero:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            row = a[i]
+            if i == r or c not in row:
+                continue
+            f = -row[c]
+            for k, y in prow.items():
+                x = row.get(k)
+                x = f * y if x is None else x + f * y
+                if x.val == zv:
+                    del row[k]
+                else:
+                    row[k] = x
         pivots.append(c)
         r += 1
         if r == m:
             break
-    return a, pivots
+    out = []
+    for row in a:
+        dense = [zero] * n
+        for k, x in row.items():
+            dense[k] = x
+        out.append(dense)
+    return out, pivots
 
 
 def field_rank(rows, ring):
@@ -490,7 +510,8 @@ def field_kernel_basis(rows, ring, ncols=None):
         one, zero = ring.one(), ring.zero()
         return [[one if i == j else zero for i in range(n)] for j in range(n)]
     rr, piv = field_rref(rows, ring)
-    free = [c for c in range(n) if c not in piv]
+    pivset = set(piv)
+    free = [c for c in range(n) if c not in pivset]
     zero, one = ring.zero(), ring.one()
     basis = []
     for fc in free:

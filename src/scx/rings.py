@@ -8,12 +8,12 @@ Every element is stored in a unique canonical form, so equality is structural:
 * Laurent polynomials as sorted (exponent, coefficient) tuples without zeros,
 * rational functions as a reduced pair num/den with den an ordinary integer
   polynomial, positive leading coefficient, nonzero constant term, and the
-  pair having coprime content; the monomial unit is folded into num.
+  pair having coprime content; the monomial unit is folded into num.  Pairs
+  are reduced over Z, with a primitive polynomial gcd, never over Q.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import DivideByZero, DivisionUnsupported, RingMismatch, ScxError, SchemaError
@@ -63,79 +63,81 @@ def lau_is_monomial(a):
     return len(a) == 1
 
 
-def _poly_coeffs(a):
-    """Integer lau with min exp 0 -> dense ascending Fraction coefficient list."""
-    deg = a[-1][0]
-    out = [Fraction(0)] * (deg + 1)
+def _dense(a, shift):
+    """Integer lau divided by T^shift -> dense ascending int coefficient list."""
+    out = [0] * (a[-1][0] - shift + 1)
     for e, c in a:
-        out[e] = Fraction(c)
+        out[e - shift] = c
     return out
 
 
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _primitive(p):
+    g = gcd(*p)
+    return p if g == 1 else [c // g for c in p]
 
 
-def _poly_divmod(a, b):
-    """Division of dense Fraction coefficient lists; returns (q, r)."""
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lb = b[-1]
-    while len(a) >= len(b) and _poly_trim(a):
-        k = len(a) - len(b)
-        f = a[-1] / lb
-        q[k] = f
-        for i, c in enumerate(b):
-            a[i + k] -= f * c
-        _poly_trim(a)
-    return _poly_trim(q), a
+def _pgcd(p, q):
+    """Primitive gcd over Z of two nonzero dense int polynomials, by a
+    primitive pseudo-remainder sequence; [1] when they are coprime."""
+    if len(p) < len(q):
+        p, q = q, p
+    p, q = _primitive(p), _primitive(q)
+    while len(q) > 1:
+        lq, n = q[-1], len(q)
+        while len(p) >= n:
+            f, k = p[-1], len(p) - n
+            p = [lq * c for c in p]
+            for i, c in enumerate(q):
+                p[i + k] -= f * c
+            while p and p[-1] == 0:
+                p.pop()
+        if not p:
+            return q
+        p, q = q, _primitive(p)
+    return [1]
 
 
-def _poly_gcd(a, b):
-    a, b = list(a), list(b)
-    while _poly_trim(b):
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    return a
+def _exact_div(p, g):
+    """p / g over Z for dense int polynomials, g dividing p exactly."""
+    p = list(p)
+    n, lg = len(g), g[-1]
+    out = [0] * (len(p) - n + 1)
+    for k in range(len(out) - 1, -1, -1):
+        f = p[k + n - 1] // lg
+        out[k] = f
+        if f:
+            for i, c in enumerate(g):
+                p[i + k] -= f * c
+    return out
 
 
 def ratfun_normalize(num, den):
     """Canonical form of num/den for integer laus; den must be nonzero.
 
-    The pair is reduced jointly: the polynomial gcd is cancelled over Q,
-    denominators are cleared and the common integer content removed from the
-    pair (never from one side alone), and the denominator gets a positive
-    leading coefficient; the monomial unit is folded into the numerator.
+    The pair is reduced jointly over Z: the primitive polynomial gcd (which
+    divides both sides over Z, by Gauss's lemma) is cancelled exactly, the
+    common integer content removed from the pair (never from one side alone),
+    and the denominator gets a positive leading coefficient; the monomial unit
+    is folded into the numerator.
     """
     if not den:
         raise DivideByZero("zero denominator in Q(T)")
-    if not num:
-        return (LAU_ZERO, LAU_ONE)
+    if den == LAU_ONE or not num:
+        return (num, LAU_ONE)
     a, b = lau_min_exp(num), lau_min_exp(den)
-    p = _poly_coeffs(lau_shift(num, -a))
-    q = _poly_coeffs(lau_shift(den, -b))
-    g = _poly_gcd(p, q)
-    if len(g) > 1:
-        p, _ = _poly_divmod(p, g)
-        q, _ = _poly_divmod(q, g)
-    scale = 1
-    for c in p + q:
-        scale = scale * c.denominator // gcd(scale, c.denominator)
-    ip = [int(c * scale) for c in p]
-    iq = [int(c * scale) for c in q]
-    content = 0
-    for c in ip + iq:
-        content = gcd(content, abs(c))
-    ip = [c // content for c in ip]
-    iq = [c // content for c in iq]
-    if iq[-1] < 0:
-        ip = [-c for c in ip]
-        iq = [-c for c in iq]
-    p0 = tuple((e, c) for e, c in enumerate(ip) if c)
-    q0 = tuple((e, c) for e, c in enumerate(iq) if c)
-    return (lau_shift(p0, a - b), q0)
+    p, q = _dense(num, a), _dense(den, b)
+    if len(p) > 1 and len(q) > 1:
+        g = _pgcd(p, q)
+        if len(g) > 1:
+            p, q = _exact_div(p, g), _exact_div(q, g)
+    content = gcd(*p, *q)
+    if q[-1] < 0:
+        content = -content
+    if content != 1:
+        p = [c // content for c in p]
+        q = [c // content for c in q]
+    return (tuple((e + a - b, c) for e, c in enumerate(p) if c),
+            tuple((e, c) for e, c in enumerate(q) if c))
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +470,8 @@ def parse_element(ring, text):
                 num = int(coeff)
         num *= sign
         if ring.kind == Ring.FRAC:
-            t = RingElement(ring, ratfun_normalize(((exp or 0, num),), ((0, den),)))
+            t = RingElement(ring, ratfun_normalize(((exp or 0, num),) if num else LAU_ZERO,
+                                                   ((0, den),) if den else LAU_ZERO))
         elif ring.kind == Ring.LAURENT:
             t = RingElement(ring, ((exp or 0, num),) if num else LAU_ZERO)
         elif ring.kind == Ring.RAT:

@@ -517,6 +517,18 @@ _COMPLEX_KEYS = {"ring", "modulus", "irreducible", "reducible",
                  "d", "v", "delta1", "delta2", "r", "s", "metadata"}
 
 
+def _check_gr_i(name, value):
+    """A gr_i grading is a str or an int (not a bool) that Fraction reads."""
+    if type(value) in (str, int):
+        try:
+            Fraction(value)
+            return value
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise SchemaError(f"gr_i of {name!r} must be an integer or a rational string like '1/2', "
+                      f"got {value!r}")
+
+
 def _gens_from_json(items, modulus, grz, gri):
     if not isinstance(items, list):
         raise SchemaError("generators must be a list")
@@ -537,8 +549,7 @@ def _gens_from_json(items, modulus, grz, gri):
         if "gr_z" in g:
             grz[g["name"]] = g["gr_z"]
         if "gr_i" in g:
-            Fraction(g["gr_i"])  # validate
-            gri[g["name"]] = g["gr_i"]
+            gri[g["name"]] = _check_gr_i(g["name"], g["gr_i"])
     return gens
 
 
@@ -571,8 +582,10 @@ def scomplex_from_json(doc):
             raise SchemaError(f"missing key {k!r}")
     ring = ring_from_json(doc["ring"])
     modulus = doc["modulus"]
-    if modulus not in (2, 4):
-        raise SchemaError("modulus must be 2 or 4")
+    if type(modulus) is not int or modulus not in (2, 4):
+        raise SchemaError(f"modulus must be 2 or 4, got {modulus!r}")
+    if not isinstance(doc.get("metadata", {}), dict):
+        raise SchemaError(f"metadata must be an object, got {doc['metadata']!r}")
     grz, gri = {}, {}
     irr = GradedModule(ring, modulus, _gens_from_json(doc["irreducible"], modulus, grz, gri))
     red = GradedModule(ring, modulus, _gens_from_json(doc["reducible"], modulus, grz, gri))

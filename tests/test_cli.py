@@ -59,8 +59,30 @@ def _set_generators_int(doc):
     doc["irreducible"] = 5
 
 
+def _set_gr_i_list(doc):
+    doc["irreducible"][0]["gr_i"] = [1]
+
+
+def _set_gr_i_text(doc):
+    doc["irreducible"][0]["gr_i"] = "x"
+
+
+def _set_modulus_float(doc):
+    doc["modulus"] = 2.0
+
+
+def _set_modulus_float_four(doc):
+    doc["modulus"] = 4.0
+
+
+def _set_metadata_list(doc):
+    doc["metadata"] = [1]
+
+
 @pytest.mark.parametrize("edit", [_set_degree_true, _set_degree_text,
-                                  _set_coefficient_int, _set_generators_int])
+                                  _set_coefficient_int, _set_generators_int,
+                                  _set_gr_i_list, _set_gr_i_text, _set_modulus_float,
+                                  _set_modulus_float_four, _set_metadata_list])
 def test_malformed_complex_is_a_usage_error(tmp_path, capsys, edit):
     path = tmp_path / "o1.json"
     run("atomic", "--n", "1", "--out", str(path))

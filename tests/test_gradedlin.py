@@ -8,13 +8,15 @@ from scx.gradedlin import (
     GradedModule,
     _check_snf,
     _mat_mul_int,
+    field_kernel_basis,
+    field_rref,
     homology_of_pair,
     is_invertible,
     smith_normal_form,
     snf_diagonal,
 )
 from scx.linkfam import torus_link_complex
-from scx.rings import LAURENT_Z, Q, Z, parse_element
+from scx.rings import FRAC_LAURENT_Q, LAURENT_Z, Q, Z, RingElement, Zp, parse_element, ratfun_normalize
 
 
 def test_homogeneity_enforced():
@@ -236,3 +238,80 @@ def test_is_invertible_over_laurent(rows, invertible):
            for t, row in enumerate(rows) for s, x in enumerate(row)}
     a = GradedMatrix(m, m, 0, ent)
     assert is_invertible(a) is invertible
+
+
+def dense_field_rref(rows, ring):
+    """Independent oracle for field_rref: the dense elimination that updates
+    every entry of every row it clears and scales the whole pivot row."""
+    a = [list(r) for r in rows]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if not a[i][c].is_zero), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = a[r][c].inverse()
+        a[r] = [x * inv for x in a[r]]
+        for i in range(m):
+            if i != r and not a[i][c].is_zero:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return a, pivots
+
+
+def _rand_field_element(ring, rng):
+    if rng.random() < 0.55:
+        return ring.zero()
+    if ring == FRAC_LAURENT_Q:
+        num = tuple(sorted({rng.randint(-2, 2): rng.choice([-3, -1, 1, 2]) for _ in range(2)}.items()))
+        den = tuple(sorted({rng.randint(0, 2): rng.choice([-2, 1, 3]) for _ in range(2)}.items()))
+        return RingElement(ring, ratfun_normalize(num, den))
+    a, b = rng.randint(-4, 4), rng.choice([1, 1, 2, 3])
+    return parse_element(ring, f"{a}/{b}" if ring == Q else str(a))
+
+
+def _rand_field_matrix(ring, rng, m, n, rank=None):
+    rand = [[_rand_field_element(ring, rng) for _ in range(n)] for _ in range(m)]
+    if rank is None:
+        return rand
+    # a product of m x rank and rank x n factors has rank at most `rank`
+    left = [[_rand_field_element(ring, rng) for _ in range(rank)] for _ in range(m)]
+    right = [[_rand_field_element(ring, rng) for _ in range(n)] for _ in range(rank)]
+    out = []
+    for i in range(m):
+        row = []
+        for j in range(n):
+            x = ring.zero()
+            for k in range(rank):
+                x = x + left[i][k] * right[k][j]
+            row.append(x)
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("ring", [Q, Zp(3), FRAC_LAURENT_Q], ids=str)
+def test_sparse_field_rref_equals_dense_oracle(ring):
+    rng = random.Random(404)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (4, 4), (7, 3), (3, 7), (6, 6), (9, 4)]
+    cases = [[[ring.zero()] * 5 for _ in range(4)]]  # all zero
+    for m, n in shapes:
+        for _ in range(4 if ring != FRAC_LAURENT_Q else 2):
+            cases.append(_rand_field_matrix(ring, rng, m, n))
+        if m and n:
+            cases.append(_rand_field_matrix(ring, rng, m, n, rank=min(m, n) // 2))
+    full_rank = set()
+    for rows in cases:
+        m, n = len(rows), len(rows[0]) if rows else 0
+        rr, piv = field_rref(rows, ring)
+        assert (rr, piv) == dense_field_rref(rows, ring)
+        full_rank.add(len(piv) == min(m, n))
+        for v in field_kernel_basis(rows, ring, ncols=n):
+            assert all(sum((a * x for a, x in zip(row, v)), ring.zero()).is_zero for row in rows)
+    assert full_rank == {True, False}  # both full-rank and rank-deficient shapes ran

@@ -1,8 +1,14 @@
+import random
+from fractions import Fraction
+from math import gcd
+
 import pytest
 
 from scx.errors import DivideByZero, DivisionUnsupported, RingMismatch, SchemaError
 from scx.rings import (
     FRAC_LAURENT_Q,
+    LAU_ONE,
+    LAU_ZERO,
     LAURENT_Z,
     Q,
     Ring,
@@ -10,7 +16,9 @@ from scx.rings import (
     Z,
     Zp,
     eval_t_at_one,
+    lau_mul,
     parse_element,
+    ratfun_normalize,
     ring_arith,
 )
 
@@ -104,3 +112,116 @@ def test_include_laurent_in_fraction_field():
     m = RingMap(RingMap.LAURENT_TO_FRAC, LAURENT_Z, FRAC_LAURENT_Q)
     x = m(L("T^2 - T^-2"))
     assert x == parse_element(FRAC_LAURENT_Q, "T^2 - T^-2")
+
+
+# ---------------------------------------------------------------------------
+# Independent oracle for ratfun_normalize: the Euclidean gcd over Q with
+# Fraction coefficients that the library used before it reduced over Z.
+
+
+def _fr_coeffs(a):
+    out = [Fraction(0)] * (a[-1][0] + 1)
+    for e, c in a:
+        out[e] = Fraction(c)
+    return out
+
+
+def _fr_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _fr_divmod(a, b):
+    a = list(a)
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b) and _fr_trim(a):
+        k = len(a) - len(b)
+        f = a[-1] / b[-1]
+        q[k] = f
+        for i, c in enumerate(b):
+            a[i + k] -= f * c
+        _fr_trim(a)
+    return _fr_trim(q), a
+
+
+def _fr_gcd(a, b):
+    a, b = list(a), list(b)
+    while _fr_trim(b):
+        a, b = b, _fr_divmod(a, b)[1]
+    return a
+
+
+def ratfun_normalize_oracle(num, den):
+    if not den:
+        raise DivideByZero("zero denominator in Q(T)")
+    if not num:
+        return (LAU_ZERO, LAU_ONE)
+    a, b = num[0][0], den[0][0]
+    p = _fr_coeffs(tuple((e - a, c) for e, c in num))
+    q = _fr_coeffs(tuple((e - b, c) for e, c in den))
+    g = _fr_gcd(p, q)
+    if len(g) > 1:
+        p, q = _fr_divmod(p, g)[0], _fr_divmod(q, g)[0]
+    scale = 1
+    for c in p + q:
+        scale = scale * c.denominator // gcd(scale, c.denominator)
+    ip = [int(c * scale) for c in p]
+    iq = [int(c * scale) for c in q]
+    content = 0
+    for c in ip + iq:
+        content = gcd(content, abs(c))
+    ip = [c // content for c in ip]
+    iq = [c // content for c in iq]
+    if iq[-1] < 0:
+        ip, iq = [-c for c in ip], [-c for c in iq]
+    return (tuple((e + a - b, c) for e, c in enumerate(ip) if c),
+            tuple((e, c) for e, c in enumerate(iq) if c))
+
+
+def _rand_lau(rng, terms, zero_ok=True):
+    lo = rng.randint(-3, 3)
+    d = {lo + rng.randint(0, 5): rng.choice([-6, -3, -2, -1, 1, 1, 2, 4, 9])
+         for _ in range(rng.randint(0 if zero_ok else 1, terms))}
+    return tuple(sorted(d.items()))
+
+
+def _lau(text):
+    return parse_element(LAURENT_Z, text).val
+
+
+@pytest.mark.parametrize("num,den", [
+    ("1", "2"), ("-3", "6"), ("T^3", "-4"),                      # constant denominators
+    ("1", "T^2"), ("1 + T", "-2*T^-3"), ("T^-1", "T^5"),         # monomial denominators
+    ("T", "-T - 1"), ("-1 - T^2", "-3*T^2 + 6"),                 # negative leading coefficients
+    ("2*T + 2", "4*T - 4"), ("T^2 - 1", "T - 1"), ("6*T^2 - 6", "4*T^2 + 8*T + 4"),
+    ("T^-2 + T^-1", "T^3 - T^5"), ("3*T^4", "6*T^-2 + 12*T^-1"),  # min exponents != 0
+    ("T^2 - T^-2", "1"), ("-5*T^-7 + 2", "1"), ("0", "1"), ("0", "T - 7"),
+])
+def test_ratfun_normalize_matches_fraction_oracle_on_named_cases(num, den):
+    n, d = _lau(num), _lau(den)
+    assert ratfun_normalize(n, d) == ratfun_normalize_oracle(n, d)
+
+
+def test_ratfun_normalize_matches_fraction_oracle_on_seeded_pairs():
+    rng = random.Random(20261018)
+    for _ in range(5000):
+        num, den = _rand_lau(rng, 5), _rand_lau(rng, 4, zero_ok=False)
+        if rng.random() < 0.4:  # a shared factor with content
+            common = _rand_lau(rng, 3, zero_ok=False)
+            num, den = lau_mul(num, common), lau_mul(den, common)
+        elif rng.random() < 0.2:
+            den = LAU_ONE
+        assert ratfun_normalize(num, den) == ratfun_normalize_oracle(num, den), (num, den)
+
+
+def test_ratfun_inverse_of_monomial_and_zero_denominator():
+    t2 = FRAC_LAURENT_Q.monomial(2)
+    assert t2.inverse().val == ratfun_normalize_oracle(LAU_ONE, ((2, 1),)) == (((-2, 1),), LAU_ONE)
+    assert str(parse_element(FRAC_LAURENT_Q, "1/2")) == "1/2"
+    with pytest.raises(DivideByZero):
+        ratfun_normalize(LAU_ONE, LAU_ZERO)
+    with pytest.raises(DivideByZero):
+        parse_element(FRAC_LAURENT_Q, "1/0")
+    with pytest.raises(DivideByZero):
+        FRAC_LAURENT_Q.zero().inverse()
