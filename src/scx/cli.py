@@ -448,7 +448,7 @@ def main(argv=None):
     except errors.ScxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except json.JSONDecodeError as exc:

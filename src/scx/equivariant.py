@@ -153,8 +153,7 @@ class SmallEquivariantComplex:
                     key = (self.red_index(t, p), self.irr_index(s))
                     cur = ent.get(key)
                     ent[key] = val if cur is None else cur + val
-        return GradedMatrix(self.module, self.module, -1,
-                            {k: v for k, v in ent.items() if not v.is_zero})
+        return GradedMatrix(self.module, self.module, -1, ent)
 
     def _build_x(self):
         x = self.base
@@ -199,9 +198,7 @@ class SmallEquivariantComplex:
                         ent[(self.red_index(g, p + 1), col)] = x.ring.one()
                     else:
                         lossy.add(col)
-        return (GradedMatrix(self.module, self.module, -2,
-                             {k: v for k, v in ent.items() if not v.is_zero}),
-                lossy)
+        return GradedMatrix(self.module, self.module, -2, ent), lossy
 
     def verify(self):
         return RelationReport([

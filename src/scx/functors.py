@@ -5,7 +5,7 @@ witnesses for the suspension/tensor comparison."""
 from __future__ import annotations
 
 from .errors import RingMismatch, ShapeMismatch
-from .gradedlin import GradedMatrix, GradedModule, place_block
+from .gradedlin import GradedMatrix, GradedModule
 from .rings import Z
 from .scomplex import SComplex, SHomotopy, SMorphism
 
@@ -90,10 +90,12 @@ class _TensorLayout:
             "ccs": nx * ny,
             "cr": 2 * nx * ny,
             "rc": 2 * nx * ny + nx * y.red.rank,
+            "rr": 0,  # R.R' is all of the reducible module
         }
         self.dims = {
             "cc": (nx, ny), "ccs": (nx, ny),
             "cr": (nx, y.red.rank), "rc": (x.red.rank, ny),
+            "rr": (x.red.rank, y.red.rank),
         }
 
     def idx(self, block, i, j):
@@ -137,7 +139,6 @@ class _TensorLayout:
 def tensor(x, y):
     """The tensor S-complex in the fixed block decomposition."""
     lay = _TensorLayout(x, y)
-    ring = x.ring
     one = None  # identity marker
 
     d_ent = {}
@@ -170,80 +171,24 @@ def tensor(x, y):
 
     # delta1: C_T -> R_T from blocks cr (delta1 ⊗ 1) and rc (eps ⊗ delta1')
     d1_ent = {}
-    _cross_to_red(lay, d1_ent, x.delta1, None, "cr")
-    _cross_to_red(lay, d1_ent, None, y.delta1, "rc", sign="first")
+    lay.pair(d1_ent, x.delta1, one, "rr", "cr")
+    lay.pair(d1_ent, one, y.delta1, "rr", "rc", sign="first")
     # delta2: R_T -> C_T into blocks cr (delta2 ⊗ 1) and rc (1 ⊗ delta2')
     d2_ent = {}
-    _cross_from_red(lay, d2_ent, x.delta2, None, "cr")
-    _cross_from_red(lay, d2_ent, None, y.delta2, "rc")
+    lay.pair(d2_ent, x.delta2, one, "cr", "rr")
+    lay.pair(d2_ent, one, y.delta2, "rc", "rr")
 
     r_ent = {}
-    _red_endo(lay, r_ent, x.r, None)
-    _red_endo(lay, r_ent, None, y.r, sign="first")
+    lay.pair(r_ent, x.r, one, "rr", "rr")
+    lay.pair(r_ent, one, y.r, "rr", "rr", sign="first")
 
-    dm = GradedMatrix(lay.irr, lay.irr, -1, {k: v for k, v in d_ent.items() if not v.is_zero})
-    vm = GradedMatrix(lay.irr, lay.irr, -2, {k: v for k, v in v_ent.items() if not v.is_zero})
-    d1m = GradedMatrix(lay.irr, lay.red, -1, {k: v for k, v in d1_ent.items() if not v.is_zero})
-    d2m = GradedMatrix(lay.red, lay.irr, -2, {k: v for k, v in d2_ent.items() if not v.is_zero})
-    rm = GradedMatrix(lay.red, lay.red, -1, {k: v for k, v in r_ent.items() if not v.is_zero})
+    dm = GradedMatrix(lay.irr, lay.irr, -1, d_ent)
+    vm = GradedMatrix(lay.irr, lay.irr, -2, v_ent)
+    d1m = GradedMatrix(lay.irr, lay.red, -1, d1_ent)
+    d2m = GradedMatrix(lay.red, lay.irr, -2, d2_ent)
+    rm = GradedMatrix(lay.red, lay.red, -1, r_ent)
     return SComplex(lay.irr, lay.red, dm, vm, d1m, d2m, rm, None,
                     {"tensor_of": [x.metadata.get("name"), y.metadata.get("name")]})
-
-
-def _cross_to_red(lay, entries, m_a, m_b, col_block, sign=None):
-    x, y, ring = lay.x, lay.y, lay.x.ring
-    rr_cols = lay.y.red.rank
-    a_pairs = (list(m_a.entries.items()) if m_a is not None
-               else [((i, i), ring.one()) for i in range(lay.dims[col_block][0])])
-    b_pairs = (list(m_b.entries.items()) if m_b is not None
-               else [((j, j), ring.one()) for j in range(lay.dims[col_block][1])])
-    degs = lay._first_factor_degrees(col_block)
-    for (ta, sa), va in a_pairs:
-        for (tb, sb), vb in b_pairs:
-            v = va * vb
-            if sign == "first":
-                v = v * _sgn(ring, degs[sa])
-            row = ta * rr_cols + tb
-            col = lay.idx(col_block, sa, sb)
-            cur = entries.get((row, col))
-            entries[(row, col)] = v if cur is None else cur + v
-
-
-def _cross_from_red(lay, entries, m_a, m_b, row_block, sign=None):
-    ring = lay.x.ring
-    rr_cols = lay.y.red.rank
-    a_pairs = (list(m_a.entries.items()) if m_a is not None
-               else [((i, i), ring.one()) for i in range(lay.x.red.rank)])
-    b_pairs = (list(m_b.entries.items()) if m_b is not None
-               else [((j, j), ring.one()) for j in range(lay.y.red.rank)])
-    degs = [d for _, d in lay.x.red.gens]
-    for (ta, sa), va in a_pairs:
-        for (tb, sb), vb in b_pairs:
-            v = va * vb
-            if sign == "first":
-                v = v * _sgn(ring, degs[sa])
-            row = lay.idx(row_block, ta, tb)
-            col = sa * rr_cols + sb
-            cur = entries.get((row, col))
-            entries[(row, col)] = v if cur is None else cur + v
-
-
-def _red_endo(lay, entries, m_a, m_b, sign=None):
-    ring = lay.x.ring
-    rr_cols = lay.y.red.rank
-    a_pairs = (list(m_a.entries.items()) if m_a is not None
-               else [((i, i), ring.one()) for i in range(lay.x.red.rank)])
-    b_pairs = (list(m_b.entries.items()) if m_b is not None
-               else [((j, j), ring.one()) for j in range(lay.y.red.rank)])
-    degs = [d for _, d in lay.x.red.gens]
-    for (ta, sa), va in a_pairs:
-        for (tb, sb), vb in b_pairs:
-            v = va * vb
-            if sign == "first":
-                v = v * _sgn(ring, degs[sa])
-            key = (ta * rr_cols + tb, sa * rr_cols + sb)
-            cur = entries.get(key)
-            entries[key] = v if cur is None else cur + v
 
 
 def connected_sum_model(x, y):
@@ -275,11 +220,8 @@ def cone(f):
     na, nr = x.irr.rank, x.red.rank
 
     def corner(top, low, right, src, tgt, deg, top_rows, right_col):
-        ent = {}
-        place_block(ent, top, 0, 0)
-        place_block(ent, low, top_rows, 0)
-        place_block(ent, right, top_rows, right_col)
-        return GradedMatrix(src, tgt, deg, {kk: vv for kk, vv in ent.items() if not vv.is_zero})
+        return GradedMatrix.from_blocks(src, tgt, deg, (top, 0, 0), (low, top_rows, 0),
+                                        (right, top_rows, right_col))
 
     d_m = corner(-x.d, f.lam, y.d, irr, irr, -1, na, na)
     v_m = corner(x.v, f.mu, y.v, irr, irr, -2, na, na)
@@ -303,10 +245,7 @@ def direct_sum(x, y):
                        + [(f"B.{n}", d) for n, d in y.red.gens])
 
     def diag(a, b, src, tgt, deg, ra, ca):
-        ent = {}
-        place_block(ent, a, 0, 0)
-        place_block(ent, b, ra, ca)
-        return GradedMatrix(src, tgt, deg, ent)
+        return GradedMatrix.from_blocks(src, tgt, deg, (a, 0, 0), (b, ra, ca))
 
     na, nr = x.irr.rank, x.red.rank
     s = None
@@ -340,26 +279,12 @@ def suspend_once(x):
     red = GradedModule(ring, mod, list(x.red.gens))
     nc = x.irr.rank
 
-    ent = {}
-    place_block(ent, x.d, 0, 0)
-    place_block(ent, -x.delta2, 0, nc)
-    place_block(ent, -x.r, nc, nc)
-    d_m = GradedMatrix(irr, irr, -1, {k: v for k, v in ent.items() if not v.is_zero})
-
-    ent = {}
-    place_block(ent, x.v, 0, 0)
-    place_block(ent, x.delta1, nc, 0)
-    v_m = GradedMatrix(irr, irr, -2, {k: v for k, v in ent.items() if not v.is_zero})
-
-    ent = {}
-    place_block(ent, x.v @ x.delta2, 0, 0)
-    place_block(ent, x.delta1 @ x.delta2, nc, 0)
-    d2_m = GradedMatrix(red, irr, -2, {k: v for k, v in ent.items() if not v.is_zero})
-
-    ent = {}
-    place_block(ent, GradedMatrix.identity(x.red), 0, nc)
-    d1_m = GradedMatrix(irr, red, -1, {k: v for k, v in ent.items() if not v.is_zero})
-
+    d_m = GradedMatrix.from_blocks(irr, irr, -1, (x.d, 0, 0), (-x.delta2, 0, nc),
+                                   (-x.r, nc, nc))
+    v_m = GradedMatrix.from_blocks(irr, irr, -2, (x.v, 0, 0), (x.delta1, nc, 0))
+    d2_m = GradedMatrix.from_blocks(red, irr, -2, (x.v @ x.delta2, 0, 0),
+                                    (x.delta1 @ x.delta2, nc, 0))
+    d1_m = GradedMatrix.from_blocks(irr, red, -1, (GradedMatrix.identity(x.red), 0, nc))
     r_m = GradedMatrix(red, red, -1, dict(x.r.entries))
     return SComplex(irr, red, d_m, v_m, d1_m, d2_m, r_m, None, {"suspended": 1})
 
@@ -376,26 +301,12 @@ def desuspend_once(x):
     red = GradedModule(ring, mod, list(x.red.gens))
     nc = x.irr.rank
 
-    ent = {}
-    place_block(ent, x.d, 0, 0)
-    place_block(ent, x.delta1, nc, 0)
-    place_block(ent, x.r, nc, nc)
-    d_m = GradedMatrix(irr, irr, -1, {k: v for k, v in ent.items() if not v.is_zero})
-
-    ent = {}
-    place_block(ent, x.v, 0, 0)
-    place_block(ent, x.delta2, 0, nc)
-    v_m = GradedMatrix(irr, irr, -2, {k: v for k, v in ent.items() if not v.is_zero})
-
-    ent = {}
-    place_block(ent, GradedMatrix.identity(x.red), nc, 0)
-    d2_m = GradedMatrix(red, irr, -2, {k: v for k, v in ent.items() if not v.is_zero})
-
-    ent = {}
-    place_block(ent, x.delta1 @ x.v, 0, 0)
-    place_block(ent, x.delta1 @ x.delta2, 0, nc)
-    d1_m = GradedMatrix(irr, red, -1, {k: v for k, v in ent.items() if not v.is_zero})
-
+    d_m = GradedMatrix.from_blocks(irr, irr, -1, (x.d, 0, 0), (x.delta1, nc, 0),
+                                   (x.r, nc, nc))
+    v_m = GradedMatrix.from_blocks(irr, irr, -2, (x.v, 0, 0), (x.delta2, 0, nc))
+    d2_m = GradedMatrix.from_blocks(red, irr, -2, (GradedMatrix.identity(x.red), nc, 0))
+    d1_m = GradedMatrix.from_blocks(irr, red, -1, (x.delta1 @ x.v, 0, 0),
+                                    (x.delta1 @ x.delta2, 0, nc))
     r_m = GradedMatrix(red, red, -1, dict(x.r.entries))
     return SComplex(irr, red, d_m, v_m, d1_m, d2_m, r_m, None, {"suspended": -1})
 
@@ -406,53 +317,6 @@ def suspend(x, n):
     for _ in range(abs(n)):
         out = suspend_once(out) if n > 0 else desuspend_once(out)
     return out
-
-
-def suspend_closed_form(x, n):
-    """The closed r-perfect display of Sigma^n for n >= 1:
-
-        C = C[-2n] + R[-2n+1] + R[-2n+3] + ... + R[-1],
-        d first row [d, -delta2, -v delta2, ..., -v^{n-1} delta2],
-        v = [[v],[delta1,0..],[0,1,0..],...],
-        delta2 = [v^n delta2, 0, ..., 0]^T, delta1 = [0,...,0,1].
-    """
-    if n < 1:
-        raise ShapeMismatch("closed form only for n >= 1")
-    x.require_r_perfect("closed-form suspension")
-    ring, mod = x.ring, x.modulus
-    gens = [(f"c.{nm}", d + 2 * n) for nm, d in x.irr.gens]
-    for i in range(n):
-        shift = 2 * n - 2 * i - 1
-        gens += [(f"q{i}.{nm}", d + shift) for nm, d in x.red.gens]
-    irr = GradedModule(ring, mod, gens)
-    red = GradedModule(ring, mod, list(x.red.gens))
-    nc, nr = x.irr.rank, x.red.rank
-
-    ent = {}
-    vpow = GradedMatrix.identity(x.irr)
-    for i in range(n):
-        place_block(ent, -(vpow @ x.delta2), 0, nc + i * nr)
-        vpow = x.v @ vpow
-    place_block(ent, x.d, 0, 0)
-    d_m = GradedMatrix(irr, irr, -1, {k: v for k, v in ent.items() if not v.is_zero})
-
-    ent = {}
-    place_block(ent, x.v, 0, 0)
-    place_block(ent, x.delta1, nc, 0)
-    for i in range(n - 1):
-        place_block(ent, GradedMatrix.identity(x.red), nc + (i + 1) * nr, nc + i * nr)
-    v_m = GradedMatrix(irr, irr, -2, {k: v for k, v in ent.items() if not v.is_zero})
-
-    ent = {}
-    place_block(ent, x.v.power(n) @ x.delta2, 0, 0)
-    d2_m = GradedMatrix(red, irr, -2, {k: v for k, v in ent.items() if not v.is_zero})
-
-    ent = {}
-    place_block(ent, GradedMatrix.identity(x.red), 0, nc + (n - 1) * nr)
-    d1_m = GradedMatrix(irr, red, -1, ent)
-
-    r_m = GradedMatrix.zero(red, red, -1)
-    return SComplex(irr, red, d_m, v_m, d1_m, d2_m, r_m, None, {"suspended": n})
 
 
 # ---------------------------------------------------------------------------
@@ -677,21 +541,12 @@ def suspend_morphism(f):
     nc, mc = x.irr.rank, y.irr.rank
     k = f.degree
 
-    ent = {}
-    place_block(ent, f.lam, 0, 0)
-    place_block(ent, f.delta2, 0, nc)
-    place_block(ent, f.rho, mc, nc)
-    lam = GradedMatrix(sx.irr, sy.irr, k, {kk: vv for kk, vv in ent.items() if not vv.is_zero})
-
-    ent = {}
-    place_block(ent, f.mu, 0, 0)
-    place_block(ent, f.delta1, mc, 0)
-    mu = GradedMatrix(sx.irr, sy.irr, k - 1, {kk: vv for kk, vv in ent.items() if not vv.is_zero})
-
-    ent = {}
-    place_block(ent, f.mu @ x.delta2 + y.v @ f.delta2, 0, 0)
-    place_block(ent, f.delta1 @ x.delta2 + y.delta1 @ f.delta2, mc, 0)
-    d2 = GradedMatrix(sx.red, sy.irr, k - 1, {kk: vv for kk, vv in ent.items() if not vv.is_zero})
+    lam = GradedMatrix.from_blocks(sx.irr, sy.irr, k, (f.lam, 0, 0), (f.delta2, 0, nc),
+                                   (f.rho, mc, nc))
+    mu = GradedMatrix.from_blocks(sx.irr, sy.irr, k - 1, (f.mu, 0, 0), (f.delta1, mc, 0))
+    d2 = GradedMatrix.from_blocks(sx.red, sy.irr, k - 1,
+                                  (f.mu @ x.delta2 + y.v @ f.delta2, 0, 0),
+                                  (f.delta1 @ x.delta2 + y.delta1 @ f.delta2, mc, 0))
 
     d1 = GradedMatrix.zero(sx.irr, sy.red, k)
     rho = GradedMatrix(sx.red, sy.red, k, dict(f.rho.entries))
@@ -707,26 +562,15 @@ def suspend_homotopy(h):
     sf, sg = suspend_morphism(f), suspend_morphism(g)
     nc, mc = x.irr.rank, y.irr.rank
     k = f.degree
+    src, tgt = sf.source, sf.target
 
-    ent = {}
-    place_block(ent, h.K, 0, 0)
-    place_block(ent, -h.M2, 0, nc)
-    place_block(ent, -h.J, mc, nc)
-    K = GradedMatrix(sf.source.irr, sf.target.irr, k + 1,
-                     {kk: vv for kk, vv in ent.items() if not vv.is_zero})
+    K = GradedMatrix.from_blocks(src.irr, tgt.irr, k + 1, (h.K, 0, 0), (-h.M2, 0, nc),
+                                 (-h.J, mc, nc))
+    L = GradedMatrix.from_blocks(src.irr, tgt.irr, k, (h.L, 0, 0), (h.M1, mc, 0))
+    M2 = GradedMatrix.from_blocks(src.red, tgt.irr, k,
+                                  (y.v @ h.M2 + h.L @ x.delta2, 0, 0),
+                                  (y.delta1 @ h.M2 + h.M1 @ x.delta2, mc, 0))
 
-    ent = {}
-    place_block(ent, h.L, 0, 0)
-    place_block(ent, h.M1, mc, 0)
-    L = GradedMatrix(sf.source.irr, sf.target.irr, k,
-                     {kk: vv for kk, vv in ent.items() if not vv.is_zero})
-
-    ent = {}
-    place_block(ent, y.v @ h.M2 + h.L @ x.delta2, 0, 0)
-    place_block(ent, y.delta1 @ h.M2 + h.M1 @ x.delta2, mc, 0)
-    M2 = GradedMatrix(sf.source.red, sf.target.irr, k,
-                      {kk: vv for kk, vv in ent.items() if not vv.is_zero})
-
-    M1 = GradedMatrix.zero(sf.source.irr, sf.target.red, k + 1)
-    J = GradedMatrix(sf.source.red, sf.target.red, k + 1, dict(h.J.entries))
+    M1 = GradedMatrix.zero(src.irr, tgt.red, k + 1)
+    J = GradedMatrix(src.red, tgt.red, k + 1, dict(h.J.entries))
     return SHomotopy(sf, sg, K, L, M1, M2, J)

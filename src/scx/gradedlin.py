@@ -134,7 +134,19 @@ class GradedMatrix:
         for tn, sn, x in triples:
             key = (target.index(tn), source.index(sn))
             ent[key] = ent.get(key, x.ring.zero()) + x if key in ent else x
-        return cls(source, target, degree, {k: v for k, v in ent.items() if not v.is_zero})
+        return cls(source, target, degree, ent)
+
+    @classmethod
+    def from_blocks(cls, source, target, degree, *blocks):
+        """The matrix with each block (sub, row_offset, col_offset) placed at
+        its offsets; where blocks overlap their entries add."""
+        ent = {}
+        for sub, row_offset, col_offset in blocks:
+            for (t, s), x in sub.entries.items():
+                key = (t + row_offset, s + col_offset)
+                cur = ent.get(key)
+                ent[key] = x if cur is None else cur + x
+        return cls(source, target, degree, ent)
 
     # -- basic algebra
 
@@ -159,7 +171,7 @@ class GradedMatrix:
         for k, x in other.entries.items():
             y = ent.get(k)
             ent[k] = x if y is None else x + y
-        return GradedMatrix(self.source, self.target, deg, {k: v for k, v in ent.items() if not v.is_zero})
+        return GradedMatrix(self.source, self.target, deg, ent)
 
     def __neg__(self):
         return GradedMatrix(self.source, self.target, self.degree,
@@ -186,8 +198,7 @@ class GradedMatrix:
                 prod = x * y
                 cur = ent.get(key)
                 ent[key] = prod if cur is None else cur + prod
-        return GradedMatrix(other.source, self.target, self.degree + other.degree,
-                            {k: v for k, v in ent.items() if not v.is_zero})
+        return GradedMatrix(other.source, self.target, self.degree + other.degree, ent)
 
     def power(self, n):
         if self.source != self.target:
@@ -238,18 +249,6 @@ class GradedMatrix:
     def __repr__(self):
         return (f"GradedMatrix({self.source.rank}->{self.target.rank}, deg {self.degree}, "
                 f"{len(self.entries)} entries)")
-
-
-def place_block(entries, sub, row_offset, col_offset, coeff_fn=None):
-    """Copy sub's entries into a dict at the given offsets, scaling via coeff_fn."""
-    for (t, s), x in sub.entries.items():
-        v = x if coeff_fn is None else coeff_fn(t, s, x)
-        if v is None or v.is_zero:
-            continue
-        key = (t + row_offset, s + col_offset)
-        cur = entries.get(key)
-        entries[key] = v if cur is None else cur + v
-    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -739,28 +738,26 @@ def homology_of_pair(d_in, d_out):
     if not (d_out @ d_in).is_zero:
         raise NotAComplex("d_out . d_in != 0")
     mid = d_in.target
+    zero = dense_zero(ring)
+    out_c, in_c = coeffs(d_out), coeffs(d_in)
     table = {}
     for k in mid.degrees_present():
         cols = mid.indices_of_degree(k)
-        if not cols:
-            continue
-        out_rows = range(d_out.target.rank)
+        at = {s: j for j, s in enumerate(cols)}
+        a_out = [[zero] * len(cols) for _ in range(d_out.target.rank)]
+        for (t, s), x in out_c.items():
+            if s in at:
+                a_out[t][at[s]] = x
+        img = {}
+        for (t, s), x in in_c.items():
+            if t in at:
+                img.setdefault(s, [zero] * len(cols))[at[t]] = x
+        img_cols = [img[s] for s in sorted(img)]
         if ring == Z:
-            a_out = [[d_out.entry(t, s).val for s in cols] for t in out_rows]
-            kern = int_kernel_basis(a_out, ncols=len(cols))
-            img_cols = []
-            for s in range(d_in.source.rank):
-                col = [d_in.entry(t, s).val for t in cols]
-                if any(col):
-                    img_cols.append(col)
-            free, tor = _z_subquotient(kern, img_cols)
+            free, tor = _z_subquotient(kernel_basis(a_out, len(cols), ring), img_cols)
         else:
-            a_out = [[d_out.entry(t, s) for s in cols] for t in out_rows]
-            kern_rank = len(cols) - field_rank(a_out, ring)
-            img_cols = [[d_in.entry(t, s) for t in cols] for s in range(d_in.source.rank)]
-            img_rows = [[img_cols[j][i] for j in range(len(img_cols))] for i in range(len(cols))]
-            img_rank = field_rank(img_rows, ring) if img_cols else 0
-            free, tor = kern_rank - img_rank, ()
+            img_rank = field_rank(_cols_to_rows(img_cols), ring) if img_cols else 0
+            free, tor = len(cols) - field_rank(a_out, ring) - img_rank, ()
         if free or tor:
             table[k] = (free, tor)
     return GradedHomology(mid.modulus, table)

@@ -13,7 +13,7 @@ and the nonpositive tau_i enter the four generalized chain relations.
 from __future__ import annotations
 
 from .errors import ShapeMismatch
-from .gradedlin import GradedMatrix, is_invertible, place_block
+from .gradedlin import GradedMatrix, is_invertible
 from .scomplex import RelationReport, SMorphism, _rel
 from .functors import suspend, suspend_once
 
@@ -310,23 +310,13 @@ def factor_through_suspension(f):
             for j in range(i):
                 acc = acc + vp[j] @ f.mu @ vs[i - j - 1]
             mu_i.append(acc)
-        lam_ent = {}
-        place_block(lam_ent, f.lam, 0, 0)
-        for i in range(1, n + 1):
-            # lambda'_i acts on R[-2(n-i)-1], the (i-1)-st reducible block
-            blockcol = nc + (i - 1) * nr
-            li = mu_i[i - 1] @ x.delta2 + vp[i - 1] @ f.delta2
-            place_block(lam_ent, li, 0, blockcol)
-        lam = GradedMatrix(sx.irr, y.irr, k,
-                           {kk: vv for kk, vv in lam_ent.items() if not vv.is_zero})
-        mu_ent = {}
-        place_block(mu_ent, f.mu, 0, 0)
-        mu = GradedMatrix(sx.irr, y.irr, k - 1,
-                          {kk: vv for kk, vv in mu_ent.items() if not vv.is_zero})
-        d1_ent = {}
-        place_block(d1_ent, f.delta1, 0, 0)
-        d1 = GradedMatrix(sx.irr, y.red, k,
-                          {kk: vv for kk, vv in d1_ent.items() if not vv.is_zero})
+        # lambda'_i acts on R[-2(n-i)-1], the (i-1)-st reducible block
+        lam = GradedMatrix.from_blocks(
+            sx.irr, y.irr, k, (f.lam, 0, 0),
+            *((mu_i[i - 1] @ x.delta2 + vp[i - 1] @ f.delta2, 0, nc + (i - 1) * nr)
+              for i in range(1, n + 1)))
+        mu = GradedMatrix.from_blocks(sx.irr, y.irr, k - 1, (f.mu, 0, 0))
+        d1 = GradedMatrix.from_blocks(sx.irr, y.red, k, (f.delta1, 0, 0))
         d2 = mu_i[n] @ x.delta2 + vp[n] @ f.delta2
         d2 = GradedMatrix(sx.red, y.irr, k - 1, dict(d2.entries))
         rho = f.tau_at(n)
@@ -338,31 +328,19 @@ def factor_through_suspension(f):
     mc, mr = y.irr.rank, y.red.rank
     k = (f.degree + 2 * m) % x.modulus
     vs = _powers(x.v, m + 1)
-    lam_ent = {}
-    place_block(lam_ent, f.lam, 0, 0)
+    lam_blocks = [(f.lam, 0, 0)]
     for t in range(m):  # row block R'[-2(m-t)+...]: sum_{i=t+1}^m tau_{-i} delta1 v^{i-1-t}
         acc = None
         for i in range(t + 1, m + 1):
             term = f.tau_at(-i) @ x.delta1 @ vs[i - 1 - t]
             acc = term if acc is None else acc + term
-        if acc is not None and not acc.is_zero:
-            place_block(lam_ent, acc, mc + t * mr, 0)
-    lam = GradedMatrix(x.irr, sy.irr, k,
-                       {kk: vv for kk, vv in lam_ent.items() if not vv.is_zero})
-    mu_ent = {}
-    place_block(mu_ent, f.mu, 0, 0)
-    place_block(mu_ent, f.delta1, mc, 0)
-    mu = GradedMatrix(x.irr, sy.irr, k - 1,
-                      {kk: vv for kk, vv in mu_ent.items() if not vv.is_zero})
+        lam_blocks.append((acc, mc + t * mr, 0))
+    lam = GradedMatrix.from_blocks(x.irr, sy.irr, k, *lam_blocks)
+    mu = GradedMatrix.from_blocks(x.irr, sy.irr, k - 1, (f.mu, 0, 0), (f.delta1, mc, 0))
     d1 = GradedMatrix.zero(x.irr, sy.red, k)
-    d2_ent = {}
-    place_block(d2_ent, f.delta2, 0, 0)
-    for t in range(m):  # R'[-2(m-t)-1] block gets tau_{-t}
-        tt = f.tau_at(-t)
-        if not tt.is_zero:
-            place_block(d2_ent, tt, mc + t * mr, 0)
-    d2 = GradedMatrix(x.red, sy.irr, k - 1,
-                      {kk: vv for kk, vv in d2_ent.items() if not vv.is_zero})
+    # the R'[-2(m-t)-1] block gets tau_{-t}
+    d2 = GradedMatrix.from_blocks(x.red, sy.irr, k - 1, (f.delta2, 0, 0),
+                                  *((f.tau_at(-t), mc + t * mr, 0) for t in range(m)))
     rho = GradedMatrix(x.red, sy.red, k, dict(f.tau_at(-m).entries))
     return HeightMorphism.from_components(x, sy, k, lam, mu, d1, d2,
                                           {0: rho} if not rho.is_zero else {})
@@ -446,19 +424,9 @@ def odd_to_suspension_morphism(g):
     nc = yp.irr.rank
     k = (gm.degree - 2) % yp.modulus
 
-    ent = {}
-    place_block(ent, gm.lam, 0, 0)
-    place_block(ent, gm.delta2, 0, nc)
-    lam = GradedMatrix(syp.irr, z.irr, k, {kk: vv for kk, vv in ent.items() if not vv.is_zero})
-
-    ent = {}
-    place_block(ent, gm.mu, 0, 0)
-    mu = GradedMatrix(syp.irr, z.irr, k - 1, {kk: vv for kk, vv in ent.items() if not vv.is_zero})
-
-    ent = {}
-    place_block(ent, gm.delta1, 0, 0)
-    place_block(ent, g.nu, 0, nc)
-    d1 = GradedMatrix(syp.irr, z.red, k, {kk: vv for kk, vv in ent.items() if not vv.is_zero})
+    lam = GradedMatrix.from_blocks(syp.irr, z.irr, k, (gm.lam, 0, 0), (gm.delta2, 0, nc))
+    mu = GradedMatrix.from_blocks(syp.irr, z.irr, k - 1, (gm.mu, 0, 0))
+    d1 = GradedMatrix.from_blocks(syp.irr, z.red, k, (gm.delta1, 0, 0), (g.nu, 0, nc))
 
     d2 = gm.mu @ yp.delta2 + z.v @ gm.delta2 + z.delta2 @ g.nu
     d2 = GradedMatrix(syp.red, z.irr, k - 1, dict(d2.entries))

@@ -25,7 +25,6 @@ from .gradedlin import (
     dense_cols,
     dense_zero,
     homology_of_pair,
-    place_block,
 )
 from .rings import FRAC_LAURENT_Q, LAURENT_Z, Q, Ring, RingMap, Z, Zp, parse_element
 
@@ -133,14 +132,10 @@ class SComplex:
             return self._total
         tot = self.total_module()
         nc = self.irr.rank
-        ent = {}
-        place_block(ent, self.d, 0, 0)
-        place_block(ent, self.v, nc, 0)
-        place_block(ent, -self.d, nc, nc)
-        place_block(ent, self.delta2, nc, 2 * nc)
-        place_block(ent, self.delta1, 2 * nc, 0)
-        place_block(ent, self.r, 2 * nc, 2 * nc)
-        self._total = GradedMatrix(tot, tot, -1, ent)
+        self._total = GradedMatrix.from_blocks(
+            tot, tot, -1,
+            (self.d, 0, 0), (self.v, nc, 0), (-self.d, nc, nc), (self.delta2, nc, 2 * nc),
+            (self.delta1, 2 * nc, 0), (self.r, 2 * nc, 2 * nc))
         return self._total
 
     # -- homology projections
@@ -285,14 +280,10 @@ class SMorphism:
         """Full matrix [[lam,0,0],[mu,lam,Delta2],[Delta1,0,rho]]."""
         ts, tt = self.source.total_module(), self.target.total_module()
         nc, mc = self.source.irr.rank, self.target.irr.rank
-        ent = {}
-        place_block(ent, self.lam, 0, 0)
-        place_block(ent, self.mu, mc, 0)
-        place_block(ent, self.lam, mc, nc)
-        place_block(ent, self.delta2, mc, 2 * nc)
-        place_block(ent, self.delta1, 2 * mc, 0)
-        place_block(ent, self.rho, 2 * mc, 2 * nc)
-        return GradedMatrix(ts, tt, self.degree, ent)
+        return GradedMatrix.from_blocks(
+            ts, tt, self.degree,
+            (self.lam, 0, 0), (self.mu, mc, 0), (self.lam, mc, nc), (self.delta2, mc, 2 * nc),
+            (self.delta1, 2 * mc, 0), (self.rho, 2 * mc, 2 * nc))
 
     def named_triples(self):
         """(target name, source name, value) triples of the assembled matrix."""
@@ -405,14 +396,10 @@ class SHomotopy:
     def assemble(self):
         ts, tt = self.frm.source.total_module(), self.frm.target.total_module()
         nc, mc = self.frm.source.irr.rank, self.frm.target.irr.rank
-        ent = {}
-        place_block(ent, self.K, 0, 0)
-        place_block(ent, self.L, mc, 0)
-        place_block(ent, -self.K, mc, nc)
-        place_block(ent, self.M2, mc, 2 * nc)
-        place_block(ent, self.M1, 2 * mc, 0)
-        place_block(ent, self.J, 2 * mc, 2 * nc)
-        return GradedMatrix(ts, tt, self.frm.degree + 1, ent)
+        return GradedMatrix.from_blocks(
+            ts, tt, self.frm.degree + 1,
+            (self.K, 0, 0), (self.L, mc, 0), (-self.K, mc, nc), (self.M2, mc, 2 * nc),
+            (self.M1, 2 * mc, 0), (self.J, 2 * mc, 2 * nc))
 
     @classmethod
     def zero(cls, frm, to):
@@ -465,10 +452,16 @@ def ring_from_json(obj):
     if extra:
         raise SchemaError(f"unknown ring keys {sorted(extra)}")
     kind = obj["kind"]
+    if not isinstance(kind, str):
+        raise SchemaError(f"ring kind must be a string, got {kind!r}")
     if kind == "Zp":
         if "p" not in obj:
             raise SchemaError("Zp ring needs p")
-        return Zp(obj["p"])
+        p = obj["p"]
+        # bounded before the primality test, which trial-divides
+        if type(p) is not int or not 2 <= p < 2 ** 31:
+            raise SchemaError(f"Zp ring needs an integer p with 2 <= p < 2^31, got {p!r}")
+        return Zp(p)
     if "p" in obj:
         raise SchemaError("p only valid for Zp")
     if kind not in _RING_TAGS:
@@ -586,6 +579,9 @@ def scomplex_from_json(doc):
         raise SchemaError(f"modulus must be 2 or 4, got {modulus!r}")
     if not isinstance(doc.get("metadata", {}), dict):
         raise SchemaError(f"metadata must be an object, got {doc['metadata']!r}")
+    for k in ("gr_z", "gr_i"):
+        if k in doc.get("metadata", {}):
+            raise SchemaError(f"metadata may not hold {k!r}; it is a generator key")
     grz, gri = {}, {}
     irr = GradedModule(ring, modulus, _gens_from_json(doc["irreducible"], modulus, grz, gri))
     red = GradedModule(ring, modulus, _gens_from_json(doc["reducible"], modulus, grz, gri))

@@ -39,47 +39,54 @@ def _positions(src, tgt, degree):
 
 
 class _UnknownMatrix:
+    """An unknown matrix with one variable per homogeneous position."""
+
     def __init__(self, src, tgt, degree, offset):
         self.src = src
         self.tgt = tgt
         self.degree = degree
-        self.pos = _positions(src, tgt, degree)
-        self.var = {p: offset + i for i, p in enumerate(self.pos)}
+        self.var = {p: offset + i for i, p in enumerate(_positions(src, tgt, degree))}
+        self.slots = {p: [(v, 1)] for p, v in self.var.items()}
 
     @property
     def nvars(self):
-        return len(self.pos)
+        return len(self.var)
 
-    def realize(self, values, ring):
-        ent = {}
-        for p, v in self.var.items():
-            val = values[v]
-            if not val.is_zero:
-                ent[p] = val
-        return GradedMatrix(self.src, self.tgt, self.degree, ent)
+    def realize(self, values):
+        return _realize(self.var, values, self.src, self.tgt, self.degree)
 
 
-def _known_after_unknown(a, u):
-    """a . U as {position: _Lin}: (a U)[t, s] = sum_m a[t, m] U[m, s]."""
+def _realize(block, values, src, tgt, deg):
+    """The solved matrix of a block {position: variable}."""
+    return GradedMatrix(src, tgt, deg, {p: values[v] for p, v in block.items()})
+
+
+def _known_after_slots(a, u):
+    """a . U as {position: _Lin}: (a U)[t, s] = sum_m a[t, m] U[m, s].  An
+    unknown's `slots` map each position to its [(variable, sign)] terms."""
     out = {}
+    by_row = {}
+    for (mm, s), pairs in u.slots.items():
+        by_row.setdefault(mm, []).append((s, pairs))
     for (t, m), coeff in a.entries.items():
-        for (mm, s), var in u.var.items():
-            if mm != m:
-                continue
+        for s, pairs in by_row.get(m, ()):
             lin = out.setdefault((t, s), _Lin())
-            lin.add_term(var, coeff)
+            for var, sign in pairs:
+                lin.add_term(var, coeff if sign > 0 else -coeff)
     return out
 
 
-def _unknown_after_known(u, b):
+def _slots_after_known(u, b):
     """U . b as {position: _Lin}."""
     out = {}
+    by_col = {}
+    for (t, mm), pairs in u.slots.items():
+        by_col.setdefault(mm, []).append((t, pairs))
     for (m, s), coeff in b.entries.items():
-        for (t, mm), var in u.var.items():
-            if mm != m:
-                continue
+        for t, pairs in by_col.get(m, ()):
             lin = out.setdefault((t, s), _Lin())
-            lin.add_term(var, coeff)
+            for var, sign in pairs:
+                lin.add_term(var, coeff if sign > 0 else -coeff)
     return out
 
 
@@ -125,7 +132,7 @@ def solve_homotopy(frm, to):
     def rel(parts, const_matrix, src, tgt):
         total = {}
         for kind, a, u, sign in parts:
-            comp = _known_after_unknown(a, u) if kind == "ku" else _unknown_after_known(u, a)
+            comp = _known_after_slots(a, u) if kind == "ku" else _slots_after_known(u, a)
             _accumulate(total, comp, sign)
         eqs = []
         for s in range(src.rank):
@@ -161,10 +168,8 @@ def solve_homotopy(frm, to):
     values = _solve_system(equations, nvars, ring)
     if values is None:
         return None
-    return SHomotopy(frm, to,
-                     uK.realize(values, ring), uL.realize(values, ring),
-                     uM1.realize(values, ring), uM2.realize(values, ring),
-                     uJ.realize(values, ring))
+    return SHomotopy(frm, to, uK.realize(values), uL.realize(values),
+                     uM1.realize(values), uM2.realize(values), uJ.realize(values))
 
 
 def solve_triangle_homotopy(lam_second, lam_first):
@@ -225,48 +230,16 @@ class _AssembledHomotopyUnknown:
     def realize(self, values, frm, to):
         from .scomplex import SHomotopy
 
-        ring = self.xsrc.ring
         x, y = self.xsrc, self.xtgt
         k = self.k
 
         def mk(block, src, tgt, deg):
-            ent = {}
-            for (t, s), var in self.blocks[block].items():
-                val = values[var]
-                if not val.is_zero:
-                    ent[(t, s)] = val
-            return GradedMatrix(src, tgt, deg, ent)
+            return _realize(self.blocks[block], values, src, tgt, deg)
 
         return SHomotopy(frm, to,
                          mk("K", x.irr, y.irr, k + 1), mk("L", x.irr, y.irr, k),
                          mk("M1", x.irr, y.red, k + 1), mk("M2", x.red, y.irr, k),
                          mk("J", x.red, y.red, k + 1))
-
-
-def _known_after_slots(a, u):
-    out = {}
-    by_row = {}
-    for (mm, s), pairs in u.slots.items():
-        by_row.setdefault(mm, []).append((s, pairs))
-    for (t, m), coeff in a.entries.items():
-        for s, pairs in by_row.get(m, ()):
-            lin = out.setdefault((t, s), _Lin())
-            for var, sign in pairs:
-                lin.add_term(var, coeff if sign > 0 else -coeff)
-    return out
-
-
-def _slots_after_known(u, b):
-    out = {}
-    by_col = {}
-    for (t, mm), pairs in u.slots.items():
-        by_col.setdefault(mm, []).append((t, pairs))
-    for (m, s), coeff in b.entries.items():
-        for t, pairs in by_col.get(m, ()):
-            lin = out.setdefault((t, s), _Lin())
-            for var, sign in pairs:
-                lin.add_term(var, coeff if sign > 0 else -coeff)
-    return out
 
 
 def solve_triangle_witnesses(complexes, morphisms, targets):
@@ -314,8 +287,8 @@ def solve_triangle_witnesses(complexes, morphisms, targets):
         ku_im1 = kus[(i - 1) % 3][0]
         nu = nus[i]
         total = {}
-        _accumulate(total, _known_after_unknown(d, nu), 1)
-        _accumulate(total, _unknown_after_known(nu, d), -1)
+        _accumulate(total, _known_after_slots(d, nu), 1)
+        _accumulate(total, _slots_after_known(nu, d), -1)
         _accumulate(total, _known_after_slots(lam_im2, ku_i), 1)
         _accumulate(total, _slots_after_known(ku_im1, lam_i), -1)
         n = complexes[i].total_module().rank
@@ -346,7 +319,7 @@ class _SharedUnknown:
         nc, nr = x.irr.rank, x.red.rank
         mod = x.modulus
         tot = x.total_module()
-        self.var = {}
+        self.slots = {}
         idx = offset
 
         def alloc(rows, cols, rowoff, coloff, deg, mirror=None):
@@ -358,9 +331,9 @@ class _SharedUnknown:
                         continue
                     key = (t + rowoff, s + coloff)
                     if mirror is not None and (t, s) in mirror:
-                        self.var[key] = mirror[(t, s)]
+                        self.slots[key] = [(mirror[(t, s)], 1)]
                     else:
-                        self.var[key] = idx
+                        self.slots[key] = [(idx, 1)]
                         fresh[(t, s)] = idx
                         idx += 1
             return fresh
@@ -383,12 +356,7 @@ class _SharedUnknown:
         x = self.x
 
         def mk(block, src, tgt, deg):
-            ent = {}
-            for pos, var in self.blocks[block].items():
-                val = values[var]
-                if not val.is_zero:
-                    ent[pos] = val
-            return GradedMatrix(src, tgt, deg, ent)
+            return _realize(self.blocks[block], values, src, tgt, deg)
 
         return SMorphism(x, x, 1,
                          mk("A", x.irr, x.irr, 1), mk("C", x.irr, x.irr, 0),

@@ -15,7 +15,6 @@ from .gradedlin import (
     exactness_at,
     homology_of_pair,
     is_invertible,
-    place_block,
 )
 from .scomplex import RelationReport, SHomotopy, SMorphism
 
@@ -233,11 +232,7 @@ def i_plus(x):
     gens = [(f"c.{n}", d % 2) for n, d in x.irr.gens]
     gens += [(f"q.{n}", (d + 1) % 2) for n, d in x.red.gens]
     mod = _mod2_module(ring, gens)
-    nc = x.irr.rank
-    ent = {}
-    place_block(ent, x.d, 0, 0)
-    place_block(ent, x.delta2, 0, nc)
-    dm = GradedMatrix(mod, mod, 1, {k: v for k, v in ent.items() if not v.is_zero})
+    dm = GradedMatrix.from_blocks(mod, mod, 1, (x.d, 0, 0), (x.delta2, 0, x.irr.rank))
     return homology_of_pair(dm, dm)
 
 
@@ -250,11 +245,7 @@ def i_minus(x):
     gens = [(f"c.{n}", d % 2) for n, d in x.irr.gens]
     gens += [(f"q.{n}", d % 2) for n, d in x.red.gens]
     mod = _mod2_module(ring, gens)
-    nc = x.irr.rank
-    ent = {}
-    place_block(ent, x.d, 0, 0)
-    place_block(ent, x.delta1, nc, 0)
-    dm = GradedMatrix(mod, mod, 1, {k: v for k, v in ent.items() if not v.is_zero})
+    dm = GradedMatrix.from_blocks(mod, mod, 1, (x.d, 0, 0), (x.delta1, x.irr.rank, 0))
     return homology_of_pair(dm, dm)
 
 

@@ -79,10 +79,52 @@ def _set_metadata_list(doc):
     doc["metadata"] = [1]
 
 
+def _set_ring_kind_list(doc):
+    doc["ring"] = {"kind": []}
+
+
+def _set_ring_kind_object(doc):
+    doc["ring"] = {"kind": {}}
+
+
+def _set_p_text(doc):
+    doc["ring"] = {"kind": "Zp", "p": "x"}
+
+
+def _set_p_list(doc):
+    doc["ring"] = {"kind": "Zp", "p": [3]}
+
+
+def _set_p_float(doc):
+    doc["ring"] = {"kind": "Zp", "p": 2.0}
+
+
+def _set_p_infinite(doc):
+    # json writes Infinity; the primality test never returns on it
+    doc["ring"] = {"kind": "Zp", "p": float("inf")}
+
+
+def _set_p_mersenne_61(doc):
+    # prime, but refused by its size before it is trial-divided
+    doc["ring"] = {"kind": "Zp", "p": 2 ** 61 - 1}
+
+
+def _set_metadata_gr_z(doc):
+    doc["metadata"] = {"gr_z": 5}
+
+
+def _set_metadata_gr_i(doc):
+    doc["metadata"] = {"gr_i": {"u": "1/2"}}
+
+
 @pytest.mark.parametrize("edit", [_set_degree_true, _set_degree_text,
                                   _set_coefficient_int, _set_generators_int,
                                   _set_gr_i_list, _set_gr_i_text, _set_modulus_float,
-                                  _set_modulus_float_four, _set_metadata_list])
+                                  _set_modulus_float_four, _set_metadata_list,
+                                  _set_ring_kind_list, _set_ring_kind_object, _set_p_text,
+                                  _set_p_list, _set_p_float, _set_p_infinite,
+                                  _set_p_mersenne_61, _set_metadata_gr_z,
+                                  _set_metadata_gr_i])
 def test_malformed_complex_is_a_usage_error(tmp_path, capsys, edit):
     path = tmp_path / "o1.json"
     run("atomic", "--n", "1", "--out", str(path))
@@ -93,6 +135,27 @@ def test_malformed_complex_is_a_usage_error(tmp_path, capsys, edit):
     assert run("verify", "--in", str(path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_metadata_gradings_refused_before_dual_and_suspend(tmp_path, capsys):
+    path = tmp_path / "o1.json"
+    run("atomic", "--n", "1", "--out", str(path))
+    doc = json.loads(path.read_text())
+    doc["metadata"] = {"gr_z": 5}
+    path.write_text(json.dumps(doc))
+    out = str(tmp_path / "out.json")
+    assert run("dual", "--in", str(path), "--out", out) == 2
+    assert run("suspend", "--in", str(path), "--n", "0", "--out", out) == 2
+
+
+def test_unreadable_input_is_a_usage_error(tmp_path, capsys):
+    binary = tmp_path / "latin1.json"
+    binary.write_bytes(b'{"ring": "\xff"}')
+    for path in (tmp_path, binary):  # a directory, then a file that is not UTF-8
+        capsys.readouterr()
+        assert run("verify", "--in", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_morphism_degree_must_be_an_integer(tmp_path, capsys):
@@ -235,3 +298,61 @@ def test_triangle_verify_verb_on_solved_witnesses(tmp_path, capsys):
     path = tmp_path / "solved.json"
     path.write_text(json.dumps(doc))
     assert run("triangle-verify", "--in", str(path)) == 0
+
+
+_FUZZ_VALUES = (None, True, 0, -1, 2.0, "", "x", [], [1], {}, {"a": 1})
+
+
+def _fields(obj, path=()):
+    """Every key path and list index path below the document root."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for k, v in items:
+        yield path + (k,)
+        yield from _fields(v, path + (k,))
+
+
+def _with_field(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for k in path[:-1]:
+        node = node[k]
+    node[path[-1]] = value
+    return doc
+
+
+def test_loader_fuzz_exits_with_a_known_code(tmp_path, capsys):
+    # every field of two valid documents (plus the absent ring.p), one at a
+    # time, set to each value of a fixed list: verify, and dual on what the
+    # loader accepts (both read through the same loader), must return an exit
+    # code and never raise; refusals print one line
+    docs = []
+    for args in (("atomic", "--n", "1"), ("family", "--name", "torus-link", "--k", "4")):
+        path = tmp_path / "doc.json"
+        assert run(*args, "--out", str(path)) == 0
+        docs.append(json.loads(path.read_text()))
+    src = tmp_path / "in.json"
+    verbs = (["verify", "--in", str(src)],
+             ["dual", "--in", str(src), "--out", str(tmp_path / "out.json")])
+    escaped = []
+    for doc in docs:
+        for field in list(_fields(doc)) + [("ring", "p")]:
+            for value in _FUZZ_VALUES:
+                src.write_text(json.dumps(_with_field(doc, field, value)))
+                for argv in verbs:
+                    capsys.readouterr()
+                    try:
+                        code = main(argv)
+                    except Exception as exc:  # noqa: BLE001 - collected and reported below
+                        escaped.append((argv[0], field, value, repr(exc)))
+                        break
+                    err = capsys.readouterr().err
+                    if code not in (0, 1, 2, 3) or (code >= 2 and err.count("\n") != 1):
+                        escaped.append((argv[0], field, value, code, err))
+                    if code == 2:
+                        break
+    assert not escaped, escaped[:5]

@@ -8,16 +8,16 @@ from scx.functors import (
     dual,
     o1_o_minus1_witness,
     suspend,
-    suspend_closed_form,
     suspend_homotopy,
     suspend_morphism,
     suspend_once,
     suspension_witness,
 )
+from scx.gradedlin import GradedMatrix, GradedModule
 from scx.linkfam import hopf_complex, torus_knot_summand, torus_link_complex
 from scx.randgen import rand_homotopy_pair, rand_morphism, rand_scomplex
 from scx.rings import FRAC_LAURENT_Q, LAURENT_Z, Q, RingMap, Z, Zp, parse_element
-from scx.scomplex import SMorphism
+from scx.scomplex import SComplex, SMorphism
 
 INC = RingMap(RingMap.LAURENT_TO_FRAC, LAURENT_Z, FRAC_LAURENT_Q)
 
@@ -148,6 +148,36 @@ def test_suspension_euler_identity_torus_k4():
     chi_r = sum(1 if d % 2 == 0 else -1 for _, d in x.red.gens)
     assert chi_r == 2
     assert suspend(x, 1).irreducible_euler() == -5
+
+
+def suspend_closed_form(x, n):
+    """Oracle for iterated `suspend`: the closed r-perfect display of
+    Sigma^n for n >= 1,
+
+        C = C[-2n] + R[-2n+1] + R[-2n+3] + ... + R[-1],
+        d first row [d, -delta2, -v delta2, ..., -v^{n-1} delta2],
+        v = [[v],[delta1,0..],[0,1,0..],...],
+        delta2 = [v^n delta2, 0, ..., 0]^T, delta1 = [0,...,0,1].
+    """
+    assert n >= 1 and x.is_r_perfect
+    ring, mod = x.ring, x.modulus
+    gens = [(f"c.{nm}", d + 2 * n) for nm, d in x.irr.gens]
+    for i in range(n):
+        gens += [(f"q{i}.{nm}", d + 2 * n - 2 * i - 1) for nm, d in x.red.gens]
+    irr = GradedModule(ring, mod, gens)
+    red = GradedModule(ring, mod, list(x.red.gens))
+    nc, nr = x.irr.rank, x.red.rank
+    one_r = GradedMatrix.identity(x.red)
+    d_m = GradedMatrix.from_blocks(
+        irr, irr, -1, (x.d, 0, 0),
+        *((-(x.v.power(i) @ x.delta2), 0, nc + i * nr) for i in range(n)))
+    v_m = GradedMatrix.from_blocks(
+        irr, irr, -2, (x.v, 0, 0), (x.delta1, nc, 0),
+        *((one_r, nc + (i + 1) * nr, nc + i * nr) for i in range(n - 1)))
+    d2_m = GradedMatrix.from_blocks(red, irr, -2, (x.v.power(n) @ x.delta2, 0, 0))
+    d1_m = GradedMatrix.from_blocks(irr, red, -1, (one_r, 0, nc + (n - 1) * nr))
+    r_m = GradedMatrix.zero(red, red, -1)
+    return SComplex(irr, red, d_m, v_m, d1_m, d2_m, r_m, None, {"suspended": n})
 
 
 def test_closed_form_suspension_equals_iteration():
