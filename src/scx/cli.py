@@ -8,6 +8,7 @@ machine-readable output, otherwise aligned text is printed.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -341,7 +342,10 @@ def cmd_selftest(args):
     return 0 if failures == 0 else VERIFY_ERROR
 
 
+@functools.cache
 def build_parser():
+    """The argument parser; built on the first call, then reused (parsing
+    does not change it)."""
     p = argparse.ArgumentParser(prog="scx",
                                 description="exact S-complex algebra calculator")
     sub = p.add_subparsers(dest="verb", required=True)

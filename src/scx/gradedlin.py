@@ -3,6 +3,8 @@ homology of two-step complexes over Z or a field."""
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .errors import (
     NotAComplex,
     RingMismatch,
@@ -44,6 +46,9 @@ class GradedModule:
 
     def index(self, name):
         return self._index[name]
+
+    def __contains__(self, name):
+        return name in self._index
 
     def indices_of_degree(self, k):
         k %= self.modulus
@@ -252,127 +257,173 @@ class GradedMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form over Z, with unimodular transforms.
+# Smith normal form over Z, with unimodular transforms, on sparse rows.
+
+
+def _add_multiple(row, q, other):
+    """row += q * other, on {index: int} dicts, for q != 0; zeros are dropped."""
+    for k, y in other.items():
+        x = row.get(k, 0) + q * y
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+
+
+class SmithForm:
+    """U A V = D for an m x n int matrix A, held sparse: `diag` is the first
+    min(m, n) diagonal entries of D, `u` the m rows of U as {column: int}
+    dicts and `v` the n columns of V as {row: int} dicts.  Iterating yields
+    the dense D, U and V, so `D, U, V = smith_normal_form(rows)`."""
+
+    __slots__ = ("m", "n", "diag", "u", "v")
+
+    def __init__(self, m, n, diag, u, v):
+        self.m, self.n, self.diag, self.u, self.v = m, n, diag, u, v
+
+    def __iter__(self):
+        m, n = self.m, self.n
+        d = [[0] * n for _ in range(m)]
+        for i, x in enumerate(self.diag):
+            d[i][i] = x
+        yield d
+        yield [_dense_vector(row, m) for row in self.u]
+        v = [[0] * n for _ in range(n)]
+        for j, col in enumerate(self.v):
+            for k, x in col.items():
+                v[k][j] = x
+        yield v
 
 
 def smith_normal_form(rows):
-    """Return (D, U, V) with U*A*V = D, U, V unimodular, D diagonal with
-    nonnegative entries satisfying d_i | d_{i+1}.
+    """Smith normal form of a dense int matrix A (m x n): a `SmithForm` with
+    U A V = D, U and V unimodular, D diagonal with nonnegative entries
+    satisfying d_i | d_{i+1}.  U A V = D is checked entry by entry before
+    returning.
 
-    `rows` is a dense list of int lists.  Pivot choice is the minimal
-    absolute value with ties broken by (row, col), so transforms are
-    reproducible.
+    A is eliminated on sparse rows {column: int}, with U kept as rows and V
+    as columns.  Pivot choice is the minimal absolute value with ties broken
+    by (row, col), so the transforms are reproducible.  Rows t.. hold no
+    column below t while step t runs, so a column operation only visits the
+    rows that hold the pivot column.
     """
-    a = [list(r) for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_op(i, j, q):  # row i -= q * row j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col i -= q * col j
-        for r in a:
-            r[i] -= q * r[j]
-        for r in v:
-            r[i] -= q * r[j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    cols = range(n)
+    a0 = [dict(zip(compress(cols, row), filter(None, row))) for row in rows]
+    a = [dict(row) for row in a0]
+    u = [{i: 1} for i in range(m)]
+    v = [{j: 1} for j in range(n)]
     t = 0
     while t < min(m, n):
-        pivot = None
-        best = None
+        best = pivot = None
         for i in range(t, m):
-            for j in range(t, n):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best, pivot = abs(x), (i, j)
+            row = a[i]
+            if row:
+                low = min(map(abs, row.values()))
+                if best is None or low < best:
+                    best, pivot = low, (i, min(j for j, x in row.items() if abs(x) == low))
+                    if low == 1:  # no later row can beat a unit
+                        break
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        pi, pj = pivot
+        a[t], a[pi] = a[pi], a[t]
+        u[t], u[pi] = u[pi], u[t]
+        if pj != t:
+            for i in range(t, m):
+                row = a[i]
+                x, y = row.pop(t, None), row.pop(pj, None)
+                if y is not None:
+                    row[t] = y
+                if x is not None:
+                    row[pj] = x
+            v[t], v[pj] = v[pj], v[t]
+        prow, p = a[t], a[t][t]
         dirty = False
+        holders = [t]  # the rows that hold column t once the rows below are reduced
         for i in range(t + 1, m):
-            if a[i][t] % a[t][t] != 0:
+            x = a[i].get(t)
+            if x:
+                q, rem = divmod(x, p)
+                _add_multiple(a[i], -q, prow)
+                _add_multiple(u[i], -q, u[t])
+                if rem:
+                    dirty = True
+                    holders.append(i)
+        for j, x in [(j, x) for j, x in prow.items() if j != t]:
+            q, rem = divmod(x, p)
+            for i in holders:
+                row = a[i]
+                y = row.get(j, 0) - q * row[t]
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+            _add_multiple(v[j], -q, v[t])
+            if rem:
                 dirty = True
-            if a[i][t]:
-                row_op(i, t, a[i][t] // a[t][t])
-        for j in range(t + 1, n):
-            if a[t][j] % a[t][t] != 0:
-                dirty = True
-            if a[t][j]:
-                col_op(j, t, a[t][j] // a[t][t])
-        if dirty and (any(a[i][t] for i in range(t + 1, m)) or any(a[t][j] for j in range(t + 1, n))):
+        if dirty:  # a remainder is left in row or column t
             continue
-        # divisibility: fold any non-multiple below-right into the pivot row
+        # divisibility: fold the first row below holding a non-multiple into the pivot row
         bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t] != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
+        if abs(p) != 1:
+            bad = next((i for i in range(t + 1, m) if any(x % p for x in a[i].values())), None)
         if bad is not None:
-            row_op(t, bad, -1)
+            _add_multiple(prow, 1, a[bad])
+            _add_multiple(u[t], 1, u[bad])
             continue
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
+        if p < 0:
+            prow[t] = -p
+            u[t] = {k: -x for k, x in u[t].items()}
         t += 1
-    d = [[a[i][j] if i == j else 0 for j in range(n)] for i in range(m)]
-    _check_snf(rows, d, u, v)
-    return d, u, v
+    diag = [a[i].get(i, 0) for i in range(min(m, n))]
+    d = [{i: x} if x else {} for i, x in enumerate(diag)] + [{} for _ in range(m - len(diag))]
+    _check_snf(a0, n, d, u, v)
+    return SmithForm(m, n, diag, u, v)
 
 
-def _mat_mul_int(a, b):
-    if not a or not b:
-        return [[0] * (len(b[0]) if b else 0) for _ in a]
-    n = len(b)
-    p = len(b[0])
-    return [[sum(r[k] * b[k][j] for k in range(n)) for j in range(p)] for r in a]
-
-
-def _check_snf(a, d, u, v):
+def _check_snf(a, n, d, u, v):
     """Check U A V = D entry by entry, then the order and divisibility of D's
-    diagonal.  The product is formed over the nonzero entries of A and V
+    diagonal.  A (with n columns), D and U are row dicts {column: int}, V is
+    n column dicts {row: int}.  The product is formed over nonzero entries
     only; every entry of it is still compared with D."""
-    if not a:
+    m = len(a)
+    if not m:
         return
-    n = len(a[0])
-    if not len(u) == len(d) == len(a):
+    if not len(u) == len(d) == m or len(v) != n:
         raise AssertionError("Smith normal form transform check failed: "
-                             f"U, A and D have {len(u)}, {len(a)} and {len(d)} rows")
-    a_nz = [[(j, x) for j, x in enumerate(row) if x] for row in a]
-    v_nz = [[(j, x) for j, x in enumerate(row) if x] for row in v]
+                             f"U, A and D have {len(u)}, {m} and {len(d)} rows, "
+                             f"V and A have {len(v)} and {n} columns")
+    v_rows = [{} for _ in range(n)]
+    for j, col in enumerate(v):
+        for k, x in col.items():
+            if not 0 <= k < n:
+                raise AssertionError("Smith normal form transform check failed "
+                                     f"at V entry ({k}, {j})")
+            if x:
+                v_rows[k][j] = x
     for i, (u_row, d_row) in enumerate(zip(u, d)):
-        ua = [0] * n
-        for k, c in enumerate(u_row):
+        ua = {}
+        for k, c in u_row.items():
+            if not 0 <= k < m:
+                raise AssertionError("Smith normal form transform check failed "
+                                     f"at U entry ({i}, {k})")
             if c:
-                for j, x in a_nz[k]:
-                    ua[j] += c * x
-        uav = [0] * n
-        for k, c in enumerate(ua):
+                for j, x in a[k].items():
+                    ua[j] = ua.get(j, 0) + c * x
+        uav = {}
+        for k, c in ua.items():
             if c:
-                for j, x in v_nz[k]:
-                    uav[j] += c * x
-        if uav != d_row:
-            j = next((j for j, (x, y) in enumerate(zip(uav, d_row)) if x != y),
-                     min(len(uav), len(d_row)))
+                for j, x in v_rows[k].items():
+                    uav[j] = uav.get(j, 0) + c * x
+        got = {j: x for j, x in uav.items() if x}
+        want = {j: x for j, x in d_row.items() if x}
+        if got != want:
+            j = min(j for j in got.keys() | want.keys() if got.get(j) != want.get(j))
             raise AssertionError("Smith normal form transform check failed "
                                  f"at entry ({i}, {j})")
-    diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+    diag = [d[i].get(i, 0) for i in range(min(m, n))]
     for x, y in zip(diag, diag[1:]):
         if x == 0 and y != 0:
             raise AssertionError("Smith normal form ordering failed")
@@ -380,9 +431,15 @@ def _check_snf(a, d, u, v):
             raise AssertionError("Smith normal form divisibility failed")
 
 
+def _dense_vector(vec, size):
+    out = [0] * size
+    for k, x in vec.items():
+        out[k] = x
+    return out
+
+
 def snf_diagonal(rows):
-    d, _, _ = smith_normal_form(rows)
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+    return smith_normal_form(rows).diag
 
 
 def int_kernel_basis(rows, ncols=None):
@@ -393,10 +450,9 @@ def int_kernel_basis(rows, ncols=None):
         return []
     if m == 0:
         return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    d, _, v = smith_normal_form(rows)
-    diag = [d[i][i] for i in range(min(m, n))]
-    cols = [j for j in range(n) if j >= len(diag) or diag[j] == 0]
-    return [[v[i][j] for i in range(n)] for j in cols]
+    snf = smith_normal_form(rows)
+    return [_dense_vector(col, n) for j, col in enumerate(snf.v)
+            if j >= len(snf.diag) or snf.diag[j] == 0]
 
 
 def int_solve(rows, rhs):
@@ -405,35 +461,30 @@ def int_solve(rows, rhs):
     n = len(rows[0]) if m else 0
     if m == 0:
         return [0] * n
-    d, u, v = smith_normal_form(rows)
-    c = [sum(u[i][k] * rhs[k] for k in range(m)) for i in range(m)]
-    y = [0] * n
-    r = min(m, n)
-    for i in range(m):
-        di = d[i][i] if i < r else 0
-        if di == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % di != 0:
-                return None
-            y[i] = c[i] // di
-    return [sum(v[i][k] * y[k] for k in range(n)) for i in range(n)]
+    snf = smith_normal_form(rows)
+    diag, v = snf.diag, snf.v
+    x = [0] * n
+    for i, u_row in enumerate(snf.u):
+        c = sum(y * rhs[k] for k, y in u_row.items())
+        di = diag[i] if i < len(diag) else 0
+        if c and (di == 0 or c % di):
+            return None
+        if c:  # y_i = c / d_i, and x = V y
+            for k, z in v[i].items():
+                x[k] += c // di * z
+    return x
 
 
 def int_column_lattice_basis(rows):
-    """Basis of the column lattice of A, as columns (via A*V on nonzero d_i)."""
+    """Basis of the column lattice of A, as columns: A v_j for the columns
+    v_j of V with d_j != 0."""
     m = len(rows)
     n = len(rows[0]) if m else 0
     if m == 0 or n == 0:
         return []
-    d, _, v = smith_normal_form(rows)
-    av = _mat_mul_int(rows, v)
-    out = []
-    for j in range(min(m, n)):
-        if d[j][j] != 0:
-            out.append([av[i][j] for i in range(m)])
-    return out
+    snf = smith_normal_form(rows)
+    return [[sum(row[k] * x for k, x in snf.v[j].items()) for row in rows]
+            for j, dj in enumerate(snf.diag) if dj]
 
 
 def _cols_to_rows(cols):
@@ -517,7 +568,9 @@ def field_kernel_basis(rows, ring, ncols=None):
         v = [zero] * n
         v[fc] = one
         for r, pc in enumerate(piv):
-            v[pc] = -rr[r][fc]
+            x = rr[r][fc]
+            if not x.is_zero:  # v is already zero there
+                v[pc] = -x
         basis.append(v)
     return basis
 

@@ -556,9 +556,10 @@ def _matrix_from_json(items, source, target, degree, ring):
         tn, sn, cs = row
         if not isinstance(cs, str):
             raise SchemaError(f"coefficient must be a string, got {cs!r}")
-        if tn not in [n for n, _ in target.gens]:
+        # a name that is not a str is unknown too (and would not hash)
+        if not isinstance(tn, str) or tn not in target:
             raise SchemaError(f"unknown target generator {tn!r}")
-        if sn not in [n for n, _ in source.gens]:
+        if not isinstance(sn, str) or sn not in source:
             raise SchemaError(f"unknown source generator {sn!r}")
         triples.append((tn, sn, parse_element(ring, cs)))
     return GradedMatrix.from_named(source, target, degree, triples)

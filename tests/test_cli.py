@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from scx.cli import main
+from scx.cli import build_parser, main
 from scx.scomplex import load_scomplex
 
 
@@ -117,6 +117,14 @@ def _set_metadata_gr_i(doc):
     doc["metadata"] = {"gr_i": {"u": "1/2"}}
 
 
+def _set_d_target_name_list(doc):
+    doc["d"] = [[["u"], "u", "1"]]
+
+
+def _set_d_source_name_object(doc):
+    doc["d"] = [["u", {"u": 1}, "1"]]
+
+
 @pytest.mark.parametrize("edit", [_set_degree_true, _set_degree_text,
                                   _set_coefficient_int, _set_generators_int,
                                   _set_gr_i_list, _set_gr_i_text, _set_modulus_float,
@@ -124,7 +132,8 @@ def _set_metadata_gr_i(doc):
                                   _set_ring_kind_list, _set_ring_kind_object, _set_p_text,
                                   _set_p_list, _set_p_float, _set_p_infinite,
                                   _set_p_mersenne_61, _set_metadata_gr_z,
-                                  _set_metadata_gr_i])
+                                  _set_metadata_gr_i, _set_d_target_name_list,
+                                  _set_d_source_name_object])
 def test_malformed_complex_is_a_usage_error(tmp_path, capsys, edit):
     path = tmp_path / "o1.json"
     run("atomic", "--n", "1", "--out", str(path))
@@ -135,6 +144,34 @@ def test_malformed_complex_is_a_usage_error(tmp_path, capsys, edit):
     assert run("verify", "--in", str(path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_repeated_main_calls_match_fresh_parsers(tmp_path, capsys):
+    # main reuses one parser; a run of calls, a usage error among them, must
+    # print and exit exactly as each call would with a newly built parser
+    doc = str(tmp_path / "t4.json")
+    calls = [["family", "--name", "torus-link", "--k", "2", "--out", doc],
+             ["qa", "--det", "11", "--components", "1", "--json"],
+             ["qa", "--det", "eleven", "--components", "1"],
+             ["homology", "--in", doc, "--ring", "z", "--json"],
+             ["no-such-verb"],
+             ["verify", "--in", doc],
+             ["qa", "--det", "11", "--components", "1", "--json"]]
+
+    def outcomes(fresh):
+        got = []
+        for argv in calls:
+            if fresh:
+                build_parser.cache_clear()
+            code = main(list(argv))
+            out, err = capsys.readouterr()
+            got.append((code, out, err))
+        return got
+
+    shared = outcomes(fresh=False)
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 2, 0, 0]
+    assert shared == outcomes(fresh=True)
+    assert shared[1] == shared[-1]
 
 
 def test_metadata_gradings_refused_before_dual_and_suspend(tmp_path, capsys):

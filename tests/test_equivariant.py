@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -247,3 +248,16 @@ def test_ladder_makes_no_product_past_a_zero_power(monkeypatch):
     for j in range(e, e + 10):
         assert ladder.left(j).is_zero and ladder.right(j).is_zero
     assert len(calls) == 3 * e
+
+
+def test_torus_link_150_profile_over_z_is_fast():
+    # the integer d-function on a rank-149 complex: closed form d = 2 up to
+    # i = 0 and 0 above, within a time bound that a dense Smith normal form
+    # (about 6 s) misses
+    x = torus_link_complex(150).base_change(eval_t_at_one())
+    t0 = time.perf_counter()
+    prof = froyshov_profile(x)
+    dt = time.perf_counter() - t0
+    lo, hi = prof.window
+    assert prof.d == {i: 2 if i <= 0 else 0 for i in range(lo, hi + 1)}
+    assert dt < 4, f"froyshov_profile on T(2,150) over Z took {dt:.1f}s (limit 4s)"

@@ -9,13 +9,14 @@ from scx.gradedlin import (
     GradedModule,
     _check_ring_for_homology,
     _check_snf,
-    _mat_mul_int,
     _z_subquotient,
     field_kernel_basis,
     field_rank,
     field_rref,
     homology_of_pair,
+    int_column_lattice_basis,
     int_kernel_basis,
+    int_solve,
     is_invertible,
     smith_normal_form,
     snf_diagonal,
@@ -99,22 +100,195 @@ def test_snf_random_transform_and_divisibility():
         assert all(x >= 0 for x in diag)
 
 
+def dense_smith_normal_form(rows):
+    """Oracle for the sparse Smith normal form: the earlier dense elimination,
+    which updates whole rows and columns of A, U and V.  Same pivot rule
+    (minimal absolute value, ties by (row, col)), so the same (D, U, V)."""
+    a = [list(r) for r in rows]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def row_op(i, j, q):  # row i -= q * row j
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_op(i, j, q):  # col i -= q * col j
+        for r in a:
+            r[i] -= q * r[j]
+        for r in v:
+            r[i] -= q * r[j]
+
+    t = 0
+    while t < min(m, n):
+        pivot = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                x = a[i][j]
+                if x != 0 and (best is None or abs(x) < best):
+                    best, pivot = abs(x), (i, j)
+        if pivot is None:
+            break
+        a[t], a[pivot[0]] = a[pivot[0]], a[t]
+        u[t], u[pivot[0]] = u[pivot[0]], u[t]
+        for r in a + v:
+            r[t], r[pivot[1]] = r[pivot[1]], r[t]
+        dirty = False
+        for i in range(t + 1, m):
+            if a[i][t] % a[t][t] != 0:
+                dirty = True
+            if a[i][t]:
+                row_op(i, t, a[i][t] // a[t][t])
+        for j in range(t + 1, n):
+            if a[t][j] % a[t][t] != 0:
+                dirty = True
+            if a[t][j]:
+                col_op(j, t, a[t][j] // a[t][t])
+        if dirty and (any(a[i][t] for i in range(t + 1, m)) or any(a[t][j] for j in range(t + 1, n))):
+            continue
+        # divisibility: fold any non-multiple below-right into the pivot row
+        bad = next((i for i in range(t + 1, m)
+                    if any(a[i][j] % a[t][t] != 0 for j in range(t + 1, n))), None)
+        if bad is not None:
+            row_op(t, bad, -1)
+            continue
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    d = [[a[i][j] if i == j else 0 for j in range(n)] for i in range(m)]
+    return d, u, v
+
+
+def mat_mul_int(a, b):
+    if not a or not b:
+        return [[0] * (len(b[0]) if b else 0) for _ in a]
+    n = len(b)
+    p = len(b[0])
+    return [[sum(r[k] * b[k][j] for k in range(n)) for j in range(p)] for r in a]
+
+
+def _diagonal(d):
+    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+
+
+def dense_int_kernel_basis(rows, ncols):
+    m = len(rows)
+    n = len(rows[0]) if m else ncols
+    if n == 0:
+        return []
+    if m == 0:
+        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    d, _, v = dense_smith_normal_form(rows)
+    diag = _diagonal(d)
+    return [[v[i][j] for i in range(n)] for j in range(n) if j >= len(diag) or diag[j] == 0]
+
+
+def dense_int_solve(rows, rhs):
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    if m == 0:
+        return [0] * n
+    d, u, v = dense_smith_normal_form(rows)
+    c = [sum(u[i][k] * rhs[k] for k in range(m)) for i in range(m)]
+    y = [0] * n
+    for i in range(m):
+        di = d[i][i] if i < min(m, n) else 0
+        if (c[i] % di != 0) if di else c[i] != 0:
+            return None
+        if di:
+            y[i] = c[i] // di
+    return [sum(v[i][k] * y[k] for k in range(n)) for i in range(n)]
+
+
+def dense_int_column_lattice_basis(rows):
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    if m == 0 or n == 0:
+        return []
+    d, _, v = dense_smith_normal_form(rows)
+    av = mat_mul_int(rows, v)
+    return [[av[i][j] for i in range(m)] for j in range(min(m, n)) if d[j][j] != 0]
+
+
+def _sparse_rows(dense):
+    return [{j: x for j, x in enumerate(row) if x} for row in dense]
+
+
+def _sparse_cols(dense):
+    ncols = len(dense[0]) if dense else 0
+    return [{i: row[j] for i, row in enumerate(dense) if row[j]} for j in range(ncols)]
+
+
+def _snf_test_matrices(rng):
+    """Seeded int matrices: empty, all-zero, tall, wide, square and
+    rank-deficient, with small entries so that pivot ties are common."""
+    cases = [[], [[]], [[], []], [[0] * 4 for _ in range(3)], [[0]], [[5]], [[-2, 4], [6, -8]]]
+    shapes = [(1, 1), (2, 5), (5, 2), (3, 3), (4, 4), (6, 3), (3, 6), (7, 7), (9, 5)]
+    for m, n in shapes:
+        for density in (0.3, 0.6, 1.0):
+            for mag in (1, 3, 9):
+                cases.append(_random_int_matrix(rng, m, n, density, mag))
+        for rank in range(1, min(m, n)):  # a product of m x rank and rank x n factors
+            left = _random_int_matrix(rng, m, rank, 0.7, 3)
+            right = _random_int_matrix(rng, rank, n, 0.7, 3)
+            cases.append(mat_mul_int(left, right))
+    return cases
+
+
+def test_sparse_snf_equals_dense_oracle():
+    rng = random.Random(606)
+    cases = _snf_test_matrices(rng)
+    deficient = 0
+    for a in cases:
+        d, u, v = dense_smith_normal_form(a)
+        snf = smith_normal_form(a)
+        assert tuple(snf) == (d, u, v)
+        assert (snf.diag, snf.u, snf.v) == (_diagonal(d), _sparse_rows(u), _sparse_cols(v))
+        if any(map(any, a)) and 0 in _diagonal(d):
+            deficient += 1
+    assert deficient > 10
+
+
+def test_snf_callers_equal_the_dense_route():
+    rng = random.Random(607)
+    for a in _snf_test_matrices(rng):
+        m, n = len(a), len(a[0]) if a else 0
+        assert snf_diagonal(a) == _diagonal(dense_smith_normal_form(a)[0])
+        assert int_kernel_basis(a, ncols=n) == dense_int_kernel_basis(a, n)
+        assert int_column_lattice_basis(a) == dense_int_column_lattice_basis(a)
+        x = [rng.randint(-3, 3) for _ in range(n)]
+        solvable = [sum(c * y for c, y in zip(row, x)) for row in a]
+        got = int_solve(a, solvable)
+        assert got == dense_int_solve(a, solvable) and got is not None
+        rhs = [rng.randint(-4, 4) for _ in range(m)]
+        assert int_solve(a, rhs) == dense_int_solve(a, rhs)
+
+
+def _check_dense(a, d, u, v):
+    """_check_snf on the sparse forms of dense A, D, U and V."""
+    _check_snf(_sparse_rows(a), len(a[0]) if a else 0,
+               _sparse_rows(d), _sparse_rows(u), _sparse_cols(v))
+
+
 def _transform_rejected(a, d, u, v):
     """Whether _check_snf rejects U A V = D (the order and divisibility
     checks that follow it may still reject D on their own)."""
     try:
-        _check_snf(a, d, u, v)
+        _check_dense(a, d, u, v)
     except AssertionError as exc:
         return "transform check failed" in str(exc)
     return False
 
 
 def _dense_equal(a, d, u, v):
-    return _mat_mul_int(_mat_mul_int(u, a), v) == d
+    return mat_mul_int(mat_mul_int(u, a), v) == d
 
 
-def _random_int_matrix(rng, m, n, density):
-    return [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(n)]
+def _random_int_matrix(rng, m, n, density, mag=9):
+    return [[rng.randint(-mag, mag) if rng.random() < density else 0 for _ in range(n)]
             for _ in range(m)]
 
 
@@ -144,7 +318,7 @@ def test_sparse_check_snf_agrees_with_dense_product():
             if m and n:
                 u2 = _random_int_matrix(rng, m, m, 0.5)
                 v2 = _random_int_matrix(rng, n, n, 0.5)
-                prod = _mat_mul_int(_mat_mul_int(u2, a), v2)
+                prod = mat_mul_int(mat_mul_int(u2, a), v2)
                 assert not _transform_rejected(a, prod, u2, v2)
                 off = [list(r) for r in prod]
                 off[rng.randrange(m)][rng.randrange(n)] += 1
@@ -160,23 +334,23 @@ def test_sparse_check_snf_rejects_corrupted_transforms():
         d, u, v = smith_normal_form(a)
         m, n = len(a), len(a[0])
         # U: row k of A V is nonzero, so adding 1 at U[i][k] moves row i of U A V
-        av = _mat_mul_int(a, v)
+        av = mat_mul_int(a, v)
         k = next(k for k in range(m) if any(av[k]))
         bad_u = [list(r) for r in u]
         bad_u[rng.randrange(m)][k] += 1
         with pytest.raises(AssertionError):
-            _check_snf(a, d, bad_u, v)
+            _check_dense(a, d, bad_u, v)
         # V: column k of U A is nonzero, so adding 1 at V[k][j] moves column j
-        ua = _mat_mul_int(u, a)
+        ua = mat_mul_int(u, a)
         k = next(k for k in range(n) if any(row[k] for row in ua))
         bad_v = [list(r) for r in v]
         bad_v[k][rng.randrange(n)] += 1
         with pytest.raises(AssertionError):
-            _check_snf(a, d, u, bad_v)
+            _check_dense(a, d, u, bad_v)
         bad_d = [list(r) for r in d]
         bad_d[rng.randrange(m)][rng.randrange(n)] -= 1
         with pytest.raises(AssertionError):
-            _check_snf(a, bad_d, u, v)
+            _check_dense(a, bad_d, u, v)
 
 
 def _ungraded_pair(rows, ring):
