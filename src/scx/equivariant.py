@@ -18,15 +18,14 @@ from .errors import PlateauNotReached, UnsupportedRing
 from .gradedlin import (
     GradedMatrix,
     GradedModule,
-    apply,
     coeffs,
     column_basis,
     dense_zero,
     exactness_at,
     field_kernel_basis,
     int_kernel_basis,
-    kernel_basis,
     span_contains,
+    sparse_kernel_basis,
 )
 from .rings import Z
 from .scomplex import RelationReport
@@ -34,35 +33,42 @@ from .scomplex import RelationReport
 
 class _Ladder:
     """The blocks delta1 v^j (C -> R) and v^j delta2 (R -> C) of one complex,
-    for j = 0, 1, 2, ...
+    for j = 0, 1, 2, ..., with their dense coefficients.
 
     Each power of v is one product with the power before it, and each block
-    is built once, the first time it is asked for.  Once a power of v is zero
-    every later block is the zero block and no further product is made.  A
-    ladder is built for one call and dropped with it.
+    is built, and its coefficients read, once, the first time it is asked
+    for.  Once a power of v is zero every later block is the zero block and
+    no further product is made.  `d` holds the coefficients of the
+    complex's d.  A ladder is built for one call and dropped with it.
     """
 
     def __init__(self, x):
         self._x = x
+        self.d = coeffs(x.d)
         self._power = None  # the last power of v used, v^(len(self._left) - 1)
         self._left = []
         self._right = []
+        self._left_c = []
+        self._right_neg_c = []
 
     def _grow(self, j):
         x = self._x
         while len(self._left) <= j:
             if self._left and self._power.is_zero:
-                self._left.append(self._left[-1])
-                self._right.append(self._right[-1])
+                for blocks in (self._left, self._right, self._left_c, self._right_neg_c):
+                    blocks.append(blocks[-1])
                 continue
             p = x.v @ self._power if self._left else GradedMatrix.identity(x.irr)
             self._power = p
             if p.is_zero:
-                self._left.append(GradedMatrix.zero(x.irr, x.red, x.delta1.degree))
-                self._right.append(GradedMatrix.zero(x.red, x.irr, x.delta2.degree))
+                left = GradedMatrix.zero(x.irr, x.red, x.delta1.degree)
+                right = GradedMatrix.zero(x.red, x.irr, x.delta2.degree)
             else:
-                self._left.append(x.delta1 @ p)
-                self._right.append(p @ x.delta2)
+                left, right = x.delta1 @ p, p @ x.delta2
+            self._left.append(left)
+            self._right.append(right)
+            self._left_c.append(coeffs(left))
+            self._right_neg_c.append({k: -c for k, c in coeffs(right).items()})
 
     def left(self, j):
         """delta1 v^j."""
@@ -73,6 +79,16 @@ class _Ladder:
         """v^j delta2."""
         self._grow(j)
         return self._right[j]
+
+    def left_coeffs(self, j):
+        """The coefficients of delta1 v^j, as `coeffs` gives them."""
+        self._grow(j)
+        return self._left_c[j]
+
+    def right_neg_coeffs(self, j):
+        """The coefficients of -v^j delta2, as the i <= 0 systems use them."""
+        self._grow(j)
+        return self._right_neg_c[j]
 
 
 def _nilpotency(v):
@@ -499,6 +515,8 @@ class FroyshovProfile:
 def _j_module(x, i, ladder=None):
     """Generating columns for J_i as a submodule of R, via the finite system.
 
+    Each system is built as {column: value} rows and its kernel comes back
+    as {index: value} vectors, so the work follows the nonzero entries.
     `ladder` holds the complex's delta1 v^j and v^j delta2 blocks; a caller
     that solves several systems of one complex passes one ladder to all.
     """
@@ -508,25 +526,41 @@ def _j_module(x, i, ladder=None):
         ladder = _Ladder(x)
     zero = dense_zero(ring)
 
-    def fill(rows, m, row_off, col_off, neg=False):
-        # the rows share one zero element; only m's nonzero entries are written
-        for (t, s), val in coeffs(m).items():
-            rows[row_off + t][col_off + s] = -val if neg else val
+    def fill(rows, block, row_off, col_off):
+        for (t, s), val in block.items():
+            rows[row_off + t][col_off + s] = val
 
     if i >= 1:
-        rows = [[zero] * nc for _ in range(nc + (i - 1) * nr)]
-        fill(rows, x.d, 0, 0)
+        rows = [{} for _ in range(nc + (i - 1) * nr)]
+        fill(rows, ladder.d, 0, 0)
         for j in range(i - 1):
-            fill(rows, ladder.left(j), nc + j * nr, 0)
-        return apply(ladder.left(i - 1), kernel_basis(rows, nc, ring))
+            fill(rows, ladder.left_coeffs(j), nc + j * nr, 0)
+        by_source = {}  # delta1 v^(i-1), applied to each kernel vector
+        for (t, s), val in ladder.left_coeffs(i - 1).items():
+            by_source.setdefault(s, []).append((t, val))
+        out = []
+        for vec in sparse_kernel_basis(rows, nc, ring):
+            col = [zero] * nr
+            for s, y in vec.items():
+                for t, val in by_source.get(s, ()):
+                    col[t] = col[t] + val * y
+            out.append(col)
+        return out
     m = -i
     # variables (alpha, theta_0..theta_m); equation d a - sum v^j delta2 t_j = 0
-    nvar = nc + (m + 1) * nr
-    rows = [[zero] * nvar for _ in range(nc)]
-    fill(rows, x.d, 0, 0)
+    rows = [{} for _ in range(nc)]
+    fill(rows, ladder.d, 0, 0)
     for j in range(m + 1):
-        fill(rows, ladder.right(j), 0, nc + j * nr, neg=True)
-    return [vec[nc + m * nr:] for vec in kernel_basis(rows, nvar, ring)]
+        fill(rows, ladder.right_neg_coeffs(j), 0, nc + j * nr)
+    off = nc + m * nr  # theta_m, the entries J_i is read from
+    out = []
+    for vec in sparse_kernel_basis(rows, off + nr, ring):
+        col = [zero] * nr
+        for k, y in vec.items():
+            if k >= off:
+                col[k - off] = y
+        out.append(col)
+    return out
 
 
 def _module_basis_and_rank(cols, ring):

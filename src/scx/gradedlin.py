@@ -270,16 +270,52 @@ def _add_multiple(row, q, other):
             del row[k]
 
 
+def _dense(vec, size, zero=0):
+    """The {index: value} vector `vec` as a list of length `size`."""
+    out = [zero] * size
+    for k, x in vec.items():
+        out[k] = x
+    return out
+
+
+def _side_by_side(cols, m):
+    """The row dicts of the matrix with m rows whose columns are the
+    {index: value} vectors `cols`."""
+    rows = [{} for _ in range(m)]
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            rows[i][j] = x
+    return rows
+
+
+def _int_rows(rows):
+    """Dense int rows as {column: int} dicts without zeros."""
+    cols = range(len(rows[0]) if rows else 0)
+    return [dict(zip(compress(cols, row), filter(None, row))) for row in rows]
+
+
 class SmithForm:
-    """U A V = D for an m x n int matrix A, held sparse: `diag` is the first
-    min(m, n) diagonal entries of D, `u` the m rows of U as {column: int}
-    dicts and `v` the n columns of V as {row: int} dicts.  Iterating yields
-    the dense D, U and V, so `D, U, V = smith_normal_form(rows)`."""
+    """U A V = D for an m x n int matrix A, held sparse.
+
+    `diag` is the first min(m, n) diagonal entries of D.  `u` maps a row
+    index to that row of U as a {column: int} dict, and `v` maps a column
+    index to that column of V as a {row: int} dict, but only for the rows
+    and columns an elimination step touched: every other row of U, and
+    column of V, is that of the identity.  `u_row` and `v_col` read through
+    that rule.  Iterating yields the dense D, U and V, so
+    `D, U, V = smith_normal_form(rows)`.
+    """
 
     __slots__ = ("m", "n", "diag", "u", "v")
 
     def __init__(self, m, n, diag, u, v):
         self.m, self.n, self.diag, self.u, self.v = m, n, diag, u, v
+
+    def u_row(self, i):
+        return _entry(self.u, i)
+
+    def v_col(self, j):
+        return _entry(self.v, j)
 
     def __iter__(self):
         m, n = self.m, self.n
@@ -287,80 +323,115 @@ class SmithForm:
         for i, x in enumerate(self.diag):
             d[i][i] = x
         yield d
-        yield [_dense_vector(row, m) for row in self.u]
+        yield [_dense(self.u_row(i), m) for i in range(m)]
         v = [[0] * n for _ in range(n)]
-        for j, col in enumerate(self.v):
-            for k, x in col.items():
+        for j in range(n):
+            for k, x in self.v_col(j).items():
                 v[k][j] = x
         yield v
 
 
-def smith_normal_form(rows):
-    """Smith normal form of a dense int matrix A (m x n): a `SmithForm` with
-    U A V = D, U and V unimodular, D diagonal with nonnegative entries
-    satisfying d_i | d_{i+1}.  U A V = D is checked entry by entry before
-    returning.
+def _entry(tr, i):
+    """Entry i of a transform held as {index: vector}: the stored vector,
+    or the identity's."""
+    vec = tr.get(i)
+    return {i: 1} if vec is None else vec
 
-    A is eliminated on sparse rows {column: int}, with U kept as rows and V
-    as columns.  Pivot choice is the minimal absolute value with ties broken
-    by (row, col), so the transforms are reproducible.  Rows t.. hold no
+
+def _touch(tr, i):
+    """Entry i of a transform held as {index: vector}, stored from the
+    identity's the first time an operation changes it."""
+    vec = tr.get(i)
+    if vec is None:
+        vec = tr[i] = {i: 1}
+    return vec
+
+
+def _swap(tr, i, j):
+    """Swap entries i and j of a transform held as {index: vector}."""
+    if i != j:
+        x, y = tr.pop(i, None), tr.pop(j, None)
+        tr[i] = {j: 1} if y is None else y
+        tr[j] = {i: 1} if x is None else x
+
+
+def smith_normal_form(rows):
+    """Smith normal form of a dense int matrix A (m x n): the `SmithForm`
+    of `smith_form`, which unpacks as the dense D, U and V."""
+    return smith_form(_int_rows(rows), len(rows[0]) if rows else 0)
+
+
+def smith_form(a, n):
+    """Smith normal form of the m x n int matrix whose rows are the
+    {column: nonzero int} dicts of `a` (left unchanged): a `SmithForm` with
+    U A V = D, U and V unimodular, D diagonal with nonnegative entries
+    satisfying d_i | d_{i+1}.  U A V = D is checked at every entry before
+    returning (see `_check_snf`).
+
+    Pivot choice is the minimal absolute value with ties broken by
+    (row, col), so the transforms are reproducible.  Rows t.. hold no
     column below t while step t runs, so a column operation only visits the
-    rows that hold the pivot column.
+    rows that hold the pivot column, and a row without entries takes part in
+    no step.  A row of U, or a column of V, is stored only once a swap or
+    an operation changes it.  So the work follows the nonzero entries, not
+    the m + n rows and columns of the identity.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    cols = range(n)
-    a0 = [dict(zip(compress(cols, row), filter(None, row))) for row in rows]
-    a = [dict(row) for row in a0]
-    u = [{i: 1} for i in range(m)]
-    v = [{j: 1} for j in range(n)]
-    t = 0
+    m = len(a)
+    rows = list(map(dict, a))
+    u, v = {}, {}
+
+    def held(start):
+        """The indices of the rows from `start` on that hold an entry, in order."""
+        return compress(range(start, m), rows[start:])
+
+    t = 0  # after the loop, rows[i] == {i: d_i} for i < t and every later d_i is zero
     while t < min(m, n):
         best = pivot = None
-        for i in range(t, m):
-            row = a[i]
-            if row:
-                low = min(map(abs, row.values()))
-                if best is None or low < best:
-                    best, pivot = low, (i, min(j for j, x in row.items() if abs(x) == low))
-                    if low == 1:  # no later row can beat a unit
-                        break
+        for i in held(t):
+            row = rows[i]
+            low = min(map(abs, row.values()))
+            if best is None or low < best:
+                best, pivot = low, (i, min(j for j, x in row.items() if abs(x) == low))
+                if low == 1:  # no later row can beat a unit
+                    break
         if pivot is None:
             break
         pi, pj = pivot
-        a[t], a[pi] = a[pi], a[t]
-        u[t], u[pi] = u[pi], u[t]
+        rows[t], rows[pi] = rows[pi], rows[t]
+        _swap(u, t, pi)
         if pj != t:
-            for i in range(t, m):
-                row = a[i]
+            for i in held(t):
+                row = rows[i]
                 x, y = row.pop(t, None), row.pop(pj, None)
                 if y is not None:
                     row[t] = y
                 if x is not None:
                     row[pj] = x
-            v[t], v[pj] = v[pj], v[t]
-        prow, p = a[t], a[t][t]
+            _swap(v, t, pj)
+        prow, p = rows[t], rows[t][t]
         dirty = False
         holders = [t]  # the rows that hold column t once the rows below are reduced
-        for i in range(t + 1, m):
-            x = a[i].get(t)
+        ut = _entry(u, t)  # row t of U and column t of V stay as they are in this step
+        for i in held(t + 1):
+            x = rows[i].get(t)
             if x:
                 q, rem = divmod(x, p)
-                _add_multiple(a[i], -q, prow)
-                _add_multiple(u[i], -q, u[t])
+                _add_multiple(rows[i], -q, prow)
+                _add_multiple(_touch(u, i), -q, ut)
                 if rem:
                     dirty = True
                     holders.append(i)
+        vt = _entry(v, t)
         for j, x in [(j, x) for j, x in prow.items() if j != t]:
             q, rem = divmod(x, p)
             for i in holders:
-                row = a[i]
+                row = rows[i]
                 y = row.get(j, 0) - q * row[t]
                 if y:
                     row[j] = y
                 else:
                     del row[j]
-            _add_multiple(v[j], -q, v[t])
+            _add_multiple(_touch(v, j), -q, vt)
             if rem:
                 dirty = True
         if dirty:  # a remainder is left in row or column t
@@ -368,62 +439,78 @@ def smith_normal_form(rows):
         # divisibility: fold the first row below holding a non-multiple into the pivot row
         bad = None
         if abs(p) != 1:
-            bad = next((i for i in range(t + 1, m) if any(x % p for x in a[i].values())), None)
+            bad = next((i for i in held(t + 1) if any(x % p for x in rows[i].values())), None)
         if bad is not None:
-            _add_multiple(prow, 1, a[bad])
-            _add_multiple(u[t], 1, u[bad])
+            _add_multiple(prow, 1, rows[bad])
+            _add_multiple(_touch(u, t), 1, _entry(u, bad))
             continue
         if p < 0:
             prow[t] = -p
-            u[t] = {k: -x for k, x in u[t].items()}
+            u[t] = {k: -x for k, x in _entry(u, t).items()}
         t += 1
-    diag = [a[i].get(i, 0) for i in range(min(m, n))]
-    d = [{i: x} if x else {} for i, x in enumerate(diag)] + [{} for _ in range(m - len(diag))]
-    _check_snf(a0, n, d, u, v)
-    return SmithForm(m, n, diag, u, v)
+    diag = [rows[i].get(i, 0) for i in range(t)]
+    _check_snf(a, n, {i: {i: x} for i, x in enumerate(diag)}, u, v)
+    return SmithForm(m, n, diag + [0] * (min(m, n) - t), u, v)
+
+
+def _snf_check_failed(where):
+    raise AssertionError(f"Smith normal form transform check failed at {where}")
 
 
 def _check_snf(a, n, d, u, v):
-    """Check U A V = D entry by entry, then the order and divisibility of D's
-    diagonal.  A (with n columns), D and U are row dicts {column: int}, V is
-    n column dicts {row: int}.  The product is formed over nonzero entries
-    only; every entry of it is still compared with D."""
+    """Check U A V = D at every entry, then the order and divisibility of
+    D's diagonal.  A is m row dicts {column: int} with n columns; D is
+    {row: {column: int}}, its rows that hold an entry; U is
+    {row: {column: int}} and V is {column: {row: int}}, their stored rows
+    and columns, every other one being the identity's.
+
+    Row i of U A V is formed when U's row i is stored, A's row i holds an
+    entry or D's row i does.  Every other row of U A V is the identity's
+    row times an empty row of A, so it is zero, and D's row is zero there
+    too: every entry of the product is compared with D.  The products are
+    formed over nonzero entries only.  A stored row or column of U, V or D,
+    or an entry of U or V, whose index lies outside the matrix fails the
+    check.
+    """
     m = len(a)
-    if not m:
-        return
-    if not len(u) == len(d) == m or len(v) != n:
-        raise AssertionError("Smith normal form transform check failed: "
-                             f"U, A and D have {len(u)}, {m} and {len(d)} rows, "
-                             f"V and A have {len(v)} and {n} columns")
-    v_rows = [{} for _ in range(n)]
-    for j, col in enumerate(v):
+    v_rows = {}  # the stored columns of V, by row
+    for j, col in v.items():
+        if not 0 <= j < n:
+            _snf_check_failed(f"V column {j}")
         for k, x in col.items():
             if not 0 <= k < n:
-                raise AssertionError("Smith normal form transform check failed "
-                                     f"at V entry ({k}, {j})")
+                _snf_check_failed(f"V entry ({k}, {j})")
             if x:
-                v_rows[k][j] = x
-    for i, (u_row, d_row) in enumerate(zip(u, d)):
+                v_rows.setdefault(k, {})[j] = x
+    formed = set(compress(range(m), a))
+    formed.update(u, d)
+    for i in sorted(formed):
+        if not 0 <= i < m:
+            _snf_check_failed(f"row {i} of U or D")
+        u_row = u.get(i)
         ua = {}
-        for k, c in u_row.items():
+        for k, c in ((i, 1),) if u_row is None else u_row.items():
             if not 0 <= k < m:
-                raise AssertionError("Smith normal form transform check failed "
-                                     f"at U entry ({i}, {k})")
+                _snf_check_failed(f"U entry ({i}, {k})")
             if c:
                 for j, x in a[k].items():
                     ua[j] = ua.get(j, 0) + c * x
         uav = {}
         for k, c in ua.items():
             if c:
-                for j, x in v_rows[k].items():
-                    uav[j] = uav.get(j, 0) + c * x
+                if k not in v:  # V's column k is the identity's
+                    uav[k] = uav.get(k, 0) + c
+                if k in v_rows:
+                    for j, x in v_rows[k].items():
+                        uav[j] = uav.get(j, 0) + c * x
         got = {j: x for j, x in uav.items() if x}
-        want = {j: x for j, x in d_row.items() if x}
-        if got != want:
-            j = min(j for j in got.keys() | want.keys() if got.get(j) != want.get(j))
-            raise AssertionError("Smith normal form transform check failed "
-                                 f"at entry ({i}, {j})")
-    diag = [d[i].get(i, 0) for i in range(min(m, n))]
+        want = {j: x for j, x in d.get(i, {}).items() if x}
+        if got != want:  # an entry of D outside the n columns is caught here too
+            _snf_check_failed(
+                f"entry ({i}, {min(j for j in got.keys() | want.keys() if got.get(j) != want.get(j))})")
+    # past D's last row that holds an entry the diagonal is zero, where
+    # neither check below can fail
+    diag = [d[i].get(i, 0) if i in d else 0 for i in range(min(m, n, max(d, default=-1) + 1))]
     for x, y in zip(diag, diag[1:]):
         if x == 0 and y != 0:
             raise AssertionError("Smith normal form ordering failed")
@@ -431,11 +518,27 @@ def _check_snf(a, n, d, u, v):
             raise AssertionError("Smith normal form divisibility failed")
 
 
-def _dense_vector(vec, size):
-    out = [0] * size
-    for k, x in vec.items():
-        out[k] = x
-    return out
+def _snf_kernel(snf):
+    """A basis of ker A from A's Smith form: the columns of V with d_j = 0,
+    as {index: int} vectors; a saturated lattice."""
+    rank = len(snf.diag) - snf.diag.count(0)  # the nonzero d_j come first
+    v = snf.v
+    return [v[j] if j in v else {j: 1} for j in range(rank, snf.n)]
+
+
+def _snf_solve(snf, rhs):
+    """One x with A x = rhs from A's Smith form, or None; rhs and x are
+    {index: int} vectors."""
+    diag, x = snf.diag, {}
+    for i in snf.u.keys() | rhs.keys():  # c_i = (U rhs)_i is zero elsewhere
+        row = snf.u.get(i)
+        c = rhs.get(i, 0) if row is None else sum(y * rhs.get(k, 0) for k, y in row.items())
+        if c:
+            di = diag[i] if i < len(diag) else 0
+            if di == 0 or c % di:
+                return None
+            _add_multiple(x, c // di, snf.v_col(i))  # y_i = c / d_i, and x = V y
+    return x
 
 
 def snf_diagonal(rows):
@@ -444,75 +547,44 @@ def snf_diagonal(rows):
 
 def int_kernel_basis(rows, ncols=None):
     """Basis (list of int column vectors) of ker over Z; saturated lattice."""
-    m = len(rows)
-    n = len(rows[0]) if m else (ncols or 0)
-    if n == 0:
-        return []
-    if m == 0:
-        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    snf = smith_normal_form(rows)
-    return [_dense_vector(col, n) for j, col in enumerate(snf.v)
-            if j >= len(snf.diag) or snf.diag[j] == 0]
+    n = len(rows[0]) if rows else (ncols or 0)
+    snf = smith_normal_form(rows) if rows else smith_form([], n)
+    return [_dense(vec, n) for vec in _snf_kernel(snf)]
 
 
 def int_solve(rows, rhs):
     """One integer solution x of A x = rhs, or None."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if m == 0:
-        return [0] * n
-    snf = smith_normal_form(rows)
-    diag, v = snf.diag, snf.v
-    x = [0] * n
-    for i, u_row in enumerate(snf.u):
-        c = sum(y * rhs[k] for k, y in u_row.items())
-        di = diag[i] if i < len(diag) else 0
-        if c and (di == 0 or c % di):
-            return None
-        if c:  # y_i = c / d_i, and x = V y
-            for k, z in v[i].items():
-                x[k] += c // di * z
-    return x
-
-
-def int_column_lattice_basis(rows):
-    """Basis of the column lattice of A, as columns: A v_j for the columns
-    v_j of V with d_j != 0."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if m == 0 or n == 0:
-        return []
-    snf = smith_normal_form(rows)
-    return [[sum(row[k] * x for k, x in snf.v[j].items()) for row in rows]
-            for j, dj in enumerate(snf.diag) if dj]
-
-
-def _cols_to_rows(cols):
-    if not cols:
-        return []
-    return [[c[i] for c in cols] for i in range(len(cols[0]))]
+    x = _snf_solve(smith_normal_form(rows), {k: y for k, y in enumerate(rhs) if y})
+    return None if x is None else _dense(x, len(rows[0]) if rows else 0)
 
 
 # ---------------------------------------------------------------------------
-# Dense linear algebra over a field (Q, Z/p, Q(T)).
+# Linear algebra over a field (Q, Z/p, Q(T)), on sparse rows.
 
 
-def field_rref(rows, ring):
-    """Reduced row echelon form; returns (rref rows, pivot column list).
-
-    Eliminates on sparse rows {column: nonzero entry}: only the pivot row's
-    nonzero entries are scaled, and a row is updated only if its pivot-column
-    entry is nonzero, at the pivot row's nonzero columns.  Canonical forms make
-    x - f*0 == x and 0*inv == 0, so the result equals the dense elimination's.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    zero = ring.zero()
+def _field_rows(rows, zero):
+    """Dense rows of ring elements as {column: nonzero element} dicts;
+    `zero` is the ring's zero element."""
     zv = zero.val  # canonical, so x is zero exactly when x.val == zv
-    a = [{c: x for c, x in enumerate(row) if x.val != zv} for row in rows]
+    return [{c: x for c, x in enumerate(row) if x.val != zv} for row in rows]
+
+
+def _rref(a, zero):
+    """Reduced row echelon form of the matrix whose rows are the
+    {column: nonzero element} dicts of `a`, over the field whose zero
+    element is `zero`: `a`, reduced in place, and the pivot columns.
+
+    Only the pivot row's nonzero entries are scaled, and a row is updated
+    only if its pivot-column entry is nonzero, at the pivot row's nonzero
+    columns.  Canonical forms make x - f*0 == x and 0*inv == 0, so the
+    result equals the dense elimination's.
+    """
+    m = len(a)
+    zv = zero.val
     pivots = []
     r = 0
-    for c in range(n):
+    # a column that holds no entry at the start never gains one
+    for c in sorted(set().union(*a)):
         for pr in range(r, m):
             if c in a[pr]:
                 break
@@ -537,13 +609,33 @@ def field_rref(rows, ring):
         r += 1
         if r == m:
             break
-    out = []
-    for row in a:
-        dense = [zero] * n
-        for k, x in row.items():
-            dense[k] = x
-        out.append(dense)
-    return out, pivots
+    return a, pivots
+
+
+def _rref_kernel(rr, piv, n, one):
+    """A basis of the kernel from a reduced row echelon form with n
+    columns, as {index: element} vectors: one per free column; `one` is
+    the field's unit."""
+    pivset = set(piv)
+    basis = []
+    for fc in range(n):
+        if fc not in pivset:
+            vec = {fc: one}
+            for r, pc in enumerate(piv):
+                x = rr[r].get(fc)
+                if x is not None:
+                    vec[pc] = -x
+            basis.append(vec)
+    return basis
+
+
+def field_rref(rows, ring):
+    """Reduced row echelon form of dense rows: (rref rows, pivot column
+    list), by `_rref`."""
+    zero = ring.zero()
+    rr, pivots = _rref(_field_rows(rows, zero), zero)
+    n = len(rows[0]) if rows else 0
+    return [_dense(row, n, zero) for row in rr], pivots
 
 
 def field_rank(rows, ring):
@@ -552,27 +644,10 @@ def field_rank(rows, ring):
 
 
 def field_kernel_basis(rows, ring, ncols=None):
-    m = len(rows)
-    n = len(rows[0]) if m else (ncols or 0)
-    if n == 0:
-        return []
-    if m == 0:
-        one, zero = ring.one(), ring.zero()
-        return [[one if i == j else zero for i in range(n)] for j in range(n)]
-    rr, piv = field_rref(rows, ring)
-    pivset = set(piv)
-    free = [c for c in range(n) if c not in pivset]
-    zero, one = ring.zero(), ring.one()
-    basis = []
-    for fc in free:
-        v = [zero] * n
-        v[fc] = one
-        for r, pc in enumerate(piv):
-            x = rr[r][fc]
-            if not x.is_zero:  # v is already zero there
-                v[pc] = -x
-        basis.append(v)
-    return basis
+    n = len(rows[0]) if rows else (ncols or 0)
+    zero = ring.zero()
+    return [_dense(vec, n, zero)
+            for vec in _rref_kernel(*_rref(_field_rows(rows, zero), zero), n, ring.one())]
 
 
 def field_solve(rows, rhs, ring):
@@ -587,14 +662,6 @@ def field_solve(rows, rhs, ring):
     for r, pc in enumerate(piv):
         x[pc] = rr[r][n]
     return x
-
-
-def field_column_space_basis(cols, ring):
-    """Subset of (echelonized) columns spanning the column space."""
-    if not cols:
-        return []
-    rr, piv = field_rref([[c[i] for c in cols] for i in range(len(cols[0]))], ring)
-    return [cols[j] for j in piv]
 
 
 # ---------------------------------------------------------------------------
@@ -668,6 +735,16 @@ def kernel_basis(rows, ncols, ring):
     return field_kernel_basis(rows, ring, ncols=ncols)
 
 
+def sparse_kernel_basis(a, n, ring):
+    """Basis of the kernel of the matrix with n columns whose rows are the
+    {column: nonzero dense value} dicts of `a`, as {index: dense value}
+    vectors (a saturated lattice over Z).  Over a field `a` is reduced in
+    place.  Read only: a vector may be held by the elimination's result."""
+    if ring == Z:
+        return _snf_kernel(smith_form(a, n))
+    return _rref_kernel(*_rref(a, ring.zero()), n, ring.one())
+
+
 def solve_linear(rows, rhs, ncols, ring):
     """One solution x of rows . x = rhs with `ncols` unknowns, or None."""
     if not rows:
@@ -678,12 +755,18 @@ def solve_linear(rows, rhs, ncols, ring):
 
 
 def column_basis(cols, ring):
-    """Basis of the lattice (over Z) or the space spanned by dense columns."""
+    """Basis of the lattice (over Z) or the space spanned by dense columns:
+    over Z the columns A v_j for the columns v_j of V with d_j != 0, where
+    A has the columns `cols`; over a field the pivot columns of A."""
     if not cols:
         return []
+    rows = list(zip(*cols))
     if ring == Z:
-        return int_column_lattice_basis(_cols_to_rows(cols))
-    return field_column_space_basis(cols, ring)
+        snf = smith_form(_int_rows(rows), len(cols))
+        return [[sum(row[k] * x for k, x in snf.v_col(j).items()) for row in rows]
+                for j, dj in enumerate(snf.diag) if dj]
+    zero = ring.zero()
+    return [cols[j] for j in _rref(_field_rows(rows, zero), zero)[1]]
 
 
 def span_contains(basis_cols, vec, ring):
@@ -797,43 +880,42 @@ def homology_of_pair(d_in, d_out):
     for k in mid.degrees_present():
         cols = mid.indices_of_degree(k)
         at = {s: j for j, s in enumerate(cols)}
-        a_out = [[zero] * len(cols) for _ in range(d_out.target.rank)]
+        a_out = [{} for _ in range(d_out.target.rank)]
         for (t, s), x in out_c.items():
             if s in at:
                 a_out[t][at[s]] = x
         img = {}
         for (t, s), x in in_c.items():
             if t in at:
-                img.setdefault(s, [zero] * len(cols))[at[t]] = x
+                img.setdefault(s, {})[at[t]] = x
         img_cols = [img[s] for s in sorted(img)]
         if ring == Z:
-            free, tor = _z_subquotient(kernel_basis(a_out, len(cols), ring), img_cols)
+            free, tor = _z_subquotient(sparse_kernel_basis(a_out, len(cols), ring),
+                                       img_cols, len(cols))
         else:
-            img_rank = field_rank(_cols_to_rows(img_cols), ring) if img_cols else 0
-            free, tor = len(cols) - field_rank(a_out, ring) - img_rank, ()
+            img_rank = len(_rref(_side_by_side(img_cols, len(cols)), zero)[1])
+            free, tor = len(cols) - len(_rref(a_out, zero)[1]) - img_rank, ()
         if free or tor:
             table[k] = (free, tor)
     return GradedHomology(mid.modulus, table)
 
 
-def _z_subquotient(kernel_basis, image_cols):
-    """Z^k-basis `kernel_basis` modulo the lattice spanned by image_cols."""
-    r = len(kernel_basis)
+def _z_subquotient(kernel, image_cols, n):
+    """The lattice with basis `kernel` modulo the lattice spanned by
+    `image_cols`, both {index: int} vectors in Z^n: (free rank, torsion)."""
+    r = len(kernel)
     if r == 0:
         return 0, ()
-    n = len(kernel_basis[0])
-    k_rows = [[kernel_basis[j][i] for j in range(r)] for i in range(n)]
-    coords = []
+    if not image_cols:
+        return r, ()
+    k_snf = smith_form(_side_by_side(kernel, n), r)
+    coords = []  # of each image column in the kernel basis
     for col in image_cols:
-        x = int_solve(k_rows, col)
+        x = _snf_solve(k_snf, col)
         if x is None:
             raise NotAComplex("image does not lie in the kernel over Z")
         coords.append(x)
-    if not coords:
-        return r, ()
-    m_rows = [[coords[j][i] for j in range(len(coords))] for i in range(r)]
-    diag = snf_diagonal(m_rows)
-    nonzero = [d for d in diag if d != 0]
+    nonzero = [d for d in smith_form(_side_by_side(coords, r), len(coords)).diag if d != 0]
     tor = tuple(d for d in nonzero if d > 1)
     return r - len(nonzero), tor
 
@@ -883,8 +965,7 @@ class HomologyMaps:
         kern = kernel_basis(dense_rows(d_mid), d_mid.source.rank, ring)
         # boundaries live in the same module only when d is an endomorphism
         img = _image_cols(d_mid) if d_mid.target == self.module else []
-        self.boundaries = field_column_space_basis([self._over_field(c) for c in img],
-                                                   self.field)
+        self.boundaries = column_basis([self._over_field(c) for c in img], self.field)
         self.reps = []
         self._field_reps = []
         for v in kern:

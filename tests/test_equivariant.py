@@ -18,7 +18,7 @@ from scx.equivariant import (
 )
 from scx.errors import NotRPerfect, UnsupportedRing
 from scx.functors import atomic, direct_sum, dual, suspend
-from scx.gradedlin import GradedMatrix, GradedModule, spans_equal
+from scx.gradedlin import GradedMatrix, GradedModule, apply, coeffs, dense_zero, kernel_basis, spans_equal
 from scx.linkfam import hopf_complex, torus_knot_summand, torus_link_complex
 from scx.randgen import rand_scomplex
 from scx.rings import FRAC_LAURENT_Q, LAURENT_Z, Q, RingMap, Z, Zp, eval_t_at_one
@@ -261,3 +261,66 @@ def test_torus_link_150_profile_over_z_is_fast():
     lo, hi = prof.window
     assert prof.d == {i: 2 if i <= 0 else 0 for i in range(lo, hi + 1)}
     assert dt < 4, f"froyshov_profile on T(2,150) over Z took {dt:.1f}s (limit 4s)"
+
+
+def dense_j_module(x, i):
+    """Oracle for `_j_module`: the earlier dense route.  It fills each J_i
+    system into dense rows, takes the dense kernel basis (the same
+    elimination, entered through `kernel_basis`), and applies
+    delta1 v^(i-1) with `apply` to the dense kernel vectors; powers of v come
+    from `GradedMatrix.power`, not from a ladder."""
+    ring = x.ring
+    nc, nr = x.irr.rank, x.red.rank
+    zero = dense_zero(ring)
+
+    def fill(rows, m, row_off, col_off, neg=False):
+        for (t, s), val in coeffs(m).items():
+            rows[row_off + t][col_off + s] = -val if neg else val
+
+    if i >= 1:
+        rows = [[zero] * nc for _ in range(nc + (i - 1) * nr)]
+        fill(rows, x.d, 0, 0)
+        for j in range(i - 1):
+            fill(rows, x.delta1 @ x.v.power(j), nc + j * nr, 0)
+        return apply(x.delta1 @ x.v.power(i - 1), kernel_basis(rows, nc, ring))
+    m = -i
+    nvar = nc + (m + 1) * nr
+    rows = [[zero] * nvar for _ in range(nc)]
+    fill(rows, x.d, 0, 0)
+    for j in range(m + 1):
+        fill(rows, x.v.power(j) @ x.delta2, 0, nc + j * nr, neg=True)
+    return [vec[nc + m * nr:] for vec in kernel_basis(rows, nvar, ring)]
+
+
+def _j_oracle_complexes():
+    at_one = eval_t_at_one()
+    # T -> 1 kills every map of the torus links: every J_i system is all zero
+    xs = [torus_link_complex(k).base_change(at_one) for k in (4, 7)]
+    xs += [atomic(3, Z, 4), atomic(-2, Z, 4), torus_knot_summand(3).base_change(INC),
+           _non_nilpotent_complex()]
+    rng = random.Random(2027)
+    for ring in (Z, Q, Zp(3), FRAC_LAURENT_Q):
+        for _ in range(12 if ring != FRAC_LAURENT_Q else 6):
+            xs.append(rand_scomplex(ring, rng, max_rank=6, r_perfect=True, allow_cone=False))
+    return xs
+
+
+def test_j_module_equals_the_dense_route():
+    # the same columns in the same order, not only the same span
+    all_zero = past_nilpotency = nonzero_d = 0
+    rings_seen = set()
+    for x in _j_oracle_complexes():
+        nc, nr = x.irr.rank, x.red.rank
+        w = nc + nr + 1
+        e = _nilpotency(x.v)
+        all_zero += x.d.is_zero and x.delta1.is_zero and x.delta2.is_zero and nc > 0
+        past_nilpotency += e is not None and e < w
+        nonzero_d += not x.d.is_zero  # d d = 0, so a nonzero d is rank-deficient
+        rings_seen.add(x.ring)
+        ladder = _Ladder(x)
+        for i in range(-w, w + 1):
+            got = _j_module(x, i, ladder)
+            assert got == dense_j_module(x, i), (x.ring, i)
+            assert _j_module(x, i) == got
+    assert rings_seen == {Z, Q, Zp(3), FRAC_LAURENT_Q}
+    assert all_zero >= 2 and past_nilpotency > 10 and nonzero_d > 5

@@ -9,15 +9,15 @@ from scx.gradedlin import (
     GradedModule,
     _check_ring_for_homology,
     _check_snf,
-    _z_subquotient,
+    column_basis,
     field_kernel_basis,
     field_rank,
     field_rref,
     homology_of_pair,
-    int_column_lattice_basis,
     int_kernel_basis,
     int_solve,
     is_invertible,
+    smith_form,
     smith_normal_form,
     snf_diagonal,
 )
@@ -245,8 +245,15 @@ def test_sparse_snf_equals_dense_oracle():
     for a in cases:
         d, u, v = dense_smith_normal_form(a)
         snf = smith_normal_form(a)
+        m, n = len(a), len(a[0]) if a else 0
         assert tuple(snf) == (d, u, v)
-        assert (snf.diag, snf.u, snf.v) == (_diagonal(d), _sparse_rows(u), _sparse_cols(v))
+        assert snf.diag == _diagonal(d)
+        assert [snf.u_row(i) for i in range(m)] == _sparse_rows(u)
+        assert [snf.v_col(j) for j in range(n)] == _sparse_cols(v)
+        # the stored rows and columns lie in range, and an all-zero A stores none
+        assert set(snf.u) <= set(range(m)) and set(snf.v) <= set(range(n))
+        if not any(map(any, a)):
+            assert snf.u == {} and snf.v == {}
         if any(map(any, a)) and 0 in _diagonal(d):
             deficient += 1
     assert deficient > 10
@@ -258,7 +265,8 @@ def test_snf_callers_equal_the_dense_route():
         m, n = len(a), len(a[0]) if a else 0
         assert snf_diagonal(a) == _diagonal(dense_smith_normal_form(a)[0])
         assert int_kernel_basis(a, ncols=n) == dense_int_kernel_basis(a, n)
-        assert int_column_lattice_basis(a) == dense_int_column_lattice_basis(a)
+        cols = [[row[j] for row in a] for j in range(n)]
+        assert column_basis(cols, Z) == dense_int_column_lattice_basis(a)
         x = [rng.randint(-3, 3) for _ in range(n)]
         solvable = [sum(c * y for c, y in zip(row, x)) for row in a]
         got = int_solve(a, solvable)
@@ -267,10 +275,17 @@ def test_snf_callers_equal_the_dense_route():
         assert int_solve(a, rhs) == dense_int_solve(a, rhs)
 
 
+def _stored(vectors):
+    """Dense rows (or columns) of a transform in `SmithForm`'s form: only
+    those that differ from the identity's are stored."""
+    return {i: vec for i, vec in enumerate(vectors) if vec != {i: 1}}
+
+
 def _check_dense(a, d, u, v):
-    """_check_snf on the sparse forms of dense A, D, U and V."""
+    """_check_snf on dense A, D, U and V, put in `SmithForm`'s sparse form."""
     _check_snf(_sparse_rows(a), len(a[0]) if a else 0,
-               _sparse_rows(d), _sparse_rows(u), _sparse_cols(v))
+               {i: row for i, row in enumerate(_sparse_rows(d)) if row},
+               _stored(_sparse_rows(u)), _stored(_sparse_cols(v)))
 
 
 def _transform_rejected(a, d, u, v):
@@ -353,6 +368,69 @@ def test_sparse_check_snf_rejects_corrupted_transforms():
             _check_dense(a, bad_d, u, v)
 
 
+def _rejected_by_transform_check(a, n, d, u, v):
+    with pytest.raises(AssertionError, match="transform check failed"):
+        _check_snf(a, n, d, u, v)
+    return True
+
+
+def test_check_snf_rejects_a_corrupted_untouched_transform_vector():
+    # a row of U (column of V) that no operation changed is not stored; one
+    # stored in its place with an extra entry moves U A V, and is caught
+    rng = random.Random(23)
+    u_caught = v_caught = 0
+    for _ in range(60):
+        m, n = rng.randint(2, 6), rng.randint(2, 6)
+        a = _sparse_rows(_random_int_matrix(rng, m, n, 0.3, 3))
+        snf = smith_form(a, n)
+        d = {i: {i: x} for i, x in enumerate(snf.diag) if x}
+        _check_snf(a, n, d, snf.u, snf.v)
+        held_rows = [k for k in range(m) if a[k]]
+        held_cols = sorted(set().union(*a))
+        for i in range(m):
+            # row k of A, and so of A V, is nonzero: row i of U A V moves by it
+            k = next((k for k in held_rows if k != i), None)
+            if i not in snf.u and k is not None:
+                u_caught += _rejected_by_transform_check(a, n, d, {**snf.u, i: {i: 1, k: 1}}, snf.v)
+        for j in range(n):
+            # column k of A, and so of U A, is nonzero: column j of U A V moves by it
+            k = next((k for k in held_cols if k != j), None)
+            if j not in snf.v and k is not None:
+                v_caught += _rejected_by_transform_check(a, n, d, snf.u, {**snf.v, j: {j: 1, k: 1}})
+    assert u_caught > 10 and v_caught > 10
+
+
+def test_check_snf_rejects_d_on_an_implicit_row_of_an_empty_a_row():
+    a = [{0: 3}, {}]
+    snf = smith_form(a, 2)
+    assert 1 not in snf.u and snf.diag == [3, 0]
+    _check_snf(a, 2, {0: {0: 3}}, snf.u, snf.v)
+    for bad_row in ({1: 1}, {0: -2}):
+        _rejected_by_transform_check(a, 2, {0: {0: 3}, 1: bad_row}, snf.u, snf.v)
+    empty = [{}, {}, {}]
+    snf = smith_form(empty, 3)
+    assert (snf.u, snf.v, snf.diag) == ({}, {}, [0, 0, 0])
+    _rejected_by_transform_check(empty, 3, {2: {1: 5}}, snf.u, snf.v)
+
+
+def test_check_snf_raises_on_an_out_of_range_index():
+    a = [{0: 2}, {}, {0: 6}]  # row 1 and column 1 of A are empty
+    snf = smith_form(a, 2)
+    d = {i: {i: x} for i, x in enumerate(snf.diag) if x}
+    _check_snf(a, 2, d, snf.u, snf.v)
+    for u_extra, v_extra, d_extra in [
+        ({3: {1: 1}}, {}, {}),  # a U row past m, whose product row is zero
+        ({-1: {1: 1}}, {}, {}),
+        ({0: {0: 1, 5: 1}}, {}, {}),  # a U entry past m
+        ({}, {2: {1: 1}}, {}),  # a V column past n, whose product column is zero
+        ({}, {0: {0: 1, -1: 1}}, {}),  # a V entry before 0
+        ({}, {}, {3: {0: 1}}),  # a D row past m
+        ({}, {}, {1: {4: 1}}),  # a D entry past n
+    ]:
+        with pytest.raises(AssertionError, match="transform check failed"):
+            _check_snf(a, 2, {**d, **d_extra}, {**snf.u, **u_extra}, {**snf.v, **v_extra})
+
+
 def _ungraded_pair(rows, ring):
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -412,10 +490,31 @@ def test_free_rank_agrees_over_z_and_q():
         assert hz.ranks_by_degree() == hq.ranks_by_degree()
 
 
+def dense_z_subquotient(kernel_basis, image_cols):
+    """The dense Z^k-basis `kernel_basis` modulo the lattice spanned by the
+    dense `image_cols`, solving for each image column on its own."""
+    r = len(kernel_basis)
+    if r == 0:
+        return 0, ()
+    n = len(kernel_basis[0])
+    k_rows = [[kernel_basis[j][i] for j in range(r)] for i in range(n)]
+    coords = []
+    for col in image_cols:
+        x = int_solve(k_rows, col)
+        assert x is not None, "image does not lie in the kernel over Z"
+        coords.append(x)
+    if not coords:
+        return r, ()
+    m_rows = [[coords[j][i] for j in range(len(coords))] for i in range(r)]
+    nonzero = [d for d in snf_diagonal(m_rows) if d != 0]
+    return r - len(nonzero), tuple(d for d in nonzero if d > 1)
+
+
 def homology_of_pair_oracle(d_in, d_out):
     """Oracle for `homology_of_pair`: the earlier dense version, which builds
-    each matrix with one `entry` call per position and ranks every image
-    column, zero ones included."""
+    each matrix with one `entry` call per position, ranks every image
+    column, zero ones included, and solves for each image column over Z on
+    its own."""
     ring = d_in.ring
     _check_ring_for_homology(ring)
     assert (d_out @ d_in).is_zero
@@ -432,7 +531,7 @@ def homology_of_pair_oracle(d_in, d_out):
                 col = [d_in.entry(t, s).val for t in cols]
                 if any(col):
                     img_cols.append(col)
-            free, tor = _z_subquotient(kern, img_cols)
+            free, tor = dense_z_subquotient(kern, img_cols)
         else:
             a_out = [[d_out.entry(t, s) for s in cols] for t in out_rows]
             kern_rank = len(cols) - field_rank(a_out, ring)
