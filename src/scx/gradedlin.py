@@ -68,6 +68,8 @@ class GradedModule:
         return GradedModule(self.ring, 2, [(n, d % 2) for n, d in self.gens])
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, GradedModule)
             and self.ring == other.ring
@@ -775,10 +777,24 @@ def span_contains(basis_cols, vec, ring):
 
 
 def spans_equal(cols_a, cols_b, ring):
-    """Whether two sets of dense columns span the same lattice or space."""
+    """Whether two sets of dense columns span the same lattice or space.
+
+    Over a field: the two spans and their sum have one dimension.  Over Z:
+    each basis is eliminated once, by one Smith form, and every vector of
+    the other basis is solved for in it."""
     ba, bb = column_basis(cols_a, ring), column_basis(cols_b, ring)
-    return (all(span_contains(bb, v, ring) for v in ba)
-            and all(span_contains(ba, v, ring) for v in bb))
+    if len(ba) != len(bb):
+        return False
+    if ring != Z:
+        return len(column_basis(ba + bb, ring)) == len(ba)
+    if not ba:
+        return True
+    m = len(ba[0])
+    sa, sb = ([{i: x for i, x in enumerate(col) if x} for col in basis] for basis in (ba, bb))
+    snf_a = smith_form(_side_by_side(sa, m), len(sa))
+    snf_b = smith_form(_side_by_side(sb, m), len(sb))
+    return (all(_snf_solve(snf_a, v) is not None for v in sb)
+            and all(_snf_solve(snf_b, v) is not None for v in sa))
 
 
 def is_invertible(m):
@@ -966,13 +982,17 @@ class HomologyMaps:
         # boundaries live in the same module only when d is an endomorphism
         img = _image_cols(d_mid) if d_mid.target == self.module else []
         self.boundaries = column_basis([self._over_field(c) for c in img], self.field)
-        self.reps = []
-        self._field_reps = []
-        for v in kern:
-            fv = self._over_field(v)
-            if not span_contains(self.boundaries + self._field_reps, fv, self.field):
-                self.reps.append(v)
-                self._field_reps.append(fv)
+        # a kernel vector is a representative iff it is outside the span of
+        # the boundaries and the kernel vectors before it: iff its column of
+        # [boundaries | kernel] is a pivot column (the boundaries are all
+        # pivots, being a basis)
+        field_kern = [self._over_field(v) for v in kern]
+        nb = len(self.boundaries)
+        zero = self.field.zero()
+        rows = _field_rows(list(zip(*(self.boundaries + field_kern))), zero)
+        chosen = [j - nb for j in _rref(rows, zero)[1] if j >= nb]
+        self.reps = [kern[j] for j in chosen]
+        self._field_reps = [field_kern[j] for j in chosen]
 
     def _over_field(self, vec):
         return [Q.from_int(x) for x in vec] if self.ring == Z else vec

@@ -167,6 +167,8 @@ class Ring:
         self.p = p
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, Ring) and self.kind == other.kind and self.p == other.p
 
     def __hash__(self):

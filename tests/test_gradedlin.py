@@ -7,9 +7,12 @@ from scx.gradedlin import (
     GradedHomology,
     GradedMatrix,
     GradedModule,
+    HomologyMaps,
     _check_ring_for_homology,
     _check_snf,
+    _image_cols,
     column_basis,
+    dense_rows,
     field_kernel_basis,
     field_rank,
     field_rref,
@@ -17,9 +20,12 @@ from scx.gradedlin import (
     int_kernel_basis,
     int_solve,
     is_invertible,
+    kernel_basis,
     smith_form,
     smith_normal_form,
     snf_diagonal,
+    span_contains,
+    spans_equal,
 )
 from scx.linkfam import torus_link_complex
 from scx.randgen import rand_scomplex
@@ -691,3 +697,100 @@ def test_sparse_field_rref_equals_dense_oracle(ring):
         for v in field_kernel_basis(rows, ring, ncols=n):
             assert all(sum((a * x for a, x in zip(row, v)), ring.zero()).is_zero for row in rows)
     assert full_rank == {True, False}  # both full-rank and rank-deficient shapes ran
+
+
+def spans_equal_oracle(cols_a, cols_b, ring):
+    """Independent oracle for spans_equal: each basis vector of one side is
+    solved for in the other side's basis, one elimination per vector."""
+    ba, bb = column_basis(cols_a, ring), column_basis(cols_b, ring)
+    return (all(span_contains(bb, v, ring) for v in ba)
+            and all(span_contains(ba, v, ring) for v in bb))
+
+
+def _ring_cols(ring, cols):
+    """Integer columns as dense columns over `ring`."""
+    return [list(c) if ring == Z else [ring.from_int(x) for x in c] for c in cols]
+
+
+@pytest.mark.parametrize("ring", [Z, Q, Zp(3), FRAC_LAURENT_Q], ids=str)
+def test_spans_equal_matches_the_per_vector_oracle(ring):
+    a = [[1, 0, 2, 0], [0, 1, -1, 3]]
+    other_basis = [[1, 3, -1, 9], [0, 1, -1, 3], [1, 4, -2, 12]]  # a1 + 3 a2, a2, and their sum
+    index_two = [[2, 0, 4, 0], [0, 1, -1, 3]]
+    zeros = [[0, 0, 0, 0], [0, 0, 0, 0]]
+    cases = [
+        (a, other_basis, True),
+        (a, index_two, ring != Z),  # index 2: equal only where 2 is a unit
+        (a, a[:1], False),
+        ([], [], True),
+        ([], zeros, True),
+        (zeros, a, False),
+        ([[]], [], True),
+        ([[], []], [[]], True),
+    ]
+    rng = random.Random(59)
+    for _ in range(25):
+        m, n, k = rng.randint(1, 5), rng.randint(0, 4), rng.randint(0, 4)
+        left = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
+        mix = [[rng.choice((-1, 0, 0, 1, 2)) for _ in range(n)] for _ in range(k)]
+        right = [[sum(c[j] * left[j][i] for j in range(n)) for i in range(m)] for c in mix]
+        cases.append((left, right, None))
+    seen = set()
+    for cols_a, cols_b, want in cases:
+        ca, cb = _ring_cols(ring, cols_a), _ring_cols(ring, cols_b)
+        got = spans_equal(ca, cb, ring)
+        assert got == spans_equal_oracle(ca, cb, ring) == spans_equal(cb, ca, ring)
+        if want is not None:
+            assert got is want
+        seen.add(got)
+    assert seen == {True, False}
+
+
+class GreedyHomologyMaps(HomologyMaps):
+    """Independent oracle for HomologyMaps' representatives: the greedy loop
+    that keeps a kernel vector when one span_contains elimination finds it
+    outside the span of the boundaries and the representatives kept so far.
+    Every other method is HomologyMaps'."""
+
+    def __init__(self, d_mid):
+        ring = d_mid.ring
+        self.ring = ring
+        self.module = d_mid.source
+        self.field = Q if ring == Z else ring
+        kern = kernel_basis(dense_rows(d_mid), d_mid.source.rank, ring)
+        img = _image_cols(d_mid) if d_mid.target == self.module else []
+        self.boundaries = column_basis([self._over_field(c) for c in img], self.field)
+        self.reps = []
+        self._field_reps = []
+        for v in kern:
+            fv = self._over_field(v)
+            if not span_contains(self.boundaries + self._field_reps, fv, self.field):
+                self.reps.append(v)
+                self._field_reps.append(fv)
+
+
+@pytest.mark.parametrize("ring", [Z, Q, Zp(2), FRAC_LAURENT_Q], ids=str)
+def test_homology_reps_match_the_greedy_oracle(ring, monkeypatch):
+    import scx.scomplex
+
+    rng = random.Random(61)
+    with_boundaries = induced = 0
+    for trial in range(24):
+        x = rand_scomplex(ring, rng, max_rank=6, r_perfect=trial % 2 == 0)
+        hm, oracle = HomologyMaps(x.d), GreedyHomologyMaps(x.d)
+        assert hm.boundaries == oracle.boundaries
+        assert hm.reps == oracle.reps and hm._field_reps == oracle._field_reps
+        with_boundaries += bool(hm.boundaries)
+        kern = kernel_basis(dense_rows(x.d), x.irr.rank, ring)
+        cycles = kern + [[a + b for a, b in zip(u, v)] for u, v in zip(kern, kern[1:])]
+        for vec in cycles:
+            assert hm.class_coords(vec) == oracle.class_coords(vec)
+        if x.r.is_zero:
+            got = x.induced_delta_maps()
+            with monkeypatch.context() as mp:
+                mp.setattr(scx.scomplex, "HomologyMaps", GreedyHomologyMaps)
+                want = x.induced_delta_maps()
+            assert type(want[0]) is GreedyHomologyMaps
+            assert got[0].reps == want[0].reps and got[1:] == want[1:]
+            induced += 1
+    assert with_boundaries and induced

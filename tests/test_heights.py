@@ -3,11 +3,12 @@ import random
 import pytest
 
 from scx.errors import NotRPerfect, ShapeMismatch
-from scx.functors import atomic, suspend_once
+from scx.functors import atomic, suspend, suspend_once
 from scx.gradedlin import GradedMatrix
 from scx.heights import (
     HeightMorphism,
     OddMorphism,
+    _tau_bound,
     compose_heights,
     compose_odd_after_height_minus1,
     factor_through_suspension,
@@ -15,10 +16,11 @@ from scx.heights import (
     iota,
     kappa,
     odd_to_suspension_morphism,
+    tau_closed_formula,
 )
 from scx.linkfam import torus_link_complex
 from scx.randgen import rand_height_morphism, rand_morphism, rand_scomplex
-from scx.rings import Q, Zp
+from scx.rings import FRAC_LAURENT_Q, Q, Z, Zp
 from scx.scomplex import SMorphism
 
 
@@ -209,3 +211,128 @@ def test_zero_odd_morphism_composes_to_zero():
     comp = compose_odd_after_height_minus1(g, f)
     assert all(m.is_zero for m in (comp.lam, comp.mu, comp.delta1,
                                    comp.delta2, comp.rho))
+
+
+def tau_closed_formula_oracle(x, y, lam, mu, delta1, delta2, i):
+    """Independent oracle for tau_closed_formula: the determined tau_i read
+    straight off the closed formula, with the powers of v and v' rebuilt
+    for each i."""
+    vp = [GradedMatrix.identity(y.irr)]
+    vs = [GradedMatrix.identity(x.irr)]
+    for _ in range(i - 1):
+        vp.append(y.v @ vp[-1])
+        vs.append(x.v @ vs[-1])
+    out = y.delta1 @ vp[i - 1] @ delta2 + delta1 @ vs[i - 1] @ x.delta2
+    for j in range(i - 1):
+        out = out + y.delta1 @ vp[j] @ mu @ vs[i - 2 - j] @ x.delta2
+    return out
+
+
+def _height_morphism_of(ring, rng, n):
+    """A random height-n morphism X -> Sigma^n X (n > 0), Sigma^{-n} X -> X
+    (n < 0) or X -> X (n = 0), from iota/kappa and a random height-0 one."""
+    x = rand_scomplex(ring, rng, max_rank=4, r_perfect=True, allow_cone=False)
+    if n >= 0:
+        h0 = HeightMorphism.from_morphism(rand_morphism(x, x, rng, 0))
+        return h0 if n == 0 else compose_heights(iota(x, n), h0)
+    sx = suspend(x, -n)
+    return compose_heights(kappa(x, -n), HeightMorphism.from_morphism(rand_morphism(sx, sx, rng, 0)))
+
+
+def _sweep_matches_oracle(h):
+    x, y = h.source, h.target
+    n = _tau_bound(x, y) + 2  # past the bound too
+    args = (x, y, h.lam, h.mu, h.delta1, h.delta2)
+    taus = tau_closed_formula(*args, n)
+    assert len(taus) == n
+    for i, t in enumerate(taus, 1):
+        assert t == tau_closed_formula_oracle(*args, i), i
+    return taus
+
+
+@pytest.mark.parametrize("ring", [Z, Zp(2), Q, FRAC_LAURENT_Q], ids=str)
+def test_tau_sweep_equals_the_closed_formula_oracle(ring):
+    rng = random.Random(37)
+    nonzero, factored = False, 0
+    for n in (-2, -1, 0, 1, 2):
+        for _ in range(2):
+            h = _height_morphism_of(ring, rng, n)
+            taus = _sweep_matches_oracle(h)
+            nonzero = nonzero or any(not t.is_zero for t in taus)
+            assert h.verify().ok
+            x = h.target if n < 0 else h.source
+            for m in (1, 2):
+                _sweep_matches_oracle(iota(x, m))
+                _sweep_matches_oracle(kappa(x, m))
+            if h.height == n and n != 0:
+                _sweep_matches_oracle(factor_through_suspension(h))
+                factored += 1
+    assert nonzero and factored  # some positive tau was not zero
+
+
+def _rand_homogeneous(src, tgt, degree, rng):
+    ring = src.ring
+    ent = {}
+    for t in range(tgt.rank):
+        for s in range(src.rank):
+            if (tgt.degree(t) - src.degree(s) - degree) % src.modulus == 0 and rng.random() < 0.6:
+                c = rng.choice([-2, -1, 1, 3])
+                ent[(t, s)] = (ring.monomial(rng.randint(-1, 1), c)
+                               if ring == FRAC_LAURENT_Q else ring.from_int(c))
+    return GradedMatrix(src, tgt, degree, ent)
+
+
+@pytest.mark.parametrize("ring", [Z, Zp(2), Q, FRAC_LAURENT_Q], ids=str)
+def test_tau_sweep_equals_the_oracle_on_random_components(ring):
+    # the closed formula is a formula in the components and the complexes'
+    # maps alone; on suspensions, whose v are nilpotent of higher order,
+    # random components give nonzero tau_i deep into the sweep
+    rng = random.Random(43)
+    deepest = 0
+    for _ in range(8):
+        x = suspend(rand_scomplex(ring, rng, max_rank=4, r_perfect=True, allow_cone=False), 3)
+        y = suspend(rand_scomplex(ring, rng, modulus=x.modulus, max_rank=4, r_perfect=True,
+                                  allow_cone=False), rng.randint(1, 3))
+        k = rng.choice((0, 2))
+        lam = _rand_homogeneous(x.irr, y.irr, k, rng)
+        mu = _rand_homogeneous(x.irr, y.irr, k - 1, rng)
+        delta1 = _rand_homogeneous(x.irr, y.red, k, rng)
+        delta2 = _rand_homogeneous(x.red, y.irr, k - 1, rng)
+        n = _tau_bound(x, y)
+        taus = tau_closed_formula(x, y, lam, mu, delta1, delta2, n)
+        for i, t in enumerate(taus, 1):
+            assert t == tau_closed_formula_oracle(x, y, lam, mu, delta1, delta2, i), i
+            if not t.is_zero:
+                deepest = max(deepest, i)
+    assert deepest >= 3
+
+
+def test_tampered_tau_1_fails_verify():
+    x = atomic(0, Q, 4)
+    h = iota(x, 1)
+    bad = dict(h.tau)
+    bad[1] = h.tau_at(1) + GradedMatrix.identity(x.red)
+    t = HeightMorphism(h.source, h.target, h.degree, h.lam, h.mu,
+                       h.delta1, h.delta2, bad, h.height)
+    report = t.verify()
+    assert not report.ok
+    assert report.failed() == ["tau_1 closed formula"]
+
+
+def test_tau_sweep_makes_at_most_five_products_per_index(monkeypatch):
+    rng = random.Random(41)
+    h = _height_morphism_of(Q, rng, 1)
+    x, y = h.source, h.target
+    calls = []
+    real = GradedMatrix.__matmul__
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(GradedMatrix, "__matmul__", counted)
+    for n in (1, 2, 5, 12, 30):
+        calls.clear()
+        taus = tau_closed_formula(x, y, h.lam, h.mu, h.delta1, h.delta2, n)
+        assert len(taus) == n
+        assert len(calls) <= 5 * n
