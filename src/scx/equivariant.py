@@ -18,12 +18,12 @@ from .errors import PlateauNotReached, UnsupportedRing
 from .gradedlin import (
     GradedMatrix,
     GradedModule,
-    coeffs,
     column_basis,
-    dense_zero,
+    dense_values,
     exactness_at,
     field_kernel_basis,
     int_kernel_basis,
+    raw_coeffs,
     span_contains,
     sparse_kernel_basis,
 )
@@ -33,7 +33,7 @@ from .scomplex import RelationReport
 
 class _Ladder:
     """The blocks delta1 v^j (C -> R) and v^j delta2 (R -> C) of one complex,
-    for j = 0, 1, 2, ..., with their dense coefficients.
+    for j = 0, 1, 2, ..., with their raw coefficients (see `gradedlin`).
 
     Each power of v is one product with the power before it, and each block
     is built, and its coefficients read, once, the first time it is asked
@@ -44,7 +44,7 @@ class _Ladder:
 
     def __init__(self, x):
         self._x = x
-        self.d = coeffs(x.d)
+        self.d = raw_coeffs(x.d)
         self._power = None  # the last power of v used, v^(len(self._left) - 1)
         self._left = []
         self._right = []
@@ -67,8 +67,9 @@ class _Ladder:
                 left, right = x.delta1 @ p, p @ x.delta2
             self._left.append(left)
             self._right.append(right)
-            self._left_c.append(coeffs(left))
-            self._right_neg_c.append({k: -c for k, c in coeffs(right).items()})
+            neg = x.ring.domain.neg
+            self._left_c.append(raw_coeffs(left))
+            self._right_neg_c.append({k: neg(c) for k, c in raw_coeffs(right).items()})
 
     def left(self, j):
         """delta1 v^j."""
@@ -81,12 +82,12 @@ class _Ladder:
         return self._right[j]
 
     def left_coeffs(self, j):
-        """The coefficients of delta1 v^j, as `coeffs` gives them."""
+        """The raw coefficients of delta1 v^j."""
         self._grow(j)
         return self._left_c[j]
 
     def right_neg_coeffs(self, j):
-        """The coefficients of -v^j delta2, as the i <= 0 systems use them."""
+        """The raw coefficients of -v^j delta2, as the i <= 0 systems use them."""
         self._grow(j)
         return self._right_neg_c[j]
 
@@ -515,16 +516,17 @@ class FroyshovProfile:
 def _j_module(x, i, ladder=None):
     """Generating columns for J_i as a submodule of R, via the finite system.
 
-    Each system is built as {column: value} rows and its kernel comes back
-    as {index: value} vectors, so the work follows the nonzero entries.
-    `ladder` holds the complex's delta1 v^j and v^j delta2 blocks; a caller
-    that solves several systems of one complex passes one ladder to all.
+    Each system is built as {column: raw value} rows and its kernel comes
+    back as {index: raw value} vectors, so the work follows the nonzero
+    entries; only the returned dense columns are boxed.  `ladder` holds the
+    complex's delta1 v^j and v^j delta2 blocks; a caller that solves several
+    systems of one complex passes one ladder to all.
     """
     ring = x.ring
     nc, nr = x.irr.rank, x.red.rank
     if ladder is None:
         ladder = _Ladder(x)
-    zero = dense_zero(ring)
+    zero, add, mul = ring.domain.zero, ring.domain.add, ring.domain.mul
 
     def fill(rows, block, row_off, col_off):
         for (t, s), val in block.items():
@@ -543,9 +545,9 @@ def _j_module(x, i, ladder=None):
             col = [zero] * nr
             for s, y in vec.items():
                 for t, val in by_source.get(s, ()):
-                    col[t] = col[t] + val * y
+                    col[t] = add(col[t], mul(val, y))
             out.append(col)
-        return out
+        return dense_values(out, ring)
     m = -i
     # variables (alpha, theta_0..theta_m); equation d a - sum v^j delta2 t_j = 0
     rows = [{} for _ in range(nc)]
@@ -560,7 +562,7 @@ def _j_module(x, i, ladder=None):
             if k >= off:
                 col[k - off] = y
         out.append(col)
-    return out
+    return dense_values(out, ring)
 
 
 def _module_basis_and_rank(cols, ring):

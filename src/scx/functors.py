@@ -193,9 +193,14 @@ def tensor(x, y):
 
 def connected_sum_model(x, y):
     """Alias of tensor with concatenated naming metadata."""
-    out = tensor(x, y)
-    out.metadata["connected_sum"] = [x.metadata.get("name"), y.metadata.get("name")]
-    return out
+    return _with_metadata(tensor(x, y),
+                          connected_sum=[x.metadata.get("name"), y.metadata.get("name")])
+
+
+def _with_metadata(x, **extra):
+    """x with `extra` added to its metadata, as a new complex."""
+    return SComplex(x.irr, x.red, x.d, x.v, x.delta1, x.delta2, x.r, x.s,
+                    {**x.metadata, **extra})
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +364,7 @@ def atomic(n, ring=Z, modulus=4):
     out = step
     for _ in range(abs(n) - 1):
         out = tensor(out, step)
-    out.metadata["name"] = f"O({n})"
-    return out
+    return _with_metadata(out, name=f"O({n})")
 
 
 # ---------------------------------------------------------------------------

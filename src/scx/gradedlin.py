@@ -4,6 +4,7 @@ homology of two-step complexes over Z or a field."""
 from __future__ import annotations
 
 from itertools import compress
+from operator import add, neg, sub
 
 from .errors import (
     NotAComplex,
@@ -12,7 +13,7 @@ from .errors import (
     ShapeMismatch,
     UnsupportedRingForHomology,
 )
-from .rings import FRAC_LAURENT_Q, LAU_ONE, LAURENT_Z, Q, RingMap, Z
+from .rings import FRAC_LAURENT_Q, LAU_ONE, LAURENT_Z, Q, RingElement, RingMap, Z
 
 
 class GradedModule:
@@ -168,7 +169,9 @@ class GradedMatrix:
     def entry(self, t, s):
         return self.entries.get((t, s), self.ring.zero())
 
-    def __add__(self, other):
+    def _combine(self, other, op, alone=None):
+        """The matrix with entries op(self's, other's), and other's (through
+        `alone`, when given) where self has none, built in one pass."""
         if self.source != other.source or self.target != other.target:
             raise ShapeMismatch("sum of matrices with different shapes")
         if self.degree != other.degree and self.entries and other.entries:
@@ -177,15 +180,21 @@ class GradedMatrix:
         ent = dict(self.entries)
         for k, x in other.entries.items():
             y = ent.get(k)
-            ent[k] = x if y is None else x + y
+            if y is not None:
+                ent[k] = op(y, x)
+            else:
+                ent[k] = x if alone is None else alone(x)
         return GradedMatrix(self.source, self.target, deg, ent)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     def __neg__(self):
         return GradedMatrix(self.source, self.target, self.degree,
                             {k: -v for k, v in self.entries.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, sub, neg)
 
     def scale(self, c):
         return GradedMatrix(self.source, self.target, self.degree,
@@ -561,28 +570,28 @@ def int_solve(rows, rhs):
 
 
 # ---------------------------------------------------------------------------
-# Linear algebra over a field (Q, Z/p, Q(T)), on sparse rows.
+# Linear algebra over a field (Q, Z/p, Q(T)), on sparse rows of raw values
+# (see `rings.Domain`); ring elements are made only for what is returned.
 
 
-def _field_rows(rows, zero):
-    """Dense rows of ring elements as {column: nonzero element} dicts;
-    `zero` is the ring's zero element."""
-    zv = zero.val  # canonical, so x is zero exactly when x.val == zv
-    return [{c: x for c, x in enumerate(row) if x.val != zv} for row in rows]
+def _boxed(vec, n, ring):
+    """The {index: raw value} vector `vec` as a list of n elements of `ring`."""
+    return _dense({k: RingElement(ring, x) for k, x in vec.items()}, n, ring.zero())
 
 
-def _rref(a, zero):
+def _rref(a, dom):
     """Reduced row echelon form of the matrix whose rows are the
-    {column: nonzero element} dicts of `a`, over the field whose zero
-    element is `zero`: `a`, reduced in place, and the pivot columns.
+    {column: nonzero raw value} dicts of `a`, over the field whose domain is
+    `dom`: `a`, reduced in place, and the pivot columns.
 
-    Only the pivot row's nonzero entries are scaled, and a row is updated
-    only if its pivot-column entry is nonzero, at the pivot row's nonzero
-    columns.  Canonical forms make x - f*0 == x and 0*inv == 0, so the
-    result equals the dense elimination's.
+    Only the pivot row's nonzero entries are scaled, the pivot itself is set
+    to one, and a row is updated only if its pivot-column entry is nonzero,
+    at the pivot row's other nonzero columns; that entry becomes zero.
+    Canonical values make x - f*0 == x, 0*inv == 0 and p*inv(p) == one, so
+    the result equals the dense elimination's.
     """
     m = len(a)
-    zv = zero.val
+    zero, one, add, mul, neg, inv = dom.zero, dom.one, dom.add, dom.mul, dom.neg, dom.inv
     pivots = []
     r = 0
     # a column that holds no entry at the start never gains one
@@ -593,17 +602,22 @@ def _rref(a, zero):
         else:
             continue
         a[r], a[pr] = a[pr], a[r]
-        inv = a[r][c].inverse()
-        prow = a[r] = {k: x * inv for k, x in a[r].items()}
+        prow = a[r]
+        p = prow.pop(c)
+        if p != one:
+            iv = inv(p)
+            prow = a[r] = {k: mul(x, iv) for k, x in prow.items()}
+        rest = list(prow.items())  # the pivot row without its pivot
+        prow[c] = one
         for i in range(m):
             row = a[i]
             if i == r or c not in row:
                 continue
-            f = -row[c]
-            for k, y in prow.items():
+            f = neg(row.pop(c))
+            for k, y in rest:
                 x = row.get(k)
-                x = f * y if x is None else x + f * y
-                if x.val == zv:
+                x = mul(f, y) if x is None else add(x, mul(f, y))
+                if x == zero:
                     del row[k]
                 else:
                     row[k] = x
@@ -614,30 +628,38 @@ def _rref(a, zero):
     return a, pivots
 
 
-def _rref_kernel(rr, piv, n, one):
+def _rref_kernel(rr, piv, n, dom):
     """A basis of the kernel from a reduced row echelon form with n
-    columns, as {index: element} vectors: one per free column; `one` is
-    the field's unit."""
+    columns, as {index: raw value} vectors: one per free column, read from
+    the rows' entries in the free columns."""
+    one, neg = dom.one, dom.neg
     pivset = set(piv)
-    basis = []
-    for fc in range(n):
-        if fc not in pivset:
-            vec = {fc: one}
-            for r, pc in enumerate(piv):
-                x = rr[r].get(fc)
-                if x is not None:
-                    vec[pc] = -x
-            basis.append(vec)
-    return basis
+    basis = {fc: {fc: one} for fc in range(n) if fc not in pivset}
+    for r, pc in enumerate(piv):
+        for k, x in rr[r].items():
+            if k != pc:  # a free column: the other pivot columns are zero here
+                basis[k][pc] = neg(x)
+    return list(basis.values())
+
+
+def _rref_solve(a, rhs, n, dom):
+    """One x with A x = rhs over the field, as an {index: raw value} vector,
+    or None; A has n columns and the {column: raw value} rows of `a`, which
+    take rhs's {row: raw value} entries as column n and are reduced in place."""
+    for i, x in rhs.items():
+        a[i][n] = x
+    rr, piv = _rref(a, dom)
+    if piv and piv[-1] == n:  # the pivots ascend
+        return None
+    return {pc: rr[r][n] for r, pc in enumerate(piv) if n in rr[r]}
 
 
 def field_rref(rows, ring):
     """Reduced row echelon form of dense rows: (rref rows, pivot column
     list), by `_rref`."""
-    zero = ring.zero()
-    rr, pivots = _rref(_field_rows(rows, zero), zero)
+    rr, pivots = _rref(raw_vectors(rows, ring), ring.domain)
     n = len(rows[0]) if rows else 0
-    return [_dense(row, n, zero) for row in rr], pivots
+    return [_boxed(row, n, ring) for row in rr], pivots
 
 
 def field_rank(rows, ring):
@@ -647,30 +669,25 @@ def field_rank(rows, ring):
 
 def field_kernel_basis(rows, ring, ncols=None):
     n = len(rows[0]) if rows else (ncols or 0)
-    zero = ring.zero()
-    return [_dense(vec, n, zero)
-            for vec in _rref_kernel(*_rref(_field_rows(rows, zero), zero), n, ring.one())]
+    return [_boxed(vec, n, ring) for vec in sparse_kernel_basis(raw_vectors(rows, ring), n, ring)]
 
 
 def field_solve(rows, rhs, ring):
     """One solution of A x = rhs over the field, or None."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    rr, piv = field_rref(aug, ring)
-    if n in piv:
-        return None
-    x = [ring.zero()] * n
-    for r, pc in enumerate(piv):
-        x[pc] = rr[r][n]
-    return x
+    n = len(rows[0]) if rows else 0
+    *a, b = raw_vectors([*rows, rhs], ring)
+    x = _rref_solve(a, b, n, ring.domain)
+    return None if x is None else _boxed(x, n, ring)
 
 
 # ---------------------------------------------------------------------------
 # Exact linear algebra over Z or a field.  This is the one place that decides
-# between the two: over Z dense values are ints and elimination is the Smith
-# normal form; over a field they are RingElements and elimination is
-# field_rref.  Callers combine dense values with + and * only.
+# between the two.  Dense values, which the functions below take and return,
+# are ints over Z and RingElements over a field, and callers combine them with
+# + and * only.  Raw values are the elements' `val`s (ints over Z, so there
+# they are the dense values), combined with the ring's `domain`; they are
+# what the sparse rows and vectors of the eliminations hold.  Over Z the
+# elimination is the Smith normal form, over a field `_rref`.
 
 
 def dense_zero(ring):
@@ -690,8 +707,30 @@ def element(ring, value):
 def coeffs(m):
     """m's nonzero entries as {(target, source): dense value}; read only."""
     if m.ring == Z:
-        return {k: x.val for k, x in m.entries.items()}
+        return raw_coeffs(m)
     return m.entries
+
+
+def raw_coeffs(m):
+    """m's nonzero entries as {(target, source): raw value}."""
+    return {k: x.val for k, x in m.entries.items()}
+
+
+def raw_vectors(vecs, ring):
+    """Dense vectors as {index: nonzero raw value} vectors."""
+    if ring == Z:
+        return [{i: x for i, x in enumerate(vec) if x} for vec in vecs]
+    zero = ring.domain.zero
+    return [{i: x.val for i, x in enumerate(vec) if x.val != zero} for vec in vecs]
+
+
+def dense_values(vecs, ring):
+    """Lists of raw values as dense vectors: the same lists over Z, lists of
+    ring elements over a field."""
+    if ring == Z:
+        return vecs
+    zv, zero = ring.domain.zero, ring.zero()
+    return [[zero if x == zv else RingElement(ring, x) for x in vec] for vec in vecs]
 
 
 def dense_rows(m):
@@ -739,12 +778,12 @@ def kernel_basis(rows, ncols, ring):
 
 def sparse_kernel_basis(a, n, ring):
     """Basis of the kernel of the matrix with n columns whose rows are the
-    {column: nonzero dense value} dicts of `a`, as {index: dense value}
-    vectors (a saturated lattice over Z).  Over a field `a` is reduced in
-    place.  Read only: a vector may be held by the elimination's result."""
+    {column: nonzero raw value} dicts of `a`, as {index: raw value} vectors
+    (a saturated lattice over Z).  Over a field `a` is reduced in place.
+    Read only: a vector may be held by the elimination's result."""
     if ring == Z:
         return _snf_kernel(smith_form(a, n))
-    return _rref_kernel(*_rref(a, ring.zero()), n, ring.one())
+    return _rref_kernel(*_rref(a, ring.domain), n, ring.domain)
 
 
 def solve_linear(rows, rhs, ncols, ring):
@@ -762,13 +801,13 @@ def column_basis(cols, ring):
     A has the columns `cols`; over a field the pivot columns of A."""
     if not cols:
         return []
-    rows = list(zip(*cols))
     if ring == Z:
+        rows = list(zip(*cols))
         snf = smith_form(_int_rows(rows), len(cols))
         return [[sum(row[k] * x for k, x in snf.v_col(j).items()) for row in rows]
                 for j, dj in enumerate(snf.diag) if dj]
-    zero = ring.zero()
-    return [cols[j] for j in _rref(_field_rows(rows, zero), zero)[1]]
+    raw = raw_vectors(cols, ring)
+    return [cols[j] for j in _rref(_side_by_side(raw, len(cols[0])), ring.domain)[1]]
 
 
 def span_contains(basis_cols, vec, ring):
@@ -790,7 +829,7 @@ def spans_equal(cols_a, cols_b, ring):
     if not ba:
         return True
     m = len(ba[0])
-    sa, sb = ([{i: x for i, x in enumerate(col) if x} for col in basis] for basis in (ba, bb))
+    sa, sb = raw_vectors(ba, ring), raw_vectors(bb, ring)
     snf_a = smith_form(_side_by_side(sa, m), len(sa))
     snf_b = smith_form(_side_by_side(sb, m), len(sb))
     return (all(_snf_solve(snf_a, v) is not None for v in sb)
@@ -890,8 +929,7 @@ def homology_of_pair(d_in, d_out):
     if not (d_out @ d_in).is_zero:
         raise NotAComplex("d_out . d_in != 0")
     mid = d_in.target
-    zero = dense_zero(ring)
-    out_c, in_c = coeffs(d_out), coeffs(d_in)
+    out_c, in_c = raw_coeffs(d_out), raw_coeffs(d_in)
     table = {}
     for k in mid.degrees_present():
         cols = mid.indices_of_degree(k)
@@ -909,8 +947,8 @@ def homology_of_pair(d_in, d_out):
             free, tor = _z_subquotient(sparse_kernel_basis(a_out, len(cols), ring),
                                        img_cols, len(cols))
         else:
-            img_rank = len(_rref(_side_by_side(img_cols, len(cols)), zero)[1])
-            free, tor = len(cols) - len(_rref(a_out, zero)[1]) - img_rank, ()
+            img_rank = len(_rref(_side_by_side(img_cols, len(cols)), ring.domain)[1])
+            free, tor = len(cols) - len(_rref(a_out, ring.domain)[1]) - img_rank, ()
         if free or tor:
             table[k] = (free, tor)
     return GradedHomology(mid.modulus, table)
@@ -978,21 +1016,33 @@ class HomologyMaps:
         self.ring = ring
         self.module = d_mid.source
         self.field = Q if ring == Z else ring
-        kern = kernel_basis(dense_rows(d_mid), d_mid.source.rank, ring)
+        n = d_mid.source.rank
+        field, dom = self.field, self.field.domain
+        lift = Q.domain.from_int if ring == Z else None  # a raw value over the field
+        ent = raw_coeffs(d_mid)
+        rows = [{} for _ in range(d_mid.target.rank)]
+        for (t, s), x in ent.items():
+            rows[t][s] = x
+        kern = sparse_kernel_basis(rows, n, ring)
+        field_kern = kern if lift is None else [
+            {k: lift(x) for k, x in v.items()} for v in kern]
         # boundaries live in the same module only when d is an endomorphism
-        img = _image_cols(d_mid) if d_mid.target == self.module else []
-        self.boundaries = column_basis([self._over_field(c) for c in img], self.field)
+        img = {}
+        if d_mid.target == self.module:
+            for (t, s), x in ent.items():
+                img.setdefault(s, {})[t] = x if lift is None else lift(x)
+        img = [img[s] for s in sorted(img)]
+        bounds = [img[j] for j in _rref(_side_by_side(img, n), dom)[1]]
         # a kernel vector is a representative iff it is outside the span of
         # the boundaries and the kernel vectors before it: iff its column of
         # [boundaries | kernel] is a pivot column (the boundaries are all
         # pivots, being a basis)
-        field_kern = [self._over_field(v) for v in kern]
-        nb = len(self.boundaries)
-        zero = self.field.zero()
-        rows = _field_rows(list(zip(*(self.boundaries + field_kern))), zero)
-        chosen = [j - nb for j in _rref(rows, zero)[1] if j >= nb]
-        self.reps = [kern[j] for j in chosen]
-        self._field_reps = [field_kern[j] for j in chosen]
+        nb = len(bounds)
+        chosen = [j - nb for j in _rref(_side_by_side(bounds + field_kern, n), dom)[1]
+                  if j >= nb]
+        self.boundaries = [_boxed(c, n, field) for c in bounds]
+        self.reps = dense_values([_dense(kern[j], n, ring.domain.zero) for j in chosen], ring)
+        self._field_reps = [_boxed(field_kern[j], n, field) for j in chosen]
 
     def _over_field(self, vec):
         return [Q.from_int(x) for x in vec] if self.ring == Z else vec
@@ -1004,10 +1054,11 @@ class HomologyMaps:
     def class_coords(self, vec):
         """Coordinates of a cycle's class in the chosen representative basis,
         over the field (over Q for Z)."""
-        cols = self.boundaries + self._field_reps
-        fvec = self._over_field(vec)
-        rows = [[c[i] for c in cols] for i in range(len(fvec))]
-        sol = field_solve(rows, fvec, self.field)
+        field = self.field
+        *cols, rhs = raw_vectors(self.boundaries + self._field_reps + [self._over_field(vec)],
+                                 field)
+        sol = _rref_solve(_side_by_side(cols, len(vec)), rhs, len(cols), field.domain)
         if sol is None:
             raise NotAComplex("vector is not a cycle class")
-        return sol[len(self.boundaries):]
+        nb = len(self.boundaries)
+        return _boxed({j - nb: x for j, x in sol.items() if j >= nb}, len(cols) - nb, field)

@@ -31,11 +31,19 @@ def _tau_bound(x, y):
     return x.irr.rank + y.irr.rank + 2
 
 
-def _powers(m, n):
-    out = [GradedMatrix.identity(m.source)]
-    for _ in range(n):
-        out.append(m @ out[-1])
-    return out
+class _Powers:
+    """m^0, m^1, ... of a square matrix m, each made from the one before the
+    first time it is read, so only the powers a caller reads are built."""
+
+    def __init__(self, m):
+        self._m = m
+        self._out = [GradedMatrix.identity(m.source)]
+
+    def __getitem__(self, j):
+        out = self._out
+        while len(out) <= j:
+            out.append(self._m @ out[-1])
+        return out[j]
 
 
 def tau_closed_formula(x, y, lam, mu, delta1, delta2, n):
@@ -143,8 +151,8 @@ class HeightMorphism:
         """
         x, y = self.source, self.target
         bound = _tau_bound(x, y)
-        vp = _powers(y.v, bound + 1)
-        vs = _powers(x.v, bound + 1)
+        vp = _Powers(y.v)
+        vs = _Powers(x.v)
         neg = [i for i in self.tau if i <= 0]
 
         rel1 = y.d @ self.lam - self.lam @ x.d
@@ -225,10 +233,9 @@ def compose_heights(g, f):
     x, ymid, z = f.source, f.target, g.target
     sup_f = max(0, -min([i for i in f.tau] or [0]))
     sup_g = max(0, -min([i for i in g.tau] or [0]))
-    depth = sup_f + sup_g + 2
-    vX = _powers(x.v, depth + 2)
-    vY = _powers(ymid.v, depth + 2)
-    vZ = _powers(z.v, depth + 2)
+    vX = _Powers(x.v)
+    vY = _Powers(ymid.v)
+    vZ = _Powers(z.v)
 
     def tg(i):
         return g.tau_at(i)
@@ -308,8 +315,8 @@ def factor_through_suspension(f):
         sx = suspend(x, n)
         nc, nr = x.irr.rank, x.red.rank
         k = (f.degree - 2 * n) % x.modulus
-        vp = _powers(y.v, n + 1)
-        vs = _powers(x.v, n + 1)
+        vp = _Powers(y.v)
+        vs = _Powers(x.v)
         mu_i = [GradedMatrix.zero(x.irr, y.irr, f.degree - 1 - 2 * 0)]
         # mu_i = sum_{j<i} v'^j mu v^{i-j-1}
         for i in range(1, n + 1):
@@ -334,7 +341,7 @@ def factor_through_suspension(f):
     sy = suspend(y, m)
     mc, mr = y.irr.rank, y.red.rank
     k = (f.degree + 2 * m) % x.modulus
-    vs = _powers(x.v, m + 1)
+    vs = _Powers(x.v)
     lam_blocks = [(f.lam, 0, 0)]
     for t in range(m):  # row block R'[-2(m-t)+...]: sum_{i=t+1}^m tau_{-i} delta1 v^{i-1-t}
         acc = None

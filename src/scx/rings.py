@@ -1,20 +1,31 @@
 """Exact coefficient rings: Z, Z/p, Q, Z[T^{+-1}] and the fraction field Q(T).
 
-Every element is stored in a unique canonical form, so equality is structural:
+Every element is stored in a unique canonical form, its raw value `val`, so
+equality is structural:
 
 * integers as Python ints,
-* residues reduced into [0, p),
-* rationals as reduced ``Fraction``-style pairs with positive denominator,
+* residues as ints reduced into [0, p),
+* rationals as reduced ``Fraction``-style (num, den) int pairs with positive
+  denominator,
 * Laurent polynomials as sorted (exponent, coefficient) tuples without zeros,
 * rational functions as a reduced pair num/den with den an ordinary integer
   polynomial, positive leading coefficient, nonzero constant term, and the
   pair having coprime content; the monomial unit is folded into num.  Pairs
   are reduced over Z, with a primitive polynomial gcd, never over Q.
+
+Each ring holds one `Domain`: its arithmetic on raw values (`zero`, `one`,
+`from_int`, `add`, `sub`, `mul`, `neg`, `inv` of a unit, `is_zero`,
+`is_unit`), which returns canonical raw values again.  `RingElement`'s
+operators box the domain's results, so each operation has one
+implementation; the eliminations in `gradedlin` call the domain on raw
+values directly and box only what they return.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from math import gcd
+from operator import add, eq, mul, neg, sub
 
 from .errors import DivideByZero, DivisionUnsupported, RingMismatch, ScxError, SchemaError
 
@@ -35,6 +46,13 @@ def lau_add(a, b):
     d = dict(a)
     for e, c in b:
         d[e] = d.get(e, 0) + c
+    return lau_from_dict(d)
+
+
+def lau_sub(a, b):
+    d = dict(a)
+    for e, c in b:
+        d[e] = d.get(e, 0) - c
     return lau_from_dict(d)
 
 
@@ -141,6 +159,137 @@ def ratfun_normalize(num, den):
 
 
 # ---------------------------------------------------------------------------
+# Arithmetic on raw values, one domain per ring kind.
+
+
+class Domain:
+    """The arithmetic of one ring on raw values.  `inv` is defined on units
+    only; every result is canonical, so `is_zero(x)` is `x == zero`."""
+
+    __slots__ = ("zero", "one", "from_int", "add", "sub", "mul", "neg", "inv", "is_unit",
+                 "is_zero")
+
+    def __init__(self, zero, one, from_int, add, sub, mul, neg, inv, is_unit):
+        self.zero, self.one, self.from_int = zero, one, from_int
+        self.add, self.sub, self.mul, self.neg = add, sub, mul, neg
+        self.inv, self.is_unit = inv, is_unit
+        self.is_zero = partial(eq, zero)
+
+
+def _rat_norm(a, b):
+    if b == 0:
+        raise DivideByZero("zero denominator")
+    g = gcd(abs(a), abs(b))
+    if g:
+        a, b = a // g, b // g
+    if b < 0:
+        a, b = -a, -b
+    return (a, b)
+
+
+# Where both denominators are 1 the result is canonical already.
+
+def _rat_add(x, y):
+    (a, b), (c, d) = x, y
+    if b == d == 1:
+        return (a + c, 1)
+    return _rat_norm(a * d + c * b, b * d)
+
+
+def _rat_sub(x, y):
+    (a, b), (c, d) = x, y
+    if b == d == 1:
+        return (a - c, 1)
+    return _rat_norm(a * d - c * b, b * d)
+
+
+def _rat_mul(x, y):
+    (a, b), (c, d) = x, y
+    if b == d == 1:
+        return (a * c, 1)
+    return _rat_norm(a * c, b * d)
+
+
+def _rat_inv(x):
+    a, b = x  # coprime already, so only the sign moves
+    return (b, a) if a > 0 else (-b, -a)
+
+
+# The Q(T) operations call ratfun_normalize through this module's global, so
+# a wrapper installed there sees every reduction.  Where both denominators are
+# 1 there is nothing to reduce: ratfun_normalize(num, 1) is (num, 1).
+
+def _frac_add(x, y):
+    (n1, d1), (n2, d2) = x, y
+    if d1 == d2 == LAU_ONE:
+        return (lau_add(n1, n2), LAU_ONE)
+    return ratfun_normalize(lau_add(lau_mul(n1, d2), lau_mul(n2, d1)), lau_mul(d1, d2))
+
+
+def _frac_sub(x, y):
+    (n1, d1), (n2, d2) = x, y
+    if d1 == d2 == LAU_ONE:
+        return (lau_sub(n1, n2), LAU_ONE)
+    return ratfun_normalize(lau_sub(lau_mul(n1, d2), lau_mul(n2, d1)), lau_mul(d1, d2))
+
+
+def _frac_mul(x, y):
+    (n1, d1), (n2, d2) = x, y
+    if d1 == d2 == LAU_ONE:
+        return (lau_mul(n1, n2), LAU_ONE)
+    return ratfun_normalize(lau_mul(n1, n2), lau_mul(d1, d2))
+
+
+def _frac_neg(x):
+    return (lau_neg(x[0]), x[1])
+
+
+def _frac_inv(x):
+    """ratfun_normalize(den, num) of a canonical nonzero (num, den): the pair
+    is coprime already, so swapping it, moving num's monomial shift over and
+    fixing the sign of the new leading coefficient is the whole reduction."""
+    num, den = x
+    shift = -num[0][0]
+    num, den = lau_shift(den, shift), lau_shift(num, shift)
+    return (lau_neg(num), lau_neg(den)) if den[-1][1] < 0 else (num, den)
+
+
+def _self(x):
+    return x
+
+
+def _int_domain():
+    return Domain(0, 1, _self, add, sub, mul, neg, inv=_self,  # the units are +-1
+                  is_unit=lambda x: x in (1, -1))
+
+
+def _modp_domain(p):
+    return Domain(0, 1, lambda n: n % p,
+                  lambda x, y: (x + y) % p, lambda x, y: (x - y) % p,
+                  lambda x, y: x * y % p, lambda x: -x % p,
+                  inv=lambda x: pow(x, p - 2, p), is_unit=bool)
+
+
+def _rat_domain():
+    return Domain((0, 1), (1, 1), lambda n: (n, 1), _rat_add, _rat_sub, _rat_mul,
+                  lambda x: (-x[0], x[1]), inv=_rat_inv, is_unit=lambda x: x[0] != 0)
+
+
+def _laurent_domain():
+    return Domain(LAU_ZERO, LAU_ONE, lambda n: ((0, n),) if n else LAU_ZERO,
+                  lau_add, lau_sub, lau_mul, lau_neg,
+                  inv=lambda x: ((-x[0][0], x[0][1]),),
+                  is_unit=lambda x: len(x) == 1 and x[0][1] in (1, -1))
+
+
+def _frac_domain():
+    return Domain((LAU_ZERO, LAU_ONE), (LAU_ONE, LAU_ONE),
+                  lambda n: (((0, n),) if n else LAU_ZERO, LAU_ONE),
+                  _frac_add, _frac_sub, _frac_mul, _frac_neg,
+                  inv=_frac_inv, is_unit=lambda x: x[0] != LAU_ZERO)
+
+
+# ---------------------------------------------------------------------------
 # Rings.
 
 
@@ -161,8 +310,11 @@ class Ring:
         if kind == self.MODP:
             if p is None or p < 2 or not _is_prime(p):
                 raise ScxError(f"Z/p requires a prime p, got {p}")
+            self.domain = _modp_domain(p)
         elif p is not None:
             raise ScxError("p only makes sense for prime fields")
+        else:
+            self.domain = _DOMAINS[kind]()
         self.kind = kind
         self.p = p
 
@@ -182,21 +334,13 @@ class Ring:
         return self.kind in (self.MODP, self.RAT, self.FRAC)
 
     def zero(self):
-        return self.from_int(0)
+        return RingElement(self, self.domain.zero)
 
     def one(self):
-        return self.from_int(1)
+        return RingElement(self, self.domain.one)
 
     def from_int(self, n):
-        if self.kind == self.INT:
-            return RingElement(self, n)
-        if self.kind == self.MODP:
-            return RingElement(self, n % self.p)
-        if self.kind == self.RAT:
-            return RingElement(self, (n, 1))
-        if self.kind == self.LAURENT:
-            return RingElement(self, ((0, n),) if n else LAU_ZERO)
-        return RingElement(self, (((0, n),) if n else LAU_ZERO, LAU_ONE))
+        return RingElement(self, self.domain.from_int(n))
 
     def monomial(self, exp, coeff=1):
         """coeff * T^exp in Z[T^{+-1}] or Q(T)."""
@@ -212,6 +356,10 @@ class Ring:
 
 class UnsupportedRingOp(ScxError):
     pass
+
+
+_DOMAINS = {Ring.INT: _int_domain, Ring.RAT: _rat_domain, Ring.LAURENT: _laurent_domain,
+            Ring.FRAC: _frac_domain}
 
 
 def _is_prime(n):
@@ -255,91 +403,42 @@ class RingElement:
 
     @property
     def is_zero(self):
-        k = self.ring.kind
-        if k in (Ring.INT, Ring.MODP):
-            return self.val == 0
-        if k == Ring.RAT:
-            return self.val[0] == 0
-        if k == Ring.LAURENT:
-            return self.val == LAU_ZERO
-        return self.val[0] == LAU_ZERO
+        return self.ring.domain.is_zero(self.val)
 
     @property
     def is_unit(self):
-        k = self.ring.kind
-        if k == Ring.INT:
-            return self.val in (1, -1)
-        if k == Ring.LAURENT:
-            return lau_is_monomial(self.val) and self.val[0][1] in (1, -1)
-        return not self.is_zero
+        return self.ring.domain.is_unit(self.val)
 
     def _chk(self, other):
         if not isinstance(other, RingElement) or other.ring != self.ring:
             raise RingMismatch(f"cannot combine {self!r} with {other!r}")
 
-    # -- arithmetic
+    # -- arithmetic: the ring's domain on the raw values
 
     def __add__(self, other):
         self._chk(other)
-        r, k = self.ring, self.ring.kind
-        if k == Ring.INT:
-            return RingElement(r, self.val + other.val)
-        if k == Ring.MODP:
-            return RingElement(r, (self.val + other.val) % r.p)
-        if k == Ring.RAT:
-            (a, b), (c, d) = self.val, other.val
-            return RingElement(r, _rat_norm(a * d + c * b, b * d))
-        if k == Ring.LAURENT:
-            return RingElement(r, lau_add(self.val, other.val))
-        (n1, d1), (n2, d2) = self.val, other.val
-        return RingElement(r, ratfun_normalize(lau_add(lau_mul(n1, d2), lau_mul(n2, d1)), lau_mul(d1, d2)))
+        r = self.ring
+        return RingElement(r, r.domain.add(self.val, other.val))
 
     def __neg__(self):
-        r, k = self.ring, self.ring.kind
-        if k == Ring.INT:
-            return RingElement(r, -self.val)
-        if k == Ring.MODP:
-            return RingElement(r, (-self.val) % r.p)
-        if k == Ring.RAT:
-            return RingElement(r, (-self.val[0], self.val[1]))
-        if k == Ring.LAURENT:
-            return RingElement(r, lau_neg(self.val))
-        return RingElement(r, (lau_neg(self.val[0]), self.val[1]))
+        r = self.ring
+        return RingElement(r, r.domain.neg(self.val))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._chk(other)
+        r = self.ring
+        return RingElement(r, r.domain.sub(self.val, other.val))
 
     def __mul__(self, other):
         self._chk(other)
-        r, k = self.ring, self.ring.kind
-        if k == Ring.INT:
-            return RingElement(r, self.val * other.val)
-        if k == Ring.MODP:
-            return RingElement(r, (self.val * other.val) % r.p)
-        if k == Ring.RAT:
-            (a, b), (c, d) = self.val, other.val
-            return RingElement(r, _rat_norm(a * c, b * d))
-        if k == Ring.LAURENT:
-            return RingElement(r, lau_mul(self.val, other.val))
-        (n1, d1), (n2, d2) = self.val, other.val
-        return RingElement(r, ratfun_normalize(lau_mul(n1, n2), lau_mul(d1, d2)))
+        r = self.ring
+        return RingElement(r, r.domain.mul(self.val, other.val))
 
     def inverse(self):
-        if not self.is_unit:
-            raise DivideByZero(f"{self} is not invertible in {self.ring!r}")
-        r, k = self.ring, self.ring.kind
-        if k == Ring.INT:
-            return RingElement(r, self.val)
-        if k == Ring.MODP:
-            return RingElement(r, pow(self.val, r.p - 2, r.p))
-        if k == Ring.RAT:
-            a, b = self.val
-            return RingElement(r, _rat_norm(b, a))
-        if k == Ring.LAURENT:
-            e, c = self.val[0]
-            return RingElement(r, ((-e, c),))
-        n, d = self.val
-        return RingElement(r, ratfun_normalize(d, n))
+        r = self.ring
+        if not r.domain.is_unit(self.val):
+            raise DivideByZero(f"{self} is not invertible in {r!r}")
+        return RingElement(r, r.domain.inv(self.val))
 
     def __truediv__(self, other):
         self._chk(other)
@@ -360,17 +459,6 @@ class RingElement:
 
     def __str__(self):
         return format_element(self)
-
-
-def _rat_norm(a, b):
-    if b == 0:
-        raise DivideByZero("zero denominator")
-    g = gcd(abs(a), abs(b))
-    if g:
-        a, b = a // g, b // g
-    if b < 0:
-        a, b = -a, -b
-    return (a, b)
 
 
 def ring_arith(a, b, op):

@@ -275,3 +275,14 @@ def test_connected_sum_examples():
     hh = connected_sum_model(hopf, hopf)
     assert hh.irr.rank == 0 and hh.red.rank == 4
     assert hh.total_homology().total_rank == 4
+
+
+def test_metadata_is_given_at_construction_in_order():
+    a, b = atomic(1), atomic(-1)
+    t = connected_sum_model(a, b)
+    assert list(t.metadata.items()) == [("tensor_of", ["O(1)", "O(-1)"]),
+                                        ("connected_sum", ["O(1)", "O(-1)"])]
+    assert a.metadata == {"name": "O(1)"} and b.metadata == {"name": "O(-1)"}
+    # O(3) = (O(1) x O(1)) x O(1): the outer tensor's metadata, then the name
+    assert list(atomic(3).metadata.items()) == [("tensor_of", [None, "O(1)"]), ("name", "O(3)")]
+    assert atomic(-2, Q).metadata == {"tensor_of": ["O(-1)", "O(-1)"], "name": "O(-2)"}

@@ -11,11 +11,14 @@ from scx.gradedlin import (
     _check_ring_for_homology,
     _check_snf,
     _image_cols,
+    _rref,
+    _rref_kernel,
     column_basis,
     dense_rows,
     field_kernel_basis,
     field_rank,
     field_rref,
+    field_solve,
     homology_of_pair,
     int_kernel_basis,
     int_solve,
@@ -794,3 +797,98 @@ def test_homology_reps_match_the_greedy_oracle(ring, monkeypatch):
             assert got[0].reps == want[0].reps and got[1:] == want[1:]
             induced += 1
     assert with_boundaries and induced
+
+
+@pytest.mark.parametrize("ring", [Q, Zp(3), FRAC_LAURENT_Q], ids=str)
+def test_raw_rref_equals_dense_oracle(ring):
+    # _rref on {column: raw value} rows against the dense elimination on ring
+    # elements, and its kernel against A x = 0
+    rng = random.Random(406)
+    dom = ring.domain
+    ran = 0
+    for m, n in [(0, 0), (1, 1), (3, 5), (5, 3), (6, 6), (8, 4)]:
+        for trial in range(5 if ring != FRAC_LAURENT_Q else 3):
+            rows = _rand_field_matrix(ring, rng, m, n, rank=None if trial % 2 else min(m, n) // 2)
+            raw = [{c: x.val for c, x in enumerate(row) if not x.is_zero} for row in rows]
+            rr, piv = _rref(raw, dom)
+            want, want_piv = dense_field_rref(rows, ring)
+            assert piv == want_piv
+            assert [[row.get(c, dom.zero) for c in range(n)] for row in rr] == [
+                [x.val for x in row] for row in want]
+            assert all(x != dom.zero for row in rr for x in row.values())  # no stored zeros
+            for vec in _rref_kernel(rr, piv, n, dom):
+                for row in rows:
+                    acc = dom.zero
+                    for c, x in vec.items():
+                        acc = dom.add(acc, dom.mul(row[c].val, x))
+                    assert acc == dom.zero
+            ran += 1
+    assert ran
+
+
+@pytest.mark.parametrize("ring", [Q, Zp(5), FRAC_LAURENT_Q], ids=str)
+def test_field_solve_solves_or_refuses(ring):
+    rng = random.Random(407)
+    solved = refused = 0
+    for _ in range(30):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        rows = _rand_field_matrix(ring, rng, m, n, rank=rng.randint(0, min(m, n)))
+        rhs = [_rand_field_element(ring, rng) for _ in range(m)]
+        x = field_solve(rows, rhs, ring)
+        consistent = len(field_rref([r + [b] for r, b in zip(rows, rhs)], ring)[1]) == len(
+            field_rref(rows, ring)[1])
+        assert (x is not None) == consistent
+        if x is None:
+            refused += 1
+            continue
+        solved += 1
+        assert all(x_i.ring == ring for x_i in x) and len(x) == n
+        for row, b in zip(rows, rhs):
+            assert sum((a * xi for a, xi in zip(row, x)), ring.zero()) == b
+    assert solved and refused
+
+
+def test_matrix_entries_from_the_wrong_ring_are_refused():
+    mz = GradedModule(Z, 2, [("a", 0), ("b", 1)])
+    mq = GradedModule(Q, 2, [("a", 0), ("b", 1)])
+    with pytest.raises(RingMismatch):
+        GradedMatrix(mz, mz, 1, {(1, 0): Q.one()})
+    with pytest.raises(RingMismatch):
+        GradedMatrix(mz, mq, 1, {})
+    a = GradedMatrix(mz, mz, 1, {(1, 0): Z.one()})
+    b = GradedMatrix(mz, mz, 1, {(1, 0): Z.from_int(2)})
+    # a sum or difference with an entry from another ring is refused, not
+    # computed on raw values
+    bad = GradedMatrix.__new__(GradedMatrix)
+    for attr, val in (("source", mz), ("target", mz), ("degree", 1), ("entries", {(1, 0): Q.one()})):
+        object.__setattr__(bad, attr, val)
+    for op in (lambda p, q: p + q, lambda p, q: p - q):
+        assert op(a, b).entries[(1, 0)] == op(Z.one(), Z.from_int(2))
+        with pytest.raises(RingMismatch):
+            op(a, bad)
+
+
+def test_matrix_difference_is_one_pass(monkeypatch):
+    rng = random.Random(408)
+    for ring in (Z, Q, FRAC_LAURENT_Q):
+        m = GradedModule(ring, 2, [("a", 0), ("b", 1), ("c", 0), ("d", 1)])
+        for _ in range(10):
+            def rand():
+                return GradedMatrix(m, m, 1, {(t, s): _rand_field_element(ring, rng) if ring != Z
+                                              else Z.from_int(rng.randint(-2, 2))
+                                              for t in range(4) for s in range(4)
+                                              if (t - s) % 2})
+            a, b = rand(), rand()
+            made = []
+            real_init = GradedMatrix.__init__
+
+            def counted(self, *args):
+                made.append(1)
+                real_init(self, *args)
+
+            monkeypatch.setattr(GradedMatrix, "__init__", counted)
+            diff = a - b
+            monkeypatch.setattr(GradedMatrix, "__init__", real_init)
+            assert len(made) == 1
+            assert diff == a + (-b)
+            assert (diff + b) == a and (a - a).is_zero

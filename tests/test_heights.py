@@ -20,7 +20,7 @@ from scx.heights import (
 )
 from scx.linkfam import torus_link_complex
 from scx.randgen import rand_height_morphism, rand_morphism, rand_scomplex
-from scx.rings import FRAC_LAURENT_Q, Q, Z, Zp
+from scx.rings import FRAC_LAURENT_Q, LAURENT_Z, Q, RingMap, Z, Zp
 from scx.scomplex import SMorphism
 
 
@@ -336,3 +336,40 @@ def test_tau_sweep_makes_at_most_five_products_per_index(monkeypatch):
         taus = tau_closed_formula(x, y, h.lam, h.mu, h.delta1, h.delta2, n)
         assert len(taus) == n
         assert len(calls) <= 5 * n
+
+
+def test_power_ladders_are_built_only_as_deep_as_they_are_read(monkeypatch):
+    import scx.heights
+
+    built = []  # for each ladder: the index of its deepest power
+
+    class Recorded(scx.heights._Powers):
+        def __init__(self, m):
+            super().__init__(m)
+            built.append(self)
+
+    monkeypatch.setattr(scx.heights, "_Powers", Recorded)
+
+    def depths():
+        out = [len(p._out) - 1 for p in built]
+        built.clear()
+        return out
+
+    x = torus_link_complex(3).base_change(
+        RingMap(RingMap.LAURENT_TO_FRAC, LAURENT_Z, FRAC_LAURENT_Q))
+    # no nonpositive tau: verify reads v^0 of neither side, and builds no power
+    h = iota(x, 1)
+    assert h.verify(claimed_height=1).ok
+    assert depths() == [0, 0]
+    # kappa_n has only tau_{-n}: relations 1-3 read v^0 .. v^n on both sides
+    for n in (1, 2, 3):
+        k = kappa(x, n)
+        assert k.verify(claimed_height=-n).ok
+        assert depths() == [n, n]
+    # kappa_2 after iota_2: only g has a nonpositive tau (tau_{-2}), and
+    # the composite's terms read the first complex's powers to v^2 and the
+    # middle and last complex's to v^1; the composite's own verify reads v^0
+    g, f = kappa(x, 2), iota(x, 2)
+    depths()
+    assert compose_heights(g, f).verify(claimed_height=0).ok
+    assert depths() == [2, 1, 1, 0, 0]

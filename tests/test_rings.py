@@ -12,6 +12,7 @@ from scx.rings import (
     LAURENT_Z,
     Q,
     Ring,
+    RingElement,
     RingMap,
     Z,
     Zp,
@@ -225,3 +226,173 @@ def test_ratfun_inverse_of_monomial_and_zero_denominator():
         parse_element(FRAC_LAURENT_Q, "1/0")
     with pytest.raises(DivideByZero):
         FRAC_LAURENT_Q.zero().inverse()
+
+
+# ---------------------------------------------------------------------------
+# The raw-value domains, each op against an independent route: plain ints
+# for Z and Z/p, Fraction for Q, values at sample points for Z[T^{+-1}], and
+# the Fraction-Euclid ratfun_normalize_oracle with test-local polynomial
+# arithmetic for Q(T).
+
+
+def _pmul(a, b):
+    """Product of two laus, on a dict: the test's own polynomial product."""
+    out = {}
+    for ea, ca in a:
+        for eb, cb in b:
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return tuple(sorted((e, c) for e, c in out.items() if c))
+
+
+def _padd(a, b, sign=1):
+    out = dict(a)
+    for e, c in b:
+        out[e] = out.get(e, 0) + sign * c
+    return tuple(sorted((e, c) for e, c in out.items() if c))
+
+
+# more points than the terms a difference of two sums or products of _rand_lau
+# values can span, so agreeing at all of them is equality
+_POINTS = [Fraction(k, 3) for k in (-9, -7, -5, -4, -2, -1, 1, 2, 4, 5, 7, 8, 10)]
+
+
+def _at(lau, t):
+    return sum(c * t ** e for e, c in lau)
+
+
+def _rat_oracle(op, x, y):
+    fx, fy = Fraction(*x), Fraction(*y)
+    r = {"add": fx + fy, "sub": fx - fy, "mul": fx * fy}[op]
+    return (r.numerator, r.denominator)
+
+
+def _frac_oracle(op, x, y):
+    (n1, d1), (n2, d2) = x, y
+    if op == "mul":
+        return ratfun_normalize_oracle(_pmul(n1, n2), _pmul(d1, d2))
+    return ratfun_normalize_oracle(
+        _padd(_pmul(n1, d2), _pmul(n2, d1), 1 if op == "add" else -1), _pmul(d1, d2))
+
+
+def _rand_raw(ring, rng):
+    if ring.kind in (Ring.INT, Ring.MODP):
+        return ring.domain.from_int(rng.randint(-40, 40))
+    # a third of the Q and Q(T) values have denominator 1, where the
+    # operations take a shortcut
+    if ring == Q:
+        den = 1 if rng.random() < 0.3 else rng.randint(1, 12)
+        return Fraction(rng.randint(-30, 30), den).as_integer_ratio()
+    if ring == LAURENT_Z:
+        return _rand_lau(rng, 4)
+    den = LAU_ONE if rng.random() < 0.3 else _rand_lau(rng, 3, zero_ok=False)
+    return ratfun_normalize(_rand_lau(rng, 4), den)
+
+
+@pytest.mark.parametrize("ring", [Z, Zp(2), Zp(7), Q, LAURENT_Z, FRAC_LAURENT_Q], ids=str)
+def test_domain_ops_match_independent_routes(ring):
+    dom = ring.domain
+    rng = random.Random(7100 + (ring.p or 0))
+    ops = {"add": dom.add, "sub": dom.sub, "mul": dom.mul}
+    seen_zero = False
+    for _ in range(400):
+        x, y = _rand_raw(ring, rng), _rand_raw(ring, rng)
+        for name, fn in ops.items():
+            got = fn(x, y)
+            if ring == Z:
+                assert got == {"add": x + y, "sub": x - y, "mul": x * y}[name]
+            elif ring.kind == Ring.MODP:
+                assert got == {"add": x + y, "sub": x - y, "mul": x * y}[name] % ring.p
+            elif ring == Q:
+                assert got == _rat_oracle(name, x, y)
+            elif ring == LAURENT_Z:
+                want = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
+                        "mul": lambda a, b: a * b}[name]
+                assert got == tuple(sorted(got)) and all(c for _, c in got)
+                assert all(_at(got, t) == want(_at(x, t), _at(y, t)) for t in _POINTS)
+            else:
+                assert got == _frac_oracle(name, x, y), (name, x, y)
+            # the boxed operators are the same functions
+            bx, by = RingElement(ring, x), RingElement(ring, y)
+            assert ring_arith(bx, by, name).val == got
+        assert dom.add(x, dom.neg(x)) == dom.zero and dom.neg(dom.neg(x)) == x
+        assert dom.is_zero(dom.sub(x, x)) and dom.mul(x, dom.one) == x
+        seen_zero |= dom.is_zero(x)
+        if dom.is_unit(x):
+            assert dom.mul(x, dom.inv(x)) == dom.one
+            assert RingElement(ring, x).inverse().val == dom.inv(x)
+        else:
+            with pytest.raises(DivideByZero):
+                RingElement(ring, x).inverse()
+    assert seen_zero
+    for n in (-5, 0, 1, 12):
+        assert ring.from_int(n).val == dom.from_int(n)
+        assert dom.is_zero(dom.from_int(n)) is (n == 0 if ring.p is None else n % ring.p == 0)
+
+
+def test_domain_units():
+    assert [Z.domain.is_unit(x) for x in (-1, 0, 1, 2)] == [True, False, True, False]
+    assert Z.domain.inv(-1) == -1
+    assert LAURENT_Z.domain.is_unit(((3, -1),)) and not LAURENT_Z.domain.is_unit(((3, 2),))
+    assert not LAURENT_Z.domain.is_unit(_lau("T + 1"))
+    assert LAURENT_Z.domain.inv(((3, -1),)) == ((-3, -1),)
+    assert Q.domain.inv((-3, 4)) == (-4, 3) and Q.domain.inv((5, 1)) == (1, 5)
+    assert Zp(7).domain.inv(3) == 5
+    assert not Q.domain.is_unit(Q.domain.zero) and not FRAC_LAURENT_Q.domain.is_unit(
+        FRAC_LAURENT_Q.domain.zero)
+
+
+@pytest.mark.parametrize("num,den", [
+    ("T^3", "1"), ("-2*T^-4", "1"), ("-3", "1"),              # monomial numerators
+    ("5*T^2", "T^2 + T + 7"), ("-T^-1", "2*T - 3"),
+    ("T - 1", "2"), ("1 - T^3", "3 + T"), ("-2*T^-2 - 4*T", "T^4 + 5"),
+    ("T^2 + 2*T + 1", "T^2 - 1"), ("6*T - 4", "9*T^3 - 3"),
+])
+def test_frac_inverse_by_swapping_equals_normalizing_on_named_cases(num, den):
+    x = ratfun_normalize(_lau(num), _lau(den))
+    n, d = x
+    assert FRAC_LAURENT_Q.domain.inv(x) == ratfun_normalize(d, n) == ratfun_normalize_oracle(d, n)
+
+
+def test_frac_inverse_by_swapping_equals_normalizing_on_seeded_pairs():
+    rng = random.Random(20261019)
+    negative = monomial = 0
+    for _ in range(3000):
+        x = ratfun_normalize(_rand_lau(rng, 5, zero_ok=False), _rand_lau(rng, 4, zero_ok=False))
+        n, d = x
+        got = FRAC_LAURENT_Q.domain.inv(x)
+        assert got == ratfun_normalize(d, n), x
+        negative += n[-1][1] < 0
+        monomial += len(n) == 1
+    assert negative > 100 and monomial > 100
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+def test_mixing_rings_raises_for_every_operator(op):
+    pairs = [(Z.one(), Q.one()), (Q.one(), Zp(5).one()), (Zp(3).one(), Zp(5).one()),
+             (LAURENT_Z.one(), FRAC_LAURENT_Q.one()), (FRAC_LAURENT_Q.one(), Q.one())]
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(RingMismatch):
+                ring_arith(x, y, op)
+    with pytest.raises(RingMismatch):
+        Q.one() + 1
+
+
+def test_frac_domain_reduces_through_the_module_global(monkeypatch):
+    # a wrapper installed on rings.ratfun_normalize sees the domain's
+    # reductions, on boxed and raw values alike
+    import scx.rings
+
+    seen = []
+    real = scx.rings.ratfun_normalize
+    monkeypatch.setattr(scx.rings, "ratfun_normalize",
+                        lambda num, den: seen.append(1) or real(num, den))
+    x = parse_element(FRAC_LAURENT_Q, "(T + 1)/(T - 2)")
+    y = parse_element(FRAC_LAURENT_Q, "(T - 2)/(3*T)")
+    seen.clear()
+    assert str(x * y) == "1/3 + 1/3*T^-1" and len(seen) == 1
+    dom = FRAC_LAURENT_Q.domain
+    for op in (dom.add, dom.sub, dom.mul):
+        seen.clear()
+        op(x.val, y.val)
+        assert len(seen) == 1

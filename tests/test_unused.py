@@ -59,3 +59,23 @@ def test_no_function_is_unused():
                 if not (node.name.startswith("__") and node.name.endswith("__")):
                     unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unused, "functions named nowhere: " + ", ".join(unused)
+
+
+def test_every_tracer_target_is_defined_where_the_tracer_looks():
+    # bench/tracer.py wraps functions by name: a module global, or a method
+    # in its class's own __dict__; a missing one makes `--trace 1` fail
+    import importlib
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = list(tracer.FRAMES) + list(tracer.COUNTS)
+    targets += [("rings", f"RingElement.{op}") for op in tracer.RING_OPS]
+    for layer, name in targets:
+        owner = importlib.import_module(f"scx.{layer}")
+        if "." in name:
+            cls, attr = name.split(".")
+            assert attr in vars(getattr(owner, cls)), f"{layer}.{name}"
+        else:
+            assert callable(getattr(owner, name, None)), f"{layer}.{name}"
