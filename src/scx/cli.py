@@ -89,8 +89,7 @@ def cmd_verify(args):
 
 def _homology_payload(h):
     return {"ranks": {str(d): f for d, f in h.ranks_by_degree().items()},
-            "torsion": {str(d): list(h.torsion(d)) for d in h.ranks_by_degree()
-                        if h.torsion(d)},
+            "torsion": {str(d): list(tor) for d, (_, tor) in sorted(h.table.items()) if tor},
             "total_rank": h.total_rank,
             "euler": h.euler()}
 
@@ -166,17 +165,43 @@ def cmd_atomic(args):
     return 0
 
 
+def _field(doc, key, what, kind, default=None):
+    """doc[key], which must be of type `kind`; a missing key is an error
+    unless a default is given.  Malformed documents raise SchemaError."""
+    if not isinstance(doc, dict):
+        raise errors.SchemaError(f"{what} must be an object")
+    if key not in doc:
+        if default is None:
+            raise errors.SchemaError(f"{what} is missing key {key!r}")
+        return default
+    if not isinstance(doc[key], kind):
+        raise errors.SchemaError(f"{what} key {key!r} must be a {kind.__name__}")
+    return doc[key]
+
+
+def _triple(doc, key, what):
+    """doc[key], which must be a list of three entries."""
+    items = _field(doc, key, what, list)
+    if len(items) != 3:
+        raise errors.SchemaError(f"{what} key {key!r} must list three entries")
+    return items
+
+
 def _height_from_file(path):
     with open(path) as fh:
         doc = json.load(fh)
-    src = scomplex_from_json(doc["source"])
-    tgt = scomplex_from_json(doc["target"])
+    what = "height morphism document"
+    src = scomplex_from_json(_field(doc, "source", what, dict))
+    tgt = scomplex_from_json(_field(doc, "target", what, dict))
     base = morphism_from_json({k: v for k, v in doc.items()
                                if k not in ("height", "tau", "nu")}, src, tgt)
     tau = {}
     from .scomplex import _matrix_from_json
-    for key, entries in doc.get("tau", {}).items():
-        i = int(key)
+    for key, entries in _field(doc, "tau", what, dict, {}).items():
+        try:
+            i = int(key)
+        except ValueError:
+            raise errors.SchemaError(f"tau key {key!r} is not an integer") from None
         tau[i] = _matrix_from_json(entries, src.red, tgt.red,
                                    base.degree - 2 * i, src.ring)
     return HeightMorphism.from_components(src, tgt, base.degree, base.lam,
@@ -200,13 +225,16 @@ def cmd_heights_compose(args):
 def cmd_triangle_verify(args):
     with open(args.infile) as fh:
         doc = json.load(fh)
-    complexes = [scomplex_from_json(c) for c in doc["complexes"]]
+    what = "triangle document"
+    complexes = [scomplex_from_json(c) for c in _triple(doc, "complexes", what)]
     morphisms = []
-    for i, m in enumerate(doc["morphisms"]):
+    for i, m in enumerate(_triple(doc, "morphisms", what)):
         morphisms.append(morphism_from_json(m, complexes[i], complexes[(i - 1) % 3]))
     homotopies = []
     from .scomplex import _matrix_from_json
-    for i, h in enumerate(doc["homotopies"]):
+    for i, h in enumerate(_triple(doc, "homotopies", what)):
+        if not isinstance(h, dict):
+            raise errors.SchemaError("a homotopy must be an object")
         src, tgt = complexes[i], complexes[(i - 2) % 3]
         comp = morphisms[(i - 1) % 3].compose_after(morphisms[i])
         zero = SMorphism.zero(src, tgt, comp.degree)
@@ -219,7 +247,12 @@ def cmd_triangle_verify(args):
             _matrix_from_json(h.get("M2", []), src.red, tgt.irr, k, src.ring),
             _matrix_from_json(h.get("J", []), src.red, tgt.red, k + 1, src.ring)))
     n_maps = [None, None, None]
-    for i, n in enumerate(doc.get("n_maps", [])):
+    n_docs = _field(doc, "n_maps", what, list, [])
+    if len(n_docs) > 3:
+        raise errors.SchemaError("a triangle has at most three N maps")
+    for i, n in enumerate(n_docs):
+        if n is not None and not isinstance(n, dict):
+            raise errors.SchemaError("an N map must be an object or null")
         if n:
             n_maps[i] = morphism_from_json(dict(n, degree=1), complexes[i], complexes[i])
     t = ExactTriangleData(complexes, morphisms, homotopies, n_maps)
@@ -307,7 +340,7 @@ def cmd_family(args):
 def _need(args, key):
     val = getattr(args, key, None)
     if val is None:
-        raise SystemExit(f"--{key} is required for this family")
+        raise errors.ScxError(f"--{key} is required for this family")
     return val
 
 

@@ -18,16 +18,18 @@ from .errors import PlateauNotReached, UnsupportedRing
 from .gradedlin import (
     GradedMatrix,
     GradedModule,
+    apply,
+    boxed,
     column_basis,
-    dense_values,
     exactness_at,
     field_kernel_basis,
     int_kernel_basis,
     raw_coeffs,
+    raw_vectors,
     span_contains,
     sparse_kernel_basis,
 )
-from .rings import Z
+from .rings import RingElement, Z
 from .scomplex import RelationReport
 
 
@@ -490,7 +492,8 @@ def susequivar_witness(x, n=None):
 
 
 class FroyshovProfile:
-    """The d-function, the J_i bases, and (when R has rank one) h."""
+    """The d-function, the J_i bases, and (when R has rank one) h.  Each
+    basis column of J_i is a list of rank R elements of the ring."""
 
     def __init__(self, ring, window, d, j_bases, h):
         self.ring = ring
@@ -517,16 +520,15 @@ def _j_module(x, i, ladder=None):
     """Generating columns for J_i as a submodule of R, via the finite system.
 
     Each system is built as {column: raw value} rows and its kernel comes
-    back as {index: raw value} vectors, so the work follows the nonzero
-    entries; only the returned dense columns are boxed.  `ladder` holds the
-    complex's delta1 v^j and v^j delta2 blocks; a caller that solves several
-    systems of one complex passes one ladder to all.
+    back as {index: raw value} vectors, and so do the columns, so the work
+    follows the nonzero entries.  `ladder` holds the complex's delta1 v^j
+    and v^j delta2 blocks; a caller that solves several systems of one
+    complex passes one ladder to all.
     """
     ring = x.ring
     nc, nr = x.irr.rank, x.red.rank
     if ladder is None:
         ladder = _Ladder(x)
-    zero, add, mul = ring.domain.zero, ring.domain.add, ring.domain.mul
 
     def fill(rows, block, row_off, col_off):
         for (t, s), val in block.items():
@@ -537,17 +539,7 @@ def _j_module(x, i, ladder=None):
         fill(rows, ladder.d, 0, 0)
         for j in range(i - 1):
             fill(rows, ladder.left_coeffs(j), nc + j * nr, 0)
-        by_source = {}  # delta1 v^(i-1), applied to each kernel vector
-        for (t, s), val in ladder.left_coeffs(i - 1).items():
-            by_source.setdefault(s, []).append((t, val))
-        out = []
-        for vec in sparse_kernel_basis(rows, nc, ring):
-            col = [zero] * nr
-            for s, y in vec.items():
-                for t, val in by_source.get(s, ()):
-                    col[t] = add(col[t], mul(val, y))
-            out.append(col)
-        return dense_values(out, ring)
+        return apply(ladder.left(i - 1), sparse_kernel_basis(rows, nc, ring))
     m = -i
     # variables (alpha, theta_0..theta_m); equation d a - sum v^j delta2 t_j = 0
     rows = [{} for _ in range(nc)]
@@ -557,16 +549,16 @@ def _j_module(x, i, ladder=None):
     off = nc + m * nr  # theta_m, the entries J_i is read from
     out = []
     for vec in sparse_kernel_basis(rows, off + nr, ring):
-        col = [zero] * nr
+        col = {}
         for k, y in vec.items():
             if k >= off:
                 col[k - off] = y
         out.append(col)
-    return dense_values(out, ring)
+    return out
 
 
-def _module_basis_and_rank(cols, ring):
-    basis = column_basis(cols, ring)
+def _module_basis_and_rank(cols, n, ring):
+    basis = column_basis(cols, n, ring)
     return basis, len(basis)
 
 
@@ -587,10 +579,8 @@ def froyshov_profile(x):
     d = {}
     j_bases = {}
     for i in range(-w, w + 1):
-        cols = _j_module(x, i, ladder)
-        basis, rank = _module_basis_and_rank(cols, ring)
-        d[i] = rank
-        j_bases[i] = basis
+        basis, d[i] = _module_basis_and_rank(_j_module(x, i, ladder), nr, ring)
+        j_bases[i] = boxed(basis, nr, ring)
     if d[-w] != nr or d[w] != 0:
         raise PlateauNotReached(f"window [{-w}, {w}] too small: "
                                 f"d({-w})={d[-w]}, d({w})={d[w]}")
@@ -606,8 +596,9 @@ def froyshov_profile(x):
 def j_nesting_ok(profile, ring, nr):
     """J_{i+1} contained in J_i for every window index."""
     lo, hi = profile.window
-    return all(span_contains(profile.j_bases[i], vec, ring)
-               for i in range(lo, hi) for vec in profile.j_bases[i + 1])
+    bases = {i: raw_vectors(cols, ring) for i, cols in profile.j_bases.items()}
+    return all(span_contains(bases[i], vec, nr, ring)
+               for i in range(lo, hi) for vec in bases[i + 1])
 
 
 def froyshov_properties_check(x, y):
@@ -679,65 +670,54 @@ def froyshov_properties_check(x, y):
 
 def j_module_oracle(x, i, n=None):
     """J_i computed from cycles of the truncated hat model and the leading
-    coefficient of their image under the i-map."""
+    coefficient of their image under the i-map, as {index: raw value}
+    columns.  Its eliminations run on dense rows, through the dense entry
+    points."""
     x.require_r_perfect("J oracle")
     ring = x.ring
+    dom = ring.domain
     nc, nr = x.irr.rank, x.red.rank
     if n is None:
         n = nc + nr + 2
     hat = build_small(x, "hat", n)
-    rows = hat.diff.to_dense() if ring != Z else None
-    if ring == Z:
-        int_rows = [[hat.diff.entry(t, s).val for s in range(hat.module.rank)]
-                    for t in range(hat.module.rank)]
-        cycles = int_kernel_basis(int_rows, ncols=hat.module.rank)
-    else:
-        cycles = field_kernel_basis(rows, ring)
+    size = hat.module.rank
+    rows = [[dom.zero] * size for _ in range(size)]
+    for (t, s), e in hat.diff.entries.items():
+        rows[t][s] = e.val
+    cycles = _dense_kernel(rows, size, ring)
     # conditions: all i-image coefficients at powers > -i vanish
-    conds = []
-    for p in range(-i + 1, n):
-        for g in range(nr):
-            conds.append(("theta", g, p) if p >= 0 else ("dtail", g, p))
-    cond_rows = []
-    for tag, g, p in conds:
-        row = []
-        for z in cycles:
-            row.append(_i_coeff(x, hat, z, g, p, ring))
-        cond_rows.append(row)
-    if ring == Z:
-        sub = int_kernel_basis(cond_rows, ncols=len(cycles)) if cond_rows else \
-            [[1 if a == b else 0 for a in range(len(cycles))] for b in range(len(cycles))]
-    else:
-        sub = field_kernel_basis(cond_rows, ring, ncols=len(cycles)) if cond_rows else \
-            [[ring.one() if a == b else ring.zero() for a in range(len(cycles))]
-             for b in range(len(cycles))]
+    cond_rows = [[_i_coeff(x, hat, z, g, p, dom) for z in cycles]
+                 for p in range(-i + 1, n) for g in range(nr)]
     cols = []
-    for coeffs in sub:
-        col = [ring.zero()] * nr if ring != Z else [0] * nr
+    for coeffs in _dense_kernel(cond_rows, len(cycles), ring):
+        col = {}
         for g in range(nr):
-            acc = ring.zero() if ring != Z else 0
+            acc = dom.zero
             for z, c in zip(cycles, coeffs):
-                term = _i_coeff(x, hat, z, g, -i, ring)
-                if ring == Z:
-                    acc += c * term
-                else:
-                    acc = acc + c * term
-            col[g] = acc
+                acc = dom.add(acc, dom.mul(c, _i_coeff(x, hat, z, g, -i, dom)))
+            if acc != dom.zero:
+                col[g] = acc
         cols.append(col)
     return cols
 
 
-def _i_coeff(x, hat, cycle, gen, power, ring):
-    """Coefficient of (gen, x^power) in the i-image of a hat chain vector."""
+def _dense_kernel(rows, n, ring):
+    """A kernel basis of the dense raw rows `rows` with n columns, as dense
+    raw vectors."""
+    if ring == Z:
+        return int_kernel_basis(rows, ncols=n)
+    elements = [[RingElement(ring, x) for x in row] for row in rows]
+    return [[e.val for e in vec] for vec in field_kernel_basis(elements, ring, ncols=n)]
+
+
+def _i_coeff(x, hat, cycle, gen, power, dom):
+    """Coefficient of (gen, x^power) in the i-image of a hat chain vector of
+    raw values, over the ring whose domain is `dom`."""
     if power >= 0:
         return cycle[hat.red_index(gen, power)]
-    j = -power - 1
-    m = x.delta1 @ x.v.power(j)
-    acc = 0 if ring == Z else ring.zero()
+    m = x.delta1 @ x.v.power(-power - 1)
+    acc = dom.zero
     for (t, s), v in m.entries.items():
         if t == gen:
-            if ring == Z:
-                acc += v.val * cycle[s]
-            else:
-                acc = acc + v * cycle[s]
+            acc = dom.add(acc, dom.mul(v.val, cycle[s]))
     return acc

@@ -251,11 +251,6 @@ class GradedMatrix:
         """Positional comparison, ignoring generator names."""
         return self.entries == other.entries
 
-    def to_dense(self):
-        zero = self.ring.zero()
-        return [[self.entries.get((t, s), zero) for s in range(self.source.rank)]
-                for t in range(self.target.rank)]
-
     def named_triples(self):
         return sorted(
             (self.target.name(t), self.source.name(s), x)
@@ -293,7 +288,7 @@ def _side_by_side(cols, m):
     """The row dicts of the matrix with m rows whose columns are the
     {index: value} vectors `cols`."""
     rows = [{} for _ in range(m)]
-    for j, col in enumerate(cols):
+    for j, col in compress(enumerate(cols), cols):  # the empty columns add nothing
         for i, x in col.items():
             rows[i][j] = x
     return rows
@@ -552,31 +547,17 @@ def _snf_solve(snf, rhs):
     return x
 
 
-def snf_diagonal(rows):
-    return smith_normal_form(rows).diag
-
-
 def int_kernel_basis(rows, ncols=None):
-    """Basis (list of int column vectors) of ker over Z; saturated lattice."""
+    """Basis (list of int column vectors) of ker over Z of a dense int
+    matrix; a saturated lattice."""
     n = len(rows[0]) if rows else (ncols or 0)
     snf = smith_normal_form(rows) if rows else smith_form([], n)
     return [_dense(vec, n) for vec in _snf_kernel(snf)]
 
 
-def int_solve(rows, rhs):
-    """One integer solution x of A x = rhs, or None."""
-    x = _snf_solve(smith_normal_form(rows), {k: y for k, y in enumerate(rhs) if y})
-    return None if x is None else _dense(x, len(rows[0]) if rows else 0)
-
-
 # ---------------------------------------------------------------------------
 # Linear algebra over a field (Q, Z/p, Q(T)), on sparse rows of raw values
-# (see `rings.Domain`); ring elements are made only for what is returned.
-
-
-def _boxed(vec, n, ring):
-    """The {index: raw value} vector `vec` as a list of n elements of `ring`."""
-    return _dense({k: RingElement(ring, x) for k, x in vec.items()}, n, ring.zero())
+# (see `rings.Domain`).
 
 
 def _rref(a, dom):
@@ -655,60 +636,39 @@ def _rref_solve(a, rhs, n, dom):
 
 
 def field_rref(rows, ring):
-    """Reduced row echelon form of dense rows: (rref rows, pivot column
-    list), by `_rref`."""
+    """Reduced row echelon form of dense rows of ring elements: (rref rows,
+    pivot column list), by `_rref`."""
     rr, pivots = _rref(raw_vectors(rows, ring), ring.domain)
     n = len(rows[0]) if rows else 0
-    return [_boxed(row, n, ring) for row in rr], pivots
-
-
-def field_rank(rows, ring):
-    _, piv = field_rref(rows, ring)
-    return len(piv)
+    return boxed(rr, n, ring), pivots
 
 
 def field_kernel_basis(rows, ring, ncols=None):
+    """Basis of the kernel of dense rows of ring elements, as dense vectors
+    of ring elements."""
     n = len(rows[0]) if rows else (ncols or 0)
-    return [_boxed(vec, n, ring) for vec in sparse_kernel_basis(raw_vectors(rows, ring), n, ring)]
-
-
-def field_solve(rows, rhs, ring):
-    """One solution of A x = rhs over the field, or None."""
-    n = len(rows[0]) if rows else 0
-    *a, b = raw_vectors([*rows, rhs], ring)
-    x = _rref_solve(a, b, n, ring.domain)
-    return None if x is None else _boxed(x, n, ring)
+    return boxed(sparse_kernel_basis(raw_vectors(rows, ring), n, ring), n, ring)
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over Z or a field.  This is the one place that decides
-# between the two.  Dense values, which the functions below take and return,
-# are ints over Z and RingElements over a field, and callers combine them with
-# + and * only.  Raw values are the elements' `val`s (ints over Z, so there
-# they are the dense values), combined with the ring's `domain`; they are
-# what the sparse rows and vectors of the eliminations hold.  Over Z the
-# elimination is the Smith normal form, over a field `_rref`.
+# Exact linear algebra over Z or a field, on raw values for every ring: a
+# vector is an {index: nonzero raw value} dict and a matrix a list of
+# {column: nonzero raw value} rows, each passed with its length n.  This is
+# the one place that decides between the two eliminations: the Smith normal
+# form over Z, `_rref` over a field.  Ring elements are made, by `boxed`,
+# only for a result that leaves the library.
 
 
-def dense_zero(ring):
-    return 0 if ring == Z else ring.zero()
+def boxed(vecs, n, ring):
+    """The {index: raw value} vectors `vecs` as lists of n elements of `ring`."""
+    zero = ring.zero()
+    return [_dense({k: RingElement(ring, x) for k, x in vec.items()}, n, zero) for vec in vecs]
 
 
-def dense_value(x):
-    """The dense value of one ring element."""
-    return x.val if x.ring == Z else x
-
-
-def element(ring, value):
-    """The ring element of one dense value."""
-    return Z.from_int(value) if ring == Z else value
-
-
-def coeffs(m):
-    """m's nonzero entries as {(target, source): dense value}; read only."""
-    if m.ring == Z:
-        return raw_coeffs(m)
-    return m.entries
+def raw_vectors(vecs, ring):
+    """Dense vectors of ring elements as {index: nonzero raw value} vectors."""
+    zero = ring.domain.zero
+    return [{i: x.val for i, x in enumerate(vec) if x.val != zero} for vec in vecs]
 
 
 def raw_coeffs(m):
@@ -716,124 +676,99 @@ def raw_coeffs(m):
     return {k: x.val for k, x in m.entries.items()}
 
 
-def raw_vectors(vecs, ring):
-    """Dense vectors as {index: nonzero raw value} vectors."""
-    if ring == Z:
-        return [{i: x for i, x in enumerate(vec) if x} for vec in vecs]
-    zero = ring.domain.zero
-    return [{i: x.val for i, x in enumerate(vec) if x.val != zero} for vec in vecs]
-
-
-def dense_values(vecs, ring):
-    """Lists of raw values as dense vectors: the same lists over Z, lists of
-    ring elements over a field."""
-    if ring == Z:
-        return vecs
-    zv, zero = ring.domain.zero, ring.zero()
-    return [[zero if x == zv else RingElement(ring, x) for x in vec] for vec in vecs]
-
-
-def dense_rows(m):
-    zero = dense_zero(m.ring)
-    rows = [[zero] * m.source.rank for _ in range(m.target.rank)]
-    for (t, s), x in coeffs(m).items():
-        rows[t][s] = x
+def raw_rows(m):
+    """m's rows as {column: raw value} dicts."""
+    rows = [{} for _ in range(m.target.rank)]
+    for (t, s), x in m.entries.items():
+        rows[t][s] = x.val
     return rows
 
 
-def dense_cols(m):
-    zero = dense_zero(m.ring)
-    cols = [[zero] * m.target.rank for _ in range(m.source.rank)]
-    for (t, s), x in coeffs(m).items():
-        cols[s][t] = x
+def raw_cols(m):
+    """m's columns as {row: raw value} vectors."""
+    cols = [{} for _ in range(m.source.rank)]
+    for (t, s), x in m.entries.items():
+        cols[s][t] = x.val
     return cols
 
 
-def _image_cols(m):
-    """The nonzero columns of m, which span its image."""
-    cols = dense_cols(m)
-    return [cols[s] for s in sorted({s for _, s in m.entries})]
-
-
 def apply(m, vecs):
-    """m applied to each dense vector of `vecs`."""
-    zero = dense_zero(m.ring)
-    ent = list(coeffs(m).items())
+    """m applied to each {index: raw value} vector of `vecs`."""
+    dom = m.ring.domain
+    zero, add, mul = dom.zero, dom.add, dom.mul
+    by_source = {}
+    for (t, s), x in m.entries.items():
+        by_source.setdefault(s, []).append((t, x.val))
     out = []
     for vec in vecs:
-        col = [zero] * m.target.rank
-        for (t, s), x in ent:
-            col[t] = col[t] + x * vec[s]
+        col = {}
+        for s, y in vec.items():
+            for t, x in by_source.get(s, ()):
+                cur = col.get(t)
+                col[t] = mul(x, y) if cur is None else add(cur, mul(x, y))
+        if zero in col.values():  # only a sum cancels: the rings have no zero divisors
+            col = {t: x for t, x in col.items() if x != zero}
         out.append(col)
     return out
 
 
-def kernel_basis(rows, ncols, ring):
-    """Basis of the kernel of a dense matrix with `ncols` columns (a saturated
-    lattice over Z)."""
-    if ring == Z:
-        return int_kernel_basis(rows, ncols=ncols)
-    return field_kernel_basis(rows, ring, ncols=ncols)
-
-
 def sparse_kernel_basis(a, n, ring):
-    """Basis of the kernel of the matrix with n columns whose rows are the
-    {column: nonzero raw value} dicts of `a`, as {index: raw value} vectors
-    (a saturated lattice over Z).  Over a field `a` is reduced in place.
-    Read only: a vector may be held by the elimination's result."""
+    """Basis of the kernel of the matrix with n columns and rows `a`, as
+    {index: raw value} vectors (a saturated lattice over Z).  Over a field
+    `a` is reduced in place.  Read only: a vector may be held by the
+    elimination's result."""
     if ring == Z:
         return _snf_kernel(smith_form(a, n))
     return _rref_kernel(*_rref(a, ring.domain), n, ring.domain)
 
 
-def solve_linear(rows, rhs, ncols, ring):
-    """One solution x of rows . x = rhs with `ncols` unknowns, or None."""
-    if not rows:
-        return [dense_zero(ring)] * ncols
+def solve(a, rhs, n, ring):
+    """One x with A x = rhs, or None; A has n columns and the rows `a`
+    (reduced in place over a field), rhs and x are {index: raw value}
+    vectors."""
     if ring == Z:
-        return int_solve(rows, rhs)
-    return field_solve(rows, rhs, ring)
+        return _snf_solve(smith_form(a, n), rhs)
+    return _rref_solve(a, rhs, n, ring.domain)
 
 
-def column_basis(cols, ring):
-    """Basis of the lattice (over Z) or the space spanned by dense columns:
-    over Z the columns A v_j for the columns v_j of V with d_j != 0, where
-    A has the columns `cols`; over a field the pivot columns of A."""
-    if not cols:
-        return []
-    if ring == Z:
-        rows = list(zip(*cols))
-        snf = smith_form(_int_rows(rows), len(cols))
-        return [[sum(row[k] * x for k, x in snf.v_col(j).items()) for row in rows]
-                for j, dj in enumerate(snf.diag) if dj]
-    raw = raw_vectors(cols, ring)
-    return [cols[j] for j in _rref(_side_by_side(raw, len(cols[0])), ring.domain)[1]]
+def column_basis(cols, n, ring):
+    """Basis of the lattice (over Z) or the space spanned by the vectors
+    `cols` of length n: over Z the columns A v_j for the columns v_j of V
+    with d_j != 0, where A has the columns `cols`; over a field the pivot
+    columns of A."""
+    if ring != Z:
+        return [cols[j] for j in _rref(_side_by_side(cols, n), ring.domain)[1]]
+    snf = smith_form(_side_by_side(cols, n), len(cols))
+    basis = []
+    for j, dj in enumerate(snf.diag):
+        if dj:
+            vec = {}
+            for k, x in snf.v_col(j).items():
+                _add_multiple(vec, x, cols[k])
+            basis.append(vec)
+    return basis
 
 
-def span_contains(basis_cols, vec, ring):
-    rows = [[col[i] for col in basis_cols] for i in range(len(vec))]
-    return solve_linear(rows, vec, len(basis_cols), ring) is not None
+def span_contains(basis, vec, n, ring):
+    """Whether the vector `vec` of length n lies in the span of `basis`."""
+    return solve(_side_by_side(basis, n), vec, len(basis), ring) is not None
 
 
-def spans_equal(cols_a, cols_b, ring):
-    """Whether two sets of dense columns span the same lattice or space.
+def spans_equal(cols_a, cols_b, n, ring):
+    """Whether two sets of vectors of length n span the same lattice or space.
 
     Over a field: the two spans and their sum have one dimension.  Over Z:
     each basis is eliminated once, by one Smith form, and every vector of
     the other basis is solved for in it."""
-    ba, bb = column_basis(cols_a, ring), column_basis(cols_b, ring)
+    ba, bb = column_basis(cols_a, n, ring), column_basis(cols_b, n, ring)
     if len(ba) != len(bb):
         return False
     if ring != Z:
-        return len(column_basis(ba + bb, ring)) == len(ba)
-    if not ba:
-        return True
-    m = len(ba[0])
-    sa, sb = raw_vectors(ba, ring), raw_vectors(bb, ring)
-    snf_a = smith_form(_side_by_side(sa, m), len(sa))
-    snf_b = smith_form(_side_by_side(sb, m), len(sb))
-    return (all(_snf_solve(snf_a, v) is not None for v in sb)
-            and all(_snf_solve(snf_b, v) is not None for v in sa))
+        return len(column_basis(ba + bb, n, ring)) == len(ba)
+    snf_a = smith_form(_side_by_side(ba, n), len(ba))
+    snf_b = smith_form(_side_by_side(bb, n), len(bb))
+    return (all(_snf_solve(snf_a, v) is not None for v in bb)
+            and all(_snf_solve(snf_b, v) is not None for v in ba))
 
 
 def is_invertible(m):
@@ -847,15 +782,16 @@ def is_invertible(m):
         return False
     ring = m.ring
     if ring == Z:
-        return all(x == 1 for x in snf_diagonal(dense_rows(m)))
+        return all(x == 1 for x in smith_form(raw_rows(m), n).diag)
     if ring == LAURENT_Z:
         to_frac = RingMap(RingMap.LAURENT_TO_FRAC, LAURENT_Z, FRAC_LAURENT_Q)
-        zero, one = FRAC_LAURENT_Q.zero(), FRAC_LAURENT_Q.one()
-        aug = [[to_frac(x) for x in row] + [one if j == i else zero for j in range(n)]
-               for i, row in enumerate(dense_rows(m))]
-        rr, piv = field_rref(aug, FRAC_LAURENT_Q)
-        return piv == list(range(n)) and all(x.val[1] == LAU_ONE for row in rr for x in row[n:])
-    return field_rank(dense_rows(m), ring) == n
+        one = FRAC_LAURENT_Q.domain.one
+        aug = [{n + t: one} for t in range(n)]
+        for (t, s), x in m.entries.items():
+            aug[t][s] = to_frac(x).val
+        rr, piv = _rref(aug, FRAC_LAURENT_Q.domain)
+        return piv == list(range(n)) and all(x[1] == LAU_ONE for row in rr for x in row.values())
+    return len(_rref(raw_rows(m), ring.domain)[1]) == n
 
 
 # ---------------------------------------------------------------------------
@@ -984,17 +920,18 @@ def exactness_at(d_prev, f, g, d_next, d_mid):
     ring = f.ring
     _check_ring_for_homology(ring)
     nb = d_mid.source.rank
-    zero = dense_zero(ring)
-    # L1 = { z in ker d_mid : g z in im d_next }
-    nc_src = d_next.source.rank
-    stacked = [row + [zero] * nc_src for row in dense_rows(d_mid)]
-    stacked += [row + [-x for x in nrow]
-                for row, nrow in zip(dense_rows(g), dense_rows(d_next))]
-    l1_cols = [v[:nb] for v in kernel_basis(stacked, nb + nc_src, ring)]
+    neg = ring.domain.neg
+    # L1 = { z in ker d_mid : g z in im d_next }, from the kernel of
+    # [[d_mid, 0], [g, -d_next]]
+    stacked = raw_rows(d_mid) + raw_rows(g)
+    for (t, s), x in d_next.entries.items():
+        stacked[d_mid.target.rank + t][nb + s] = neg(x.val)
+    l1_cols = [{k: x for k, x in v.items() if k < nb}
+               for v in sparse_kernel_basis(stacked, nb + d_next.source.rank, ring)]
     # L2 = f(ker d_prev) + im(d_mid)
-    ka = kernel_basis(dense_rows(d_prev), d_prev.source.rank, ring)
-    l2_cols = apply(f, ka) + _image_cols(d_mid)
-    return spans_equal(l1_cols, l2_cols, ring)
+    ka = sparse_kernel_basis(raw_rows(d_prev), d_prev.source.rank, ring)
+    l2_cols = apply(f, ka) + [c for c in raw_cols(d_mid) if c]
+    return spans_equal(l1_cols, l2_cols, nb, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -1007,7 +944,9 @@ class HomologyMaps:
     Over a field this is the honest induced map in a chosen homology basis.
     Over Z it is the map on the free part, read over Q: the representatives
     are integer cycles, independent over Q modulo boundaries, and class
-    coordinates are rational.
+    coordinates are rational.  Every vector is an {index: raw value} dict:
+    `reps` over the ring, `boundaries`, `_field_reps` and class coordinates
+    over the field.
     """
 
     def __init__(self, d_mid):
@@ -1015,50 +954,38 @@ class HomologyMaps:
         _check_ring_for_homology(ring)
         self.ring = ring
         self.module = d_mid.source
-        self.field = Q if ring == Z else ring
-        n = d_mid.source.rank
-        field, dom = self.field, self.field.domain
-        lift = Q.domain.from_int if ring == Z else None  # a raw value over the field
-        ent = raw_coeffs(d_mid)
-        rows = [{} for _ in range(d_mid.target.rank)]
-        for (t, s), x in ent.items():
-            rows[t][s] = x
-        kern = sparse_kernel_basis(rows, n, ring)
-        field_kern = kern if lift is None else [
-            {k: lift(x) for k, x in v.items()} for v in kern]
+        if ring == Z:
+            from_int = Q.domain.from_int
+            self.field, self._lift = Q, lambda vec: {k: from_int(x) for k, x in vec.items()}
+        else:
+            self.field, self._lift = ring, lambda vec: vec
+        n = self.module.rank
+        kern = sparse_kernel_basis(raw_rows(d_mid), n, ring)
+        field_kern = list(map(self._lift, kern))
         # boundaries live in the same module only when d is an endomorphism
-        img = {}
-        if d_mid.target == self.module:
-            for (t, s), x in ent.items():
-                img.setdefault(s, {})[t] = x if lift is None else lift(x)
-        img = [img[s] for s in sorted(img)]
-        bounds = [img[j] for j in _rref(_side_by_side(img, n), dom)[1]]
+        img = [self._lift(c) for c in raw_cols(d_mid) if c] if d_mid.target == self.module else []
+        bounds = column_basis(img, n, self.field)
         # a kernel vector is a representative iff it is outside the span of
         # the boundaries and the kernel vectors before it: iff its column of
         # [boundaries | kernel] is a pivot column (the boundaries are all
         # pivots, being a basis)
         nb = len(bounds)
-        chosen = [j - nb for j in _rref(_side_by_side(bounds + field_kern, n), dom)[1]
+        chosen = [j - nb for j in _rref(_side_by_side(bounds + field_kern, n), self.field.domain)[1]
                   if j >= nb]
-        self.boundaries = [_boxed(c, n, field) for c in bounds]
-        self.reps = dense_values([_dense(kern[j], n, ring.domain.zero) for j in chosen], ring)
-        self._field_reps = [_boxed(field_kern[j], n, field) for j in chosen]
-
-    def _over_field(self, vec):
-        return [Q.from_int(x) for x in vec] if self.ring == Z else vec
+        self.boundaries = bounds
+        self.reps = [kern[j] for j in chosen]
+        self._field_reps = [field_kern[j] for j in chosen]
 
     @property
     def rank(self):
         return len(self.reps)
 
     def class_coords(self, vec):
-        """Coordinates of a cycle's class in the chosen representative basis,
-        over the field (over Q for Z)."""
-        field = self.field
-        *cols, rhs = raw_vectors(self.boundaries + self._field_reps + [self._over_field(vec)],
-                                 field)
-        sol = _rref_solve(_side_by_side(cols, len(vec)), rhs, len(cols), field.domain)
+        """Coordinates of the class of the cycle `vec` (over the ring) in the
+        chosen representative basis, over the field (over Q for Z)."""
+        cols = self.boundaries + self._field_reps
+        sol = solve(_side_by_side(cols, self.module.rank), self._lift(vec), len(cols), self.field)
         if sol is None:
             raise NotAComplex("vector is not a cycle class")
         nb = len(self.boundaries)
-        return _boxed({j - nb: x for j, x in sol.items() if j >= nb}, len(cols) - nb, field)
+        return {j - nb: x for j, x in sol.items() if j >= nb}

@@ -16,6 +16,7 @@ from .errors import (
     InconsistentLeafData,
     NonIntegralRank,
     SchemaError,
+    ScxError,
     UnsupportedFamily,
 )
 from .gradedlin import GradedMatrix, GradedModule
@@ -492,8 +493,14 @@ def unknot_complex():
 # Quasi-alternating ranks.
 
 
+def _check_components(components):
+    if components < 1:
+        raise ScxError(f"a link has at least one component, got {components}")
+
+
 def qa_rank(det, components):
     """rank I = (det - 2^{|L|-1}) / 2 for quasi-alternating links."""
+    _check_components(components)
     half = Fraction(det - 2 ** (components - 1), 2)
     if half.denominator != 1 or half < 0:
         raise NonIntegralRank(f"(det - 2^(c-1))/2 = {half} is not a nonnegative integer")
@@ -502,6 +509,7 @@ def qa_rank(det, components):
 
 def qa_graded(det, components, xi):
     """(rank in even degree, rank in odd degree) for quasi-alternating data."""
+    _check_components(components)
     xi = Fraction(xi)
     quarter = Fraction(det, 4)
     w = Fraction(2) ** (components - 3)

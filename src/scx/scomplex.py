@@ -22,9 +22,9 @@ from .gradedlin import (
     GradedModule,
     HomologyMaps,
     apply,
-    dense_cols,
-    dense_zero,
+    boxed,
     homology_of_pair,
+    raw_cols,
 )
 from .rings import FRAC_LAURENT_Q, LAURENT_Z, Q, Ring, RingMap, Z, Zp, parse_element
 
@@ -159,22 +159,21 @@ class SComplex:
 
         Returns (hm, delta2_cols, delta1_cols): hm is the homology
         presentation of (C, d); delta2_cols[j] gives the class coordinates of
-        delta2 applied to the j-th reducible generator; delta1_cols[j] gives
-        the value of delta1 on the j-th homology representative as an element
-        of R (a coordinate list).
+        delta2 applied to the j-th reducible generator, elements of hm's
+        field; delta1_cols[j] gives the value of delta1 on the j-th homology
+        representative as an element of R, a list of elements of the ring.
         """
         if not self.r.is_zero:
             raise NotRPerfect("induced delta maps need r = 0")
         hm = HomologyMaps(self.d)
-        d2_cols = [hm.class_coords(col) for col in dense_cols(self.delta2)]
-        return hm, d2_cols, apply(self.delta1, hm.reps)
+        d2_cols = boxed([hm.class_coords(col) for col in raw_cols(self.delta2)], hm.rank, hm.field)
+        d1_cols = boxed(apply(self.delta1, hm.reps), self.red.rank, self.ring)
+        return hm, d2_cols, d1_cols
 
     def delta_maps_zero(self):
         """Convenience: are both induced delta maps zero?"""
         _, d2, d1 = self.induced_delta_maps()
-        zero = dense_zero(self.ring)
-        return (all(x.is_zero for col in d2 for x in col)
-                and all(x == zero for col in d1 for x in col))
+        return all(x.is_zero for col in d2 + d1 for x in col)
 
     # -- restructuring
 
@@ -636,6 +635,8 @@ _MORPHISM_KEYS = {"degree", "lambda", "mu", "Delta1", "Delta2", "rho",
 
 
 def morphism_from_json(doc, source=None, target=None):
+    if not isinstance(doc, dict):
+        raise SchemaError("morphism document must be an object")
     extra = set(doc) - _MORPHISM_KEYS
     if extra:
         raise SchemaError(f"unknown morphism keys {sorted(extra)}")

@@ -258,7 +258,7 @@ def criterion_5(seed):
         x = rand_scomplex(ring, rng, max_rank=3, r_perfect=True, allow_cone=False)
         w = x.irr.rank + x.red.rank + 1
         for i in range(-w, w + 1):
-            if not spans_equal(_j_module(x, i), j_module_oracle(x, i), ring):
+            if not spans_equal(_j_module(x, i), j_module_oracle(x, i), x.red.rank, ring):
                 return False, f"finite-system J differs from the series oracle at i={i}"
             checked += 1
     return True, f"ijp/susequivar, h-values, {pairs} property pairs, {checked} J comparisons"

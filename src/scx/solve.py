@@ -8,7 +8,7 @@ solving one exact linear system.  Supported coefficients: Z and fields.
 from __future__ import annotations
 
 from .errors import UnsupportedRing
-from .gradedlin import GradedMatrix, dense_value, dense_zero, element, solve_linear
+from .gradedlin import GradedMatrix, boxed, solve
 from .rings import Z
 from .scomplex import SHomotopy, SMorphism
 
@@ -102,17 +102,10 @@ def _solve_system(equations, nvars, ring):
     """equations: list of (_Lin, rhs element) meaning sum = rhs."""
     if ring != Z and not ring.is_field:
         raise UnsupportedRing("linear solving needs Z or field coefficients")
-    zero = dense_zero(ring)
-    rows = []
-    rhs = []
-    for lin, const in equations:
-        row = [zero] * nvars
-        for var, coeff in lin.terms.items():
-            row[var] = dense_value(coeff)
-        rows.append(row)
-        rhs.append(dense_value(const))
-    sol = solve_linear(rows, rhs, nvars, ring)
-    return None if sol is None else [element(ring, v) for v in sol]
+    rows = [{var: coeff.val for var, coeff in lin.terms.items()} for lin, _ in equations]
+    rhs = {i: const.val for i, (_, const) in enumerate(equations) if not const.is_zero}
+    sol = solve(rows, rhs, nvars, ring)
+    return None if sol is None else boxed([sol], nvars, ring)[0]
 
 
 def solve_homotopy(frm, to):

@@ -338,6 +338,7 @@ def test_triangle_verify_verb_on_solved_witnesses(tmp_path, capsys):
 
 
 _FUZZ_VALUES = (None, True, 0, -1, 2.0, "", "x", [], [1], {}, {"a": 1})
+_REMOVED = object()  # the fuzz value that deletes the field
 
 
 def _fields(obj, path=()):
@@ -358,27 +359,55 @@ def _with_field(doc, path, value):
     node = doc
     for k in path[:-1]:
         node = node[k]
-    node[path[-1]] = value
+    if value is _REMOVED:
+        if isinstance(node, list) or path[-1] in node:
+            del node[path[-1]]
+    else:
+        node[path[-1]] = value
     return doc
 
 
-def test_loader_fuzz_exits_with_a_known_code(tmp_path, capsys):
-    # every field of two valid documents (plus the absent ring.p), one at a
-    # time, set to each value of a fixed list: verify, and dual on what the
-    # loader accepts (both read through the same loader), must return an exit
-    # code and never raise; refusals print one line
-    docs = []
+def _fuzz_seeds(tmp_path, src):
+    """(document, fields to fuzz, verb argvs that read it from `src`): a
+    complex of each size, a height morphism and an exact triangle."""
+    from scx.functors import atomic
+    from scx.heights import height_to_json, iota, kappa
+    from scx.linkfam import unknot_complex
+    from scx.rings import eval_t_at_one
+    from scx.scomplex import SMorphism
+    from scx.triangles import cone_triangle, triangle_to_json
+
+    seeds = []
+    verbs = (["verify", "--in", str(src)],
+             ["dual", "--in", str(src), "--out", str(tmp_path / "out.json")])
     for args in (("atomic", "--n", "1"), ("family", "--name", "torus-link", "--k", "4")):
         path = tmp_path / "doc.json"
         assert run(*args, "--out", str(path)) == 0
-        docs.append(json.loads(path.read_text()))
+        doc = json.loads(path.read_text())
+        seeds.append((doc, list(_fields(doc)) + [("ring", "p")], verbs))
+    x = unknot_complex().base_change(eval_t_at_one())
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(height_to_json(kappa(x, 1))))
+    f = height_to_json(iota(x, 1))
+    seeds.append((f, list(_fields(f)) + [("tau", "x")],
+                  (["heights-compose", "--f", str(src), "--g", str(g)],)))
+    t = triangle_to_json(cone_triangle(SMorphism.identity(atomic(1))))
+    seeds.append((t, list(_fields(t)), (["triangle-verify", "--in", str(src)],)))
+    return seeds
+
+
+def test_loader_fuzz_exits_with_a_known_code(tmp_path, capsys):
+    # every field of four valid documents (two complexes, a height morphism
+    # and a triangle; plus the absent ring.p and a tau key), one at a time,
+    # set to each value of a fixed list or removed: each verb that reads the
+    # document (verify, then dual on what the loader accepts) must return an
+    # exit code and never raise; refusals print one line
     src = tmp_path / "in.json"
-    verbs = (["verify", "--in", str(src)],
-             ["dual", "--in", str(src), "--out", str(tmp_path / "out.json")])
     escaped = []
-    for doc in docs:
-        for field in list(_fields(doc)) + [("ring", "p")]:
-            for value in _FUZZ_VALUES:
+    seen = set()
+    for doc, fields, verbs in _fuzz_seeds(tmp_path, src):
+        for field in fields:
+            for value in _FUZZ_VALUES + (_REMOVED,):
                 src.write_text(json.dumps(_with_field(doc, field, value)))
                 for argv in verbs:
                     capsys.readouterr()
@@ -390,6 +419,102 @@ def test_loader_fuzz_exits_with_a_known_code(tmp_path, capsys):
                     err = capsys.readouterr().err
                     if code not in (0, 1, 2, 3) or (code >= 2 and err.count("\n") != 1):
                         escaped.append((argv[0], field, value, code, err))
+                    seen.add((argv[0], code))
                     if code == 2:
                         break
     assert not escaped, escaped[:5]
+    # each seed reaches its verb both as a usable document and as a refused one
+    for verb in ("verify", "heights-compose", "triangle-verify"):
+        assert (verb, 2) in seen and {(verb, 0), (verb, 1)} & seen, verb
+
+
+@pytest.mark.parametrize("key", ["source", "target"])
+def test_height_document_missing_a_key_is_a_usage_error(tmp_path, capsys, key):
+    from scx.heights import height_to_json, iota
+    from scx.linkfam import unknot_complex
+    from scx.rings import eval_t_at_one
+
+    doc = height_to_json(iota(unknot_complex().base_change(eval_t_at_one()), 1))
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps(doc))
+    del doc[key]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for argv in (["--f", str(bad), "--g", str(f)], ["--f", str(f), "--g", str(bad)]):
+        capsys.readouterr()
+        assert run("heights-compose", *argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: height morphism document is missing key {key!r}\n"
+
+
+def test_height_document_with_a_non_integer_tau_key_is_a_usage_error(tmp_path, capsys):
+    from scx.heights import height_to_json, iota
+    from scx.linkfam import unknot_complex
+    from scx.rings import eval_t_at_one
+
+    doc = height_to_json(iota(unknot_complex().base_change(eval_t_at_one()), 1))
+    doc["tau"] = {"zero": []}
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("heights-compose", "--f", str(f), "--g", str(f)) == 2
+    assert capsys.readouterr().err == "error: tau key 'zero' is not an integer\n"
+
+
+@pytest.mark.parametrize("key", ["complexes", "morphisms", "homotopies"])
+def test_triangle_document_missing_a_key_is_a_usage_error(tmp_path, capsys, key):
+    from scx.functors import atomic
+    from scx.scomplex import SMorphism
+    from scx.triangles import cone_triangle, triangle_to_json
+
+    doc = triangle_to_json(cone_triangle(SMorphism.identity(atomic(1))))
+    del doc[key]
+    path = tmp_path / "tri.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("triangle-verify", "--in", str(path)) == 2
+    assert capsys.readouterr().err == f"error: triangle document is missing key {key!r}\n"
+
+
+def test_homology_json_reports_torsion_in_a_degree_of_free_rank_zero(tmp_path, capsys):
+    # d(a) = 2b over Z: H_0 = Z/2 with free rank 0
+    doc = {"ring": {"kind": "Z"}, "modulus": 4,
+           "irreducible": [{"name": "a", "degree": 1}, {"name": "b", "degree": 0}],
+           "reducible": [], "d": [["b", "a", "2"]], "v": [], "delta1": [], "delta2": [],
+           "r": []}
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps(doc))
+    # the total complex C + C[-1] + R holds the torsion of C twice, shifted
+    for which, torsion in (("irreducible", {"0": [2]}), ("total", {"0": [2], "1": [2]})):
+        capsys.readouterr()
+        assert run("homology", "--in", str(path), "--which", which, "--json") == 0
+        got = json.loads(capsys.readouterr().out)
+        assert got == {"ranks": {}, "torsion": torsion, "total_rank": 0, "euler": 0}
+
+
+def test_homology_payload_keeps_torsion_beside_free_rank():
+    from scx.cli import _homology_payload
+    from scx.gradedlin import GradedHomology
+
+    payload = _homology_payload(GradedHomology(4, {0: (0, (2,)), 1: (1, (3,))}))
+    assert payload["torsion"] == {"0": [2], "1": [3]} and payload["ranks"] == {"1": 1}
+
+
+@pytest.mark.parametrize("argv", [["family", "--name", "torus2"],
+                                  ["family", "--name", "torus-link"],
+                                  ["family", "--name", "pretzel"],
+                                  ["family", "--name", "twisted", "--p", "2"]])
+def test_family_missing_a_parameter_is_a_usage_error(capsys, argv):
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --") and err.endswith(" is required for this family\n")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("components", ["0", "-1"])
+def test_qa_refuses_fewer_than_one_component(capsys, components):
+    for extra in ([], ["--xi", "0"]):
+        capsys.readouterr()
+        assert run("qa", "--det", "-3", "--components", components, *extra) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: a link has at least one component, got {components}\n"

@@ -18,10 +18,17 @@ from scx.equivariant import (
 )
 from scx.errors import NotRPerfect, UnsupportedRing
 from scx.functors import atomic, direct_sum, dual, suspend
-from scx.gradedlin import GradedMatrix, GradedModule, apply, coeffs, dense_zero, kernel_basis, spans_equal
+from scx.gradedlin import (
+    GradedMatrix,
+    GradedModule,
+    field_kernel_basis,
+    int_kernel_basis,
+    raw_coeffs,
+    spans_equal,
+)
 from scx.linkfam import hopf_complex, torus_knot_summand, torus_link_complex
 from scx.randgen import rand_scomplex
-from scx.rings import FRAC_LAURENT_Q, LAURENT_Z, Q, RingMap, Z, Zp, eval_t_at_one
+from scx.rings import FRAC_LAURENT_Q, LAURENT_Z, Q, RingElement, RingMap, Z, Zp, eval_t_at_one
 from scx.scomplex import SComplex
 
 INC = RingMap(RingMap.LAURENT_TO_FRAC, LAURENT_Z, FRAC_LAURENT_Q)
@@ -99,9 +106,9 @@ def test_t25_model_h():
     t25 = torus_knot_summand(3).base_change(INC)
     assert froyshov_profile(t25).h == 2
     # confirmed by the independent truncated-series oracle
-    ob, rank = _module_basis_and_rank(j_module_oracle(t25, 2), FRAC_LAURENT_Q)
+    ob, rank = _module_basis_and_rank(j_module_oracle(t25, 2), 1, FRAC_LAURENT_Q)
     assert rank == 1
-    ob, rank = _module_basis_and_rank(j_module_oracle(t25, 3), FRAC_LAURENT_Q)
+    ob, rank = _module_basis_and_rank(j_module_oracle(t25, 3), 1, FRAC_LAURENT_Q)
     assert rank == 0
 
 
@@ -160,7 +167,7 @@ def test_j_oracle_matches_finite_system():
         x = rand_scomplex(ring, rng, max_rank=3, r_perfect=True, allow_cone=False)
         w = x.irr.rank + x.red.rank + 1
         for i in range(-w, w + 1):
-            assert spans_equal(_j_module(x, i), j_module_oracle(x, i), ring), i
+            assert spans_equal(_j_module(x, i), j_module_oracle(x, i), x.red.rank, ring), i
 
 
 def test_froyshov_atoms_over_z():
@@ -175,10 +182,29 @@ def test_j_oracle_matches_finite_system_over_z():
         x = rand_scomplex(Z, rng, max_rank=3, r_perfect=True, allow_cone=False)
         w = x.irr.rank + x.red.rank + 1
         for i in range(-w, w + 1):
-            assert spans_equal(_j_module(x, i), j_module_oracle(x, i), Z), i
+            assert spans_equal(_j_module(x, i), j_module_oracle(x, i), x.red.rank, Z), i
             checked += 1
         assert j_nesting_ok(froyshov_profile(x), Z, x.red.rank)
     assert checked > 100
+
+
+def test_j_bases_hold_elements_of_the_input_ring():
+    # the J_i columns are eliminated on raw values and boxed on the way out,
+    # over Z as over a field
+    rng = random.Random(19)
+    for ring in (Z, Q, Zp(3)):
+        cols = 0
+        for _ in range(4):
+            x = rand_scomplex(ring, rng, max_rank=4, r_perfect=True, allow_cone=False)
+            p = froyshov_profile(x)
+            lo, hi = p.window
+            for i in range(lo, hi + 1):
+                assert len(p.j_bases[i]) == p.d[i]
+                for col in p.j_bases[i]:
+                    assert len(col) == x.red.rank
+                    assert all(type(e) is RingElement and e.ring == ring for e in col)
+                    cols += 1
+        assert cols, ring
 
 
 def test_profile_json():
@@ -197,8 +223,8 @@ def test_o1_image_leading_exponent():
     # the i-map image of the O(1) cycle has leading coefficient at x^-1,
     # matching h(O(1)) = 1: J_1 is everything, J_2 is zero
     o1 = atomic(1, Q, 4)
-    b1, r1 = _module_basis_and_rank(_j_module(o1, 1), Q)
-    b2, r2 = _module_basis_and_rank(_j_module(o1, 2), Q)
+    b1, r1 = _module_basis_and_rank(_j_module(o1, 1), 1, Q)
+    b2, r2 = _module_basis_and_rank(_j_module(o1, 2), 1, Q)
     assert r1 == 1 and r2 == 0
 
 
@@ -266,30 +292,45 @@ def test_torus_link_150_profile_over_z_is_fast():
 def dense_j_module(x, i):
     """Oracle for `_j_module`: the earlier dense route.  It fills each J_i
     system into dense rows, takes the dense kernel basis (the same
-    elimination, entered through `kernel_basis`), and applies
-    delta1 v^(i-1) with `apply` to the dense kernel vectors; powers of v come
-    from `GradedMatrix.power`, not from a ladder."""
+    elimination, entered through `int_kernel_basis` or `field_kernel_basis`),
+    and applies delta1 v^(i-1) entry by entry to the dense kernel vectors;
+    powers of v come from `GradedMatrix.power`, not from a ladder.  Returns
+    {index: raw value} columns, as `_j_module` does."""
     ring = x.ring
+    dom = ring.domain
     nc, nr = x.irr.rank, x.red.rank
-    zero = dense_zero(ring)
+    zero = ring.zero()
 
     def fill(rows, m, row_off, col_off, neg=False):
-        for (t, s), val in coeffs(m).items():
+        for (t, s), val in m.entries.items():
             rows[row_off + t][col_off + s] = -val if neg else val
+
+    def kernel(rows, n):
+        if ring == Z:
+            return int_kernel_basis([[e.val for e in row] for row in rows], ncols=n)
+        return [[e.val for e in vec] for vec in field_kernel_basis(rows, ring, ncols=n)]
 
     if i >= 1:
         rows = [[zero] * nc for _ in range(nc + (i - 1) * nr)]
         fill(rows, x.d, 0, 0)
         for j in range(i - 1):
             fill(rows, x.delta1 @ x.v.power(j), nc + j * nr, 0)
-        return apply(x.delta1 @ x.v.power(i - 1), kernel_basis(rows, nc, ring))
+        m = raw_coeffs(x.delta1 @ x.v.power(i - 1))
+        out = []
+        for vec in kernel(rows, nc):
+            col = [dom.zero] * nr
+            for (t, s), val in m.items():
+                col[t] = dom.add(col[t], dom.mul(val, vec[s]))
+            out.append(col)
+        return [{k: y for k, y in enumerate(col) if y != dom.zero} for col in out]
     m = -i
     nvar = nc + (m + 1) * nr
     rows = [[zero] * nvar for _ in range(nc)]
     fill(rows, x.d, 0, 0)
     for j in range(m + 1):
         fill(rows, x.v.power(j) @ x.delta2, 0, nc + j * nr, neg=True)
-    return [vec[nc + m * nr:] for vec in kernel_basis(rows, nvar, ring)]
+    return [{k: y for k, y in enumerate(vec[nc + m * nr:]) if y != dom.zero}
+            for vec in kernel(rows, nvar)]
 
 
 def _j_oracle_complexes():

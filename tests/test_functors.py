@@ -286,3 +286,23 @@ def test_metadata_is_given_at_construction_in_order():
     # O(3) = (O(1) x O(1)) x O(1): the outer tensor's metadata, then the name
     assert list(atomic(3).metadata.items()) == [("tensor_of", [None, "O(1)"]), ("name", "O(3)")]
     assert atomic(-2, Q).metadata == {"tensor_of": ["O(-1)", "O(-1)"], "name": "O(-2)"}
+
+
+def test_solved_homotopy_matrices_hold_elements_of_the_ring():
+    # the solver works on raw values; what it returns is made of ring elements
+    from scx.rings import RingElement
+    from scx.solve import solve_homotopy
+
+    rng = random.Random(43)
+    for ring in (Z, Q, Zp(3)):
+        entries = 0
+        for _ in range(4):
+            x = rand_scomplex(ring, rng, max_rank=4)
+            f = rand_morphism(x, x, rng, 0)
+            g, _ = rand_homotopy_pair(f, rng)
+            h = solve_homotopy(f, g)
+            assert h is not None and h.verify().ok
+            for m in (h.K, h.L, h.M1, h.M2, h.J):
+                assert all(type(e) is RingElement and e.ring == ring for e in m.entries.values())
+                entries += len(m.entries)
+        assert entries, ring

@@ -10,25 +10,24 @@ from scx.gradedlin import (
     HomologyMaps,
     _check_ring_for_homology,
     _check_snf,
-    _image_cols,
     _rref,
     _rref_kernel,
+    boxed,
     column_basis,
-    dense_rows,
     field_kernel_basis,
-    field_rank,
     field_rref,
-    field_solve,
     homology_of_pair,
     int_kernel_basis,
-    int_solve,
     is_invertible,
-    kernel_basis,
+    raw_cols,
+    raw_rows,
+    raw_vectors,
     smith_form,
     smith_normal_form,
-    snf_diagonal,
+    solve,
     span_contains,
     spans_equal,
+    sparse_kernel_basis,
 )
 from scx.linkfam import torus_link_complex
 from scx.randgen import rand_scomplex
@@ -92,8 +91,8 @@ def test_snf_frozen_examples():
     # d1 = gcd of entries = 2, d1*d2 = |det| = 8
     d, u, v = smith_normal_form([[2, 4], [6, 8]])
     assert [d[0][0], d[1][1]] == [2, 4]
-    assert snf_diagonal([[0, 0], [0, 0]]) == [0, 0]
-    assert snf_diagonal([[1, 0], [0, 1]]) == [1, 1]
+    assert smith_normal_form([[0, 0], [0, 0]]).diag == [0, 0]
+    assert smith_normal_form([[1, 0], [0, 1]]).diag == [1, 1]
 
 
 def test_snf_random_transform_and_divisibility():
@@ -226,6 +225,14 @@ def _sparse_rows(dense):
     return [{j: x for j, x in enumerate(row) if x} for row in dense]
 
 
+def _sparse(vec):
+    return {i: x for i, x in enumerate(vec) if x}
+
+
+def _dense_ints(vec, n):
+    return [vec.get(i, 0) for i in range(n)]
+
+
 def _sparse_cols(dense):
     ncols = len(dense[0]) if dense else 0
     return [{i: row[j] for i, row in enumerate(dense) if row[j]} for j in range(ncols)]
@@ -272,16 +279,18 @@ def test_snf_callers_equal_the_dense_route():
     rng = random.Random(607)
     for a in _snf_test_matrices(rng):
         m, n = len(a), len(a[0]) if a else 0
-        assert snf_diagonal(a) == _diagonal(dense_smith_normal_form(a)[0])
         assert int_kernel_basis(a, ncols=n) == dense_int_kernel_basis(a, n)
-        cols = [[row[j] for row in a] for j in range(n)]
-        assert column_basis(cols, Z) == dense_int_column_lattice_basis(a)
+        assert ([_dense_ints(v, n) for v in sparse_kernel_basis(_sparse_rows(a), n, Z)]
+                == dense_int_kernel_basis(a, n))
+        assert ([_dense_ints(v, m) for v in column_basis(_sparse_cols(a), m, Z)]
+                == dense_int_column_lattice_basis(a))
         x = [rng.randint(-3, 3) for _ in range(n)]
         solvable = [sum(c * y for c, y in zip(row, x)) for row in a]
-        got = int_solve(a, solvable)
-        assert got == dense_int_solve(a, solvable) and got is not None
+        got = solve(_sparse_rows(a), _sparse(solvable), n, Z)
+        assert got is not None and _dense_ints(got, n) == dense_int_solve(a, solvable)
         rhs = [rng.randint(-4, 4) for _ in range(m)]
-        assert int_solve(a, rhs) == dense_int_solve(a, rhs)
+        got = solve(_sparse_rows(a), _sparse(rhs), n, Z)
+        assert (None if got is None else _dense_ints(got, n)) == dense_int_solve(a, rhs)
 
 
 def _stored(vectors):
@@ -509,13 +518,13 @@ def dense_z_subquotient(kernel_basis, image_cols):
     k_rows = [[kernel_basis[j][i] for j in range(r)] for i in range(n)]
     coords = []
     for col in image_cols:
-        x = int_solve(k_rows, col)
+        x = solve(_sparse_rows(k_rows), _sparse(col), r, Z)
         assert x is not None, "image does not lie in the kernel over Z"
-        coords.append(x)
+        coords.append(_dense_ints(x, r))
     if not coords:
         return r, ()
     m_rows = [[coords[j][i] for j in range(len(coords))] for i in range(r)]
-    nonzero = [d for d in snf_diagonal(m_rows) if d != 0]
+    nonzero = [d for d in smith_normal_form(m_rows).diag if d != 0]
     return r - len(nonzero), tuple(d for d in nonzero if d > 1)
 
 
@@ -543,10 +552,10 @@ def homology_of_pair_oracle(d_in, d_out):
             free, tor = dense_z_subquotient(kern, img_cols)
         else:
             a_out = [[d_out.entry(t, s) for s in cols] for t in out_rows]
-            kern_rank = len(cols) - field_rank(a_out, ring)
+            kern_rank = len(cols) - len(field_rref(a_out, ring)[1])
             img_cols = [[d_in.entry(t, s) for t in cols] for s in range(d_in.source.rank)]
             img_rows = [[img_cols[j][i] for j in range(len(img_cols))] for i in range(len(cols))]
-            img_rank = field_rank(img_rows, ring) if img_cols else 0
+            img_rank = len(field_rref(img_rows, ring)[1]) if img_cols else 0
             free, tor = kern_rank - img_rank, ()
         if free or tor:
             table[k] = (free, tor)
@@ -702,17 +711,17 @@ def test_sparse_field_rref_equals_dense_oracle(ring):
     assert full_rank == {True, False}  # both full-rank and rank-deficient shapes ran
 
 
-def spans_equal_oracle(cols_a, cols_b, ring):
+def spans_equal_oracle(cols_a, cols_b, n, ring):
     """Independent oracle for spans_equal: each basis vector of one side is
     solved for in the other side's basis, one elimination per vector."""
-    ba, bb = column_basis(cols_a, ring), column_basis(cols_b, ring)
-    return (all(span_contains(bb, v, ring) for v in ba)
-            and all(span_contains(ba, v, ring) for v in bb))
+    ba, bb = column_basis(cols_a, n, ring), column_basis(cols_b, n, ring)
+    return (all(span_contains(bb, v, n, ring) for v in ba)
+            and all(span_contains(ba, v, n, ring) for v in bb))
 
 
 def _ring_cols(ring, cols):
-    """Integer columns as dense columns over `ring`."""
-    return [list(c) if ring == Z else [ring.from_int(x) for x in c] for c in cols]
+    """Integer columns as {index: raw value} vectors over `ring`."""
+    return raw_vectors([[ring.from_int(x) for x in c] for c in cols], ring)
 
 
 @pytest.mark.parametrize("ring", [Z, Q, Zp(3), FRAC_LAURENT_Q], ids=str)
@@ -740,9 +749,10 @@ def test_spans_equal_matches_the_per_vector_oracle(ring):
         cases.append((left, right, None))
     seen = set()
     for cols_a, cols_b, want in cases:
+        n = len((cols_a + cols_b + [[]])[0])
         ca, cb = _ring_cols(ring, cols_a), _ring_cols(ring, cols_b)
-        got = spans_equal(ca, cb, ring)
-        assert got == spans_equal_oracle(ca, cb, ring) == spans_equal(cb, ca, ring)
+        got = spans_equal(ca, cb, n, ring)
+        assert got == spans_equal_oracle(ca, cb, n, ring) == spans_equal(cb, ca, n, ring)
         if want is not None:
             assert got is want
         seen.add(got)
@@ -759,15 +769,20 @@ class GreedyHomologyMaps(HomologyMaps):
         ring = d_mid.ring
         self.ring = ring
         self.module = d_mid.source
-        self.field = Q if ring == Z else ring
-        kern = kernel_basis(dense_rows(d_mid), d_mid.source.rank, ring)
-        img = _image_cols(d_mid) if d_mid.target == self.module else []
-        self.boundaries = column_basis([self._over_field(c) for c in img], self.field)
+        n = self.module.rank
+        if ring == Z:
+            self.field = Q
+            self._lift = lambda vec: {k: Q.domain.from_int(x) for k, x in vec.items()}
+        else:
+            self.field, self._lift = ring, lambda vec: vec
+        kern = sparse_kernel_basis(raw_rows(d_mid), n, ring)
+        img = [c for c in raw_cols(d_mid) if c] if d_mid.target == self.module else []
+        self.boundaries = column_basis([self._lift(c) for c in img], n, self.field)
         self.reps = []
         self._field_reps = []
         for v in kern:
-            fv = self._over_field(v)
-            if not span_contains(self.boundaries + self._field_reps, fv, self.field):
+            fv = self._lift(v)
+            if not span_contains(self.boundaries + self._field_reps, fv, n, self.field):
                 self.reps.append(v)
                 self._field_reps.append(fv)
 
@@ -784,8 +799,11 @@ def test_homology_reps_match_the_greedy_oracle(ring, monkeypatch):
         assert hm.boundaries == oracle.boundaries
         assert hm.reps == oracle.reps and hm._field_reps == oracle._field_reps
         with_boundaries += bool(hm.boundaries)
-        kern = kernel_basis(dense_rows(x.d), x.irr.rank, ring)
-        cycles = kern + [[a + b for a, b in zip(u, v)] for u, v in zip(kern, kern[1:])]
+        kern = sparse_kernel_basis(raw_rows(x.d), x.irr.rank, ring)
+        dom = ring.domain
+        sums = [{k: dom.add(u.get(k, dom.zero), v.get(k, dom.zero)) for k in u.keys() | v.keys()}
+                for u, v in zip(kern, kern[1:])]
+        cycles = kern + [{k: y for k, y in vec.items() if y != dom.zero} for vec in sums]
         for vec in cycles:
             assert hm.class_coords(vec) == oracle.class_coords(vec)
         if x.r.is_zero:
@@ -834,7 +852,8 @@ def test_field_solve_solves_or_refuses(ring):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         rows = _rand_field_matrix(ring, rng, m, n, rank=rng.randint(0, min(m, n)))
         rhs = [_rand_field_element(ring, rng) for _ in range(m)]
-        x = field_solve(rows, rhs, ring)
+        sol = solve(raw_vectors(rows, ring), raw_vectors([rhs], ring)[0], n, ring)
+        x = None if sol is None else boxed([sol], n, ring)[0]
         consistent = len(field_rref([r + [b] for r, b in zip(rows, rhs)], ring)[1]) == len(
             field_rref(rows, ring)[1])
         assert (x is not None) == consistent

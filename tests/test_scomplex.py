@@ -17,8 +17,10 @@ from scx.rings import (
     FRAC_LAURENT_Q,
     LAURENT_Z,
     Q,
+    RingElement,
     RingMap,
     Z,
+    Zp,
     eval_t_at_one,
     parse_element,
 )
@@ -133,6 +135,31 @@ def test_induced_delta_maps_over_z_read_the_free_part_over_q():
         hm, d2_cols, d1_cols = x.induced_delta_maps()
         assert hm.rank == 2
         assert not x.delta_maps_zero()
+
+
+def test_induced_delta_maps_hold_elements_of_the_rings():
+    # class coordinates lie in the homology field (Q for Z), values of
+    # delta1 in the ring itself
+    rng = random.Random(9)
+    for ring in (Z, Q, Zp(2)):
+        field = Q if ring == Z else ring
+        coords = values = 0
+        xs = [direct_sum(atomic(1, ring, 4), atomic(-1, ring, 4))]
+        xs += [rand_scomplex(ring, rng, max_rank=5, r_perfect=True, allow_cone=False)
+               for _ in range(8)]
+        for x in xs:
+            hm, d2_cols, d1_cols = x.induced_delta_maps()
+            assert hm.field == field
+            assert len(d2_cols) == x.red.rank and len(d1_cols) == hm.rank
+            for col in d2_cols:
+                assert len(col) == hm.rank
+                assert all(type(e) is RingElement and e.ring == field for e in col)
+                coords += sum(not e.is_zero for e in col)
+            for col in d1_cols:
+                assert len(col) == x.red.rank
+                assert all(type(e) is RingElement and e.ring == ring for e in col)
+                values += sum(not e.is_zero for e in col)
+        assert coords and values, ring
 
 
 def test_induced_deltas_need_r_zero():
