@@ -269,8 +269,7 @@ def cmd_equivariant(args):
     model = build_small(x, args.flavor, args.n)
     rep = model.verify()
     payload = {"flavor": args.flavor, "rank": model.module.rank, "ok": rep.ok,
-               "differential": [[model.module.name(t), model.module.name(s), str(v)]
-                                for (t, s), v in sorted(model.diff.entries.items())]}
+               "differential": [[tn, sn, str(v)] for tn, sn, v in model.diff.indexed_triples()]}
     lines = [f"{args.flavor} model: rank {model.module.rank}, d^2 = 0: {rep.ok}"]
     if args.exactness:
         er = ijp_exactness_report(x, args.n)

@@ -24,7 +24,6 @@ from .gradedlin import (
     exactness_at,
     field_kernel_basis,
     int_kernel_basis,
-    raw_coeffs,
     raw_vectors,
     span_contains,
     sparse_kernel_basis,
@@ -35,29 +34,26 @@ from .scomplex import RelationReport
 
 class _Ladder:
     """The blocks delta1 v^j (C -> R) and v^j delta2 (R -> C) of one complex,
-    for j = 0, 1, 2, ..., with their raw coefficients (see `gradedlin`).
+    for j = 0, 1, 2, ..., and the entries of -v^j delta2.
 
     Each power of v is one product with the power before it, and each block
-    is built, and its coefficients read, once, the first time it is asked
-    for.  Once a power of v is zero every later block is the zero block and
-    no further product is made.  `d` holds the coefficients of the
-    complex's d.  A ladder is built for one call and dropped with it.
+    is built once, the first time it is asked for.  Once a power of v is
+    zero every later block is the zero block and no further product is
+    made.  A ladder is built for one call and dropped with it.
     """
 
     def __init__(self, x):
         self._x = x
-        self.d = raw_coeffs(x.d)
         self._power = None  # the last power of v used, v^(len(self._left) - 1)
         self._left = []
         self._right = []
-        self._left_c = []
-        self._right_neg_c = []
+        self._right_neg = []
 
     def _grow(self, j):
         x = self._x
         while len(self._left) <= j:
             if self._left and self._power.is_zero:
-                for blocks in (self._left, self._right, self._left_c, self._right_neg_c):
+                for blocks in (self._left, self._right, self._right_neg):
                     blocks.append(blocks[-1])
                 continue
             p = x.v @ self._power if self._left else GradedMatrix.identity(x.irr)
@@ -70,8 +66,7 @@ class _Ladder:
             self._left.append(left)
             self._right.append(right)
             neg = x.ring.domain.neg
-            self._left_c.append(raw_coeffs(left))
-            self._right_neg_c.append({k: neg(c) for k, c in raw_coeffs(right).items()})
+            self._right_neg.append({k: neg(c) for k, c in right.entries.items()})
 
     def left(self, j):
         """delta1 v^j."""
@@ -83,15 +78,10 @@ class _Ladder:
         self._grow(j)
         return self._right[j]
 
-    def left_coeffs(self, j):
-        """The raw coefficients of delta1 v^j."""
+    def right_neg_entries(self, j):
+        """The entries of -v^j delta2, as the i <= 0 systems read them."""
         self._grow(j)
-        return self._left_c[j]
-
-    def right_neg_coeffs(self, j):
-        """The raw coefficients of -v^j delta2, as the i <= 0 systems use them."""
-        self._grow(j)
-        return self._right_neg_c[j]
+        return self._right_neg[j]
 
 
 def _nilpotency(v):
@@ -148,75 +138,40 @@ class SmallEquivariantComplex:
 
     def _build_diff(self):
         x = self.base
+        neg = x.ring.domain.neg
         ladder = _Ladder(x)
-        ent = {}
-        if self.flavor == "hat":
-            for (t, s), val in x.d.entries.items():
-                ent[(t, s)] = val
-            for p in self.powers:
-                if p < 0:
-                    continue
-                m = ladder.right(p)
-                for (t, s), val in m.entries.items():
-                    key = (self.irr_index(t), self.red_index(s, p))
-                    ent[key] = ent.get(key, val.ring.zero()) - val if key in ent else -val
-        elif self.flavor == "check":
-            for (t, s), val in x.d.entries.items():
-                ent[(t, s)] = val
-            for p in self.powers:
-                j = -p - 1
-                if j < 0:
-                    continue
-                m = ladder.left(j)
-                for (t, s), val in m.entries.items():
-                    key = (self.red_index(t, p), self.irr_index(s))
-                    cur = ent.get(key)
-                    ent[key] = val if cur is None else cur + val
+        # every block lands on positions of its own, so no two entries add
+        ent = {} if self.flavor == "bar" else dict(x.d.entries)
+        for p in self.powers:
+            if self.flavor == "hat" and p >= 0:
+                for (t, s), val in ladder.right(p).entries.items():
+                    ent[(self.irr_index(t), self.red_index(s, p))] = neg(val)
+            elif self.flavor == "check" and p < 0:
+                for (t, s), val in ladder.left(-p - 1).entries.items():
+                    ent[(self.red_index(t, p), self.irr_index(s))] = val
         return GradedMatrix(self.module, self.module, -1, ent)
 
     def _build_x(self):
         x = self.base
-        ent = {}
+        ent = {} if self.flavor == "bar" else dict(x.v.entries)
         lossy = set()
         if self.flavor == "hat":
-            for (t, s), val in x.v.entries.items():
-                ent[(t, s)] = val
             for (t, s), val in x.delta1.entries.items():
                 if self.has_power(0):
                     ent[(self.red_index(t, 0), self.irr_index(s))] = val
                 else:
                     lossy.add(self.irr_index(s))
-            for p in self.powers:
-                for g in range(x.red.rank):
-                    col = self.red_index(g, p)
-                    if self.has_power(p + 1):
-                        ent[(self.red_index(g, p + 1), col)] = x.ring.one()
-                    else:
-                        lossy.add(col)
-        elif self.flavor == "check":
-            for (t, s), val in x.v.entries.items():
-                ent[(t, s)] = val
-            for p in self.powers:
-                for g in range(x.red.rank):
-                    col = self.red_index(g, p)
-                    if p == -1:
-                        for (t, s), val in x.delta2.entries.items():
-                            if s == g:
-                                key = (self.irr_index(t), col)
-                                cur = ent.get(key)
-                                ent[key] = val if cur is None else cur + val
-                    elif self.has_power(p + 1):
-                        ent[(self.red_index(g, p + 1), col)] = x.ring.one()
-                    else:
-                        lossy.add(col)
-        else:
-            for p in self.powers:
-                for g in range(x.red.rank):
-                    col = self.red_index(g, p)
-                    if self.has_power(p + 1):
-                        ent[(self.red_index(g, p + 1), col)] = x.ring.one()
-                    else:
-                        lossy.add(col)
+        for p in self.powers:
+            for g in range(x.red.rank):
+                col = self.red_index(g, p)
+                if self.flavor == "check" and p == -1:
+                    for (t, s), val in x.delta2.entries.items():
+                        if s == g:
+                            ent[(self.irr_index(t), col)] = val
+                elif self.has_power(p + 1):
+                    ent[(self.red_index(g, p + 1), col)] = x.ring.domain.one
+                else:
+                    lossy.add(col)
         return GradedMatrix(self.module, self.module, -2, ent), lossy
 
     def verify(self):
@@ -242,16 +197,15 @@ def build_small(x, flavor, n):
 
 
 def _map_matrix(src, tgt, fn):
-    """Build a matrix from a column rule fn(col) -> list of (row, elt);
+    """Build a matrix from a column rule fn(col) -> list of (row, raw value);
     out-of-window outputs must already be dropped by fn."""
+    add = src.module.ring.domain.add
     ent = {}
     for col in range(src.module.rank):
         for row, val in fn(col):
-            if val.is_zero:
-                continue
             key = (row, col)
             cur = ent.get(key)
-            ent[key] = val if cur is None else cur + val
+            ent[key] = val if cur is None else add(cur, val)
     return ent
 
 
@@ -281,8 +235,8 @@ def ijp_maps(x, n):
 
 
 def _ijp_matrices(x, hat, chk, bar, e):
-    ring = x.ring
-    one = ring.one()
+    dom = x.ring.domain
+    one = dom.one
     ladder = _Ladder(x)
 
     def i_rule(col):
@@ -304,7 +258,7 @@ def _ijp_matrices(x, hat, chk, bar, e):
     def j_rule(col):
         kind, *rest = _col_info(chk, col)
         if kind == "irr":
-            return [(hat.irr_index(rest[0]), -one)]
+            return [(hat.irr_index(rest[0]), dom.neg(one))]
         return []
 
     def p_rule(col):
@@ -358,8 +312,8 @@ def susequivar_witness(x, n=None):
     if n is None:
         n = (e if e is not None else x.irr.rank + 1) + 2
     sx = suspend_once(x)
-    ring = x.ring
-    one = ring.one()
+    dom = x.ring.domain
+    one = dom.one
     nc, nr = x.irr.rank, x.red.rank
 
     hat = build_small(x, "hat", n + 1)
@@ -422,13 +376,13 @@ def susequivar_witness(x, n=None):
     def kchk_prime_rule(col):
         kind, *rest = _col_info(chk, col)
         if kind == "red" and rest[1] == -1:
-            return [(chk_s.irr_index(nc + rest[0]), -one)]
+            return [(chk_s.irr_index(nc + rest[0]), dom.neg(one))]
         return []
 
     def kmix_rule(col):
         kind, *rest = _col_info(chk_s, col)
         if kind == "red" and rest[1] == -1:
-            return [(hat.red_index(rest[0], 0), -one)] if hat.has_power(0) else []
+            return [(hat.red_index(rest[0], 0), dom.neg(one))] if hat.has_power(0) else []
         return []
 
     fhat = GradedMatrix(hat_s.module, hat.module, -2, _map_matrix(hat_s, hat, fhat_rule))
@@ -536,16 +490,16 @@ def _j_module(x, i, ladder=None):
 
     if i >= 1:
         rows = [{} for _ in range(nc + (i - 1) * nr)]
-        fill(rows, ladder.d, 0, 0)
+        fill(rows, x.d.entries, 0, 0)
         for j in range(i - 1):
-            fill(rows, ladder.left_coeffs(j), nc + j * nr, 0)
+            fill(rows, ladder.left(j).entries, nc + j * nr, 0)
         return apply(ladder.left(i - 1), sparse_kernel_basis(rows, nc, ring))
     m = -i
     # variables (alpha, theta_0..theta_m); equation d a - sum v^j delta2 t_j = 0
     rows = [{} for _ in range(nc)]
-    fill(rows, ladder.d, 0, 0)
+    fill(rows, x.d.entries, 0, 0)
     for j in range(m + 1):
-        fill(rows, ladder.right_neg_coeffs(j), 0, nc + j * nr)
+        fill(rows, ladder.right_neg_entries(j), 0, nc + j * nr)
     off = nc + m * nr  # theta_m, the entries J_i is read from
     out = []
     for vec in sparse_kernel_basis(rows, off + nr, ring):
@@ -683,7 +637,7 @@ def j_module_oracle(x, i, n=None):
     size = hat.module.rank
     rows = [[dom.zero] * size for _ in range(size)]
     for (t, s), e in hat.diff.entries.items():
-        rows[t][s] = e.val
+        rows[t][s] = e
     cycles = _dense_kernel(rows, size, ring)
     # conditions: all i-image coefficients at powers > -i vanish
     cond_rows = [[_i_coeff(x, hat, z, g, p, dom) for z in cycles]
@@ -706,8 +660,10 @@ def _dense_kernel(rows, n, ring):
     raw vectors."""
     if ring == Z:
         return int_kernel_basis(rows, ncols=n)
+    zero = ring.domain.zero
     elements = [[RingElement(ring, x) for x in row] for row in rows]
-    return [[e.val for e in vec] for vec in field_kernel_basis(elements, ring, ncols=n)]
+    return [[vec.get(k, zero) for k in range(n)]
+            for vec in raw_vectors(field_kernel_basis(elements, ring, ncols=n), ring)]
 
 
 def _i_coeff(x, hat, cycle, gen, power, dom):
@@ -719,5 +675,5 @@ def _i_coeff(x, hat, cycle, gen, power, dom):
     acc = dom.zero
     for (t, s), v in m.entries.items():
         if t == gen:
-            acc = dom.add(acc, dom.mul(v.val, cycle[s]))
+            acc = dom.add(acc, dom.mul(v, cycle[s]))
     return acc

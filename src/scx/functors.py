@@ -10,9 +10,10 @@ from .rings import Z
 from .scomplex import SComplex, SHomotopy, SMorphism
 
 
-def _sgn(ring, deg):
-    """(-1)^deg as a ring element; parity is always taken mod 2."""
-    return ring.one() if deg % 2 == 0 else -ring.one()
+def _sgn(dom, deg, x):
+    """(-1)^deg x for a raw value x of the domain `dom`; parity is always
+    taken mod 2."""
+    return x if deg % 2 == 0 else dom.neg(x)
 
 
 # ---------------------------------------------------------------------------
@@ -35,14 +36,16 @@ def dual(x):
     irr = GradedModule(ring, mod, [(f"{n}*", -d - 1) for n, d in x.irr.gens])
     red = GradedModule(ring, mod, [(f"{n}*", -d) for n, d in x.red.gens])
 
+    dom = ring.domain
+
     def flip(m, newsrc, newtgt, degree, sign_by=None):
         ent = {}
         for (t, s), val in m.entries.items():
             v = val
             if sign_by == "src_c":
-                v = -(v * _sgn(ring, x.irr.degree(s)))
+                v = _sgn(dom, x.irr.degree(s) + 1, v)
             elif sign_by == "tgt_r":
-                v = -(v * _sgn(ring, x.red.degree(t)))
+                v = _sgn(dom, x.red.degree(t) + 1, v)
             ent[(s, t)] = v
         return GradedMatrix(newsrc, newtgt, degree, ent)
 
@@ -109,26 +112,25 @@ class _TensorLayout:
         for terms eps⊗m'), or 'first_target' ((-1)^deg of m_a's target
         generator, for terms (eps∘m)⊗1).
         """
-        ring = self.x.ring
+        dom = self.x.ring.domain
         a_pairs = (list(m_a.entries.items()) if m_a is not None
-                   else [((i, i), ring.one()) for i in range(self.dims[col_block][0])])
+                   else [((i, i), dom.one) for i in range(self.dims[col_block][0])])
         b_pairs = (list(m_b.entries.items()) if m_b is not None
-                   else [((j, j), ring.one()) for j in range(self.dims[col_block][1])])
+                   else [((j, j), dom.one) for j in range(self.dims[col_block][1])])
         src_degs = self._first_factor_degrees(col_block)
         tgt_degs = self._first_factor_degrees(row_block)
         for (ta, sa), va in a_pairs:
             for (tb, sb), vb in b_pairs:
-                v = va * vb
+                odd = int(negate)  # the sign is (-1)^odd
                 if sign == "first":
-                    v = v * _sgn(ring, src_degs[sa])
+                    odd += src_degs[sa]
                 elif sign == "first_target":
-                    v = v * _sgn(ring, tgt_degs[ta])
-                if negate:
-                    v = -v
+                    odd += tgt_degs[ta]
+                v = _sgn(dom, odd, dom.mul(va, vb))
                 row = self.idx(row_block, ta, tb)
                 col = self.idx(col_block, sa, sb)
                 cur = entries.get((row, col))
-                entries[(row, col)] = v if cur is None else cur + v
+                entries[(row, col)] = v if cur is None else dom.add(cur, v)
 
     def _first_factor_degrees(self, block):
         if block in ("cc", "ccs", "cr"):
@@ -419,13 +421,14 @@ def suspension_witness(x):
     nc, nr = x.irr.rank, x.red.rank
     lay_cc, lay_ccs, lay_cr, lay_rc = 0, nc, 2 * nc, 3 * nc
 
-    one = ring.one()
+    dom = ring.domain
+    one = dom.one
     # forward: Sigma X -> X.O(1)
     lam_ent = {}
     for i in range(nc):  # C[-2] -> (C.u)[-1]
         lam_ent[(lay_ccs + i, i)] = one
     for j in range(nr):  # R[-1] -> R.u with sign eps
-        lam_ent[(lay_rc + j, nc + j)] = _sgn(ring, x.red.degree(j))
+        lam_ent[(lay_rc + j, nc + j)] = _sgn(dom, x.red.degree(j), one)
     lam = GradedMatrix(sx.irr, t.irr, 0, lam_ent)
 
     mu_ent = {}
@@ -435,9 +438,9 @@ def suspension_witness(x):
 
     d2_ent = {}
     for (ti, sj), val in x.delta2.entries.items():  # eps delta2 into C.u
-        d2_ent[(lay_cc + ti, sj)] = val * _sgn(ring, x.irr.degree(ti))
+        d2_ent[(lay_cc + ti, sj)] = _sgn(dom, x.irr.degree(ti), val)
     for (ti, sj), val in (x.delta2 @ x.r).entries.items():  # eps delta2 r into (C.u)[-1]
-        d2_ent[(lay_ccs + ti, sj)] = val * _sgn(ring, x.irr.degree(ti))
+        d2_ent[(lay_ccs + ti, sj)] = _sgn(dom, x.irr.degree(ti), val)
     d2 = GradedMatrix(sx.red, t.irr, -1, d2_ent)
 
     rho = GradedMatrix(sx.red, t.red, 0,
@@ -456,7 +459,7 @@ def suspension_witness(x):
     for (tj, si), val in x.delta1.entries.items():
         lam_ent[(nc + tj, lay_cr + si)] = val
     for j in range(nr):
-        lam_ent[(nc + j, lay_rc + j)] = _sgn(ring, x.red.degree(j))
+        lam_ent[(nc + j, lay_rc + j)] = _sgn(dom, x.red.degree(j), one)
     lam_b = GradedMatrix(t.irr, sx.irr, 0, lam_ent)
 
     mu_ent = {}
@@ -474,21 +477,21 @@ def suspension_witness(x):
     # homotopy on the tensor side from fwd.bwd to the identity
     K_ent = {}
     for i in range(nc):
-        K_ent[(lay_cc + i, lay_cr + i)] = -_sgn(ring, x.irr.degree(i))
+        K_ent[(lay_cc + i, lay_cr + i)] = _sgn(dom, x.irr.degree(i) + 1, one)
     for (ti, si), val in x.d.entries.items():
-        K_ent[(lay_ccs + ti, lay_cr + si)] = -val * _sgn(ring, x.irr.degree(ti))
+        K_ent[(lay_ccs + ti, lay_cr + si)] = _sgn(dom, x.irr.degree(ti) + 1, val)
     K = GradedMatrix(t.irr, t.irr, 1, K_ent)
 
     L_ent = {}
     for j in range(nr):
-        L_ent[(lay_rc + j, lay_rc + j)] = _sgn(ring, x.red.degree(j))
+        L_ent[(lay_rc + j, lay_rc + j)] = _sgn(dom, x.red.degree(j), one)
     L = GradedMatrix(t.irr, t.irr, 0, L_ent)
 
     M2_ent = {}
     for (ti, sj), val in x.delta2.entries.items():
-        M2_ent[(lay_ccs + ti, sj)] = -val * _sgn(ring, x.irr.degree(ti))
+        M2_ent[(lay_ccs + ti, sj)] = _sgn(dom, x.irr.degree(ti) + 1, val)
     for (tj, sj), val in x.r.entries.items():
-        M2_ent[(lay_rc + tj, sj)] = val + val
+        M2_ent[(lay_rc + tj, sj)] = dom.add(val, val)
     M2 = GradedMatrix(t.red, t.irr, 0, M2_ent)
 
     comp = fwd.compose_after(bwd)
@@ -503,7 +506,7 @@ def o1_o_minus1_witness(ring=Z, modulus=4):
     explicit homotopy from lambda'.lambda to the identity on the tensor."""
     t = tensor(atomic(1, ring, modulus), atomic(-1, ring, modulus))
     o0 = atomic(0, ring, modulus)
-    one = ring.one()
+    one = ring.domain.one
     # forward: tensor -> O(0): rho = 1, Delta1 = [0,1,0,0]
     d1 = GradedMatrix(t.irr, o0.red, 0, {(0, 1): one})
     rho = GradedMatrix(t.red, o0.red, 0, {(0, 0): one})

@@ -4,7 +4,6 @@ homology of two-step complexes over Z or a field."""
 from __future__ import annotations
 
 from itertools import compress
-from operator import add, neg, sub
 
 from .errors import (
     NotAComplex,
@@ -88,9 +87,17 @@ class GradedModule:
 class GradedMatrix:
     """Sparse degree-homogeneous matrix between graded modules over one ring.
 
-    Entries are stored as {(target_index, source_index): RingElement} with no
-    zeros.  Every entry must connect generators whose displayed degrees differ
-    by exactly `degree` mod the modulus; this is checked at construction.
+    Entries are stored as {(target_index, source_index): raw value}, each the
+    ring's canonical `val` (see `rings.Domain`), with no zeros.  Every entry
+    must connect generators whose displayed degrees differ by exactly
+    `degree` mod the modulus; the constructor checks this, and `from_named`
+    and `scale` check that the ring elements they take are of the matrix's
+    ring.  Ring elements are made only where an entry leaves: `entry`,
+    `first_nonzero`, `named_triples` and `indexed_triples`.
+
+    Products, sums, negation, `scale`, `map_entries`, `zero` and `identity`
+    are in range and homogeneous by construction, so they are built by
+    `_new`, which checks nothing and only drops cancelled zeros.
     """
 
     __slots__ = ("source", "target", "degree", "entries")
@@ -102,11 +109,10 @@ class GradedMatrix:
             raise ShapeMismatch("source and target with different moduli")
         mod = source.modulus
         degree %= mod
+        zero = source.ring.domain.zero
         clean = {}
         for (t, s), x in entries.items():
-            if x.ring != source.ring:
-                raise RingMismatch("entry from the wrong ring")
-            if x.is_zero:
+            if x == zero:
                 continue
             if not (0 <= t < target.rank and 0 <= s < source.rank):
                 raise ShapeMismatch(f"entry ({t},{s}) out of range")
@@ -121,6 +127,20 @@ class GradedMatrix:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "entries", clean)
 
+    @classmethod
+    def _new(cls, source, target, degree, entries):
+        """The matrix with `entries`, which are in range and homogeneous by
+        construction: unchecked, but for dropping the zeros a sum left."""
+        zero = source.ring.domain.zero
+        if zero in entries.values():
+            entries = {k: x for k, x in entries.items() if x != zero}
+        m = object.__new__(cls)
+        object.__setattr__(m, "source", source)
+        object.__setattr__(m, "target", target)
+        object.__setattr__(m, "degree", degree % source.modulus)
+        object.__setattr__(m, "entries", entries)
+        return m
+
     def __setattr__(self, *a):
         raise AttributeError("GradedMatrix is immutable")
 
@@ -128,32 +148,41 @@ class GradedMatrix:
 
     @classmethod
     def zero(cls, source, target, degree):
-        return cls(source, target, degree, {})
+        return cls._new(source, target, degree, {})
 
     @classmethod
     def identity(cls, module):
-        one = module.ring.one()
-        return cls(module, module, 0, {(i, i): one for i in range(module.rank)})
+        one = module.ring.domain.one
+        return cls._new(module, module, 0, {(i, i): one for i in range(module.rank)})
 
     @classmethod
     def from_named(cls, source, target, degree, triples):
-        """triples: iterable of (target_name, source_name, RingElement)."""
+        """triples: iterable of (target_name, source_name, RingElement); the
+        values at one position add."""
+        ring = source.ring
+        add = ring.domain.add
         ent = {}
         for tn, sn, x in triples:
+            if x.ring != ring:
+                raise RingMismatch("entry from the wrong ring")
             key = (target.index(tn), source.index(sn))
-            ent[key] = ent.get(key, x.ring.zero()) + x if key in ent else x
+            cur = ent.get(key)
+            ent[key] = x.val if cur is None else add(cur, x.val)
         return cls(source, target, degree, ent)
 
     @classmethod
     def from_blocks(cls, source, target, degree, *blocks):
         """The matrix with each block (sub, row_offset, col_offset) placed at
         its offsets; where blocks overlap their entries add."""
+        add = source.ring.domain.add
         ent = {}
         for sub, row_offset, col_offset in blocks:
+            if sub.ring != source.ring:
+                raise RingMismatch("block from the wrong ring")
             for (t, s), x in sub.entries.items():
                 key = (t + row_offset, s + col_offset)
                 cur = ent.get(key)
-                ent[key] = x if cur is None else cur + x
+                ent[key] = x if cur is None else add(cur, x)
         return cls(source, target, degree, ent)
 
     # -- basic algebra
@@ -167,12 +196,15 @@ class GradedMatrix:
         return not self.entries
 
     def entry(self, t, s):
-        return self.entries.get((t, s), self.ring.zero())
+        ring = self.ring
+        return RingElement(ring, self.entries.get((t, s), ring.domain.zero))
 
     def _combine(self, other, op, alone=None):
         """The matrix with entries op(self's, other's), and other's (through
         `alone`, when given) where self has none, built in one pass."""
         if self.source != other.source or self.target != other.target:
+            if self.ring != other.ring:
+                raise RingMismatch("sum of matrices over different rings")
             raise ShapeMismatch("sum of matrices with different shapes")
         if self.degree != other.degree and self.entries and other.entries:
             raise ShapeMismatch("sum of matrices with different degrees")
@@ -184,26 +216,34 @@ class GradedMatrix:
                 ent[k] = op(y, x)
             else:
                 ent[k] = x if alone is None else alone(x)
-        return GradedMatrix(self.source, self.target, deg, ent)
+        return GradedMatrix._new(self.source, self.target, deg, ent)
 
     def __add__(self, other):
-        return self._combine(other, add)
+        return self._combine(other, self.ring.domain.add)
 
     def __neg__(self):
-        return GradedMatrix(self.source, self.target, self.degree,
-                            {k: -v for k, v in self.entries.items()})
+        neg = self.ring.domain.neg
+        return GradedMatrix._new(self.source, self.target, self.degree,
+                                 {k: neg(v) for k, v in self.entries.items()})
 
     def __sub__(self, other):
-        return self._combine(other, sub, neg)
+        dom = self.ring.domain
+        return self._combine(other, dom.sub, dom.neg)
 
     def scale(self, c):
-        return GradedMatrix(self.source, self.target, self.degree,
-                            {k: c * v for k, v in self.entries.items()})
+        """c times the matrix, for an element c of its ring."""
+        if c.ring != self.ring:
+            raise RingMismatch("scalar from the wrong ring")
+        mul, cv = self.ring.domain.mul, c.val
+        return GradedMatrix._new(self.source, self.target, self.degree,
+                                 {k: mul(cv, v) for k, v in self.entries.items()})
 
     def __matmul__(self, other):
         """self after other: requires other.target == self.source."""
         if other.target != self.source:
             raise ShapeMismatch("composition shape mismatch")
+        dom = self.ring.domain
+        add, mul = dom.add, dom.mul
         by_col = {}
         for (t, s), x in self.entries.items():
             by_col.setdefault(s, []).append((t, x))
@@ -211,10 +251,10 @@ class GradedMatrix:
         for (m, s), y in other.entries.items():
             for t, x in by_col.get(m, ()):
                 key = (t, s)
-                prod = x * y
+                prod = mul(x, y)
                 cur = ent.get(key)
-                ent[key] = prod if cur is None else cur + prod
-        return GradedMatrix(other.source, self.target, self.degree + other.degree, ent)
+                ent[key] = prod if cur is None else add(cur, prod)
+        return GradedMatrix._new(other.source, self.target, self.degree + other.degree, ent)
 
     def power(self, n):
         if self.source != self.target:
@@ -241,21 +281,28 @@ class GradedMatrix:
         if not self.entries:
             return None
         t, s = min(self.entries)
-        return (self.target.name(t), self.source.name(s), self.entries[(t, s)])
+        return (self.target.name(t), self.source.name(s),
+                RingElement(self.ring, self.entries[(t, s)]))
 
     def map_entries(self, fn, new_source, new_target):
-        return GradedMatrix(new_source, new_target, self.degree,
-                            {k: fn(v) for k, v in self.entries.items()})
+        """fn applied to every raw value (a `RingMap`'s `raw` rule, say), into
+        modules with the same degrees; a value sent to zero is dropped."""
+        return GradedMatrix._new(new_source, new_target, self.degree,
+                                 {k: fn(v) for k, v in self.entries.items()})
 
     def same_entries_as(self, other):
         """Positional comparison, ignoring generator names."""
         return self.entries == other.entries
 
+    def indexed_triples(self):
+        """(target name, source name, element) triples in index order."""
+        ring, tn, sn = self.ring, self.target.name, self.source.name
+        return [(tn(t), sn(s), RingElement(ring, self.entries[(t, s)]))
+                for t, s in sorted(self.entries)]
+
     def named_triples(self):
-        return sorted(
-            (self.target.name(t), self.source.name(s), x)
-            for (t, s), x in self.entries.items()
-        )
+        """(target name, source name, element) triples in name order."""
+        return sorted(self.indexed_triples())
 
     def __repr__(self):
         return (f"GradedMatrix({self.source.rank}->{self.target.rank}, deg {self.degree}, "
@@ -671,16 +718,11 @@ def raw_vectors(vecs, ring):
     return [{i: x.val for i, x in enumerate(vec) if x.val != zero} for vec in vecs]
 
 
-def raw_coeffs(m):
-    """m's nonzero entries as {(target, source): raw value}."""
-    return {k: x.val for k, x in m.entries.items()}
-
-
 def raw_rows(m):
     """m's rows as {column: raw value} dicts."""
     rows = [{} for _ in range(m.target.rank)]
     for (t, s), x in m.entries.items():
-        rows[t][s] = x.val
+        rows[t][s] = x
     return rows
 
 
@@ -688,7 +730,7 @@ def raw_cols(m):
     """m's columns as {row: raw value} vectors."""
     cols = [{} for _ in range(m.source.rank)]
     for (t, s), x in m.entries.items():
-        cols[s][t] = x.val
+        cols[s][t] = x
     return cols
 
 
@@ -698,7 +740,7 @@ def apply(m, vecs):
     zero, add, mul = dom.zero, dom.add, dom.mul
     by_source = {}
     for (t, s), x in m.entries.items():
-        by_source.setdefault(s, []).append((t, x.val))
+        by_source.setdefault(s, []).append((t, x))
     out = []
     for vec in vecs:
         col = {}
@@ -784,11 +826,11 @@ def is_invertible(m):
     if ring == Z:
         return all(x == 1 for x in smith_form(raw_rows(m), n).diag)
     if ring == LAURENT_Z:
-        to_frac = RingMap(RingMap.LAURENT_TO_FRAC, LAURENT_Z, FRAC_LAURENT_Q)
+        to_frac = RingMap(RingMap.LAURENT_TO_FRAC, LAURENT_Z, FRAC_LAURENT_Q).raw
         one = FRAC_LAURENT_Q.domain.one
         aug = [{n + t: one} for t in range(n)]
         for (t, s), x in m.entries.items():
-            aug[t][s] = to_frac(x).val
+            aug[t][s] = to_frac(x)
         rr, piv = _rref(aug, FRAC_LAURENT_Q.domain)
         return piv == list(range(n)) and all(x[1] == LAU_ONE for row in rr for x in row.values())
     return len(_rref(raw_rows(m), ring.domain)[1]) == n
@@ -865,7 +907,7 @@ def homology_of_pair(d_in, d_out):
     if not (d_out @ d_in).is_zero:
         raise NotAComplex("d_out . d_in != 0")
     mid = d_in.target
-    out_c, in_c = raw_coeffs(d_out), raw_coeffs(d_in)
+    out_c, in_c = d_out.entries, d_in.entries
     table = {}
     for k in mid.degrees_present():
         cols = mid.indices_of_degree(k)
@@ -925,7 +967,7 @@ def exactness_at(d_prev, f, g, d_next, d_mid):
     # [[d_mid, 0], [g, -d_next]]
     stacked = raw_rows(d_mid) + raw_rows(g)
     for (t, s), x in d_next.entries.items():
-        stacked[d_mid.target.rank + t][nb + s] = neg(x.val)
+        stacked[d_mid.target.rank + t][nb + s] = neg(x)
     l1_cols = [{k: x for k, x in v.items() if k < nb}
                for v in sparse_kernel_basis(stacked, nb + d_next.source.rank, ring)]
     # L2 = f(ker d_prev) + im(d_mid)

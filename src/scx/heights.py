@@ -194,7 +194,7 @@ def iota(x, n):
     x.require_r_perfect("iota")
     sx = suspend(x, n)
     nc, nr = x.irr.rank, x.red.rank
-    one = x.ring.one()
+    one = x.ring.domain.one
     # C sits as the deepest block of C_{Sigma^n}; block 2 is R[-2n+1].
     lam = GradedMatrix(x.irr, sx.irr, 2 * n,
                        {(i, i): one for i in range(nc)})
@@ -214,7 +214,7 @@ def kappa(x, n):
     x.require_r_perfect("kappa")
     sx = suspend(x, n)
     nc = x.irr.rank
-    one = x.ring.one()
+    one = x.ring.domain.one
     lam = GradedMatrix(sx.irr, x.irr, -2 * n,
                        {(i, i): one for i in range(nc)})
     tau = {-n: GradedMatrix.identity(x.red)}
@@ -371,8 +371,7 @@ def height_to_json(h):
     doc = morphism_to_json(base, include_complexes=True)
     doc.pop("rho", None)
     doc["height"] = h.height
-    doc["tau"] = {str(i): [[t.target.name(a), t.source.name(b), str(v)]
-                           for (a, b), v in sorted(t.entries.items())]
+    doc["tau"] = {str(i): [[tn, sn, str(v)] for tn, sn, v in t.indexed_triples()]
                   for i, t in h.tau.items() if i <= 0}
     return doc
 

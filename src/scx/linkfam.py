@@ -407,9 +407,8 @@ def murasugi_congruence_ok(desc):
 
 
 def _t_unit():
-    t2 = LAURENT_Z.monomial(2)
-    tm2 = LAURENT_Z.monomial(-2)
-    return t2 - tm2  # T^2 - T^-2
+    """T^2 - T^-2, as a raw value of Z[T^{+-1}]."""
+    return LAURENT_Z.domain.sub(((2, 1),), ((-2, 1),))
 
 
 def torus_link_complex(k):
@@ -498,26 +497,36 @@ def _check_components(components):
         raise ScxError(f"a link has at least one component, got {components}")
 
 
+def _ranks_can_be_nonnegative(det, components):
+    """Whether det >= 2^{|L|-1}, which every rank below needs (the graded
+    ranks sum to the rank), read from det's bit length without the power."""
+    _check_components(components)
+    return det >= 1 and components <= det.bit_length()
+
+
+def _rank_error(det, components, what):
+    # names the datum, never a rank, which has as many digits as 2^{|L|-1}
+    return NonIntegralRank(f"{what} not a nonnegative integer for det {det} and |L| = {components}")
+
+
 def qa_rank(det, components):
     """rank I = (det - 2^{|L|-1}) / 2 for quasi-alternating links."""
-    _check_components(components)
-    half = Fraction(det - 2 ** (components - 1), 2)
-    if half.denominator != 1 or half < 0:
-        raise NonIntegralRank(f"(det - 2^(c-1))/2 = {half} is not a nonnegative integer")
-    return int(half)
+    if not _ranks_can_be_nonnegative(det, components) or (det - 2 ** (components - 1)) % 2:
+        raise _rank_error(det, components, "(det - 2^(c-1))/2 is")
+    return (det - 2 ** (components - 1)) // 2
 
 
 def qa_graded(det, components, xi):
     """(rank in even degree, rank in odd degree) for quasi-alternating data."""
-    _check_components(components)
-    xi = Fraction(xi)
-    quarter = Fraction(det, 4)
-    w = Fraction(2) ** (components - 3)
-    r0 = quarter - w * (1 - xi)
-    r1 = quarter - w * (1 + xi)
-    if r0.denominator != 1 or r1.denominator != 1 or r0 < 0 or r1 < 0:
-        raise NonIntegralRank(f"graded ranks ({r0}, {r1}) are not nonnegative integers")
-    return int(r0), int(r1)
+    if _ranks_can_be_nonnegative(det, components):
+        xi = Fraction(xi)
+        quarter = Fraction(det, 4)
+        w = Fraction(2) ** (components - 3)
+        r0 = quarter - w * (1 - xi)
+        r1 = quarter - w * (1 + xi)
+        if r0.denominator == 1 and r1.denominator == 1 and r0 >= 0 and r1 >= 0:
+            return int(r0), int(r1)
+    raise _rank_error(det, components, "a graded rank is")
 
 
 # ---------------------------------------------------------------------------

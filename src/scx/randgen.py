@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .functors import atomic, cone, direct_sum, dual, suspend_once, tensor
 from .gradedlin import GradedMatrix, GradedModule
-from .rings import FRAC_LAURENT_Q, Q, Ring, RingElement, Z, Zp, ratfun_normalize
+from .rings import FRAC_LAURENT_Q, LAU_ONE, Q, Ring, Z, Zp
 from .scomplex import SComplex, SHomotopy, SMorphism
 
 RINGS = {
@@ -22,15 +22,14 @@ RINGS = {
 }
 
 
-def rand_element(ring, rng, zero_ok=True):
-    pool = [-2, -1, 1, 2] + ([0, 0] if zero_ok else [])
-    c = rng.choice(pool)
-    if ring.kind in (Ring.LAURENT, Ring.FRAC) and rng.random() < 0.5 and c:
-        e = rng.randint(-2, 2)
-        if ring.kind == Ring.LAURENT:
-            return ring.monomial(e, c)
-        return RingElement(ring, ratfun_normalize(((e, c),), ((0, 1),)))
-    return ring.from_int(c)
+def rand_value(ring, rng):
+    """A small nonzero random raw value of `ring`: +-1 or +-2, times T^e for
+    e in [-2, 2] half the time over Z[T^{+-1}] and Q(T)."""
+    c = rng.choice((-2, -1, 1, 2))
+    if ring.kind in (Ring.LAURENT, Ring.FRAC) and rng.random() < 0.5:
+        mono = ((rng.randint(-2, 2), c),)
+        return mono if ring.kind == Ring.LAURENT else (mono, LAU_ONE)
+    return ring.domain.from_int(c)
 
 
 def _rand_split_atom(ring, rng, modulus, r_perfect):
@@ -54,7 +53,7 @@ def _rand_split_atom(ring, rng, modulus, r_perfect):
         for s in src_idx:
             for t in tgt_idx:
                 if (irr.degree(t) - irr.degree(s) - degree) % mod == 0 and rng.random() < density:
-                    x = rand_element(ring, rng, zero_ok=False)
+                    x = rand_value(ring, rng)
                     ent[(t, s)] = x
         return ent
 
@@ -67,13 +66,13 @@ def _rand_split_atom(ring, rng, modulus, r_perfect):
     for s in p_idx:
         for t in range(split):
             if (red.degree(t) - irr.degree(s) + 1) % mod == 0 and rng.random() < 0.7:
-                d1_ent[(t, s)] = rand_element(ring, rng, zero_ok=False)
+                d1_ent[(t, s)] = rand_value(ring, rng)
     d1 = GradedMatrix(irr, red, -1, d1_ent)
     d2_ent = {}
     for s in range(split, nr):
         for t in q_idx:
             if (irr.degree(t) - red.degree(s) + 2) % mod == 0 and rng.random() < 0.7:
-                d2_ent[(t, s)] = rand_element(ring, rng, zero_ok=False)
+                d2_ent[(t, s)] = rand_value(ring, rng)
     d2 = GradedMatrix(red, irr, -2, d2_ent)
     r = GradedMatrix.zero(red, red, -1)
     return SComplex(irr, red, d, v, d1, d2, r)
@@ -115,7 +114,7 @@ def rand_homotopy_shape(x, y, rng, degree, density=0.4):
         for s in range(src.rank):
             for t in range(tgt.rank):
                 if (tgt.degree(t) - src.degree(s) - deg) % mod == 0 and rng.random() < density:
-                    ent[(t, s)] = rand_element(x.ring, rng, zero_ok=False)
+                    ent[(t, s)] = rand_value(x.ring, rng)
         return GradedMatrix(src, tgt, deg, ent)
 
     return (fill(x.irr, y.irr, degree + 1), fill(x.irr, y.irr, degree),

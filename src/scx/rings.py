@@ -17,8 +17,9 @@ Each ring holds one `Domain`: its arithmetic on raw values (`zero`, `one`,
 `from_int`, `add`, `sub`, `mul`, `neg`, `inv` of a unit, `is_zero`,
 `is_unit`), which returns canonical raw values again.  `RingElement`'s
 operators box the domain's results, so each operation has one
-implementation; the eliminations in `gradedlin` call the domain on raw
-values directly and box only what they return.
+implementation; a `RingMap` likewise has one rule on raw values.  The
+matrices and eliminations in `gradedlin` call the domain on raw values
+directly and box only what they return.
 """
 
 from __future__ import annotations
@@ -625,7 +626,8 @@ def format_element(x):
 
 
 class RingMap:
-    """A homomorphism between supported rings, one of five kinds."""
+    """A homomorphism between supported rings, one of five kinds.  `raw` is
+    the map on raw values; calling the map on an element boxes its result."""
 
     IDENTITY = "identity"
     MOD_P = "reduce-mod-p"
@@ -641,43 +643,43 @@ class RingMap:
         if rule == self.IDENTITY:
             if source != target:
                 raise RingMismatch("identity map requires equal rings")
+            self.raw = _self
         elif rule == self.MOD_P:
             if source != Z or target.kind != Ring.MODP:
                 raise RingMismatch("reduce-mod-p maps Z to Z/p")
+            self.raw = target.domain.from_int
         elif rule == self.Z_TO_Q:
             if source != Z or target != Q:
                 raise RingMismatch("include-Z-in-Q maps Z to Q")
+            self.raw = target.domain.from_int
         elif rule == self.EVAL_T:
             if source != LAURENT_Z:
                 raise RingMismatch("evaluate-T-at is defined on Z[T^{+-1}]")
             if unit is None or unit.ring != target or not unit.is_unit:
                 raise ScxError("evaluate-T-at requires a unit of the target ring")
+            self.raw = partial(_eval_t, target.domain, unit.val)
         elif rule == self.LAURENT_TO_FRAC:
             if source != LAURENT_Z or target != FRAC_LAURENT_Q:
                 raise RingMismatch("inclusion maps Z[T^{+-1}] into Q(T)")
+            self.raw = lambda num: (num, LAU_ONE)  # canonical as it is
         else:
             raise ScxError(f"unknown ring map rule {rule!r}")
 
     def __call__(self, x):
         if x.ring != self.source:
             raise RingMismatch("element not in the source ring")
-        if self.rule == self.IDENTITY:
-            return x
-        if self.rule == self.MOD_P:
-            return self.target.from_int(x.val)
-        if self.rule == self.Z_TO_Q:
-            return self.target.from_int(x.val)
-        if self.rule == self.LAURENT_TO_FRAC:
-            return RingElement(self.target, ratfun_normalize(x.val, LAU_ONE))
-        total = self.target.zero()
-        uinv = self.unit.inverse()
-        for e, c in x.val:
-            power = self.target.one()
-            base = self.unit if e >= 0 else uinv
-            for _ in range(abs(e)):
-                power = power * base
-            total = total + power * self.target.from_int(c)
-        return total
+        return RingElement(self.target, self.raw(x.val))
+
+
+def _eval_t(dom, unit, lau):
+    """The Laurent polynomial lau at T = unit, over the domain `dom`."""
+    total, uinv = dom.zero, dom.inv(unit)
+    for e, c in lau:
+        power, base = dom.one, unit if e >= 0 else uinv
+        for _ in range(abs(e)):
+            power = dom.mul(power, base)
+        total = dom.add(total, dom.mul(power, dom.from_int(c)))
+    return total
 
 
 def eval_t_at_one():

@@ -196,7 +196,7 @@ class SComplex:
         tgt = ring_map.target
         irr = GradedModule(tgt, self.modulus, self.irr.gens)
         red = GradedModule(tgt, self.modulus, self.red.gens)
-        conv = lambda m, s, t: m.map_entries(ring_map, s, t)
+        conv = lambda m, s, t: m.map_entries(ring_map.raw, s, t)
         return SComplex(irr, red,
                         conv(self.d, irr, irr), conv(self.v, irr, irr),
                         conv(self.delta1, irr, red), conv(self.delta2, red, irr),
@@ -229,7 +229,7 @@ def base_change(obj, ring_map):
         raise RingMismatch("base change source ring mismatch")
     src = GradedModule(ring_map.target, obj.source.modulus, obj.source.gens)
     tgt = GradedModule(ring_map.target, obj.target.modulus, obj.target.gens)
-    return obj.map_entries(ring_map, src, tgt)
+    return obj.map_entries(ring_map.raw, src, tgt)
 
 
 class SMorphism:

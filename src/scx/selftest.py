@@ -165,7 +165,7 @@ def criterion_3(seed):
         for s in range(x.red.rank):
             for t in range(x.red.rank):
                 if (x.red.degree(t) - x.red.degree(s)) % x.modulus == 0 and rng.random() < 0.6:
-                    ent[(t, s)] = ring.from_int(rng.choice([1, -1]))
+                    ent[(t, s)] = ring.domain.from_int(rng.choice([1, -1]))
         nu = GradedMatrix(x.red, x.red, 0, ent)
         g = OddMorphism(gm, nu)
         lam2 = odd_to_suspension_morphism(g)

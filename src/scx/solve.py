@@ -8,24 +8,27 @@ solving one exact linear system.  Supported coefficients: Z and fields.
 from __future__ import annotations
 
 from .errors import UnsupportedRing
-from .gradedlin import GradedMatrix, boxed, solve
+from .gradedlin import GradedMatrix, solve
 from .rings import Z
 from .scomplex import SHomotopy, SMorphism
 
+# A linear combination of unknowns is a {variable: nonzero raw value} dict,
+# and a system a list of (combination, raw value) equations, combination =
+# value; the system's rows are its combinations, as `gradedlin.solve` takes
+# them.
 
-class _Lin:
-    """A linear combination of unknowns plus a constant, entrywise."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = dict(terms or {})
-
-    def add_term(self, var, coeff):
-        cur = self.terms.get(var)
-        self.terms[var] = coeff if cur is None else cur + coeff
-        if self.terms[var].is_zero:
-            del self.terms[var]
+def _add_term(lin, var, coeff, dom):
+    """lin += coeff * var, over the domain `dom`; a cancelled term is dropped."""
+    cur = lin.get(var)
+    if cur is None:
+        lin[var] = coeff
+        return
+    x = dom.add(cur, coeff)
+    if x == dom.zero:
+        del lin[var]
+    else:
+        lin[var] = x
 
 
 def _positions(src, tgt, degree):
@@ -57,55 +60,60 @@ class _UnknownMatrix:
 
 
 def _realize(block, values, src, tgt, deg):
-    """The solved matrix of a block {position: variable}."""
-    return GradedMatrix(src, tgt, deg, {p: values[v] for p, v in block.items()})
+    """The solved matrix of a block {position: variable}, from the solution
+    {variable: nonzero raw value}."""
+    return GradedMatrix(src, tgt, deg, {p: values[v] for p, v in block.items() if v in values})
 
 
-def _known_after_slots(a, u):
-    """a . U as {position: _Lin}: (a U)[t, s] = sum_m a[t, m] U[m, s].  An
-    unknown's `slots` map each position to its [(variable, sign)] terms."""
-    out = {}
+def _known_after_slots(total, a, u, sign=1):
+    """total += sign a . U, on {position: combination}: (a U)[t, s] =
+    sum_m a[t, m] U[m, s].  An unknown's `slots` map each position to its
+    [(variable, sign)] terms."""
+    dom = a.ring.domain
     by_row = {}
     for (mm, s), pairs in u.slots.items():
         by_row.setdefault(mm, []).append((s, pairs))
     for (t, m), coeff in a.entries.items():
         for s, pairs in by_row.get(m, ()):
-            lin = out.setdefault((t, s), _Lin())
-            for var, sign in pairs:
-                lin.add_term(var, coeff if sign > 0 else -coeff)
-    return out
+            lin = total.setdefault((t, s), {})
+            for var, vsign in pairs:
+                _add_term(lin, var, coeff if vsign * sign > 0 else dom.neg(coeff), dom)
 
 
-def _slots_after_known(u, b):
-    """U . b as {position: _Lin}."""
-    out = {}
+def _slots_after_known(total, u, b, sign=1):
+    """total += sign U . b, on {position: combination}."""
+    dom = b.ring.domain
     by_col = {}
     for (t, mm), pairs in u.slots.items():
         by_col.setdefault(mm, []).append((t, pairs))
     for (m, s), coeff in b.entries.items():
         for t, pairs in by_col.get(m, ()):
-            lin = out.setdefault((t, s), _Lin())
-            for var, sign in pairs:
-                lin.add_term(var, coeff if sign > 0 else -coeff)
-    return out
+            lin = total.setdefault((t, s), {})
+            for var, vsign in pairs:
+                _add_term(lin, var, coeff if vsign * sign > 0 else dom.neg(coeff), dom)
 
 
-def _accumulate(total, part, sign=1):
-    for pos, lin in part.items():
-        dst = total.setdefault(pos, _Lin())
-        for var, coeff in lin.terms.items():
-            dst.add_term(var, coeff if sign > 0 else -coeff)
-    return total
+def _equations(total, const, src, tgt):
+    """The equations total[t, s] = const[t, s] at every position of a
+    src -> tgt block, but for those that read 0 = 0."""
+    zero = const.ring.domain.zero
+    eqs = []
+    for s in range(src.rank):
+        for t in range(tgt.rank):
+            lin = total.get((t, s), {})
+            c = const.entries.get((t, s), zero)
+            if lin or c != zero:
+                eqs.append((lin, c))
+    return eqs
 
 
 def _solve_system(equations, nvars, ring):
-    """equations: list of (_Lin, rhs element) meaning sum = rhs."""
+    """One solution {variable: nonzero raw value} of the equations, or None."""
     if ring != Z and not ring.is_field:
         raise UnsupportedRing("linear solving needs Z or field coefficients")
-    rows = [{var: coeff.val for var, coeff in lin.terms.items()} for lin, _ in equations]
-    rhs = {i: const.val for i, (_, const) in enumerate(equations) if not const.is_zero}
-    sol = solve(rows, rhs, nvars, ring)
-    return None if sol is None else boxed([sol], nvars, ring)[0]
+    zero = ring.domain.zero
+    rhs = {i: c for i, (_, c) in enumerate(equations) if c != zero}
+    return solve([lin for lin, _ in equations], rhs, nvars, ring)
 
 
 def solve_homotopy(frm, to):
@@ -125,17 +133,11 @@ def solve_homotopy(frm, to):
     def rel(parts, const_matrix, src, tgt):
         total = {}
         for kind, a, u, sign in parts:
-            comp = _known_after_slots(a, u) if kind == "ku" else _slots_after_known(u, a)
-            _accumulate(total, comp, sign)
-        eqs = []
-        for s in range(src.rank):
-            for t in range(tgt.rank):
-                pos = (t, s)
-                lin = total.get(pos, _Lin())
-                const = const_matrix.entry(t, s)
-                if lin.terms or not const.is_zero:
-                    eqs.append((lin, const))
-        return eqs
+            if kind == "ku":
+                _known_after_slots(total, a, u, sign)
+            else:
+                _slots_after_known(total, u, a, sign)
+        return _equations(total, const_matrix, src, tgt)
 
     equations = []
     # 1: d'K + K d = lam - lam'
@@ -167,8 +169,6 @@ def solve_homotopy(frm, to):
 
 def solve_triangle_homotopy(lam_second, lam_first):
     """The K with d K + K d + lam_second lam_first = 0, solved linearly."""
-    from .scomplex import SMorphism
-
     comp = lam_second.compose_after(lam_first)
     zero = SMorphism.zero(comp.source, comp.target, comp.degree)
     return solve_homotopy(zero, comp)
@@ -187,9 +187,8 @@ class _AssembledHomotopyUnknown:
         self.tgt_tot = xtgt.total_module()
         self.slots = {}
         idx = offset
-        self.blocks = {}
 
-        def alloc(name, rows, cols, rowoff, coloff, deg, mirror=None, sign=1):
+        def alloc(rows, cols, rowoff, coloff, deg, mirror=None, sign=1):
             nonlocal idx
             block = {}
             for s in range(cols):
@@ -207,22 +206,19 @@ class _AssembledHomotopyUnknown:
                     idx += 1
             return block
 
-        kb = alloc("K", mc, nc, 0, 0, k + 1)
-        alloc("K2", mc, nc, mc, nc, k + 1, mirror=kb, sign=-1)
-        lb = alloc("L", mc, nc, mc, 0, k)
-        m2 = alloc("M2", mc, nr, mc, 2 * nc, k)
-        m1 = alloc("M1", mr, nc, 2 * mc, 0, k + 1)
-        jb = alloc("J", mr, nr, 2 * mc, 2 * nc, k + 1)
+        kb = alloc(mc, nc, 0, 0, k + 1)
+        alloc(mc, nc, mc, nc, k + 1, mirror=kb, sign=-1)  # -K
+        lb = alloc(mc, nc, mc, 0, k)
+        m2 = alloc(mc, nr, mc, 2 * nc, k)
+        m1 = alloc(mr, nc, 2 * mc, 0, k + 1)
+        jb = alloc(mr, nr, 2 * mc, 2 * nc, k + 1)
         self.blocks = {"K": kb, "L": lb, "M1": m1, "M2": m2, "J": jb}
-        self.degree = k + 1
         self.k = k
         self.xsrc = xsrc
         self.xtgt = xtgt
         self.nvars = idx - offset
 
     def realize(self, values, frm, to):
-        from .scomplex import SHomotopy
-
         x, y = self.xsrc, self.xtgt
         k = self.k
 
@@ -239,8 +235,6 @@ def solve_triangle_witnesses(complexes, morphisms, targets):
     """Jointly solve for the three homotopies and three chi-commuting N maps
     of an exact triangle, with the iso expressions pinned to the given
     target matrices.  Returns (homotopies, n_maps) or None."""
-    from .scomplex import SMorphism
-
     ring = complexes[0].ring
     offset = 0
     kus = []
@@ -262,15 +256,9 @@ def solve_triangle_witnesses(complexes, morphisms, targets):
         d_src = complexes[i].total_differential()
         d_tgt = complexes[(i - 2) % 3].total_differential()
         total = {}
-        _accumulate(total, _known_after_slots(d_tgt, ku), 1)
-        _accumulate(total, _slots_after_known(ku, d_src), 1)
-        rhs = -comp.assemble()
-        for s in range(ku.src_tot.rank):
-            for t in range(ku.tgt_tot.rank):
-                lin = total.get((t, s), _Lin())
-                const = rhs.entry(t, s)
-                if lin.terms or not const.is_zero:
-                    equations.append((lin, const))
+        _known_after_slots(total, d_tgt, ku)
+        _slots_after_known(total, ku, d_src)
+        equations += _equations(total, -comp.assemble(), ku.src_tot, ku.tgt_tot)
     for i in range(3):
         # d N - N d + lam_{i-2} K_i - K_{i-1} lam_i = target_i
         d = complexes[i].total_differential()
@@ -280,17 +268,12 @@ def solve_triangle_witnesses(complexes, morphisms, targets):
         ku_im1 = kus[(i - 1) % 3][0]
         nu = nus[i]
         total = {}
-        _accumulate(total, _known_after_slots(d, nu), 1)
-        _accumulate(total, _slots_after_known(nu, d), -1)
-        _accumulate(total, _known_after_slots(lam_im2, ku_i), 1)
-        _accumulate(total, _slots_after_known(ku_im1, lam_i), -1)
-        n = complexes[i].total_module().rank
-        for s in range(n):
-            for t in range(n):
-                lin = total.get((t, s), _Lin())
-                const = targets[i].entry(t, s)
-                if lin.terms or not const.is_zero:
-                    equations.append((lin, const))
+        _known_after_slots(total, d, nu)
+        _slots_after_known(total, nu, d, -1)
+        _known_after_slots(total, lam_im2, ku_i)
+        _slots_after_known(total, ku_im1, lam_i, -1)
+        tot = complexes[i].total_module()
+        equations += _equations(total, targets[i], tot, tot)
 
     values = _solve_system(equations, offset, ring)
     if values is None:

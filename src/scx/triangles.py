@@ -114,8 +114,7 @@ def triangle_to_json(t):
 
     def hom_doc(h):
         def m(mm):
-            return [[mm.target.name(a), mm.source.name(b), str(v)]
-                    for (a, b), v in sorted(mm.entries.items())]
+            return [[tn, sn, str(v)] for tn, sn, v in mm.indexed_triples()]
 
         return {"K": m(h.K), "L": m(h.L), "M1": m(h.M1), "M2": m(h.M2), "J": m(h.J)}
 
@@ -151,13 +150,13 @@ def cone_triangle(f):
         raise ShapeMismatch("cone triangles take a degree-0 morphism")
     x, y = f.source, f.target
     cn = make_cone(f)
-    ring = x.ring
-    one = ring.one()
+    dom = x.ring.domain
+    one, minus_one = dom.one, dom.neg(dom.one)
     nc, nr = x.irr.rank, x.red.rank
     mc, mr = y.irr.rank, y.red.rank
 
     def sgn(deg):
-        return one if deg % 2 == 0 else -one
+        return one if deg % 2 == 0 else minus_one
 
     # lam2: X' -> Cone, inclusion of the B-blocks.
     lam2 = SMorphism(
@@ -187,22 +186,22 @@ def cone_triangle(f):
     # K0: X -> Cone, x |-> (-x, 0).
     k0 = SHomotopy(
         zero_like(x, cn, 0), lam2.compose_after(lam0),
-        GradedMatrix(x.irr, cn.irr, 1, {(i, i): -one for i in range(nc)}),
+        GradedMatrix(x.irr, cn.irr, 1, {(i, i): minus_one for i in range(nc)}),
         GradedMatrix.zero(x.irr, cn.irr, 0),
         GradedMatrix.zero(x.irr, cn.red, 1),
         GradedMatrix.zero(x.red, cn.irr, 0),
-        GradedMatrix(x.red, cn.red, 1, {(j, j): -one for j in range(nr)}),
+        GradedMatrix(x.red, cn.red, 1, {(j, j): minus_one for j in range(nr)}),
     )
     # K1: Cone -> X', (x, y) |-> -eps(y).
     k1 = SHomotopy(
         zero_like(cn, y, -1), lam0.compose_after(lam1),
         GradedMatrix(cn.irr, y.irr, 0,
-                     {(i, nc + i): -sgn(y.irr.degree(i)) for i in range(mc)}),
+                     {(i, nc + i): sgn(y.irr.degree(i) + 1) for i in range(mc)}),
         GradedMatrix.zero(cn.irr, y.irr, -1),
         GradedMatrix.zero(cn.irr, y.red, 0),
         GradedMatrix.zero(cn.red, y.irr, -1),
         GradedMatrix(cn.red, y.red, 0,
-                     {(j, nr + j): -sgn(y.red.degree(j)) for j in range(mr)}),
+                     {(j, nr + j): sgn(y.red.degree(j) + 1) for j in range(mr)}),
     )
     # K2 = 0 (lam1 . lam2 = 0 on the nose).
     k2 = SHomotopy.zero(zero_like(y, x, -1), lam1.compose_after(lam2))

@@ -518,3 +518,24 @@ def test_qa_refuses_fewer_than_one_component(capsys, components):
         assert run("qa", "--det", "-3", "--components", components, *extra) == 2
         err = capsys.readouterr().err
         assert err == f"error: a link has at least one component, got {components}\n"
+
+
+@pytest.mark.parametrize("extra", [[], ["--xi", "1"]])
+def test_qa_with_many_components_is_refused_with_a_short_message(capsys, extra):
+    # (det - 2^(c-1))/2 has some 30,000 digits here: the refusal names the
+    # datum, not that value, and is decided without forming it
+    assert run("qa", "--det", "5", "--components", "100000", *extra) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: (det - 2^(c-1))/2 is not a nonnegative integer "
+                   "for det 5 and |L| = 100000\n")
+
+
+def test_qa_graded_refusal_names_the_datum():
+    from scx.errors import NonIntegralRank
+    from scx.linkfam import qa_graded
+
+    for det, components in ((5, 100000), (11, 1)):
+        with pytest.raises(NonIntegralRank) as exc:
+            qa_graded(det, components, 1)
+        assert str(exc.value).startswith("a graded rank is not a nonnegative integer for det ")
+        assert len(str(exc.value)) < 100

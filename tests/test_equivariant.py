@@ -23,7 +23,6 @@ from scx.gradedlin import (
     GradedModule,
     field_kernel_basis,
     int_kernel_basis,
-    raw_coeffs,
     spans_equal,
 )
 from scx.linkfam import hopf_complex, torus_knot_summand, torus_link_complex
@@ -234,7 +233,7 @@ def _non_nilpotent_complex():
     # of it vanishes
     c = GradedModule(Q, 2, [("a", 0), ("a2", 0), ("b", 1), ("b2", 1)])
     r = GradedModule(Q, 2, [("r", 1)])
-    q = Q.from_int
+    q = Q.domain.from_int
     v = GradedMatrix(c, c, 0, {(0, 0): q(1), (0, 1): q(1), (1, 1): q(1),
                                (2, 3): q(2), (3, 2): q(-1), (3, 3): q(1)})
     delta1 = GradedMatrix(c, r, 1, {(0, 0): q(1), (0, 1): q(3)})
@@ -302,7 +301,8 @@ def dense_j_module(x, i):
     zero = ring.zero()
 
     def fill(rows, m, row_off, col_off, neg=False):
-        for (t, s), val in m.entries.items():
+        for t, s in m.entries:
+            val = m.entry(t, s)
             rows[row_off + t][col_off + s] = -val if neg else val
 
     def kernel(rows, n):
@@ -315,7 +315,7 @@ def dense_j_module(x, i):
         fill(rows, x.d, 0, 0)
         for j in range(i - 1):
             fill(rows, x.delta1 @ x.v.power(j), nc + j * nr, 0)
-        m = raw_coeffs(x.delta1 @ x.v.power(i - 1))
+        m = (x.delta1 @ x.v.power(i - 1)).entries
         out = []
         for vec in kernel(rows, nc):
             col = [dom.zero] * nr

@@ -72,10 +72,14 @@ def test_tensor_unit():
 def test_tensor_o1_om1_matches_frozen_matrices():
     t = connected_sum_model(atomic(1), atomic(-1))
     one = Z.one()
-    assert sorted(t.d.entries.items()) == [((1, 2), -one), ((3, 0), one)]
-    assert sorted(t.v.entries.items()) == [((3, 1), one)]
-    assert sorted(t.delta1.entries.items()) == [((0, 2), one)]
-    assert sorted(t.delta2.entries.items()) == [((3, 0), one)]
+
+    def elements(m):
+        return sorted((k, m.entry(*k)) for k in m.entries)
+
+    assert elements(t.d) == [((1, 2), -one), ((3, 0), one)]
+    assert elements(t.v) == [((3, 1), one)]
+    assert elements(t.delta1) == [((0, 2), one)]
+    assert elements(t.delta2) == [((3, 0), one)]
     assert t.r.is_zero
     h = t.total_homology()
     assert h.total_rank == atomic(0).total_homology().total_rank == 1
@@ -121,7 +125,8 @@ def test_cone_irr_red_are_cones_of_lambda_and_rho():
     c = cone(f)
     na = x.irr.rank
     # irreducible block structure is [[-d, 0], [lambda, d']]
-    for (t, s), val in c.d.entries.items():
+    for t, s in c.d.entries:
+        val = c.d.entry(t, s)
         if t < na and s < na:
             assert val == -f.source.d.entry(t, s)
         elif t >= na and s < na:
@@ -129,7 +134,8 @@ def test_cone_irr_red_are_cones_of_lambda_and_rho():
         elif t >= na and s >= na:
             assert val == f.target.d.entry(t - na, s - na)
     nr = x.red.rank
-    for (t, s), val in c.r.entries.items():
+    for t, s in c.r.entries:
+        val = c.r.entry(t, s)
         if t >= nr and s < nr:
             assert val == f.rho.entry(t - nr, s)
 
@@ -289,8 +295,9 @@ def test_metadata_is_given_at_construction_in_order():
 
 
 def test_solved_homotopy_matrices_hold_elements_of_the_ring():
-    # the solver works on raw values; what it returns is made of ring elements
-    from scx.rings import RingElement
+    # the solver works on raw values; what it returns holds canonical nonzero
+    # raw values of the ring: each reads back from its text form unchanged
+    from scx.rings import RingElement, parse_element
     from scx.solve import solve_homotopy
 
     rng = random.Random(43)
@@ -303,6 +310,10 @@ def test_solved_homotopy_matrices_hold_elements_of_the_ring():
             h = solve_homotopy(f, g)
             assert h is not None and h.verify().ok
             for m in (h.K, h.L, h.M1, h.M2, h.J):
-                assert all(type(e) is RingElement and e.ring == ring for e in m.entries.values())
+                for k, v in m.entries.items():
+                    e = m.entry(*k)
+                    assert type(e) is RingElement and e.ring == ring and not e.is_zero
+                    assert type(v) is type(ring.domain.zero)
+                    assert parse_element(ring, str(e)).val == v
                 entries += len(m.entries)
         assert entries, ring

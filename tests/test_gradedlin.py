@@ -34,34 +34,41 @@ from scx.randgen import rand_scomplex
 from scx.rings import FRAC_LAURENT_Q, LAURENT_Z, Q, Z, RingElement, Zp, parse_element, ratfun_normalize
 
 
+def _elements(m):
+    """m's entries as {(t, s): ring element}."""
+    return {k: m.entry(*k) for k in m.entries}
+
+
 def test_homogeneity_enforced():
     m = GradedModule(Z, 4, [("a", 0), ("b", 3)])
-    GradedMatrix(m, m, -1, {(1, 0): Z.one()})
+    GradedMatrix(m, m, -1, {(1, 0): 1})
     with pytest.raises(ShapeMismatch):
-        GradedMatrix(m, m, -1, {(0, 1): Z.one()})
+        GradedMatrix(m, m, -1, {(0, 1): 1})
+    with pytest.raises(ShapeMismatch):
+        GradedMatrix(m, m, -1, {(2, 0): 1})
 
 
 def test_from_blocks_overlapping_blocks_add():
     small = GradedModule(Q, 2, [("a", 0), ("b", 1)])
     big = GradedModule(Q, 2, [("x", 1), ("a", 0), ("b", 1)])
-    m = GradedMatrix(small, small, 1, {(1, 0): Q.from_int(3), (0, 1): Q.from_int(2)})
-    n = GradedMatrix(small, small, 1, {(1, 0): Q.from_int(4)})
+    m = GradedMatrix(small, small, 1, {(1, 0): Q.domain.from_int(3), (0, 1): Q.domain.from_int(2)})
+    n = GradedMatrix(small, small, 1, {(1, 0): Q.domain.from_int(4)})
     got = GradedMatrix.from_blocks(big, big, 1, (m, 1, 1), (n, 1, 1))
-    assert got.entries == {(2, 1): Q.from_int(7), (1, 2): Q.from_int(2)}
+    assert _elements(got) == {(2, 1): Q.from_int(7), (1, 2): Q.from_int(2)}
 
 
 def test_from_blocks_cancelling_blocks_leave_no_entry():
     m = GradedModule(Z, 2, [("a", 0), ("b", 1)])
-    b = GradedMatrix(m, m, 1, {(1, 0): Z.from_int(3), (0, 1): Z.from_int(2)})
+    b = GradedMatrix(m, m, 1, {(1, 0): 3, (0, 1): 2})
     assert GradedMatrix.from_blocks(m, m, 1, (b, 0, 0), (-b, 0, 0)).entries == {}
-    half = GradedMatrix(m, m, 1, {(1, 0): Z.from_int(-3)})
-    assert GradedMatrix.from_blocks(m, m, 1, (b, 0, 0), (half, 0, 0)).entries == {
+    half = GradedMatrix(m, m, 1, {(1, 0): -3})
+    assert _elements(GradedMatrix.from_blocks(m, m, 1, (b, 0, 0), (half, 0, 0))) == {
         (0, 1): Z.from_int(2)}
 
 
 def test_from_blocks_keeps_the_constructor_checks():
     m = GradedModule(Z, 2, [("a", 0), ("b", 1)])
-    b = GradedMatrix(m, m, 1, {(1, 0): Z.one()})
+    b = GradedMatrix(m, m, 1, {(1, 0): 1})
     big = GradedModule(Z, 2, [("a", 0), ("b", 1), ("c", 1)])
     with pytest.raises(ShapeMismatch):  # lands on (c, b): degree 1 - 1 != 1
         GradedMatrix.from_blocks(big, big, 1, (b, 1, 1))
@@ -74,7 +81,7 @@ def test_from_blocks_keeps_the_constructor_checks():
 
 def test_compose_identity_and_zero():
     m = GradedModule(Z, 2, [("a", 0), ("b", 1)])
-    b = GradedMatrix(m, m, 1, {(1, 0): Z.from_int(3), (0, 1): Z.from_int(2)})
+    b = GradedMatrix(m, m, 1, {(1, 0): 3, (0, 1): 2})
     assert GradedMatrix.identity(m) @ b == b
     assert (GradedMatrix.zero(m, m, 1) @ b).is_zero
 
@@ -454,7 +461,7 @@ def _ungraded_pair(rows, ring):
     n = len(rows[0]) if m else 0
     src = GradedModule(ring, 2, [(f"s{i}", 1) for i in range(n)])
     tgt = GradedModule(ring, 2, [(f"t{i}", 0) for i in range(m)])
-    ent = {(i, j): ring.from_int(rows[i][j]) for i in range(m) for j in range(n)
+    ent = {(i, j): ring.domain.from_int(rows[i][j]) for i in range(m) for j in range(n)
            if rows[i][j]}
     d_in = GradedMatrix(src, tgt, -1, ent)
     zero_out = GradedMatrix.zero(tgt, GradedModule(ring, 2, []), -1)
@@ -481,7 +488,7 @@ def test_homology_requires_complex_and_ring():
     with pytest.raises(UnsupportedRingForHomology):
         homology_of_pair(z, z)
     mq = GradedModule(Q, 2, [("a", 0), ("b", 1)])
-    one = GradedMatrix(mq, mq, 1, {(0, 1): Q.one(), (1, 0): Q.one()})
+    one = GradedMatrix(mq, mq, 1, {(0, 1): Q.domain.one, (1, 0): Q.domain.one})
     with pytest.raises(NotAComplex):
         homology_of_pair(one, one)
 
@@ -498,12 +505,12 @@ def test_free_rank_agrees_over_z_and_q():
         for s in range(half):
             for t in range(half, n):
                 if (mz.degree(t) - mz.degree(s) - 1) % 2 == 0 and rng.random() < 0.5:
-                    ent[(t, s)] = Z.from_int(rng.randint(-3, 3))
-        dz = GradedMatrix(mz, mz, 1, {k: v for k, v in ent.items() if not v.is_zero})
+                    ent[(t, s)] = rng.randint(-3, 3)
+        dz = GradedMatrix(mz, mz, 1, {k: v for k, v in ent.items() if v})
         assert (dz @ dz).is_zero
         hz = homology_of_pair(dz, dz)
         mq = GradedModule(Q, 2, gens)
-        dq = dz.map_entries(lambda x: Q.from_int(x.val), mq, mq)
+        dq = dz.map_entries(Q.domain.from_int, mq, mq)
         hq = homology_of_pair(dq, dq)
         assert hz.ranks_by_degree() == hq.ranks_by_degree()
 
@@ -568,7 +575,7 @@ def _rand_z_differential(rng, n):
     gens = [(f"g{i}", rng.randint(0, 1)) for i in range(n)]
     m = GradedModule(Z, 2, gens)
     half = n // 2
-    ent = {(t, s): Z.from_int(rng.randint(-4, 4))
+    ent = {(t, s): rng.randint(-4, 4)
            for s in range(half) for t in range(half, n)
            if (m.degree(t) - m.degree(s) - 1) % 2 == 0 and rng.random() < 0.6}
     return GradedMatrix(m, m, 1, ent)
@@ -609,11 +616,11 @@ def test_base_change_commutes_with_compose():
                 for t in range(4):
                     if (m.degree(t) - m.degree(s) - deg) % 2 == 0 and rng.random() < 0.6:
                         ent[(t, s)] = LAURENT_Z.monomial(rng.randint(-2, 2), rng.randint(-2, 2))
-            return GradedMatrix(m, m, deg, {k: v for k, v in ent.items() if not v.is_zero})
+            return GradedMatrix(m, m, deg, {k: v.val for k, v in ent.items() if not v.is_zero})
 
         a, b = rand_m(1), rand_m(1)
-        lhs = (a @ b).map_entries(f, mz, mz)
-        rhs = a.map_entries(f, mz, mz) @ b.map_entries(f, mz, mz)
+        lhs = (a @ b).map_entries(f.raw, mz, mz)
+        rhs = a.map_entries(f.raw, mz, mz) @ b.map_entries(f.raw, mz, mz)
         assert lhs == rhs
 
 
@@ -628,7 +635,7 @@ def test_base_change_commutes_with_compose():
 def test_is_invertible_over_laurent(rows, invertible):
     # invertible over Z[T^{+-1}] iff invertible over Q(T) with a Laurent inverse
     m = GradedModule(LAURENT_Z, 2, [("a", 0), ("b", 0)])
-    ent = {(t, s): parse_element(LAURENT_Z, x)
+    ent = {(t, s): parse_element(LAURENT_Z, x).val
            for t, row in enumerate(rows) for s, x in enumerate(row)}
     a = GradedMatrix(m, m, 0, ent)
     assert is_invertible(a) is invertible
@@ -870,19 +877,21 @@ def test_field_solve_solves_or_refuses(ring):
 def test_matrix_entries_from_the_wrong_ring_are_refused():
     mz = GradedModule(Z, 2, [("a", 0), ("b", 1)])
     mq = GradedModule(Q, 2, [("a", 0), ("b", 1)])
+    # ring elements enter a matrix through the loader's path and `scale`,
+    # which refuse an element of another ring
     with pytest.raises(RingMismatch):
-        GradedMatrix(mz, mz, 1, {(1, 0): Q.one()})
+        GradedMatrix.from_named(mz, mz, 1, [("b", "a", Q.one())])
+    with pytest.raises(RingMismatch):
+        GradedMatrix(mz, mz, 1, {(1, 0): 1}).scale(Q.one())
     with pytest.raises(RingMismatch):
         GradedMatrix(mz, mq, 1, {})
-    a = GradedMatrix(mz, mz, 1, {(1, 0): Z.one()})
-    b = GradedMatrix(mz, mz, 1, {(1, 0): Z.from_int(2)})
-    # a sum or difference with an entry from another ring is refused, not
+    a = GradedMatrix(mz, mz, 1, {(1, 0): 1})
+    b = GradedMatrix(mz, mz, 1, {(1, 0): 2})
+    # a sum or difference with a matrix over another ring is refused, not
     # computed on raw values
-    bad = GradedMatrix.__new__(GradedMatrix)
-    for attr, val in (("source", mz), ("target", mz), ("degree", 1), ("entries", {(1, 0): Q.one()})):
-        object.__setattr__(bad, attr, val)
+    bad = GradedMatrix(mq, mq, 1, {(1, 0): Q.domain.one})
     for op in (lambda p, q: p + q, lambda p, q: p - q):
-        assert op(a, b).entries[(1, 0)] == op(Z.one(), Z.from_int(2))
+        assert op(a, b).entry(1, 0) == op(Z.one(), Z.from_int(2))
         with pytest.raises(RingMismatch):
             op(a, bad)
 
@@ -893,21 +902,156 @@ def test_matrix_difference_is_one_pass(monkeypatch):
         m = GradedModule(ring, 2, [("a", 0), ("b", 1), ("c", 0), ("d", 1)])
         for _ in range(10):
             def rand():
-                return GradedMatrix(m, m, 1, {(t, s): _rand_field_element(ring, rng) if ring != Z
-                                              else Z.from_int(rng.randint(-2, 2))
+                return GradedMatrix(m, m, 1, {(t, s): rng.randint(-2, 2) if ring == Z
+                                              else _rand_field_element(ring, rng).val
                                               for t in range(4) for s in range(4)
                                               if (t - s) % 2})
             a, b = rand(), rand()
-            made = []
-            real_init = GradedMatrix.__init__
+            made, checked = [], []
+            real_new, real_init = GradedMatrix._new, GradedMatrix.__init__
 
-            def counted(self, *args):
+            def counted(*args):
                 made.append(1)
+                return real_new(*args)
+
+            def counted_init(self, *args):
+                checked.append(1)
                 real_init(self, *args)
 
-            monkeypatch.setattr(GradedMatrix, "__init__", counted)
+            monkeypatch.setattr(GradedMatrix, "_new", counted)
+            monkeypatch.setattr(GradedMatrix, "__init__", counted_init)
             diff = a - b
-            monkeypatch.setattr(GradedMatrix, "__init__", real_init)
-            assert len(made) == 1
+            monkeypatch.undo()
+            # one matrix is built, by the unchecked constructor
+            assert len(made) == 1 and not checked
             assert diff == a + (-b)
             assert (diff + b) == a and (a - a).is_zero
+
+
+# ---------------------------------------------------------------------------
+# An entrywise oracle for the matrix algebra: every operation done position
+# by position with RingElement arithmetic, against the methods on raw values.
+
+_ORACLE_RINGS = [Z, Zp(3), Q, LAURENT_Z, FRAC_LAURENT_Q]
+
+
+def _oracle_element(ring, rng):
+    """A random element, zero a quarter of the time, with small values so
+    that sums cancel often; Laurent entries include T - T^-1 and 2 - T - T^-1,
+    which T -> 1 sends to zero."""
+    if rng.random() < 0.25:
+        return ring.zero()
+    c = ring.from_int(rng.choice([-2, -1, 1, 1, 2]))
+    if ring == LAURENT_Z:
+        return rng.choice([c, c * ring.monomial(rng.randint(-2, 2)),
+                           ring.monomial(1) - ring.monomial(-1),
+                           ring.from_int(2) - ring.monomial(1) - ring.monomial(-1)])
+    if ring == FRAC_LAURENT_Q:
+        den = ring.one() + ring.monomial(rng.randint(0, 1))
+        return c * ring.monomial(rng.randint(-1, 1)) / den
+    if ring == Q:
+        return c / Q.from_int(rng.choice([1, 2, 3]))
+    return c
+
+
+def _oracle_pair(ring, rng, src, tgt, deg):
+    """A random homogeneous src -> tgt map as {(t, s): nonzero element} and
+    the same map as a matrix, made through the loader's path."""
+    ent = {}
+    for t in range(tgt.rank):
+        for s in range(src.rank):
+            if (tgt.degree(t) - src.degree(s) - deg) % src.modulus == 0:
+                x = _oracle_element(ring, rng)
+                if not x.is_zero:
+                    ent[(t, s)] = x
+    triples = [(tgt.name(t), src.name(s), x) for (t, s), x in ent.items()]
+    return ent, GradedMatrix.from_named(src, tgt, deg, triples)
+
+
+def _oracle_sum(terms, ring):
+    """{position: sum of its elements} of (position, element) terms, zeros dropped."""
+    out = {}
+    for k, x in terms:
+        out[k] = out.get(k, ring.zero()) + x
+    return {k: x for k, x in out.items() if not x.is_zero}
+
+
+def _assert_matches(m, want):
+    zero = m.ring.domain.zero
+    assert all(x != zero for x in m.entries.values())  # no stored zeros
+    assert _elements(m) == want
+
+
+@pytest.mark.parametrize("ring", _ORACLE_RINGS, ids=str)
+def test_matrix_algebra_equals_the_entrywise_element_oracle(ring):
+    rng = random.Random(409)
+    gens = [[(f"g{i}", rng.randint(0, 1)) for i in range(rng.randint(3, 5))] for _ in range(3)]
+    a_mod, b_mod, c_mod = (GradedModule(ring, 2, g) for g in gens)
+    cancelled = 0
+    for _ in range(25):
+        a, ma = _oracle_pair(ring, rng, a_mod, b_mod, 1)
+        b, mb = _oracle_pair(ring, rng, a_mod, b_mod, 1)
+        c, mc = _oracle_pair(ring, rng, b_mod, c_mod, 1)
+        # @: (c a)[t, s] = sum_m c[t, m] a[m, s]
+        _assert_matches(mc @ ma, _oracle_sum(
+            (((t, s), y * x) for (t, m), y in c.items() for (m2, s), x in a.items() if m == m2),
+            ring))
+        _assert_matches(ma + mb, _oracle_sum(list(a.items()) + list(b.items()), ring))
+        _assert_matches(ma - mb, _oracle_sum(list(a.items()) + [(k, -x) for k, x in b.items()],
+                                             ring))
+        _assert_matches(-ma, {k: -x for k, x in a.items()})
+        k = _oracle_element(ring, rng)
+        _assert_matches(ma.scale(k), {p: k * x for p, x in a.items() if not (k * x).is_zero})
+        # blocks: a and b overlap at (0, 0), where they add, and b again
+        # below them, in a second copy of b_mod's generators
+        nb = b_mod.rank
+        big_t = GradedModule(ring, 2, list(b_mod.gens) + [(n + "'", d) for n, d in b_mod.gens])
+        _assert_matches(
+            GradedMatrix.from_blocks(a_mod, big_t, 1, (ma, 0, 0), (mb, 0, 0), (mb, nb, 0)),
+            _oracle_sum(list(a.items()) + list(b.items())
+                        + [((t + nb, s), x) for (t, s), x in b.items()], ring))
+        cancelled += sum(1 for p in a.keys() & b.keys() if (a[p] + b[p]).is_zero)
+    assert cancelled  # some sums cancel to zero, and no zero is stored
+
+
+def _eval_oracle(unit, x):
+    """x at T = unit by element arithmetic: sum c unit^e."""
+    total = unit.ring.zero()
+    for e, c in x.val:
+        power = unit.ring.one()
+        for _ in range(abs(e)):
+            power = power * (unit if e >= 0 else unit.inverse())
+        total = total + unit.ring.from_int(c) * power
+    return total
+
+
+def test_map_entries_equals_the_entrywise_oracle_under_every_rule():
+    from scx.rings import RingMap, eval_t_at_one
+
+    rng = random.Random(410)
+    as_text = lambda target: (lambda x: parse_element(target, str(x)))  # noqa: E731
+    maps = [
+        (RingMap(RingMap.IDENTITY, Q, Q), lambda x: x),
+        (RingMap(RingMap.MOD_P, Z, Zp(3)), as_text(Zp(3))),
+        (RingMap(RingMap.Z_TO_Q, Z, Q), as_text(Q)),
+        (RingMap(RingMap.LAURENT_TO_FRAC, LAURENT_Z, FRAC_LAURENT_Q), as_text(FRAC_LAURENT_Q)),
+        (eval_t_at_one(), lambda x: _eval_oracle(Z.one(), x)),
+        (RingMap(RingMap.EVAL_T, LAURENT_Z, Z, unit=Z.from_int(-1)),
+         lambda x: _eval_oracle(Z.from_int(-1), x)),
+        (RingMap(RingMap.EVAL_T, LAURENT_Z, Q, unit=Q.parse("2/3")),
+         lambda x: _eval_oracle(Q.parse("2/3"), x)),
+    ]
+    vanished = 0
+    for ring_map, oracle in maps:
+        src_gens = [(f"g{i}", i % 2) for i in range(4)]
+        tgt_gens = [(f"h{i}", i % 2) for i in range(3)]
+        src, tgt = (GradedModule(ring_map.source, 2, g) for g in (src_gens, tgt_gens))
+        new_src, new_tgt = (GradedModule(ring_map.target, 2, g) for g in (src_gens, tgt_gens))
+        for _ in range(15):
+            a, ma = _oracle_pair(ring_map.source, rng, src, tgt, 1)
+            want = {k: oracle(x) for k, x in a.items()}
+            vanished += sum(1 for x in want.values() if x.is_zero)
+            got = ma.map_entries(ring_map.raw, new_src, new_tgt)
+            _assert_matches(got, {k: x for k, x in want.items() if not x.is_zero})
+            assert all(ring_map(x) == want[k] for k, x in a.items())
+    assert vanished  # T -> 1 sends nonzero Laurent entries to zero

@@ -75,7 +75,7 @@ def test_tau_support_bound_rejected():
                        GradedMatrix.zero(x.irr, x.red, 0),
                        GradedMatrix.zero(x.red, x.irr, -1),
                        {bound + 5: GradedMatrix(x.red, x.red, 0,
-                                                {(0, 0): Q.one()})}, 0)
+                                                {(0, 0): Q.domain.one})}, 0)
 
 
 def test_heights_need_r_perfect():
@@ -147,13 +147,13 @@ def test_height_minus1_factored_matrix_shape():
     t_m1 = f.tau_at(-1)
     # row block 2 of lambda' is tau_{-1} delta1
     expect = t_m1 @ x.delta1
-    for (t, s), val in expect.entries.items():
-        assert fac.lam.entry(mc + t, s) == val
+    for t, s in expect.entries:
+        assert fac.lam.entry(mc + t, s) == expect.entry(t, s)
     # Delta2' stacks (Delta2; tau_0)
-    for (t, s), val in f.delta2.entries.items():
-        assert fac.delta2.entry(t, s) == val
-    for (t, s), val in f.tau_at(0).entries.items():
-        assert fac.delta2.entry(mc + t, s) == val
+    for t, s in f.delta2.entries:
+        assert fac.delta2.entry(t, s) == f.delta2.entry(t, s)
+    for t, s in f.tau_at(0).entries:
+        assert fac.delta2.entry(mc + t, s) == f.tau_at(0).entry(t, s)
     # rho' = tau_{-1}
     assert fac.tau_at(0).same_entries_as(t_m1)
 
@@ -164,7 +164,7 @@ def _rand_odd(x, rng):
     for s in range(x.red.rank):
         for t in range(x.red.rank):
             if (x.red.degree(t) - x.red.degree(s)) % x.modulus == 0 and rng.random() < 0.6:
-                ent[(t, s)] = x.ring.from_int(rng.choice([1, -1]))
+                ent[(t, s)] = x.ring.domain.from_int(rng.choice([1, -1]))
     return OddMorphism(gm, GradedMatrix(x.red, x.red, 0, ent))
 
 
@@ -278,7 +278,7 @@ def _rand_homogeneous(src, tgt, degree, rng):
             if (tgt.degree(t) - src.degree(s) - degree) % src.modulus == 0 and rng.random() < 0.6:
                 c = rng.choice([-2, -1, 1, 3])
                 ent[(t, s)] = (ring.monomial(rng.randint(-1, 1), c)
-                               if ring == FRAC_LAURENT_Q else ring.from_int(c))
+                               if ring == FRAC_LAURENT_Q else ring.from_int(c)).val
     return GradedMatrix(src, tgt, degree, ent)
 
 

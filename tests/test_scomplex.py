@@ -63,7 +63,7 @@ def test_identity_morphism_verifies():
 
 def test_non_chain_map_fails_relation_one():
     x = atomic(1)
-    lam = GradedMatrix(x.irr, x.irr, 0, {(0, 0): Z.one()})
+    lam = GradedMatrix(x.irr, x.irr, 0, {(0, 0): 1})
     f = SMorphism(x, x, 0, lam, GradedMatrix.zero(x.irr, x.irr, -1),
                   GradedMatrix.zero(x.irr, x.red, 0),
                   GradedMatrix.zero(x.red, x.irr, -1),
