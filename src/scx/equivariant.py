@@ -24,64 +24,13 @@ from .gradedlin import (
     exactness_at,
     field_kernel_basis,
     int_kernel_basis,
+    Sweep,
     raw_vectors,
     span_contains,
     sparse_kernel_basis,
 )
 from .rings import RingElement, Z
 from .scomplex import RelationReport
-
-
-class _Ladder:
-    """The blocks delta1 v^j (C -> R) and v^j delta2 (R -> C) of one complex,
-    for j = 0, 1, 2, ..., and the entries of -v^j delta2.
-
-    Each power of v is one product with the power before it, and each block
-    is built once, the first time it is asked for.  Once a power of v is
-    zero every later block is the zero block and no further product is
-    made.  A ladder is built for one call and dropped with it.
-    """
-
-    def __init__(self, x):
-        self._x = x
-        self._power = None  # the last power of v used, v^(len(self._left) - 1)
-        self._left = []
-        self._right = []
-        self._right_neg = []
-
-    def _grow(self, j):
-        x = self._x
-        while len(self._left) <= j:
-            if self._left and self._power.is_zero:
-                for blocks in (self._left, self._right, self._right_neg):
-                    blocks.append(blocks[-1])
-                continue
-            p = x.v @ self._power if self._left else GradedMatrix.identity(x.irr)
-            self._power = p
-            if p.is_zero:
-                left = GradedMatrix.zero(x.irr, x.red, x.delta1.degree)
-                right = GradedMatrix.zero(x.red, x.irr, x.delta2.degree)
-            else:
-                left, right = x.delta1 @ p, p @ x.delta2
-            self._left.append(left)
-            self._right.append(right)
-            neg = x.ring.domain.neg
-            self._right_neg.append({k: neg(c) for k, c in right.entries.items()})
-
-    def left(self, j):
-        """delta1 v^j."""
-        self._grow(j)
-        return self._left[j]
-
-    def right(self, j):
-        """v^j delta2."""
-        self._grow(j)
-        return self._right[j]
-
-    def right_neg_entries(self, j):
-        """The entries of -v^j delta2, as the i <= 0 systems read them."""
-        self._grow(j)
-        return self._right_neg[j]
 
 
 def _nilpotency(v):
@@ -138,16 +87,16 @@ class SmallEquivariantComplex:
 
     def _build_diff(self):
         x = self.base
-        neg = x.ring.domain.neg
-        ladder = _Ladder(x)
+        left = Sweep(x.delta1, x.v)
+        right_neg = Sweep(-x.delta2, x.v, before=True)
         # every block lands on positions of its own, so no two entries add
         ent = {} if self.flavor == "bar" else dict(x.d.entries)
         for p in self.powers:
             if self.flavor == "hat" and p >= 0:
-                for (t, s), val in ladder.right(p).entries.items():
-                    ent[(self.irr_index(t), self.red_index(s, p))] = neg(val)
+                for (t, s), val in right_neg[p].entries.items():
+                    ent[(self.irr_index(t), self.red_index(s, p))] = val
             elif self.flavor == "check" and p < 0:
-                for (t, s), val in ladder.left(-p - 1).entries.items():
+                for (t, s), val in left[-p - 1].entries.items():
                     ent[(self.red_index(t, p), self.irr_index(s))] = val
         return GradedMatrix(self.module, self.module, -1, ent)
 
@@ -237,7 +186,8 @@ def ijp_maps(x, n):
 def _ijp_matrices(x, hat, chk, bar, e):
     dom = x.ring.domain
     one = dom.one
-    ladder = _Ladder(x)
+    left = Sweep(x.delta1, x.v)
+    right = Sweep(x.delta2, x.v, before=True)
 
     def i_rule(col):
         kind, *rest = _col_info(hat, col)
@@ -245,8 +195,7 @@ def _ijp_matrices(x, hat, chk, bar, e):
         if kind == "irr":
             c = rest[0]
             for j in range(e):
-                m = ladder.left(j)
-                for (t, s), val in m.entries.items():
+                for (t, s), val in left[j].entries.items():
                     if s == c and bar.has_power(-j - 1):
                         out.append((bar.red_index(t, -j - 1), val))
         else:
@@ -265,8 +214,7 @@ def _ijp_matrices(x, hat, chk, bar, e):
         kind, g, p = _col_info(bar, col)
         out = []
         if p >= 0:
-            m = ladder.right(p)
-            for (t, s), val in m.entries.items():
+            for (t, s), val in right[p].entries.items():
                 if s == g:
                     out.append((chk.irr_index(t), val))
         elif chk.has_power(p):
@@ -470,19 +418,25 @@ class FroyshovProfile:
         return f"FroyshovProfile({vals}; h={self.h})"
 
 
-def _j_module(x, i, ladder=None):
+def _sweeps(x):
+    """The sweeps a J_i system reads: delta1 v^j, and v^j (-delta2), which is
+    -v^j delta2 entry for entry with delta2 negated once."""
+    return Sweep(x.delta1, x.v), Sweep(-x.delta2, x.v, before=True)
+
+
+def _j_module(x, i, sweeps=None):
     """Generating columns for J_i as a submodule of R, via the finite system.
 
-    Each system is built as {column: raw value} rows and its kernel comes
-    back as {index: raw value} vectors, and so do the columns, so the work
-    follows the nonzero entries.  `ladder` holds the complex's delta1 v^j
-    and v^j delta2 blocks; a caller that solves several systems of one
-    complex passes one ladder to all.
+    The i >= 1 system stacks d over the blocks delta1 v^j and the i <= 0
+    system sets d beside the blocks -v^j delta2, read from the pair
+    `sweeps` of `_sweeps(x)`; a caller that solves several systems of one
+    complex passes one pair to all.  Each system is built as
+    {column: raw value} rows and its kernel comes back as {index: raw value}
+    vectors, and so do the columns, so the work follows the nonzero entries.
     """
     ring = x.ring
     nc, nr = x.irr.rank, x.red.rank
-    if ladder is None:
-        ladder = _Ladder(x)
+    left, right_neg = sweeps or _sweeps(x)
 
     def fill(rows, block, row_off, col_off):
         for (t, s), val in block.items():
@@ -492,14 +446,14 @@ def _j_module(x, i, ladder=None):
         rows = [{} for _ in range(nc + (i - 1) * nr)]
         fill(rows, x.d.entries, 0, 0)
         for j in range(i - 1):
-            fill(rows, ladder.left(j).entries, nc + j * nr, 0)
-        return apply(ladder.left(i - 1), sparse_kernel_basis(rows, nc, ring))
+            fill(rows, left[j].entries, nc + j * nr, 0)
+        return apply(left[i - 1], sparse_kernel_basis(rows, nc, ring))
     m = -i
     # variables (alpha, theta_0..theta_m); equation d a - sum v^j delta2 t_j = 0
     rows = [{} for _ in range(nc)]
     fill(rows, x.d.entries, 0, 0)
     for j in range(m + 1):
-        fill(rows, ladder.right_neg_entries(j), 0, nc + j * nr)
+        fill(rows, right_neg[j].entries, 0, nc + j * nr)
     off = nc + m * nr  # theta_m, the entries J_i is read from
     out = []
     for vec in sparse_kernel_basis(rows, off + nr, ring):
@@ -529,11 +483,11 @@ def froyshov_profile(x):
         raise UnsupportedRing("Froyshov profile needs Z or field coefficients")
     nr = x.red.rank
     w = x.irr.rank + nr + 1
-    ladder = _Ladder(x)
+    sweeps = _sweeps(x)
     d = {}
     j_bases = {}
     for i in range(-w, w + 1):
-        basis, d[i] = _module_basis_and_rank(_j_module(x, i, ladder), nr, ring)
+        basis, d[i] = _module_basis_and_rank(_j_module(x, i, sweeps), nr, ring)
         j_bases[i] = boxed(basis, nr, ring)
     if d[-w] != nr or d[w] != 0:
         raise PlateauNotReached(f"window [{-w}, {w}] too small: "

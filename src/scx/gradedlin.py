@@ -309,6 +309,30 @@ class GradedMatrix:
                 f"{len(self.entries)} entries)")
 
 
+class Sweep:
+    """The products a.v^j (v^j.a with `before`) of a block a and a square v,
+    for j = 0, 1, 2, ..., read as sweep[j].
+
+    Each term is one product of v with the term before it, made the first
+    time it is read, so no power of v is formed.  Once a term is zero every
+    later term is that same zero matrix and no product is made.
+    """
+
+    __slots__ = ("_v", "_before", "_terms")
+
+    def __init__(self, a, v, before=False):
+        self._v = v
+        self._before = before
+        self._terms = [a]
+
+    def __getitem__(self, j):
+        terms = self._terms
+        while len(terms) <= j and terms[-1].entries:
+            last = terms[-1]
+            terms.append(self._v @ last if self._before else last @ self._v)
+        return terms[min(j, len(terms) - 1)]
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form over Z, with unimodular transforms, on sparse rows.
 

@@ -22,28 +22,13 @@ Q_i = v^{i-1}.delta2, and tau_1..tau_n take at most 5n products.
 from __future__ import annotations
 
 from .errors import ShapeMismatch
-from .gradedlin import GradedMatrix, is_invertible
-from .scomplex import RelationReport, SMorphism, _rel
+from .gradedlin import GradedMatrix, Sweep, is_invertible
+from .scomplex import RelationReport, SMorphism, _check_components, _rel
 from .functors import suspend, suspend_once
 
 
 def _tau_bound(x, y):
     return x.irr.rank + y.irr.rank + 2
-
-
-class _Powers:
-    """m^0, m^1, ... of a square matrix m, each made from the one before the
-    first time it is read, so only the powers a caller reads are built."""
-
-    def __init__(self, m):
-        self._m = m
-        self._out = [GradedMatrix.identity(m.source)]
-
-    def __getitem__(self, j):
-        out = self._out
-        while len(out) <= j:
-            out.append(self._m @ out[-1])
-        return out[j]
 
 
 def tau_closed_formula(x, y, lam, mu, delta1, delta2, n):
@@ -74,17 +59,12 @@ class HeightMorphism:
             if abs(i) > bound:
                 raise ShapeMismatch(
                     f"declared tau support |{i}| exceeds the bound {bound}")
-        expect = [
+        _check_components(
+            mod,
             (lam, source.irr, target.irr, k, "lambda"),
             (mu, source.irr, target.irr, k - 1, "mu"),
             (delta1, source.irr, target.red, k, "Delta1"),
-            (delta2, source.red, target.irr, k - 1, "Delta2"),
-        ]
-        for m, src, tgt, deg, name in expect:
-            if m.source != src or m.target != tgt:
-                raise ShapeMismatch(f"component {name} has wrong endpoints")
-            if m.entries and m.degree != deg % mod:
-                raise ShapeMismatch(f"component {name} needs degree {deg} mod {mod}")
+            (delta2, source.red, target.irr, k - 1, "Delta2"))
         for i, t in tau.items():
             if t.source != source.red or t.target != target.red:
                 raise ShapeMismatch("tau maps R to R'")
@@ -151,24 +131,24 @@ class HeightMorphism:
         """
         x, y = self.source, self.target
         bound = _tau_bound(x, y)
-        vp = _Powers(y.v)
-        vs = _Powers(x.v)
+        left_x = Sweep(x.delta1, x.v)  # delta1 v^j
+        right_y = Sweep(y.delta2, y.v, before=True)  # v'^j delta2'
         neg = [i for i in self.tau if i <= 0]
 
         rel1 = y.d @ self.lam - self.lam @ x.d
         for i in [-i for i in neg if i < 0]:
             for j in range(i):
-                rel1 = rel1 - vp[j] @ y.delta2 @ self.tau_at(-i) @ x.delta1 @ vs[i - 1 - j]
+                rel1 = rel1 - right_y[j] @ self.tau_at(-i) @ left_x[i - 1 - j]
         rel2 = -(y.delta1 @ self.lam) + self.delta1 @ x.d
         for i in range(0, bound + 1):
             t = self.tau_at(-i)
             if not t.is_zero:
-                rel2 = rel2 + t @ x.delta1 @ vs[i]
+                rel2 = rel2 + t @ left_x[i]
         rel3 = self.lam @ x.delta2 + y.d @ self.delta2
         for i in range(0, bound + 1):
             t = self.tau_at(-i)
             if not t.is_zero:
-                rel3 = rel3 - vp[i] @ y.delta2 @ t
+                rel3 = rel3 - right_y[i] @ t
         rel4 = (self.mu @ x.d + y.d @ self.mu + self.lam @ x.v - y.v @ self.lam
                 + self.delta2 @ x.delta1 - y.delta2 @ self.delta1)
 
@@ -233,9 +213,15 @@ def compose_heights(g, f):
     x, ymid, z = f.source, f.target, g.target
     sup_f = max(0, -min([i for i in f.tau] or [0]))
     sup_g = max(0, -min([i for i in g.tau] or [0]))
-    vX = _Powers(x.v)
-    vY = _Powers(ymid.v)
-    vZ = _Powers(z.v)
+    # every block times a power of v, from a sweep of that block
+    f_d1 = Sweep(f.delta1, x.v)  # Delta1_f v^j
+    f_mu = Sweep(f.mu, x.v)  # mu_f v^j
+    x_d1 = Sweep(x.delta1, x.v)  # delta1 v^j
+    y_d1 = Sweep(ymid.delta1, ymid.v)  # delta1' v'^j
+    y_d2 = Sweep(ymid.delta2, ymid.v, before=True)  # v'^j delta2'
+    z_d2 = Sweep(z.delta2, z.v, before=True)  # v''^j delta2''
+    g_d2 = Sweep(g.delta2, z.v, before=True)  # v''^j Delta2_g
+    g_mu = Sweep(g.mu, z.v, before=True)  # v''^j mu_g
 
     def tg(i):
         return g.tau_at(i)
@@ -247,18 +233,18 @@ def compose_heights(g, f):
     lam = g.lam @ f.lam
     for i in range(0, sup_g):
         for j in range(i + 1):
-            lam = lam + vZ[j] @ z.delta2 @ tg(-(i + 1)) @ f.delta1 @ vX[i - j]
+            lam = lam + z_d2[j] @ tg(-(i + 1)) @ f_d1[i - j]
     for i in range(0, sup_f):
         for j in range(i + 1):
-            lam = lam + vZ[j] @ g.delta2 @ tf(-(i + 1)) @ x.delta1 @ vX[i - j]
+            lam = lam + g_d2[j] @ tf(-(i + 1)) @ x_d1[i - j]
     for i in range(0, sup_g - 1):
         for j in range(i + 1):
             for kk in range(i - j + 1):
-                lam = lam + vZ[j] @ z.delta2 @ tg(-(i + 2)) @ ymid.delta1 @ vY[kk] @ f.mu @ vX[i - j - kk]
+                lam = lam + z_d2[j] @ tg(-(i + 2)) @ y_d1[kk] @ f_mu[i - j - kk]
     for i in range(0, sup_f - 1):
         for j in range(i + 1):
             for kk in range(i - j + 1):
-                lam = lam + vZ[j] @ g.mu @ vY[kk] @ ymid.delta2 @ tf(-(i + 2)) @ x.delta1 @ vX[i - j - kk]
+                lam = lam + g_mu[j] @ y_d2[kk] @ tf(-(i + 2)) @ x_d1[i - j - kk]
 
     mu = g.lam @ f.mu + g.mu @ f.lam + g.delta2 @ f.delta1
 
@@ -266,23 +252,23 @@ def compose_heights(g, f):
     for i in range(0, sup_g + 1):
         t = tg(-i)
         if not t.is_zero:
-            d1 = d1 + t @ f.delta1 @ vX[i]
+            d1 = d1 + t @ f_d1[i]
     for i in range(0, sup_g):
         for j in range(i + 1):
             t = tg(-(i + 1))
             if not t.is_zero:
-                d1 = d1 + t @ ymid.delta1 @ vY[j] @ f.mu @ vX[i - j]
+                d1 = d1 + t @ y_d1[j] @ f_mu[i - j]
 
     d2 = g.lam @ f.delta2
     for i in range(0, sup_f + 1):
         t = tf(-i)
         if not t.is_zero:
-            d2 = d2 + vZ[i] @ g.delta2 @ t
+            d2 = d2 + g_d2[i] @ t
     for i in range(0, sup_f):
         for j in range(i + 1):
             t = tf(-(i + 1))
             if not t.is_zero:
-                d2 = d2 + vZ[j] @ g.mu @ vY[i - j] @ ymid.delta2 @ t
+                d2 = d2 + g_mu[j] @ y_d2[i - j] @ t
 
     bound = _tau_bound(x, z)
     tau = {}
@@ -315,24 +301,18 @@ def factor_through_suspension(f):
         sx = suspend(x, n)
         nc, nr = x.irr.rank, x.red.rank
         k = (f.degree - 2 * n) % x.modulus
-        vp = _Powers(y.v)
-        vs = _Powers(x.v)
-        mu_i = [GradedMatrix.zero(x.irr, y.irr, f.degree - 1 - 2 * 0)]
-        # mu_i = sum_{j<i} v'^j mu v^{i-j-1}
-        for i in range(1, n + 1):
-            acc = GradedMatrix.zero(x.irr, y.irr, f.degree - 1 - 2 * (i - 1) - 0)
-            for j in range(i):
-                acc = acc + vp[j] @ f.mu @ vs[i - j - 1]
-            mu_i.append(acc)
-        # lambda'_i acts on R[-2(n-i)-1], the (i-1)-st reducible block
+        # P_i = v'^i Delta2 + sum_{j<i} v'^j mu v^{i-1-j} delta2, by
+        # P_0 = Delta2 and P_{i+1} = v'.P_i + mu.(v^i delta2)
+        right_x = Sweep(x.delta2, x.v, before=True)
+        p = [f.delta2]
+        for i in range(n):
+            p.append(y.v @ p[i] + f.mu @ right_x[i])
+        # lambda' is P_i on the i-th reducible block, R[-2(n-i)+1]
         lam = GradedMatrix.from_blocks(
-            sx.irr, y.irr, k, (f.lam, 0, 0),
-            *((mu_i[i - 1] @ x.delta2 + vp[i - 1] @ f.delta2, 0, nc + (i - 1) * nr)
-              for i in range(1, n + 1)))
+            sx.irr, y.irr, k, (f.lam, 0, 0), *((p[i], 0, nc + i * nr) for i in range(n)))
         mu = GradedMatrix.from_blocks(sx.irr, y.irr, k - 1, (f.mu, 0, 0))
         d1 = GradedMatrix.from_blocks(sx.irr, y.red, k, (f.delta1, 0, 0))
-        d2 = mu_i[n] @ x.delta2 + vp[n] @ f.delta2
-        d2 = GradedMatrix(sx.red, y.irr, k - 1, dict(d2.entries))
+        d2 = GradedMatrix(sx.red, y.irr, k - 1, dict(p[n].entries))
         rho = f.tau_at(n)
         rho = GradedMatrix(sx.red, y.red, k, dict(rho.entries))
         return HeightMorphism.from_components(sx, y, k, lam, mu, d1, d2,
@@ -341,12 +321,12 @@ def factor_through_suspension(f):
     sy = suspend(y, m)
     mc, mr = y.irr.rank, y.red.rank
     k = (f.degree + 2 * m) % x.modulus
-    vs = _Powers(x.v)
+    left_x = Sweep(x.delta1, x.v)  # delta1 v^j
     lam_blocks = [(f.lam, 0, 0)]
     for t in range(m):  # row block R'[-2(m-t)+...]: sum_{i=t+1}^m tau_{-i} delta1 v^{i-1-t}
         acc = None
         for i in range(t + 1, m + 1):
-            term = f.tau_at(-i) @ x.delta1 @ vs[i - 1 - t]
+            term = f.tau_at(-i) @ left_x[i - 1 - t]
             acc = term if acc is None else acc + term
         lam_blocks.append((acc, mc + t * mr, 0))
     lam = GradedMatrix.from_blocks(x.irr, sy.irr, k, *lam_blocks)

@@ -628,11 +628,24 @@ def skein_chi(node, audit=None):
     return val, audit
 
 
+def _leaf_fraction(leaf, key):
+    """The rational leaf[key] (an int, or a string like '1/2'), or None."""
+    val = leaf.get(key)
+    if val is None:
+        return None
+    try:
+        return Fraction(str(val))
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError(f"leaf {key} must be a rational number, got {val!r}") from None
+
+
 def skein_node_from_json(doc):
     if not isinstance(doc, dict) or len(doc) != 1:
         raise SchemaError("skein node must be a one-key object")
     if "leaf" in doc:
-        leaf = dict(doc["leaf"])
+        leaf = doc["leaf"]
+        if not isinstance(leaf, dict):
+            raise SchemaError(f"leaf must be an object, got {leaf!r}")
         extra = set(leaf) - {"components", "chi", "xi", "name", "family"}
         if extra:
             raise SchemaError(f"unknown leaf keys {sorted(extra)}")
@@ -641,17 +654,20 @@ def skein_node_from_json(doc):
             return SkeinLeaf(desc.components, xi=murasugi_xi(desc), name=repr(desc))
         if "components" not in leaf:
             raise SchemaError("leaf needs components")
-        chi = leaf.get("chi")
-        xi = leaf.get("xi")
-        return SkeinLeaf(leaf["components"],
-                         chi=None if chi is None else Fraction(str(chi)),
-                         xi=None if xi is None else Fraction(str(xi)),
-                         name=leaf.get("name"))
+        if type(leaf["components"]) is not int:
+            raise SchemaError(f"leaf components must be an integer, got {leaf['components']!r}")
+        return SkeinLeaf(leaf["components"], chi=_leaf_fraction(leaf, "chi"),
+                         xi=_leaf_fraction(leaf, "xi"), name=leaf.get("name"))
     if "triple" in doc:
-        t = dict(doc["triple"])
+        t = doc["triple"]
+        if not isinstance(t, dict):
+            raise SchemaError(f"triple must be an object, got {t!r}")
         extra = set(t) - {"eps1", "eps2", "L", "Lp", "Lpp", "solve"}
         if extra:
             raise SchemaError(f"unknown triple keys {sorted(extra)}")
+        for key in ("eps1", "eps2", "L", "Lp", "Lpp"):
+            if key not in t:
+                raise SchemaError(f"triple needs {key}")
         return SkeinTriple(t["eps1"], t["eps2"],
                            skein_node_from_json(t["L"]),
                            skein_node_from_json(t["Lp"]),
@@ -660,19 +676,22 @@ def skein_node_from_json(doc):
     raise SchemaError("skein node must be 'leaf' or 'triple'")
 
 
+# family kind -> (constructor, the parameter keys it takes in order)
+_FAMILY_KEYS = {"unknot": (unknot, ()), "hopf": (hopf, ()), "torus2": (torus2, ("k",)),
+                "pretzel": (pretzel, ("n",)), "twisted": (twisted_torus, ("p", "q", "k2"))}
+
+
 def _descriptor_from_json(obj):
+    if not isinstance(obj, dict):
+        raise SchemaError(f"leaf family must be an object, got {obj!r}")
     kind = obj.get("kind")
-    if kind == "unknot":
-        return unknot()
-    if kind == "hopf":
-        return hopf()
-    if kind == "torus2":
-        return torus2(obj["k"])
-    if kind == "pretzel":
-        return pretzel(obj["n"])
-    if kind == "twisted":
-        return twisted_torus(obj["p"], obj["q"], obj["k2"])
-    raise SchemaError(f"unknown family kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _FAMILY_KEYS:
+        raise SchemaError(f"unknown family kind {kind!r}")
+    make, keys = _FAMILY_KEYS[kind]
+    for key in keys:
+        if key not in obj:
+            raise SchemaError(f"{kind} family needs key {key!r}")
+    return make(*(obj[key] for key in keys))
 
 
 def torus_resolution_tree(k):

@@ -56,27 +56,30 @@ def _rel(name, matrix):
     return (name, matrix.is_zero, matrix.first_nonzero())
 
 
+def _check_components(mod, *expect):
+    """Each (matrix, source, target, degree, name) must have those endpoints
+    and, when nonzero, that degree mod `mod`."""
+    for m, src, tgt, deg, name in expect:
+        if m.source != src or m.target != tgt:
+            raise ShapeMismatch(f"component {name} has wrong endpoints")
+        if m.entries and m.degree != deg % mod:
+            raise ShapeMismatch(f"component {name} must have degree {deg} mod {mod}")
+
+
 class SComplex:
     """The tuple (C, R, d, v, delta1, delta2, r) with optional s-map."""
 
     def __init__(self, irr, red, d, v, delta1, delta2, r, s=None, metadata=None):
         if irr.ring != red.ring or irr.modulus != red.modulus:
             raise ShapeMismatch("C and R must share ring and modulus")
-        mod = irr.modulus
-        expect = [
+        _check_components(
+            irr.modulus,
             (d, irr, irr, -1, "d"),
             (v, irr, irr, -2, "v"),
             (delta1, irr, red, -1, "delta1"),
             (delta2, red, irr, -2, "delta2"),
             (r, red, red, -1, "r"),
-        ]
-        if s is not None:
-            expect.append((s, red, red, -2, "s"))
-        for m, src, tgt, deg, name in expect:
-            if m.source != src or m.target != tgt:
-                raise ShapeMismatch(f"component {name} has wrong source/target")
-            if m.entries and m.degree != deg % mod:
-                raise ShapeMismatch(f"component {name} must have degree {deg} mod {mod}")
+            *([] if s is None else [(s, red, red, -2, "s")]))
         self.irr = irr
         self.red = red
         self.d = d
@@ -240,18 +243,13 @@ class SMorphism:
             raise ShapeMismatch("morphism endpoints incompatible")
         mod = source.modulus
         k = degree % mod
-        expect = [
+        _check_components(
+            mod,
             (lam, source.irr, target.irr, k, "lambda"),
             (mu, source.irr, target.irr, k - 1, "mu"),
             (delta1, source.irr, target.red, k, "Delta1"),
             (delta2, source.red, target.irr, k - 1, "Delta2"),
-            (rho, source.red, target.red, k, "rho"),
-        ]
-        for m, src, tgt, deg, name in expect:
-            if m.source != src or m.target != tgt:
-                raise ShapeMismatch(f"component {name} has wrong endpoints")
-            if m.entries and m.degree != deg % mod:
-                raise ShapeMismatch(f"component {name} must have degree {deg} mod {mod}")
+            (rho, source.red, target.red, k, "rho"))
         self.source = source
         self.target = target
         self.degree = k
@@ -306,9 +304,6 @@ class SMorphism:
 
     def compose_after(self, other):
         """self . other (other first)."""
-        if other.target is not self.source and other.target != self.source:
-            # structural equality is enough; matrices check shapes anyway
-            pass
         g, f = self, other
         return SMorphism(
             f.source, g.target, g.degree + f.degree,
@@ -351,20 +346,14 @@ class SHomotopy:
         if frm.degree != to.degree:
             raise ShapeMismatch("homotopy requires equal-degree morphisms")
         X, Y = frm.source, frm.target
-        mod = X.modulus
         k = frm.degree
-        expect = [
+        _check_components(
+            X.modulus,
             (K, X.irr, Y.irr, k + 1, "K"),
             (L, X.irr, Y.irr, k, "L"),
             (M1, X.irr, Y.red, k + 1, "M1"),
             (M2, X.red, Y.irr, k, "M2"),
-            (J, X.red, Y.red, k + 1, "J"),
-        ]
-        for m, src, tgt, deg, name in expect:
-            if m.source != src or m.target != tgt:
-                raise ShapeMismatch(f"component {name} has wrong endpoints")
-            if m.entries and m.degree != deg % mod:
-                raise ShapeMismatch(f"component {name} must have degree {deg} mod {mod}")
+            (J, X.red, Y.red, k + 1, "J"))
         self.frm = frm
         self.to = to
         self.K = K

@@ -244,6 +244,25 @@ def test_skein_chi_verb(tmp_path, capsys):
     assert doc["chi"] == "-2"
 
 
+@pytest.mark.parametrize("tree,message", [
+    ({"leaf": 5}, "leaf must be an object, got 5"),
+    ({"leaf": {"components": 1, "chi": "abc"}},
+     "leaf chi must be a rational number, got 'abc'"),
+    ({"triple": {"eps2": 1, "L": {"leaf": {"components": 2, "chi": 0}},
+                 "Lp": {"leaf": {"components": 1, "chi": 0}},
+                 "Lpp": {"leaf": {"components": 1, "chi": 0}}}}, "triple needs eps1"),
+    ({"leaf": {"family": 5}}, "leaf family must be an object, got 5"),
+    ({"leaf": {"family": {"kind": "torus2"}}}, "torus2 family needs key 'k'"),
+    ({"leaf": {"components": "2", "xi": 1}}, "leaf components must be an integer, got '2'"),
+])
+def test_malformed_skein_tree_is_a_usage_error(tmp_path, capsys, tree, message):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(tree))
+    capsys.readouterr()
+    assert run("skein-chi", "--in", str(path)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_homology_verb(tmp_path, capsys):
     out = tmp_path / "t6.json"
     run("family", "--name", "torus-link", "--k", "3", "--out", str(out))
@@ -369,12 +388,13 @@ def _with_field(doc, path, value):
 
 def _fuzz_seeds(tmp_path, src):
     """(document, fields to fuzz, verb argvs that read it from `src`): a
-    complex of each size, a height morphism and an exact triangle."""
+    complex of each size, a height morphism, an exact triangle, a skein
+    tree and a morphism."""
     from scx.functors import atomic
     from scx.heights import height_to_json, iota, kappa
     from scx.linkfam import unknot_complex
     from scx.rings import eval_t_at_one
-    from scx.scomplex import SMorphism
+    from scx.scomplex import SMorphism, morphism_to_json
     from scx.triangles import cone_triangle, triangle_to_json
 
     seeds = []
@@ -393,15 +413,24 @@ def _fuzz_seeds(tmp_path, src):
                   (["heights-compose", "--f", str(src), "--g", str(g)],)))
     t = triangle_to_json(cone_triangle(SMorphism.identity(atomic(1))))
     seeds.append((t, list(_fields(t)), (["triangle-verify", "--in", str(src)],)))
+    tree = {"triple": {"eps1": 1, "eps2": -1, "solve": "Lpp",
+                       "L": {"leaf": {"components": 2, "xi": -1, "name": "T(2,4)"}},
+                       "Lp": {"leaf": {"family": {"kind": "torus2", "k": 3}}},
+                       "Lpp": {"leaf": {"components": 1, "chi": "0"}}}}
+    seeds.append((tree, list(_fields(tree)), (["skein-chi", "--in", str(src)],)))
+    m = morphism_to_json(SMorphism.identity(x))
+    seeds.append((m, list(_fields(m)),
+                  (["cone", "--map", str(src), "--out", str(tmp_path / "cone.json")],)))
     return seeds
 
 
 def test_loader_fuzz_exits_with_a_known_code(tmp_path, capsys):
-    # every field of four valid documents (two complexes, a height morphism
-    # and a triangle; plus the absent ring.p and a tau key), one at a time,
-    # set to each value of a fixed list or removed: each verb that reads the
-    # document (verify, then dual on what the loader accepts) must return an
-    # exit code and never raise; refusals print one line
+    # every field of six valid documents (two complexes, a height morphism,
+    # a triangle, a skein tree and a morphism; plus the absent ring.p and a
+    # tau key), one at a time, set to each value of a fixed list or removed:
+    # each verb that reads the document (verify, then dual on what the
+    # loader accepts) must return an exit code and never raise; refusals
+    # print one line
     src = tmp_path / "in.json"
     escaped = []
     seen = set()
@@ -424,7 +453,7 @@ def test_loader_fuzz_exits_with_a_known_code(tmp_path, capsys):
                         break
     assert not escaped, escaped[:5]
     # each seed reaches its verb both as a usable document and as a refused one
-    for verb in ("verify", "heights-compose", "triangle-verify"):
+    for verb in ("verify", "heights-compose", "triangle-verify", "skein-chi", "cone"):
         assert (verb, 2) in seen and {(verb, 0), (verb, 1)} & seen, verb
 
 

@@ -5,9 +5,9 @@ import pytest
 
 from scx.equivariant import (
     _j_module,
-    _Ladder,
     _module_basis_and_rank,
     _nilpotency,
+    _sweeps,
     build_small,
     froyshov_profile,
     froyshov_properties_check,
@@ -21,6 +21,7 @@ from scx.functors import atomic, direct_sum, dual, suspend
 from scx.gradedlin import (
     GradedMatrix,
     GradedModule,
+    Sweep,
     field_kernel_basis,
     int_kernel_basis,
     spans_equal,
@@ -250,29 +251,38 @@ def _non_nilpotent_complex():
     (_non_nilpotent_complex(), False),
 ])
 def test_ladder_blocks_match_powers(x, nilpotent):
+    # sweeps on either side, and the pair a J_i system reads (with delta2
+    # negated once), against full powers of v
     e = _nilpotency(x.v)
     assert (e is not None) == nilpotent
-    ladder = _Ladder(x)
+    left, right = Sweep(x.delta1, x.v), Sweep(x.delta2, x.v, before=True)
+    j_left, j_right_neg = _sweeps(x)
     for j in range((e or 4) + 4):
         vj = x.v.power(j)
-        assert ladder.left(j) == x.delta1 @ vj
-        assert ladder.right(j) == vj @ x.delta2
+        assert left[j] == j_left[j] == x.delta1 @ vj
+        assert right[j] == vj @ x.delta2
+        assert j_right_neg[j] == -(vj @ x.delta2)
 
 
 def test_ladder_makes_no_product_past_a_zero_power(monkeypatch):
-    x = atomic(3, Q, 4)
+    # a sweep makes one product per term up to its first zero term and none
+    # after it; over O(3) + O(-3), delta1 v^j and v^j delta2 are nonzero for
+    # j < e and zero at j = e
+    x = direct_sum(atomic(3, Q, 4), atomic(-3, Q, 4))
     e = _nilpotency(x.v)
     calls = []
     matmul = GradedMatrix.__matmul__
     monkeypatch.setattr(GradedMatrix, "__matmul__",
                         lambda a, b: calls.append(1) or matmul(a, b))
-    ladder = _Ladder(x)
-    ladder.right(e)
-    # v^1 .. v^e are one product each; v^0 .. v^(e-1) are nonzero, two blocks each
-    assert len(calls) == e + 2 * e
+    left, right = Sweep(x.delta1, x.v), Sweep(x.delta2, x.v, before=True)
+    assert not left[e - 1].is_zero and not right[e - 1].is_zero
+    assert len(calls) == 2 * (e - 1)
+    assert left[e].is_zero and right[e].is_zero
+    assert len(calls) == 2 * e
     for j in range(e, e + 10):
-        assert ladder.left(j).is_zero and ladder.right(j).is_zero
-    assert len(calls) == 3 * e
+        assert left[j] is left[e] and right[j] is right[e]
+    assert len(calls) == 2 * e
+    assert len(left._terms) == len(right._terms) == e + 1
 
 
 def test_torus_link_150_profile_over_z_is_fast():
@@ -293,7 +303,7 @@ def dense_j_module(x, i):
     system into dense rows, takes the dense kernel basis (the same
     elimination, entered through `int_kernel_basis` or `field_kernel_basis`),
     and applies delta1 v^(i-1) entry by entry to the dense kernel vectors;
-    powers of v come from `GradedMatrix.power`, not from a ladder.  Returns
+    powers of v come from `GradedMatrix.power`, not from a sweep.  Returns
     {index: raw value} columns, as `_j_module` does."""
     ring = x.ring
     dom = ring.domain
@@ -358,9 +368,9 @@ def test_j_module_equals_the_dense_route():
         past_nilpotency += e is not None and e < w
         nonzero_d += not x.d.is_zero  # d d = 0, so a nonzero d is rank-deficient
         rings_seen.add(x.ring)
-        ladder = _Ladder(x)
+        sweeps = _sweeps(x)
         for i in range(-w, w + 1):
-            got = _j_module(x, i, ladder)
+            got = _j_module(x, i, sweeps)
             assert got == dense_j_module(x, i), (x.ring, i)
             assert _j_module(x, i) == got
     assert rings_seen == {Z, Q, Zp(3), FRAC_LAURENT_Q}

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from scx.errors import NotRPerfect, ShapeMismatch
-from scx.functors import atomic, suspend, suspend_once
-from scx.gradedlin import GradedMatrix
+from scx.functors import atomic, direct_sum, suspend, suspend_once
+from scx.gradedlin import GradedMatrix, Sweep
 from scx.heights import (
     HeightMorphism,
     OddMorphism,
@@ -20,7 +20,7 @@ from scx.heights import (
 )
 from scx.linkfam import torus_link_complex
 from scx.randgen import rand_height_morphism, rand_morphism, rand_scomplex
-from scx.rings import FRAC_LAURENT_Q, LAURENT_Z, Q, RingMap, Z, Zp
+from scx.rings import FRAC_LAURENT_Q, Q, Z, Zp
 from scx.scomplex import SMorphism
 
 
@@ -339,37 +339,224 @@ def test_tau_sweep_makes_at_most_five_products_per_index(monkeypatch):
 
 
 def test_power_ladders_are_built_only_as_deep_as_they_are_read(monkeypatch):
+    # every block-times-power product comes from a sweep of that block; a
+    # sweep's depth is the number of products it made
     import scx.heights
 
-    built = []  # for each ladder: the index of its deepest power
+    built = []
 
-    class Recorded(scx.heights._Powers):
-        def __init__(self, m):
-            super().__init__(m)
+    class Recorded(Sweep):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             built.append(self)
 
-    monkeypatch.setattr(scx.heights, "_Powers", Recorded)
+    monkeypatch.setattr(scx.heights, "Sweep", Recorded)
 
     def depths():
-        out = [len(p._out) - 1 for p in built]
+        out = [len(s._terms) - 1 for s in built]
         built.clear()
         return out
 
-    x = torus_link_complex(3).base_change(
-        RingMap(RingMap.LAURENT_TO_FRAC, LAURENT_Z, FRAC_LAURENT_Q))
-    # no nonpositive tau: verify reads v^0 of neither side, and builds no power
+    # delta1 v^j and v^j delta2 are nonzero for j < 3 and zero at j = 3
+    x = direct_sum(atomic(3, Q, 4), atomic(-3, Q, 4))
+    # no nonpositive tau: verify reads no term past delta1 and delta2'
     h = iota(x, 1)
+    depths()
     assert h.verify(claimed_height=1).ok
     assert depths() == [0, 0]
-    # kappa_n has only tau_{-n}: relations 1-3 read v^0 .. v^n on both sides
+    # kappa_n has only tau_{-n}: relations 1-3 read delta1 v^0 .. v^n and
+    # v'^0 .. v'^n delta2'
     for n in (1, 2, 3):
         k = kappa(x, n)
+        depths()
         assert k.verify(claimed_height=-n).ok
         assert depths() == [n, n]
-    # kappa_2 after iota_2: only g has a nonpositive tau (tau_{-2}), and
-    # the composite's terms read the first complex's powers to v^2 and the
-    # middle and last complex's to v^1; the composite's own verify reads v^0
+    # kappa_2 after iota_2: only g has a nonpositive tau (tau_{-2}); the
+    # sweeps of f's Delta1 and mu are zero from the start, and of the
+    # others only delta1' v' and v'' delta2'' are read, to j = 1
     g, f = kappa(x, 2), iota(x, 2)
     depths()
-    assert compose_heights(g, f).verify(claimed_height=0).ok
-    assert depths() == [2, 1, 1, 0, 0]
+    comp = compose_heights(g, f)
+    # made in the order f Delta1, f mu, delta1, delta1', delta2', delta2'',
+    # g Delta2, g mu
+    assert depths() == [0, 0, 0, 1, 0, 1, 0, 0]
+    assert comp.verify(claimed_height=0).ok
+    assert depths() == [0, 0]
+
+
+class _Powers:
+    """Test oracle: m^0, m^1, ... of a square matrix m, each made from the
+    one before.  The heights code reads every block-times-power product from
+    a `Sweep` of the block instead; these are the earlier formulas, which
+    form the powers."""
+
+    def __init__(self, m):
+        self._m = m
+        self._out = [GradedMatrix.identity(m.source)]
+
+    def __getitem__(self, j):
+        out = self._out
+        while len(out) <= j:
+            out.append(self._m @ out[-1])
+        return out[j]
+
+
+def relations_oracle(h):
+    """Relations 1-3 of `HeightMorphism.verify`, with full powers of v."""
+    x, y = h.source, h.target
+    bound = _tau_bound(x, y)
+    vp, vs = _Powers(y.v), _Powers(x.v)
+    rel1 = y.d @ h.lam - h.lam @ x.d
+    for i in [-i for i in h.tau if i < 0]:
+        for j in range(i):
+            rel1 = rel1 - vp[j] @ y.delta2 @ h.tau_at(-i) @ x.delta1 @ vs[i - 1 - j]
+    rel2 = -(y.delta1 @ h.lam) + h.delta1 @ x.d
+    rel3 = h.lam @ x.delta2 + y.d @ h.delta2
+    for i in range(0, bound + 1):
+        t = h.tau_at(-i)
+        if not t.is_zero:
+            rel2 = rel2 + t @ x.delta1 @ vs[i]
+            rel3 = rel3 - vp[i] @ y.delta2 @ t
+    return [rel1, rel2, rel3]
+
+
+def compose_oracle(g, f):
+    """lambda, mu, Delta1 and Delta2 of `compose_heights(g, f)`, with full
+    powers of v, v' and v''."""
+    x, ymid, z = f.source, f.target, g.target
+    sup_f = max(0, -min([i for i in f.tau] or [0]))
+    sup_g = max(0, -min([i for i in g.tau] or [0]))
+    vX, vY, vZ = _Powers(x.v), _Powers(ymid.v), _Powers(z.v)
+    tg, tf = g.tau_at, f.tau_at
+    lam = g.lam @ f.lam
+    for i in range(0, sup_g):
+        for j in range(i + 1):
+            lam = lam + vZ[j] @ z.delta2 @ tg(-(i + 1)) @ f.delta1 @ vX[i - j]
+    for i in range(0, sup_f):
+        for j in range(i + 1):
+            lam = lam + vZ[j] @ g.delta2 @ tf(-(i + 1)) @ x.delta1 @ vX[i - j]
+    for i in range(0, sup_g - 1):
+        for j in range(i + 1):
+            for kk in range(i - j + 1):
+                lam = lam + (vZ[j] @ z.delta2 @ tg(-(i + 2)) @ ymid.delta1 @ vY[kk]
+                             @ f.mu @ vX[i - j - kk])
+    for i in range(0, sup_f - 1):
+        for j in range(i + 1):
+            for kk in range(i - j + 1):
+                lam = lam + (vZ[j] @ g.mu @ vY[kk] @ ymid.delta2 @ tf(-(i + 2))
+                             @ x.delta1 @ vX[i - j - kk])
+    mu = g.lam @ f.mu + g.mu @ f.lam + g.delta2 @ f.delta1
+    d1 = g.delta1 @ f.lam
+    for i in range(0, sup_g + 1):
+        d1 = d1 + tg(-i) @ f.delta1 @ vX[i]
+    for i in range(0, sup_g):
+        for j in range(i + 1):
+            d1 = d1 + tg(-(i + 1)) @ ymid.delta1 @ vY[j] @ f.mu @ vX[i - j]
+    d2 = g.lam @ f.delta2
+    for i in range(0, sup_f + 1):
+        d2 = d2 + vZ[i] @ g.delta2 @ tf(-i)
+    for i in range(0, sup_f):
+        for j in range(i + 1):
+            d2 = d2 + vZ[j] @ g.mu @ vY[i - j] @ ymid.delta2 @ tf(-(i + 1))
+    return lam, mu, d1, d2
+
+
+def factor_oracle(f):
+    """lambda' and Delta2' of `factor_through_suspension(f)` for f of
+    height n != 0, with full powers of v and v'."""
+    n = f.height
+    x, y = f.source, f.target
+    if n > 0:
+        sx = suspend(x, n)
+        nc, nr = x.irr.rank, x.red.rank
+        k = f.degree - 2 * n
+        vp, vs = _Powers(y.v), _Powers(x.v)
+        # mu_i = sum_{j<i} v'^j mu v^{i-j-1}
+        mu_i = [GradedMatrix.zero(x.irr, y.irr, f.degree - 1)]
+        for i in range(1, n + 1):
+            acc = GradedMatrix.zero(x.irr, y.irr, f.degree - 1 - 2 * (i - 1))
+            for j in range(i):
+                acc = acc + vp[j] @ f.mu @ vs[i - j - 1]
+            mu_i.append(acc)
+        lam = GradedMatrix.from_blocks(
+            sx.irr, y.irr, k, (f.lam, 0, 0),
+            *((mu_i[i - 1] @ x.delta2 + vp[i - 1] @ f.delta2, 0, nc + (i - 1) * nr)
+              for i in range(1, n + 1)))
+        d2 = mu_i[n] @ x.delta2 + vp[n] @ f.delta2
+        return lam, GradedMatrix(sx.red, y.irr, k - 1, dict(d2.entries))
+    m = -n
+    sy = suspend(y, m)
+    mc, mr = y.irr.rank, y.red.rank
+    k = f.degree + 2 * m
+    vs = _Powers(x.v)
+    blocks = [(f.lam, 0, 0)]
+    for t in range(m):
+        acc = None
+        for i in range(t + 1, m + 1):
+            term = f.tau_at(-i) @ x.delta1 @ vs[i - 1 - t]
+            acc = term if acc is None else acc + term
+        blocks.append((acc, mc + t * mr, 0))
+    lam = GradedMatrix.from_blocks(x.irr, sy.irr, k, *blocks)
+    d2 = GradedMatrix.from_blocks(x.red, sy.irr, k - 1, (f.delta2, 0, 0),
+                                  *((f.tau_at(-t), mc + t * mr, 0) for t in range(m)))
+    return lam, d2
+
+
+def _rand_height_data(x, y, rng, height):
+    """Random components and nonpositive taus tau_0 .. tau_{-3} from x to y,
+    which need not satisfy the relations: the sweeps and the oracles are
+    formulas in the data alone."""
+    k = rng.choice((0, 2))
+    tau = {-i: _rand_homogeneous(x.red, y.red, k + 2 * i, rng) for i in range(4)}
+    return HeightMorphism(x, y, k,
+                          _rand_homogeneous(x.irr, y.irr, k, rng),
+                          _rand_homogeneous(x.irr, y.irr, k - 1, rng),
+                          _rand_homogeneous(x.irr, y.red, k, rng),
+                          _rand_homogeneous(x.red, y.irr, k - 1, rng),
+                          tau, height)
+
+
+def _rich_complex(ring, rng):
+    """O(n) for |n| in {2, 3}, whose delta1 v^j or v^j delta2 vanish only at
+    j = 2 or 3, plus a random suspended complex; graded mod 2, so that
+    random homogeneous components have many entries."""
+    a = atomic(rng.choice((-3, -2, 2, 3)), ring, 2)
+    b = rand_scomplex(ring, rng, modulus=2, max_rank=4, r_perfect=True, allow_cone=False)
+    return direct_sum(a, suspend(b, rng.randint(0, 2)))
+
+
+@pytest.mark.parametrize("ring", [Z, Q, FRAC_LAURENT_Q], ids=str)
+def test_sweeps_equal_the_power_oracle(ring, monkeypatch):
+    # verify's relations, the composite's components and the factored
+    # lambda' and Delta2' equal the formulas with full powers, entry for entry
+    import scx.heights
+    from scx.scomplex import _rel
+
+    seen = []
+
+    def recording(name, m):
+        seen.append(m)
+        return _rel(name, m)
+
+    monkeypatch.setattr(scx.heights, "_rel", recording)
+    rng = random.Random(47)
+    nonzero = 0
+    for _ in range(3):
+        xs = [_rich_complex(ring, rng) for _ in range(3)]
+        f = _rand_height_data(xs[0], xs[1], rng, 0)
+        g = _rand_height_data(xs[1], xs[2], rng, 0)
+        for h in (f, g):
+            seen.clear()
+            h.verify()
+            assert seen[:3] == relations_oracle(h)
+            nonzero += sum(not m.is_zero for m in seen[:3])
+        comp = compose_heights(g, f)
+        assert [comp.lam, comp.mu, comp.delta1, comp.delta2] == list(compose_oracle(g, f))
+        for n in (-3, -1, 1, 3):
+            h = _rand_height_data(xs[0], xs[1], rng, n)
+            fac = factor_through_suspension(h)
+            assert [fac.lam, fac.delta2] == list(factor_oracle(h)), n
+            nonzero += not fac.lam.is_zero
+    assert nonzero > 10
