@@ -468,6 +468,19 @@ def build_parser():
     return p
 
 
+# The error classes a verb may raise, in the order they are tried, with the
+# prefix of the one line printed to stderr and the exit code.
+_EXITS = (
+    ((errors.UnsupportedRing, errors.UnsupportedRingForHomology, errors.UnsupportedFamily,
+      errors.DetZero, errors.PlateauNotReached), "unsupported: ", UNSUPPORTED),
+    (errors.ScxError, "error: ", USAGE_ERROR),
+    ((OSError, UnicodeDecodeError), "error: ", USAGE_ERROR),
+    (json.JSONDecodeError, "error: bad JSON: ", USAGE_ERROR),
+    # json.load on a deeply nested document
+    (RecursionError, "error: input nested too deeply: ", USAGE_ERROR),
+)
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -476,20 +489,12 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.fn(args)
-    except (errors.UnsupportedRing, errors.UnsupportedRingForHomology,
-            errors.UnsupportedFamily, errors.DetZero,
-            errors.PlateauNotReached) as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return UNSUPPORTED
-    except errors.ScxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except json.JSONDecodeError as exc:
-        print(f"error: bad JSON: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    except Exception as exc:
+        for classes, prefix, code in _EXITS:
+            if isinstance(exc, classes):
+                print(f"{prefix}{exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

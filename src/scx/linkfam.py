@@ -8,6 +8,7 @@ square root of t), so links with half-integer exponents stay exact.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -532,6 +533,15 @@ def qa_graded(det, components, xi):
 # ---------------------------------------------------------------------------
 # Skein trees for the Euler characteristic recursion.
 
+# Bounds on a skein tree read from JSON, so that every chi prints (Python
+# prints no int of more than 4300 digits): a leaf's components, the digits of
+# its chi or xi above and below the fraction bar, and those of each chi the
+# recursion computes, which sums leaves and can outgrow all of them.
+_MAX_COMPONENTS = 1000
+_MAX_DIGITS = 1000
+_MAX_CHI_DIGITS = 4000
+_RATIONAL = re.compile(r"[+-]?([0-9]+)(?:/([0-9]+))?")
+
 
 class SkeinLeaf:
     def __init__(self, components, chi=None, xi=None, name=None):
@@ -615,6 +625,7 @@ def skein_chi(node, audit=None):
     else:
         val = known["L"] - known["Lp"] - offset
     target = members[node.solve]
+    _printable(val, _node_name(target))
     xi = _node_xi(target)
     comp = _node_components(target)
     if xi is not None:
@@ -628,15 +639,26 @@ def skein_chi(node, audit=None):
     return val, audit
 
 
+def _printable(chi, name):
+    """Refuse a chi of more than _MAX_CHI_DIGITS digits above or below the bar."""
+    if max(abs(chi.numerator), chi.denominator) >= 10 ** _MAX_CHI_DIGITS:
+        raise SchemaError(f"chi of {name!r} has more than {_MAX_CHI_DIGITS} digits")
+
+
 def _leaf_fraction(leaf, key):
-    """The rational leaf[key] (an int, or a string like '1/2'), or None."""
+    """The rational leaf[key] (an int, not a bool, or a string like '-3' or
+    '1/2'), or None."""
     val = leaf.get(key)
     if val is None:
         return None
-    try:
-        return Fraction(str(val))
-    except (ValueError, ZeroDivisionError):
-        raise SchemaError(f"leaf {key} must be a rational number, got {val!r}") from None
+    text = str(val) if type(val) is int else val  # a JSON int has at most 4300 digits
+    match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
+    if match is None or match[2] is not None and not match[2].strip("0"):
+        raise SchemaError(f"leaf {key} must be a rational number, got {val!r}")
+    if max(len(g or "") for g in match.groups()) > _MAX_DIGITS:
+        raise SchemaError(f"leaf {key} may have at most {_MAX_DIGITS} digits "
+                          "above and below the fraction bar")
+    return Fraction(text)
 
 
 def skein_node_from_json(doc):
@@ -656,6 +678,9 @@ def skein_node_from_json(doc):
             raise SchemaError("leaf needs components")
         if type(leaf["components"]) is not int:
             raise SchemaError(f"leaf components must be an integer, got {leaf['components']!r}")
+        if not 1 <= leaf["components"] <= _MAX_COMPONENTS:
+            raise SchemaError(f"leaf components must be between 1 and {_MAX_COMPONENTS}, "
+                              f"got {leaf['components']}")
         return SkeinLeaf(leaf["components"], chi=_leaf_fraction(leaf, "chi"),
                          xi=_leaf_fraction(leaf, "xi"), name=leaf.get("name"))
     if "triple" in doc:

@@ -66,6 +66,28 @@ def _check_components(mod, *expect):
             raise ShapeMismatch(f"component {name} must have degree {deg} mod {mod}")
 
 
+def _block_layout(x, y):
+    """Where the blocks of a map [[A,0,0],[B,sA,C],[E,0,G]] from the total
+    module C + C[-1] + R of x to that of y sit, in the order they are
+    placed: name -> (block source, block target, row offset, column
+    offset).  The differential, morphisms and homotopies all take this
+    shape; at total degree k, A, E and G have component degree k and B and
+    C degree k-1."""
+    nc, mc = x.irr.rank, y.irr.rank
+    return {"A": (x.irr, y.irr, 0, 0), "B": (x.irr, y.irr, mc, 0),
+            "sA": (x.irr, y.irr, mc, nc), "C": (x.red, y.irr, mc, 2 * nc),
+            "E": (x.irr, y.red, 2 * mc, 0), "G": (x.red, y.red, 2 * mc, 2 * nc)}
+
+
+def _assemble(x, y, degree, s, a, b, e, c, g):
+    """The map [[a,0,0],[b,s.a,c],[e,0,g]] of total degree `degree` from the
+    total module of x to that of y; s is 1 or -1."""
+    blocks = {"A": a, "B": b, "sA": a if s == 1 else -a, "C": c, "E": e, "G": g}
+    return GradedMatrix.from_blocks(
+        x.total_module(), y.total_module(), degree,
+        *((blocks[name], row, col) for name, (_, _, row, col) in _block_layout(x, y).items()))
+
+
 class SComplex:
     """The tuple (C, R, d, v, delta1, delta2, r) with optional s-map."""
 
@@ -131,14 +153,9 @@ class SComplex:
 
     def total_differential(self):
         """The block matrix [[d,0,0],[v,-d,delta2],[delta1,0,r]]."""
-        if self._total is not None:
-            return self._total
-        tot = self.total_module()
-        nc = self.irr.rank
-        self._total = GradedMatrix.from_blocks(
-            tot, tot, -1,
-            (self.d, 0, 0), (self.v, nc, 0), (-self.d, nc, nc), (self.delta2, nc, 2 * nc),
-            (self.delta1, 2 * nc, 0), (self.r, 2 * nc, 2 * nc))
+        if self._total is None:
+            self._total = _assemble(self, self, -1, -1,
+                                    self.d, self.v, self.delta1, self.delta2, self.r)
         return self._total
 
     # -- homology projections
@@ -275,12 +292,12 @@ class SMorphism:
 
     def assemble(self):
         """Full matrix [[lam,0,0],[mu,lam,Delta2],[Delta1,0,rho]]."""
-        ts, tt = self.source.total_module(), self.target.total_module()
-        nc, mc = self.source.irr.rank, self.target.irr.rank
-        return GradedMatrix.from_blocks(
-            ts, tt, self.degree,
-            (self.lam, 0, 0), (self.mu, mc, 0), (self.lam, mc, nc), (self.delta2, mc, 2 * nc),
-            (self.delta1, 2 * mc, 0), (self.rho, 2 * mc, 2 * nc))
+        return _assemble(self.source, self.target, self.degree, 1,
+                         self.lam, self.mu, self.delta1, self.delta2, self.rho)
+
+    @property
+    def is_zero(self):
+        return all(m.is_zero for m in (self.lam, self.mu, self.delta1, self.delta2, self.rho))
 
     def named_triples(self):
         """(target name, source name, value) triples of the assembled matrix."""
@@ -382,12 +399,9 @@ class SHomotopy:
         ])
 
     def assemble(self):
-        ts, tt = self.frm.source.total_module(), self.frm.target.total_module()
-        nc, mc = self.frm.source.irr.rank, self.frm.target.irr.rank
-        return GradedMatrix.from_blocks(
-            ts, tt, self.frm.degree + 1,
-            (self.K, 0, 0), (self.L, mc, 0), (-self.K, mc, nc), (self.M2, mc, 2 * nc),
-            (self.M1, 2 * mc, 0), (self.J, 2 * mc, 2 * nc))
+        """Full matrix [[K,0,0],[L,-K,M2],[M1,0,J]]."""
+        return _assemble(self.frm.source, self.frm.target, self.frm.degree + 1, -1,
+                         self.K, self.L, self.M1, self.M2, self.J)
 
     @classmethod
     def zero(cls, frm, to):

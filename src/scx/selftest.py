@@ -172,7 +172,7 @@ def criterion_3(seed):
         if not lam2.verify().ok:
             return False, "odd suspension morphism failed"
         back = lam2.compose_after(iota(x, 1).to_morphism()) - g.morphism
-        if not all(mm.is_zero for mm in (back.lam, back.mu, back.delta1, back.delta2, back.rho)):
+        if not back.is_zero:
             return False, "lambda''.iota_1 != lambda'"
         odd += 1
     return True, f"{pairs} tau pairs, {refactored} factorizations, {odd} odd morphisms"

@@ -2,7 +2,12 @@
 
 Morphism and homotopy relations are linear in the unknown block maps, so a
 homotopy between two given morphisms (or a triangle witness) can be found by
-solving one exact linear system.  Supported coefficients: Z and fields.
+solving one exact linear system.  Every unknown is one assembled map
+[[A,0,0],[B,sA,C],[E,0,G]] between total modules (`_Unknown`), and every
+relation is read on the assembled matrices: a homotopy from f to g solves
+d'.H + H.d = f - g, whose blocks are the five relations of
+`SHomotopy.verify` (and relation 1 again at the -K block).  Supported
+coefficients: Z and fields.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 from .errors import UnsupportedRing
 from .gradedlin import GradedMatrix, solve
 from .rings import Z
-from .scomplex import SHomotopy, SMorphism
+from .scomplex import SHomotopy, SMorphism, _block_layout
 
 # A linear combination of unknowns is a {variable: nonzero raw value} dict,
 # and a system a list of (combination, raw value) equations, combination =
@@ -31,71 +36,82 @@ def _add_term(lin, var, coeff, dom):
         lin[var] = x
 
 
-def _positions(src, tgt, degree):
-    mod = src.modulus
-    out = []
-    for s in range(src.rank):
-        for t in range(tgt.rank):
-            if (tgt.degree(t) - src.degree(s) - degree) % mod == 0:
-                out.append((t, s))
-    return out
+class _Unknown:
+    """An unknown map [[A,0,0],[B,sA,C],[E,0,G]] of total degree k from the
+    total module of x to that of y, with s = 1 or -1 (`scomplex._block_layout`
+    places the blocks).
 
+    Every position of A, B, C, E and G that has total degree k holds one
+    variable, numbered from `offset` block by block in that order and column
+    by column within a block; the sA block reuses A's variables, times s.  So
+    A, E and G have component degree k and B and C degree k-1: a homotopy
+    between degree-d morphisms is the unknown with s = -1 and k = d + 1, a
+    chi-commuting N map the one with s = 1 and k = 1.
+    """
 
-class _UnknownMatrix:
-    """An unknown matrix with one variable per homogeneous position."""
-
-    def __init__(self, src, tgt, degree, offset):
-        self.src = src
-        self.tgt = tgt
-        self.degree = degree
-        self.var = {p: offset + i for i, p in enumerate(_positions(src, tgt, degree))}
-        self.slots = {p: [(v, 1)] for p, v in self.var.items()}
-
-    @property
-    def nvars(self):
-        return len(self.var)
+    def __init__(self, x, y, k, s, offset):
+        self.src, self.tgt = x.total_module(), y.total_module()
+        self.k = k
+        self.layout = _block_layout(x, y)
+        self.blocks = {}  # block name -> {block position: variable}
+        self.slots = {}  # assembled position -> (variable, sign)
+        var = offset
+        for name in ("A", "B", "C", "E", "G"):
+            src, tgt, row, col = self.layout[name]
+            block = self.blocks[name] = {}
+            for c in range(src.rank):
+                for t in range(tgt.rank):
+                    if (self.tgt.degree(row + t) - self.src.degree(col + c) - k) % x.modulus == 0:
+                        block[(t, c)] = var
+                        self.slots[(row + t, col + c)] = (var, 1)
+                        var += 1
+        _, _, row, col = self.layout["sA"]
+        for (t, c), a in self.blocks["A"].items():
+            self.slots[(row + t, col + c)] = (a, s)
+        self.nvars = var - offset
 
     def realize(self, values):
-        return _realize(self.var, values, self.src, self.tgt, self.degree)
+        """The solved blocks A, B, E, C, G (the order in which `SMorphism`
+        and `SHomotopy` take them), from the solution {variable: nonzero raw
+        value}."""
+        out = []
+        for name in ("A", "B", "E", "C", "G"):
+            src, tgt, _, _ = self.layout[name]
+            deg = self.k - 1 if name in ("B", "C") else self.k
+            block = self.blocks[name]
+            out.append(GradedMatrix(src, tgt, deg,
+                                    {p: values[v] for p, v in block.items() if v in values}))
+        return out
 
 
-def _realize(block, values, src, tgt, deg):
-    """The solved matrix of a block {position: variable}, from the solution
-    {variable: nonzero raw value}."""
-    return GradedMatrix(src, tgt, deg, {p: values[v] for p, v in block.items() if v in values})
-
-
-def _known_after_slots(total, a, u, sign=1):
-    """total += sign a . U, on {position: combination}: (a U)[t, s] =
-    sum_m a[t, m] U[m, s].  An unknown's `slots` map each position to its
-    [(variable, sign)] terms."""
+def _known_after(total, a, u, sign=1):
+    """total += sign a.U, on {position: combination}: (a U)[t, s] =
+    sum_m a[t, m] U[m, s]."""
     dom = a.ring.domain
     by_row = {}
-    for (mm, s), pairs in u.slots.items():
-        by_row.setdefault(mm, []).append((s, pairs))
+    for (m, s), slot in u.slots.items():
+        by_row.setdefault(m, []).append((s, slot))
     for (t, m), coeff in a.entries.items():
-        for s, pairs in by_row.get(m, ()):
-            lin = total.setdefault((t, s), {})
-            for var, vsign in pairs:
-                _add_term(lin, var, coeff if vsign * sign > 0 else dom.neg(coeff), dom)
+        for s, (var, vsign) in by_row.get(m, ()):
+            _add_term(total.setdefault((t, s), {}), var,
+                      coeff if vsign * sign > 0 else dom.neg(coeff), dom)
 
 
-def _slots_after_known(total, u, b, sign=1):
-    """total += sign U . b, on {position: combination}."""
+def _after_known(total, u, b, sign=1):
+    """total += sign U.b, on {position: combination}."""
     dom = b.ring.domain
     by_col = {}
-    for (t, mm), pairs in u.slots.items():
-        by_col.setdefault(mm, []).append((t, pairs))
+    for (t, m), slot in u.slots.items():
+        by_col.setdefault(m, []).append((t, slot))
     for (m, s), coeff in b.entries.items():
-        for t, pairs in by_col.get(m, ()):
-            lin = total.setdefault((t, s), {})
-            for var, vsign in pairs:
-                _add_term(lin, var, coeff if vsign * sign > 0 else dom.neg(coeff), dom)
+        for t, (var, vsign) in by_col.get(m, ()):
+            _add_term(total.setdefault((t, s), {}), var,
+                      coeff if vsign * sign > 0 else dom.neg(coeff), dom)
 
 
 def _equations(total, const, src, tgt):
     """The equations total[t, s] = const[t, s] at every position of a
-    src -> tgt block, but for those that read 0 = 0."""
+    src -> tgt map, but for those that read 0 = 0."""
     zero = const.ring.domain.zero
     eqs = []
     for s in range(src.rank):
@@ -105,6 +121,14 @@ def _equations(total, const, src, tgt):
             if lin or c != zero:
                 eqs.append((lin, c))
     return eqs
+
+
+def _homotopy_equations(u, frm, to):
+    """The equations d'.H + H.d = frm - to on the assembled unknown H = u."""
+    total = {}
+    _known_after(total, frm.target.total_differential(), u)
+    _after_known(total, u, frm.source.total_differential())
+    return _equations(total, (frm - to).assemble(), u.src, u.tgt)
 
 
 def _solve_system(equations, nvars, ring):
@@ -118,53 +142,11 @@ def _solve_system(equations, nvars, ring):
 
 def solve_homotopy(frm, to):
     """A homotopy h with d'.h + h.d = frm - to, or None if none exists."""
-    x, y = frm.source, frm.target
-    ring = x.ring
-    k = frm.degree
-    uK = _UnknownMatrix(x.irr, y.irr, (k + 1) % x.modulus, 0)
-    uL = _UnknownMatrix(x.irr, y.irr, k % x.modulus, uK.nvars)
-    uM1 = _UnknownMatrix(x.irr, y.red, (k + 1) % x.modulus, uK.nvars + uL.nvars)
-    uM2 = _UnknownMatrix(x.red, y.irr, k % x.modulus,
-                         uK.nvars + uL.nvars + uM1.nvars)
-    uJ = _UnknownMatrix(x.red, y.red, (k + 1) % x.modulus,
-                        uK.nvars + uL.nvars + uM1.nvars + uM2.nvars)
-    nvars = uK.nvars + uL.nvars + uM1.nvars + uM2.nvars + uJ.nvars
-
-    def rel(parts, const_matrix, src, tgt):
-        total = {}
-        for kind, a, u, sign in parts:
-            if kind == "ku":
-                _known_after_slots(total, a, u, sign)
-            else:
-                _slots_after_known(total, u, a, sign)
-        return _equations(total, const_matrix, src, tgt)
-
-    equations = []
-    # 1: d'K + K d = lam - lam'
-    equations += rel([("ku", y.d, uK, 1), ("uk", x.d, uK, 1)],
-                     frm.lam - to.lam, x.irr, y.irr)
-    # 2: delta1' K + r' M1 + M1 d + J delta1 = Delta1 - Delta1'
-    equations += rel([("ku", y.delta1, uK, 1), ("ku", y.r, uM1, 1),
-                      ("uk", x.d, uM1, 1), ("uk", x.delta1, uJ, 1)],
-                     frm.delta1 - to.delta1, x.irr, y.red)
-    # 3: -d' M2 + delta2' J - K delta2 + M2 r = Delta2 - Delta2'
-    equations += rel([("ku", y.d, uM2, -1), ("ku", y.delta2, uJ, 1),
-                      ("uk", x.delta2, uK, -1), ("uk", x.r, uM2, 1)],
-                     frm.delta2 - to.delta2, x.red, y.irr)
-    # 4: v'K - d'L + delta2' M1 + L d - K v + M2 delta1 = mu - mu'
-    equations += rel([("ku", y.v, uK, 1), ("ku", y.d, uL, -1),
-                      ("ku", y.delta2, uM1, 1), ("uk", x.d, uL, 1),
-                      ("uk", x.v, uK, -1), ("uk", x.delta1, uM2, 1)],
-                     frm.mu - to.mu, x.irr, y.irr)
-    # 5: r'J + J r = rho - rho'
-    equations += rel([("ku", y.r, uJ, 1), ("uk", x.r, uJ, 1)],
-                     frm.rho - to.rho, x.red, y.red)
-
-    values = _solve_system(equations, nvars, ring)
+    u = _Unknown(frm.source, frm.target, frm.degree + 1, -1, 0)
+    values = _solve_system(_homotopy_equations(u, frm, to), u.nvars, frm.source.ring)
     if values is None:
         return None
-    return SHomotopy(frm, to, uK.realize(values), uL.realize(values),
-                     uM1.realize(values), uM2.realize(values), uJ.realize(values))
+    return SHomotopy(frm, to, *u.realize(values))
 
 
 def solve_triangle_homotopy(lam_second, lam_first):
@@ -174,63 +156,6 @@ def solve_triangle_homotopy(lam_second, lam_first):
     return solve_homotopy(zero, comp)
 
 
-class _AssembledHomotopyUnknown:
-    """Assembled homotopy-shaped unknown [[K,0,0],[L,-K,M2],[M1,0,J]] of
-    overall degree k+1 between the total modules of two complexes.  The K
-    variables appear twice, the second time negated."""
-
-    def __init__(self, xsrc, xtgt, k, offset):
-        mod = xsrc.modulus
-        nc, mc = xsrc.irr.rank, xtgt.irr.rank
-        nr, mr = xsrc.red.rank, xtgt.red.rank
-        self.src_tot = xsrc.total_module()
-        self.tgt_tot = xtgt.total_module()
-        self.slots = {}
-        idx = offset
-
-        def alloc(rows, cols, rowoff, coloff, deg, mirror=None, sign=1):
-            nonlocal idx
-            block = {}
-            for s in range(cols):
-                for t in range(rows):
-                    if (self.tgt_tot.degree(t + rowoff)
-                            - self.src_tot.degree(s + coloff) - deg) % mod:
-                        continue
-                    pos = (t + rowoff, s + coloff)
-                    if mirror is not None:
-                        if (t, s) in mirror:
-                            self.slots.setdefault(pos, []).append((mirror[(t, s)], sign))
-                        continue
-                    self.slots.setdefault(pos, []).append((idx, sign))
-                    block[(t, s)] = idx
-                    idx += 1
-            return block
-
-        kb = alloc(mc, nc, 0, 0, k + 1)
-        alloc(mc, nc, mc, nc, k + 1, mirror=kb, sign=-1)  # -K
-        lb = alloc(mc, nc, mc, 0, k)
-        m2 = alloc(mc, nr, mc, 2 * nc, k)
-        m1 = alloc(mr, nc, 2 * mc, 0, k + 1)
-        jb = alloc(mr, nr, 2 * mc, 2 * nc, k + 1)
-        self.blocks = {"K": kb, "L": lb, "M1": m1, "M2": m2, "J": jb}
-        self.k = k
-        self.xsrc = xsrc
-        self.xtgt = xtgt
-        self.nvars = idx - offset
-
-    def realize(self, values, frm, to):
-        x, y = self.xsrc, self.xtgt
-        k = self.k
-
-        def mk(block, src, tgt, deg):
-            return _realize(self.blocks[block], values, src, tgt, deg)
-
-        return SHomotopy(frm, to,
-                         mk("K", x.irr, y.irr, k + 1), mk("L", x.irr, y.irr, k),
-                         mk("M1", x.irr, y.red, k + 1), mk("M2", x.red, y.irr, k),
-                         mk("J", x.red, y.red, k + 1))
-
-
 def solve_triangle_witnesses(complexes, morphisms, targets):
     """Jointly solve for the three homotopies and three chi-commuting N maps
     of an exact triangle, with the iso expressions pinned to the given
@@ -238,103 +163,31 @@ def solve_triangle_witnesses(complexes, morphisms, targets):
     ring = complexes[0].ring
     offset = 0
     kus = []
-    for i in range(3):
-        comp = morphisms[(i - 1) % 3].compose_after(morphisms[i])
-        ku = _AssembledHomotopyUnknown(complexes[i], complexes[(i - 2) % 3],
-                                       comp.degree, offset)
-        offset += ku.nvars
-        kus.append((ku, comp))
-    nus = []
-    for i in range(3):
-        nu = _SharedUnknown(complexes[i], offset)
-        offset += nu.nvars
-        nus.append(nu)
-
     equations = []
     for i in range(3):
-        ku, comp = kus[i]
-        d_src = complexes[i].total_differential()
-        d_tgt = complexes[(i - 2) % 3].total_differential()
-        total = {}
-        _known_after_slots(total, d_tgt, ku)
-        _slots_after_known(total, ku, d_src)
-        equations += _equations(total, -comp.assemble(), ku.src_tot, ku.tgt_tot)
+        comp = morphisms[(i - 1) % 3].compose_after(morphisms[i])
+        zero = SMorphism.zero(comp.source, comp.target, comp.degree)
+        ku = _Unknown(complexes[i], complexes[(i - 2) % 3], comp.degree + 1, -1, offset)
+        offset += ku.nvars
+        kus.append((ku, zero, comp))
+        equations += _homotopy_equations(ku, zero, comp)
+    nus = []
+    for i in range(3):
+        nus.append(_Unknown(complexes[i], complexes[i], 1, 1, offset))
+        offset += nus[i].nvars
     for i in range(3):
         # d N - N d + lam_{i-2} K_i - K_{i-1} lam_i = target_i
         d = complexes[i].total_differential()
-        lam_im2 = morphisms[(i - 2) % 3].assemble()
-        lam_i = morphisms[i].assemble()
-        ku_i = kus[i][0]
-        ku_im1 = kus[(i - 1) % 3][0]
-        nu = nus[i]
         total = {}
-        _known_after_slots(total, d, nu)
-        _slots_after_known(total, nu, d, -1)
-        _known_after_slots(total, lam_im2, ku_i)
-        _slots_after_known(total, ku_im1, lam_i, -1)
-        tot = complexes[i].total_module()
-        equations += _equations(total, targets[i], tot, tot)
+        _known_after(total, d, nus[i])
+        _after_known(total, nus[i], d, -1)
+        _known_after(total, morphisms[(i - 2) % 3].assemble(), kus[i][0])
+        _after_known(total, kus[(i - 1) % 3][0], morphisms[i].assemble(), -1)
+        equations += _equations(total, targets[i], nus[i].src, nus[i].tgt)
 
     values = _solve_system(equations, offset, ring)
     if values is None:
         return None
-    homotopies = []
-    for i in range(3):
-        ku, comp = kus[i]
-        zero = SMorphism.zero(comp.source, comp.target, comp.degree)
-        homotopies.append(ku.realize(values, zero, comp))
-    n_maps = [nus[i].realize(values) for i in range(3)]
+    homotopies = [SHomotopy(zero, comp, *ku.realize(values)) for ku, zero, comp in kus]
+    n_maps = [SMorphism(x, x, 1, *nu.realize(values)) for x, nu in zip(complexes, nus)]
     return homotopies, n_maps
-
-
-class _SharedUnknown:
-    """An assembled chi-commuting unknown [[A,0,0],[C,A,D],[E,0,G]] with the
-    two A slots sharing variables."""
-
-    def __init__(self, x, offset):
-        nc, nr = x.irr.rank, x.red.rank
-        mod = x.modulus
-        tot = x.total_module()
-        self.slots = {}
-        idx = offset
-
-        def alloc(rows, cols, rowoff, coloff, deg, mirror=None):
-            nonlocal idx
-            fresh = {}
-            for s in range(cols):
-                for t in range(rows):
-                    if (tot.degree(t + rowoff) - tot.degree(s + coloff) - deg) % mod:
-                        continue
-                    key = (t + rowoff, s + coloff)
-                    if mirror is not None and (t, s) in mirror:
-                        self.slots[key] = [(mirror[(t, s)], 1)]
-                    else:
-                        self.slots[key] = [(idx, 1)]
-                        fresh[(t, s)] = idx
-                        idx += 1
-            return fresh
-
-        a_vars = alloc(nc, nc, 0, 0, 1)          # A on C
-        alloc(nc, nc, nc, nc, 1, mirror=a_vars)  # the same A on C[-1]
-        self.blocks = {
-            "A": a_vars,
-            "C": alloc(nc, nc, nc, 0, 0),
-            "D": alloc(nc, nr, nc, 2 * nc, 0),
-            "E": alloc(nr, nc, 2 * nc, 0, 1),
-            "G": alloc(nr, nr, 2 * nc, 2 * nc, 1),
-        }
-        self.nvars = idx - offset
-        self.x = x
-
-    def realize(self, values):
-        """The solved N as a degree-1 morphism-shaped map: A is lambda, C is
-        mu, D is Delta2, E is Delta1 and G is rho."""
-        x = self.x
-
-        def mk(block, src, tgt, deg):
-            return _realize(self.blocks[block], values, src, tgt, deg)
-
-        return SMorphism(x, x, 1,
-                         mk("A", x.irr, x.irr, 1), mk("C", x.irr, x.irr, 0),
-                         mk("E", x.irr, x.red, 1), mk("D", x.red, x.irr, 0),
-                         mk("G", x.red, x.red, 1))

@@ -72,12 +72,10 @@ class ExactTriangleData:
             h = self.homotopies[i]
             comp = self.morphisms[(i - 1) % 3].compose_after(self.morphisms[i])
             # h must run from the zero morphism to lam_{i-1} lam_i
-            frm_zero = all(m.is_zero for m in (h.frm.lam, h.frm.mu, h.frm.delta1,
-                                               h.frm.delta2, h.frm.rho))
-            to_match = (h.to.lam == comp.lam and h.to.mu == comp.mu
-                        and h.to.delta1 == comp.delta1 and h.to.delta2 == comp.delta2
-                        and h.to.rho == comp.rho)
-            checks.append((f"K{i} endpoints (0 -> lambda.lambda)", frm_zero and to_match, None))
+            ends = (h.frm.is_zero and h.to.lam == comp.lam and h.to.mu == comp.mu
+                    and h.to.delta1 == comp.delta1 and h.to.delta2 == comp.delta2
+                    and h.to.rho == comp.rho)
+            checks.append((f"K{i} endpoints (0 -> lambda.lambda)", ends, None))
             for name, rok, off in h.verify().checks:
                 checks.append((f"K{i}: {name}", rok, off))
         for i in range(3):

@@ -263,6 +263,74 @@ def test_malformed_skein_tree_is_a_usage_error(tmp_path, capsys, tree, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def _chain_of_sums(levels):
+    """A skein tree whose chi is a sum of `levels` leaves with 1000-digit
+    denominators that share almost no factor: each triple solves its Lp, so
+    the recursion reads its L leaf and the triple below."""
+    node = {"leaf": {"components": 1, "chi": f"1/{10 ** 999 + levels}"}}
+    for i in range(levels):
+        node = {"triple": {"eps1": 1, "eps2": 1, "solve": "Lp",
+                           "L": {"leaf": {"components": 2, "chi": f"1/{10 ** 999 + i}"}},
+                           "Lp": {"leaf": {"components": 1, "name": f"K{i}"}},
+                           "Lpp": node}}
+    return node
+
+
+@pytest.mark.parametrize("tree,message", [
+    ({"leaf": {"components": 20000, "xi": 1}},
+     "leaf components must be between 1 and 1000, got 20000"),
+    ({"leaf": {"components": 0, "chi": 1}}, "leaf components must be between 1 and 1000, got 0"),
+    ({"leaf": {"components": 1, "chi": "1e100000000"}},
+     "leaf chi must be a rational number, got '1e100000000'"),
+    ({"leaf": {"components": 1, "xi": "1e5"}}, "leaf xi must be a rational number, got '1e5'"),
+    ({"leaf": {"components": 1, "chi": True}}, "leaf chi must be a rational number, got True"),
+    ({"leaf": {"components": 1, "chi": 0.5}}, "leaf chi must be a rational number, got 0.5"),
+    ({"leaf": {"components": 1, "chi": "1/0"}}, "leaf chi must be a rational number, got '1/0'"),
+    ({"leaf": {"components": 1, "xi": "1/" + "7" * 1001}},
+     "leaf xi may have at most 1000 digits above and below the fraction bar"),
+    ({"leaf": {"components": 1, "chi": -10 ** 1000}},
+     "leaf chi may have at most 1000 digits above and below the fraction bar"),
+    (_chain_of_sums(6), "chi of 'K3' has more than 4000 digits"),
+])
+def test_skein_tree_past_a_bound_is_a_usage_error(tmp_path, capsys, tree, message):
+    # at the parent the first ends in a ValueError traceback (an int of more
+    # than 4300 digits does not print) and the third runs without end
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(tree))
+    capsys.readouterr()
+    assert run("skein-chi", "--in", str(path)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_skein_tree_at_the_bounds_prints(tmp_path, capsys):
+    from fractions import Fraction
+
+    big = 10 ** 1000 - 1
+    tree = {"triple": {"eps1": 1, "eps2": 1, "solve": "L",
+                       "L": {"leaf": {"components": 1000, "name": "L"}},
+                       "Lp": {"leaf": {"components": 999, "xi": f"-{big}/{big - 1}"}},
+                       "Lpp": {"leaf": {"components": 999, "chi": big}}}}
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(tree))
+    capsys.readouterr()
+    assert run("skein-chi", "--in", str(path), "--json") == 0
+    want = -Fraction(2) ** 997 * Fraction(big, big - 1) + big  # case I: delta 0
+    assert json.loads(capsys.readouterr().out)["chi"] == str(want)
+    path.write_text(json.dumps(_chain_of_sums(3)))  # a denominator of 3,996 digits
+    assert run("skein-chi", "--in", str(path)) == 0
+
+
+@pytest.mark.parametrize("verb", ["verify", "skein-chi"])
+def test_deeply_nested_document_is_a_usage_error(tmp_path, capsys, verb):
+    # json.load raises RecursionError; at the parent it escaped as a traceback
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000)
+    capsys.readouterr()
+    assert run(verb, "--in", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: input nested too deeply: ") and err.count("\n") == 1
+
+
 def test_homology_verb(tmp_path, capsys):
     out = tmp_path / "t6.json"
     run("family", "--name", "torus-link", "--k", "3", "--out", str(out))

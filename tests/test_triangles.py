@@ -4,11 +4,12 @@ import pytest
 
 from scx.errors import ImpossibleCase
 from scx.functors import suspend
+from scx.gradedlin import GradedMatrix
 from scx.linkfam import hopf_complex, torus_knot_summand, torus_link_complex, unknot_complex
-from scx.randgen import rand_morphism, rand_scomplex
+from scx.randgen import RINGS, rand_morphism, rand_scomplex, rand_value
 from scx.rings import Q, Z, Zp, eval_t_at_one
 from scx.scomplex import SHomotopy, SMorphism
-from scx.solve import solve_triangle_homotopy
+from scx.solve import solve_triangle_homotopy, solve_triangle_witnesses
 from scx.triangles import (
     ExactTriangleData,
     classify_skein,
@@ -51,8 +52,6 @@ def test_cone_triangle_over_z():
 def test_triangle_witnesses_agree_with_linear_solve_oracle():
     # the homotopies satisfy the axiom equations, so the brute-force solver
     # recovers a complete verified witness set independently
-    from scx.solve import solve_triangle_witnesses
-
     rng = random.Random(5)
     x = rand_scomplex(Q, rng, max_rank=3)
     f = rand_morphism(x, x, rng, 0)
@@ -64,6 +63,81 @@ def test_triangle_witnesses_agree_with_linear_solve_oracle():
     homs, nmaps = solve_triangle_witnesses(t.complexes, t.morphisms, targets)
     oracle = ExactTriangleData(t.complexes, t.morphisms, homs, nmaps)
     assert verify_triangle(oracle).ok and les_check(oracle).ok
+
+
+def _random_cone_triangles():
+    """Six cone triangles of seeded random degree-0 morphisms over each of
+    Z, Z/2, Q and Q(T), with the ring's tag."""
+    for tag in ("Z", "Z2", "Q", "QT"):
+        rng = random.Random(f"cone triangles {tag}")
+        for _ in range(6):
+            x = rand_scomplex(RINGS[tag], rng, max_rank=4)
+            yield tag, cone_triangle(rand_morphism(x, x, rng, 0))
+
+
+def test_every_unknown_variable_sits_at_its_blocks_degree(monkeypatch):
+    # each unknown the joint triangle solve builds is [[A,0,0],[B,sA,C],[E,0,G]]
+    # of total degree k: a variable of A, E or G must sit where the block's
+    # generators differ by k, one of B or C where they differ by k - 1
+    from scx import solve
+
+    made = []
+
+    class Recorded(solve._Unknown):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(solve, "_Unknown", Recorded)
+    placed = {name: 0 for name in "ABCEG"}
+    for tag, t in _random_cone_triangles():
+        made.clear()
+        targets = [t.iso_expression(i) for i in range(3)]
+        homs, nmaps = solve.solve_triangle_witnesses(t.complexes, t.morphisms, targets)
+        assert len(made) == 6
+        mod = t.complexes[0].modulus
+        seen = []
+        for u in made:
+            for name, block in u.blocks.items():
+                src, tgt = u.layout[name][:2]
+                deg = u.k - 1 if name in "BC" else u.k
+                for (i, j), var in block.items():
+                    assert (tgt.degree(i) - src.degree(j) - deg) % mod == 0, (tag, name)
+                    seen.append(var)
+                placed[name] += len(block)
+        assert sorted(seen) == list(range(len(seen)))  # each variable once
+        for h in homs:
+            assert [m.degree for m in (h.K, h.L, h.M1, h.M2, h.J)] == [
+                (h.frm.degree + e) % mod for e in (1, 0, 1, 0, 1)]
+        for n in nmaps:
+            assert [m.degree for m in (n.lam, n.mu, n.delta1, n.delta2, n.rho)] == [
+                e % mod for e in (1, 0, 1, 0, 1)]
+    assert all(placed.values()), placed
+
+
+def test_joint_solve_finds_witnesses_that_need_a_nonzero_mu():
+    # pin the iso expression of C0 to the closed form plus d N0 - N0 d, for an
+    # N0 with only a mu block: the solve must find witnesses that reach it
+    # (with every mu variable misplaced it returned None on some of these)
+    solved = 0
+    for tag, t in _random_cone_triangles():
+        c = t.complexes[0]
+        rng = random.Random(f"mu {tag} {solved}")
+        mu = GradedMatrix(c.irr, c.irr, 0, {
+            (i, j): rand_value(c.ring, rng) for j in range(c.irr.rank)
+            for i in range(c.irr.rank) if (c.irr.degree(i) - c.irr.degree(j)) % c.modulus == 0})
+        zero = SMorphism.zero(c, c, 1)
+        n0 = SMorphism(c, c, 1, zero.lam, mu, zero.delta1, zero.delta2, zero.rho).assemble()
+        d = c.total_differential()
+        targets = [t.iso_expression(i) for i in range(3)]
+        targets[0] = targets[0] + d @ n0 - n0 @ d
+        found = solve_triangle_witnesses(t.complexes, t.morphisms, targets)
+        assert found is not None, tag
+        t2 = ExactTriangleData(t.complexes, t.morphisms, *found)
+        assert [t2.iso_expression(i) for i in range(3)] == targets
+        assert all(h.verify().ok for h in t2.homotopies)
+        solved += 1
+    assert solved == 24
 
 
 def test_missing_homotopy_fails_axiom_three():
