@@ -36,14 +36,17 @@ from .linkfam import (
 )
 from .rings import FRAC_LAURENT_Q, LAURENT_Z, Q, RingMap, Z, Zp, eval_t_at_one
 from .scomplex import (
+    SHomotopy,
+    SMorphism,
     load_scomplex,
+    matrix_from_json,
     morphism_from_json,
+    read_json,
     save_scomplex,
     scomplex_from_json,
     scomplex_to_json,
 )
 from .triangles import ExactTriangleData
-from .scomplex import SHomotopy, SMorphism
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -60,8 +63,7 @@ _RING_FLAGS = {
 
 def _emit(args, payload, text_lines):
     if args.json:
-        json.dump(payload, sys.stdout, indent=1, sort_keys=True, default=str)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(payload, indent=1, sort_keys=True, default=str) + "\n")
     else:
         for line in text_lines:
             print(line)
@@ -137,8 +139,7 @@ def cmd_tensor(args):
 
 
 def cmd_cone(args):
-    with open(args.map) as fh:
-        doc = json.load(fh)
+    doc = read_json(args.map)
     src = load_scomplex(args.source) if args.source else None
     tgt = load_scomplex(args.target) if args.target else None
     f = morphism_from_json(doc, src, tgt)
@@ -188,22 +189,19 @@ def _triple(doc, key, what):
 
 
 def _height_from_file(path):
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     what = "height morphism document"
     src = scomplex_from_json(_field(doc, "source", what, dict))
     tgt = scomplex_from_json(_field(doc, "target", what, dict))
     base = morphism_from_json({k: v for k, v in doc.items()
                                if k not in ("height", "tau", "nu")}, src, tgt)
     tau = {}
-    from .scomplex import _matrix_from_json
     for key, entries in _field(doc, "tau", what, dict, {}).items():
         try:
             i = int(key)
         except ValueError:
             raise errors.SchemaError(f"tau key {key!r} is not an integer") from None
-        tau[i] = _matrix_from_json(entries, src.red, tgt.red,
-                                   base.degree - 2 * i, src.ring)
+        tau[i] = matrix_from_json(entries, src.red, tgt.red, base.degree - 2 * i)
     return HeightMorphism.from_components(src, tgt, base.degree, base.lam,
                                           base.mu, base.delta1, base.delta2,
                                           {i: t for i, t in tau.items() if i <= 0})
@@ -222,16 +220,14 @@ def cmd_heights_compose(args):
     return 0 if rep.ok else VERIFY_ERROR
 
 
-def cmd_triangle_verify(args):
-    with open(args.infile) as fh:
-        doc = json.load(fh)
+def _triangle_from_file(path):
+    doc = read_json(path)
     what = "triangle document"
     complexes = [scomplex_from_json(c) for c in _triple(doc, "complexes", what)]
     morphisms = []
     for i, m in enumerate(_triple(doc, "morphisms", what)):
         morphisms.append(morphism_from_json(m, complexes[i], complexes[(i - 1) % 3]))
     homotopies = []
-    from .scomplex import _matrix_from_json
     for i, h in enumerate(_triple(doc, "homotopies", what)):
         if not isinstance(h, dict):
             raise errors.SchemaError("a homotopy must be an object")
@@ -241,11 +237,11 @@ def cmd_triangle_verify(args):
         k = comp.degree
         homotopies.append(SHomotopy(
             zero, comp,
-            _matrix_from_json(h.get("K", []), src.irr, tgt.irr, k + 1, src.ring),
-            _matrix_from_json(h.get("L", []), src.irr, tgt.irr, k, src.ring),
-            _matrix_from_json(h.get("M1", []), src.irr, tgt.red, k + 1, src.ring),
-            _matrix_from_json(h.get("M2", []), src.red, tgt.irr, k, src.ring),
-            _matrix_from_json(h.get("J", []), src.red, tgt.red, k + 1, src.ring)))
+            matrix_from_json(h.get("K", []), src.irr, tgt.irr, k + 1),
+            matrix_from_json(h.get("L", []), src.irr, tgt.irr, k),
+            matrix_from_json(h.get("M1", []), src.irr, tgt.red, k + 1),
+            matrix_from_json(h.get("M2", []), src.red, tgt.irr, k),
+            matrix_from_json(h.get("J", []), src.red, tgt.red, k + 1)))
     n_maps = [None, None, None]
     n_docs = _field(doc, "n_maps", what, list, [])
     if len(n_docs) > 3:
@@ -255,7 +251,11 @@ def cmd_triangle_verify(args):
             raise errors.SchemaError("an N map must be an object or null")
         if n:
             n_maps[i] = morphism_from_json(dict(n, degree=1), complexes[i], complexes[i])
-    t = ExactTriangleData(complexes, morphisms, homotopies, n_maps)
+    return ExactTriangleData(complexes, morphisms, homotopies, n_maps)
+
+
+def cmd_triangle_verify(args):
+    t = _triangle_from_file(args.infile)
     rep = t.verify()
     lr = t.les_check()
     _emit(args, {"axioms": _report_payload(rep), "les": _report_payload(lr)},
@@ -344,8 +344,7 @@ def _need(args, key):
 
 
 def cmd_skein_chi(args):
-    with open(args.infile) as fh:
-        node = skein_node_from_json(json.load(fh))
+    node = skein_node_from_json(read_json(args.infile))
     chi, audit = skein_chi(node)
     payload = {"chi": str(chi),
                "audit": [{k: str(v) for k, v in a.items()} for a in audit]}

@@ -90,10 +90,12 @@ class GradedMatrix:
     Entries are stored as {(target_index, source_index): raw value}, each the
     ring's canonical `val` (see `rings.Domain`), with no zeros.  Every entry
     must connect generators whose displayed degrees differ by exactly
-    `degree` mod the modulus; the constructor checks this, and `from_named`
-    and `scale` check that the ring elements they take are of the matrix's
-    ring.  Ring elements are made only where an entry leaves: `entry`,
-    `first_nonzero`, `named_triples` and `indexed_triples`.
+    `degree` mod the modulus; the constructor checks this, for the builders
+    and for the JSON loader, which hands it raw values parsed once per
+    distinct string of the matrix.  `from_named` and `scale` check that the
+    ring elements they take are of the matrix's ring.  Ring elements are
+    made only where an entry leaves: `entry`, `first_nonzero`,
+    `named_triples` and `indexed_triples`.
 
     Products, sums, negation, `scale`, `map_entries`, `zero` and `identity`
     are in range and homogeneous by construction, so they are built by

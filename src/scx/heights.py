@@ -343,7 +343,7 @@ def factor_through_suspension(f):
 def height_to_json(h):
     """The morphism document extended with height and tau keys (nonpositive
     taus only; positive ones are determined by the closed formula)."""
-    from .scomplex import morphism_to_json
+    from .scomplex import matrix_to_json, morphism_to_json
 
     rho = h.tau_at(0)
     base = SMorphism(h.source, h.target, h.degree, h.lam, h.mu, h.delta1,
@@ -351,7 +351,7 @@ def height_to_json(h):
     doc = morphism_to_json(base, include_complexes=True)
     doc.pop("rho", None)
     doc["height"] = h.height
-    doc["tau"] = {str(i): [[tn, sn, str(v)] for tn, sn, v in t.indexed_triples()]
+    doc["tau"] = {str(i): matrix_to_json(t, by_name=False)
                   for i, t in h.tau.items() if i <= 0}
     return doc
 

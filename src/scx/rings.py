@@ -459,7 +459,7 @@ class RingElement:
         return f"<{self} over {self.ring!r}>"
 
     def __str__(self):
-        return format_element(self)
+        return format_raw(self.ring, self.val)
 
 
 def ring_arith(a, b, op):
@@ -513,7 +513,7 @@ def _tokenize_terms(text):
                     j += 1
                 if j == i or not s[i:j].lstrip("+-"):
                     raise SchemaError(f"bad exponent in {text!r}")
-                exp = int(s[i:j])
+                exp = _int(s[i:j], text)
                 i = j
             else:
                 exp = 1
@@ -523,8 +523,24 @@ def _tokenize_terms(text):
     return terms
 
 
-def parse_element(ring, text):
-    """Parse the shared term grammar into an element of `ring`."""
+def _int(digits, text):
+    """int(digits), a run of digits from `text`; what int() refuses (a digit
+    it does not read, more digits than the interpreter's limit) is a
+    SchemaError naming the term."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise SchemaError(f"cannot read the integer {_clip(digits)!r} ({len(digits)} "
+                          f"characters) in {_clip(text)!r}") from None
+
+
+def _clip(text):
+    return text if len(text) <= 24 else f"{text[:10]}...{text[-10:]}"
+
+
+def parse_raw(ring, text):
+    """Parse the shared term grammar into a raw value of `ring`: the terms are
+    summed by the ring's domain, and no element is made."""
     text = text.strip()
     if ring.kind == Ring.FRAC and text.startswith("("):
         # extension for true rational functions: "(num)/(den)"
@@ -538,13 +554,13 @@ def parse_element(ring, text):
                 split = i
                 break
         if split is not None:
-            num = parse_element(LAURENT_Z, text[1:split - 1])
-            den = parse_element(LAURENT_Z, text[split + 2:-1])
-            return RingElement(ring, ratfun_normalize(num.val, den.val))
+            return ratfun_normalize(parse_raw(LAURENT_Z, text[1:split - 1]),
+                                    parse_raw(LAURENT_Z, text[split + 2:-1]))
     terms = _tokenize_terms(text)
-    allow_frac = ring.kind in (Ring.RAT, Ring.FRAC)
-    allow_t = ring.kind in (Ring.LAURENT, Ring.FRAC)
-    total = ring.zero()
+    kind, dom = ring.kind, ring.domain
+    allow_frac = kind in (Ring.RAT, Ring.FRAC)
+    allow_t = kind in (Ring.LAURENT, Ring.FRAC)
+    total = dom.zero
     for sign, coeff, exp in terms:
         if exp is not None and not allow_t:
             raise SchemaError(f"variable T not allowed in {ring!r}")
@@ -556,21 +572,26 @@ def parse_element(ring, text):
                 a, _, b = coeff.partition("/")
                 if not a or not b:
                     raise SchemaError(f"bad fraction {coeff!r}")
-                num, den = int(a), int(b)
+                num, den = _int(a, text), _int(b, text)
             else:
-                num = int(coeff)
+                num = _int(coeff, text)
         num *= sign
-        if ring.kind == Ring.FRAC:
-            t = RingElement(ring, ratfun_normalize(((exp or 0, num),) if num else LAU_ZERO,
-                                                   ((0, den),) if den else LAU_ZERO))
-        elif ring.kind == Ring.LAURENT:
-            t = RingElement(ring, ((exp or 0, num),) if num else LAU_ZERO)
-        elif ring.kind == Ring.RAT:
-            t = RingElement(ring, _rat_norm(num, den))
+        if kind == Ring.FRAC:
+            t = ratfun_normalize(((exp or 0, num),) if num else LAU_ZERO,
+                                 ((0, den),) if den else LAU_ZERO)
+        elif kind == Ring.LAURENT:
+            t = ((exp or 0, num),) if num else LAU_ZERO
+        elif kind == Ring.RAT:
+            t = _rat_norm(num, den)
         else:
-            t = ring.from_int(num)
-        total = total + t
+            t = dom.from_int(num)
+        total = dom.add(total, t)
     return total
+
+
+def parse_element(ring, text):
+    """Parse the shared term grammar into an element of `ring`."""
+    return RingElement(ring, parse_raw(ring, text))
 
 
 def _format_lau(lau, den=1):
@@ -602,16 +623,17 @@ def _format_lau(lau, den=1):
     return out[2:] if out.startswith("+ ") else "-" + out[2:]
 
 
-def format_element(x):
-    k = x.ring.kind
+def format_raw(ring, val):
+    """The text of the raw value `val` of `ring`, which `parse_raw` reads back."""
+    k = ring.kind
     if k in (Ring.INT, Ring.MODP):
-        return str(x.val)
+        return str(val)
     if k == Ring.RAT:
-        a, b = x.val
+        a, b = val
         return str(a) if b == 1 else f"{a}/{b}"
     if k == Ring.LAURENT:
-        return _format_lau(x.val)
-    num, den = x.val
+        return _format_lau(val)
+    num, den = val
     if den == LAU_ONE:
         return _format_lau(num)
     if lau_is_monomial(den):

@@ -26,7 +26,7 @@ from .gradedlin import (
     homology_of_pair,
     raw_cols,
 )
-from .rings import FRAC_LAURENT_Q, LAURENT_Z, Q, Ring, RingMap, Z, Zp, parse_element
+from .rings import FRAC_LAURENT_Q, LAURENT_Z, Q, Ring, RingMap, Z, Zp, format_raw, parse_raw
 
 
 class RelationReport:
@@ -483,8 +483,23 @@ def _gens_to_json(module, bigr):
     return out
 
 
-def _matrix_to_json(m):
-    return [[tn, sn, str(x)] for tn, sn, x in m.named_triples()]
+def matrix_to_json(m, by_name=True):
+    """The [target, source, coefficient] rows of m, in name order (the order
+    of `named_triples`; no two rows share both names, so no text is
+    compared) or with by_name=False in index order.  Coefficients repeat, so
+    each distinct value is formatted once."""
+    ring, tn, sn = m.ring, m.target.name, m.source.name
+    texts = {}
+    rows = []
+    for key in (m.entries if by_name else sorted(m.entries)):
+        x = m.entries[key]
+        text = texts.get(x)
+        if text is None:
+            text = texts[x] = format_raw(ring, x)
+        rows.append([tn(key[0]), sn(key[1]), text])
+    if by_name:
+        rows.sort()
+    return rows
 
 
 def scomplex_to_json(x):
@@ -494,14 +509,14 @@ def scomplex_to_json(x):
         "modulus": x.modulus,
         "irreducible": _gens_to_json(x.irr, bigr),
         "reducible": _gens_to_json(x.red, bigr),
-        "d": _matrix_to_json(x.d),
-        "v": _matrix_to_json(x.v),
-        "delta1": _matrix_to_json(x.delta1),
-        "delta2": _matrix_to_json(x.delta2),
-        "r": _matrix_to_json(x.r),
+        "d": matrix_to_json(x.d),
+        "v": matrix_to_json(x.v),
+        "delta1": matrix_to_json(x.delta1),
+        "delta2": matrix_to_json(x.delta2),
+        "r": matrix_to_json(x.r),
     }
     if x.s is not None:
-        doc["s"] = _matrix_to_json(x.s)
+        doc["s"] = matrix_to_json(x.s)
     meta = {k: v for k, v in x.metadata.items() if k not in ("gr_z", "gr_i")}
     if meta:
         doc["metadata"] = meta
@@ -548,10 +563,17 @@ def _gens_from_json(items, modulus, grz, gri):
     return gens
 
 
-def _matrix_from_json(items, source, target, degree, ring):
+def matrix_from_json(items, source, target, degree):
+    """The matrix of the [target, source, coefficient] rows `items`, over
+    source's ring; the values at one position add.  Coefficients repeat, so
+    each distinct string is parsed once.  The checked constructor refuses
+    entries out of range or of the wrong degree."""
     if not isinstance(items, list):
         raise SchemaError("matrix entries must be a list")
-    triples = []
+    ring = source.ring
+    values = {}
+    add = ring.domain.add
+    ent = {}
     for row in items:
         if not isinstance(row, list) or len(row) != 3:
             raise SchemaError("matrix entries are [target, source, coeff] triples")
@@ -563,8 +585,13 @@ def _matrix_from_json(items, source, target, degree, ring):
             raise SchemaError(f"unknown target generator {tn!r}")
         if not isinstance(sn, str) or sn not in source:
             raise SchemaError(f"unknown source generator {sn!r}")
-        triples.append((tn, sn, parse_element(ring, cs)))
-    return GradedMatrix.from_named(source, target, degree, triples)
+        x = values.get(cs)
+        if x is None:
+            x = values[cs] = parse_raw(ring, cs)
+        key = (target.index(tn), source.index(sn))
+        cur = ent.get(key)
+        ent[key] = x if cur is None else add(cur, x)
+    return GradedMatrix(source, target, degree, ent)
 
 
 def scomplex_from_json(doc):
@@ -588,14 +615,14 @@ def scomplex_from_json(doc):
     grz, gri = {}, {}
     irr = GradedModule(ring, modulus, _gens_from_json(doc["irreducible"], modulus, grz, gri))
     red = GradedModule(ring, modulus, _gens_from_json(doc["reducible"], modulus, grz, gri))
-    d = _matrix_from_json(doc["d"], irr, irr, -1, ring)
-    v = _matrix_from_json(doc["v"], irr, irr, -2, ring)
-    d1 = _matrix_from_json(doc["delta1"], irr, red, -1, ring)
-    d2 = _matrix_from_json(doc["delta2"], red, irr, -2, ring)
-    r = _matrix_from_json(doc["r"], red, red, -1, ring)
+    d = matrix_from_json(doc["d"], irr, irr, -1)
+    v = matrix_from_json(doc["v"], irr, irr, -2)
+    d1 = matrix_from_json(doc["delta1"], irr, red, -1)
+    d2 = matrix_from_json(doc["delta2"], red, irr, -2)
+    r = matrix_from_json(doc["r"], red, red, -1)
     s = None
     if "s" in doc:
-        s = _matrix_from_json(doc["s"], red, red, -2, ring)
+        s = matrix_from_json(doc["s"], red, red, -2)
     meta = dict(doc.get("metadata", {}))
     if grz:
         meta["gr_z"] = grz
@@ -605,14 +632,27 @@ def scomplex_from_json(doc):
 
 
 def save_scomplex(x, path):
+    text = json.dumps(scomplex_to_json(x), indent=1, sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(scomplex_to_json(x), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def _parse_int(digits):
+    try:
+        return int(digits)
+    except ValueError:  # more digits than the interpreter converts
+        raise SchemaError(f"JSON integer of {len(digits)} digits is too long") from None
+
+
+def read_json(path):
+    """The JSON document in the file at `path`.  An integer with more digits
+    than the interpreter converts is a SchemaError."""
+    with open(path) as fh:
+        return json.load(fh, parse_int=_parse_int)
 
 
 def load_scomplex(path):
-    with open(path) as fh:
-        return scomplex_from_json(json.load(fh))
+    return scomplex_from_json(read_json(path))
 
 
 # -- morphism documents (used by the CLI and the heights/triangles bundles)
@@ -621,11 +661,11 @@ def load_scomplex(path):
 def morphism_to_json(f, include_complexes=True):
     doc = {
         "degree": f.degree,
-        "lambda": _matrix_to_json(f.lam),
-        "mu": _matrix_to_json(f.mu),
-        "Delta1": _matrix_to_json(f.delta1),
-        "Delta2": _matrix_to_json(f.delta2),
-        "rho": _matrix_to_json(f.rho),
+        "lambda": matrix_to_json(f.lam),
+        "mu": matrix_to_json(f.mu),
+        "Delta1": matrix_to_json(f.delta1),
+        "Delta2": matrix_to_json(f.delta2),
+        "rho": matrix_to_json(f.rho),
     }
     if include_complexes:
         doc["source"] = scomplex_to_json(f.source)
@@ -654,12 +694,11 @@ def morphism_from_json(doc, source=None, target=None):
     k = doc.get("degree")
     if type(k) is not int:
         raise SchemaError(f"morphism degree must be an integer, got {k!r}")
-    ring = source.ring
     return SMorphism(
         source, target, k,
-        _matrix_from_json(doc.get("lambda", []), source.irr, target.irr, k, ring),
-        _matrix_from_json(doc.get("mu", []), source.irr, target.irr, k - 1, ring),
-        _matrix_from_json(doc.get("Delta1", []), source.irr, target.red, k, ring),
-        _matrix_from_json(doc.get("Delta2", []), source.red, target.irr, k - 1, ring),
-        _matrix_from_json(doc.get("rho", []), source.red, target.red, k, ring),
+        matrix_from_json(doc.get("lambda", []), source.irr, target.irr, k),
+        matrix_from_json(doc.get("mu", []), source.irr, target.irr, k - 1),
+        matrix_from_json(doc.get("Delta1", []), source.irr, target.red, k),
+        matrix_from_json(doc.get("Delta2", []), source.red, target.irr, k - 1),
+        matrix_from_json(doc.get("rho", []), source.red, target.red, k),
     )

@@ -108,13 +108,11 @@ class ExactTriangleData:
 def triangle_to_json(t):
     """Bundle: three inline complexes, three morphism blocks, three homotopy
     blocks, and optional N-map blocks."""
-    from .scomplex import morphism_to_json, scomplex_to_json
+    from .scomplex import matrix_to_json, morphism_to_json, scomplex_to_json
 
     def hom_doc(h):
-        def m(mm):
-            return [[tn, sn, str(v)] for tn, sn, v in mm.indexed_triples()]
-
-        return {"K": m(h.K), "L": m(h.L), "M1": m(h.M1), "M2": m(h.M2), "J": m(h.J)}
+        return {name: matrix_to_json(getattr(h, name), by_name=False)
+                for name in ("K", "L", "M1", "M2", "J")}
 
     return {
         "complexes": [scomplex_to_json(c) for c in t.complexes],

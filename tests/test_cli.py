@@ -424,7 +424,8 @@ def test_triangle_verify_verb_on_solved_witnesses(tmp_path, capsys):
     assert run("triangle-verify", "--in", str(path)) == 0
 
 
-_FUZZ_VALUES = (None, True, 0, -1, 2.0, "", "x", [], [1], {}, {"a": 1})
+_LONG = "1" * 5000  # more digits than int() converts
+_FUZZ_VALUES = (None, True, 0, -1, 2.0, "", "x", [], [1], {}, {"a": 1}, _LONG)
 _REMOVED = object()  # the fuzz value that deletes the field
 
 
@@ -523,6 +524,58 @@ def test_loader_fuzz_exits_with_a_known_code(tmp_path, capsys):
     # each seed reaches its verb both as a usable document and as a refused one
     for verb in ("verify", "heights-compose", "triangle-verify", "skein-chi", "cone"):
         assert (verb, 2) in seen and {(verb, 0), (verb, 1)} & seen, verb
+
+
+def _long_integer_texts(doc, coefficient, integer):
+    """doc as JSON text three times: the coefficient string at path
+    `coefficient` set to 5,000 digits, then to T^ with 5,000 digits, and the
+    integer at path `integer` set to a bare JSON integer of 5,000 digits."""
+    texts = [json.dumps(_with_field(doc, coefficient, text)) for text in (_LONG, f"T^{_LONG}")]
+    texts.append(json.dumps(_with_field(doc, integer, "@long@")).replace('"@long@"', _LONG))
+    return texts
+
+
+def test_over_long_integers_are_usage_errors(tmp_path, capsys):
+    # each ended in a ValueError traceback (exit 1) in every verb that loads
+    from scx.functors import atomic
+    from scx.heights import height_to_json, iota
+    from scx.linkfam import unknot_complex
+    from scx.rings import eval_t_at_one
+    from scx.scomplex import SMorphism, morphism_to_json, save_scomplex
+    from scx.triangles import cone_triangle, triangle_to_json
+
+    src, good, out = tmp_path / "in.json", tmp_path / "good.json", str(tmp_path / "out.json")
+    x = atomic(1)
+    save_scomplex(x, good)
+    complex_doc = json.loads(good.read_text())
+    tree = {"leaf": {"components": 2, "chi": "1"}}
+    cases = [
+        (complex_doc, ("delta1", 0, 2), ("irreducible", 0, "degree"),
+         [["verify", "--in", str(src)], ["homology", "--in", str(src)],
+          ["dual", "--in", str(src), "--out", out], ["suspend", "--in", str(src), "--n", "1", "--out", out],
+          ["tensor", "--a", str(src), "--b", str(good), "--out", out],
+          ["tensor", "--a", str(good), "--b", str(src), "--out", out],
+          ["equivariant", "--in", str(src)], ["froyshov", "--in", str(src)],
+          ["cone", "--map", str(tmp_path / "map.json"), "--source", str(src), "--out", out]]),
+        (morphism_to_json(SMorphism.identity(x)), ("lambda", 0, 2), ("degree",),
+         [["cone", "--map", str(src), "--out", out]]),
+        (height_to_json(iota(unknot_complex().base_change(eval_t_at_one()), 1)),
+         ("Delta2", 0, 2), ("height",),
+         [["heights-compose", "--f", str(src), "--g", str(src)]]),
+        (triangle_to_json(cone_triangle(SMorphism.identity(x))),
+         ("homotopies", 0, "K", 0, 2), ("complexes", 1, "modulus"),
+         [["triangle-verify", "--in", str(src)]]),
+        (tree, ("leaf", "chi"), ("leaf", "components"), [["skein-chi", "--in", str(src)]]),
+    ]
+    (tmp_path / "map.json").write_text(json.dumps(morphism_to_json(SMorphism.identity(x), False)))
+    for doc, coefficient, integer, verbs in cases:
+        for text in _long_integer_texts(doc, coefficient, integer):
+            src.write_text(text)
+            for argv in verbs:
+                capsys.readouterr()
+                assert main(argv) == 2, argv
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("key", ["source", "target"])

@@ -396,3 +396,130 @@ def test_frac_domain_reduces_through_the_module_global(monkeypatch):
         seen.clear()
         op(x.val, y.val)
         assert len(seen) == 1
+
+
+# -- the text grammar: parse_raw against the per-term sum it replaced
+
+
+def parse_element_oracle(ring, text):
+    """The parser before `parse_raw`, kept as the oracle: every term becomes
+    a RingElement and the terms are summed by `RingElement.__add__`.  It
+    shares only the tokenizer with the parser it checks."""
+    from scx.rings import _rat_norm, _tokenize_terms
+
+    text = text.strip()
+    if ring.kind == Ring.FRAC and text.startswith("("):
+        depth, split = 0, None
+        for i, ch in enumerate(text):
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+            elif ch == "/" and depth == 0:
+                split = i
+                break
+        if split is not None:
+            num = parse_element_oracle(LAURENT_Z, text[1:split - 1])
+            den = parse_element_oracle(LAURENT_Z, text[split + 2:-1])
+            return RingElement(ring, ratfun_normalize(num.val, den.val))
+    terms = _tokenize_terms(text)
+    allow_frac = ring.kind in (Ring.RAT, Ring.FRAC)
+    allow_t = ring.kind in (Ring.LAURENT, Ring.FRAC)
+    total = ring.zero()
+    for sign, coeff, exp in terms:
+        if exp is not None and not allow_t:
+            raise SchemaError(f"variable T not allowed in {ring!r}")
+        num, den = 1, 1
+        if coeff is not None:
+            if "/" in coeff:
+                if not allow_frac:
+                    raise SchemaError(f"fractions not allowed in {ring!r}")
+                a, _, b = coeff.partition("/")
+                if not a or not b:
+                    raise SchemaError(f"bad fraction {coeff!r}")
+                num, den = int(a), int(b)
+            else:
+                num = int(coeff)
+        num *= sign
+        if ring.kind == Ring.FRAC:
+            t = RingElement(ring, ratfun_normalize(((exp or 0, num),) if num else LAU_ZERO,
+                                                   ((0, den),) if den else LAU_ZERO))
+        elif ring.kind == Ring.LAURENT:
+            t = RingElement(ring, ((exp or 0, num),) if num else LAU_ZERO)
+        elif ring.kind == Ring.RAT:
+            t = RingElement(ring, _rat_norm(num, den))
+        else:
+            t = ring.from_int(num)
+        total = total + t
+    return total
+
+
+_PARSE_RINGS = [Z, Zp(5), Q, LAURENT_Z, FRAC_LAURENT_Q]
+
+# stacked signs, 3*T, T^-3, a/b, (num)/(den), entries that sum to zero, and
+# strings every ring or some rings refuse
+_GRAMMAR_CASES = [
+    "--3", "+-+-2", "- -T^2", "-+T", "3*T", "3T", "T", "-T^-3", "T^+2", "2 * T ^ -1",
+    "3/4", "-6/8", "6/8*T^2 - 1/2", "1/3 + 1/3*T^-1", "(T^2 - 1)/(T - 1)", "(2*T)/(4*T^3)",
+    "(T + 1)/(T - 2)", "(-T)/(-T^-1)", "T - T", "2 - 2", "1/2 - 1/2", "T^2 - T^-2 - T^2 + T^-2",
+    "0", "-0", "007", "\t 5 ",
+    "", "  ", "x", "3*", "T^", "T^+", "T^-", "1/", "/2", "1/0", "T/0", "(T)/(0)", "(T",
+    "()/(T)", "(T)/()", "3**T", "T^2^3",
+]
+
+
+def _parse_outcome(fn, ring, text):
+    try:
+        return fn(ring, text)
+    except Exception as exc:  # noqa: BLE001 - the class is the outcome
+        return type(exc)
+
+
+@pytest.mark.parametrize("ring", _PARSE_RINGS, ids=str)
+def test_parse_raw_matches_the_per_term_oracle(ring):
+    from scx.randgen import rand_value
+    from scx.rings import parse_raw
+
+    dom = ring.domain
+    rng = random.Random(2026 + (ring.p or 0))
+    texts = list(_GRAMMAR_CASES)
+    for _ in range(150):
+        # sums of products of seeded values, so the strings hold several terms
+        x = dom.zero
+        for _ in range(rng.randint(1, 3)):
+            x = dom.add(x, dom.mul(rand_value(ring, rng), rand_value(ring, rng)))
+        texts.append(str(RingElement(ring, x)))
+    for _ in range(50):
+        texts.append(str(RingElement(ring, _rand_raw(ring, rng))))
+    refused = 0
+    for text in texts:
+        want = _parse_outcome(parse_element_oracle, ring, text)
+        got = _parse_outcome(parse_raw, ring, text)
+        if isinstance(want, type):
+            assert got is want, (text, got, want)
+            refused += 1
+        else:
+            assert got == want.val, (text, got, want)
+            assert parse_element(ring, text) == want and ring.parse(text) == want
+    assert 10 <= refused < len(_GRAMMAR_CASES)
+
+
+@pytest.mark.parametrize("ring", _PARSE_RINGS, ids=str)
+def test_parse_raw_refuses_what_int_cannot_read_with_a_schema_error(ring):
+    # the oracle lets int()'s ValueError out here, which the CLI reported as
+    # a traceback: more digits than the interpreter converts, a second
+    # fraction bar, a character that isdigit() accepts and int() does not
+    from scx.rings import parse_raw
+
+    digits = "1" * 5000
+    texts = [digits, f"T^{digits}", f"T^-{digits} + 1"]
+    if ring.kind in (Ring.RAT, Ring.FRAC):
+        texts.append(f"2 - 1/{digits}")
+    for text in texts:
+        with pytest.raises(SchemaError) as exc:
+            parse_raw(ring, text)
+        message = str(exc.value)
+        assert message.startswith("cannot read the integer ") and len(message) < 120, message
+    for text in ("1/2/3", "\u00b2", "T^\u00b2"):
+        with pytest.raises(SchemaError):
+            parse_raw(ring, text)
