@@ -200,7 +200,7 @@ def _height_from_file(path):
         try:
             i = int(key)
         except ValueError:
-            raise errors.SchemaError(f"tau key {key!r} is not an integer") from None
+            raise errors.SchemaError(f"tau key {errors.clip(key)} is not an integer") from None
         tau[i] = matrix_from_json(entries, src.red, tgt.red, base.degree - 2 * i)
     return HeightMorphism.from_components(src, tgt, base.degree, base.lam,
                                           base.mu, base.delta1, base.delta2,

@@ -1,4 +1,11 @@
-"""Exception types shared by all scx modules."""
+"""Exception types shared by all scx modules, and `clip` for refusals."""
+
+
+def clip(value):
+    """repr(value), cut to its first and last ten characters past 24, so a
+    refusal that echoes a document's value stays one short line."""
+    text = repr(value)
+    return text if len(text) <= 24 else f"{text[:10]}...{text[-10:]}"
 
 
 class ScxError(Exception):

@@ -7,7 +7,7 @@ from __future__ import annotations
 from .errors import RingMismatch, ShapeMismatch
 from .gradedlin import GradedMatrix, GradedModule
 from .rings import Z
-from .scomplex import SComplex, SHomotopy, SMorphism
+from .scomplex import RelationReport, SComplex, SHomotopy, SMorphism
 
 
 def _sgn(dom, deg, x):
@@ -390,11 +390,10 @@ class EquivalenceWitness:
         checks = []
         checks.extend(("forward " + n, ok, off) for n, ok, off in self.forward.verify().checks)
         checks.extend(("backward " + n, ok, off) for n, ok, off in self.backward.verify().checks)
-        from .scomplex import RelationReport, SMorphism as _SM
         ba = self.backward.compose_after(self.forward)
         ab = self.forward.compose_after(self.backward)
-        id_src = _SM.identity(self.forward.source)
-        id_tgt = _SM.identity(self.forward.target)
+        id_src = SMorphism.identity(self.forward.source)
+        id_tgt = SMorphism.identity(self.forward.target)
         if self.homotopy_back_fwd is None:
             checks.append(("backward.forward = 1", (ba - id_src).is_zero, None))
         else:

@@ -19,6 +19,7 @@ from .errors import (
     SchemaError,
     ScxError,
     UnsupportedFamily,
+    clip,
 )
 from .gradedlin import GradedMatrix, GradedModule
 from .rings import (
@@ -642,7 +643,7 @@ def skein_chi(node, audit=None):
 def _printable(chi, name):
     """Refuse a chi of more than _MAX_CHI_DIGITS digits above or below the bar."""
     if max(abs(chi.numerator), chi.denominator) >= 10 ** _MAX_CHI_DIGITS:
-        raise SchemaError(f"chi of {name!r} has more than {_MAX_CHI_DIGITS} digits")
+        raise SchemaError(f"chi of {clip(name)} has more than {_MAX_CHI_DIGITS} digits")
 
 
 def _leaf_fraction(leaf, key):
@@ -654,7 +655,7 @@ def _leaf_fraction(leaf, key):
     text = str(val) if type(val) is int else val  # a JSON int has at most 4300 digits
     match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
     if match is None or match[2] is not None and not match[2].strip("0"):
-        raise SchemaError(f"leaf {key} must be a rational number, got {val!r}")
+        raise SchemaError(f"leaf {key} must be a rational number, got {clip(val)}")
     if max(len(g or "") for g in match.groups()) > _MAX_DIGITS:
         raise SchemaError(f"leaf {key} may have at most {_MAX_DIGITS} digits "
                           "above and below the fraction bar")
@@ -667,17 +668,17 @@ def skein_node_from_json(doc):
     if "leaf" in doc:
         leaf = doc["leaf"]
         if not isinstance(leaf, dict):
-            raise SchemaError(f"leaf must be an object, got {leaf!r}")
+            raise SchemaError(f"leaf must be an object, got {clip(leaf)}")
         extra = set(leaf) - {"components", "chi", "xi", "name", "family"}
         if extra:
-            raise SchemaError(f"unknown leaf keys {sorted(extra)}")
+            raise SchemaError(f"unknown leaf keys {clip(sorted(extra))}")
         if "family" in leaf:
             desc = _descriptor_from_json(leaf["family"])
             return SkeinLeaf(desc.components, xi=murasugi_xi(desc), name=repr(desc))
         if "components" not in leaf:
             raise SchemaError("leaf needs components")
         if type(leaf["components"]) is not int:
-            raise SchemaError(f"leaf components must be an integer, got {leaf['components']!r}")
+            raise SchemaError(f"leaf components must be an integer, got {clip(leaf['components'])}")
         if not 1 <= leaf["components"] <= _MAX_COMPONENTS:
             raise SchemaError(f"leaf components must be between 1 and {_MAX_COMPONENTS}, "
                               f"got {leaf['components']}")
@@ -686,10 +687,10 @@ def skein_node_from_json(doc):
     if "triple" in doc:
         t = doc["triple"]
         if not isinstance(t, dict):
-            raise SchemaError(f"triple must be an object, got {t!r}")
+            raise SchemaError(f"triple must be an object, got {clip(t)}")
         extra = set(t) - {"eps1", "eps2", "L", "Lp", "Lpp", "solve"}
         if extra:
-            raise SchemaError(f"unknown triple keys {sorted(extra)}")
+            raise SchemaError(f"unknown triple keys {clip(sorted(extra))}")
         for key in ("eps1", "eps2", "L", "Lp", "Lpp"):
             if key not in t:
                 raise SchemaError(f"triple needs {key}")
@@ -708,10 +709,10 @@ _FAMILY_KEYS = {"unknot": (unknot, ()), "hopf": (hopf, ()), "torus2": (torus2, (
 
 def _descriptor_from_json(obj):
     if not isinstance(obj, dict):
-        raise SchemaError(f"leaf family must be an object, got {obj!r}")
+        raise SchemaError(f"leaf family must be an object, got {clip(obj)}")
     kind = obj.get("kind")
     if not isinstance(kind, str) or kind not in _FAMILY_KEYS:
-        raise SchemaError(f"unknown family kind {kind!r}")
+        raise SchemaError(f"unknown family kind {clip(kind)}")
     make, keys = _FAMILY_KEYS[kind]
     for key in keys:
         if key not in obj:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .functors import atomic, cone, direct_sum, dual, suspend_once, tensor
 from .gradedlin import GradedMatrix, GradedModule
 from .rings import FRAC_LAURENT_Q, LAU_ONE, Q, Ring, Z, Zp
-from .scomplex import SComplex, SHomotopy, SMorphism
+from .scomplex import SComplex, SHomotopy, SMorphism, _assemble
 
 RINGS = {
     "Z": Z,
@@ -123,41 +123,28 @@ def rand_homotopy_shape(x, y, rng, degree, density=0.4):
 
 
 def boundary_morphism(x, y, rng, degree=0):
-    """The chain map d'Ktilde + Ktilde d for random homotopy-shaped K."""
-    K, L, M1, M2, J = rand_homotopy_shape(x, y, rng, degree)
-    lam = y.d @ K + K @ x.d
-    mu = (y.v @ K - y.d @ L + y.delta2 @ M1 + L @ x.d - K @ x.v + M2 @ x.delta1)
-    d1 = y.delta1 @ K + y.r @ M1 + M1 @ x.d + J @ x.delta1
-    d2 = -(y.d @ M2) + y.delta2 @ J - K @ x.delta2 + M2 @ x.r
-    rho = y.r @ J + J @ x.r
-    return SMorphism(x, y, degree, lam, mu, d1, d2, rho)
+    """(the chain map d'H + Hd, (K, L, M1, M2, J)) for H assembled from
+    random homotopy-shaped blocks K, L, M1, M2, J of the given degree."""
+    blocks = rand_homotopy_shape(x, y, rng, degree)
+    h = _assemble(x, y, degree + 1, -1, *blocks)
+    dh = y.total_differential() @ h + h @ x.total_differential()
+    return SMorphism.from_assembled(dh, x, y), blocks
 
 
 def rand_morphism(x, y, rng, degree=0):
     """A random morphism x -> y: a boundary, plus c*identity when x is y."""
-    f = boundary_morphism(x, y, rng, degree)
+    f, _ = boundary_morphism(x, y, rng, degree)
     if x is y and degree % x.modulus == 0 and rng.random() < 0.7:
-        c = rng.choice([1, -1, 2])
-        ident = SMorphism.identity(x)
-        scaled = SMorphism(x, x, 0, ident.lam.scale(x.ring.from_int(c)),
-                           ident.mu, ident.delta1, ident.delta2,
-                           ident.rho.scale(x.ring.from_int(c)))
-        f = f + scaled
+        c = x.ring.from_int(rng.choice([1, -1, 2]))
+        f = f + SMorphism.from_assembled(GradedMatrix.identity(x.total_module()).scale(c), x, x)
     return f
 
 
 def rand_homotopy_pair(f, rng):
     """(g, h) with h a verified homotopy from f to g."""
-    x, y = f.source, f.target
-    K, L, M1, M2, J = rand_homotopy_shape(x, y, rng, f.degree)
-    lam = y.d @ K + K @ x.d
-    mu = (y.v @ K - y.d @ L + y.delta2 @ M1 + L @ x.d - K @ x.v + M2 @ x.delta1)
-    d1 = y.delta1 @ K + y.r @ M1 + M1 @ x.d + J @ x.delta1
-    d2 = -(y.d @ M2) + y.delta2 @ J - K @ x.delta2 + M2 @ x.r
-    rho = y.r @ J + J @ x.r
-    g = SMorphism(x, y, f.degree, f.lam - lam, f.mu - mu, f.delta1 - d1,
-                  f.delta2 - d2, f.rho - rho)
-    return g, SHomotopy(f, g, K, L, M1, M2, J)
+    b, blocks = boundary_morphism(f.source, f.target, rng, f.degree)
+    g = f - b
+    return g, SHomotopy(f, g, *blocks)
 
 
 def rand_height_morphism(ring, rng, height, modulus=None):

@@ -28,7 +28,7 @@ from functools import partial
 from math import gcd
 from operator import add, eq, mul, neg, sub
 
-from .errors import DivideByZero, DivisionUnsupported, RingMismatch, ScxError, SchemaError
+from .errors import DivideByZero, DivisionUnsupported, RingMismatch, ScxError, SchemaError, clip
 
 # ---------------------------------------------------------------------------
 # Laurent polynomial helpers.  A "lau" is a tuple of (exp, coeff) pairs,
@@ -307,7 +307,7 @@ class Ring:
 
     def __init__(self, kind, p=None):
         if kind not in self._KINDS:
-            raise SchemaError(f"unknown ring kind {kind!r}")
+            raise SchemaError(f"unknown ring kind {clip(kind)}")
         if kind == self.MODP:
             if p is None or p < 2 or not _is_prime(p):
                 raise ScxError(f"Z/p requires a prime p, got {p}")
@@ -500,7 +500,7 @@ def _tokenize_terms(text):
         if i < n and s[i] == "*":
             i += 1
             if i >= n or s[i] != "T":
-                raise SchemaError(f"expected T after '*' in {text!r}")
+                raise SchemaError(f"expected T after '*' in {clip(text)}")
         exp = None
         if i < n and s[i] == "T":
             i += 1
@@ -512,13 +512,13 @@ def _tokenize_terms(text):
                 while j < n and s[j].isdigit():
                     j += 1
                 if j == i or not s[i:j].lstrip("+-"):
-                    raise SchemaError(f"bad exponent in {text!r}")
+                    raise SchemaError(f"bad exponent in {clip(text)}")
                 exp = _int(s[i:j], text)
                 i = j
             else:
                 exp = 1
         if coeff is None and exp is None:
-            raise SchemaError(f"cannot parse term in {text!r}")
+            raise SchemaError(f"cannot parse term in {clip(text)}")
         terms.append((sign, coeff, exp))
     return terms
 
@@ -530,12 +530,8 @@ def _int(digits, text):
     try:
         return int(digits)
     except ValueError:
-        raise SchemaError(f"cannot read the integer {_clip(digits)!r} ({len(digits)} "
-                          f"characters) in {_clip(text)!r}") from None
-
-
-def _clip(text):
-    return text if len(text) <= 24 else f"{text[:10]}...{text[-10:]}"
+        raise SchemaError(f"cannot read the integer {clip(digits)} ({len(digits)} "
+                          f"characters) in {clip(text)}") from None
 
 
 def parse_raw(ring, text):
@@ -571,7 +567,7 @@ def parse_raw(ring, text):
                     raise SchemaError(f"fractions not allowed in {ring!r}")
                 a, _, b = coeff.partition("/")
                 if not a or not b:
-                    raise SchemaError(f"bad fraction {coeff!r}")
+                    raise SchemaError(f"bad fraction {clip(coeff)}")
                 num, den = _int(a, text), _int(b, text)
             else:
                 num = _int(coeff, text)

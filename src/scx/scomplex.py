@@ -16,6 +16,7 @@ from .errors import (
     RingMismatch,
     SchemaError,
     ShapeMismatch,
+    clip,
 )
 from .gradedlin import (
     GradedMatrix,
@@ -88,6 +89,36 @@ def _assemble(x, y, degree, s, a, b, e, c, g):
         *((blocks[name], row, col) for name, (_, _, row, col) in _block_layout(x, y).items()))
 
 
+# (row band, column band) -> block of a total map, the bands being C, C[-1], R
+_BANDS = {(0, 0): "A", (1, 0): "B", (1, 2): "C", (2, 0): "E", (2, 2): "G"}
+
+
+def _blocks(m, x, y):
+    """The blocks A, B, E, C, G (in `SMorphism`'s and `SHomotopy`'s order),
+    A, E, G of m's degree and B, C one less, of a total map m from x to y of
+    shape [[A,0,0],[B,sA,C],[E,0,G]]: the inverse of `_assemble`.  Neither
+    sA nor the blocks that are zero in this shape are read."""
+    layout = _block_layout(x, y)
+    nc, mc = x.irr.rank, y.irr.rank
+    parts = {name: {} for name in _BANDS.values()}
+    for (t, s), val in m.entries.items():
+        name = _BANDS.get(((t >= mc) + (t >= 2 * mc), (s >= nc) + (s >= 2 * nc)))
+        if name is not None:
+            _, _, row, col = layout[name]
+            parts[name][(t - row, s - col)] = val
+    new, k = GradedMatrix._new, m.degree
+    return (new(x.irr, y.irr, k, parts["A"]), new(x.irr, y.irr, k - 1, parts["B"]),
+            new(x.irr, y.red, k, parts["E"]), new(x.red, y.irr, k - 1, parts["C"]),
+            new(x.red, y.red, k, parts["G"]))
+
+
+def _relations(residual, x, y, rows):
+    """The report of the relations `rows`, each (name, block, negated): the
+    block of the assembled residual, negated when `negated`, must be zero."""
+    blocks = dict(zip("ABECG", _blocks(residual, x, y)))
+    return RelationReport(_rel(name, -blocks[b] if neg else blocks[b]) for name, b, neg in rows)
+
+
 class SComplex:
     """The tuple (C, R, d, v, delta1, delta2, r) with optional s-map."""
 
@@ -112,6 +143,7 @@ class SComplex:
         self.s = s
         self.metadata = dict(metadata or {})
         self._total = None
+        self._total_module = None
 
     @property
     def ring(self):
@@ -133,23 +165,26 @@ class SComplex:
                               "(even reducible degrees, r = 0)")
 
     def verify(self):
-        """Check the five relations equivalent to (total differential)^2 = 0."""
-        return RelationReport([
-            _rel("d.d = 0", self.d @ self.d),
-            _rel("delta1.d + r.delta1 = 0", self.delta1 @ self.d + self.r @ self.delta1),
-            _rel("d.delta2 - delta2.r = 0", self.d @ self.delta2 - self.delta2 @ self.r),
-            _rel("d.v - v.d - delta2.delta1 = 0",
-                 self.d @ self.v - self.v @ self.d - self.delta2 @ self.delta1),
-            _rel("r.r = 0", self.r @ self.r),
+        """Check the five relations equivalent to (total differential)^2 = 0,
+        read from the blocks of D.D."""
+        dt = self.total_differential()
+        return _relations(dt @ dt, self, self, [
+            ("d.d = 0", "A", False),
+            ("delta1.d + r.delta1 = 0", "E", False),
+            ("d.delta2 - delta2.r = 0", "C", True),
+            ("d.v - v.d - delta2.delta1 = 0", "B", True),
+            ("r.r = 0", "G", False),
         ])
 
     # -- assembled total complex
 
     def total_module(self):
-        gens = [(f"i:{n}", deg) for n, deg in self.irr.gens]
-        gens += [(f"j:{n}", deg + 1) for n, deg in self.irr.gens]
-        gens += [(f"r:{n}", deg) for n, deg in self.red.gens]
-        return GradedModule(self.ring, self.modulus, gens)
+        if self._total_module is None:
+            gens = [(f"i:{n}", deg) for n, deg in self.irr.gens]
+            gens += [(f"j:{n}", deg + 1) for n, deg in self.irr.gens]
+            gens += [(f"r:{n}", deg) for n, deg in self.red.gens]
+            self._total_module = GradedModule(self.ring, self.modulus, gens)
+        return self._total_module
 
     def total_differential(self):
         """The block matrix [[d,0,0],[v,-d,delta2],[delta1,0,r]]."""
@@ -277,23 +312,26 @@ class SMorphism:
         self.rho = rho
 
     def verify(self):
-        X, Y, f = self.source, self.target, self
-        return RelationReport([
-            _rel("d'.lambda - lambda.d = 0", Y.d @ f.lam - f.lam @ X.d),
-            _rel("Delta1.d + rho.delta1 - delta1'.lambda - r'.Delta1 = 0",
-                 f.delta1 @ X.d + f.rho @ X.delta1 - Y.delta1 @ f.lam - Y.r @ f.delta1),
-            _rel("d'.Delta2 - delta2'.rho + lambda.delta2 + Delta2.r = 0",
-                 Y.d @ f.delta2 - Y.delta2 @ f.rho + f.lam @ X.delta2 + f.delta2 @ X.r),
-            _rel("mu.d + d'.mu + lambda.v - v'.lambda + Delta2.delta1 - delta2'.Delta1 = 0",
-                 f.mu @ X.d + Y.d @ f.mu + f.lam @ X.v - Y.v @ f.lam
-                 + f.delta2 @ X.delta1 - Y.delta2 @ f.delta1),
-            _rel("rho.r - r'.rho = 0", f.rho @ X.r - Y.r @ f.rho),
+        """The five chain-map relations, read from the blocks of D'.F - F.D."""
+        X, Y, f = self.source, self.target, self.assemble()
+        return _relations(Y.total_differential() @ f - f @ X.total_differential(), X, Y, [
+            ("d'.lambda - lambda.d = 0", "A", False),
+            ("Delta1.d + rho.delta1 - delta1'.lambda - r'.Delta1 = 0", "E", True),
+            ("d'.Delta2 - delta2'.rho + lambda.delta2 + Delta2.r = 0", "C", True),
+            ("mu.d + d'.mu + lambda.v - v'.lambda + Delta2.delta1 - delta2'.Delta1 = 0", "B", True),
+            ("rho.r - r'.rho = 0", "G", True),
         ])
 
     def assemble(self):
         """Full matrix [[lam,0,0],[mu,lam,Delta2],[Delta1,0,rho]]."""
         return _assemble(self.source, self.target, self.degree, 1,
                          self.lam, self.mu, self.delta1, self.delta2, self.rho)
+
+    @classmethod
+    def from_assembled(cls, m, x, y):
+        """The morphism x -> y whose assembled matrix is m (the second lam
+        of [[lam,0,0],[mu,lam,Delta2],[Delta1,0,rho]] is not read)."""
+        return cls(x, y, m.degree, *_blocks(m, x, y))
 
     @property
     def is_zero(self):
@@ -305,31 +343,17 @@ class SMorphism:
 
     @classmethod
     def identity(cls, x):
-        return cls(x, x, 0,
-                   GradedMatrix.identity(x.irr), GradedMatrix.zero(x.irr, x.irr, -1),
-                   GradedMatrix.zero(x.irr, x.red, 0), GradedMatrix.zero(x.red, x.irr, -1),
-                   GradedMatrix.identity(x.red))
+        return cls.from_assembled(GradedMatrix.identity(x.total_module()), x, x)
 
     @classmethod
     def zero(cls, x, y, degree=0):
-        return cls(x, y, degree,
-                   GradedMatrix.zero(x.irr, y.irr, degree),
-                   GradedMatrix.zero(x.irr, y.irr, degree - 1),
-                   GradedMatrix.zero(x.irr, y.red, degree),
-                   GradedMatrix.zero(x.red, y.irr, degree - 1),
-                   GradedMatrix.zero(x.red, y.red, degree))
+        return cls.from_assembled(
+            GradedMatrix.zero(x.total_module(), y.total_module(), degree), x, y)
 
     def compose_after(self, other):
-        """self . other (other first)."""
-        g, f = self, other
-        return SMorphism(
-            f.source, g.target, g.degree + f.degree,
-            g.lam @ f.lam,
-            g.lam @ f.mu + g.mu @ f.lam + g.delta2 @ f.delta1,
-            g.delta1 @ f.lam + g.rho @ f.delta1,
-            g.lam @ f.delta2 + g.delta2 @ f.rho,
-            g.rho @ f.rho,
-        )
+        """self . other (other first): the morphism of G.F."""
+        return SMorphism.from_assembled(self.assemble() @ other.assemble(),
+                                        other.source, self.target)
 
     def __add__(self, other):
         return SMorphism(self.source, self.target, self.degree,
@@ -380,22 +404,17 @@ class SHomotopy:
         self.J = J
 
     def verify(self):
-        X, Y = self.frm.source, self.frm.target
-        a, b, h = self.frm, self.to, self
-        return RelationReport([
-            _rel("d'.K + K.d - lambda + lambda' = 0",
-                 Y.d @ h.K + h.K @ X.d - a.lam + b.lam),
-            _rel("delta1'.K + r'.M1 + M1.d + J.delta1 - Delta1 + Delta1' = 0",
-                 Y.delta1 @ h.K + Y.r @ h.M1 + h.M1 @ X.d + h.J @ X.delta1
-                 - a.delta1 + b.delta1),
-            _rel("-d'.M2 + delta2'.J - K.delta2 + M2.r - Delta2 + Delta2' = 0",
-                 -(Y.d @ h.M2) + Y.delta2 @ h.J - h.K @ X.delta2 + h.M2 @ X.r
-                 - a.delta2 + b.delta2),
-            _rel("v'.K - d'.L + delta2'.M1 + L.d - K.v + M2.delta1 - mu + mu' = 0",
-                 Y.v @ h.K - Y.d @ h.L + Y.delta2 @ h.M1 + h.L @ X.d - h.K @ X.v
-                 + h.M2 @ X.delta1 - a.mu + b.mu),
-            _rel("r'.J + J.r - rho + rho' = 0",
-                 Y.r @ h.J + h.J @ X.r - a.rho + b.rho),
+        """The five homotopy relations, read from the blocks of
+        D'.H + H.D - (F - G)."""
+        X, Y, h = self.frm.source, self.frm.target, self.assemble()
+        residual = (Y.total_differential() @ h + h @ X.total_differential()
+                    - (self.frm - self.to).assemble())
+        return _relations(residual, X, Y, [
+            ("d'.K + K.d - lambda + lambda' = 0", "A", False),
+            ("delta1'.K + r'.M1 + M1.d + J.delta1 - Delta1 + Delta1' = 0", "E", False),
+            ("-d'.M2 + delta2'.J - K.delta2 + M2.r - Delta2 + Delta2' = 0", "C", False),
+            ("v'.K - d'.L + delta2'.M1 + L.d - K.v + M2.delta1 - mu + mu' = 0", "B", False),
+            ("r'.J + J.r - rho + rho' = 0", "G", False),
         ])
 
     def assemble(self):
@@ -406,13 +425,8 @@ class SHomotopy:
     @classmethod
     def zero(cls, frm, to):
         X, Y = frm.source, frm.target
-        k = frm.degree
-        return cls(frm, to,
-                   GradedMatrix.zero(X.irr, Y.irr, k + 1),
-                   GradedMatrix.zero(X.irr, Y.irr, k),
-                   GradedMatrix.zero(X.irr, Y.red, k + 1),
-                   GradedMatrix.zero(X.red, Y.irr, k),
-                   GradedMatrix.zero(X.red, Y.red, k + 1))
+        m = GradedMatrix.zero(X.total_module(), Y.total_module(), frm.degree + 1)
+        return cls(frm, to, *_blocks(m, X, Y))
 
     def __repr__(self):
         return f"SHomotopy(deg {self.frm.degree}: {self.frm.source!r} -> {self.frm.target!r})"
@@ -452,22 +466,22 @@ def ring_from_json(obj):
         raise SchemaError("ring must be an object with a 'kind'")
     extra = set(obj) - {"kind", "p"}
     if extra:
-        raise SchemaError(f"unknown ring keys {sorted(extra)}")
+        raise SchemaError(f"unknown ring keys {clip(sorted(extra))}")
     kind = obj["kind"]
     if not isinstance(kind, str):
-        raise SchemaError(f"ring kind must be a string, got {kind!r}")
+        raise SchemaError(f"ring kind must be a string, got {clip(kind)}")
     if kind == "Zp":
         if "p" not in obj:
             raise SchemaError("Zp ring needs p")
         p = obj["p"]
         # bounded before the primality test, which trial-divides
         if type(p) is not int or not 2 <= p < 2 ** 31:
-            raise SchemaError(f"Zp ring needs an integer p with 2 <= p < 2^31, got {p!r}")
+            raise SchemaError(f"Zp ring needs an integer p with 2 <= p < 2^31, got {clip(p)}")
         return Zp(p)
     if "p" in obj:
         raise SchemaError("p only valid for Zp")
     if kind not in _RING_TAGS:
-        raise SchemaError(f"unknown ring kind {kind!r}")
+        raise SchemaError(f"unknown ring kind {clip(kind)}")
     return _RING_TAGS[kind]
 
 
@@ -535,8 +549,8 @@ def _check_gr_i(name, value):
             return value
         except (ValueError, ZeroDivisionError):
             pass
-    raise SchemaError(f"gr_i of {name!r} must be an integer or a rational string like '1/2', "
-                      f"got {value!r}")
+    raise SchemaError(f"gr_i of {clip(name)} must be an integer or a rational string like '1/2', "
+                      f"got {clip(value)}")
 
 
 def _gens_from_json(items, modulus, grz, gri):
@@ -548,13 +562,13 @@ def _gens_from_json(items, modulus, grz, gri):
             raise SchemaError("a generator must be an object")
         extra = set(g) - {"name", "degree", "gr_z", "gr_i"}
         if extra:
-            raise SchemaError(f"unknown generator keys {sorted(extra)}")
+            raise SchemaError(f"unknown generator keys {clip(sorted(extra))}")
         if "name" not in g or "degree" not in g:
             raise SchemaError("generator needs name and degree")
         if not isinstance(g["name"], str):
-            raise SchemaError(f"generator name must be a string, got {g['name']!r}")
+            raise SchemaError(f"generator name must be a string, got {clip(g['name'])}")
         if type(g["degree"]) is not int:
-            raise SchemaError(f"degree of {g['name']!r} must be an integer, got {g['degree']!r}")
+            raise SchemaError(f"degree of {clip(g['name'])} must be an integer, got {clip(g['degree'])}")
         gens.append((g["name"], g["degree"] % modulus))
         if "gr_z" in g:
             grz[g["name"]] = g["gr_z"]
@@ -579,12 +593,12 @@ def matrix_from_json(items, source, target, degree):
             raise SchemaError("matrix entries are [target, source, coeff] triples")
         tn, sn, cs = row
         if not isinstance(cs, str):
-            raise SchemaError(f"coefficient must be a string, got {cs!r}")
+            raise SchemaError(f"coefficient must be a string, got {clip(cs)}")
         # a name that is not a str is unknown too (and would not hash)
         if not isinstance(tn, str) or tn not in target:
-            raise SchemaError(f"unknown target generator {tn!r}")
+            raise SchemaError(f"unknown target generator {clip(tn)}")
         if not isinstance(sn, str) or sn not in source:
-            raise SchemaError(f"unknown source generator {sn!r}")
+            raise SchemaError(f"unknown source generator {clip(sn)}")
         x = values.get(cs)
         if x is None:
             x = values[cs] = parse_raw(ring, cs)
@@ -599,16 +613,16 @@ def scomplex_from_json(doc):
         raise SchemaError("complex document must be an object")
     extra = set(doc) - _COMPLEX_KEYS
     if extra:
-        raise SchemaError(f"unknown keys {sorted(extra)}")
+        raise SchemaError(f"unknown keys {clip(sorted(extra))}")
     for k in ("ring", "modulus", "irreducible", "reducible", "d", "v", "delta1", "delta2", "r"):
         if k not in doc:
             raise SchemaError(f"missing key {k!r}")
     ring = ring_from_json(doc["ring"])
     modulus = doc["modulus"]
     if type(modulus) is not int or modulus not in (2, 4):
-        raise SchemaError(f"modulus must be 2 or 4, got {modulus!r}")
+        raise SchemaError(f"modulus must be 2 or 4, got {clip(modulus)}")
     if not isinstance(doc.get("metadata", {}), dict):
-        raise SchemaError(f"metadata must be an object, got {doc['metadata']!r}")
+        raise SchemaError(f"metadata must be an object, got {clip(doc['metadata'])}")
     for k in ("gr_z", "gr_i"):
         if k in doc.get("metadata", {}):
             raise SchemaError(f"metadata may not hold {k!r}; it is a generator key")
@@ -682,7 +696,7 @@ def morphism_from_json(doc, source=None, target=None):
         raise SchemaError("morphism document must be an object")
     extra = set(doc) - _MORPHISM_KEYS
     if extra:
-        raise SchemaError(f"unknown morphism keys {sorted(extra)}")
+        raise SchemaError(f"unknown morphism keys {clip(sorted(extra))}")
     if source is None:
         if "source" not in doc:
             raise SchemaError("morphism document needs an inline source complex")
@@ -693,7 +707,7 @@ def morphism_from_json(doc, source=None, target=None):
         target = scomplex_from_json(doc["target"])
     k = doc.get("degree")
     if type(k) is not int:
-        raise SchemaError(f"morphism degree must be an integer, got {k!r}")
+        raise SchemaError(f"morphism degree must be an integer, got {clip(k)}")
     return SMorphism(
         source, target, k,
         matrix_from_json(doc.get("lambda", []), source.irr, target.irr, k),

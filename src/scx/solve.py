@@ -15,7 +15,7 @@ from __future__ import annotations
 from .errors import UnsupportedRing
 from .gradedlin import GradedMatrix, solve
 from .rings import Z
-from .scomplex import SHomotopy, SMorphism, _block_layout
+from .scomplex import SHomotopy, SMorphism, _block_layout, _blocks
 
 # A linear combination of unknowns is a {variable: nonzero raw value} dict,
 # and a system a list of (combination, raw value) equations, combination =
@@ -50,6 +50,7 @@ class _Unknown:
     """
 
     def __init__(self, x, y, k, s, offset):
+        self.x, self.y = x, y
         self.src, self.tgt = x.total_module(), y.total_module()
         self.k = k
         self.layout = _block_layout(x, y)
@@ -73,15 +74,11 @@ class _Unknown:
     def realize(self, values):
         """The solved blocks A, B, E, C, G (the order in which `SMorphism`
         and `SHomotopy` take them), from the solution {variable: nonzero raw
-        value}."""
-        out = []
-        for name in ("A", "B", "E", "C", "G"):
-            src, tgt, _, _ = self.layout[name]
-            deg = self.k - 1 if name in ("B", "C") else self.k
-            block = self.blocks[name]
-            out.append(GradedMatrix(src, tgt, deg,
-                                    {p: values[v] for p, v in block.items() if v in values}))
-        return out
+        value}: split from the checked assembled map."""
+        neg = self.src.ring.domain.neg
+        ent = {p: values[v] if sign > 0 else neg(values[v])
+               for p, (v, sign) in self.slots.items() if v in values}
+        return _blocks(GradedMatrix(self.src, self.tgt, self.k, ent), self.x, self.y)
 
 
 def _known_after(total, a, u, sign=1):

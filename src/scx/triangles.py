@@ -68,13 +68,11 @@ class ExactTriangleData:
             checks.append((f"lambda{i} degree {degs[i]}", ok, None))
             for name, rok, off in f.verify().checks:
                 checks.append((f"lambda{i}: {name}", rok, off))
+        tot = [f.assemble() for f in self.morphisms]
         for i in range(3):
             h = self.homotopies[i]
-            comp = self.morphisms[(i - 1) % 3].compose_after(self.morphisms[i])
             # h must run from the zero morphism to lam_{i-1} lam_i
-            ends = (h.frm.is_zero and h.to.lam == comp.lam and h.to.mu == comp.mu
-                    and h.to.delta1 == comp.delta1 and h.to.delta2 == comp.delta2
-                    and h.to.rho == comp.rho)
+            ends = h.frm.is_zero and h.to.assemble() == tot[(i - 1) % 3] @ tot[i]
             checks.append((f"K{i} endpoints (0 -> lambda.lambda)", ends, None))
             for name, rok, off in h.verify().checks:
                 checks.append((f"K{i}: {name}", rok, off))
@@ -176,12 +174,9 @@ def cone_triangle(f):
     )
     lam0 = f
 
-    def zero_like(a, b, deg):
-        return SMorphism.zero(a, b, deg)
-
     # K0: X -> Cone, x |-> (-x, 0).
     k0 = SHomotopy(
-        zero_like(x, cn, 0), lam2.compose_after(lam0),
+        SMorphism.zero(x, cn, 0), lam2.compose_after(lam0),
         GradedMatrix(x.irr, cn.irr, 1, {(i, i): minus_one for i in range(nc)}),
         GradedMatrix.zero(x.irr, cn.irr, 0),
         GradedMatrix.zero(x.irr, cn.red, 1),
@@ -190,7 +185,7 @@ def cone_triangle(f):
     )
     # K1: Cone -> X', (x, y) |-> -eps(y).
     k1 = SHomotopy(
-        zero_like(cn, y, -1), lam0.compose_after(lam1),
+        SMorphism.zero(cn, y, -1), lam0.compose_after(lam1),
         GradedMatrix(cn.irr, y.irr, 0,
                      {(i, nc + i): sgn(y.irr.degree(i) + 1) for i in range(mc)}),
         GradedMatrix.zero(cn.irr, y.irr, -1),
@@ -200,7 +195,7 @@ def cone_triangle(f):
                      {(j, nr + j): sgn(y.red.degree(j) + 1) for j in range(mr)}),
     )
     # K2 = 0 (lam1 . lam2 = 0 on the nose).
-    k2 = SHomotopy.zero(zero_like(y, x, -1), lam1.compose_after(lam2))
+    k2 = SHomotopy.zero(SMorphism.zero(y, x, -1), lam1.compose_after(lam2))
     return ExactTriangleData([x, cn, y], [lam0, lam1, lam2], [k0, k1, k2],
                              [None, None, None])
 

@@ -536,7 +536,8 @@ def _long_integer_texts(doc, coefficient, integer):
 
 
 def test_over_long_integers_are_usage_errors(tmp_path, capsys):
-    # each ended in a ValueError traceback (exit 1) in every verb that loads
+    # each ended in a ValueError traceback (exit 1) in every verb that loads;
+    # each refusal is one line of under 200 characters
     from scx.functors import atomic
     from scx.heights import height_to_json, iota
     from scx.linkfam import unknot_complex
@@ -576,6 +577,8 @@ def test_over_long_integers_are_usage_errors(tmp_path, capsys):
                 assert main(argv) == 2, argv
                 err = capsys.readouterr().err
                 assert err.startswith("error: ") and err.count("\n") == 1, err
+                # the refusal echoes the long value clipped, not in full
+                assert len(err) < 200, (argv, len(err), err[:300])
 
 
 @pytest.mark.parametrize("key", ["source", "target"])

@@ -12,7 +12,14 @@ from scx.linkfam import (
     torus_link_complex,
     unknot_complex,
 )
-from scx.randgen import rand_morphism, rand_scomplex
+from scx.randgen import (
+    RINGS,
+    boundary_morphism,
+    rand_homotopy_pair,
+    rand_homotopy_shape,
+    rand_morphism,
+    rand_scomplex,
+)
 from scx.rings import (
     FRAC_LAURENT_Q,
     LAURENT_Z,
@@ -25,8 +32,12 @@ from scx.rings import (
     parse_element,
 )
 from scx.scomplex import (
+    RelationReport,
     SComplex,
+    SHomotopy,
     SMorphism,
+    _assemble,
+    _blocks,
     s_map_discrepancy,
     scomplex_from_json,
     scomplex_to_json,
@@ -216,3 +227,276 @@ def test_mod4_reduces_to_mod2():
     y = x.reduce_mod2()
     assert y.modulus == 2 and y.verify().ok
     assert y.base_change(eval_t_at_one()).irreducible_homology().modulus == 2
+
+
+# ---------------------------------------------------------------------------
+# Test oracle: the relations, composite, identity, zeros and random
+# boundaries of S-maps written out block by block.  scomplex and randgen read
+# every one of them from products of assembled total maps instead; these
+# per-block formulas are the independent second route they are checked
+# against.
+
+
+def _rel(name, m):
+    return (name, m.is_zero, m.first_nonzero())
+
+
+def _oracle_complex_report(x):
+    return RelationReport([
+        _rel("d.d = 0", x.d @ x.d),
+        _rel("delta1.d + r.delta1 = 0", x.delta1 @ x.d + x.r @ x.delta1),
+        _rel("d.delta2 - delta2.r = 0", x.d @ x.delta2 - x.delta2 @ x.r),
+        _rel("d.v - v.d - delta2.delta1 = 0", x.d @ x.v - x.v @ x.d - x.delta2 @ x.delta1),
+        _rel("r.r = 0", x.r @ x.r),
+    ])
+
+
+def _oracle_morphism_report(f):
+    X, Y = f.source, f.target
+    return RelationReport([
+        _rel("d'.lambda - lambda.d = 0", Y.d @ f.lam - f.lam @ X.d),
+        _rel("Delta1.d + rho.delta1 - delta1'.lambda - r'.Delta1 = 0",
+             f.delta1 @ X.d + f.rho @ X.delta1 - Y.delta1 @ f.lam - Y.r @ f.delta1),
+        _rel("d'.Delta2 - delta2'.rho + lambda.delta2 + Delta2.r = 0",
+             Y.d @ f.delta2 - Y.delta2 @ f.rho + f.lam @ X.delta2 + f.delta2 @ X.r),
+        _rel("mu.d + d'.mu + lambda.v - v'.lambda + Delta2.delta1 - delta2'.Delta1 = 0",
+             f.mu @ X.d + Y.d @ f.mu + f.lam @ X.v - Y.v @ f.lam
+             + f.delta2 @ X.delta1 - Y.delta2 @ f.delta1),
+        _rel("rho.r - r'.rho = 0", f.rho @ X.r - Y.r @ f.rho),
+    ])
+
+
+def _boundary_blocks(x, y, K, L, M1, M2, J):
+    """The blocks (lambda, mu, Delta1, Delta2, rho) of d'H + Hd."""
+    return (y.d @ K + K @ x.d,
+            y.v @ K - y.d @ L + y.delta2 @ M1 + L @ x.d - K @ x.v + M2 @ x.delta1,
+            y.delta1 @ K + y.r @ M1 + M1 @ x.d + J @ x.delta1,
+            -(y.d @ M2) + y.delta2 @ J - K @ x.delta2 + M2 @ x.r,
+            y.r @ J + J @ x.r)
+
+
+def _oracle_homotopy_report(h):
+    X, Y, a, b = h.frm.source, h.frm.target, h.frm, h.to
+    lam, mu, d1, d2, rho = _boundary_blocks(X, Y, h.K, h.L, h.M1, h.M2, h.J)
+    return RelationReport([
+        _rel("d'.K + K.d - lambda + lambda' = 0", lam - a.lam + b.lam),
+        _rel("delta1'.K + r'.M1 + M1.d + J.delta1 - Delta1 + Delta1' = 0",
+             d1 - a.delta1 + b.delta1),
+        _rel("-d'.M2 + delta2'.J - K.delta2 + M2.r - Delta2 + Delta2' = 0",
+             d2 - a.delta2 + b.delta2),
+        _rel("v'.K - d'.L + delta2'.M1 + L.d - K.v + M2.delta1 - mu + mu' = 0",
+             mu - a.mu + b.mu),
+        _rel("r'.J + J.r - rho + rho' = 0", rho - a.rho + b.rho),
+    ])
+
+
+def _oracle_compose(g, f):
+    return SMorphism(f.source, g.target, g.degree + f.degree,
+                     g.lam @ f.lam,
+                     g.lam @ f.mu + g.mu @ f.lam + g.delta2 @ f.delta1,
+                     g.delta1 @ f.lam + g.rho @ f.delta1,
+                     g.lam @ f.delta2 + g.delta2 @ f.rho,
+                     g.rho @ f.rho)
+
+
+def _oracle_identity(x):
+    return SMorphism(x, x, 0,
+                     GradedMatrix.identity(x.irr), GradedMatrix.zero(x.irr, x.irr, -1),
+                     GradedMatrix.zero(x.irr, x.red, 0), GradedMatrix.zero(x.red, x.irr, -1),
+                     GradedMatrix.identity(x.red))
+
+
+def _oracle_zero(x, y, degree):
+    return SMorphism(x, y, degree,
+                     GradedMatrix.zero(x.irr, y.irr, degree),
+                     GradedMatrix.zero(x.irr, y.irr, degree - 1),
+                     GradedMatrix.zero(x.irr, y.red, degree),
+                     GradedMatrix.zero(x.red, y.irr, degree - 1),
+                     GradedMatrix.zero(x.red, y.red, degree))
+
+
+def _oracle_homotopy_zero(frm, to):
+    X, Y, k = frm.source, frm.target, frm.degree
+    return SHomotopy(frm, to,
+                     GradedMatrix.zero(X.irr, Y.irr, k + 1), GradedMatrix.zero(X.irr, Y.irr, k),
+                     GradedMatrix.zero(X.irr, Y.red, k + 1), GradedMatrix.zero(X.red, Y.irr, k),
+                     GradedMatrix.zero(X.red, Y.red, k + 1))
+
+
+def _oracle_boundary_morphism(x, y, rng, degree=0):
+    blocks = rand_homotopy_shape(x, y, rng, degree)
+    return SMorphism(x, y, degree, *_boundary_blocks(x, y, *blocks)), blocks
+
+
+def _oracle_rand_morphism(x, y, rng, degree=0):
+    f, _ = _oracle_boundary_morphism(x, y, rng, degree)
+    if x is y and degree % x.modulus == 0 and rng.random() < 0.7:
+        c = x.ring.from_int(rng.choice([1, -1, 2]))
+        ident = _oracle_identity(x)
+        f = f + SMorphism(x, x, 0, ident.lam.scale(c), ident.mu, ident.delta1,
+                          ident.delta2, ident.rho.scale(c))
+    return f
+
+
+def _oracle_homotopy_pair(f, rng):
+    x, y = f.source, f.target
+    blocks = rand_homotopy_shape(x, y, rng, f.degree)
+    lam, mu, d1, d2, rho = _boundary_blocks(x, y, *blocks)
+    g = SMorphism(x, y, f.degree, f.lam - lam, f.mu - mu, f.delta1 - d1,
+                  f.delta2 - d2, f.rho - rho)
+    return g, SHomotopy(f, g, *blocks)
+
+
+# ---------------------------------------------------------------------------
+
+
+def _parts(obj):
+    """The five blocks of a complex, morphism or homotopy, with the degree."""
+    if isinstance(obj, SComplex):
+        return [obj.d, obj.v, obj.delta1, obj.delta2, obj.r]
+    if isinstance(obj, SMorphism):
+        return [obj.degree, obj.lam, obj.mu, obj.delta1, obj.delta2, obj.rho]
+    return [obj.K, obj.L, obj.M1, obj.M2, obj.J]
+
+
+def _same(a, b):
+    """Equal entry for entry, at equal degrees and endpoints: two matrices,
+    degrees, S-maps or tuples of them."""
+    if isinstance(a, GradedMatrix):
+        assert (a.source, a.target, a.degree, a.entries) == (
+            b.source, b.target, b.degree, b.entries)
+    elif isinstance(a, int):
+        assert a == b
+    elif isinstance(a, tuple):
+        for m, n in zip(a, b, strict=True):
+            _same(m, n)
+    else:
+        _same(tuple(_parts(a)), tuple(_parts(b)))
+
+
+def _residual(obj):
+    """The assembled relation: D.D, D'.F - F.D or D'.H + H.D - (F - G)."""
+    if isinstance(obj, SComplex):
+        dt = obj.total_differential()
+        return dt @ dt
+    if isinstance(obj, SMorphism):
+        f = obj.assemble()
+        return obj.target.total_differential() @ f - f @ obj.source.total_differential()
+    h = obj.assemble()
+    x, y = obj.frm.source, obj.frm.target
+    return (y.total_differential() @ h + h @ x.total_differential()
+            - (obj.frm - obj.to).assemble())
+
+
+def _twin(rng):
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    return twin
+
+
+def _perturbed(obj, rng):
+    """obj with one random block (or all five) plus a random block of the
+    same shape, so that relations break."""
+    if isinstance(obj, SComplex):
+        extra = rand_homotopy_shape(obj, obj, rng, -2)
+    elif isinstance(obj, SMorphism):
+        extra = rand_homotopy_shape(obj.source, obj.target, rng, obj.degree - 1)
+    else:
+        extra = rand_homotopy_shape(obj.frm.source, obj.frm.target, rng, obj.frm.degree)
+    blocks = _parts(obj)[-5:]
+    which = range(5) if rng.random() < 0.2 else [rng.randrange(5)]
+    for i in which:
+        blocks[i] = blocks[i] + extra[i]
+    if isinstance(obj, SComplex):
+        return SComplex(obj.irr, obj.red, *blocks)
+    if isinstance(obj, SMorphism):
+        return SMorphism(obj.source, obj.target, obj.degree, *blocks)
+    return SHomotopy(obj.frm, obj.to, *blocks)
+
+
+_ORACLE_REPORT = {SComplex: _oracle_complex_report, SMorphism: _oracle_morphism_report,
+                  SHomotopy: _oracle_homotopy_report}
+
+
+_ROUNDS = 60
+
+
+@pytest.mark.parametrize("tag", ["Z", "Z2", "Q", "QT"])
+def test_assembled_block_algebra_matches_the_per_block_oracle(tag):
+    ring = RINGS[tag]
+    rng = random.Random(f"block algebra {tag}")
+    reports = failing = built = 0
+
+    def check(obj):
+        nonlocal reports, failing
+        got, want = obj.verify(), _ORACLE_REPORT[type(obj)](obj)
+        assert repr(got) == repr(want)
+        assert got.ok == _residual(obj).is_zero
+        reports += 1
+        failing += not got.ok
+
+    def build(make, oracle):
+        """make(rng) against oracle(a copy of rng): equal results and draws."""
+        nonlocal built
+        twin = _twin(rng)
+        got, want = make(rng), oracle(twin)
+        assert rng.getstate() == twin.getstate()
+        _same(got, want)
+        built += 1
+        return got
+
+    for _ in range(_ROUNDS):
+        x = rand_scomplex(ring, rng, max_rank=5)
+        y = x if rng.random() < 0.4 else rand_scomplex(ring, rng, modulus=x.modulus, max_rank=5)
+        degree = rng.choice((0, 1, -1, 2))
+        for obj in (x, y, _perturbed(x, rng), _perturbed(y, rng)):
+            check(obj)
+        build(lambda r: boundary_morphism(x, y, r), lambda r: _oracle_boundary_morphism(x, y, r))
+        build(lambda r: rand_morphism(x, x, r), lambda r: _oracle_rand_morphism(x, x, r))
+        f, _ = build(lambda r: boundary_morphism(x, y, r, degree),
+                     lambda r: _oracle_boundary_morphism(x, y, r, degree))
+        g, h = build(lambda r: rand_homotopy_pair(f, r), lambda r: _oracle_homotopy_pair(f, r))
+        for obj in (f, g, h, _perturbed(f, rng), _perturbed(h, rng),
+                    SHomotopy(f, rand_morphism(x, y, rng, degree),
+                              *rand_homotopy_shape(x, y, rng, degree))):
+            check(obj)
+        # composites of morphism-shaped data that need not be chain maps
+        z = rand_scomplex(ring, rng, modulus=x.modulus, max_rank=5)
+        first = _perturbed(f, rng)
+        second = _perturbed(SMorphism.zero(y, z, rng.choice((0, 1, -1))), rng)
+        _same(second.compose_after(first), _oracle_compose(second, first))
+        _same(SMorphism.identity(x), _oracle_identity(x))
+        _same(SMorphism.zero(x, y, degree), _oracle_zero(x, y, degree))
+        _same(SHomotopy.zero(f, g), _oracle_homotopy_zero(f, g))
+        built += 4
+    assert reports == _ROUNDS * 10 and 0 < failing < reports
+    assert built == _ROUNDS * 8
+
+
+def _bare(ring, modulus, irr_gens, red_gens):
+    """The complex with these generators and every map zero."""
+    irr = GradedModule(ring, modulus, irr_gens)
+    red = GradedModule(ring, modulus, red_gens)
+    return SComplex(irr, red, GradedMatrix.zero(irr, irr, -1), GradedMatrix.zero(irr, irr, -2),
+                    GradedMatrix.zero(irr, red, -1), GradedMatrix.zero(red, irr, -2),
+                    GradedMatrix.zero(red, red, -1))
+
+
+def test_blocks_undo_assemble():
+    rng = random.Random("blocks undo assemble")
+    gens = [("a", 0), ("b", 1), ("c", 2), ("e", 3)]
+    for tag in ("Z", "QT"):
+        ring = RINGS[tag]
+        xs = [_bare(ring, 4, gens[:2], []), _bare(ring, 4, [], gens[1:]),
+              _bare(ring, 4, gens, gens[:3]), _bare(ring, 4, [], [])]
+        xs += [rand_scomplex(ring, rng, modulus=4, max_rank=6) for _ in range(4)]
+        for x in xs:
+            for y in xs:
+                for s in (1, -1):
+                    k = rng.choice((0, 1, 2, 3))
+                    parts = rand_homotopy_shape(x, y, rng, k - 1, density=0.8)
+                    m = _assemble(x, y, k, s, *parts)
+                    for got, want in zip(_blocks(m, x, y), parts, strict=True):
+                        assert (got.source, got.target, got.entries) == (
+                            want.source, want.target, want.entries)
+                        assert got.degree == want.degree

@@ -1,10 +1,10 @@
-"""The assembled homotopy relation against the componentwise one.
+"""The assembled homotopy relation against the reported one.
 
 `solve_homotopy` solves d'.H + H.d = (frm - to) on the assembled matrices;
-`SHomotopy.verify` checks five componentwise relations.  Blockwise the
-assembled relation is exactly those five (relation 1 twice, at the K and
--K blocks), so the residual of random homotopy-shaped data is zero on a
-block exactly when its relation holds.
+`SHomotopy.verify` reports five named relations, read from blocks of that
+residual (their per-block formulas are the oracle of test_scomplex.py).
+Every block of the residual, the -K block included, is zero exactly when
+the relation read there holds (relation 1 twice, at the K and -K blocks).
 """
 
 import random
