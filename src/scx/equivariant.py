@@ -476,6 +476,23 @@ def froyshov_profile(x):
     Computed on the window |i| <= rank C + rank R + 1; if the plateaus
     d = rank R (below) and d = 0 (above) are not visible at the window ends a
     PlateauNotReached error is raised rather than guessing.
+
+    A system whose last block is zero is not solved.  That block is a term
+    of the sweeps the systems read, so the test adds no product:
+
+    - i >= 1 with delta1 v^(i-1) = 0: J_i is that map applied to a kernel,
+      so J_i = 0, its basis is empty and d(i) = 0.
+    - i = -m <= 0 with v^m delta2 = 0: the theta_m variables stand in no
+      equation, so J_i = R, its basis is the unit vectors in order and
+      d(i) = rank R.
+
+    The second basis is the one the system would give.  The theta_m columns
+    are empty and come last, so the elimination (Smith form over Z, row
+    reduction over a field) never pivots on, swaps or operates on them:
+    its last rank R kernel vectors are their unit vectors and every other
+    kernel vector is zero on theta_m.  The J_i columns are then empty
+    columns followed by the unit vectors, and `column_basis` of those is the
+    unit vectors in order over Z and over a field.
     """
     x.require_r_perfect("Froyshov profile")
     ring = x.ring
@@ -483,11 +500,17 @@ def froyshov_profile(x):
         raise UnsupportedRing("Froyshov profile needs Z or field coefficients")
     nr = x.red.rank
     w = x.irr.rank + nr + 1
-    sweeps = _sweeps(x)
+    sweeps = left, right_neg = _sweeps(x)
+    units = [{g: ring.domain.one} for g in range(nr)]
     d = {}
     j_bases = {}
     for i in range(-w, w + 1):
-        basis, d[i] = _module_basis_and_rank(_j_module(x, i, sweeps), nr, ring)
+        if i >= 1 and left[i - 1].is_zero:
+            basis, d[i] = [], 0
+        elif i <= 0 and right_neg[-i].is_zero:
+            basis, d[i] = units, nr
+        else:
+            basis, d[i] = _module_basis_and_rank(_j_module(x, i, sweeps), nr, ring)
         j_bases[i] = boxed(basis, nr, ring)
     if d[-w] != nr or d[w] != 0:
         raise PlateauNotReached(f"window [{-w}, {w}] too small: "

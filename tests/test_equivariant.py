@@ -17,11 +17,13 @@ from scx.equivariant import (
     susequivar_witness,
 )
 from scx.errors import NotRPerfect, UnsupportedRing
-from scx.functors import atomic, direct_sum, dual, suspend
+from scx.functors import atomic, direct_sum, dual, suspend, tensor
 from scx.gradedlin import (
     GradedMatrix,
     GradedModule,
     Sweep,
+    boxed,
+    column_basis,
     field_kernel_basis,
     int_kernel_basis,
     spans_equal,
@@ -296,6 +298,106 @@ def test_torus_link_150_profile_over_z_is_fast():
     lo, hi = prof.window
     assert prof.d == {i: 2 if i <= 0 else 0 for i in range(lo, hi + 1)}
     assert dt < 4, f"froyshov_profile on T(2,150) over Z took {dt:.1f}s (limit 4s)"
+
+
+def _trefoil_power(n):
+    """T(2,3)^{tensor n} over Q(T); its h is n."""
+    tre = torus_knot_summand(2).base_change(INC)
+    x = tre
+    for _ in range(n - 1):
+        x = tensor(x, tre)
+    return x
+
+
+def test_atomic_6_profile_over_z_is_fast():
+    # O(6) as a tensor power, rank C 364: solving all 2w+1 J_i systems
+    # takes about 14 s, and all but a few of them have a known answer
+    x = atomic(6, Z)
+    t0 = time.perf_counter()
+    prof = froyshov_profile(x)
+    dt = time.perf_counter() - t0
+    assert prof.h == 6
+    assert dt < 2, f"froyshov_profile on O(6) over Z took {dt:.1f}s (limit 2s)"
+
+
+def test_trefoil_fifth_power_profile_over_frac_is_fast():
+    # rank C 121 over Q(T): solving all 2w+1 J_i systems takes about 1.5 s
+    x = _trefoil_power(5)
+    t0 = time.perf_counter()
+    prof = froyshov_profile(x)
+    dt = time.perf_counter() - t0
+    assert prof.h == 5
+    assert dt < 1, f"froyshov_profile on T(2,3)^5 over Q(T) took {dt:.1f}s (limit 1s)"
+
+
+def full_profile(x):
+    """Oracle for `froyshov_profile`: the d-function, J_i bases and h from
+    the column basis of every J_i system of the window, each one solved,
+    with no index answered without its elimination."""
+    nr = x.red.rank
+    w = x.irr.rank + nr + 1
+    sweeps = _sweeps(x)
+    d, j_bases = {}, {}
+    for i in range(-w, w + 1):
+        basis = column_basis(_j_module(x, i, sweeps), nr, x.ring)
+        d[i] = len(basis)
+        j_bases[i] = boxed(basis, nr, x.ring)
+    h = max(i for i in d if d[i] == 1) if nr == 1 else None
+    return d, j_bases, h
+
+
+def _known_answers(x):
+    """The window indices whose last block is zero, from full powers of v:
+    delta1 v^(i-1) for i >= 1, v^m delta2 for i = -m <= 0."""
+    w = x.irr.rank + x.red.rank + 1
+    return ({i for i in range(1, w + 1) if (x.delta1 @ x.v.power(i - 1)).is_zero}
+            | {-m for m in range(w + 1) if (x.v.power(m) @ x.delta2).is_zero})
+
+
+def _non_nilpotent_s_complex(ring):
+    # an r-perfect S-complex whose v = diag(2, 1) is invertible: d a = b,
+    # delta1 a = r and delta2 r = b satisfy d v - v d = delta2 delta1, and
+    # delta1 v^j = 2^j delta1 and v^j delta2 = delta2 are never zero
+    c = GradedModule(ring, 2, [("a", 1), ("b", 0)])
+    r = GradedModule(ring, 2, [("r", 0)])
+    n = ring.domain.from_int
+    return SComplex(c, r, GradedMatrix(c, c, 1, {(1, 0): n(1)}),
+                    GradedMatrix(c, c, 0, {(0, 0): n(2), (1, 1): n(1)}),
+                    GradedMatrix(c, r, 1, {(0, 0): n(1)}),
+                    GradedMatrix(r, c, 0, {(1, 0): n(1)}),
+                    GradedMatrix.zero(r, r, 1))
+
+
+def test_profile_solves_only_the_open_systems(monkeypatch):
+    at_one = eval_t_at_one()
+    # `_non_nilpotent_complex` is not r-perfect, so it has no profile
+    xs = [x for x in _j_oracle_complexes() if x.is_r_perfect]
+    xs += [atomic(n, Z) for n in (3, -3, 4, -4)]
+    xs += [_trefoil_power(3)]
+    xs += [torus_link_complex(k).base_change(at_one) for k in (2, 5, 9)]
+    solved = []
+    monkeypatch.setattr("scx.equivariant._j_module",
+                        lambda x, i, sweeps=None: solved.append(i) or _j_module(x, i, sweeps))
+    non_nilpotent = [_non_nilpotent_s_complex(ring) for ring in (Z, Q)]
+    assert all(x.verify().ok and _nilpotency(x.v) is None for x in non_nilpotent)
+    skipped_total = 0
+    for x in xs + non_nilpotent:
+        solved.clear()
+        prof = froyshov_profile(x)
+        d, j_bases, h = full_profile(x)
+        assert (prof.d, prof.h) == (d, h)
+        assert {i: [[e.val for e in col] for col in cols] for i, cols in prof.j_bases.items()} \
+            == {i: [[e.val for e in col] for col in cols] for i, cols in j_bases.items()}
+        lo, hi = prof.window
+        skipped = set(range(lo, hi + 1)) - set(solved)
+        assert len(solved) == len(set(solved))
+        assert skipped == _known_answers(x), x.ring
+        if x in non_nilpotent:
+            assert not skipped
+        elif _nilpotency(x.v) is not None:  # both window ends lie past the first zero term
+            assert {lo, hi} <= skipped
+        skipped_total += len(skipped)
+    assert skipped_total > 500
 
 
 def dense_j_module(x, i):
