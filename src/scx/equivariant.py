@@ -14,6 +14,8 @@ and the d-function) uses finite linear systems and never truncates.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import PlateauNotReached, UnsupportedRing
 from .gradedlin import (
     GradedMatrix,
@@ -394,15 +396,25 @@ def susequivar_witness(x, n=None):
 
 
 class FroyshovProfile:
-    """The d-function, the J_i bases, and (when R has rank one) h.  Each
-    basis column of J_i is a list of rank R elements of the ring."""
+    """The d-function, the J_i bases, and (when R has rank one) h.
 
-    def __init__(self, ring, window, d, j_bases, h):
+    `raw_bases[i]` is the basis of J_i as {index: raw value} vectors, read
+    only (one list may stand for several indices).  `j_bases` boxes them on
+    its first read: each basis column of J_i is a list of rank R elements of
+    the ring.
+    """
+
+    def __init__(self, ring, window, d, raw_bases, nr, h):
         self.ring = ring
         self.window = window
         self.d = dict(d)
-        self.j_bases = dict(j_bases)
+        self.raw_bases = dict(raw_bases)
+        self.nr = nr
         self.h = h
+
+    @cached_property
+    def j_bases(self):
+        return {i: boxed(basis, self.nr, self.ring) for i, basis in self.raw_bases.items()}
 
     def to_json(self):
         lo, hi = self.window
@@ -478,7 +490,8 @@ def froyshov_profile(x):
     PlateauNotReached error is raised rather than guessing.
 
     A system whose last block is zero is not solved.  That block is a term
-    of the sweeps the systems read, so the test adds no product:
+    of the sweeps the systems read, and each sweep's first zero term is
+    found once, so the test adds no product:
 
     - i >= 1 with delta1 v^(i-1) = 0: J_i is that map applied to a kernel,
       so J_i = 0, its basis is empty and d(i) = 0.
@@ -501,17 +514,20 @@ def froyshov_profile(x):
     nr = x.red.rank
     w = x.irr.rank + nr + 1
     sweeps = left, right_neg = _sweeps(x)
+    # J_i = 0 for i > zero_left, J_i = R for i <= -zero_right
+    zero_left = left.first_zero(w - 1)
+    zero_right = right_neg.first_zero(w)
     units = [{g: ring.domain.one} for g in range(nr)]
     d = {}
-    j_bases = {}
+    bases = {}
     for i in range(-w, w + 1):
-        if i >= 1 and left[i - 1].is_zero:
+        if i > zero_left:
             basis, d[i] = [], 0
-        elif i <= 0 and right_neg[-i].is_zero:
+        elif -i >= zero_right:
             basis, d[i] = units, nr
         else:
             basis, d[i] = _module_basis_and_rank(_j_module(x, i, sweeps), nr, ring)
-        j_bases[i] = boxed(basis, nr, ring)
+        bases[i] = basis
     if d[-w] != nr or d[w] != 0:
         raise PlateauNotReached(f"window [{-w}, {w}] too small: "
                                 f"d({-w})={d[-w]}, d({w})={d[w]}")
@@ -521,13 +537,13 @@ def froyshov_profile(x):
     h = None
     if nr == 1:
         h = max(i for i in range(-w, w + 1) if d[i] == 1)
-    return FroyshovProfile(ring, (-w, w), d, j_bases, h)
+    return FroyshovProfile(ring, (-w, w), d, bases, nr, h)
 
 
 def j_nesting_ok(profile, ring, nr):
     """J_{i+1} contained in J_i for every window index."""
     lo, hi = profile.window
-    bases = {i: raw_vectors(cols, ring) for i, cols in profile.j_bases.items()}
+    bases = profile.raw_bases
     return all(span_contains(bases[i], vec, nr, ring)
                for i in range(lo, hi) for vec in bases[i + 1])
 

@@ -327,12 +327,27 @@ class Sweep:
         self._before = before
         self._terms = [a]
 
+    def _extend(self):
+        last = self._terms[-1]
+        self._terms.append(self._v @ last if self._before else last @ self._v)
+
     def __getitem__(self, j):
         terms = self._terms
         while len(terms) <= j and terms[-1].entries:
-            last = terms[-1]
-            terms.append(self._v @ last if self._before else last @ self._v)
+            self._extend()
         return terms[min(j, len(terms) - 1)]
+
+    def first_zero(self, limit):
+        """The least j <= limit with sweep[j] zero, or limit + 1 if there is
+        none.  It makes the products that reading sweep[0..limit] makes: none
+        past the first zero term and none past `limit`."""
+        terms = self._terms
+        for j in range(limit + 1):
+            if j == len(terms):  # terms[j - 1] is nonzero
+                self._extend()
+            if not terms[j].entries:
+                return j
+        return limit + 1
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +799,14 @@ def sparse_kernel_basis(a, n, ring):
     """Basis of the kernel of the matrix with n columns and rows `a`, as
     {index: raw value} vectors (a saturated lattice over Z).  Over a field
     `a` is reduced in place.  Read only: a vector may be held by the
-    elimination's result."""
+    elimination's result.
+
+    A matrix without entries is not eliminated: its kernel basis is the
+    unit vectors in order, which is what both eliminations return for it
+    (no pivot, so every column is free and V is the identity)."""
+    if not any(a):
+        one = ring.domain.one
+        return [{j: one} for j in range(n)]
     if ring == Z:
         return _snf_kernel(smith_form(a, n))
     return _rref_kernel(*_rref(a, ring.domain), n, ring.domain)
@@ -803,7 +825,16 @@ def column_basis(cols, n, ring):
     """Basis of the lattice (over Z) or the space spanned by the vectors
     `cols` of length n: over Z the columns A v_j for the columns v_j of V
     with d_j != 0, where A has the columns `cols`; over a field the pivot
-    columns of A."""
+    columns of A.
+
+    Without elimination when at most one column is nonzero: that column
+    (if any) is the basis either way.  Over a field it is the one pivot
+    column; over Z the Smith form's only column operation swaps it to the
+    front, so V's first column is its unit vector, and every other d_j is
+    zero."""
+    nonzero = [col for col in cols if col]
+    if len(nonzero) <= 1:
+        return [dict(col) for col in nonzero]
     if ring != Z:
         return [cols[j] for j in _rref(_side_by_side(cols, n), ring.domain)[1]]
     snf = smith_form(_side_by_side(cols, n), len(cols))

@@ -218,17 +218,21 @@ class SComplex:
         field; delta1_cols[j] gives the value of delta1 on the j-th homology
         representative as an element of R, a list of elements of the ring.
         """
+        hm, d2_cols, d1_cols = self._induced_delta_coords()
+        return hm, boxed(d2_cols, hm.rank, hm.field), boxed(d1_cols, self.red.rank, self.ring)
+
+    def _induced_delta_coords(self):
+        """`induced_delta_maps` with its columns as {index: raw value}
+        vectors."""
         if not self.r.is_zero:
             raise NotRPerfect("induced delta maps need r = 0")
         hm = HomologyMaps(self.d)
-        d2_cols = boxed([hm.class_coords(col) for col in raw_cols(self.delta2)], hm.rank, hm.field)
-        d1_cols = boxed(apply(self.delta1, hm.reps), self.red.rank, self.ring)
-        return hm, d2_cols, d1_cols
+        return hm, [hm.class_coords(col) for col in raw_cols(self.delta2)], apply(self.delta1, hm.reps)
 
     def delta_maps_zero(self):
         """Convenience: are both induced delta maps zero?"""
-        _, d2, d1 = self.induced_delta_maps()
-        return all(x.is_zero for col in d2 + d1 for x in col)
+        _, d2_cols, d1_cols = self._induced_delta_coords()
+        return not any(d2_cols) and not any(d1_cols)
 
     # -- restructuring
 

@@ -230,19 +230,18 @@ def test_o1_image_leading_exponent():
     assert r1 == 1 and r2 == 0
 
 
-def _non_nilpotent_complex():
-    # mod 2 gradings let v (degree -2) act within a degree: v is unipotent
-    # on the degree-0 pair and invertible on the degree-1 pair, so no power
-    # of it vanishes
-    c = GradedModule(Q, 2, [("a", 0), ("a2", 0), ("b", 1), ("b2", 1)])
-    r = GradedModule(Q, 2, [("r", 1)])
-    q = Q.domain.from_int
-    v = GradedMatrix(c, c, 0, {(0, 0): q(1), (0, 1): q(1), (1, 1): q(1),
-                               (2, 3): q(2), (3, 2): q(-1), (3, 3): q(1)})
-    delta1 = GradedMatrix(c, r, 1, {(0, 0): q(1), (0, 1): q(3)})
-    delta2 = GradedMatrix(r, c, 0, {(2, 0): q(1), (3, 0): q(-2)})
-    zero_c = GradedMatrix.zero(c, c, 1)
-    return SComplex(c, r, zero_c, v, delta1, delta2, GradedMatrix.zero(r, r, 1))
+def _non_nilpotent_s_complex(ring):
+    # an r-perfect S-complex whose v = diag(2, 1) is invertible: d a = b,
+    # delta1 a = r and delta2 r = b satisfy d v - v d = delta2 delta1, and
+    # delta1 v^j = 2^j delta1 and v^j delta2 = delta2 are never zero
+    c = GradedModule(ring, 2, [("a", 1), ("b", 0)])
+    r = GradedModule(ring, 2, [("r", 0)])
+    n = ring.domain.from_int
+    return SComplex(c, r, GradedMatrix(c, c, 1, {(1, 0): n(1)}),
+                    GradedMatrix(c, c, 0, {(0, 0): n(2), (1, 1): n(1)}),
+                    GradedMatrix(c, r, 1, {(0, 0): n(1)}),
+                    GradedMatrix(r, c, 0, {(1, 0): n(1)}),
+                    GradedMatrix.zero(r, r, 1))
 
 
 @pytest.mark.parametrize("x,nilpotent", [
@@ -250,7 +249,7 @@ def _non_nilpotent_complex():
     (atomic(-3, Q, 4), True),
     (atomic(2, Z, 4), True),
     (torus_link_complex(4).base_change(eval_t_at_one()), True),
-    (_non_nilpotent_complex(), False),
+    (_non_nilpotent_s_complex(Q), False),
 ])
 def test_ladder_blocks_match_powers(x, nilpotent):
     # sweeps on either side, and the pair a J_i system reads (with delta2
@@ -285,6 +284,41 @@ def test_ladder_makes_no_product_past_a_zero_power(monkeypatch):
         assert left[j] is left[e] and right[j] is right[e]
     assert len(calls) == 2 * e
     assert len(left._terms) == len(right._terms) == e + 1
+
+
+@pytest.mark.parametrize("x", [
+    atomic(3, Q, 4),
+    direct_sum(atomic(3, Q, 4), atomic(-3, Q, 4)),
+    atomic(-2, Z, 4),
+    torus_link_complex(4).base_change(eval_t_at_one()),
+    _non_nilpotent_s_complex(Q),
+    _non_nilpotent_s_complex(Z),
+])
+def test_first_zero_reads_the_sweep_once(x, monkeypatch):
+    # first_zero(limit) is the least j <= limit with a zero term (limit + 1
+    # if there is none), and makes exactly the products of reading terms
+    # 0..limit: one per term up to the first zero term and none past limit
+    calls = []
+    matmul = GradedMatrix.__matmul__
+    monkeypatch.setattr(GradedMatrix, "__matmul__",
+                        lambda a, b: calls.append(1) or matmul(a, b))
+    e = _nilpotency(x.v)
+    zero_found = False
+    for a, before in ((x.delta1, False), (-x.delta2, True)):
+        oracle = Sweep(a, x.v, before)
+        terms = [oracle[j] for j in range((e or 4) + 3)]
+        for limit in range(-1, (e or 4) + 3):
+            want = next((j for j in range(limit + 1) if terms[j].is_zero), limit + 1)
+            products = max(min(want, limit), 0)  # terms 1..products are made
+            sweep = Sweep(a, x.v, before)
+            calls.clear()
+            assert sweep.first_zero(limit) == want, (before, limit)
+            zero_found |= want <= limit
+            assert len(calls) == products and len(sweep._terms) == products + 1
+            assert sweep.first_zero(limit) == want and len(calls) == products
+            for j in range(products + 1):
+                assert sweep[j] == terms[j]
+    assert zero_found == (e is not None)
 
 
 def test_torus_link_150_profile_over_z_is_fast():
@@ -354,24 +388,9 @@ def _known_answers(x):
             | {-m for m in range(w + 1) if (x.v.power(m) @ x.delta2).is_zero})
 
 
-def _non_nilpotent_s_complex(ring):
-    # an r-perfect S-complex whose v = diag(2, 1) is invertible: d a = b,
-    # delta1 a = r and delta2 r = b satisfy d v - v d = delta2 delta1, and
-    # delta1 v^j = 2^j delta1 and v^j delta2 = delta2 are never zero
-    c = GradedModule(ring, 2, [("a", 1), ("b", 0)])
-    r = GradedModule(ring, 2, [("r", 0)])
-    n = ring.domain.from_int
-    return SComplex(c, r, GradedMatrix(c, c, 1, {(1, 0): n(1)}),
-                    GradedMatrix(c, c, 0, {(0, 0): n(2), (1, 1): n(1)}),
-                    GradedMatrix(c, r, 1, {(0, 0): n(1)}),
-                    GradedMatrix(r, c, 0, {(1, 0): n(1)}),
-                    GradedMatrix.zero(r, r, 1))
-
-
 def test_profile_solves_only_the_open_systems(monkeypatch):
     at_one = eval_t_at_one()
-    # `_non_nilpotent_complex` is not r-perfect, so it has no profile
-    xs = [x for x in _j_oracle_complexes() if x.is_r_perfect]
+    xs = _j_oracle_complexes()
     xs += [atomic(n, Z) for n in (3, -3, 4, -4)]
     xs += [_trefoil_power(3)]
     xs += [torus_link_complex(k).base_change(at_one) for k in (2, 5, 9)]
@@ -398,6 +417,38 @@ def test_profile_solves_only_the_open_systems(monkeypatch):
             assert {lo, hi} <= skipped
         skipped_total += len(skipped)
     assert skipped_total > 500
+
+
+def test_profile_makes_no_ring_element(monkeypatch):
+    # the profile and the nesting check work on raw values; the J_i bases
+    # are boxed on the first read of j_bases, once
+    at_one = eval_t_at_one()
+    xs = [torus_link_complex(k).base_change(at_one) for k in (4, 6, 8)]
+    xs += [torus_knot_summand(5).base_change(at_one), atomic(3, Z), atomic(-3, Z),
+           _trefoil_power(2), _non_nilpotent_s_complex(Z)]
+    made = []
+    init = RingElement.__init__
+    monkeypatch.setattr(RingElement, "__init__",
+                        lambda e, ring, val: made.append(1) or init(e, ring, val))
+    boxes = []
+    monkeypatch.setattr("scx.equivariant.boxed",
+                        lambda vecs, n, ring: boxes.append(1) or boxed(vecs, n, ring))
+    for x in xs:
+        made.clear()
+        prof = froyshov_profile(x)
+        assert j_nesting_ok(prof, x.ring, x.red.rank)
+        assert not made and not boxes
+        lo, hi = prof.window
+        bases = prof.j_bases
+        assert len(boxes) == hi - lo + 1 and made
+        boxes.clear()
+        made.clear()
+        assert prof.j_bases is bases
+        assert not made and not boxes
+        zero, nr = x.ring.domain.zero, x.red.rank
+        assert {i: [[e.val for e in col] for col in cols] for i, cols in bases.items()} \
+            == {i: [[vec.get(k, zero) for k in range(nr)] for vec in vecs]
+                for i, vecs in prof.raw_bases.items()}
 
 
 def dense_j_module(x, i):
@@ -450,11 +501,12 @@ def _j_oracle_complexes():
     # T -> 1 kills every map of the torus links: every J_i system is all zero
     xs = [torus_link_complex(k).base_change(at_one) for k in (4, 7)]
     xs += [atomic(3, Z, 4), atomic(-2, Z, 4), torus_knot_summand(3).base_change(INC),
-           _non_nilpotent_complex()]
+           _non_nilpotent_s_complex(Q)]
     rng = random.Random(2027)
     for ring in (Z, Q, Zp(3), FRAC_LAURENT_Q):
         for _ in range(12 if ring != FRAC_LAURENT_Q else 6):
             xs.append(rand_scomplex(ring, rng, max_rank=6, r_perfect=True, allow_cone=False))
+    assert all(x.verify().ok for x in xs)
     return xs
 
 

@@ -300,6 +300,53 @@ def test_snf_callers_equal_the_dense_route():
         assert (None if got is None else _dense_ints(got, n)) == dense_int_solve(a, rhs)
 
 
+@pytest.mark.parametrize("ring", [Z, Q, Zp(3), FRAC_LAURENT_Q], ids=str)
+def test_bases_without_elimination_equal_the_eliminations(ring, monkeypatch):
+    """A kernel of a matrix without entries, and a column basis of at most
+    one nonzero column, are read off without a Smith form or row reduction,
+    and equal what the elimination returns."""
+    import scx.gradedlin as gl
+
+    dom = ring.domain
+    empty = [([], 0), ([], 3), ([{}], 1), ([{}, {}], 2), ([{}] * 3, 4), ([{}] * 4, 2)]
+    one_col = []
+    for n in (1, 2, 3):
+        for k in (1, 2, 3):
+            one_col.append(([{}] * k, n))
+            for pos in range(k):
+                for vec in ({0: 1}, {n - 1: -2}, {0: 3, n - 1: -1}):
+                    cols = [{}] * k
+                    cols[pos] = {i: dom.from_int(x) for i, x in vec.items()}
+                    one_col.append((cols, n))
+
+    def eliminated_kernel(a, n):
+        if ring == Z:
+            return [_dense_ints(v, n) for v in gl._snf_kernel(smith_form([dict(r) for r in a], n))]
+        return gl._rref_kernel(*_rref([dict(r) for r in a], dom), n, dom)
+
+    def eliminated_columns(cols, n):
+        rows = [{j: col[i] for j, col in enumerate(cols) if i in col} for i in range(n)]
+        if ring == Z:
+            return dense_int_column_lattice_basis(
+                [[row.get(j, 0) for j in range(len(cols))] for row in rows])
+        return [cols[j] for j in _rref(rows, dom)[1]]
+
+    want_kernels = [eliminated_kernel(a, n) for a, n in empty]
+    want_columns = [eliminated_columns(cols, n) for cols, n in one_col]
+
+    def refused(*args):
+        raise AssertionError("eliminated")
+
+    monkeypatch.setattr(gl, "smith_form", refused)
+    monkeypatch.setattr(gl, "_rref", refused)
+    for (a, n), want in zip(empty, want_kernels):
+        got = sparse_kernel_basis(a, n, ring)
+        assert (got if ring != Z else [_dense_ints(v, n) for v in got]) == want
+    for (cols, n), want in zip(one_col, want_columns):
+        got = column_basis(cols, n, ring)
+        assert (got if ring != Z else [_dense_ints(v, n) for v in got]) == want
+
+
 def _stored(vectors):
     """Dense rows (or columns) of a transform in `SmithForm`'s form: only
     those that differ from the identity's are stored."""
