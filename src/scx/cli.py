@@ -284,6 +284,10 @@ def cmd_equivariant(args):
 
 def cmd_froyshov(args):
     x = load_scomplex(args.infile)
+    rep = x.verify()
+    if not rep.ok:
+        _emit(args, _report_payload(rep), _report_lines(rep))
+        return VERIFY_ERROR
     x = _apply_ring(x, args.ring)
     p = froyshov_profile(x)
     _emit(args, p.to_json(), [repr(p)])

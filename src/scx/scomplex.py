@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import (
     MissingSMap,
@@ -141,7 +142,7 @@ class SComplex:
         self.delta2 = delta2
         self.r = r
         self.s = s
-        self.metadata = dict(metadata or {})
+        self.metadata = MappingProxyType(dict(metadata or {}))
         self._total = None
         self._total_module = None
 

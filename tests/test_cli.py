@@ -645,6 +645,36 @@ def test_homology_json_reports_torsion_in_a_degree_of_free_rank_zero(tmp_path, c
         assert got == {"ranks": {}, "torsion": torsion, "total_rank": 0, "euler": 0}
 
 
+# d(a) = b and d(b) = a over Z, modulus 2: d.d = 1 at (a, a)
+_SQUARE_NOT_ZERO = {"ring": {"kind": "Z"}, "modulus": 2,
+                    "irreducible": [{"name": "a", "degree": 0}, {"name": "b", "degree": 1}],
+                    "reducible": [], "d": [["b", "a", "1"], ["a", "b", "1"]],
+                    "v": [], "delta1": [], "delta2": [], "r": []}
+
+
+def test_froyshov_refuses_a_document_that_fails_verify(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_SQUARE_NOT_ZERO))
+    capsys.readouterr()
+    for flags in ([], ["--json"], ["--ring", "q"]):
+        assert run("verify", "--in", str(path), *[f for f in flags if f == "--json"]) == 1
+        report = capsys.readouterr().out
+        assert run("froyshov", "--in", str(path), *flags) == 1
+        out = capsys.readouterr().out
+        assert out == report  # the verify report, not a profile
+    assert "FAIL  d.d = 0  (first offender a <- a: 1)" in out.splitlines()
+
+
+def test_homology_of_a_non_complex_names_the_first_offender(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_SQUARE_NOT_ZERO))
+    for which, where in (("irreducible", "a <- a"), ("total", "i:a <- i:a")):
+        capsys.readouterr()
+        assert run("homology", "--in", str(path), "--which", which) == 2
+        assert capsys.readouterr().err == (
+            f"error: the differential does not square to zero (first offender {where}: 1)\n")
+
+
 def test_homology_payload_keeps_torsion_beside_free_rank():
     from scx.cli import _homology_payload
     from scx.gradedlin import GradedHomology

@@ -641,12 +641,86 @@ def test_homology_of_pair_matches_the_dense_oracle():
         pairs.append((d, d))
         # a zero-rank target for d_out: H = coker(d)
         pairs.append((d, GradedMatrix.zero(d.target, GradedModule(Z, 2, []), 1)))
+    for _ in range(20):
+        d = _rand_z_differential(rng, rng.randint(1, 7))
+        # d_out equal to d but another object, and d_out = 2d: each side is
+        # eliminated on its own
+        pairs += [(d, GradedMatrix._new(d.source, d.target, d.degree, dict(d.entries))),
+                  (d, d.scale(Z.from_int(2)))]
+        # a zero-rank source for d_in: H = ker(d)
+        pairs.append((GradedMatrix.zero(GradedModule(Z, 2, []), d.source, 1), d))
     torsion = 0
     for d_in, d_out in pairs:
         got = homology_of_pair(d_in, d_out)
         assert got == homology_of_pair_oracle(d_in, d_out)
         torsion += any(got.torsion(k) for k in (0, 1))
     assert torsion > 5
+
+
+def _tensor_shapes():
+    """T(2,4) (x) dual T(2,6) and its suspensions by -2 and 2 over
+    Z[T^{+-1}]: the shapes the homology verb is run on."""
+    from scx.functors import dual, suspend, tensor
+
+    p = tensor(torus_link_complex(2), dual(torus_link_complex(3)))
+    return [p, suspend(p, -2), suspend(p, 2)]
+
+
+def _read_over(x, ring):
+    """x, over Z[T^{+-1}], over `ring` as the homology verb reads it: Q(T)
+    by inclusion, Z through T = 1, Q and Z/p from there."""
+    from scx.rings import RingMap, eval_t_at_one
+
+    if ring == FRAC_LAURENT_Q:
+        return x.base_change(RingMap(RingMap.LAURENT_TO_FRAC, LAURENT_Z, FRAC_LAURENT_Q))
+    xz = x.base_change(eval_t_at_one())
+    if ring == Z:
+        return xz
+    return xz.base_change(RingMap(RingMap.Z_TO_Q, Z, Q) if ring == Q
+                          else RingMap(RingMap.MOD_P, Z, ring))
+
+
+_HOMOLOGY_RINGS = [Z, FRAC_LAURENT_Q, Q, Zp(2)]
+
+
+def test_homology_of_pair_matches_the_dense_oracle_on_tensor_shapes():
+    for x in _tensor_shapes():
+        for ring in _HOMOLOGY_RINGS:
+            y = _read_over(x, ring)
+            for d in (y.total_differential(), y.d, y.r):
+                assert homology_of_pair(d, d) == homology_of_pair_oracle(d, d)
+
+
+@pytest.mark.parametrize("ring", _HOMOLOGY_RINGS)
+def test_homology_of_pair_eliminates_each_degree_block_once(monkeypatch, ring):
+    import scx.gradedlin as gl
+
+    x = _read_over(_tensor_shapes()[1], ring)
+    calls = {"smith_form": 0, "_rref": 0}
+
+    def counted(name):
+        real = getattr(gl, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    def refused(*args):
+        raise AssertionError("homology_of_pair solved a system")
+
+    for name in calls:
+        monkeypatch.setattr(gl, name, counted(name))
+    monkeypatch.setattr(gl, "sparse_kernel_basis", refused)
+    monkeypatch.setattr(gl, "_snf_solve", refused)
+    # r = 0 here: no block holds an entry, and nothing is eliminated
+    for d in (x.total_differential(), x.d, x.r):
+        calls.update(smith_form=0, _rref=0)
+        homology_of_pair(d, d)
+        want = len({d.source.degree(s) for _, s in d.entries})
+        assert calls == ({"smith_form": want, "_rref": 0} if ring == Z
+                         else {"smith_form": 0, "_rref": want})
+    assert x.total_differential().entries
 
 
 def test_base_change_commutes_with_compose():

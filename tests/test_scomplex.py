@@ -193,6 +193,18 @@ def test_s_map_discrepancy():
         s_map_discrepancy(SMorphism.identity(torus_link_complex(2)))
 
 
+def test_metadata_is_read_only_and_a_copy():
+    x = torus_link_complex(2)
+    meta = {"name": "mine"}
+    y = SComplex(x.irr, x.red, x.d, x.v, x.delta1, x.delta2, x.r, x.s, meta)
+    with pytest.raises(TypeError):
+        y.metadata["name"] = "other"
+    with pytest.raises(TypeError):
+        del x.metadata["name"]
+    meta["name"] = "changed"
+    assert y.metadata == {"name": "mine"}
+
+
 def test_json_roundtrip_and_strictness():
     x = torus_link_complex(4)
     doc = scomplex_to_json(x)
