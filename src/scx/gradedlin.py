@@ -27,10 +27,11 @@ class GradedModule:
         names = [n for n, _ in gens]
         if len(set(names)) != len(names):
             raise SchemaError("generator names must be unique")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "gens", tuple((n, d % modulus) for n, d in gens))
-        object.__setattr__(self, "_index", {n: i for i, (n, _) in enumerate(self.gens)})
+        gens = tuple((n, d % modulus) for n, d in gens)
+        _set_module_ring(self, ring)
+        _set_module_modulus(self, modulus)
+        _set_module_gens(self, gens)
+        _set_module_index(self, {n: i for i, (n, _) in enumerate(gens)})
 
     def __setattr__(self, *a):
         raise AttributeError("GradedModule is immutable")
@@ -85,6 +86,13 @@ class GradedModule:
         return f"GradedModule({self.ring!r}, mod {self.modulus}, {list(self.gens)})"
 
 
+# the slot setters, bound once: the constructors set slots through these
+_set_module_ring = GradedModule.ring.__set__
+_set_module_modulus = GradedModule.modulus.__set__
+_set_module_gens = GradedModule.gens.__set__
+_set_module_index = GradedModule._index.__set__
+
+
 class GradedMatrix:
     """Sparse degree-homogeneous matrix between graded modules over one ring.
 
@@ -101,6 +109,11 @@ class GradedMatrix:
     Products, sums, negation, `scale`, `map_entries`, `zero` and `identity`
     are in range and homogeneous by construction, so they are built by
     `_new`, which checks nothing and only drops cancelled zeros.
+
+    `__setattr__` raises.  Both constructors fill the four slots through
+    the slot descriptors' setters, bound once after the class
+    (`_set_source` and the like), which skip `object.__setattr__`'s lookup
+    by name: `_new` runs in every product and sum.
     """
 
     __slots__ = ("source", "target", "degree", "entries")
@@ -125,10 +138,10 @@ class GradedMatrix:
                     f"{target.degree(t)} - {source.degree(s)} != {degree} mod {mod}"
                 )
             clean[(t, s)] = x
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "entries", clean)
+        _set_source(self, source)
+        _set_target(self, target)
+        _set_degree(self, degree)
+        _set_entries(self, clean)
 
     @classmethod
     def _new(cls, source, target, degree, entries):
@@ -138,10 +151,10 @@ class GradedMatrix:
         if zero in entries.values():
             entries = {k: x for k, x in entries.items() if x != zero}
         m = object.__new__(cls)
-        object.__setattr__(m, "source", source)
-        object.__setattr__(m, "target", target)
-        object.__setattr__(m, "degree", degree % source.modulus)
-        object.__setattr__(m, "entries", entries)
+        _set_source(m, source)
+        _set_target(m, target)
+        _set_degree(m, degree % source.modulus)
+        _set_entries(m, entries)
         return m
 
     def __setattr__(self, *a):
@@ -310,6 +323,13 @@ class GradedMatrix:
     def __repr__(self):
         return (f"GradedMatrix({self.source.rank}->{self.target.rank}, deg {self.degree}, "
                 f"{len(self.entries)} entries)")
+
+
+# the slot setters, bound once (see the class docstring)
+_set_source = GradedMatrix.source.__set__
+_set_target = GradedMatrix.target.__set__
+_set_degree = GradedMatrix.degree.__set__
+_set_entries = GradedMatrix.entries.__set__
 
 
 class Sweep:

@@ -16,7 +16,9 @@ P_1 = Delta2 : R -> C' and Q_1 = delta2 : R -> C,
     P_{i+1} = v'.P_i + mu.Q_i,    Q_{i+1} = v.Q_i,
 
 so P_i = v'^{i-1}.Delta2 + sum_{j=0}^{i-2} v'^j.mu.v^{i-2-j}.delta2 and
-Q_i = v^{i-1}.delta2, and tau_1..tau_n take at most 5n products.
+Q_i = v^{i-1}.delta2.  A zero pair (P_i, Q_i) = (0, 0) stays zero, so from
+the first one on every tau_j is zero and the sweep stops there: tau_1..tau_n
+take at most 5 products per index up to that pair, and none past it.
 """
 
 from __future__ import annotations
@@ -33,12 +35,17 @@ def _tau_bound(x, y):
 
 def tau_closed_formula(x, y, lam, mu, delta1, delta2, n):
     """The determined [tau_1, ..., tau_n], by the sweep in the module
-    docstring."""
+    docstring.  At the first i with P_i = Q_i = 0 the sweep stops: tau_i and
+    every later tau are zero matrices, of degree k - 2i."""
     taus = []
     p, q = delta2, x.delta2
     for i in range(n):
         if i:
             p, q = y.v @ p + mu @ q, x.v @ q
+        if p.is_zero and q.is_zero:
+            deg = y.delta1.degree + p.degree  # k - 2(i + 1), that of delta1'.P_{i+1}
+            taus += [GradedMatrix.zero(x.red, y.red, deg - 2 * j) for j in range(n - i)]
+            break
         taus.append(y.delta1 @ p + delta1 @ q)
     return taus
 

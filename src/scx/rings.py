@@ -394,8 +394,8 @@ class RingElement:
     __slots__ = ("ring", "val")
 
     def __init__(self, ring, val):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "val", val)
+        _set_element_ring(self, ring)
+        _set_element_val(self, val)
 
     def __setattr__(self, *a):
         raise AttributeError("RingElement is immutable")
@@ -460,6 +460,11 @@ class RingElement:
 
     def __str__(self):
         return format_raw(self.ring, self.val)
+
+
+# the slot setters, bound once (`__setattr__` raises)
+_set_element_ring = RingElement.ring.__set__
+_set_element_val = RingElement.val.__set__
 
 
 def ring_arith(a, b, op):

@@ -83,11 +83,24 @@ def _block_layout(x, y):
 
 def _assemble(x, y, degree, s, a, b, e, c, g):
     """The map [[a,0,0],[b,s.a,c],[e,0,g]] of total degree `degree` from the
-    total module of x to that of y; s is 1 or -1."""
+    total module of x to that of y; s is 1 or -1.
+
+    Built by `GradedMatrix._new`, unchecked.  The caller vouches for the
+    blocks: each has its `_block_layout` endpoints and, when nonzero, its
+    component degree, k = `degree` for a, e and g and k - 1 for b and c
+    (mod the modulus), as the `SComplex`, `SMorphism` and `SHomotopy`
+    constructors check with `_check_components` and as
+    `randgen.rand_homotopy_shape` makes them.  Then every placed entry is
+    in range, inside its block's bands, and homogeneous of total degree k:
+    the C[-1] band's generators sit one degree above C's, so b and c, of
+    degree k - 1, land in that row band at degree k, and sA, from the C[-1]
+    column band to that row band, keeps a's degree k.  The blocks sit at
+    disjoint offsets, so no two entries add and none cancels."""
     blocks = {"A": a, "B": b, "sA": a if s == 1 else -a, "C": c, "E": e, "G": g}
-    return GradedMatrix.from_blocks(
-        x.total_module(), y.total_module(), degree,
-        *((blocks[name], row, col) for name, (_, _, row, col) in _block_layout(x, y).items()))
+    ent = {}
+    for name, (_, _, row, col) in _block_layout(x, y).items():
+        ent.update({(t + row, u + col): val for (t, u), val in blocks[name].entries.items()})
+    return GradedMatrix._new(x.total_module(), y.total_module(), degree, ent)
 
 
 # (row band, column band) -> block of a total map, the bands being C, C[-1], R
@@ -121,7 +134,10 @@ def _relations(residual, x, y, rows):
 
 
 class SComplex:
-    """The tuple (C, R, d, v, delta1, delta2, r) with optional s-map."""
+    """The tuple (C, R, d, v, delta1, delta2, r) with optional s-map.
+
+    Immutable (`__setattr__` raises), so the total module and differential,
+    each built on first use and kept, cannot go stale."""
 
     def __init__(self, irr, red, d, v, delta1, delta2, r, s=None, metadata=None):
         if irr.ring != red.ring or irr.modulus != red.modulus:
@@ -134,17 +150,12 @@ class SComplex:
             (delta2, red, irr, -2, "delta2"),
             (r, red, red, -1, "r"),
             *([] if s is None else [(s, red, red, -2, "s")]))
-        self.irr = irr
-        self.red = red
-        self.d = d
-        self.v = v
-        self.delta1 = delta1
-        self.delta2 = delta2
-        self.r = r
-        self.s = s
-        self.metadata = MappingProxyType(dict(metadata or {}))
-        self._total = None
-        self._total_module = None
+        vars(self).update(irr=irr, red=red, d=d, v=v, delta1=delta1, delta2=delta2, r=r, s=s,
+                          metadata=MappingProxyType(dict(metadata or {})),
+                          _total=None, _total_module=None)
+
+    def __setattr__(self, *a):
+        raise AttributeError("SComplex is immutable")
 
     @property
     def ring(self):
@@ -184,14 +195,15 @@ class SComplex:
             gens = [(f"i:{n}", deg) for n, deg in self.irr.gens]
             gens += [(f"j:{n}", deg + 1) for n, deg in self.irr.gens]
             gens += [(f"r:{n}", deg) for n, deg in self.red.gens]
-            self._total_module = GradedModule(self.ring, self.modulus, gens)
+            object.__setattr__(self, "_total_module", GradedModule(self.ring, self.modulus, gens))
         return self._total_module
 
     def total_differential(self):
-        """The block matrix [[d,0,0],[v,-d,delta2],[delta1,0,r]]."""
+        """The block matrix [[d,0,0],[v,-d,delta2],[delta1,0,r]], assembled
+        once."""
         if self._total is None:
-            self._total = _assemble(self, self, -1, -1,
-                                    self.d, self.v, self.delta1, self.delta2, self.r)
+            object.__setattr__(self, "_total", _assemble(
+                self, self, -1, -1, self.d, self.v, self.delta1, self.delta2, self.r))
         return self._total
 
     # -- homology projections
@@ -293,7 +305,10 @@ def base_change(obj, ring_map):
 
 
 class SMorphism:
-    """A degree-k morphism with components (lambda, mu, Delta1, Delta2, rho)."""
+    """A degree-k morphism with components (lambda, mu, Delta1, Delta2, rho).
+
+    Immutable (`__setattr__` raises), so the assembled map, built on first
+    use and kept, cannot go stale."""
 
     def __init__(self, source, target, degree, lam, mu, delta1, delta2, rho):
         if source.ring != target.ring or source.modulus != target.modulus:
@@ -307,14 +322,11 @@ class SMorphism:
             (delta1, source.irr, target.red, k, "Delta1"),
             (delta2, source.red, target.irr, k - 1, "Delta2"),
             (rho, source.red, target.red, k, "rho"))
-        self.source = source
-        self.target = target
-        self.degree = k
-        self.lam = lam
-        self.mu = mu
-        self.delta1 = delta1
-        self.delta2 = delta2
-        self.rho = rho
+        vars(self).update(source=source, target=target, degree=k, lam=lam, mu=mu,
+                          delta1=delta1, delta2=delta2, rho=rho, _total=None)
+
+    def __setattr__(self, *a):
+        raise AttributeError("SMorphism is immutable")
 
     def verify(self):
         """The five chain-map relations, read from the blocks of D'.F - F.D."""
@@ -328,9 +340,13 @@ class SMorphism:
         ])
 
     def assemble(self):
-        """Full matrix [[lam,0,0],[mu,lam,Delta2],[Delta1,0,rho]]."""
-        return _assemble(self.source, self.target, self.degree, 1,
-                         self.lam, self.mu, self.delta1, self.delta2, self.rho)
+        """Full matrix [[lam,0,0],[mu,lam,Delta2],[Delta1,0,rho]], assembled
+        once."""
+        if self._total is None:
+            object.__setattr__(self, "_total", _assemble(
+                self.source, self.target, self.degree, 1,
+                self.lam, self.mu, self.delta1, self.delta2, self.rho))
+        return self._total
 
     @classmethod
     def from_assembled(cls, m, x, y):
@@ -382,7 +398,9 @@ class SHomotopy:
 
     Satisfies componentwise the relations of d'.Ktilde + Ktilde.d =
     (from) - (to).  The component degrees are (k+1, k, k+1, k, k+1), matching
-    the block shape [[K,0,0],[L,-K,M2],[M1,0,J]].
+    the block shape [[K,0,0],[L,-K,M2],[M1,0,J]].  Immutable
+    (`__setattr__` raises), so the assembled map, built on first use and
+    kept, cannot go stale.
     """
 
     def __init__(self, frm, to, K, L, M1, M2, J):
@@ -400,20 +418,17 @@ class SHomotopy:
             (M1, X.irr, Y.red, k + 1, "M1"),
             (M2, X.red, Y.irr, k, "M2"),
             (J, X.red, Y.red, k + 1, "J"))
-        self.frm = frm
-        self.to = to
-        self.K = K
-        self.L = L
-        self.M1 = M1
-        self.M2 = M2
-        self.J = J
+        vars(self).update(frm=frm, to=to, K=K, L=L, M1=M1, M2=M2, J=J, _total=None)
+
+    def __setattr__(self, *a):
+        raise AttributeError("SHomotopy is immutable")
 
     def verify(self):
         """The five homotopy relations, read from the blocks of
         D'.H + H.D - (F - G)."""
         X, Y, h = self.frm.source, self.frm.target, self.assemble()
         residual = (Y.total_differential() @ h + h @ X.total_differential()
-                    - (self.frm - self.to).assemble())
+                    - (self.frm.assemble() - self.to.assemble()))
         return _relations(residual, X, Y, [
             ("d'.K + K.d - lambda + lambda' = 0", "A", False),
             ("delta1'.K + r'.M1 + M1.d + J.delta1 - Delta1 + Delta1' = 0", "E", False),
@@ -423,9 +438,12 @@ class SHomotopy:
         ])
 
     def assemble(self):
-        """Full matrix [[K,0,0],[L,-K,M2],[M1,0,J]]."""
-        return _assemble(self.frm.source, self.frm.target, self.frm.degree + 1, -1,
-                         self.K, self.L, self.M1, self.M2, self.J)
+        """Full matrix [[K,0,0],[L,-K,M2],[M1,0,J]], assembled once."""
+        if self._total is None:
+            object.__setattr__(self, "_total", _assemble(
+                self.frm.source, self.frm.target, self.frm.degree + 1, -1,
+                self.K, self.L, self.M1, self.M2, self.J))
+        return self._total
 
     @classmethod
     def zero(cls, frm, to):

@@ -125,7 +125,7 @@ def _homotopy_equations(u, frm, to):
     total = {}
     _known_after(total, frm.target.total_differential(), u)
     _after_known(total, u, frm.source.total_differential())
-    return _equations(total, (frm - to).assemble(), u.src, u.tgt)
+    return _equations(total, frm.assemble() - to.assemble(), u.src, u.tgt)
 
 
 def _solve_system(equations, nvars, ring):

@@ -338,6 +338,72 @@ def test_tau_sweep_makes_at_most_five_products_per_index(monkeypatch):
         assert len(calls) <= 5 * n
 
 
+def tau_sweep_oracle(x, y, lam, mu, delta1, delta2, n):
+    """Test oracle for tau_closed_formula's stop: the sweep of the module
+    docstring run for all n steps.  Returns [tau_1, ..., tau_n] and the
+    0-based index of the first step whose (P, Q) is (0, 0), or None."""
+    taus, first_zero = [], None
+    p, q = delta2, x.delta2
+    for i in range(n):
+        if i:
+            p, q = y.v @ p + mu @ q, x.v @ q
+        if first_zero is None and p.is_zero and q.is_zero:
+            first_zero = i
+        taus.append(y.delta1 @ p + delta1 @ q)
+    return taus, first_zero
+
+
+def _tau_inputs(ring, rng):
+    """(x, y, lam, mu, delta1, delta2) of seeded height morphisms, of iota
+    and kappa, and of random components on the complex whose v is
+    invertible (where no (P, Q) is ever zero)."""
+    from test_equivariant import _non_nilpotent_s_complex
+
+    out = []
+    for n in (-2, -1, 0, 1, 2):
+        h = _height_morphism_of(ring, rng, n)
+        x = h.target if n < 0 else h.source
+        for m in (h, iota(x, 1), kappa(x, 2)):
+            out.append((m.source, m.target, m.lam, m.mu, m.delta1, m.delta2))
+    z = _non_nilpotent_s_complex(ring)
+    for k in (0, 2):
+        out.append((z, z, _rand_homogeneous(z.irr, z.irr, k, rng),
+                    _rand_homogeneous(z.irr, z.irr, k - 1, rng),
+                    _rand_homogeneous(z.irr, z.red, k, rng),
+                    _rand_homogeneous(z.red, z.irr, k - 1, rng)))
+    return out
+
+
+@pytest.mark.parametrize("ring", [Z, Zp(2), Q, FRAC_LAURENT_Q], ids=str)
+def test_tau_sweep_stops_at_the_first_zero_pair(ring, monkeypatch):
+    rng = random.Random(47)
+    calls = []
+    real = GradedMatrix.__matmul__
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    stops = endless = 0
+    for args in _tau_inputs(ring, rng):
+        x, y = args[:2]
+        n = _tau_bound(x, y) + 3
+        want, first_zero = tau_sweep_oracle(*args, n)
+        monkeypatch.setattr(GradedMatrix, "__matmul__", counted)
+        calls.clear()
+        got = tau_closed_formula(*args, n)
+        monkeypatch.setattr(GradedMatrix, "__matmul__", real)
+        assert [(t.source, t.target, t.degree, t.entries) for t in got] == [
+            (t.source, t.target, t.degree, t.entries) for t in want]
+        if first_zero is None:
+            assert x.v.power(n).entries  # only a non-nilpotent v keeps (P, Q) nonzero
+            endless += 1
+        else:
+            assert len(calls) <= 5 * (first_zero + 1)
+            stops += first_zero < n - 1
+    assert stops and endless == 2
+
+
 def test_power_ladders_are_built_only_as_deep_as_they_are_read(monkeypatch):
     # every block-times-power product comes from a sweep of that block; a
     # sweep's depth is the number of products it made

@@ -205,6 +205,21 @@ def test_metadata_is_read_only_and_a_copy():
     assert y.metadata == {"name": "mine"}
 
 
+def test_s_maps_are_immutable():
+    # the assembled totals are cached, so no block may change under them
+    rng = random.Random("immutable s-maps")
+    x = rand_scomplex(Q, rng, max_rank=4)
+    f = rand_morphism(x, x, rng, 0)
+    g, h = rand_homotopy_pair(f, rng)
+    totals = [x.total_differential(), f.assemble(), h.assemble()]
+    for obj, name in ((x, "d"), (x, "metadata"), (x, "_total"), (f, "lam"), (f, "degree"),
+                      (f, "_total"), (h, "K"), (h, "to"), (h, "_total")):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(obj, name, getattr(obj, name))
+    assert [x.total_differential(), f.assemble(), h.assemble()] == totals
+    assert x.total_differential() is totals[0] and h.assemble() is totals[2]
+
+
 def test_json_roundtrip_and_strictness():
     x = torus_link_complex(4)
     doc = scomplex_to_json(x)
@@ -512,3 +527,39 @@ def test_blocks_undo_assemble():
                         assert (got.source, got.target, got.entries) == (
                             want.source, want.target, want.entries)
                         assert got.degree == want.degree
+
+
+def _assemble_oracle(x, y, degree, s, a, b, e, c, g):
+    """Test oracle for `_assemble`: the blocks of [[a,0,0],[b,s.a,c],[e,0,g]]
+    at offsets written out here, placed by the checked
+    `GradedMatrix.from_blocks`, which re-checks every entry's range and
+    degree."""
+    nc, mc = x.irr.rank, y.irr.rank
+    return GradedMatrix.from_blocks(
+        x.total_module(), y.total_module(), degree,
+        (a, 0, 0), (b, mc, 0), (a if s == 1 else -a, mc, nc), (c, mc, 2 * nc),
+        (e, 2 * mc, 0), (g, 2 * mc, 2 * nc))
+
+
+@pytest.mark.parametrize("tag", ["Z", "Z2", "Q", "QT"])
+def test_assemble_equals_the_checked_from_blocks_route(tag):
+    ring = RINGS[tag]
+    rng = random.Random(f"assemble oracle {tag}")
+    nonzero = [False] * 7  # differentials, morphisms, homotopy, both signs
+    for _ in range(12):
+        x = rand_scomplex(ring, rng, max_rank=5)
+        y = rand_scomplex(ring, rng, modulus=x.modulus, max_rank=5)
+        k = rng.choice((0, 1, -1, 2))
+        f = rand_morphism(x, y, rng, k)
+        g, h = rand_homotopy_pair(f, rng)
+        pairs = [(x.total_differential(), _assemble_oracle(x, x, -1, -1, *_parts(x))),
+                 (y.total_differential(), _assemble_oracle(y, y, -1, -1, *_parts(y)))]
+        pairs += [(m.assemble(), _assemble_oracle(x, y, k, 1, *_parts(m)[1:])) for m in (f, g)]
+        pairs.append((h.assemble(), _assemble_oracle(x, y, k + 1, -1, *_parts(h))))
+        for s in (1, -1):
+            parts = rand_homotopy_shape(x, y, rng, k - 1, density=0.8)
+            pairs.append((_assemble(x, y, k, s, *parts), _assemble_oracle(x, y, k, s, *parts)))
+        for i, (got, want) in enumerate(pairs):
+            _same(got, want)
+            nonzero[i] = nonzero[i] or not got.is_zero
+    assert all(nonzero)

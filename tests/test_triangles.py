@@ -6,7 +6,7 @@ from scx.errors import ImpossibleCase
 from scx.functors import suspend
 from scx.gradedlin import GradedMatrix
 from scx.linkfam import hopf_complex, torus_knot_summand, torus_link_complex, unknot_complex
-from scx.randgen import RINGS, rand_morphism, rand_scomplex, rand_value
+from scx.randgen import RINGS, rand_homotopy_pair, rand_morphism, rand_scomplex, rand_value
 from scx.rings import Q, Z, Zp, eval_t_at_one
 from scx.scomplex import SHomotopy, SMorphism
 from scx.solve import solve_triangle_homotopy, solve_triangle_witnesses
@@ -113,6 +113,57 @@ def test_every_unknown_variable_sits_at_its_blocks_degree(monkeypatch):
             assert [m.degree for m in (n.lam, n.mu, n.delta1, n.delta2, n.rho)] == [
                 e % mod for e in (1, 0, 1, 0, 1)]
     assert all(placed.values()), placed
+
+
+def _block_ids(obj):
+    """The identities of the five blocks of a complex, morphism or homotopy."""
+    if isinstance(obj, SMorphism):
+        return tuple(map(id, (obj.lam, obj.mu, obj.delta1, obj.delta2, obj.rho)))
+    if isinstance(obj, SHomotopy):
+        return tuple(map(id, (obj.K, obj.L, obj.M1, obj.M2, obj.J)))
+    return tuple(map(id, (obj.d, obj.v, obj.delta1, obj.delta2, obj.r)))
+
+
+def test_relation_checks_assemble_each_s_map_once_and_check_no_matrix(monkeypatch):
+    # on pre-built inputs: every total map is placed unchecked, and only the
+    # given complexes, morphisms and homotopies are assembled, each once
+    from scx import scomplex
+
+    built = [t for _, t in _random_cone_triangles()]
+    pairs = []
+    for tag in ("Z", "Z2", "Q", "QT"):
+        rng = random.Random(f"homotopy pairs {tag}")
+        for _ in range(6):
+            x = rand_scomplex(RINGS[tag], rng, max_rank=4)
+            pairs.append(rand_homotopy_pair(rand_morphism(x, x, rng, rng.choice((0, 1))), rng))
+    given = set()
+    for t in built:
+        for obj in t.complexes + t.morphisms + t.homotopies:
+            given.add(_block_ids(obj))
+        given.update(_block_ids(m) for h in t.homotopies for m in (h.frm, h.to))
+    for g, h in pairs:
+        given.update(map(_block_ids, (g.source, g, h, h.frm)))
+    checked, placed = [], []
+    real_init, real_assemble = GradedMatrix.__init__, scomplex._assemble
+
+    def counted_init(self, *args):
+        checked.append(1)
+        real_init(self, *args)
+
+    def counted_assemble(x, y, degree, s, *blocks):
+        placed.append(tuple(map(id, blocks)))
+        return real_assemble(x, y, degree, s, *blocks)
+
+    monkeypatch.setattr(GradedMatrix, "__init__", counted_init)
+    monkeypatch.setattr(scomplex, "_assemble", counted_assemble)
+    for t in built:
+        assert verify_triangle(t).ok and les_check(t).ok
+        assert verify_triangle(t).ok
+    for g, h in pairs:
+        assert g.verify().ok and h.verify().ok and h.verify().ok
+    assert not checked
+    assert placed and len(set(placed)) == len(placed)
+    assert set(placed) <= given
 
 
 def test_joint_solve_finds_witnesses_that_need_a_nonzero_mu():
