@@ -656,6 +656,46 @@ def _snf_solve(snf, rhs):
     return x
 
 
+class _SmithElimination:
+    """The elimination over Z: one `smith_form` per call.  Its `field`, for
+    `HomologyMaps`, is Q.  `diagonal` is the nonzero Smith diagonal."""
+
+    field = Q
+
+    @staticmethod
+    def to_field(vec, _from_int=Q.domain.from_int):
+        return {k: _from_int(x) for k, x in vec.items()}
+
+    def kernel(self, a, n):
+        return _snf_kernel(smith_form(a, n))
+
+    def solve(self, a, rhs, n):
+        return _snf_solve(smith_form(a, n), rhs)
+
+    def basis(self, cols, n):
+        """The A v_j for the columns v_j of V with d_j != 0; A has the columns `cols`."""
+        snf = smith_form(_side_by_side(cols, n), len(cols))
+        basis = []
+        for j, dj in enumerate(snf.diag):
+            if dj:
+                vec = {}
+                for k, x in snf.v_col(j).items():
+                    _add_multiple(vec, x, cols[k])
+                basis.append(vec)
+        return basis
+
+    def same_span(self, ba, bb, n):
+        """Each basis is eliminated once, by one Smith form, and every vector
+        of the other basis is solved for in it."""
+        snf_a = smith_form(_side_by_side(ba, n), len(ba))
+        snf_b = smith_form(_side_by_side(bb, n), len(bb))
+        return (all(_snf_solve(snf_a, v) is not None for v in bb)
+                and all(_snf_solve(snf_b, v) is not None for v in ba))
+
+    def diagonal(self, a, n):
+        return [x for x in smith_form(a, n).diag if x]
+
+
 def int_kernel_basis(rows, ncols=None):
     """Basis (list of int column vectors) of ker over Z of a dense int
     matrix; a saturated lattice."""
@@ -718,30 +758,49 @@ def _rref(a, dom):
     return a, pivots
 
 
-def _rref_kernel(rr, piv, n, dom):
-    """A basis of the kernel from a reduced row echelon form with n
-    columns, as {index: raw value} vectors: one per free column, read from
-    the rows' entries in the free columns."""
-    one, neg = dom.one, dom.neg
-    pivset = set(piv)
-    basis = {fc: {fc: one} for fc in range(n) if fc not in pivset}
-    for r, pc in enumerate(piv):
-        for k, x in rr[r].items():
-            if k != pc:  # a free column: the other pivot columns are zero here
-                basis[k][pc] = neg(x)
-    return list(basis.values())
+class _FieldElimination:
+    """The elimination over a field: one `_rref` per call, which reduces the
+    rows it is given in place.  The field is its own `field`."""
 
+    def __init__(self, field):
+        self.field, self.dom = field, field.domain
 
-def _rref_solve(a, rhs, n, dom):
-    """One x with A x = rhs over the field, as an {index: raw value} vector,
-    or None; A has n columns and the {column: raw value} rows of `a`, which
-    take rhs's {row: raw value} entries as column n and are reduced in place."""
-    for i, x in rhs.items():
-        a[i][n] = x
-    rr, piv = _rref(a, dom)
-    if piv and piv[-1] == n:  # the pivots ascend
-        return None
-    return {pc: rr[r][n] for r, pc in enumerate(piv) if n in rr[r]}
+    @staticmethod
+    def to_field(vec):
+        return vec
+
+    def kernel(self, a, n):
+        """One vector per free column, read from the reduced rows."""
+        one, neg = self.dom.one, self.dom.neg
+        rr, piv = _rref(a, self.dom)
+        pivset = set(piv)
+        basis = {fc: {fc: one} for fc in range(n) if fc not in pivset}
+        for r, pc in enumerate(piv):
+            for k, x in rr[r].items():
+                if k != pc:  # a free column: the other pivot columns are zero here
+                    basis[k][pc] = neg(x)
+        return list(basis.values())
+
+    def solve(self, a, rhs, n):
+        """rhs's entries join the rows of `a` as column n."""
+        for i, x in rhs.items():
+            a[i][n] = x
+        rr, piv = _rref(a, self.dom)
+        if piv and piv[-1] == n:  # the pivots ascend
+            return None
+        return {pc: rr[r][n] for r, pc in enumerate(piv) if n in rr[r]}
+
+    def basis(self, cols, n):
+        """The pivot columns."""
+        return [cols[j] for j in _rref(_side_by_side(cols, n), self.dom)[1]]
+
+    def same_span(self, ba, bb, n):
+        """The two spans and their sum have one dimension."""
+        return not ba or len(self.basis(ba + bb, n)) == len(ba)
+
+    def diagonal(self, a, n):
+        """One 1 per pivot."""
+        return [1] * len(_rref(a, self.dom)[1])
 
 
 def field_rref(rows, ring):
@@ -762,10 +821,25 @@ def field_kernel_basis(rows, ring, ncols=None):
 # ---------------------------------------------------------------------------
 # Exact linear algebra over Z or a field, on raw values for every ring: a
 # vector is an {index: nonzero raw value} dict and a matrix a list of
-# {column: nonzero raw value} rows, each passed with its length n.  This is
-# the one place that decides between the two eliminations: the Smith normal
-# form over Z, `_rref` over a field.  Ring elements are made, by `boxed`,
-# only for a result that leaves the library.
+# {column: nonzero raw value} rows, each passed with its length n.  The ring
+# decides only which elimination runs, once, in `ELIMINATIONS`: Z maps to
+# the Smith form, each field to `_rref` over its domain, Z[T^{+-1}] to None.
+# Each offers `kernel`, `solve`, `basis`, `same_span`, `diagonal`, `field`
+# and `to_field`.  Ring elements are made, by `boxed`, only for a result
+# that leaves the library.
+
+
+class _Eliminations(dict):
+    """ring -> its elimination, or None; a prime field is entered on its
+    first lookup."""
+
+    def __missing__(self, ring):
+        elim = self[ring] = _FieldElimination(ring) if ring.is_field else None
+        return elim
+
+
+ELIMINATIONS = _Eliminations({Z: _SmithElimination(), Q: _FieldElimination(Q),
+                              FRAC_LAURENT_Q: _FieldElimination(FRAC_LAURENT_Q), LAURENT_Z: None})
 
 
 def boxed(vecs, n, ring):
@@ -828,25 +902,12 @@ def sparse_kernel_basis(a, n, ring):
     if not any(a):
         one = ring.domain.one
         return [{j: one} for j in range(n)]
-    if ring == Z:
-        return _snf_kernel(smith_form(a, n))
-    return _rref_kernel(*_rref(a, ring.domain), n, ring.domain)
-
-
-def solve(a, rhs, n, ring):
-    """One x with A x = rhs, or None; A has n columns and the rows `a`
-    (reduced in place over a field), rhs and x are {index: raw value}
-    vectors."""
-    if ring == Z:
-        return _snf_solve(smith_form(a, n), rhs)
-    return _rref_solve(a, rhs, n, ring.domain)
+    return ELIMINATIONS[ring].kernel(a, n)
 
 
 def column_basis(cols, n, ring):
     """Basis of the lattice (over Z) or the space spanned by the vectors
-    `cols` of length n: over Z the columns A v_j for the columns v_j of V
-    with d_j != 0, where A has the columns `cols`; over a field the pivot
-    columns of A.
+    `cols` of length n, by the ring's elimination (`basis`).
 
     Without elimination when at most one column is nonzero: that column
     (if any) is the basis either way.  Over a field it is the one pivot
@@ -856,39 +917,19 @@ def column_basis(cols, n, ring):
     nonzero = [col for col in cols if col]
     if len(nonzero) <= 1:
         return [dict(col) for col in nonzero]
-    if ring != Z:
-        return [cols[j] for j in _rref(_side_by_side(cols, n), ring.domain)[1]]
-    snf = smith_form(_side_by_side(cols, n), len(cols))
-    basis = []
-    for j, dj in enumerate(snf.diag):
-        if dj:
-            vec = {}
-            for k, x in snf.v_col(j).items():
-                _add_multiple(vec, x, cols[k])
-            basis.append(vec)
-    return basis
+    return ELIMINATIONS[ring].basis(cols, n)
 
 
 def span_contains(basis, vec, n, ring):
     """Whether the vector `vec` of length n lies in the span of `basis`."""
-    return solve(_side_by_side(basis, n), vec, len(basis), ring) is not None
+    return ELIMINATIONS[ring].solve(_side_by_side(basis, n), vec, len(basis)) is not None
 
 
 def spans_equal(cols_a, cols_b, n, ring):
-    """Whether two sets of vectors of length n span the same lattice or space.
-
-    Over a field: the two spans and their sum have one dimension.  Over Z:
-    each basis is eliminated once, by one Smith form, and every vector of
-    the other basis is solved for in it."""
+    """Whether two sets of vectors of length n span the same lattice or
+    space: their bases have one length and the same span (`same_span`)."""
     ba, bb = column_basis(cols_a, n, ring), column_basis(cols_b, n, ring)
-    if len(ba) != len(bb):
-        return False
-    if ring != Z:
-        return len(column_basis(ba + bb, n, ring)) == len(ba)
-    snf_a = smith_form(_side_by_side(ba, n), len(ba))
-    snf_b = smith_form(_side_by_side(bb, n), len(bb))
-    return (all(_snf_solve(snf_a, v) is not None for v in bb)
-            and all(_snf_solve(snf_b, v) is not None for v in ba))
+    return len(ba) == len(bb) and ELIMINATIONS[ring].same_span(ba, bb, n)
 
 
 def is_invertible(m):
@@ -901,8 +942,6 @@ def is_invertible(m):
     if m.target.rank != n:
         return False
     ring = m.ring
-    if ring == Z:
-        return all(x == 1 for x in smith_form(raw_rows(m), n).diag)
     if ring == LAURENT_Z:
         to_frac = RingMap(RingMap.LAURENT_TO_FRAC, LAURENT_Z, FRAC_LAURENT_Q).raw
         one = FRAC_LAURENT_Q.domain.one
@@ -911,7 +950,7 @@ def is_invertible(m):
             aug[t][s] = to_frac(x)
         rr, piv = _rref(aug, FRAC_LAURENT_Q.domain)
         return piv == list(range(n)) and all(x[1] == LAU_ONE for row in rr for x in row.values())
-    return len(_rref(raw_rows(m), ring.domain)[1]) == n
+    return ELIMINATIONS[ring].diagonal(raw_rows(m), n) == [1] * n
 
 
 # ---------------------------------------------------------------------------
@@ -965,27 +1004,26 @@ class GradedHomology:
         return "H { " + "; ".join(bits) + " }"
 
 
-def _check_ring_for_homology(ring):
-    if ring != Z and not ring.is_field:
+def _homology_elimination(ring):
+    """The ring's elimination; homology over a ring without one is refused."""
+    elim = ELIMINATIONS[ring]
+    if elim is None:
         raise UnsupportedRingForHomology(
             f"homology over {ring!r} is refused; base-change to Z or a field first"
         )
+    return elim
 
 
-def _degree_blocks(m):
+def _degree_blocks(m, elim):
     """{k: nonzero Smith diagonal} of the block of m on the source
     generators of degree k, for each k at which m holds an entry; its
-    length is the block's rank.  Each block is eliminated once, as its list
-    of nonzero columns (a matrix and its transpose share rank and Smith
-    diagonal): by `smith_form` over Z, by `_rref` over a field, where the
-    diagonal is one 1 per pivot."""
+    length is the block's rank.  Each block is eliminated once by `elim`,
+    as its list of nonzero columns (a matrix and its transpose share rank
+    and Smith diagonal)."""
     blocks = {}
     for (t, s), x in m.entries.items():
         blocks.setdefault(m.source.degree(s), {}).setdefault(s, {})[t] = x
-    if m.ring == Z:
-        return {k: [x for x in smith_form(list(c.values()), m.target.rank).diag if x]
-                for k, c in blocks.items()}
-    return {k: [1] * len(_rref(list(c.values()), m.ring.domain)[1]) for k, c in blocks.items()}
+    return {k: elim.diagonal(list(c.values()), m.target.rank) for k, c in blocks.items()}
 
 
 def homology_of_pair(d_in, d_out):
@@ -1006,14 +1044,14 @@ def homology_of_pair(d_in, d_out):
     """
     if d_in.target != d_out.source:
         raise ShapeMismatch("middle modules disagree")
-    _check_ring_for_homology(d_in.ring)
+    elim = _homology_elimination(d_in.ring)
     off = (d_out @ d_in).first_nonzero()
     if off is not None:
         what = "the differential does not square" if d_in is d_out else "the maps do not compose"
         raise NotAComplex(f"{what} to zero (first offender {off[0]} <- {off[1]}: {off[2]})")
     mid = d_in.target
-    out_blocks = _degree_blocks(d_out)
-    in_blocks = out_blocks if d_in is d_out else _degree_blocks(d_in)
+    out_blocks = _degree_blocks(d_out, elim)
+    in_blocks = out_blocks if d_in is d_out else _degree_blocks(d_in, elim)
     table = {}  # GradedHomology drops the degrees where H = 0
     for k, n in sorted(Counter(k for _, k in mid.gens).items()):
         diag = in_blocks.get((k - d_in.degree) % mid.modulus, ())
@@ -1029,7 +1067,7 @@ def exactness_at(d_prev, f, g, d_next, d_mid):
     Works over Z (lattice equality) and over fields (span equality).
     """
     ring = f.ring
-    _check_ring_for_homology(ring)
+    _homology_elimination(ring)
     nb = d_mid.source.rank
     neg = ring.domain.neg
     # L1 = { z in ker d_mid : g z in im d_next }, from the kernel of
@@ -1061,15 +1099,10 @@ class HomologyMaps:
     """
 
     def __init__(self, d_mid):
-        ring = d_mid.ring
-        _check_ring_for_homology(ring)
-        self.ring = ring
+        self.ring = ring = d_mid.ring
         self.module = d_mid.source
-        if ring == Z:
-            from_int = Q.domain.from_int
-            self.field, self._lift = Q, lambda vec: {k: from_int(x) for k, x in vec.items()}
-        else:
-            self.field, self._lift = ring, lambda vec: vec
+        elim = _homology_elimination(ring)
+        self.field, self._lift = elim.field, elim.to_field
         n = self.module.rank
         kern = sparse_kernel_basis(raw_rows(d_mid), n, ring)
         field_kern = list(map(self._lift, kern))
@@ -1094,8 +1127,8 @@ class HomologyMaps:
     def class_coords(self, vec):
         """Coordinates of the class of the cycle `vec` (over the ring) in the
         chosen representative basis, over the field (over Q for Z)."""
-        cols = self.boundaries + self._field_reps
-        sol = solve(_side_by_side(cols, self.module.rank), self._lift(vec), len(cols), self.field)
+        cols, n = self.boundaries + self._field_reps, self.module.rank
+        sol = ELIMINATIONS[self.field].solve(_side_by_side(cols, n), self._lift(vec), len(cols))
         if sol is None:
             raise NotAComplex("vector is not a cycle class")
         nb = len(self.boundaries)

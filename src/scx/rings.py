@@ -318,14 +318,15 @@ class Ring:
             self.domain = _DOMAINS[kind]()
         self.kind = kind
         self.p = p
+        self._hash = hash((kind, p))
 
     def __eq__(self, other):
         if self is other:
             return True
         return isinstance(other, Ring) and self.kind == other.kind and self.p == other.p
 
-    def __hash__(self):
-        return hash((self.kind, self.p))
+    def __hash__(self):  # `gradedlin.ELIMINATIONS` is looked up by ring on every elimination
+        return self._hash
 
     def __repr__(self):
         return f"Z/{self.p}" if self.kind == self.MODP else self.kind

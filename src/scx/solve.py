@@ -13,14 +13,13 @@ coefficients: Z and fields.
 from __future__ import annotations
 
 from .errors import UnsupportedRing
-from .gradedlin import GradedMatrix, solve
-from .rings import Z
+from .gradedlin import ELIMINATIONS, GradedMatrix
 from .scomplex import SHomotopy, SMorphism, _block_layout, _blocks
 
 # A linear combination of unknowns is a {variable: nonzero raw value} dict,
 # and a system a list of (combination, raw value) equations, combination =
-# value; the system's rows are its combinations, as `gradedlin.solve` takes
-# them.
+# value; the system's rows are its combinations, as an elimination's `solve`
+# takes them.
 
 
 def _add_term(lin, var, coeff, dom):
@@ -130,11 +129,12 @@ def _homotopy_equations(u, frm, to):
 
 def _solve_system(equations, nvars, ring):
     """One solution {variable: nonzero raw value} of the equations, or None."""
-    if ring != Z and not ring.is_field:
+    elim = ELIMINATIONS[ring]
+    if elim is None:
         raise UnsupportedRing("linear solving needs Z or field coefficients")
     zero = ring.domain.zero
     rhs = {i: c for i, (_, c) in enumerate(equations) if c != zero}
-    return solve([lin for lin, _ in equations], rhs, nvars, ring)
+    return elim.solve([lin for lin, _ in equations], rhs, nvars)
 
 
 def solve_homotopy(frm, to):

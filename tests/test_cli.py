@@ -34,13 +34,23 @@ def test_qa_verb(capsys):
     assert json.loads(capsys.readouterr().out)["rank"] == 5
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     assert run("verify", "--in", str(tmp_path / "missing.json")) == 2
     out = tmp_path / "t4.json"
     run("family", "--name", "torus-link", "--k", "2", "--out", str(out))
     # froyshov over Z[T^{+-1}] is refused with the unsupported exit code
     assert run("froyshov", "--in", str(out)) == 3
     assert run("family", "--name", "twisted", "--p", "2", "--q", "1", "--k", "1") == 3
+    # without --ring, homology and froyshov over Z[T^{+-1}] print one refusal each
+    out = tmp_path / "t6.json"
+    run("family", "--name", "torus-link", "--k", "3", "--out", str(out))
+    capsys.readouterr()
+    for verb, line in (
+            ("homology", "unsupported: homology over LaurentZ is refused; "
+                         "base-change to Z or a field first"),
+            ("froyshov", "unsupported: Froyshov profile needs Z or field coefficients")):
+        assert run(verb, "--in", str(out)) == 3
+        assert capsys.readouterr().err == line + "\n"
 
 
 def _set_degree_true(doc):

@@ -217,8 +217,16 @@ def test_profile_json():
 
 
 def test_unsupported_ring():
-    with pytest.raises(UnsupportedRing):
-        froyshov_profile(torus_link_complex(2))  # Laurent coefficients
+    from scx.scomplex import SMorphism
+    from scx.solve import solve_homotopy
+
+    x = torus_link_complex(2)  # Laurent coefficients
+    with pytest.raises(UnsupportedRing) as err:
+        froyshov_profile(x)
+    assert str(err.value) == "Froyshov profile needs Z or field coefficients"
+    with pytest.raises(UnsupportedRing) as err:
+        solve_homotopy(SMorphism.identity(x), SMorphism.identity(x))
+    assert str(err.value) == "linear solving needs Z or field coefficients"
 
 
 def test_o1_image_leading_exponent():
