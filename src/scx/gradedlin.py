@@ -24,14 +24,14 @@ class GradedModule:
     def __init__(self, ring, modulus, gens):
         if modulus not in (2, 4):
             raise SchemaError(f"grading modulus must be 2 or 4, got {modulus}")
-        names = [n for n, _ in gens]
-        if len(set(names)) != len(names):
+        gens = tuple([(n, d % modulus) for n, d in gens])
+        index = {n: i for i, (n, _) in enumerate(gens)}
+        if len(index) != len(gens):
             raise SchemaError("generator names must be unique")
-        gens = tuple((n, d % modulus) for n, d in gens)
         _set_module_ring(self, ring)
         _set_module_modulus(self, modulus)
         _set_module_gens(self, gens)
-        _set_module_index(self, {n: i for i, (n, _) in enumerate(gens)})
+        _set_module_index(self, index)
 
     def __setattr__(self, *a):
         raise AttributeError("GradedModule is immutable")
@@ -126,13 +126,15 @@ class GradedMatrix:
         mod = source.modulus
         degree %= mod
         zero = source.ring.domain.zero
+        tgens, sgens = target.gens, source.gens
+        nt, ns = len(tgens), len(sgens)
         clean = {}
         for (t, s), x in entries.items():
             if x == zero:
                 continue
-            if not (0 <= t < target.rank and 0 <= s < source.rank):
+            if not (0 <= t < nt and 0 <= s < ns):
                 raise ShapeMismatch(f"entry ({t},{s}) out of range")
-            if (target.degree(t) - source.degree(s) - degree) % mod != 0:
+            if (tgens[t][1] - sgens[s][1] - degree) % mod != 0:
                 raise ShapeMismatch(
                     f"inhomogeneous entry at ({target.name(t)},{source.name(s)}): "
                     f"{target.degree(t)} - {source.degree(s)} != {degree} mod {mod}"

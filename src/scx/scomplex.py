@@ -560,6 +560,111 @@ def scomplex_to_json(x):
     return doc
 
 
+# The direct writer.  `json.dumps` with an indent runs the standard library's
+# pure-Python encoder, so the complex document is written here instead: its
+# text is that of `json.dumps(scomplex_to_json(x), indent=1, sort_keys=True)`
+# and a newline, byte for byte, which the tests keep as the oracle.  Names
+# and coefficients go through the C string encoder, each once.
+
+_encode_str = json.encoder.encode_basestring_ascii
+_HAND_DEPTH = 16  # deeper values (and any cycle) go to json.dumps
+
+
+def _json_value(value, depth):
+    """`value` as `json.dumps(..., indent=1, sort_keys=True)` writes it nested
+    `depth` levels deep.  Strings, ints, None, bools, and lists, tuples and
+    str-keyed dicts of them are written here; anything else is handed to
+    `json.dumps` and re-indented, which is safe because JSON text holds no
+    raw newline inside a string."""
+    t = type(value)
+    if t is str:
+        return _encode_str(value)
+    if t is int:
+        return int.__repr__(value)
+    if value is None or t is bool:
+        return _JSON_CONSTANTS[value]
+    if depth < _HAND_DEPTH:
+        inner = "\n" + " " * (depth + 1)
+        if t is list or t is tuple:
+            if not value:
+                return "[]"
+            items = [_json_value(v, depth + 1) for v in value]
+            return "[" + inner + ("," + inner).join(items) + inner[:-1] + "]"
+        if t is dict and all(type(k) is str for k in value):
+            if not value:
+                return "{}"
+            items = [_encode_str(k) + ": " + _json_value(v, depth + 1)
+                     for k, v in sorted(value.items())]
+            return "{" + inner + ("," + inner).join(items) + inner[:-1] + "}"
+    return json.dumps(value, indent=1, sort_keys=True).replace("\n", "\n" + " " * depth)
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _gens_text(module, grz, gri):
+    """The generator list of `_gens_to_json`, written one level deep, and the
+    pair (JSON text of each name, each generator's place in name order)."""
+    names, objs = [], []
+    for n, d in module.gens:
+        name = _encode_str(n) if type(n) is str else _json_value(n, 3)
+        degree = int.__repr__(d) if type(d) is int else _json_value(d, 3)
+        names.append(name)
+        gr = ""
+        if n in gri:
+            gr = ",\n   \"gr_i\": " + _json_value(gri[n], 3)
+        if n in grz:
+            gr += ",\n   \"gr_z\": " + _json_value(grz[n], 3)
+        objs.append(f"  {{\n   \"degree\": {degree}{gr},\n   \"name\": {name}\n  }}")
+    place = [0] * len(names)
+    raw = [n for n, _ in module.gens]
+    for k, i in enumerate(sorted(range(len(raw)), key=raw.__getitem__)):
+        place[i] = k
+    return ("[\n" + ",\n".join(objs) + "\n ]" if objs else "[]"), (names, place)
+
+
+def _matrix_text(m, target, source):
+    """The rows of `matrix_to_json(m)`, written one level deep; `target` and
+    `source` are the (names, places) pairs of `_gens_text` for m's modules."""
+    if not m.entries:
+        return "[]"
+    (tnames, tplace), (snames, splace) = target, source
+    ns = len(splace)
+    ring, texts, rows = m.ring, {}, []
+    for _, t, s, x in sorted((tplace[t] * ns + splace[s], t, s, x)
+                             for (t, s), x in m.entries.items()):
+        text = texts.get(x)
+        if text is None:
+            text = texts[x] = _encode_str(format_raw(ring, x))
+        rows.append(f"  [\n   {tnames[t]},\n   {snames[s]},\n   {text}\n  ]")
+    return "[\n" + ",\n".join(rows) + "\n ]"
+
+
+def scomplex_json_text(x):
+    """The text `save_scomplex` writes: `json.dumps(scomplex_to_json(x),
+    indent=1, sort_keys=True)` and a newline, written without the encoder."""
+    grz, gri = x.metadata.get("gr_z", {}), x.metadata.get("gr_i", {})
+    irr_text, irr = _gens_text(x.irr, grz, gri)
+    red_text, red = _gens_text(x.red, grz, gri)
+    fields = {
+        "d": _matrix_text(x.d, irr, irr),
+        "delta1": _matrix_text(x.delta1, red, irr),
+        "delta2": _matrix_text(x.delta2, irr, red),
+        "irreducible": irr_text,
+        "modulus": _json_value(x.modulus, 1),
+        "r": _matrix_text(x.r, red, red),
+        "reducible": red_text,
+        "ring": _json_value(ring_to_json(x.ring), 1),
+        "v": _matrix_text(x.v, irr, irr),
+    }
+    if x.s is not None:
+        fields["s"] = _matrix_text(x.s, red, red)
+    meta = {k: v for k, v in x.metadata.items() if k not in ("gr_z", "gr_i")}
+    if meta:
+        fields["metadata"] = _json_value(meta, 1)
+    return "{\n" + ",\n".join(f" \"{k}\": {fields[k]}" for k in sorted(fields)) + "\n}\n"
+
+
 _COMPLEX_KEYS = {"ring", "modulus", "irreducible", "reducible",
                  "d", "v", "delta1", "delta2", "r", "s", "metadata"}
 
@@ -576,6 +681,9 @@ def _check_gr_i(name, value):
                       f"got {clip(value)}")
 
 
+_GEN_KEYS = frozenset({"name", "degree", "gr_z", "gr_i"})
+
+
 def _gens_from_json(items, modulus, grz, gri):
     if not isinstance(items, list):
         raise SchemaError("generators must be a list")
@@ -583,33 +691,36 @@ def _gens_from_json(items, modulus, grz, gri):
     for g in items:
         if not isinstance(g, dict):
             raise SchemaError("a generator must be an object")
-        extra = set(g) - {"name", "degree", "gr_z", "gr_i"}
-        if extra:
-            raise SchemaError(f"unknown generator keys {clip(sorted(extra))}")
+        if not _GEN_KEYS.issuperset(g):
+            raise SchemaError(f"unknown generator keys {clip(sorted(set(g) - _GEN_KEYS))}")
         if "name" not in g or "degree" not in g:
             raise SchemaError("generator needs name and degree")
-        if not isinstance(g["name"], str):
-            raise SchemaError(f"generator name must be a string, got {clip(g['name'])}")
-        if type(g["degree"]) is not int:
-            raise SchemaError(f"degree of {clip(g['name'])} must be an integer, got {clip(g['degree'])}")
-        gens.append((g["name"], g["degree"] % modulus))
+        name, degree = g["name"], g["degree"]
+        if not isinstance(name, str):
+            raise SchemaError(f"generator name must be a string, got {clip(name)}")
+        if type(degree) is not int:
+            raise SchemaError(f"degree of {clip(name)} must be an integer, got {clip(degree)}")
+        gens.append((name, degree % modulus))
         if "gr_z" in g:
-            grz[g["name"]] = g["gr_z"]
+            grz[name] = g["gr_z"]
         if "gr_i" in g:
-            gri[g["name"]] = _check_gr_i(g["name"], g["gr_i"])
+            gri[name] = _check_gr_i(name, g["gr_i"])
     return gens
 
 
-def matrix_from_json(items, source, target, degree):
+def matrix_from_json(items, source, target, degree, values=None):
     """The matrix of the [target, source, coefficient] rows `items`, over
     source's ring; the values at one position add.  Coefficients repeat, so
-    each distinct string is parsed once.  The checked constructor refuses
-    entries out of range or of the wrong degree."""
+    each distinct string is parsed once: `values` maps the strings parsed so
+    far to their raw values, and the loaders share one per document.  The
+    checked constructor refuses entries of the wrong degree."""
     if not isinstance(items, list):
         raise SchemaError("matrix entries must be a list")
     ring = source.ring
-    values = {}
+    if values is None:
+        values = {}
     add = ring.domain.add
+    tindex, sindex = target._index, source._index
     ent = {}
     for row in items:
         if not isinstance(row, list) or len(row) != 3:
@@ -618,14 +729,16 @@ def matrix_from_json(items, source, target, degree):
         if not isinstance(cs, str):
             raise SchemaError(f"coefficient must be a string, got {clip(cs)}")
         # a name that is not a str is unknown too (and would not hash)
-        if not isinstance(tn, str) or tn not in target:
+        t = tindex.get(tn) if type(tn) is str else None
+        if t is None:
             raise SchemaError(f"unknown target generator {clip(tn)}")
-        if not isinstance(sn, str) or sn not in source:
+        s = sindex.get(sn) if type(sn) is str else None
+        if s is None:
             raise SchemaError(f"unknown source generator {clip(sn)}")
         x = values.get(cs)
         if x is None:
             x = values[cs] = parse_raw(ring, cs)
-        key = (target.index(tn), source.index(sn))
+        key = (t, s)
         cur = ent.get(key)
         ent[key] = x if cur is None else add(cur, x)
     return GradedMatrix(source, target, degree, ent)
@@ -652,14 +765,15 @@ def scomplex_from_json(doc):
     grz, gri = {}, {}
     irr = GradedModule(ring, modulus, _gens_from_json(doc["irreducible"], modulus, grz, gri))
     red = GradedModule(ring, modulus, _gens_from_json(doc["reducible"], modulus, grz, gri))
-    d = matrix_from_json(doc["d"], irr, irr, -1)
-    v = matrix_from_json(doc["v"], irr, irr, -2)
-    d1 = matrix_from_json(doc["delta1"], irr, red, -1)
-    d2 = matrix_from_json(doc["delta2"], red, irr, -2)
-    r = matrix_from_json(doc["r"], red, red, -1)
+    values = {}  # each distinct coefficient of the document is parsed once
+    d = matrix_from_json(doc["d"], irr, irr, -1, values)
+    v = matrix_from_json(doc["v"], irr, irr, -2, values)
+    d1 = matrix_from_json(doc["delta1"], irr, red, -1, values)
+    d2 = matrix_from_json(doc["delta2"], red, irr, -2, values)
+    r = matrix_from_json(doc["r"], red, red, -1, values)
     s = None
     if "s" in doc:
-        s = matrix_from_json(doc["s"], red, red, -2)
+        s = matrix_from_json(doc["s"], red, red, -2, values)
     meta = dict(doc.get("metadata", {}))
     if grz:
         meta["gr_z"] = grz
@@ -669,9 +783,9 @@ def scomplex_from_json(doc):
 
 
 def save_scomplex(x, path):
-    text = json.dumps(scomplex_to_json(x), indent=1, sort_keys=True)
+    text = scomplex_json_text(x)  # made before the file is opened, so a failure truncates nothing
     with open(path, "w") as fh:
-        fh.write(text + "\n")
+        fh.write(text)
 
 
 def _parse_int(digits):
@@ -731,11 +845,12 @@ def morphism_from_json(doc, source=None, target=None):
     k = doc.get("degree")
     if type(k) is not int:
         raise SchemaError(f"morphism degree must be an integer, got {clip(k)}")
+    values = {}
     return SMorphism(
         source, target, k,
-        matrix_from_json(doc.get("lambda", []), source.irr, target.irr, k),
-        matrix_from_json(doc.get("mu", []), source.irr, target.irr, k - 1),
-        matrix_from_json(doc.get("Delta1", []), source.irr, target.red, k),
-        matrix_from_json(doc.get("Delta2", []), source.red, target.irr, k - 1),
-        matrix_from_json(doc.get("rho", []), source.red, target.red, k),
+        matrix_from_json(doc.get("lambda", []), source.irr, target.irr, k, values),
+        matrix_from_json(doc.get("mu", []), source.irr, target.irr, k - 1, values),
+        matrix_from_json(doc.get("Delta1", []), source.irr, target.red, k, values),
+        matrix_from_json(doc.get("Delta2", []), source.red, target.irr, k - 1, values),
+        matrix_from_json(doc.get("rho", []), source.red, target.red, k, values),
     )

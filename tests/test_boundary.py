@@ -1,14 +1,17 @@
 """The JSON boundary on raw values.
 
 Loading a complex, morphism, height or triangle document makes no
-`RingElement` and parses each distinct coefficient string of a matrix once
+`RingElement` and parses each distinct coefficient string of a document once
 per load (nothing is kept across loads).  The writer formats raw values, and
 its bytes are those of the per-entry rule it replaced, kept here as the
 oracle: `str` of every element of `named_triples` (of `indexed_triples` for
 the tau and homotopy blocks), written by a streaming
-`json.dump(..., indent=1, sort_keys=True)` and a newline.
+`json.dump(..., indent=1, sort_keys=True)` and a newline.  `save_scomplex`
+writes the text itself, without the encoder; its oracle is
+`json.dumps(scomplex_to_json(x), indent=1, sort_keys=True)` and a newline.
 """
 
+import functools
 import io
 import json
 import random
@@ -16,12 +19,14 @@ import random
 import pytest
 
 from scx import cli, scomplex
-from scx.functors import dual, tensor
+from scx.functors import dual, suspend, tensor
+from scx.gradedlin import GradedMatrix
 from scx.heights import height_to_json, iota, kappa
 from scx.linkfam import hopf_complex, torus_knot_summand, torus_link_complex, unknot_complex
 from scx.randgen import rand_height_morphism, rand_morphism, rand_scomplex
 from scx.rings import FRAC_LAURENT_Q, LAURENT_Z, Q, RingElement, Z, Zp, eval_t_at_one
 from scx.scomplex import (
+    SComplex,
     SMorphism,
     _gens_to_json,
     load_scomplex,
@@ -30,12 +35,14 @@ from scx.scomplex import (
     ring_to_json,
     save_scomplex,
     scomplex_from_json,
+    scomplex_json_text,
     scomplex_to_json,
 )
 from scx.solve import solve_triangle_witnesses
 from scx.triangles import ExactTriangleData, cone_triangle, triangle_to_json
 
 _RINGS = [Z, Zp(3), Q, LAURENT_Z, FRAC_LAURENT_Q]
+_ALL_RINGS = [Z, Q, Zp(2), Zp(3), LAURENT_Z, FRAC_LAURENT_Q]
 _MATRIX_KEYS = ("d", "v", "delta1", "delta2", "r", "s")
 
 
@@ -220,14 +227,15 @@ def test_loading_a_document_makes_no_ring_element(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("load", [load_scomplex, lambda p: scomplex_from_json(json.loads(p.read_text()))],
                          ids=["file", "document"])
-def test_each_distinct_coefficient_of_a_matrix_is_parsed_once_per_load(tmp_path, monkeypatch,
-                                                                        load):
+def test_each_distinct_coefficient_of_a_document_is_parsed_once_per_load(tmp_path, monkeypatch,
+                                                                          load):
     path = tmp_path / "p.json"
     save_scomplex(_tensor_pair()[0], path)
     doc = json.loads(path.read_text())
     matrices = [[row[2] for row in doc[key]] for key in _MATRIX_KEYS if key in doc]
-    want = sorted(t for texts in matrices for t in set(texts))
-    assert len(want) < sum(map(len, matrices)) / 2  # the matrices repeat their coefficients
+    want = sorted({t for texts in matrices for t in texts})
+    # the matrices repeat their coefficients, also across matrices
+    assert len(want) < sum(len(set(texts)) for texts in matrices) < sum(map(len, matrices)) / 2
     calls = []
     real = scomplex.parse_raw
     monkeypatch.setattr(scomplex, "parse_raw",
@@ -236,3 +244,142 @@ def test_each_distinct_coefficient_of_a_matrix_is_parsed_once_per_load(tmp_path,
         calls.clear()
         load(path)
         assert sorted(calls) == want
+
+
+# -- the direct writer against its oracle
+
+
+def _oracle_text(x):
+    """The writer's oracle: the standard library's encoder on the document."""
+    return json.dumps(scomplex_to_json(x), indent=1, sort_keys=True) + "\n"
+
+
+def _rebuilt(x, rename=lambda n: n, metadata=None, s="keep"):
+    """x with its generators renamed, its metadata replaced (kept when None)
+    and its s-map replaced (kept by default; None drops it)."""
+    irr, red = x.irr.shift(0, rename), x.red.shift(0, rename)
+
+    def moved(m, source, target):
+        return GradedMatrix(source, target, m.degree, m.entries)
+
+    if s == "keep":
+        s = x.s
+    return SComplex(irr, red, moved(x.d, irr, irr), moved(x.v, irr, irr),
+                    moved(x.delta1, irr, red), moved(x.delta2, red, irr),
+                    moved(x.r, red, red), None if s is None else moved(s, red, red),
+                    x.metadata if metadata is None else metadata)
+
+
+# characters the encoder escapes beside ones it does not, so that names sort
+# in one order as text and in another as JSON text
+_ODD_CHARS = ['"', "#", "\\", "]", "\x01\x1f\n\t", " ", "\u00e9", "z", "\U0001d53d\u2200",
+              "\x7f", "\uffff", ""]
+
+
+def _writer_cases():
+    cases = []
+    for ring in _ALL_RINGS:
+        rng = random.Random(61 + (ring.p or 0))
+        for _ in range(12):
+            cases.append(rand_scomplex(ring, rng, max_rank=6))
+    hopf = hopf_complex()  # carries an s-map
+    assert hopf.s is not None and cases[0].s is None
+    # empty maps: an empty s-map, and no irreducible generators at all
+    x = rand_scomplex(Z, random.Random(3), max_rank=3)
+    unknot = unknot_complex()
+    assert unknot.irr.rank == 0
+    cases += [hopf, _rebuilt(hopf, s=None), _rebuilt(x, s=GradedMatrix.zero(x.red, x.red, -2)),
+              unknot, torus_link_complex(2)]
+    # odd names: quotes, backslashes, control, non-ASCII and non-BMP characters
+    odd = tensor(torus_link_complex(3), dual(torus_link_complex(2)))
+    names = {n: "g" + _ODD_CHARS[i % len(_ODD_CHARS)] + str(i)
+             for i, n in enumerate(sorted(n for n, _ in odd.irr.gens + odd.red.gens))}
+    texts = {json.dumps(n): n for n in names.values()}
+    assert [texts[t] for t in sorted(texts)] != sorted(names.values())
+    grz = {names[n]: v for n, v in odd.metadata.get("gr_z", {}).items()}
+    first, second, *rest = sorted(names.values())
+    meta = {"gr_z": {**grz, first: [1, {"b": None, "a": 2.5}]},
+            "gr_i": {first: "1/2", second: 3, rest[0]: {"nested": ["x", (1, 2)]}},
+            "name": "odd \u00e9 \"quoted\"",
+            "nested": {"list": [[], {}, [1, [2, [3]]]], "none": None, "float": -0.25,
+                       "nan": float("nan"), "tuple": (1, "two", 3.0), "empty": {}},
+            "flag": True, "off": False, "big": 10 ** 30, "int keys": {2: "b", 1: [None]},
+            "deep": functools.reduce(lambda v, k: {k: [v, k]}, "abcdefghijklmnopqrst", "end")}
+    cases.append(_rebuilt(odd, lambda n: names[n], meta))
+    cases.append(_rebuilt(suspend(odd, 1), lambda n: "\u00fc" + n, {"k": ["\U0001f600"]}))
+    return cases
+
+
+def test_the_writer_is_the_encoder_byte_for_byte(tmp_path):
+    cases = _writer_cases()
+    assert {x.ring for x in cases} >= set(_ALL_RINGS)
+    assert any(x.s is not None for x in cases) and any(x.s is None for x in cases)
+    for i, x in enumerate(cases):
+        want = _oracle_text(x)
+        assert scomplex_json_text(x) == want, i
+        path = tmp_path / f"x{i}.json"
+        save_scomplex(x, path)
+        assert path.read_bytes() == want.encode("ascii"), i
+
+
+def test_a_document_the_writer_cannot_encode_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "x.json"
+    path.write_text("before")
+    loop = [1]
+    loop.append({"back": loop})
+    for meta, error in (({"kept": {1.5, 2}}, TypeError), ({"loop": loop}, ValueError)):
+        x = _rebuilt(unknot_complex(), metadata=meta)
+        with pytest.raises(error):
+            _oracle_text(x)
+        with pytest.raises(error):
+            save_scomplex(x, path)
+        assert path.read_text() == "before"
+
+
+@pytest.mark.parametrize("ring", _ALL_RINGS, ids=repr)
+def test_what_is_saved_loads_back_equal(tmp_path, ring):
+    rng = random.Random(83 + (ring.p or 0))
+    xs = [rand_scomplex(ring, rng, max_rank=6) for _ in range(8)]
+    if ring == LAURENT_Z:
+        xs += [hopf_complex(), tensor(torus_link_complex(3), dual(torus_link_complex(4)))]
+    for i, x in enumerate(xs):
+        path = tmp_path / f"x{i}.json"
+        save_scomplex(x, path)
+        y = load_scomplex(path)
+        for key in ("irr", "red") + _MATRIX_KEYS:
+            assert getattr(x, key) == getattr(y, key), (i, key)
+        assert dict(y.metadata) == dict(x.metadata)
+        assert path.read_text() == _oracle_text(y)
+
+
+# -- malformed rows: the loader's refusals, through the CLI
+
+
+_BAD_ROWS = [
+    ("v", [["xi1"], "xi2", "1"], "unknown target generator ['xi1']"),
+    ("v", [{"a": 1}, "xi2", "1"], "unknown target generator {'a': 1}"),
+    ("v", [7, "xi2", "1"], "unknown target generator 7"),
+    ("v", ["xi9", "xi2", "1"], "unknown target generator 'xi9'"),
+    ("v", ["xi1", ["xi2"], "1"], "unknown source generator ['xi2']"),
+    ("delta1", ["theta+", {"b": [2]}, "1"], "unknown source generator {'b': [2]}"),
+    ("v", ["xi1", 3, "1"], "unknown source generator 3"),
+    ("v", ["xi1", "xi2", 1], "coefficient must be a string, got 1"),
+    ("v", ["xi1", "xi2", None], "coefficient must be a string, got None"),
+    ("v", ["xi1", "xi2", ["1"]], "coefficient must be a string, got ['1']"),
+    ("v", ["xi1", "xi2"], "matrix entries are [target, source, coeff] triples"),
+    ("v", ["xi1", "xi2", "1", "1"], "matrix entries are [target, source, coeff] triples"),
+    ("v", "xi1", "matrix entries are [target, source, coeff] triples"),
+    ("r", {"t": "theta+"}, "matrix entries are [target, source, coeff] triples"),
+    ("d", ["xi1", "xi2", "1"], "inhomogeneous entry at (xi1,xi2): 1 - 3 != 3 mod 4"),
+]
+
+
+@pytest.mark.parametrize("key,row,message", _BAD_ROWS, ids=[m for _, _, m in _BAD_ROWS])
+def test_a_malformed_row_is_refused_with_its_message(tmp_path, capsys, key, row, message):
+    doc = scomplex_to_json(torus_link_complex(3).base_change(eval_t_at_one()))
+    doc[key] = doc[key] + [row]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["homology", "--in", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -162,6 +162,57 @@ def test_properties_random_pairs():
         assert j_nesting_ok(p, ring, x.red.rank)
 
 
+_TO_Q = RingMap(RingMap.Z_TO_Q, Z, Q)
+
+
+def _z_shapes():
+    at_one = eval_t_at_one()
+    shapes = [torus_link_complex(k).base_change(at_one) for k in range(1, 6)]
+    shapes += [torus_knot_summand(k).base_change(at_one) for k in range(2, 5)]
+    shapes += [atomic(n, Z, 4) for n in (-2, -1, 0, 1, 2)]
+    rng = random.Random(29)
+    shapes += [rand_scomplex(Z, rng, max_rank=4, r_perfect=True, allow_cone=False)
+               for _ in range(24)]
+    return shapes
+
+
+def test_the_d_function_over_z_is_the_one_over_q():
+    # flat base change, the ground of (viii) as an equality over Z
+    for x in _z_shapes():
+        for c in (x, dual(x)):
+            pz, pq = froyshov_profile(c), froyshov_profile(c.base_change(_TO_Q))
+            assert (pz.window, pz.d, pz.h) == (pq.window, pq.d, pq.h)
+
+
+def test_duality_check_fails_over_z_when_the_dual_reads_too_low(monkeypatch):
+    import scx.equivariant as equivariant
+    import scx.functors as functors
+
+    x = torus_link_complex(3).base_change(eval_t_at_one())
+    y = atomic(0, Z, x.modulus)
+    assert froyshov_properties_check(x, y).ok
+    duals = []
+    real_dual, real_profile = functors.dual, equivariant.froyshov_profile
+
+    def recording_dual(c):
+        duals.append(real_dual(c))
+        return duals[-1]
+
+    def lowered(c):
+        p = real_profile(c)
+        if any(c is d for d in duals):
+            lo, hi = p.window
+            i = next(i for i in range(lo + 1, hi) if lo + 1 <= 1 - i <= hi and p.d[i] > 0)
+            p.d[i] -= 1
+        return p
+
+    monkeypatch.setattr(functors, "dual", recording_dual)
+    monkeypatch.setattr(equivariant, "froyshov_profile", lowered)
+    checks = {name: ok for name, ok, _ in froyshov_properties_check(x, y).checks}
+    assert duals and not checks.pop("(viii) duality")
+    assert all(checks.values())
+
+
 def test_j_oracle_matches_finite_system():
     rng = random.Random(13)
     ring = Zp(2)
