@@ -1,4 +1,5 @@
-"""Height-n morphism calculus on r-perfect S-complexes.
+"""Height-n morphism calculus on r-perfect S-complexes (Daemi-Scaduto,
+arXiv:1912.08982).
 
 A height-n morphism carries components (lambda, mu, Delta1, Delta2) together
 with reducible-interaction maps tau_i : R -> R' of degree k - 2i, vanishing
@@ -19,18 +20,59 @@ so P_i = v'^{i-1}.Delta2 + sum_{j=0}^{i-2} v'^j.mu.v^{i-2-j}.delta2 and
 Q_i = v^{i-1}.delta2.  A zero pair (P_i, Q_i) = (0, 0) stays zero, so from
 the first one on every tau_j is zero and the sweep stops there: tau_1..tau_n
 take at most 5 products per index up to that pair, and none past it.
+
+One lift carries the rest.  When the nonpositive tau reach down to tau_{-m}
+(the depth m is 0 when none is nonzero), the datum X -> Y is one S-morphism
+F = `HeightMorphism._lift(m)`: X -> Sigma^m Y of degree k + 2m.  With
+C_{Sigma^m Y} = C' + R'_0 + ... + R'_{m-1},
+
+    lambda_F = [lambda; L_0; ...; L_{m-1}],  L_t = sum_{i>t} tau_{-i}.delta1.v^{i-1-t},
+    mu_F = [mu; Delta1],  Delta1_F = 0,  Delta2_F = [Delta2; tau_0; ...; tau_{1-m}],
+    rho_F = tau_{-m},
+
+and F = (lambda, mu, Delta1, Delta2, tau_0) when m = 0.  `_unlift(h, z, m)`
+goes back: it is kappa_m . h, the height morphism X -> Z of an S-morphism
+h: X -> Sigma^m Z.  Three identities follow.
+
+* Relations 1, 3 and 4 are the A, -C and -B blocks of the residual
+  D'.F - F.D on the C' rows; relation 2 is its -E block when m = 0 and its
+  -B block on the R'_0 rows when m >= 1.
+* g . f = _unlift(Sigma^{m_f}(G) . F, Z, m_f + m_g) for the lifts F of f and
+  G of g.  Factoring a height-n morphism is f . kappa_n for n > 0 and the
+  lift itself, of depth -n, for n < 0.
+* An odd g after a height-(-1) f is odd_to_suspension_morphism(g) . F.
+
+The composite reads its positive tau from the closed formula and its
+nonpositive tau from those of the lifted composite h (tau_i = tau_{i+m}(h),
+with tau_0(h) = rho_h), never from the tau stored on the factors.
+`from_components`, which every library and CLI path builds with, stores
+exactly the closed formula; a datum built with the raw constructor whose
+stored positive tau disagree with it composes differently.
 """
 
 from __future__ import annotations
 
 from .errors import ShapeMismatch
 from .gradedlin import GradedMatrix, Sweep, is_invertible
-from .scomplex import RelationReport, SMorphism, _check_components, _rel
-from .functors import suspend, suspend_once
+from .scomplex import RelationReport, SMorphism, _blocks, _check_components, _rel
+from .functors import suspend, suspend_morphism, suspend_once
 
 
 def _tau_bound(x, y):
     return x.irr.rank + y.irr.rank + 2
+
+
+def _depth(tau):
+    """m with tau_{-m} the deepest nonpositive tau, 0 when there is none."""
+    return max(0, -min(tau, default=0))
+
+
+def _rows(m, target, degree, offset=0):
+    """Rows offset, ..., offset + rank - 1 of m as a map into `target`, of
+    the given degree: the part of m on one band of a suspension's C."""
+    end = offset + target.rank
+    return GradedMatrix._new(m.source, target, degree, {
+        (t - offset, s): val for (t, s), val in m.entries.items() if offset <= t < end})
 
 
 def tau_closed_formula(x, y, lam, mu, delta1, delta2, n):
@@ -117,9 +159,7 @@ class HeightMorphism:
         """Forget positive taus; valid when height >= 0."""
         if self.height < 0:
             raise ShapeMismatch("negative-height data is not an S-morphism")
-        rho = self.tau.get(0, GradedMatrix.zero(self.source.red, self.target.red, self.degree))
-        return SMorphism(self.source, self.target, self.degree,
-                         self.lam, self.mu, self.delta1, self.delta2, rho)
+        return self._lift(0)
 
     def tau_at(self, i):
         if i in self.tau:
@@ -131,40 +171,53 @@ class HeightMorphism:
     def is_strong(self):
         return is_invertible(self.tau_at(self.height))
 
+    def _lift(self, m):
+        """The S-morphism X -> Sigma^m Y of the module docstring, for m at
+        least the depth of the nonpositive tau (deeper ones are not read).
+        The L_t are made by L_{m-1} = tau_{-m}.delta1 and
+        L_t = L_{t+1}.v + tau_{-(t+1)}.delta1, with no power of v."""
+        x, y = self.source, self.target
+        if m == 0:
+            return SMorphism(x, y, self.degree, self.lam, self.mu, self.delta1,
+                             self.delta2, self.tau_at(0))
+        sy = suspend(y, m)
+        mc, mr = y.irr.rank, y.red.rank
+        k = self.degree + 2 * m
+        lam = [(self.lam, 0, 0)]
+        acc = GradedMatrix.zero(x.irr, y.red, k)
+        for t in reversed(range(m)):
+            acc = acc @ x.v + self.tau_at(-(t + 1)) @ x.delta1
+            lam.append((acc, mc + t * mr, 0))
+        return SMorphism(
+            x, sy, k, GradedMatrix.from_blocks(x.irr, sy.irr, k, *lam),
+            GradedMatrix.from_blocks(x.irr, sy.irr, k - 1, (self.mu, 0, 0), (self.delta1, mc, 0)),
+            GradedMatrix.zero(x.irr, sy.red, k),
+            GradedMatrix.from_blocks(x.red, sy.irr, k - 1, (self.delta2, 0, 0),
+                                     *((self.tau_at(-t), mc + t * mr, 0) for t in range(m))),
+            GradedMatrix(x.red, sy.red, k, dict(self.tau_at(-m).entries)))
+
     def verify(self, claimed_height=None):
         """All four relations, the tau closed formula, and the height claim.
 
-        A height-n morphism is accepted as height m for every m <= n.
+        The relations are read from the residual D'.F - F.D of the lift F
+        (module docstring).  A height-n morphism is accepted as height m
+        for every m <= n.
         """
         x, y = self.source, self.target
-        bound = _tau_bound(x, y)
-        left_x = Sweep(x.delta1, x.v)  # delta1 v^j
-        right_y = Sweep(y.delta2, y.v, before=True)  # v'^j delta2'
-        neg = [i for i in self.tau if i <= 0]
-
-        rel1 = y.d @ self.lam - self.lam @ x.d
-        for i in [-i for i in neg if i < 0]:
-            for j in range(i):
-                rel1 = rel1 - right_y[j] @ self.tau_at(-i) @ left_x[i - 1 - j]
-        rel2 = -(y.delta1 @ self.lam) + self.delta1 @ x.d
-        for i in range(0, bound + 1):
-            t = self.tau_at(-i)
-            if not t.is_zero:
-                rel2 = rel2 + t @ left_x[i]
-        rel3 = self.lam @ x.delta2 + y.d @ self.delta2
-        for i in range(0, bound + 1):
-            t = self.tau_at(-i)
-            if not t.is_zero:
-                rel3 = rel3 - right_y[i] @ t
-        rel4 = (self.mu @ x.d + y.d @ self.mu + self.lam @ x.v - y.v @ self.lam
-                + self.delta2 @ x.delta1 - y.delta2 @ self.delta1)
-
+        k, m = self.degree, _depth(self.tau)
+        f = self._lift(m)
+        total = f.assemble()
+        a, b, e, c, _ = _blocks(f.target.total_differential() @ total
+                                - total @ x.total_differential(), x, f.target)
+        rel2 = -e if m == 0 else -_rows(b, y.red, k - 1, y.irr.rank)
         checks = [
-            _rel("relation 1 (d'lambda - lambda d - tau corrections)", rel1),
+            _rel("relation 1 (d'lambda - lambda d - tau corrections)", _rows(a, y.irr, k - 1)),
             _rel("relation 2 (-delta1' lambda + Delta1 d + tau corrections)", rel2),
-            _rel("relation 3 (lambda delta2 + d' Delta2 - tau corrections)", rel3),
-            _rel("relation 4 (mu anticommutator)", rel4),
+            _rel("relation 3 (lambda delta2 + d' Delta2 - tau corrections)",
+                 -_rows(c, y.irr, k - 2)),
+            _rel("relation 4 (mu anticommutator)", -_rows(b, y.irr, k - 2)),
         ]
+        bound = _tau_bound(x, y)
         taus = tau_closed_formula(x, y, self.lam, self.mu, self.delta1, self.delta2, bound)
         for i, want in enumerate(taus, 1):
             checks.append(_rel(f"tau_{i} closed formula", self.tau_at(i) - want))
@@ -213,138 +266,60 @@ def kappa(x, n):
         tau)
 
 
+def _unlift(h, z, m):
+    """kappa_m . h: the height morphism X -> Z of degree k of an S-morphism
+    h: X -> S = Sigma^m Z of degree k + 2m.  With lambda_h, mu_h and
+    Delta2_h read on the rows of C_Z in C_S,
+
+        lambda = lambda_h + sum_{j<m} v_Z^j.delta2_Z.W_{m-1-j},
+        mu = mu_h,   Delta1 = W_m,   Delta2 = Delta2_h,
+        W_i = Delta1_h.v_X^i + sum_{j<i} delta1_S.v_S^j.mu_h.v_X^{i-1-j},
+
+    made by W_0 = Delta1_h, W_{i+1} = W_i.v_X + delta1_S.v_S^i.mu_h and the
+    matching Horner steps for lambda.  tau_i = tau_{i+m}(h) for -m <= i <= 0
+    (tau_0(h) = rho_h, the rest by the closed formula), within the bound."""
+    x, s = h.source, h.target
+    k = h.degree - 2 * m
+    left_s = Sweep(s.delta1, s.v)  # delta1_S v_S^j
+    w, extra = h.delta1, GradedMatrix.zero(x.irr, z.irr, k)
+    for i in range(m):
+        extra = z.v @ extra + z.delta2 @ w
+        w = w @ x.v + left_s[i] @ h.mu
+    taus = [h.rho] + tau_closed_formula(x, s, h.lam, h.mu, h.delta1, h.delta2, m)
+    bound = _tau_bound(x, z)
+    return HeightMorphism.from_components(
+        x, z, k, _rows(h.lam, z.irr, k) + extra, _rows(h.mu, z.irr, k - 1), w,
+        _rows(h.delta2, z.irr, k - 1),
+        {i - m: t for i, t in enumerate(taus) if i - m >= -bound})
+
+
 def compose_heights(g, f):
-    """Composite of height morphisms (g after f), heights add."""
+    """Composite of height morphisms (g after f), heights add: the lifts
+    composed in the suspension tower and brought back by `_unlift`."""
     if f.target.irr.gens != g.source.irr.gens or f.target.red.gens != g.source.red.gens:
         raise ShapeMismatch("heights composition endpoints disagree")
-    x, ymid, z = f.source, f.target, g.target
-    sup_f = max(0, -min([i for i in f.tau] or [0]))
-    sup_g = max(0, -min([i for i in g.tau] or [0]))
-    # every block times a power of v, from a sweep of that block
-    f_d1 = Sweep(f.delta1, x.v)  # Delta1_f v^j
-    f_mu = Sweep(f.mu, x.v)  # mu_f v^j
-    x_d1 = Sweep(x.delta1, x.v)  # delta1 v^j
-    y_d1 = Sweep(ymid.delta1, ymid.v)  # delta1' v'^j
-    y_d2 = Sweep(ymid.delta2, ymid.v, before=True)  # v'^j delta2'
-    z_d2 = Sweep(z.delta2, z.v, before=True)  # v''^j delta2''
-    g_d2 = Sweep(g.delta2, z.v, before=True)  # v''^j Delta2_g
-    g_mu = Sweep(g.mu, z.v, before=True)  # v''^j mu_g
-
-    def tg(i):
-        return g.tau_at(i)
-
-    def tf(i):
-        return f.tau_at(i)
-
-    k = (g.degree + f.degree) % x.modulus
-    lam = g.lam @ f.lam
-    for i in range(0, sup_g):
-        for j in range(i + 1):
-            lam = lam + z_d2[j] @ tg(-(i + 1)) @ f_d1[i - j]
-    for i in range(0, sup_f):
-        for j in range(i + 1):
-            lam = lam + g_d2[j] @ tf(-(i + 1)) @ x_d1[i - j]
-    for i in range(0, sup_g - 1):
-        for j in range(i + 1):
-            for kk in range(i - j + 1):
-                lam = lam + z_d2[j] @ tg(-(i + 2)) @ y_d1[kk] @ f_mu[i - j - kk]
-    for i in range(0, sup_f - 1):
-        for j in range(i + 1):
-            for kk in range(i - j + 1):
-                lam = lam + g_mu[j] @ y_d2[kk] @ tf(-(i + 2)) @ x_d1[i - j - kk]
-
-    mu = g.lam @ f.mu + g.mu @ f.lam + g.delta2 @ f.delta1
-
-    d1 = g.delta1 @ f.lam
-    for i in range(0, sup_g + 1):
-        t = tg(-i)
-        if not t.is_zero:
-            d1 = d1 + t @ f_d1[i]
-    for i in range(0, sup_g):
-        for j in range(i + 1):
-            t = tg(-(i + 1))
-            if not t.is_zero:
-                d1 = d1 + t @ y_d1[j] @ f_mu[i - j]
-
-    d2 = g.lam @ f.delta2
-    for i in range(0, sup_f + 1):
-        t = tf(-i)
-        if not t.is_zero:
-            d2 = d2 + g_d2[i] @ t
-    for i in range(0, sup_f):
-        for j in range(i + 1):
-            t = tf(-(i + 1))
-            if not t.is_zero:
-                d2 = d2 + g_mu[j] @ y_d2[i - j] @ t
-
-    bound = _tau_bound(x, z)
-    tau = {}
-    for i in range(-bound, 0 + 1):
-        acc = GradedMatrix.zero(x.red, z.red, k - 2 * i)
-        for kk in f.tau:
-            tgi = g.tau.get(i - kk)
-            if tgi is not None:
-                acc = acc + tgi @ f.tau[kk]
-        if not acc.is_zero:
-            tau[i] = acc
-    return HeightMorphism.from_components(x, z, k, lam, mu, d1, d2,
-                                          {i: t for i, t in tau.items() if i <= 0})
+    mf, mg = _depth(f.tau), _depth(g.tau)
+    lifted = g._lift(mg)
+    for _ in range(mf):
+        lifted = suspend_morphism(lifted)
+    return _unlift(lifted.compose_after(f._lift(mf)), g.target, mf + mg)
 
 
 def factor_through_suspension(f):
     """Factor a height-n morphism through the suspension tower.
 
     n >= 1: returns a height-0 morphism Sigma^n X -> X' with rho' = tau_n,
-    satisfying (returned) . iota_n = f.
+    satisfying (returned) . iota_n = f; it is f . kappa_n.
     n <= -1: returns a height-0 morphism X -> Sigma^{|n|} X' with
-    tau' = tau_n, satisfying kappa_{|n|} . (returned) = f.
+    tau' = tau_n, satisfying kappa_{|n|} . (returned) = f; it is the lift.
     n = 0: returns f itself.
     """
     n = f.height
-    x, y = f.source, f.target
     if n == 0:
         return f
     if n > 0:
-        sx = suspend(x, n)
-        nc, nr = x.irr.rank, x.red.rank
-        k = (f.degree - 2 * n) % x.modulus
-        # P_i = v'^i Delta2 + sum_{j<i} v'^j mu v^{i-1-j} delta2, by
-        # P_0 = Delta2 and P_{i+1} = v'.P_i + mu.(v^i delta2)
-        right_x = Sweep(x.delta2, x.v, before=True)
-        p = [f.delta2]
-        for i in range(n):
-            p.append(y.v @ p[i] + f.mu @ right_x[i])
-        # lambda' is P_i on the i-th reducible block, R[-2(n-i)+1]
-        lam = GradedMatrix.from_blocks(
-            sx.irr, y.irr, k, (f.lam, 0, 0), *((p[i], 0, nc + i * nr) for i in range(n)))
-        mu = GradedMatrix.from_blocks(sx.irr, y.irr, k - 1, (f.mu, 0, 0))
-        d1 = GradedMatrix.from_blocks(sx.irr, y.red, k, (f.delta1, 0, 0))
-        d2 = GradedMatrix(sx.red, y.irr, k - 1, dict(p[n].entries))
-        rho = f.tau_at(n)
-        rho = GradedMatrix(sx.red, y.red, k, dict(rho.entries))
-        return HeightMorphism.from_components(sx, y, k, lam, mu, d1, d2,
-                                              {0: rho} if not rho.is_zero else {})
-    m = -n
-    sy = suspend(y, m)
-    mc, mr = y.irr.rank, y.red.rank
-    k = (f.degree + 2 * m) % x.modulus
-    left_x = Sweep(x.delta1, x.v)  # delta1 v^j
-    lam_blocks = [(f.lam, 0, 0)]
-    for t in range(m):  # row block R'[-2(m-t)+...]: sum_{i=t+1}^m tau_{-i} delta1 v^{i-1-t}
-        acc = None
-        for i in range(t + 1, m + 1):
-            term = f.tau_at(-i) @ left_x[i - 1 - t]
-            acc = term if acc is None else acc + term
-        lam_blocks.append((acc, mc + t * mr, 0))
-    lam = GradedMatrix.from_blocks(x.irr, sy.irr, k, *lam_blocks)
-    mu = GradedMatrix.from_blocks(x.irr, sy.irr, k - 1, (f.mu, 0, 0), (f.delta1, mc, 0))
-    d1 = GradedMatrix.zero(x.irr, sy.red, k)
-    # the R'[-2(m-t)-1] block gets tau_{-t}
-    d2 = GradedMatrix.from_blocks(x.red, sy.irr, k - 1, (f.delta2, 0, 0),
-                                  *((f.tau_at(-t), mc + t * mr, 0) for t in range(m)))
-    rho = GradedMatrix(x.red, sy.red, k, dict(f.tau_at(-m).entries))
-    return HeightMorphism.from_components(x, sy, k, lam, mu, d1, d2,
-                                          {0: rho} if not rho.is_zero else {})
+        return compose_heights(f, kappa(f.source, n))
+    return HeightMorphism.from_morphism(f._lift(-n))
 
 
 def height_to_json(h):
@@ -352,10 +327,7 @@ def height_to_json(h):
     taus only; positive ones are determined by the closed formula)."""
     from .scomplex import matrix_to_json, morphism_to_json
 
-    rho = h.tau_at(0)
-    base = SMorphism(h.source, h.target, h.degree, h.lam, h.mu, h.delta1,
-                     h.delta2, rho)
-    doc = morphism_to_json(base, include_complexes=True)
+    doc = morphism_to_json(h._lift(0), include_complexes=True)
     doc.pop("rho", None)
     doc["height"] = h.height
     doc["tau"] = {str(i): matrix_to_json(t, by_name=False)
@@ -396,22 +368,11 @@ class OddMorphism:
 
 
 def compose_odd_after_height_minus1(g, f):
-    """Odd g after a height-(-1) even f, with the nu-corrected components."""
+    """Odd g after a height-(-1) even f, with the nu-corrected components:
+    `odd_to_suspension_morphism(g)` after the lift X -> Sigma X' of f."""
     if any(i < -1 for i in f.tau):
         raise ShapeMismatch("f must have height >= -1")
-    gm = g.morphism
-    x, ymid, z = f.source, gm.source, gm.target
-    if f.target.irr.gens != ymid.irr.gens or f.target.red.gens != ymid.red.gens:
-        raise ShapeMismatch("composition endpoints disagree")
-    t0, tm1 = f.tau_at(0), f.tau_at(-1)
-    lam = gm.lam @ f.lam + gm.delta2 @ tm1 @ x.delta1
-    mu = gm.lam @ f.mu + gm.mu @ f.lam + gm.delta2 @ f.delta1
-    d1 = gm.delta1 @ f.lam + g.nu @ tm1 @ x.delta1
-    d2 = (gm.lam @ f.delta2 + gm.delta2 @ t0 + z.delta2 @ g.nu @ tm1
-          + z.v @ gm.delta2 @ tm1 + gm.mu @ ymid.delta2 @ tm1)
-    k = (gm.degree + f.degree) % x.modulus
-    rho = GradedMatrix.zero(x.red, z.red, k)
-    return SMorphism(x, z, k, lam, mu, d1, d2, rho)
+    return odd_to_suspension_morphism(g).compose_after(f._lift(1))
 
 
 def odd_to_suspension_morphism(g):

@@ -350,9 +350,18 @@ class SMorphism:
 
     @classmethod
     def from_assembled(cls, m, x, y):
-        """The morphism x -> y whose assembled matrix is m (the second lam
-        of [[lam,0,0],[mu,lam,Delta2],[Delta1,0,rho]] is not read)."""
-        return cls(x, y, m.degree, *_blocks(m, x, y))
+        """The morphism x -> y whose assembled matrix is m, kept as the
+        result's `assemble()`.
+
+        m must have the full shape [[lam,0,0],[mu,lam,Delta2],[Delta1,0,rho]]:
+        the second lam equal to the first, and no entry off the blocks.
+        Every caller's map has it: a product of assembled morphisms
+        (`compose_after`), the identity and a scalar multiple of it
+        (`identity`, `randgen.rand_morphism`), a zero map (`zero`) and a
+        boundary D'.H + H.D (`randgen.boundary_morphism`)."""
+        f = cls(x, y, m.degree, *_blocks(m, x, y))
+        vars(f)["_total"] = m
+        return f
 
     @property
     def is_zero(self):

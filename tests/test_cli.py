@@ -396,6 +396,121 @@ def test_heights_compose_verb(tmp_path, capsys):
     assert doc["height"] == 0 and doc["strong"] is True
 
 
+def _heights_compose_pairs(tmp_path):
+    """(name, f document, g document) of seeded height morphisms over Q and
+    Z/2: kappa/iota chains down to depth 3, and one f that does not
+    verify."""
+    import random
+
+    from scx.functors import suspend
+    from scx.gradedlin import GradedMatrix
+    from scx.heights import HeightMorphism, height_to_json, iota, kappa
+    from scx.randgen import rand_morphism, rand_scomplex
+    from scx.rings import Q, Zp
+
+    def doc(h):
+        path = tmp_path / f"h{len(list(tmp_path.iterdir()))}.json"
+        path.write_text(json.dumps(height_to_json(h)))
+        return path
+
+    out = []
+    for ring in (Q, Zp(2)):
+        rng = random.Random(f"heights-compose {ring}")
+        x = rand_scomplex(ring, rng, max_rank=4, r_perfect=True, allow_cone=False)
+        while x.delta1.is_zero or x.delta2.is_zero:
+            x = rand_scomplex(ring, rng, max_rank=4, r_perfect=True, allow_cone=False)
+        for n in (1, 2, 3):
+            sx = suspend(x, n)
+            pairs = {
+                "iota.kappa": (kappa(x, n), iota(x, n)),
+                "kappa.iota": (iota(x, n), kappa(x, n)),
+                "kappa.h": (HeightMorphism.from_morphism(rand_morphism(sx, sx, rng, 0)),
+                             kappa(x, n)),
+                "h.kappa": (kappa(x, n),
+                               HeightMorphism.from_morphism(rand_morphism(x, x, rng, 0))),
+            }
+            for what, (f, g) in pairs.items():
+                name = f"{ring} {what} {n}"
+                out.append((name, doc(f), doc(g)))
+        # lambda + 1 breaks relation 2 by delta1
+        m = rand_morphism(x, x, rng, 0)
+        bad = HeightMorphism.from_components(x, x, 0, m.lam + GradedMatrix.identity(x.irr), m.mu,
+                                             m.delta1, m.delta2, {0: m.rho})
+        name = f"{ring} broken"
+        out.append((name, doc(bad), doc(iota(x, 1))))
+    return out
+
+
+# `scx heights-compose` on `_heights_compose_pairs`: name -> (exit code,
+# text line, --json payload), as printed before the composite was read off
+# the lifts into the suspension tower
+_HEIGHTS_COMPOSE_PINNED = {
+    'Q iota.kappa 1': (0, 'composite height 0 (strong), degree 0, verified: True\n',
+        {'degree': 0, 'height': 0, 'ok': True, 'strong': True}),
+    'Q kappa.iota 1': (0, 'composite height 0 (strong), degree 0, verified: True\n',
+        {'degree': 0, 'height': 0, 'ok': True, 'strong': True}),
+    'Q kappa.h 1': (0, 'composite height -1 (strong), degree 0, verified: True\n',
+        {'degree': 0, 'height': -1, 'ok': True, 'strong': True}),
+    'Q h.kappa 1': (0, 'composite height 8 (not strong), degree 0, verified: True\n',
+        {'degree': 0, 'height': 8, 'ok': True, 'strong': False}),
+    'Q iota.kappa 2': (0, 'composite height 0 (strong), degree 0, verified: True\n',
+        {'degree': 0, 'height': 0, 'ok': True, 'strong': True}),
+    'Q kappa.iota 2': (0, 'composite height 0 (strong), degree 0, verified: True\n',
+        {'degree': 0, 'height': 0, 'ok': True, 'strong': True}),
+    'Q kappa.h 2': (0, 'composite height -2 (strong), degree 0, verified: True\n',
+        {'degree': 0, 'height': -2, 'ok': True, 'strong': True}),
+    'Q h.kappa 2': (0, 'composite height -2 (strong), degree 0, verified: True\n',
+        {'degree': 0, 'height': -2, 'ok': True, 'strong': True}),
+    'Q iota.kappa 3': (0, 'composite height 0 (strong), degree 0, verified: True\n',
+        {'degree': 0, 'height': 0, 'ok': True, 'strong': True}),
+    'Q kappa.iota 3': (0, 'composite height 0 (strong), degree 0, verified: True\n',
+        {'degree': 0, 'height': 0, 'ok': True, 'strong': True}),
+    'Q kappa.h 3': (0, 'composite height -3 (strong), degree 0, verified: True\n',
+        {'degree': 0, 'height': -3, 'ok': True, 'strong': True}),
+    'Q h.kappa 3': (0, 'composite height -3 (strong), degree 0, verified: True\n',
+        {'degree': 0, 'height': -3, 'ok': True, 'strong': True}),
+    'Q broken': (1, 'composite height 1 (strong), degree 0, verified: False\n',
+        {'degree': 0, 'height': 1, 'ok': False, 'strong': True}),
+    'Z/2 iota.kappa 1': (0, 'composite height 0 (strong), degree 0, verified: True\n',
+        {'degree': 0, 'height': 0, 'ok': True, 'strong': True}),
+    'Z/2 kappa.iota 1': (0, 'composite height 0 (strong), degree 0, verified: True\n',
+        {'degree': 0, 'height': 0, 'ok': True, 'strong': True}),
+    'Z/2 kappa.h 1': (0, 'composite height -1 (strong), degree 0, verified: True\n',
+        {'degree': 0, 'height': -1, 'ok': True, 'strong': True}),
+    'Z/2 h.kappa 1': (0, 'composite height 10 (not strong), degree 0, verified: True\n',
+        {'degree': 0, 'height': 10, 'ok': True, 'strong': False}),
+    'Z/2 iota.kappa 2': (0, 'composite height 0 (strong), degree 0, verified: True\n',
+        {'degree': 0, 'height': 0, 'ok': True, 'strong': True}),
+    'Z/2 kappa.iota 2': (0, 'composite height 0 (strong), degree 0, verified: True\n',
+        {'degree': 0, 'height': 0, 'ok': True, 'strong': True}),
+    'Z/2 kappa.h 2': (0, 'composite height 12 (not strong), degree 0, verified: True\n',
+        {'degree': 0, 'height': 12, 'ok': True, 'strong': False}),
+    'Z/2 h.kappa 2': (0, 'composite height -2 (strong), degree 0, verified: True\n',
+        {'degree': 0, 'height': -2, 'ok': True, 'strong': True}),
+    'Z/2 iota.kappa 3': (0, 'composite height 0 (strong), degree 0, verified: True\n',
+        {'degree': 0, 'height': 0, 'ok': True, 'strong': True}),
+    'Z/2 kappa.iota 3': (0, 'composite height 0 (strong), degree 0, verified: True\n',
+        {'degree': 0, 'height': 0, 'ok': True, 'strong': True}),
+    'Z/2 kappa.h 3': (0, 'composite height -3 (strong), degree 0, verified: True\n',
+        {'degree': 0, 'height': -3, 'ok': True, 'strong': True}),
+    'Z/2 h.kappa 3': (0, 'composite height 14 (not strong), degree 0, verified: True\n',
+        {'degree': 0, 'height': 14, 'ok': True, 'strong': False}),
+    'Z/2 broken': (1, 'composite height 1 (strong), degree 0, verified: False\n',
+        {'degree': 0, 'height': 1, 'ok': False, 'strong': True}),
+}
+
+
+def test_heights_compose_output_is_pinned(tmp_path, capsys):
+    got = {}
+    for name, f, g in _heights_compose_pairs(tmp_path):
+        capsys.readouterr()
+        code = run("heights-compose", "--f", str(f), "--g", str(g))
+        text = capsys.readouterr().out
+        assert run("heights-compose", "--f", str(f), "--g", str(g), "--json") == code
+        got[name] = (code, text, json.loads(capsys.readouterr().out))
+    assert got == _HEIGHTS_COMPOSE_PINNED
+
+
 def test_triangle_verify_verb(tmp_path, capsys):
     import random
 

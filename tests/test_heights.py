@@ -319,6 +319,24 @@ def test_tampered_tau_1_fails_verify():
     assert report.failed() == ["tau_1 closed formula"]
 
 
+def test_a_raw_datum_composes_with_the_closed_formula_tau():
+    # the composite reads the positive tau of its factors from the closed
+    # formula, not from the stored ones: a raw datum whose stored tau_1
+    # disagrees composes like the datum `from_components` builds, and no
+    # longer like the convolution of the stored tau (the oracle's)
+    x = atomic(0, Q, 4)
+    h, g = iota(x, 1), kappa(x, 1)
+    bad = dict(h.tau)
+    bad[1] = h.tau_at(1) + GradedMatrix.identity(x.red)
+    t = HeightMorphism(h.source, h.target, h.degree, h.lam, h.mu,
+                       h.delta1, h.delta2, bad, h.height)
+    comp = compose_heights(g, t)
+    assert heights_equal(comp, compose_heights(g, h))
+    assert comp.tau_at(0) == GradedMatrix.identity(x.red)
+    convolved = compose_oracle(g, t)[4][0]
+    assert convolved == GradedMatrix.identity(x.red) + GradedMatrix.identity(x.red)
+
+
 def test_tau_sweep_makes_at_most_five_products_per_index(monkeypatch):
     rng = random.Random(41)
     h = _height_morphism_of(Q, rng, 1)
@@ -405,8 +423,9 @@ def test_tau_sweep_stops_at_the_first_zero_pair(ring, monkeypatch):
 
 
 def test_power_ladders_are_built_only_as_deep_as_they_are_read(monkeypatch):
-    # every block-times-power product comes from a sweep of that block; a
-    # sweep's depth is the number of products it made
+    # the one sweep left in heights is `_unlift`'s delta1_S v_S^j, which
+    # kappa_m . h reads for j < m; a sweep's depth is the number of products
+    # it made, so no depth may pass m - 1
     import scx.heights
 
     built = []
@@ -425,31 +444,32 @@ def test_power_ladders_are_built_only_as_deep_as_they_are_read(monkeypatch):
         built.clear()
         return out
 
-    # delta1 v^j and v^j delta2 are nonzero for j < 3 and zero at j = 3
+    # delta1 v^j and v^j delta2 are nonzero for j < 3 and zero at j = 3, so
+    # delta1_S v_S^j on S = Sigma^m X is nonzero past j = m - 1
     x = direct_sum(atomic(3, Q, 4), atomic(-3, Q, 4))
-    # no nonpositive tau: verify reads no term past delta1 and delta2'
-    h = iota(x, 1)
-    depths()
-    assert h.verify(claimed_height=1).ok
-    assert depths() == [0, 0]
-    # kappa_n has only tau_{-n}: relations 1-3 read delta1 v^0 .. v^n and
-    # v'^0 .. v'^n delta2'
-    for n in (1, 2, 3):
-        k = kappa(x, n)
+    h0 = HeightMorphism.from_morphism(SMorphism.identity(x))
+    # verify reads its relations off one residual: no sweep
+    for h in (iota(x, 1), kappa(x, 2), h0):
         depths()
-        assert k.verify(claimed_height=-n).ok
-        assert depths() == [n, n]
-    # kappa_2 after iota_2: only g has a nonpositive tau (tau_{-2}); the
-    # sweeps of f's Delta1 and mu are zero from the start, and of the
-    # others only delta1' v' and v'' delta2'' are read, to j = 1
-    g, f = kappa(x, 2), iota(x, 2)
-    depths()
-    comp = compose_heights(g, f)
-    # made in the order f Delta1, f mu, delta1, delta1', delta2', delta2'',
-    # g Delta2, g mu
-    assert depths() == [0, 0, 0, 1, 0, 1, 0, 0]
-    assert comp.verify(claimed_height=0).ok
-    assert depths() == [0, 0]
+        assert h.verify().ok
+        assert depths() == []
+    # kappa_n after iota_n unlifts from depth n: delta1_S v_S^j to j = n - 1
+    for n in (1, 2, 3):
+        g, f = kappa(x, n), iota(x, n)
+        depths()
+        comp = compose_heights(g, f)
+        assert depths() == [n - 1]
+        assert comp.verify(claimed_height=0).ok
+        # factoring iota_n composes it with kappa_n: one unlift from depth n
+        fac = factor_through_suspension(f)
+        assert depths() == [n - 1]
+        assert fac.verify(claimed_height=0).ok
+        # factoring kappa_n is its lift: no unlift
+        factor_through_suspension(g)
+        assert depths() == []
+    # depth 0 on both sides: the sweep is made and never read
+    compose_heights(iota(x, 2), h0)
+    assert depths() == [0]
 
 
 class _Powers:
@@ -470,7 +490,9 @@ class _Powers:
 
 
 def relations_oracle(h):
-    """Relations 1-3 of `HeightMorphism.verify`, with full powers of v."""
+    """Test oracle: relations 1-4 of `HeightMorphism.verify` written out
+    block by block, with the tau corrections added by hand and full powers
+    of v.  `verify` reads them off the residual of the lift instead."""
     x, y = h.source, h.target
     bound = _tau_bound(x, y)
     vp, vs = _Powers(y.v), _Powers(x.v)
@@ -485,12 +507,17 @@ def relations_oracle(h):
         if not t.is_zero:
             rel2 = rel2 + t @ x.delta1 @ vs[i]
             rel3 = rel3 - vp[i] @ y.delta2 @ t
-    return [rel1, rel2, rel3]
+    rel4 = (h.mu @ x.d + y.d @ h.mu + h.lam @ x.v - y.v @ h.lam
+            + h.delta2 @ x.delta1 - y.delta2 @ h.delta1)
+    return [rel1, rel2, rel3, rel4]
 
 
 def compose_oracle(g, f):
-    """lambda, mu, Delta1 and Delta2 of `compose_heights(g, f)`, with full
-    powers of v, v' and v''."""
+    """Test oracle: lambda, mu, Delta1, Delta2 and the tau family of
+    `compose_heights(g, f)` written out block by block, with full powers of
+    v, v' and v''; the nonpositive tau are the convolution
+    sum_k tau(g)_{i-k}.tau(f)_k and the positive ones the closed formula.
+    `compose_heights` composes the lifts in the suspension tower instead."""
     x, ymid, z = f.source, f.target, g.target
     sup_f = max(0, -min([i for i in f.tau] or [0]))
     sup_g = max(0, -min([i for i in g.tau] or [0]))
@@ -526,12 +553,23 @@ def compose_oracle(g, f):
     for i in range(0, sup_f):
         for j in range(i + 1):
             d2 = d2 + vZ[j] @ g.mu @ vY[i - j] @ ymid.delta2 @ tf(-(i + 1))
-    return lam, mu, d1, d2
+    bound = _tau_bound(x, z)
+    tau = {}
+    for i in range(-bound, 1):
+        acc = GradedMatrix.zero(x.red, z.red, g.degree + f.degree - 2 * i)
+        for kk in f.tau:
+            if i - kk in g.tau:
+                acc = acc + g.tau[i - kk] @ f.tau[kk]
+        tau[i] = acc
+    for i in range(1, bound + 1):
+        tau[i] = tau_closed_formula_oracle(x, z, lam, mu, d1, d2, i)
+    return lam, mu, d1, d2, {i: t for i, t in tau.items() if not t.is_zero}
 
 
 def factor_oracle(f):
-    """lambda' and Delta2' of `factor_through_suspension(f)` for f of
-    height n != 0, with full powers of v and v'."""
+    """Test oracle: lambda' and Delta2' of `factor_through_suspension(f)` for
+    f of height n != 0, block by block with full powers of v and v'.
+    `factor_through_suspension` composes with kappa_n or lifts instead."""
     n = f.height
     x, y = f.source, f.target
     if n > 0:
@@ -570,18 +608,19 @@ def factor_oracle(f):
     return lam, d2
 
 
-def _rand_height_data(x, y, rng, height):
+def _rand_height_data(x, y, rng, height=None):
     """Random components and nonpositive taus tau_0 .. tau_{-3} from x to y,
     which need not satisfy the relations: the sweeps and the oracles are
-    formulas in the data alone."""
+    formulas in the data alone.  Built by `from_components`, which adds the
+    positive taus of the closed formula; with a height, by the raw
+    constructor, which keeps the taus as given under that declared height."""
     k = rng.choice((0, 2))
     tau = {-i: _rand_homogeneous(x.red, y.red, k + 2 * i, rng) for i in range(4)}
-    return HeightMorphism(x, y, k,
-                          _rand_homogeneous(x.irr, y.irr, k, rng),
-                          _rand_homogeneous(x.irr, y.irr, k - 1, rng),
-                          _rand_homogeneous(x.irr, y.red, k, rng),
-                          _rand_homogeneous(x.red, y.irr, k - 1, rng),
-                          tau, height)
+    comps = (_rand_homogeneous(x.irr, y.irr, k, rng), _rand_homogeneous(x.irr, y.irr, k - 1, rng),
+             _rand_homogeneous(x.irr, y.red, k, rng), _rand_homogeneous(x.red, y.irr, k - 1, rng))
+    if height is None:
+        return HeightMorphism.from_components(x, y, k, *comps, tau)
+    return HeightMorphism(x, y, k, *comps, tau, height)
 
 
 def _rich_complex(ring, rng):
@@ -595,8 +634,9 @@ def _rich_complex(ring, rng):
 
 @pytest.mark.parametrize("ring", [Z, Q, FRAC_LAURENT_Q], ids=str)
 def test_sweeps_equal_the_power_oracle(ring, monkeypatch):
-    # verify's relations, the composite's components and the factored
-    # lambda' and Delta2' equal the formulas with full powers, entry for entry
+    # verify's relations, the composite's components and tau family and the
+    # factored lambda' and Delta2' equal the formulas with full powers, entry
+    # for entry
     import scx.heights
     from scx.scomplex import _rel
 
@@ -611,18 +651,123 @@ def test_sweeps_equal_the_power_oracle(ring, monkeypatch):
     nonzero = 0
     for _ in range(3):
         xs = [_rich_complex(ring, rng) for _ in range(3)]
-        f = _rand_height_data(xs[0], xs[1], rng, 0)
-        g = _rand_height_data(xs[1], xs[2], rng, 0)
+        f = _rand_height_data(xs[0], xs[1], rng)
+        g = _rand_height_data(xs[1], xs[2], rng)
         for h in (f, g):
             seen.clear()
             h.verify()
-            assert seen[:3] == relations_oracle(h)
-            nonzero += sum(not m.is_zero for m in seen[:3])
+            assert seen[:4] == relations_oracle(h)
+            nonzero += sum(not m.is_zero for m in seen[:4])
         comp = compose_heights(g, f)
-        assert [comp.lam, comp.mu, comp.delta1, comp.delta2] == list(compose_oracle(g, f))
+        lam, mu, d1, d2, tau = compose_oracle(g, f)
+        assert [comp.lam, comp.mu, comp.delta1, comp.delta2] == [lam, mu, d1, d2]
+        assert comp.tau == tau and any(i < 0 for i in tau)
         for n in (-3, -1, 1, 3):
             h = _rand_height_data(xs[0], xs[1], rng, n)
             fac = factor_through_suspension(h)
             assert [fac.lam, fac.delta2] == list(factor_oracle(h)), n
             nonzero += not fac.lam.is_zero
     assert nonzero > 10
+
+
+def compose_odd_oracle(g, f):
+    """Test oracle: the odd composite of `compose_odd_after_height_minus1`
+    with its nu-corrected components written out block by block.  The
+    library composes `odd_to_suspension_morphism(g)` with the lift of f
+    instead."""
+    gm = g.morphism
+    x, ymid, z = f.source, gm.source, gm.target
+    t0, tm1 = f.tau_at(0), f.tau_at(-1)
+    lam = gm.lam @ f.lam + gm.delta2 @ tm1 @ x.delta1
+    mu = gm.lam @ f.mu + gm.mu @ f.lam + gm.delta2 @ f.delta1
+    d1 = gm.delta1 @ f.lam + g.nu @ tm1 @ x.delta1
+    d2 = (gm.lam @ f.delta2 + gm.delta2 @ t0 + z.delta2 @ g.nu @ tm1
+          + z.v @ gm.delta2 @ tm1 + gm.mu @ ymid.delta2 @ tm1)
+    k = (gm.degree + f.degree) % x.modulus
+    return SMorphism(x, z, k, lam, mu, d1, d2, GradedMatrix.zero(x.red, z.red, k))
+
+
+@pytest.mark.parametrize("ring", [Z, Zp(2), Q, FRAC_LAURENT_Q], ids=str)
+def test_odd_composite_equals_the_block_oracle(ring):
+    # on random data of depth 0 and 1, valid or not, entry for entry
+    rng = random.Random(53)
+    nonzero = 0
+    for trial in range(6):
+        xs = [_rich_complex(ring, rng) for _ in range(2)]
+        k = rng.choice((0, 2))
+        tau = {-i: _rand_homogeneous(xs[0].red, xs[1].red, k + 2 * i, rng)
+               for i in range(trial % 2 + 1)}
+        f = HeightMorphism.from_components(
+            xs[0], xs[1], k, _rand_homogeneous(xs[0].irr, xs[1].irr, k, rng),
+            _rand_homogeneous(xs[0].irr, xs[1].irr, k - 1, rng),
+            _rand_homogeneous(xs[0].irr, xs[1].red, k, rng),
+            _rand_homogeneous(xs[0].red, xs[1].irr, k - 1, rng), tau)
+        y = xs[1]
+        g = OddMorphism(rand_morphism(y, y, rng, 1), _rand_homogeneous(y.red, y.red, 0, rng))
+        got, want = compose_odd_after_height_minus1(g, f), compose_odd_oracle(g, f)
+        parts = ("lam", "mu", "delta1", "delta2", "rho")
+        assert got.degree == want.degree
+        assert [getattr(got, p) for p in parts] == [getattr(want, p) for p in parts]
+        nonzero += not got.lam.is_zero
+    assert nonzero
+
+
+def _valid_heights(ring, rng, depth):
+    """Seeded valid height morphisms with nonpositive tau down to -depth:
+    height-0 morphisms for depth 0, kappa_depth after a random height-0
+    morphism of the suspension otherwise, and kappa_depth itself, on a
+    complex with C nonzero (with C = 0 every datum satisfies the relations)."""
+    x = rand_scomplex(ring, rng, max_rank=4, r_perfect=True, allow_cone=False)
+    while x.irr.rank < 2:
+        x = rand_scomplex(ring, rng, max_rank=4, r_perfect=True, allow_cone=False)
+    if depth == 0:
+        return [HeightMorphism.from_morphism(rand_morphism(x, x, rng, 0)),
+                HeightMorphism.from_morphism(SMorphism.identity(x))]
+    sx = suspend(x, depth)
+    up = HeightMorphism.from_morphism(rand_morphism(sx, sx, rng, 0))
+    return [compose_heights(kappa(x, depth), up), kappa(x, depth)]
+
+
+def _perturbed(h, rng):
+    """h with one of lambda, mu, Delta1, Delta2 or a nonpositive tau moved by
+    a nonzero random homogeneous matrix, rebuilt by `from_components`."""
+    x, y, k = h.source, h.target, h.degree
+    parts = [h.lam, h.mu, h.delta1, h.delta2]
+    tau = {i: t for i, t in h.tau.items() if i <= 0}
+    depth = max(0, -min(tau, default=0))
+    for _ in range(100):
+        which = rng.randrange(5)
+        i = -rng.randint(0, depth)
+        old = parts[which] if which < 4 else h.tau_at(i)
+        step = _rand_homogeneous(old.source, old.target, old.degree if which < 4 else k - 2 * i, rng)
+        if not step.is_zero:
+            break
+    if which < 4:
+        parts[which] = old + step
+    else:
+        tau[i] = old + step
+    return HeightMorphism.from_components(x, y, k, *parts, tau)
+
+
+@pytest.mark.parametrize("ring", [Z, Zp(2), Q, FRAC_LAURENT_Q], ids=str)
+def test_relations_vanish_exactly_when_the_lift_is_a_chain_map(ring):
+    from scx.heights import _depth
+
+    rng = random.Random(59)
+    valid = broken = 0
+    for depth in (0, 1, 2):
+        for _ in range(3):
+            for h in _valid_heights(ring, rng, depth):
+                assert h.verify().ok
+                for cand in (h, _perturbed(h, rng), _perturbed(h, rng)):
+                    m = _depth(cand.tau)
+                    f = cand._lift(m)
+                    residual = (f.target.total_differential() @ f.assemble()
+                                - f.assemble() @ cand.source.total_differential())
+                    relations = cand.verify().checks[:4]
+                    assert all(ok for _, ok, _ in relations) == residual.is_zero
+                    assert [r.is_zero for r in relations_oracle(cand)] == [
+                        ok for _, ok, _ in relations]
+                    valid += residual.is_zero
+                    broken += not residual.is_zero
+    assert valid >= 18 and broken >= 10

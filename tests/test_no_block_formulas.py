@@ -1,10 +1,15 @@
 """No S-map relation, composite, identity, zero or random boundary is
-written out block by block: `randgen`, `solve` and the `verify`,
-`compose_after`, `identity` and `zero` methods of `scomplex` make no `@`
-product of two block attributes (d, v, delta1, ..., lam, mu, ..., K, L, ...).
-They read every block from a product of assembled total maps
-(`scomplex._assemble` and `scomplex._blocks`); the per-block formulas live
-only in the oracle of tests/test_scomplex.py."""
+written out block by block: `randgen`, `solve`, the `verify`,
+`compose_after`, `identity` and `zero` methods of `scomplex`, and heights'
+`verify`, `compose_heights`, `factor_through_suspension` and
+`compose_odd_after_height_minus1` make no `@` product of two block
+attributes (d, v, delta1, ..., lam, mu, ..., K, L, ..., nu).  They read
+every block from a product of assembled total maps (`scomplex._assemble`
+and `scomplex._blocks`), the heights functions by way of the lift into the
+suspension tower; the per-block formulas live only in the oracles of
+tests/test_scomplex.py and tests/test_heights.py.  The heights maps that
+are built rather than read (`odd_to_suspension_morphism`, `iota`, `kappa`,
+`tau_closed_formula`) are not checked."""
 
 import ast
 from pathlib import Path
@@ -16,7 +21,9 @@ BLOCKS = {"d", "v", "delta1", "delta2", "r", "s",
 
 # file -> the functions checked in it, or None for the whole file
 CHECKED = {"randgen.py": None, "solve.py": None,
-           "scomplex.py": {"verify", "compose_after", "identity", "zero"}}
+           "scomplex.py": {"verify", "compose_after", "identity", "zero"},
+           "heights.py": {"verify", "compose_heights", "factor_through_suspension",
+                          "compose_odd_after_height_minus1"}}
 
 
 class _BlockProducts(ast.NodeVisitor):

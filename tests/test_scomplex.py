@@ -563,3 +563,26 @@ def test_assemble_equals_the_checked_from_blocks_route(tag):
             _same(got, want)
             nonzero[i] = nonzero[i] or not got.is_zero
     assert all(nonzero)
+
+
+@pytest.mark.parametrize("tag", ["Z", "Z2", "Q", "QT"])
+def test_from_assembled_keeps_its_map_as_the_total(tag):
+    # every caller hands over a full-shape map (sA = A), so the map it is
+    # given is the morphism's assembled total, equal to the blocks placed anew
+    ring = RINGS[tag]
+    rng = random.Random(f"from assembled {tag}")
+    for _ in range(8):
+        x = rand_scomplex(ring, rng, max_rank=5)
+        y = rand_scomplex(ring, rng, modulus=x.modulus, max_rank=5)
+        k = rng.choice((0, 1, -1, 2))
+        f, g = rand_morphism(x, y, rng, k), rand_morphism(y, y, rng, 0)
+        maps = [(GradedMatrix.identity(x.total_module()), x, x),
+                (GradedMatrix.zero(x.total_module(), y.total_module(), k), x, y),
+                (f.assemble(), x, y), (g.assemble() @ f.assemble(), x, y)]
+        for m, src, tgt in maps:
+            h = SMorphism.from_assembled(m, src, tgt)
+            assert h.assemble() is m
+            _same(m, _assemble(src, tgt, h.degree, 1, h.lam, h.mu, h.delta1, h.delta2, h.rho))
+        for h in (SMorphism.identity(x), SMorphism.zero(x, y, k), g.compose_after(f), f):
+            _same(h.assemble(), _assemble(h.source, h.target, h.degree, 1,
+                                          h.lam, h.mu, h.delta1, h.delta2, h.rho))
