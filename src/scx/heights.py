@@ -38,8 +38,9 @@ h: X -> Sigma^m Z.  Three identities follow.
   D'.F - F.D on the C' rows; relation 2 is its -E block when m = 0 and its
   -B block on the R'_0 rows when m >= 1.
 * g . f = _unlift(Sigma^{m_f}(G) . F, Z, m_f + m_g) for the lifts F of f and
-  G of g.  Factoring a height-n morphism is f . kappa_n for n > 0 and the
-  lift itself, of depth -n, for n < 0.
+  G of g.  Factoring a height-n morphism is f . kappa_n for n > 0, which is
+  _unlift(Sigma^n F, Y, n) since the lift of kappa_n is the identity of
+  Sigma^n X, and the lift itself, of depth -n, for n < 0.
 * An odd g after a height-(-1) f is odd_to_suspension_morphism(g) . F.
 
 The composite reads its positive tau from the closed formula and its
@@ -56,6 +57,13 @@ from .errors import ShapeMismatch
 from .gradedlin import GradedMatrix, Sweep, is_invertible
 from .scomplex import RelationReport, SMorphism, _blocks, _check_components, _rel
 from .functors import suspend, suspend_morphism, suspend_once
+
+
+# the names of relations 1-4 of `HeightMorphism.verify`, in its order
+_RELATIONS = ("relation 1 (d'lambda - lambda d - tau corrections)",
+              "relation 2 (-delta1' lambda + Delta1 d + tau corrections)",
+              "relation 3 (lambda delta2 + d' Delta2 - tau corrections)",
+              "relation 4 (mu anticommutator)")
 
 
 def _tau_bound(x, y):
@@ -200,27 +208,30 @@ class HeightMorphism:
         """All four relations, the tau closed formula, and the height claim.
 
         The relations are read from the residual D'.F - F.D of the lift F
-        (module docstring).  A height-n morphism is accepted as height m
-        for every m <= n.
+        (module docstring); a residual with no entry passes all four and is
+        not split.  A closed-formula row compares the stored tau with the
+        sweep's and subtracts only when they differ.  A height-n morphism
+        is accepted as height m for every m <= n.
         """
         x, y = self.source, self.target
         k, m = self.degree, _depth(self.tau)
         f = self._lift(m)
         total = f.assemble()
-        a, b, e, c, _ = _blocks(f.target.total_differential() @ total
-                                - total @ x.total_differential(), x, f.target)
-        rel2 = -e if m == 0 else -_rows(b, y.red, k - 1, y.irr.rank)
-        checks = [
-            _rel("relation 1 (d'lambda - lambda d - tau corrections)", _rows(a, y.irr, k - 1)),
-            _rel("relation 2 (-delta1' lambda + Delta1 d + tau corrections)", rel2),
-            _rel("relation 3 (lambda delta2 + d' Delta2 - tau corrections)",
-                 -_rows(c, y.irr, k - 2)),
-            _rel("relation 4 (mu anticommutator)", -_rows(b, y.irr, k - 2)),
-        ]
+        residual = f.target.total_differential() @ total - total @ x.total_differential()
+        if not residual.entries:
+            checks = [(name, True, None) for name in _RELATIONS]
+        else:
+            a, b, e, c, _ = _blocks(residual, x, f.target)
+            rel2 = -e if m == 0 else -_rows(b, y.red, k - 1, y.irr.rank)
+            checks = [_rel(name, rel) for name, rel in zip(_RELATIONS, (
+                _rows(a, y.irr, k - 1), rel2, -_rows(c, y.irr, k - 2),
+                -_rows(b, y.irr, k - 2)))]
         bound = _tau_bound(x, y)
         taus = tau_closed_formula(x, y, self.lam, self.mu, self.delta1, self.delta2, bound)
         for i, want in enumerate(taus, 1):
-            checks.append(_rel(f"tau_{i} closed formula", self.tau_at(i) - want))
+            got = self.tau_at(i)
+            name = f"tau_{i} closed formula"
+            checks.append((name, True, None) if got == want else _rel(name, got - want))
         if claimed_height is not None:
             ok = all(self.tau_at(i).is_zero for i in range(-bound, min(claimed_height, bound + 1)))
             checks.append((f"height >= {claimed_height}", ok, None))
@@ -293,23 +304,30 @@ def _unlift(h, z, m):
         {i - m: t for i, t in enumerate(taus) if i - m >= -bound})
 
 
+def _tower(h, m, n):
+    """Sigma^n of the lift of h of depth m, one `suspend_morphism` at a time."""
+    lifted = h._lift(m)
+    for _ in range(n):
+        lifted = suspend_morphism(lifted)
+    return lifted
+
+
 def compose_heights(g, f):
     """Composite of height morphisms (g after f), heights add: the lifts
     composed in the suspension tower and brought back by `_unlift`."""
     if f.target.irr.gens != g.source.irr.gens or f.target.red.gens != g.source.red.gens:
         raise ShapeMismatch("heights composition endpoints disagree")
     mf, mg = _depth(f.tau), _depth(g.tau)
-    lifted = g._lift(mg)
-    for _ in range(mf):
-        lifted = suspend_morphism(lifted)
-    return _unlift(lifted.compose_after(f._lift(mf)), g.target, mf + mg)
+    return _unlift(_tower(g, mg, mf).compose_after(f._lift(mf)), g.target, mf + mg)
 
 
 def factor_through_suspension(f):
     """Factor a height-n morphism through the suspension tower.
 
     n >= 1: returns a height-0 morphism Sigma^n X -> X' with rho' = tau_n,
-    satisfying (returned) . iota_n = f; it is f . kappa_n.
+    satisfying (returned) . iota_n = f; it is f . kappa_n, the unlift of
+    Sigma^n of the plain morphism (the lift of kappa_n is the identity of
+    Sigma^n X).
     n <= -1: returns a height-0 morphism X -> Sigma^{|n|} X' with
     tau' = tau_n, satisfying kappa_{|n|} . (returned) = f; it is the lift.
     n = 0: returns f itself.
@@ -318,7 +336,7 @@ def factor_through_suspension(f):
     if n == 0:
         return f
     if n > 0:
-        return compose_heights(f, kappa(f.source, n))
+        return _unlift(_tower(f, 0, n), f.target, n)
     return HeightMorphism.from_morphism(f._lift(-n))
 
 

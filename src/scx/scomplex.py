@@ -128,7 +128,12 @@ def _blocks(m, x, y):
 
 def _relations(residual, x, y, rows):
     """The report of the relations `rows`, each (name, block, negated): the
-    block of the assembled residual, negated when `negated`, must be zero."""
+    block of the assembled residual, negated when `negated`, must be zero.
+
+    A residual with no entry passes every row and is not split; the blocks
+    are read only to name a failed relation's first offender."""
+    if not residual.entries:
+        return RelationReport((name, True, None) for name, _, _ in rows)
     blocks = dict(zip("ABECG", _blocks(residual, x, y)))
     return RelationReport(_rel(name, -blocks[b] if neg else blocks[b]) for name, b, neg in rows)
 

@@ -127,6 +127,31 @@ def test_factorizations_recompose():
         done[n] += 1
 
 
+def factor_via_kappa_oracle(f):
+    """Test oracle: `factor_through_suspension(f)` for height n > 0 as the
+    composite f . kappa_n, with kappa_n built, swept and lifted (its lift is
+    the identity of Sigma^n X).  The library unlifts Sigma^n of f's plain
+    morphism instead."""
+    return compose_heights(f, kappa(f.source, f.height))
+
+
+@pytest.mark.parametrize("ring", [Z, Zp(2), Q, FRAC_LAURENT_Q], ids=str)
+def test_factor_equals_the_composite_with_kappa(ring):
+    rng = random.Random(71)
+    for n in (1, 2, 3):
+        done = 0
+        while done < 3:
+            f = _height_morphism_of(ring, rng, n)
+            if f.height != n:
+                continue
+            fac, want = factor_through_suspension(f), factor_via_kappa_oracle(f)
+            assert heights_equal(fac, want)
+            assert (fac.source.irr, fac.source.red, fac.degree, fac.height) == (
+                want.source.irr, want.source.red, want.degree, want.height)
+            assert fac.target is want.target is f.target
+            done += 1
+
+
 def test_factor_iota2_has_identity_rho():
     x = atomic(0, Q, 4)
     f = iota(x, 2)
@@ -460,7 +485,8 @@ def test_power_ladders_are_built_only_as_deep_as_they_are_read(monkeypatch):
         comp = compose_heights(g, f)
         assert depths() == [n - 1]
         assert comp.verify(claimed_height=0).ok
-        # factoring iota_n composes it with kappa_n: one unlift from depth n
+        # factoring iota_n unlifts Sigma^n of its plain morphism: one unlift
+        # from depth n
         fac = factor_through_suspension(f)
         assert depths() == [n - 1]
         assert fac.verify(claimed_height=0).ok
