@@ -33,7 +33,7 @@ from .gradedlin import (
     sparse_kernel_basis,
 )
 from .rings import RingElement, Z
-from .scomplex import RelationReport
+from .scomplex import RelationReport, _rel
 
 
 def _nilpotency(v):
@@ -51,8 +51,11 @@ def _nilpotency(v):
 class SmallEquivariantComplex:
     """A truncated materialization of one flavor of small equivariant complex.
 
-    Basis: the irreducible generators (shifted by one for the hat flavor)
-    followed by (reducible generator, power) pairs over `powers`.
+    The columns come in bands: the irreducible band (C, shifted by one for
+    the hat flavor and by two for the check flavor; empty for bar) from
+    column 0, then one R band per power of `powers`, in order, from column
+    `band(p)`.  The differential, the x-action and the maps between models
+    are placed band by band with `GradedMatrix.from_blocks`.
     """
 
     def __init__(self, base, flavor, powers):
@@ -62,75 +65,69 @@ class SmallEquivariantComplex:
         self.base = base
         self.flavor = flavor
         self.powers = list(powers)
-        ring, mod = base.ring, base.modulus
-        gens = []
         # the hat model is C[-1] + R[x]; the check model carries the shift
         # that makes its differential, the x-action, and the p-map
         # homogeneous of degrees -1, -2 and 0
-        if flavor == "hat":
-            gens += [(f"c.{n}", d + 1) for n, d in base.irr.gens]
-        elif flavor == "check":
-            gens += [(f"c.{n}", d + 2) for n, d in base.irr.gens]
-        for i in self.powers:
-            gens += [(f"x{i}.{n}", d - 2 * i) for n, d in base.red.gens]
-        self.module = GradedModule(ring, mod, gens)
-        self._nirr = base.irr.rank if flavor != "bar" else 0
-        self._pindex = {p: k for k, p in enumerate(self.powers)}
+        shift = {"hat": 1, "check": 2}.get(flavor)
+        gens = [] if shift is None else [(f"c.{n}", d + shift) for n, d in base.irr.gens]
+        nirr, nr = len(gens), base.red.rank
+        self._band = {p: nirr + k * nr for k, p in enumerate(self.powers)}
+        gens += [(f"x{i}.{n}", d - 2 * i) for i in self.powers for n, d in base.red.gens]
+        self.module = GradedModule(base.ring, base.modulus, gens)
         self.diff = self._build_diff()
         self.x_action, self.x_lossy = self._build_x()
 
-    def irr_index(self, i):
-        return i
+    def band(self, p):
+        """The first column of the power-p band."""
+        return self._band[p]
 
     def red_index(self, gen, power):
-        return self._nirr + self._pindex[power] * self.base.red.rank + gen
+        return self._band[power] + gen
 
     def has_power(self, p):
-        return p in self._pindex
+        return p in self._band
+
+    def columns_without(self, *powers):
+        """The columns outside the bands of `powers`."""
+        nr = self.base.red.rank
+        return set(range(self.module.rank)).difference(
+            *(range(self.band(p), self.band(p) + nr) for p in powers))
 
     def _build_diff(self):
         x = self.base
-        left = Sweep(x.delta1, x.v)
-        right_neg = Sweep(-x.delta2, x.v, before=True)
-        # every block lands on positions of its own, so no two entries add
-        ent = {} if self.flavor == "bar" else dict(x.d.entries)
+        left, right_neg = _sweeps(x)
+        blocks = [] if self.flavor == "bar" else [(x.d, 0, 0)]
         for p in self.powers:
             if self.flavor == "hat" and p >= 0:
-                for (t, s), val in right_neg[p].entries.items():
-                    ent[(self.irr_index(t), self.red_index(s, p))] = val
+                blocks.append((right_neg[p], 0, self.band(p)))
             elif self.flavor == "check" and p < 0:
-                for (t, s), val in left[-p - 1].entries.items():
-                    ent[(self.red_index(t, p), self.irr_index(s))] = val
-        return GradedMatrix(self.module, self.module, -1, ent)
+                blocks.append((left[-p - 1], self.band(p), 0))
+        return GradedMatrix.from_blocks(self.module, self.module, -1, *blocks)
 
     def _build_x(self):
+        """x as a band shift: x^p -> x^(p+1), with delta1 out of the
+        irreducible band of the hat model and delta2 into that of the check
+        model.  The columns whose image leaves the window are lossy."""
         x = self.base
-        ent = {} if self.flavor == "bar" else dict(x.v.entries)
+        one = GradedMatrix.identity(x.red)
+        blocks = [] if self.flavor == "bar" else [(x.v, 0, 0)]
         lossy = set()
         if self.flavor == "hat":
-            for (t, s), val in x.delta1.entries.items():
-                if self.has_power(0):
-                    ent[(self.red_index(t, 0), self.irr_index(s))] = val
-                else:
-                    lossy.add(self.irr_index(s))
+            if self.has_power(0):
+                blocks.append((x.delta1, self.band(0), 0))
+            else:
+                lossy.update(s for _, s in x.delta1.entries)
         for p in self.powers:
-            for g in range(x.red.rank):
-                col = self.red_index(g, p)
-                if self.flavor == "check" and p == -1:
-                    for (t, s), val in x.delta2.entries.items():
-                        if s == g:
-                            ent[(self.irr_index(t), col)] = val
-                elif self.has_power(p + 1):
-                    ent[(self.red_index(g, p + 1), col)] = x.ring.domain.one
-                else:
-                    lossy.add(col)
-        return GradedMatrix(self.module, self.module, -2, ent), lossy
+            if self.flavor == "check" and p == -1:
+                blocks.append((x.delta2, 0, self.band(p)))
+            elif self.has_power(p + 1):
+                blocks.append((one, self.band(p + 1), self.band(p)))
+            else:
+                lossy.update(range(self.band(p), self.band(p) + x.red.rank))
+        return GradedMatrix.from_blocks(self.module, self.module, -2, *blocks), lossy
 
     def verify(self):
-        return RelationReport([
-            ("differential squares to zero", (self.diff @ self.diff).is_zero,
-             (self.diff @ self.diff).first_nonzero()),
-        ])
+        return RelationReport([_rel("differential squares to zero", self.diff @ self.diff)])
 
 
 def build_small(x, flavor, n):
@@ -146,28 +143,6 @@ def build_small(x, flavor, n):
 
 # ---------------------------------------------------------------------------
 # The i/j/p maps between the windowed models.
-
-
-def _map_matrix(src, tgt, fn):
-    """Build a matrix from a column rule fn(col) -> list of (row, raw value);
-    out-of-window outputs must already be dropped by fn."""
-    add = src.module.ring.domain.add
-    ent = {}
-    for col in range(src.module.rank):
-        for row, val in fn(col):
-            key = (row, col)
-            cur = ent.get(key)
-            ent[key] = val if cur is None else add(cur, val)
-    return ent
-
-
-def _col_info(model, col):
-    """('irr', gen) or ('red', gen, power) for a model column."""
-    if col < model._nirr:
-        return ("irr", col)
-    off = col - model._nirr
-    k, g = divmod(off, model.base.red.rank)
-    return ("red", g, model.powers[k])
 
 
 def ijp_maps(x, n):
@@ -187,46 +162,23 @@ def ijp_maps(x, n):
 
 
 def _ijp_matrices(x, hat, chk, bar, e):
-    dom = x.ring.domain
-    one = dom.one
+    """i sends the irreducible band to the bands x^(-j-1) of bar by
+    delta1 v^j and each R band to its own; j is minus the identity of the
+    irreducible bands; p sends the band x^p, p >= 0, of bar to the
+    irreducible band by v^p delta2 and each negative band to its own."""
+    one = GradedMatrix.identity(x.red)
     left = Sweep(x.delta1, x.v)
     right = Sweep(x.delta2, x.v, before=True)
-
-    def i_rule(col):
-        kind, *rest = _col_info(hat, col)
-        out = []
-        if kind == "irr":
-            c = rest[0]
-            for j in range(e):
-                for (t, s), val in left[j].entries.items():
-                    if s == c and bar.has_power(-j - 1):
-                        out.append((bar.red_index(t, -j - 1), val))
-        else:
-            g, p = rest
-            if bar.has_power(p):
-                out.append((bar.red_index(g, p), one))
-        return out
-
-    def j_rule(col):
-        kind, *rest = _col_info(chk, col)
-        if kind == "irr":
-            return [(hat.irr_index(rest[0]), dom.neg(one))]
-        return []
-
-    def p_rule(col):
-        kind, g, p = _col_info(bar, col)
-        out = []
-        if p >= 0:
-            for (t, s), val in right[p].entries.items():
-                if s == g:
-                    out.append((chk.irr_index(t), val))
-        elif chk.has_power(p):
-            out.append((chk.red_index(g, p), one))
-        return out
-
-    mi = GradedMatrix(hat.module, bar.module, 0, _map_matrix(hat, bar, i_rule))
-    mj = GradedMatrix(chk.module, hat.module, -1, _map_matrix(chk, hat, j_rule))
-    mp = GradedMatrix(bar.module, chk.module, 0, _map_matrix(bar, chk, p_rule))
+    mi = GradedMatrix.from_blocks(
+        hat.module, bar.module, 0,
+        *[(left[j], bar.band(-j - 1), 0) for j in range(e) if bar.has_power(-j - 1)],
+        *[(one, bar.band(p), hat.band(p)) for p in hat.powers if bar.has_power(p)])
+    mj = GradedMatrix.from_blocks(chk.module, hat.module, -1,
+                                  (-GradedMatrix.identity(x.irr), 0, 0))
+    mp = GradedMatrix.from_blocks(
+        bar.module, chk.module, 0,
+        *[(right[p], 0, bar.band(p)) for p in bar.powers if p >= 0],
+        *[(one, chk.band(p), bar.band(p)) for p in bar.powers if chk.has_power(p)])
     return (mi, mj, mp)
 
 
@@ -234,23 +186,54 @@ def ijp_exactness_report(x, n):
     """Chain-map checks and im = ker at the three nodes of the (j, i, p)
     sequence, on windowed models (exact for nilpotent v)."""
     (hat, chk, bar), (mi, mj, mp) = ijp_maps(x, n)
-    checks = []
-    checks.append(("hat differential squares", (hat.diff @ hat.diff).is_zero, None))
-    checks.append(("check differential squares", (chk.diff @ chk.diff).is_zero, None))
-    cm_i = mi @ hat.diff - bar.diff @ mi
-    cm_j = mj @ chk.diff - hat.diff @ mj
-    cm_p = mp @ bar.diff - chk.diff @ mp
-    checks.append(("i is a chain map", cm_i.is_zero, cm_i.first_nonzero()))
-    checks.append(("j is a chain map", cm_j.is_zero, cm_j.first_nonzero()))
-    checks.append(("p is a chain map", cm_p.is_zero, cm_p.first_nonzero()))
-    checks.append(("exact at hat", exactness_at(chk.diff, mj, mi, bar.diff, hat.diff), None))
-    checks.append(("exact at bar", exactness_at(hat.diff, mi, mp, chk.diff, bar.diff), None))
-    checks.append(("exact at check", exactness_at(bar.diff, mp, mj, hat.diff, chk.diff), None))
-    return RelationReport(checks)
+    return RelationReport([
+        _rel("hat differential squares", hat.diff @ hat.diff),
+        _rel("check differential squares", chk.diff @ chk.diff),
+        _rel("i is a chain map", mi @ hat.diff - bar.diff @ mi),
+        _rel("j is a chain map", mj @ chk.diff - hat.diff @ mj),
+        _rel("p is a chain map", mp @ bar.diff - chk.diff @ mp),
+        ("exact at hat", exactness_at(chk.diff, mj, mi, bar.diff, hat.diff), None),
+        ("exact at bar", exactness_at(hat.diff, mi, mp, chk.diff, bar.diff), None),
+        ("exact at check", exactness_at(bar.diff, mp, mj, hat.diff, chk.diff), None),
+    ])
 
 
 # ---------------------------------------------------------------------------
 # Suspension invariance witnesses.
+
+
+def _suspension_maps(x, hat, hat_s, chk, chk_s):
+    """fhat, fhat', fchk, fchk', K, K' and the mixed homotopy relating the
+    models of X and of Sigma X, placed band by band.
+
+    The irreducible band of a model of Sigma X is C (the first nc columns)
+    followed by R: fhat and fhat' trade that R for the band x^0 of hat X
+    and shift the others by one power, fchk sends the band x^-1 of check
+    Sigma X to C by delta2 and drops the R of its irreducible band, and the
+    homotopies carry the band x^-1 into that R (into x^0 of hat X for the
+    mixed one)."""
+    nc = x.irr.rank
+    one_c, one_r = GradedMatrix.identity(x.irr), GradedMatrix.identity(x.red)
+
+    def shift(src, tgt, by):
+        return [(one_r, tgt.band(p + by), src.band(p))
+                for p in src.powers if tgt.has_power(p + by)]
+
+    fhat = GradedMatrix.from_blocks(hat_s.module, hat.module, -2, (one_c, 0, 0),
+                                    (one_r, hat.band(0), nc), *shift(hat_s, hat, 1))
+    fhat_inv = GradedMatrix.from_blocks(hat.module, hat_s.module, 2, (one_c, 0, 0),
+                                        (one_r, nc, hat.band(0)), *shift(hat, hat_s, -1))
+    fchk = GradedMatrix.from_blocks(chk_s.module, chk.module, -2, (one_c, 0, 0),
+                                    (x.delta2, 0, chk_s.band(-1)), *shift(chk_s, chk, 1))
+    fchk_inv = GradedMatrix.from_blocks(chk.module, chk_s.module, 2, (one_c, 0, 0),
+                                        *shift(chk, chk_s, -1))
+    kchk = GradedMatrix.from_blocks(chk_s.module, chk_s.module, 1,
+                                    (one_r, nc, chk_s.band(-1)))
+    kchk_p = GradedMatrix.from_blocks(chk.module, chk_s.module, 1,
+                                      (-one_r, nc, chk.band(-1)))
+    kmix = GradedMatrix.from_blocks(chk_s.module, hat.module, -2,
+                                    (-one_r, hat.band(0), chk_s.band(-1)))
+    return fhat, fhat_inv, fchk, fchk_inv, kchk, kchk_p, kmix
 
 
 def susequivar_witness(x, n=None):
@@ -263,96 +246,22 @@ def susequivar_witness(x, n=None):
     if n is None:
         n = (e if e is not None else x.irr.rank + 1) + 2
     sx = suspend_once(x)
-    dom = x.ring.domain
-    one = dom.one
-    nc, nr = x.irr.rank, x.red.rank
 
     hat = build_small(x, "hat", n + 1)
     hat_s = build_small(sx, "hat", n)
     chk = build_small(x, "check", n)
     chk_s = build_small(sx, "check", n)
     bar = build_small(x, "bar", n + 1)
-
-    # In Sigma X the irreducible part is C[-2] + R[-1]; in the hat model of
-    # Sigma X the columns are those generators (shifted once more) and then
-    # the reducible powers.
-
-    def fhat_rule(col):
-        kind, *rest = _col_info(hat_s, col)
-        if kind == "irr":
-            c = rest[0]
-            if c < nc:
-                return [(hat.irr_index(c), one)]
-            return [(hat.red_index(c - nc, 0), one)]
-        g, p = rest
-        return [(hat.red_index(g, p + 1), one)] if hat.has_power(p + 1) else []
-
-    def fhat_inv_rule(col):
-        kind, *rest = _col_info(hat, col)
-        if kind == "irr":
-            return [(hat_s.irr_index(rest[0]), one)]
-        g, p = rest
-        if p == 0:
-            return [(hat_s.irr_index(nc + g), one)]
-        return [(hat_s.red_index(g, p - 1), one)] if hat_s.has_power(p - 1) else []
-
-    def fchk_rule(col):
-        # fchk(alpha, theta, sum theta_i x^i) = (alpha + delta2(theta_{-1}),
-        #                                        sum_{i <= -2} theta_i x^{i+1})
-        kind, *rest = _col_info(chk_s, col)
-        if kind == "irr":
-            c = rest[0]
-            if c < nc:
-                return [(chk.irr_index(c), one)]
-            return []  # the middle reducible copy dies
-        g, p = rest
-        if p == -1:
-            return [(chk.irr_index(t), val)
-                    for (t, s), val in x.delta2.entries.items() if s == g]
-        return [(chk.red_index(g, p + 1), one)] if chk.has_power(p + 1) else []
-
-    def fchk_inv_rule(col):
-        kind, *rest = _col_info(chk, col)
-        if kind == "irr":
-            return [(chk_s.irr_index(rest[0]), one)]
-        g, p = rest
-        return [(chk_s.red_index(g, p - 1), one)] if chk_s.has_power(p - 1) else []
-
-    def kchk_rule(col):
-        kind, *rest = _col_info(chk_s, col)
-        if kind == "red" and rest[1] == -1:
-            return [(chk_s.irr_index(nc + rest[0]), one)]
-        return []
-
-    def kchk_prime_rule(col):
-        kind, *rest = _col_info(chk, col)
-        if kind == "red" and rest[1] == -1:
-            return [(chk_s.irr_index(nc + rest[0]), dom.neg(one))]
-        return []
-
-    def kmix_rule(col):
-        kind, *rest = _col_info(chk_s, col)
-        if kind == "red" and rest[1] == -1:
-            return [(hat.red_index(rest[0], 0), dom.neg(one))] if hat.has_power(0) else []
-        return []
-
-    fhat = GradedMatrix(hat_s.module, hat.module, -2, _map_matrix(hat_s, hat, fhat_rule))
-    fhat_inv = GradedMatrix(hat.module, hat_s.module, 2, _map_matrix(hat, hat_s, fhat_inv_rule))
-    fchk = GradedMatrix(chk_s.module, chk.module, -2, _map_matrix(chk_s, chk, fchk_rule))
-    fchk_inv = GradedMatrix(chk.module, chk_s.module, 2, _map_matrix(chk, chk_s, fchk_inv_rule))
-    kchk = GradedMatrix(chk_s.module, chk_s.module, 1, _map_matrix(chk_s, chk_s, kchk_rule))
-    kchk_p = GradedMatrix(chk.module, chk_s.module, 1, _map_matrix(chk, chk_s, kchk_prime_rule))
-    kmix = GradedMatrix(chk_s.module, hat.module, -2, _map_matrix(chk_s, hat, kmix_rule))
-
-    def restrict_cols(m, cols):
-        return GradedMatrix(m.source, m.target, m.degree,
-                            {(t, s): v for (t, s), v in m.entries.items() if s in cols})
+    fhat, fhat_inv, fchk, fchk_inv, kchk, kchk_p, kmix = _suspension_maps(
+        x, hat, hat_s, chk, chk_s)
 
     checks = []
 
-    def add(name, diff_matrix, cols=None):
-        m = diff_matrix if cols is None else restrict_cols(diff_matrix, cols)
-        checks.append((name, m.is_zero, m.first_nonzero()))
+    def add(name, m, cols=None):
+        if cols is not None:
+            m = GradedMatrix._new(m.source, m.target, m.degree,
+                                  {k: y for k, y in m.entries.items() if k[1] in cols})
+        checks.append(_rel(name, m))
 
     add("fhat chain map", fhat @ hat_s.diff - hat.diff @ fhat)
     add("fhat' chain map", fhat_inv @ hat.diff - hat_s.diff @ fhat_inv)
@@ -361,22 +270,18 @@ def susequivar_witness(x, n=None):
     add("fhat . fhat' = 1", fhat @ fhat_inv - GradedMatrix.identity(hat.module))
     add("fhat' . fhat = 1", fhat_inv @ fhat - GradedMatrix.identity(hat_s.module))
     add("fchk . fchk' = 1", fchk @ fchk_inv - GradedMatrix.identity(chk.module),
-        cols={c for c in range(chk.module.rank)
-              if _col_info(chk, c)[0] == "irr" or _col_info(chk, c)[2] > -n})
+        cols=chk.columns_without(-n))
     add("1 - fchk'.fchk = K d + d K (check side)",
         GradedMatrix.identity(chk_s.module) - fchk_inv @ fchk
         - kchk @ chk_s.diff - chk_s.diff @ kchk,
-        cols={c for c in range(chk_s.module.rank)
-              if _col_info(chk_s, c)[0] == "irr" or _col_info(chk_s, c)[2] > -n})
+        cols=chk_s.columns_without(-n))
     add("fchk x = x fchk",
         fchk @ chk_s.x_action - chk.x_action @ fchk,
         cols=set(range(chk_s.module.rank)) - chk_s.x_lossy)
     add("fchk' x - x fchk' = d K' + K' d",
         fchk_inv @ chk.x_action - chk_s.x_action @ fchk_inv
         - chk_s.diff @ kchk_p - kchk_p @ chk.diff,
-        cols={c for c in range(chk.module.rank)
-              if _col_info(chk, c)[0] == "irr" or _col_info(chk, c)[2] > -n}
-        - chk.x_lossy)
+        cols=chk.columns_without(-n) - chk.x_lossy)
     if e is not None:
         e_s = _nilpotency(sx.v)
         mi, mj, mp = _ijp_matrices(x, hat, chk, bar, e)
@@ -385,8 +290,7 @@ def susequivar_witness(x, n=None):
             mi @ fhat - bar.x_action @ mi_s)
         add("p x = fchk p_Sigma",
             mp @ bar.x_action - fchk @ mp_s,
-            cols={c for c in range(bar.module.rank)
-                  if -n <= _col_info(bar, c)[2] <= n - 1})
+            cols=bar.columns_without(-n - 1, n))
         add("fhat j_Sigma - j fchk = K d + d K",
             fhat @ mj_s - mj @ fchk - kmix @ chk_s.diff - hat.diff @ kmix)
     return RelationReport(checks)

@@ -16,6 +16,13 @@ def _sgn(dom, deg, x):
     return x if deg % 2 == 0 else dom.neg(x)
 
 
+def _signs(module):
+    """The diagonal eps = (-1)^deg of `module`, of degree 0."""
+    dom = module.ring.domain
+    return GradedMatrix(module, module, 0, {(i, i): _sgn(dom, d, dom.one)
+                                            for i, (_, d) in enumerate(module.gens)})
+
+
 # ---------------------------------------------------------------------------
 # Dual.
 
@@ -409,85 +416,41 @@ class EquivalenceWitness:
 
 def suspension_witness(x):
     """The explicit equivalence Sigma X ~ X . O(1), with lambda'.lambda = 1
-    and a homotopy from lambda.lambda' to the identity on the tensor side."""
-    ring = x.ring
-    t = tensor(x, atomic(1, ring, x.modulus))
+    and a homotopy from lambda.lambda' to the identity on the tensor side.
+
+    The tensor's irreducible module is the four bands C.u, (C.u)[-1], C.w,
+    R.u of rank nc, nc, nc, nr (its reducible module is R.w), and that of
+    Sigma X is C then R; every map places blocks of X, identities and the
+    sign diagonals eps = (-1)^deg of C and R."""
+    t = tensor(x, atomic(1, x.ring, x.modulus))
     sx = suspend_once(x)
-    nc, nr = x.irr.rank, x.red.rank
-    lay_cc, lay_ccs, lay_cr, lay_rc = 0, nc, 2 * nc, 3 * nc
+    nc = x.irr.rank
+    ccs, cr, rc = nc, 2 * nc, 3 * nc
+    one_c, one_r = GradedMatrix.identity(x.irr), GradedMatrix.identity(x.red)
+    eps_c, eps_r = _signs(x.irr), _signs(x.red)
 
-    dom = ring.domain
-    one = dom.one
     # forward: Sigma X -> X.O(1)
-    lam_ent = {}
-    for i in range(nc):  # C[-2] -> (C.u)[-1]
-        lam_ent[(lay_ccs + i, i)] = one
-    for j in range(nr):  # R[-1] -> R.u with sign eps
-        lam_ent[(lay_rc + j, nc + j)] = _sgn(dom, x.red.degree(j), one)
-    lam = GradedMatrix(sx.irr, t.irr, 0, lam_ent)
-
-    mu_ent = {}
-    for (tj, sj), val in x.r.entries.items():  # R[-1] -> R.u via r
-        mu_ent[(lay_rc + tj, nc + sj)] = val
-    mu = GradedMatrix(sx.irr, t.irr, -1, mu_ent)
-
-    d2_ent = {}
-    for (ti, sj), val in x.delta2.entries.items():  # eps delta2 into C.u
-        d2_ent[(lay_cc + ti, sj)] = _sgn(dom, x.irr.degree(ti), val)
-    for (ti, sj), val in (x.delta2 @ x.r).entries.items():  # eps delta2 r into (C.u)[-1]
-        d2_ent[(lay_ccs + ti, sj)] = _sgn(dom, x.irr.degree(ti), val)
-    d2 = GradedMatrix(sx.red, t.irr, -1, d2_ent)
-
-    rho = GradedMatrix(sx.red, t.red, 0,
-                       {(j, j): one for j in range(nr)})
-    d1 = GradedMatrix.zero(sx.irr, t.red, 0)
-    fwd = SMorphism(sx, t, 0, lam, mu, d1, d2, rho)
+    lam = GradedMatrix.from_blocks(sx.irr, t.irr, 0, (one_c, ccs, 0), (eps_r, rc, nc))
+    mu = GradedMatrix.from_blocks(sx.irr, t.irr, -1, (x.r, rc, nc))
+    d2 = GradedMatrix.from_blocks(sx.red, t.irr, -1, (eps_c @ x.delta2, 0, 0),
+                                  (eps_c @ x.delta2 @ x.r, ccs, 0))
+    fwd = SMorphism(sx, t, 0, lam, mu, GradedMatrix.zero(sx.irr, t.red, 0), d2,
+                    GradedMatrix.from_blocks(sx.red, t.red, 0, (one_r, 0, 0)))
 
     # backward: X.O(1) -> Sigma X, with lambda' = [[d, 1, v, 0], [0, 0, delta1, eps]]
-    lam_ent = {}
-    for (ti, si), val in x.d.entries.items():
-        lam_ent[(ti, lay_cc + si)] = val
-    for i in range(nc):
-        lam_ent[(i, lay_ccs + i)] = one
-    for (ti, si), val in x.v.entries.items():
-        lam_ent[(ti, lay_cr + si)] = val
-    for (tj, si), val in x.delta1.entries.items():
-        lam_ent[(nc + tj, lay_cr + si)] = val
-    for j in range(nr):
-        lam_ent[(nc + j, lay_rc + j)] = _sgn(dom, x.red.degree(j), one)
-    lam_b = GradedMatrix(t.irr, sx.irr, 0, lam_ent)
-
-    mu_ent = {}
-    for (tj, si), val in x.delta1.entries.items():
-        mu_ent[(nc + tj, lay_cc + si)] = val
-    for (tj, sj), val in x.r.entries.items():
-        mu_ent[(nc + tj, lay_rc + sj)] = val
-    mu_b = GradedMatrix(t.irr, sx.irr, -1, mu_ent)
-
-    rho_b = GradedMatrix(t.red, sx.red, 0, {(j, j): one for j in range(nr)})
+    lam_b = GradedMatrix.from_blocks(t.irr, sx.irr, 0, (x.d, 0, 0), (one_c, 0, ccs),
+                                     (x.v, 0, cr), (x.delta1, nc, cr), (eps_r, nc, rc))
+    mu_b = GradedMatrix.from_blocks(t.irr, sx.irr, -1, (x.delta1, nc, 0), (x.r, nc, rc))
     bwd = SMorphism(t, sx, 0, lam_b, mu_b,
                     GradedMatrix.zero(t.irr, sx.red, 0),
-                    GradedMatrix.zero(t.red, sx.irr, -1), rho_b)
+                    GradedMatrix.zero(t.red, sx.irr, -1),
+                    GradedMatrix.from_blocks(t.red, sx.red, 0, (one_r, 0, 0)))
 
     # homotopy on the tensor side from fwd.bwd to the identity
-    K_ent = {}
-    for i in range(nc):
-        K_ent[(lay_cc + i, lay_cr + i)] = _sgn(dom, x.irr.degree(i) + 1, one)
-    for (ti, si), val in x.d.entries.items():
-        K_ent[(lay_ccs + ti, lay_cr + si)] = _sgn(dom, x.irr.degree(ti) + 1, val)
-    K = GradedMatrix(t.irr, t.irr, 1, K_ent)
-
-    L_ent = {}
-    for j in range(nr):
-        L_ent[(lay_rc + j, lay_rc + j)] = _sgn(dom, x.red.degree(j), one)
-    L = GradedMatrix(t.irr, t.irr, 0, L_ent)
-
-    M2_ent = {}
-    for (ti, sj), val in x.delta2.entries.items():
-        M2_ent[(lay_ccs + ti, sj)] = _sgn(dom, x.irr.degree(ti) + 1, val)
-    for (tj, sj), val in x.r.entries.items():
-        M2_ent[(lay_rc + tj, sj)] = dom.add(val, val)
-    M2 = GradedMatrix(t.red, t.irr, 0, M2_ent)
+    K = GradedMatrix.from_blocks(t.irr, t.irr, 1, (-eps_c, 0, cr), (-eps_c @ x.d, ccs, cr))
+    L = GradedMatrix.from_blocks(t.irr, t.irr, 0, (eps_r, rc, rc))
+    M2 = GradedMatrix.from_blocks(t.red, t.irr, 0, (-eps_c @ x.delta2, ccs, 0),
+                                  (x.r + x.r, rc, 0))
 
     comp = fwd.compose_after(bwd)
     hfb = SHomotopy(comp, SMorphism.identity(t), K, L,

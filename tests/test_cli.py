@@ -234,11 +234,64 @@ def test_functor_verbs(tmp_path):
     assert run("verify", "--in", str(o)) == 0
 
 
+_IJP_ROWS = ("hat differential squares", "check differential squares", "i is a chain map",
+             "j is a chain map", "p is a chain map", "exact at hat", "exact at bar",
+             "exact at check")
+_IJP_PASS = {"checks": [{"name": n, "offender": None, "ok": True} for n in _IJP_ROWS],
+             "ok": True}
+
+# `scx equivariant --n 3 --json --exactness` on O(1) and on the trefoil
+# summand (`--ring z`): (document, flavor) -> payload, as printed when the
+# models and the i/j/p maps were built by per-column rules
+_EQUIVARIANT_PINNED = {
+    ("O(1)", "hat"): {"differential": [], "rank": 4},
+    ("O(1)", "check"): {"differential": [["x-1.w", "c.u", "1"]], "rank": 4},
+    ("O(1)", "bar"): {"differential": [], "rank": 6},
+    ("trefoil", "hat"): {"differential": [], "rank": 4},
+    ("trefoil", "check"): {"differential": [], "rank": 4},
+    ("trefoil", "bar"): {"differential": [], "rank": 6},
+}
+
+
 def test_equivariant_verb(tmp_path, capsys):
     o = tmp_path / "o1.json"
     run("atomic", "--n", "1", "--out", str(o))
+    tre = tmp_path / "trefoil.json"
+    run("family", "--name", "torus-knot", "--k", "2", "--out", str(tre))
+    capsys.readouterr()
     assert run("equivariant", "--in", str(o), "--flavor", "check", "--n", "3",
                "--exactness") == 0
+    capsys.readouterr()
+    for (name, flavor), pinned in _EQUIVARIANT_PINNED.items():
+        path, ring = (o, []) if name == "O(1)" else (tre, ["--ring", "z"])
+        assert run("equivariant", "--in", str(path), "--flavor", flavor, "--n", "3",
+                   *ring, "--json", "--exactness") == 0
+        want = dict(pinned, exactness=_IJP_PASS, flavor=flavor, ok=True)
+        assert capsys.readouterr().out == json.dumps(want, indent=1, sort_keys=True) + "\n"
+
+
+def test_equivariant_exactness_names_the_offender_of_a_failing_square(tmp_path, capsys):
+    # over Q with C = a -> b -> c and d d (a) = c: both model differentials
+    # fail to square to zero, and their rows name the first offender
+    doc = {"d": [["b", "a", "1"], ["c", "b", "1"]], "delta1": [], "delta2": [],
+           "irreducible": [{"degree": 2, "name": "a"}, {"degree": 1, "name": "b"},
+                           {"degree": 0, "name": "c"}],
+           "metadata": {"name": "d2"}, "modulus": 4, "r": [], "reducible": [],
+           "ring": {"kind": "Q"}, "v": []}
+    path = tmp_path / "d2.json"
+    path.write_text(json.dumps(doc))
+    assert run("equivariant", "--in", str(path), "--flavor", "hat", "--n", "1",
+               "--json", "--exactness") == 1
+    checks = {c["name"]: (c["ok"], c["offender"])
+              for c in json.loads(capsys.readouterr().out)["exactness"]["checks"]}
+    assert checks["hat differential squares"] == (False, ["c.c", "c.a", "1"])
+    assert checks["check differential squares"] == (False, ["c.c", "c.a", "1"])
+    assert checks["exact at hat"] == (False, None)
+    assert checks["i is a chain map"] == (True, None)
+    assert run("equivariant", "--in", str(path), "--flavor", "check", "--n", "1",
+               "--exactness") == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "FAIL  hat differential squares  (first offender c.c <- c.a: 1)"
 
 
 def test_skein_chi_verb(tmp_path, capsys):

@@ -4,20 +4,24 @@ import time
 import pytest
 
 from scx.equivariant import (
+    SmallEquivariantComplex,
+    _ijp_matrices,
     _j_module,
     _module_basis_and_rank,
     _nilpotency,
+    _suspension_maps,
     _sweeps,
     build_small,
     froyshov_profile,
     froyshov_properties_check,
     ijp_exactness_report,
+    ijp_maps,
     j_module_oracle,
     j_nesting_ok,
     susequivar_witness,
 )
 from scx.errors import NotRPerfect, UnsupportedRing
-from scx.functors import atomic, direct_sum, dual, suspend, tensor
+from scx.functors import atomic, direct_sum, dual, suspend, suspend_once, tensor
 from scx.gradedlin import (
     GradedMatrix,
     GradedModule,
@@ -588,3 +592,221 @@ def test_j_module_equals_the_dense_route():
             assert _j_module(x, i) == got
     assert rings_seen == {Z, Q, Zp(3), FRAC_LAURENT_Q}
     assert all_zero >= 2 and past_nilpotency > 10 and nonzero_d > 5
+
+
+# -- the per-column rules that band placement replaced, kept as the oracle
+# of the small models, the i/j/p maps and the suspension maps: every map is
+# built column by column from the (kind, generator, power) a column index
+# decodes to, with its own index arithmetic
+
+
+def _oracle_col(model, col):
+    """('irr', gen) or ('red', gen, power) for a model column."""
+    nirr = model.base.irr.rank if model.flavor != "bar" else 0
+    if col < nirr:
+        return ("irr", col)
+    k, g = divmod(col - nirr, model.base.red.rank)
+    return ("red", g, model.powers[k])
+
+
+def _oracle_red(model, gen, power):
+    nirr = model.base.irr.rank if model.flavor != "bar" else 0
+    return nirr + model.powers.index(power) * model.base.red.rank + gen
+
+
+def _oracle_map(src, tgt, degree, rule):
+    """The matrix whose column col is rule(col), a list of (row, raw value);
+    values at one position add."""
+    add = src.base.ring.domain.add
+    ent = {}
+    for col in range(src.module.rank):
+        for row, val in rule(col):
+            ent[(row, col)] = val if (row, col) not in ent else add(ent[(row, col)], val)
+    return GradedMatrix(src.module, tgt.module, degree, ent)
+
+
+def _oracle_diff(model):
+    x = model.base
+    ent = {} if model.flavor == "bar" else dict(x.d.entries)
+    for p in model.powers:
+        if model.flavor == "hat" and p >= 0:
+            for (t, s), val in (-(x.v.power(p) @ x.delta2)).entries.items():
+                ent[(t, _oracle_red(model, s, p))] = val
+        elif model.flavor == "check" and p < 0:
+            for (t, s), val in (x.delta1 @ x.v.power(-p - 1)).entries.items():
+                ent[(_oracle_red(model, t, p), s)] = val
+    return GradedMatrix(model.module, model.module, -1, ent)
+
+
+def _oracle_x(model):
+    x = model.base
+    ent = {} if model.flavor == "bar" else dict(x.v.entries)
+    lossy = set()
+    if model.flavor == "hat":
+        for (t, s), val in x.delta1.entries.items():
+            if 0 in model.powers:
+                ent[(_oracle_red(model, t, 0), s)] = val
+            else:
+                lossy.add(s)
+    for p in model.powers:
+        for g in range(x.red.rank):
+            col = _oracle_red(model, g, p)
+            if model.flavor == "check" and p == -1:
+                for (t, s), val in x.delta2.entries.items():
+                    if s == g:
+                        ent[(t, col)] = val
+            elif p + 1 in model.powers:
+                ent[(_oracle_red(model, g, p + 1), col)] = x.ring.domain.one
+            else:
+                lossy.add(col)
+    return GradedMatrix(model.module, model.module, -2, ent), lossy
+
+
+def _oracle_ijp(x, hat, chk, bar, e):
+    dom = x.ring.domain
+    one = dom.one
+
+    def i_rule(col):
+        kind, *rest = _oracle_col(hat, col)
+        if kind == "irr":
+            return [(_oracle_red(bar, t, -j - 1), val)
+                    for j in range(e) if -j - 1 in bar.powers
+                    for (t, s), val in (x.delta1 @ x.v.power(j)).entries.items()
+                    if s == rest[0]]
+        g, p = rest
+        return [(_oracle_red(bar, g, p), one)] if p in bar.powers else []
+
+    def j_rule(col):
+        kind, *rest = _oracle_col(chk, col)
+        return [(rest[0], dom.neg(one))] if kind == "irr" else []
+
+    def p_rule(col):
+        _, g, p = _oracle_col(bar, col)
+        if p >= 0:
+            return [(t, val) for (t, s), val in (x.v.power(p) @ x.delta2).entries.items()
+                    if s == g]
+        return [(_oracle_red(chk, g, p), one)] if p in chk.powers else []
+
+    return (_oracle_map(hat, bar, 0, i_rule), _oracle_map(chk, hat, -1, j_rule),
+            _oracle_map(bar, chk, 0, p_rule))
+
+
+def _oracle_suspension_maps(x, hat, hat_s, chk, chk_s):
+    dom = x.ring.domain
+    one = dom.one
+    nc = x.irr.rank
+
+    def fhat_rule(col):
+        kind, *rest = _oracle_col(hat_s, col)
+        if kind == "irr":
+            c = rest[0]
+            return [(c, one)] if c < nc else [(_oracle_red(hat, c - nc, 0), one)]
+        g, p = rest
+        return [(_oracle_red(hat, g, p + 1), one)] if p + 1 in hat.powers else []
+
+    def fhat_inv_rule(col):
+        kind, *rest = _oracle_col(hat, col)
+        if kind == "irr":
+            return [(rest[0], one)]
+        g, p = rest
+        if p == 0:
+            return [(nc + g, one)]
+        return [(_oracle_red(hat_s, g, p - 1), one)] if p - 1 in hat_s.powers else []
+
+    def fchk_rule(col):
+        kind, *rest = _oracle_col(chk_s, col)
+        if kind == "irr":
+            return [(rest[0], one)] if rest[0] < nc else []
+        g, p = rest
+        if p == -1:
+            return [(t, val) for (t, s), val in x.delta2.entries.items() if s == g]
+        return [(_oracle_red(chk, g, p + 1), one)] if p + 1 in chk.powers else []
+
+    def fchk_inv_rule(col):
+        kind, *rest = _oracle_col(chk, col)
+        if kind == "irr":
+            return [(rest[0], one)]
+        g, p = rest
+        return [(_oracle_red(chk_s, g, p - 1), one)] if p - 1 in chk_s.powers else []
+
+    def at_minus_one(model, row, val):
+        def rule(col):
+            kind, *rest = _oracle_col(model, col)
+            return [(row(rest[0]), val)] if kind == "red" and rest[1] == -1 else []
+        return rule
+
+    return (_oracle_map(hat_s, hat, -2, fhat_rule),
+            _oracle_map(hat, hat_s, 2, fhat_inv_rule),
+            _oracle_map(chk_s, chk, -2, fchk_rule),
+            _oracle_map(chk, chk_s, 2, fchk_inv_rule),
+            _oracle_map(chk_s, chk_s, 1, at_minus_one(chk_s, lambda g: nc + g, one)),
+            _oracle_map(chk, chk_s, 1, at_minus_one(chk, lambda g: nc + g, dom.neg(one))),
+            _oracle_map(chk_s, hat, -2,
+                        at_minus_one(chk_s, lambda g: _oracle_red(hat, g, 0), dom.neg(one))))
+
+
+def _same_map(got, want):
+    return (got.source == want.source and got.target == want.target
+            and got.degree == want.degree and got.entries == want.entries)
+
+
+def _band_oracle_complexes():
+    ev = eval_t_at_one()
+    xs = [atomic(n, ring, 4) for n in range(-3, 4) for ring in (Q, Z)]
+    xs += [torus_link_complex(k).base_change(ev) for k in range(1, 6)]
+    xs += [torus_knot_summand(k).base_change(ev) for k in range(2, 6)]
+    xs.append(_non_nilpotent_s_complex(Q))
+    for ring in (Zp(2), Zp(3), Q, Z):
+        rng = random.Random(31)
+        xs += [rand_scomplex(ring, rng, max_rank=6, r_perfect=True, allow_cone=False)
+               for _ in range(10)]
+    return xs
+
+
+def _check_model(model):
+    assert _same_map(model.diff, _oracle_diff(model))
+    x_action, lossy = _oracle_x(model)
+    assert _same_map(model.x_action, x_action)
+    assert model.x_lossy == lossy
+
+
+def test_models_and_maps_equal_the_column_rule_oracle():
+    open_maps = nonzero = 0
+    for x in _band_oracle_complexes():
+        e = _nilpotency(x.v)
+        for n in range(1, 6):
+            for flavor in ("hat", "check", "bar"):
+                _check_model(build_small(x, flavor, n))
+            if e is not None:
+                models, maps = ijp_maps(x, n)
+                for got, want in zip(maps, _oracle_ijp(x, *models, e)):
+                    assert _same_map(got, want)
+                    nonzero += bool(got.entries)
+        # the windows of the suspension witness: hat and bar of X one power
+        # wider than the models of Sigma X and the check model of X
+        sx = suspend_once(x)
+        for n in range(1, 5):
+            hat, chk, bar = (build_small(x, "hat", n + 1), build_small(x, "check", n),
+                             build_small(x, "bar", n + 1))
+            hat_s, chk_s = build_small(sx, "hat", n), build_small(sx, "check", n)
+            for model in (hat, chk, bar, hat_s, chk_s):
+                _check_model(model)
+            maps = _suspension_maps(x, hat, hat_s, chk, chk_s)
+            want = _oracle_suspension_maps(x, hat, hat_s, chk, chk_s)
+            assert len(maps) == len(want) == 7
+            assert all(_same_map(g, w) for g, w in zip(maps, want))
+            if e is not None:
+                e_s = _nilpotency(sx.v)
+                for y, ms, ee in ((x, (hat, chk, bar), e), (sx, (hat_s, chk_s, bar), e_s)):
+                    for got, w in zip(_ijp_matrices(y, *ms, ee), _oracle_ijp(y, *ms, ee)):
+                        assert _same_map(got, w)
+                open_maps += 1
+    assert open_maps > 200 and nonzero > 800
+
+
+def test_a_hat_model_without_power_zero_loses_the_delta1_sources():
+    x = atomic(3, Q, 4)
+    assert not x.delta1.is_zero
+    model = SmallEquivariantComplex(x, "hat", range(1, 3))
+    _check_model(model)
+    assert {s for _, s in x.delta1.entries} <= model.x_lossy

@@ -12,6 +12,7 @@ from scx.functors import (
     suspend_morphism,
     suspend_once,
     suspension_witness,
+    tensor,
 )
 from scx.gradedlin import GradedMatrix, GradedModule
 from scx.linkfam import hopf_complex, torus_knot_summand, torus_link_complex
@@ -317,3 +318,97 @@ def test_solved_homotopy_matrices_hold_elements_of_the_ring():
                     assert parse_element(ring, str(e)).val == v
                 entries += len(m.entries)
         assert entries, ring
+
+
+# -- the index-loop suspension witness that block placement replaced, kept as
+# the oracle: every entry of every map written at its own tensor index
+
+
+def _oracle_suspension_blocks(x):
+    """name -> matrix for the blocks of the forward and backward morphisms
+    and of the homotopy from forward.backward to the identity."""
+    t = tensor(x, atomic(1, x.ring, x.modulus))
+    sx = suspend_once(x)
+    nc, nr = x.irr.rank, x.red.rank
+    cc, ccs, cr, rc = 0, nc, 2 * nc, 3 * nc
+    dom = x.ring.domain
+    one = dom.one
+
+    def sgn(deg, val):
+        return val if deg % 2 == 0 else dom.neg(val)
+
+    lam = {(ccs + i, i): one for i in range(nc)}
+    lam.update({(rc + j, nc + j): sgn(x.red.degree(j), one) for j in range(nr)})
+    mu = {(rc + tj, nc + sj): val for (tj, sj), val in x.r.entries.items()}
+    d2 = {(cc + ti, sj): sgn(x.irr.degree(ti), val)
+          for (ti, sj), val in x.delta2.entries.items()}
+    d2.update({(ccs + ti, sj): sgn(x.irr.degree(ti), val)
+               for (ti, sj), val in (x.delta2 @ x.r).entries.items()})
+    lam_b = {(ti, cc + si): val for (ti, si), val in x.d.entries.items()}
+    lam_b.update({(i, ccs + i): one for i in range(nc)})
+    lam_b.update({(ti, cr + si): val for (ti, si), val in x.v.entries.items()})
+    lam_b.update({(nc + tj, cr + si): val for (tj, si), val in x.delta1.entries.items()})
+    lam_b.update({(nc + j, rc + j): sgn(x.red.degree(j), one) for j in range(nr)})
+    mu_b = {(nc + tj, cc + si): val for (tj, si), val in x.delta1.entries.items()}
+    mu_b.update({(nc + tj, rc + sj): val for (tj, sj), val in x.r.entries.items()})
+    k = {(cc + i, cr + i): sgn(x.irr.degree(i) + 1, one) for i in range(nc)}
+    k.update({(ccs + ti, cr + si): sgn(x.irr.degree(ti) + 1, val)
+              for (ti, si), val in x.d.entries.items()})
+    el = {(rc + j, rc + j): sgn(x.red.degree(j), one) for j in range(nr)}
+    m2 = {(ccs + ti, sj): sgn(x.irr.degree(ti) + 1, val)
+          for (ti, sj), val in x.delta2.entries.items()}
+    m2.update({(rc + tj, sj): dom.add(val, val) for (tj, sj), val in x.r.entries.items()})
+    ident = {(j, j): one for j in range(nr)}
+    return {
+        "fwd lam": GradedMatrix(sx.irr, t.irr, 0, lam),
+        "fwd mu": GradedMatrix(sx.irr, t.irr, -1, mu),
+        "fwd delta1": GradedMatrix(sx.irr, t.red, 0, {}),
+        "fwd delta2": GradedMatrix(sx.red, t.irr, -1, d2),
+        "fwd rho": GradedMatrix(sx.red, t.red, 0, ident),
+        "bwd lam": GradedMatrix(t.irr, sx.irr, 0, lam_b),
+        "bwd mu": GradedMatrix(t.irr, sx.irr, -1, mu_b),
+        "bwd delta1": GradedMatrix(t.irr, sx.red, 0, {}),
+        "bwd delta2": GradedMatrix(t.red, sx.irr, -1, {}),
+        "bwd rho": GradedMatrix(t.red, sx.red, 0, ident),
+        "hfb K": GradedMatrix(t.irr, t.irr, 1, k),
+        "hfb L": GradedMatrix(t.irr, t.irr, 0, el),
+        "hfb M1": GradedMatrix(t.irr, t.red, 1, {}),
+        "hfb M2": GradedMatrix(t.red, t.irr, 0, m2),
+        "hfb J": GradedMatrix(t.red, t.red, 1, {}),
+    }
+
+
+def _suspension_blocks(w):
+    out = {}
+    for part, obj in (("fwd", w.forward), ("bwd", w.backward)):
+        for b in ("lam", "mu", "delta1", "delta2", "rho"):
+            out[f"{part} {b}"] = getattr(obj, b)
+    for b in ("K", "L", "M1", "M2", "J"):
+        out[f"hfb {b}"] = getattr(w.homotopy_fwd_back, b)
+    return out
+
+
+def test_suspension_witness_equals_the_index_loop_oracle():
+    from scx.randgen import RINGS
+
+    xs = [torus_link_complex(k) for k in range(1, 6)]
+    for ring in RINGS.values():
+        rng = random.Random(41)
+        xs += [rand_scomplex(ring, rng, max_rank=6, r_perfect=(i % 2 == 0))
+               for i in range(12)]
+        # cones of random self-maps, for blocks of a nonzero r
+        for _ in range(6):
+            y = rand_scomplex(ring, rng, max_rank=4)
+            xs.append(cone(rand_morphism(y, y, rng)))
+    with_r = 0
+    for x in xs:
+        got = _suspension_blocks(suspension_witness(x))
+        want = _oracle_suspension_blocks(x)
+        assert got.keys() == want.keys()
+        for name, m in want.items():
+            g = got[name]
+            assert (g.source, g.target, g.degree, g.entries) == (
+                m.source, m.target, m.degree, m.entries), name
+        with_r += not x.r.is_zero
+    assert {x.ring for x in xs} == set(RINGS.values()) | {LAURENT_Z}
+    assert with_r >= 10
