@@ -658,8 +658,57 @@ def _snf_solve(snf, rhs):
     return x
 
 
+def _hermite(vecs):
+    """The row Hermite normal form of the lattice the {index: int} vectors
+    `vecs` (left unchanged) span: its nonzero rows, which are a basis of
+    the lattice.  Their first columns, the pivots, ascend, each pivot is
+    positive, and each entry above a pivot, in its column, lies in
+    [0, pivot).  Every lattice has exactly one basis of that form (Cohen,
+    A Course in Computational Algebraic Number Theory, GTM 138, section
+    2.4.2), so two sets of vectors span one lattice iff their forms are
+    equal.
+
+    Made by unimodular row operations on the sparse rows, with no
+    transforms, one column at a time from the least column any row holds:
+    the rows that hold it are reduced by the one whose entry there is least
+    in absolute value until one of them is left, which becomes the next
+    row of the form.  Its sign is fixed and the rows above are reduced at
+    its column.  Reducing by the least entry keeps the entries small;
+    adding one vector at a time by extended-gcd steps lets them grow far
+    larger on rank-deficient sets.
+    """
+    rows = [dict(vec) for vec in vecs if vec]
+    out = []
+    while rows:
+        c = min(map(min, rows))
+        hold = [row for row in rows if c in row]
+        rows = [row for row in rows if c not in row]
+        while len(hold) > 1:
+            prow = min(hold, key=lambda row: abs(row[c]))
+            p = prow[c]
+            left = [prow]
+            for row in hold:
+                if row is not prow:  # |row[c]| >= |p|, so the quotient is not zero
+                    _add_multiple(row, -(row[c] // p), prow)
+                    if c in row:
+                        left.append(row)
+                    elif row:
+                        rows.append(row)
+            hold = left
+        prow = hold[0]
+        if prow[c] < 0:
+            prow = {k: -y for k, y in prow.items()}
+        for above in out:  # the rows still to come hold nothing at column c
+            q = above.get(c, 0) // prow[c]
+            if q:
+                _add_multiple(above, -q, prow)
+        out.append(prow)
+    return out
+
+
 class _SmithElimination:
-    """The elimination over Z: one `smith_form` per call.  Its `field`, for
+    """The elimination over Z: one `smith_form` per call, but for
+    `canonical`, which is the Hermite normal form.  Its `field`, for
     `HomologyMaps`, is Q.  `diagonal` is the nonzero Smith diagonal."""
 
     field = Q
@@ -686,13 +735,10 @@ class _SmithElimination:
                 basis.append(vec)
         return basis
 
-    def same_span(self, ba, bb, n):
-        """Each basis is eliminated once, by one Smith form, and every vector
-        of the other basis is solved for in it."""
-        snf_a = smith_form(_side_by_side(ba, n), len(ba))
-        snf_b = smith_form(_side_by_side(bb, n), len(bb))
-        return (all(_snf_solve(snf_a, v) is not None for v in bb)
-                and all(_snf_solve(snf_b, v) is not None for v in ba))
+    @staticmethod
+    def canonical(vecs, n):
+        """The row Hermite normal form of the lattice the vectors span."""
+        return _hermite(vecs)
 
     def diagonal(self, a, n):
         return [x for x in smith_form(a, n).diag if x]
@@ -796,9 +842,11 @@ class _FieldElimination:
         """The pivot columns."""
         return [cols[j] for j in _rref(_side_by_side(cols, n), self.dom)[1]]
 
-    def same_span(self, ba, bb, n):
-        """The two spans and their sum have one dimension."""
-        return not ba or len(self.basis(ba + bb, n)) == len(ba)
+    def canonical(self, vecs, n):
+        """The nonzero rows of the reduced row echelon form with the vectors
+        as rows: the reduced echelon basis of their span."""
+        rr, piv = _rref(list(map(dict, vecs)), self.dom)
+        return rr[:len(piv)]
 
     def diagonal(self, a, n):
         """One 1 per pivot."""
@@ -826,9 +874,11 @@ def field_kernel_basis(rows, ring, ncols=None):
 # {column: nonzero raw value} rows, each passed with its length n.  The ring
 # decides only which elimination runs, once, in `ELIMINATIONS`: Z maps to
 # the Smith form, each field to `_rref` over its domain, Z[T^{+-1}] to None.
-# Each offers `kernel`, `solve`, `basis`, `same_span`, `diagonal`, `field`
-# and `to_field`.  Ring elements are made, by `boxed`, only for a result
-# that leaves the library.
+# Each offers `kernel`, `solve`, `basis`, `canonical`, `diagonal`, `field`
+# and `to_field`; `canonical` is the one basis of a span in canonical form,
+# the Hermite normal form over Z and the reduced echelon rows over a field.
+# Ring elements are made, by `boxed`, only for a result that leaves the
+# library.
 
 
 class _Eliminations(dict):
@@ -929,16 +979,23 @@ def span_contains(basis, vec, n, ring):
 
 def spans_equal(cols_a, cols_b, n, ring):
     """Whether two sets of vectors of length n span the same lattice or
-    space: their bases have one length and the same span (`same_span`)."""
-    ba, bb = column_basis(cols_a, n, ring), column_basis(cols_b, n, ring)
-    return len(ba) == len(bb) and ELIMINATIONS[ring].same_span(ba, bb, n)
+    space: whether their canonical forms (`canonical`) are equal.
+
+    A lattice in Z^n has exactly one basis in row Hermite normal form, and
+    a subspace of F^n exactly one in reduced row echelon form, so the two
+    spans are equal iff those bases are: no basis of either side is solved
+    for in the other."""
+    canonical = ELIMINATIONS[ring].canonical
+    return canonical(cols_a, n) == canonical(cols_b, n)
 
 
 def is_invertible(m):
     """Whether m is square and invertible over its own ring.
 
-    Over Z[T^{+-1}] that means invertible over Q(T) with an inverse whose
-    entries are Laurent polynomials, i.e. have denominator 1.
+    Over Z and a field that means its rows span the whole free module, so
+    their canonical form (`canonical`) is the identity's rows.  Over
+    Z[T^{+-1}] it means invertible over Q(T) with an inverse whose entries
+    are Laurent polynomials, i.e. have denominator 1.
     """
     n = m.source.rank
     if m.target.rank != n:
@@ -952,7 +1009,8 @@ def is_invertible(m):
             aug[t][s] = to_frac(x)
         rr, piv = _rref(aug, FRAC_LAURENT_Q.domain)
         return piv == list(range(n)) and all(x[1] == LAU_ONE for row in rr for x in row.values())
-    return ELIMINATIONS[ring].diagonal(raw_rows(m), n) == [1] * n
+    one = ring.domain.one
+    return ELIMINATIONS[ring].canonical(raw_rows(m), n) == [{i: one} for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -1066,7 +1124,11 @@ def exactness_at(d_prev, f, g, d_next, d_mid):
     piece  A --f--> B --g--> C  of chain complexes with differentials
     d_prev (on A), d_mid (on B), d_next (on C).
 
-    Works over Z (lattice equality) and over fields (span equality).
+    It holds iff the lattice (over Z) or space (over a field) L1 of the
+    cycles z of B with g z a boundary equals L2 = f(cycles of A) +
+    boundaries of B.  The two are compared by `spans_equal`, by their
+    canonical forms: the Hermite normal form over Z and the reduced echelon
+    rows over a field, each the one basis of its form that the span has.
     """
     ring = f.ring
     _homology_elimination(ring)

@@ -126,6 +126,14 @@ def _blocks(m, x, y):
             new(x.red, y.red, k, parts["G"]))
 
 
+def _zero_blocks(x, y, k):
+    """The blocks A, B, E, C, G, in `_blocks`' order, of the zero total map
+    of degree k from x to y: each empty, with its endpoints and degree."""
+    zero = GradedMatrix.zero
+    return (zero(x.irr, y.irr, k), zero(x.irr, y.irr, k - 1), zero(x.irr, y.red, k),
+            zero(x.red, y.irr, k - 1), zero(x.red, y.red, k))
+
+
 def _relations(residual, x, y, rows):
     """The report of the relations `rows`, each (name, block, negated): the
     block of the assembled residual, negated when `negated`, must be zero.
@@ -362,8 +370,8 @@ class SMorphism:
         the second lam equal to the first, and no entry off the blocks.
         Every caller's map has it: a product of assembled morphisms
         (`compose_after`), the identity and a scalar multiple of it
-        (`identity`, `randgen.rand_morphism`), a zero map (`zero`) and a
-        boundary D'.H + H.D (`randgen.boundary_morphism`)."""
+        (`identity`, `randgen.rand_morphism`) and a boundary D'.H + H.D
+        (`randgen.boundary_morphism`)."""
         f = cls(x, y, m.degree, *_blocks(m, x, y))
         vars(f)["_total"] = m
         return f
@@ -382,8 +390,11 @@ class SMorphism:
 
     @classmethod
     def zero(cls, x, y, degree=0):
-        return cls.from_assembled(
-            GradedMatrix.zero(x.total_module(), y.total_module(), degree), x, y)
+        """The zero morphism, its empty blocks built directly and its zero
+        total map kept as its `assemble()`."""
+        f = cls(x, y, degree, *_zero_blocks(x, y, degree))
+        vars(f)["_total"] = GradedMatrix.zero(x.total_module(), y.total_module(), degree)
+        return f
 
     def compose_after(self, other):
         """self . other (other first): the morphism of G.F."""
@@ -461,9 +472,7 @@ class SHomotopy:
 
     @classmethod
     def zero(cls, frm, to):
-        X, Y = frm.source, frm.target
-        m = GradedMatrix.zero(X.total_module(), Y.total_module(), frm.degree + 1)
-        return cls(frm, to, *_blocks(m, X, Y))
+        return cls(frm, to, *_zero_blocks(frm.source, frm.target, frm.degree + 1))
 
     def __repr__(self):
         return f"SHomotopy(deg {self.frm.degree}: {self.frm.source!r} -> {self.frm.target!r})"

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from scx.functors import (
     atomic,
     cone,
@@ -16,7 +18,7 @@ from scx.functors import (
 )
 from scx.gradedlin import GradedMatrix, GradedModule
 from scx.linkfam import hopf_complex, torus_knot_summand, torus_link_complex
-from scx.randgen import rand_homotopy_pair, rand_morphism, rand_scomplex
+from scx.randgen import RINGS, rand_homotopy_pair, rand_morphism, rand_scomplex
 from scx.rings import FRAC_LAURENT_Q, LAURENT_Z, Q, RingMap, Z, Zp, parse_element
 from scx.scomplex import SComplex, SMorphism
 
@@ -217,6 +219,22 @@ def test_suspension_witness_on_spec_examples():
     for _ in range(10):
         x = rand_scomplex(Zp(2), rng, max_rank=5)
         assert suspension_witness(x).verify().ok
+
+
+@pytest.mark.parametrize("tag, with_r", [("Z", 9), ("Z2", 6), ("Q", 9), ("QT", 8)])
+def test_suspension_witness_on_complexes_with_a_nonzero_r(tag, with_r):
+    # the cone of f has r = [[-r, 0], [rho, r']], so a self-map with rho != 0
+    # gives r != 0, which `rand_scomplex` itself seldom draws
+    ring = RINGS[tag]
+    rng = random.Random(f"witness with r {tag}")
+    xs = []
+    for _ in range(10):
+        y = rand_scomplex(ring, rng, max_rank=4)
+        xs.append(cone(rand_morphism(y, y, rng)))
+    assert sum(not x.r.is_zero for x in xs) == with_r
+    for x in xs:
+        rep = suspension_witness(x).verify()
+        assert rep.ok, rep
 
 
 def test_o1_om1_witness():

@@ -1,4 +1,6 @@
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +14,8 @@ from scx.gradedlin import (
     _check_snf,
     _homology_elimination,
     _rref,
+    _side_by_side,
+    _snf_solve,
     boxed,
     column_basis,
     exactness_at,
@@ -887,6 +891,188 @@ def test_spans_equal_matches_the_per_vector_oracle(ring):
             assert got is want
         seen.add(got)
     assert seen == {True, False}
+
+
+def _recombined(vecs, rng, dom, units):
+    """The vectors `vecs` after random invertible row operations over the
+    ring of `dom`: adding a multiple of one to another, swapping two, and
+    scaling one by an element of `units`; zero vectors are inserted."""
+    out = [dict(v) for v in vecs]
+
+    def add_to(i, c, j):  # out[i] += c * out[j]
+        row = out[i]
+        for k, y in out[j].items():
+            x = dom.add(row.get(k, dom.zero), dom.mul(c, y))
+            if x == dom.zero:
+                row.pop(k, None)
+            else:
+                row[k] = x
+
+    for _ in range(3 * len(out)):
+        op = rng.random()
+        if len(out) > 1 and op < 0.6:
+            i, j = rng.sample(range(len(out)), 2)
+            add_to(i, dom.from_int(rng.choice((-2, -1, 1, 3))), j)
+        elif len(out) > 1 and op < 0.8:
+            i, j = rng.sample(range(len(out)), 2)
+            out[i], out[j] = out[j], out[i]
+        elif out:
+            i, u = rng.randrange(len(out)), rng.choice(units)
+            out[i] = {k: dom.mul(u, x) for k, x in out[i].items()}
+    for _ in range(rng.randint(0, 2)):
+        out.insert(rng.randint(0, len(out)), {})
+    return out
+
+
+def _rand_int_vectors(rng, k, n, rank=None):
+    """k random int vectors of length n, of rank at most `rank` when given."""
+    def dense():
+        return [rng.choice((0, 0, 0, -3, -2, -1, 1, 2, 3)) for _ in range(n)]
+
+    if rank is None:
+        return [_sparse(dense()) for _ in range(k)]
+    basis = [dense() for _ in range(rank)]
+    out = []
+    for _ in range(k):
+        coeffs = [rng.randint(-2, 2) for _ in basis]
+        out.append(_sparse([sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(n)]))
+    return out
+
+
+def _sympy_hnf(vecs, n):
+    """sympy's Hermite normal form of the matrix whose columns are the int
+    vectors `vecs` and one zero column (which spans nothing and keeps the
+    matrix from being empty)."""
+    from sympy import Matrix
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    cols = list(vecs) + [{}]
+    return hermite_normal_form(Matrix(n, len(cols), lambda i, j: cols[j].get(i, 0)))
+
+
+def test_spans_equal_over_z_matches_sympys_hermite_form():
+    pytest.importorskip("sympy")
+    rng = random.Random(2504)
+    dom = Z.domain
+    cases = []
+    for _ in range(60):
+        n, k = rng.randint(1, 6), rng.randint(0, 6)
+        a = _rand_int_vectors(rng, k, n, rank=rng.choice((None, 1, 2, 3)))
+        if rng.random() < 0.3:
+            a.append({})
+        cases.append((a, _recombined(a, rng, dom, (1, -1)), n))  # unimodular: always equal
+        doubled = _recombined(a, rng, dom, (1, -1))
+        if doubled:
+            i = rng.randrange(len(doubled))
+            doubled[i] = {j: 2 * x for j, x in doubled[i].items()}  # index 1 or 2
+        cases.append((a, doubled, n))
+        cases.append((a, a[1:], n))
+        cases.append((a, _rand_int_vectors(rng, k, n), n))
+    outcomes = {}
+    for a, b, n in cases:
+        got = spans_equal(a, b, n, Z)
+        assert got == (_sympy_hnf(a, n) == _sympy_hnf(b, n)), (a, b)
+        outcomes[got] = outcomes.get(got, 0) + 1
+    assert min(outcomes.get(True, 0), outcomes.get(False, 0)) >= 40, outcomes
+
+
+@pytest.mark.parametrize("ring", [Z, Q, Zp(3), FRAC_LAURENT_Q], ids=str)
+def test_canonical_is_invariant_under_shuffling_and_recombining(ring):
+    rng = random.Random(f"canonical {ring}")
+    dom = ring.domain
+    elim = ELIMINATIONS[ring]
+    units = [dom.one, dom.neg(dom.one)]
+    if ring != Z:
+        units += [dom.from_int(2), dom.neg(dom.from_int(2))]
+    for _ in range(40):
+        n, k = rng.randint(1, 6), rng.randint(0, 6)
+        ints = _rand_int_vectors(rng, k, n, rank=rng.choice((None, 1, 2)))
+        vecs = [{j: y for j, x in v.items() if (y := dom.from_int(x)) != dom.zero} for v in ints]
+        before = [dict(v) for v in vecs]
+        want = elim.canonical(vecs, n)
+        assert vecs == before
+        shuffled = list(vecs)
+        rng.shuffle(shuffled)
+        assert elim.canonical(shuffled, n) == want
+        assert elim.canonical(_recombined(vecs, rng, dom, units), n) == want
+        # the form spans what the vectors span, and is its own form
+        assert spans_equal_oracle(want, vecs, n, ring) and elim.canonical(want, n) == want
+
+
+def test_hermite_form_of_a_rank_deficient_40_by_45_set():
+    rng = random.Random(4045)
+    vecs = _rand_int_vectors(rng, 40, 45, rank=30)
+    start = time.perf_counter()
+    rows = ELIMINATIONS[Z].canonical(vecs, 45)
+    assert time.perf_counter() - start < 1.0
+    pivots = [min(row) for row in rows]
+    assert pivots == sorted(set(pivots)) and len(rows) == 30
+    for i, row in enumerate(rows):
+        p = row[pivots[i]]
+        assert p > 0
+        assert all(0 <= above.get(pivots[i], 0) < p for above in rows[:i])
+    # the same lattice: each side lies in the other's span, solved for in
+    # one Smith form of that span
+    for basis, vs in ((rows, vecs), (vecs, rows)):
+        snf = smith_form(_side_by_side(basis, 45), len(basis))
+        assert all(_snf_solve(snf, v) is not None for v in vs)
+
+
+def _int_det(rows):
+    """The determinant of a square int matrix, by elimination over Q."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(a)):
+        r = next((i for i in range(c, len(a)) if a[i][c]), None)
+        if r is None:
+            return 0
+        if r != c:
+            a[c], a[r] = a[r], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, len(a)):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+def test_spans_equal_and_is_invertible_over_z_reach_no_smith_form(monkeypatch):
+    import scx.gradedlin as gl
+
+    rng = random.Random(2505)
+    pairs = []
+    for _ in range(30):
+        n, k = rng.randint(1, 5), rng.randint(0, 5)
+        a = _rand_int_vectors(rng, k, n, rank=rng.choice((None, 1, 2)))
+        pairs.append((a, _recombined(a, rng, Z.domain, (1, -1)), n))
+        pairs.append((a, _rand_int_vectors(rng, k, n), n))
+    mats = []
+    for _ in range(30):
+        n = rng.randint(0, 5)
+        mod = GradedModule(Z, 2, [(f"g{i}", 0) for i in range(n)])
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(3 * n if n > 1 else 0):  # unimodular row operations
+            i, j = rng.sample(range(n), 2)
+            rows[i] = [x + rng.choice((-2, -1, 1, 2)) * y for x, y in zip(rows[i], rows[j])]
+        draw = rng.random()
+        if n and draw < 0.3:  # determinant +-2
+            i = rng.randrange(n)
+            rows[i] = [2 * x for x in rows[i]]
+        elif draw < 0.5:
+            rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        mats.append((GradedMatrix(mod, mod, 0, {(i, j): x for i, row in enumerate(rows)
+                                                 for j, x in enumerate(row) if x}), rows))
+    want_spans = [spans_equal_oracle(a, b, n, Z) for a, b, n in pairs]
+
+    def refused(*args):
+        raise AssertionError("a Smith form was made")
+
+    monkeypatch.setattr(gl, "smith_form", refused)
+    assert [spans_equal(a, b, n, Z) for a, b, n in pairs] == want_spans
+    assert set(want_spans) == {True, False}
+    got = [is_invertible(m) for m, _ in mats]
+    assert got == [abs(_int_det(rows)) == 1 for _, rows in mats]
+    assert set(got) == {True, False}
 
 
 class GreedyHomologyMaps(HomologyMaps):

@@ -529,6 +529,31 @@ def test_blocks_undo_assemble():
                         assert got.degree == want.degree
 
 
+@pytest.mark.parametrize("tag", ["Z", "QT"])
+def test_zero_maps_neither_split_nor_assemble(tag, monkeypatch):
+    import scx.scomplex
+
+    ring = RINGS[tag]
+    rng = random.Random(f"zero maps {tag}")
+    xs = [_bare(ring, 4, [], [("w", 0)]), _bare(ring, 4, [("a", 1)], [])]
+    xs += [rand_scomplex(ring, rng, modulus=4, max_rank=6) for _ in range(4)]
+
+    def refused(*args):
+        raise AssertionError("a zero map was split or assembled")
+
+    monkeypatch.setattr(scx.scomplex, "_blocks", refused)
+    monkeypatch.setattr(scx.scomplex, "_assemble", refused)
+    for x in xs:
+        for y in xs:
+            k = rng.choice((0, 1, -1, 2))
+            f = SMorphism.zero(x, y, k)
+            _same(f, _oracle_zero(x, y, k))
+            total = f.assemble()
+            assert (total.source, total.target, total.degree, total.entries) == (
+                x.total_module(), y.total_module(), k % 4, {})
+            _same(SHomotopy.zero(f, f), _oracle_homotopy_zero(f, f))
+
+
 def _assemble_oracle(x, y, degree, s, a, b, e, c, g):
     """Test oracle for `_assemble`: the blocks of [[a,0,0],[b,s.a,c],[e,0,g]]
     at offsets written out here, placed by the checked
