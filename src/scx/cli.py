@@ -220,6 +220,9 @@ def cmd_heights_compose(args):
     return 0 if rep.ok else VERIFY_ERROR
 
 
+_HOMOTOPY_KEYS = ("K", "L", "M1", "M2", "J")
+
+
 def _triangle_from_file(path):
     doc = read_json(path)
     what = "triangle document"
@@ -231,6 +234,9 @@ def _triangle_from_file(path):
     for i, h in enumerate(_triple(doc, "homotopies", what)):
         if not isinstance(h, dict):
             raise errors.SchemaError("a homotopy must be an object")
+        extra = set(h).difference(_HOMOTOPY_KEYS)
+        if extra:
+            raise errors.SchemaError(f"unknown homotopy keys {errors.clip(sorted(extra))}")
         src, tgt = complexes[i], complexes[(i - 2) % 3]
         comp = morphisms[(i - 1) % 3].compose_after(morphisms[i])
         zero = SMorphism.zero(src, tgt, comp.degree)
@@ -250,6 +256,9 @@ def _triangle_from_file(path):
         if n is not None and not isinstance(n, dict):
             raise errors.SchemaError("an N map must be an object or null")
         if n:
+            degree = n.get("degree", 1)
+            if type(degree) is not int or degree != 1:
+                raise errors.SchemaError(f"an N map must have degree 1, got {errors.clip(degree)}")
             n_maps[i] = morphism_from_json(dict(n, degree=1), complexes[i], complexes[i])
     return ExactTriangleData(complexes, morphisms, homotopies, n_maps)
 

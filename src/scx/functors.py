@@ -434,17 +434,15 @@ def suspension_witness(x):
     mu = GradedMatrix.from_blocks(sx.irr, t.irr, -1, (x.r, rc, nc))
     d2 = GradedMatrix.from_blocks(sx.red, t.irr, -1, (eps_c @ x.delta2, 0, 0),
                                   (eps_c @ x.delta2 @ x.r, ccs, 0))
-    fwd = SMorphism(sx, t, 0, lam, mu, GradedMatrix.zero(sx.irr, t.red, 0), d2,
-                    GradedMatrix.from_blocks(sx.red, t.red, 0, (one_r, 0, 0)))
+    fwd = SMorphism(sx, t, 0, lam, mu, delta2=d2,
+                    rho=GradedMatrix.from_blocks(sx.red, t.red, 0, (one_r, 0, 0)))
 
     # backward: X.O(1) -> Sigma X, with lambda' = [[d, 1, v, 0], [0, 0, delta1, eps]]
     lam_b = GradedMatrix.from_blocks(t.irr, sx.irr, 0, (x.d, 0, 0), (one_c, 0, ccs),
                                      (x.v, 0, cr), (x.delta1, nc, cr), (eps_r, nc, rc))
     mu_b = GradedMatrix.from_blocks(t.irr, sx.irr, -1, (x.delta1, nc, 0), (x.r, nc, rc))
     bwd = SMorphism(t, sx, 0, lam_b, mu_b,
-                    GradedMatrix.zero(t.irr, sx.red, 0),
-                    GradedMatrix.zero(t.red, sx.irr, -1),
-                    GradedMatrix.from_blocks(t.red, sx.red, 0, (one_r, 0, 0)))
+                    rho=GradedMatrix.from_blocks(t.red, sx.red, 0, (one_r, 0, 0)))
 
     # homotopy on the tensor side from fwd.bwd to the identity
     K = GradedMatrix.from_blocks(t.irr, t.irr, 1, (-eps_c, 0, cr), (-eps_c @ x.d, ccs, cr))
@@ -453,9 +451,7 @@ def suspension_witness(x):
                                   (x.r + x.r, rc, 0))
 
     comp = fwd.compose_after(bwd)
-    hfb = SHomotopy(comp, SMorphism.identity(t), K, L,
-                    GradedMatrix.zero(t.irr, t.red, 1), M2,
-                    GradedMatrix.zero(t.red, t.red, 1))
+    hfb = SHomotopy(comp, SMorphism.identity(t), K, L, M2=M2)
     return EquivalenceWitness(fwd, bwd, homotopy_fwd_back=hfb, homotopy_back_fwd=None)
 
 
@@ -468,20 +464,11 @@ def o1_o_minus1_witness(ring=Z, modulus=4):
     # forward: tensor -> O(0): rho = 1, Delta1 = [0,1,0,0]
     d1 = GradedMatrix(t.irr, o0.red, 0, {(0, 1): one})
     rho = GradedMatrix(t.red, o0.red, 0, {(0, 0): one})
-    fwd = SMorphism(t, o0, 0,
-                    GradedMatrix.zero(t.irr, o0.irr, 0),
-                    GradedMatrix.zero(t.irr, o0.irr, -1),
-                    d1,
-                    GradedMatrix.zero(t.red, o0.irr, -1),
-                    rho)
+    fwd = SMorphism(t, o0, 0, delta1=d1, rho=rho)
     # backward: O(0) -> tensor: rho = 1, Delta2 = [1,0,0,0]^T
     d2 = GradedMatrix(o0.red, t.irr, -1, {(0, 0): one})
     rho_b = GradedMatrix(o0.red, t.red, 0, {(0, 0): one})
-    bwd = SMorphism(o0, t, 0,
-                    GradedMatrix.zero(o0.irr, t.irr, 0),
-                    GradedMatrix.zero(o0.irr, t.irr, -1),
-                    GradedMatrix.zero(o0.irr, t.red, 0),
-                    d2, rho_b)
+    bwd = SMorphism(o0, t, 0, delta2=d2, rho=rho_b)
     # homotopy from bwd.fwd to 1 on the tensor, solved from the five graded
     # homotopy equations (deterministic particular solution)
     from .solve import solve_homotopy
@@ -512,10 +499,8 @@ def suspend_morphism(f):
     d2 = GradedMatrix.from_blocks(sx.red, sy.irr, k - 1,
                                   (f.mu @ x.delta2 + y.v @ f.delta2, 0, 0),
                                   (f.delta1 @ x.delta2 + y.delta1 @ f.delta2, mc, 0))
-
-    d1 = GradedMatrix.zero(sx.irr, sy.red, k)
     rho = GradedMatrix(sx.red, sy.red, k, dict(f.rho.entries))
-    return SMorphism(sx, sy, k, lam, mu, d1, d2, rho)
+    return SMorphism(sx, sy, k, lam, mu, delta2=d2, rho=rho)
 
 
 def suspend_homotopy(h):
@@ -535,7 +520,5 @@ def suspend_homotopy(h):
     M2 = GradedMatrix.from_blocks(src.red, tgt.irr, k,
                                   (y.v @ h.M2 + h.L @ x.delta2, 0, 0),
                                   (y.delta1 @ h.M2 + h.M1 @ x.delta2, mc, 0))
-
-    M1 = GradedMatrix.zero(src.irr, tgt.red, k + 1)
     J = GradedMatrix(src.red, tgt.red, k + 1, dict(h.J.entries))
-    return SHomotopy(sf, sg, K, L, M1, M2, J)
+    return SHomotopy(sf, sg, K, L, M2=M2, J=J)

@@ -199,10 +199,9 @@ class HeightMorphism:
         return SMorphism(
             x, sy, k, GradedMatrix.from_blocks(x.irr, sy.irr, k, *lam),
             GradedMatrix.from_blocks(x.irr, sy.irr, k - 1, (self.mu, 0, 0), (self.delta1, mc, 0)),
-            GradedMatrix.zero(x.irr, sy.red, k),
-            GradedMatrix.from_blocks(x.red, sy.irr, k - 1, (self.delta2, 0, 0),
-                                     *((self.tau_at(-t), mc + t * mr, 0) for t in range(m))),
-            GradedMatrix(x.red, sy.red, k, dict(self.tau_at(-m).entries)))
+            delta2=GradedMatrix.from_blocks(x.red, sy.irr, k - 1, (self.delta2, 0, 0),
+                                            *((self.tau_at(-t), mc + t * mr, 0) for t in range(m))),
+            rho=GradedMatrix(x.red, sy.red, k, dict(self.tau_at(-m).entries)))
 
     def verify(self, claimed_height=None):
         """All four relations, the tau closed formula, and the height claim.
@@ -409,5 +408,4 @@ def odd_to_suspension_morphism(g):
 
     d2 = gm.mu @ yp.delta2 + z.v @ gm.delta2 + z.delta2 @ g.nu
     d2 = GradedMatrix(syp.red, z.irr, k - 1, dict(d2.entries))
-    rho = GradedMatrix.zero(syp.red, z.red, k)
-    return SMorphism(syp, z, k, lam, mu, d1, d2, rho)
+    return SMorphism(syp, z, k, lam, mu, d1, d2)

@@ -123,12 +123,11 @@ def rand_homotopy_shape(x, y, rng, degree, density=0.4):
 
 
 def boundary_morphism(x, y, rng, degree=0):
-    """(the chain map d'H + Hd, (K, L, M1, M2, J)) for H assembled from
-    random homotopy-shaped blocks K, L, M1, M2, J of the given degree."""
-    blocks = rand_homotopy_shape(x, y, rng, degree)
-    h = _assemble(x, y, degree + 1, -1, *blocks)
+    """(the chain map d'H + Hd, H) for H the total [[K,0,0],[L,-K,M2],[M1,0,J]]
+    of random homotopy-shaped blocks K, L, M1, M2, J of the given degree."""
+    h = _assemble(x, y, degree + 1, -1, *rand_homotopy_shape(x, y, rng, degree))
     dh = y.total_differential() @ h + h @ x.total_differential()
-    return SMorphism.from_assembled(dh, x, y), blocks
+    return SMorphism.from_assembled(dh, x, y), h
 
 
 def rand_morphism(x, y, rng, degree=0):
@@ -142,9 +141,9 @@ def rand_morphism(x, y, rng, degree=0):
 
 def rand_homotopy_pair(f, rng):
     """(g, h) with h a verified homotopy from f to g."""
-    b, blocks = boundary_morphism(f.source, f.target, rng, f.degree)
+    b, h = boundary_morphism(f.source, f.target, rng, f.degree)
     g = f - b
-    return g, SHomotopy(f, g, *blocks)
+    return g, SHomotopy.from_assembled(h, f, g)
 
 
 def rand_height_morphism(ring, rng, height, modulus=None):

@@ -1,8 +1,11 @@
 """S-complexes, their morphisms and homotopies, and relation verification.
 
 An S-complex is a free graded module C + C[-1] + R whose differential has
-block components (d, v, delta1, delta2, r) of degrees (-1, -2, -1, -2, -1).
-Morphisms and homotopies are stored componentwise in the same block shapes.
+block components (d, v, delta1, delta2, r) of degrees (-1, -2, -1, -2, -1),
+stored componentwise.  A morphism or homotopy stores one map, its assembled
+total [[A,0,0],[B,sA,C],[E,0,G]] on C + C[-1] + R; its blocks are views,
+split from the total on first read.  A block left out of a constructor is
+zero.
 """
 
 from __future__ import annotations
@@ -60,8 +63,11 @@ def _rel(name, matrix):
 
 def _check_components(mod, *expect):
     """Each (matrix, source, target, degree, name) must have those endpoints
-    and, when nonzero, that degree mod `mod`."""
+    and, when nonzero, that degree mod `mod`; a matrix left out (None) is
+    zero and passes."""
     for m, src, tgt, deg, name in expect:
+        if m is None:
+            continue
         if m.source != src or m.target != tgt:
             raise ShapeMismatch(f"component {name} has wrong endpoints")
         if m.entries and m.degree != deg % mod:
@@ -83,23 +89,27 @@ def _block_layout(x, y):
 
 def _assemble(x, y, degree, s, a, b, e, c, g):
     """The map [[a,0,0],[b,s.a,c],[e,0,g]] of total degree `degree` from the
-    total module of x to that of y; s is 1 or -1.
+    total module of x to that of y; s is 1 or -1, and a block left out
+    (None) is zero.
 
     Built by `GradedMatrix._new`, unchecked.  The caller vouches for the
     blocks: each has its `_block_layout` endpoints and, when nonzero, its
     component degree, k = `degree` for a, e and g and k - 1 for b and c
-    (mod the modulus), as the `SComplex`, `SMorphism` and `SHomotopy`
-    constructors check with `_check_components` and as
-    `randgen.rand_homotopy_shape` makes them.  Then every placed entry is
-    in range, inside its block's bands, and homogeneous of total degree k:
-    the C[-1] band's generators sit one degree above C's, so b and c, of
-    degree k - 1, land in that row band at degree k, and sA, from the C[-1]
-    column band to that row band, keeps a's degree k.  The blocks sit at
-    disjoint offsets, so no two entries add and none cancels."""
-    blocks = {"A": a, "B": b, "sA": a if s == 1 else -a, "C": c, "E": e, "G": g}
+    (mod the modulus).  Two kinds of caller place blocks: the `SComplex`,
+    `SMorphism` and `SHomotopy` constructors, which check them first with
+    `_check_components`, and `randgen.boundary_morphism`, whose blocks
+    `randgen.rand_homotopy_shape` draws with those endpoints and degrees.
+    Every other S-map is made from totals and placed by no one.  Then every
+    placed entry is in range, inside its block's bands, and homogeneous of
+    total degree k: the C[-1] band's generators sit one degree above C's, so
+    b and c, of degree k - 1, land in that row band at degree k, and sA,
+    from the C[-1] column band to that row band, keeps a's degree k.  The
+    blocks sit at disjoint offsets, so no two entries add and none cancels."""
+    blocks = {"A": a, "B": b, "sA": a if s == 1 or a is None else -a, "C": c, "E": e, "G": g}
     ent = {}
     for name, (_, _, row, col) in _block_layout(x, y).items():
-        ent.update({(t + row, u + col): val for (t, u), val in blocks[name].entries.items()})
+        if blocks[name] is not None:
+            ent.update({(t + row, u + col): val for (t, u), val in blocks[name].entries.items()})
     return GradedMatrix._new(x.total_module(), y.total_module(), degree, ent)
 
 
@@ -124,14 +134,6 @@ def _blocks(m, x, y):
     return (new(x.irr, y.irr, k, parts["A"]), new(x.irr, y.irr, k - 1, parts["B"]),
             new(x.irr, y.red, k, parts["E"]), new(x.red, y.irr, k - 1, parts["C"]),
             new(x.red, y.red, k, parts["G"]))
-
-
-def _zero_blocks(x, y, k):
-    """The blocks A, B, E, C, G, in `_blocks`' order, of the zero total map
-    of degree k from x to y: each empty, with its endpoints and degree."""
-    zero = GradedMatrix.zero
-    return (zero(x.irr, y.irr, k), zero(x.irr, y.irr, k - 1), zero(x.irr, y.red, k),
-            zero(x.red, y.irr, k - 1), zero(x.red, y.red, k))
 
 
 def _relations(residual, x, y, rows):
@@ -317,33 +319,63 @@ def base_change(obj, ring_map):
     return obj.map_entries(ring_map.raw, src, tgt)
 
 
-class SMorphism:
-    """A degree-k morphism with components (lambda, mu, Delta1, Delta2, rho).
+class _SMap:
+    """What `SMorphism` and `SHomotopy` share: besides its `source` and
+    `target` complexes, the one stored map is the assembled total
+    [[A,0,0],[B,sA,C],[E,0,G]].  The blocks, named by `_NAMES` in `_blocks`'
+    order, are views: the first read of any block splits the total once and
+    keeps all five.  Immutable (`__setattr__` raises), so the kept blocks
+    cannot go stale."""
 
-    Immutable (`__setattr__` raises), so the assembled map, built on first
-    use and kept, cannot go stale."""
+    _NAMES = _LABELS = ()  # the blocks' attribute names and their names in messages
 
-    def __init__(self, source, target, degree, lam, mu, delta1, delta2, rho):
-        if source.ring != target.ring or source.modulus != target.modulus:
-            raise ShapeMismatch("morphism endpoints incompatible")
-        mod = source.modulus
-        k = degree % mod
-        _check_components(
-            mod,
-            (lam, source.irr, target.irr, k, "lambda"),
-            (mu, source.irr, target.irr, k - 1, "mu"),
-            (delta1, source.irr, target.red, k, "Delta1"),
-            (delta2, source.red, target.irr, k - 1, "Delta2"),
-            (rho, source.red, target.red, k, "rho"))
-        vars(self).update(source=source, target=target, degree=k, lam=lam, mu=mu,
-                          delta1=delta1, delta2=delta2, rho=rho, _total=None)
+    def _place(self, x, y, k, s, blocks, **fields):
+        """Check the blocks (A, B, E, C, G; None is zero) for their
+        `_block_layout` endpoints and their degrees, k - 1 for B and C and k
+        for the rest, and store their total of degree k, assembled once."""
+        layout = _block_layout(x, y)
+        _check_components(x.modulus, *((m, *layout[b][:2], k - (b in "BC"), label)
+                                       for b, label, m in zip("ABECG", self._LABELS, blocks)))
+        vars(self).update(fields, source=x, target=y, _total=_assemble(x, y, k, s, *blocks))
 
     def __setattr__(self, *a):
-        raise AttributeError("SMorphism is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: a block not yet read
+        if name not in self._NAMES:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        vars(self).update(zip(self._NAMES, _blocks(self._total, self.source, self.target)))
+        return vars(self)[name]
+
+    def assemble(self):
+        """The total map, as stored."""
+        return self._total
+
+    @property
+    def is_zero(self):
+        return not self._total.entries
+
+
+class SMorphism(_SMap):
+    """A degree-k morphism with components (lambda, mu, Delta1, Delta2, rho),
+    stored as its total [[lam,0,0],[mu,lam,Delta2],[Delta1,0,rho]]."""
+
+    _NAMES = ("lam", "mu", "delta1", "delta2", "rho")
+    _LABELS = ("lambda", "mu", "Delta1", "Delta2", "rho")
+
+    def __init__(self, source, target, degree, lam=None, mu=None, delta1=None, delta2=None,
+                 rho=None):
+        """The morphism with these components, checked and assembled once; a
+        component left out (None) is zero."""
+        if source.ring != target.ring or source.modulus != target.modulus:
+            raise ShapeMismatch("morphism endpoints incompatible")
+        k = degree % source.modulus
+        self._place(source, target, k, 1, (lam, mu, delta1, delta2, rho), degree=k)
 
     def verify(self):
         """The five chain-map relations, read from the blocks of D'.F - F.D."""
-        X, Y, f = self.source, self.target, self.assemble()
+        X, Y, f = self.source, self.target, self._total
         return _relations(Y.total_differential() @ f - f @ X.total_differential(), X, Y, [
             ("d'.lambda - lambda.d = 0", "A", False),
             ("Delta1.d + rho.delta1 - delta1'.lambda - r'.Delta1 = 0", "E", True),
@@ -352,37 +384,25 @@ class SMorphism:
             ("rho.r - r'.rho = 0", "G", True),
         ])
 
-    def assemble(self):
-        """Full matrix [[lam,0,0],[mu,lam,Delta2],[Delta1,0,rho]], assembled
-        once."""
-        if self._total is None:
-            object.__setattr__(self, "_total", _assemble(
-                self.source, self.target, self.degree, 1,
-                self.lam, self.mu, self.delta1, self.delta2, self.rho))
-        return self._total
-
     @classmethod
     def from_assembled(cls, m, x, y):
-        """The morphism x -> y whose assembled matrix is m, kept as the
-        result's `assemble()`.
+        """The morphism x -> y whose total is m, stored as it is: m is
+        neither split nor checked.
 
         m must have the full shape [[lam,0,0],[mu,lam,Delta2],[Delta1,0,rho]]:
         the second lam equal to the first, and no entry off the blocks.
-        Every caller's map has it: a product of assembled morphisms
-        (`compose_after`), the identity and a scalar multiple of it
-        (`identity`, `randgen.rand_morphism`) and a boundary D'.H + H.D
-        (`randgen.boundary_morphism`)."""
-        f = cls(x, y, m.degree, *_blocks(m, x, y))
-        vars(f)["_total"] = m
+        Every caller's map has it: the zero map and the identity, a product
+        (`compose_after`), sum or negation of totals that have it, a
+        scalar multiple of the identity (`randgen.rand_morphism`), a
+        boundary D'.H + H.D (`randgen.boundary_morphism`) and a solved N map
+        (`solve._Unknown.realize`)."""
+        f = object.__new__(cls)
+        vars(f).update(source=x, target=y, degree=m.degree, _total=m)
         return f
-
-    @property
-    def is_zero(self):
-        return all(m.is_zero for m in (self.lam, self.mu, self.delta1, self.delta2, self.rho))
 
     def named_triples(self):
         """(target name, source name, value) triples of the assembled matrix."""
-        return self.assemble().named_triples()
+        return self._total.named_triples()
 
     @classmethod
     def identity(cls, x):
@@ -390,26 +410,21 @@ class SMorphism:
 
     @classmethod
     def zero(cls, x, y, degree=0):
-        """The zero morphism, its empty blocks built directly and its zero
-        total map kept as its `assemble()`."""
-        f = cls(x, y, degree, *_zero_blocks(x, y, degree))
-        vars(f)["_total"] = GradedMatrix.zero(x.total_module(), y.total_module(), degree)
-        return f
+        return cls.from_assembled(GradedMatrix.zero(x.total_module(), y.total_module(), degree),
+                                  x, y)
 
     def compose_after(self, other):
         """self . other (other first): the morphism of G.F."""
-        return SMorphism.from_assembled(self.assemble() @ other.assemble(),
-                                        other.source, self.target)
+        return SMorphism.from_assembled(self._total @ other._total, other.source, self.target)
 
     def __add__(self, other):
-        return SMorphism(self.source, self.target, self.degree,
-                         self.lam + other.lam, self.mu + other.mu,
-                         self.delta1 + other.delta1, self.delta2 + other.delta2,
-                         self.rho + other.rho)
+        # the totals' sum checks their shapes, but not the degree of an empty one
+        if self.degree != other.degree:
+            raise ShapeMismatch("sum of morphisms of different degrees")
+        return SMorphism.from_assembled(self._total + other._total, self.source, self.target)
 
     def __neg__(self):
-        return SMorphism(self.source, self.target, self.degree,
-                         -self.lam, -self.mu, -self.delta1, -self.delta2, -self.rho)
+        return SMorphism.from_assembled(-self._total, self.source, self.target)
 
     def __sub__(self, other):
         return self + (-other)
@@ -418,40 +433,47 @@ class SMorphism:
         return f"SMorphism(deg {self.degree}: {self.source!r} -> {self.target!r})"
 
 
-class SHomotopy:
-    """Homotopy data (K, L, M1, M2, J) between morphisms of equal degree k.
+def _homotopy_ends(frm, to):
+    """The source and target complexes of a homotopy from frm to to, which
+    must share them and their degree."""
+    if (frm.source.irr != to.source.irr or frm.source.red != to.source.red
+            or frm.target.irr != to.target.irr or frm.target.red != to.target.red):
+        raise ShapeMismatch("homotopy endpoints disagree")
+    if frm.degree != to.degree:
+        raise ShapeMismatch("homotopy requires equal-degree morphisms")
+    return frm.source, frm.target
 
-    Satisfies componentwise the relations of d'.Ktilde + Ktilde.d =
-    (from) - (to).  The component degrees are (k+1, k, k+1, k, k+1), matching
-    the block shape [[K,0,0],[L,-K,M2],[M1,0,J]].  Immutable
-    (`__setattr__` raises), so the assembled map, built on first use and
-    kept, cannot go stale.
-    """
 
-    def __init__(self, frm, to, K, L, M1, M2, J):
-        if (frm.source.irr != to.source.irr or frm.source.red != to.source.red
-                or frm.target.irr != to.target.irr or frm.target.red != to.target.red):
-            raise ShapeMismatch("homotopy endpoints disagree")
-        if frm.degree != to.degree:
-            raise ShapeMismatch("homotopy requires equal-degree morphisms")
-        X, Y = frm.source, frm.target
-        k = frm.degree
-        _check_components(
-            X.modulus,
-            (K, X.irr, Y.irr, k + 1, "K"),
-            (L, X.irr, Y.irr, k, "L"),
-            (M1, X.irr, Y.red, k + 1, "M1"),
-            (M2, X.red, Y.irr, k, "M2"),
-            (J, X.red, Y.red, k + 1, "J"))
-        vars(self).update(frm=frm, to=to, K=K, L=L, M1=M1, M2=M2, J=J, _total=None)
+class SHomotopy(_SMap):
+    """Homotopy data (K, L, M1, M2, J) from `frm` to `to`, morphisms of equal
+    degree k, stored as its total [[K,0,0],[L,-K,M2],[M1,0,J]] of degree
+    k+1.  Satisfies componentwise the relations of d'.Ktilde + Ktilde.d =
+    (from) - (to).  The component degrees are (k+1, k, k+1, k, k+1)."""
 
-    def __setattr__(self, *a):
-        raise AttributeError("SHomotopy is immutable")
+    _NAMES = _LABELS = ("K", "L", "M1", "M2", "J")
+
+    def __init__(self, frm, to, K=None, L=None, M1=None, M2=None, J=None):
+        """The homotopy with these components, checked and assembled once; a
+        component left out (None) is zero."""
+        X, Y = _homotopy_ends(frm, to)
+        self._place(X, Y, frm.degree + 1, -1, (K, L, M1, M2, J), frm=frm, to=to)
+
+    @classmethod
+    def from_assembled(cls, m, frm, to):
+        """The homotopy from frm to to whose total is m, stored as it is: m
+        is neither split nor checked.  m must have the full shape
+        [[K,0,0],[L,-K,M2],[M1,0,J]], as the zero map, a random homotopy's
+        assembled blocks (`randgen.rand_homotopy_pair`) and a solved one
+        (`solve._Unknown.realize`) have."""
+        x, y = _homotopy_ends(frm, to)
+        h = object.__new__(cls)
+        vars(h).update(frm=frm, to=to, source=x, target=y, _total=m)
+        return h
 
     def verify(self):
         """The five homotopy relations, read from the blocks of
         D'.H + H.D - (F - G)."""
-        X, Y, h = self.frm.source, self.frm.target, self.assemble()
+        X, Y, h = self.source, self.target, self._total
         residual = (Y.total_differential() @ h + h @ X.total_differential()
                     - (self.frm.assemble() - self.to.assemble()))
         return _relations(residual, X, Y, [
@@ -462,17 +484,10 @@ class SHomotopy:
             ("r'.J + J.r - rho + rho' = 0", "G", False),
         ])
 
-    def assemble(self):
-        """Full matrix [[K,0,0],[L,-K,M2],[M1,0,J]], assembled once."""
-        if self._total is None:
-            object.__setattr__(self, "_total", _assemble(
-                self.frm.source, self.frm.target, self.frm.degree + 1, -1,
-                self.K, self.L, self.M1, self.M2, self.J))
-        return self._total
-
     @classmethod
     def zero(cls, frm, to):
-        return cls(frm, to, *_zero_blocks(frm.source, frm.target, frm.degree + 1))
+        return cls.from_assembled(GradedMatrix.zero(
+            frm.source.total_module(), frm.target.total_module(), frm.degree + 1), frm, to)
 
     def __repr__(self):
         return f"SHomotopy(deg {self.frm.degree}: {self.frm.source!r} -> {self.frm.target!r})"

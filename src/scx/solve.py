@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .errors import UnsupportedRing
 from .gradedlin import ELIMINATIONS, GradedMatrix
-from .scomplex import SHomotopy, SMorphism, _block_layout, _blocks
+from .scomplex import SHomotopy, SMorphism, _block_layout
 
 # A linear combination of unknowns is a {variable: nonzero raw value} dict,
 # and a system a list of (combination, raw value) equations, combination =
@@ -49,7 +49,6 @@ class _Unknown:
     """
 
     def __init__(self, x, y, k, s, offset):
-        self.x, self.y = x, y
         self.src, self.tgt = x.total_module(), y.total_module()
         self.k = k
         self.layout = _block_layout(x, y)
@@ -71,13 +70,13 @@ class _Unknown:
         self.nvars = var - offset
 
     def realize(self, values):
-        """The solved blocks A, B, E, C, G (the order in which `SMorphism`
-        and `SHomotopy` take them), from the solution {variable: nonzero raw
-        value}: split from the checked assembled map."""
+        """The solved map, from the solution {variable: nonzero raw value}:
+        the total [[A,0,0],[B,sA,C],[E,0,G]], built by the checked
+        `GradedMatrix` constructor and handed to `from_assembled` unsplit."""
         neg = self.src.ring.domain.neg
         ent = {p: values[v] if sign > 0 else neg(values[v])
                for p, (v, sign) in self.slots.items() if v in values}
-        return _blocks(GradedMatrix(self.src, self.tgt, self.k, ent), self.x, self.y)
+        return GradedMatrix(self.src, self.tgt, self.k, ent)
 
 
 def _known_after(total, a, u, sign=1):
@@ -143,7 +142,7 @@ def solve_homotopy(frm, to):
     values = _solve_system(_homotopy_equations(u, frm, to), u.nvars, frm.source.ring)
     if values is None:
         return None
-    return SHomotopy(frm, to, *u.realize(values))
+    return SHomotopy.from_assembled(u.realize(values), frm, to)
 
 
 def solve_triangle_homotopy(lam_second, lam_first):
@@ -185,6 +184,7 @@ def solve_triangle_witnesses(complexes, morphisms, targets):
     values = _solve_system(equations, offset, ring)
     if values is None:
         return None
-    homotopies = [SHomotopy(zero, comp, *ku.realize(values)) for ku, zero, comp in kus]
-    n_maps = [SMorphism(x, x, 1, *nu.realize(values)) for x, nu in zip(complexes, nus)]
+    homotopies = [SHomotopy.from_assembled(ku.realize(values), zero, comp)
+                  for ku, zero, comp in kus]
+    n_maps = [SMorphism.from_assembled(nu.realize(values), x, x) for x, nu in zip(complexes, nus)]
     return homotopies, n_maps

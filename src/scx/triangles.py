@@ -156,21 +156,15 @@ def cone_triangle(f):
     lam2 = SMorphism(
         y, cn, 0,
         GradedMatrix(y.irr, cn.irr, 0, {(nc + i, i): one for i in range(mc)}),
-        GradedMatrix.zero(y.irr, cn.irr, -1),
-        GradedMatrix.zero(y.irr, cn.red, 0),
-        GradedMatrix.zero(y.red, cn.irr, -1),
-        GradedMatrix(y.red, cn.red, 0, {(nr + j, j): one for j in range(mr)}),
+        rho=GradedMatrix(y.red, cn.red, 0, {(nr + j, j): one for j in range(mr)}),
     )
     # lam1: Cone -> X, projection to the A-blocks with the parity sign.
     lam1 = SMorphism(
         cn, x, -1,
         GradedMatrix(cn.irr, x.irr, -1,
                      {(i, i): sgn(x.irr.degree(i)) for i in range(nc)}),
-        GradedMatrix.zero(cn.irr, x.irr, -2),
-        GradedMatrix.zero(cn.irr, x.red, -1),
-        GradedMatrix.zero(cn.red, x.irr, -2),
-        GradedMatrix(cn.red, x.red, -1,
-                     {(j, j): sgn(x.red.degree(j)) for j in range(nr)}),
+        rho=GradedMatrix(cn.red, x.red, -1,
+                         {(j, j): sgn(x.red.degree(j)) for j in range(nr)}),
     )
     lam0 = f
 
@@ -178,21 +172,15 @@ def cone_triangle(f):
     k0 = SHomotopy(
         SMorphism.zero(x, cn, 0), lam2.compose_after(lam0),
         GradedMatrix(x.irr, cn.irr, 1, {(i, i): minus_one for i in range(nc)}),
-        GradedMatrix.zero(x.irr, cn.irr, 0),
-        GradedMatrix.zero(x.irr, cn.red, 1),
-        GradedMatrix.zero(x.red, cn.irr, 0),
-        GradedMatrix(x.red, cn.red, 1, {(j, j): minus_one for j in range(nr)}),
+        J=GradedMatrix(x.red, cn.red, 1, {(j, j): minus_one for j in range(nr)}),
     )
     # K1: Cone -> X', (x, y) |-> -eps(y).
     k1 = SHomotopy(
         SMorphism.zero(cn, y, -1), lam0.compose_after(lam1),
         GradedMatrix(cn.irr, y.irr, 0,
                      {(i, nc + i): sgn(y.irr.degree(i) + 1) for i in range(mc)}),
-        GradedMatrix.zero(cn.irr, y.irr, -1),
-        GradedMatrix.zero(cn.irr, y.red, 0),
-        GradedMatrix.zero(cn.red, y.irr, -1),
-        GradedMatrix(cn.red, y.red, 0,
-                     {(j, nr + j): sgn(y.red.degree(j) + 1) for j in range(mr)}),
+        J=GradedMatrix(cn.red, y.red, 0,
+                       {(j, nr + j): sgn(y.red.degree(j) + 1) for j in range(mr)}),
     )
     # K2 = 0 (lam1 . lam2 = 0 on the nose).
     k2 = SHomotopy.zero(SMorphism.zero(y, x, -1), lam1.compose_after(lam2))

@@ -807,6 +807,45 @@ def test_triangle_document_missing_a_key_is_a_usage_error(tmp_path, capsys, key)
     assert capsys.readouterr().err == f"error: triangle document is missing key {key!r}\n"
 
 
+def _cone_triangle_doc():
+    from scx.functors import atomic
+    from scx.scomplex import SMorphism
+    from scx.triangles import cone_triangle, triangle_to_json
+
+    return triangle_to_json(cone_triangle(SMorphism.identity(atomic(1))))
+
+
+def test_triangle_homotopy_with_an_unknown_key_is_a_usage_error(tmp_path, capsys):
+    # the extra key was ignored and the triangle verified (exit 0)
+    doc = _cone_triangle_doc()
+    doc["homotopies"][1]["Kx"] = []
+    doc["homotopies"][1]["A"] = doc["homotopies"][1]["K"]
+    path = tmp_path / "tri.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("triangle-verify", "--in", str(path)) == 2
+    assert capsys.readouterr().err == "error: unknown homotopy keys ['A', 'Kx']\n"
+
+
+@pytest.mark.parametrize("degree", [0, 3, -1, "1", True, None])
+def test_triangle_n_map_of_a_degree_other_than_1_is_a_usage_error(tmp_path, capsys, degree):
+    # the N map's degree was overwritten with 1 without a word
+    from scx.scomplex import SMorphism, morphism_to_json, scomplex_from_json
+
+    doc = _cone_triangle_doc()
+    c0 = scomplex_from_json(doc["complexes"][0])
+    n = morphism_to_json(SMorphism.zero(c0, c0, 1), include_complexes=False)
+    path = tmp_path / "tri.json"
+    doc["n_maps"][0] = n
+    path.write_text(json.dumps(doc))
+    assert run("triangle-verify", "--in", str(path)) == 0
+    doc["n_maps"][0] = dict(n, degree=degree)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("triangle-verify", "--in", str(path)) == 2
+    assert capsys.readouterr().err == f"error: an N map must have degree 1, got {degree!r}\n"
+
+
 def test_homology_json_reports_torsion_in_a_degree_of_free_rank_zero(tmp_path, capsys):
     # d(a) = 2b over Z: H_0 = Z/2 with free rank 0
     doc = {"ring": {"kind": "Z"}, "modulus": 4,

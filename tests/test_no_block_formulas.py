@@ -67,3 +67,82 @@ def test_no_relation_is_written_block_by_block():
             if functions is None or scope in functions:
                 found.append((name, scope, line))
     assert not found, found
+
+
+# An S-morphism or homotopy stores only its total: a block left out of the
+# constructor is zero, so no `GradedMatrix.zero(...)` is handed to
+# `SMorphism(` or `SHomotopy(`, and a total is split into blocks (`_blocks`)
+# only by the block view, by `_relations` to name a failed relation's first
+# offender, and by `HeightMorphism.verify` for the same.
+
+SPLITTERS = {("scomplex.py", "_SMap.__getattr__"), ("scomplex.py", "_relations"),
+             ("heights.py", "HeightMorphism.verify")}
+
+
+def _called(func):
+    """The dotted name of a called expression, as far as it is names."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return f"{_called(func.value)}.{func.attr}"
+    return "?"
+
+
+class _TotalsOnly(ast.NodeVisitor):
+    """(enclosing class and function scope, line) of every `_blocks(...)`
+    call and of every `GradedMatrix.zero(...)` passed to `SMorphism(...)` or
+    `SHomotopy(...)`."""
+
+    def __init__(self):
+        self.scope = []
+        self.splits = []
+        self.zero_args = []
+
+    def _scoped(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _scoped
+
+    def visit_Call(self, node):
+        where = (".".join(self.scope) or "<module>", node.lineno)
+        name = _called(node.func)
+        if name.rsplit(".", 1)[-1] == "_blocks":
+            self.splits.append(where)
+        if name.rsplit(".", 1)[-1] in ("SMorphism", "SHomotopy"):
+            args = node.args + [kw.value for kw in node.keywords]
+            if any(isinstance(a, ast.Call) and _called(a.func) == "GradedMatrix.zero"
+                   for a in args):
+                self.zero_args.append(where)
+        self.generic_visit(node)
+
+
+def _totals_only(source):
+    visitor = _TotalsOnly()
+    visitor.visit(ast.parse(source))
+    return visitor.splits, visitor.zero_args
+
+
+def test_the_visitor_finds_splits_and_zero_blocks():
+    splits, zero_args = _totals_only(
+        "class HeightMorphism:\n"
+        "    def verify(self):\n"
+        "        return _blocks(m, x, y)\n"
+        "def lift(x, y):\n"
+        "    return scomplex.SMorphism(x, y, 0, lam,\n"
+        "                              rho=GradedMatrix.zero(a, b, 0)), scomplex._blocks(m, x, y)\n"
+        "SHomotopy(f, g, GradedMatrix.zero(a, b, 1))\n"
+        "SHomotopy(f, g, K, L=GradedMatrix.identity(a))\n")
+    assert splits == [("HeightMorphism.verify", 3), ("lift", 6)]
+    assert zero_args == [("lift", 5), ("<module>", 7)]
+
+
+def test_s_maps_get_no_zero_block_and_are_split_only_by_the_view_and_the_reports():
+    splits, zero_args = [], []
+    for path in sorted(SRC.glob("*.py")):
+        found_splits, found_zeros = _totals_only(path.read_text())
+        splits += [(path.name, scope) for scope, _ in found_splits]
+        zero_args += [(path.name, scope, line) for scope, line in found_zeros]
+    assert not zero_args, zero_args
+    assert set(splits) == SPLITTERS, splits

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from scx.errors import MissingSMap, NotRPerfect, SchemaError
+from scx.errors import MissingSMap, NotRPerfect, SchemaError, ShapeMismatch
 from scx.functors import atomic, direct_sum
 from scx.gradedlin import GradedMatrix, GradedModule
 from scx.linkfam import (
@@ -42,6 +42,7 @@ from scx.scomplex import (
     scomplex_from_json,
     scomplex_to_json,
 )
+from scx.solve import solve_homotopy
 
 
 def test_torus_k4_passes():
@@ -352,7 +353,8 @@ def _oracle_homotopy_zero(frm, to):
 
 def _oracle_boundary_morphism(x, y, rng, degree=0):
     blocks = rand_homotopy_shape(x, y, rng, degree)
-    return SMorphism(x, y, degree, *_boundary_blocks(x, y, *blocks)), blocks
+    return (SMorphism(x, y, degree, *_boundary_blocks(x, y, *blocks)),
+            _assemble_oracle(x, y, degree + 1, -1, *blocks))
 
 
 def _oracle_rand_morphism(x, y, rng, degree=0):
@@ -529,29 +531,93 @@ def test_blocks_undo_assemble():
                         assert got.degree == want.degree
 
 
-@pytest.mark.parametrize("tag", ["Z", "QT"])
-def test_zero_maps_neither_split_nor_assemble(tag, monkeypatch):
+@pytest.mark.parametrize("tag", ["Z", "Z2", "Q", "QT"])
+def test_s_maps_made_from_totals_are_split_only_when_a_block_is_read(tag, monkeypatch):
+    # zero maps, identities, composites, sums, negations, from_assembled and
+    # solved homotopies each store one total and place no block; the first
+    # block read splits it once, and the blocks equal the per-block oracles'
     import scx.scomplex
 
     ring = RINGS[tag]
-    rng = random.Random(f"zero maps {tag}")
-    xs = [_bare(ring, 4, [], [("w", 0)]), _bare(ring, 4, [("a", 1)], [])]
-    xs += [rand_scomplex(ring, rng, modulus=4, max_rank=6) for _ in range(4)]
+    rng = random.Random(f"views {tag}")
+    inputs = []
+    for _ in range(8):
+        x = rand_scomplex(ring, rng, max_rank=6)
+        y = x if rng.random() < 0.5 else rand_scomplex(ring, rng, modulus=x.modulus, max_rank=6)
+        k = rng.choice((0, 1, -1, 2))
+        f, f2 = rand_morphism(x, y, rng, k), rand_morphism(x, y, rng, k)
+        g = rand_morphism(y, y, rng)
+        to, _ = rand_homotopy_pair(f, rng)
+        parts = rand_homotopy_shape(x, y, rng, k - 1, density=0.8)
+        hparts = rand_homotopy_shape(x, y, rng, k, density=0.8)
+        x.total_differential(), y.total_differential()
+        inputs.append((x, y, k, f, f2, g, to, parts, _assemble_oracle(x, y, k, 1, *parts),
+                       hparts, _assemble_oracle(x, y, k + 1, -1, *hparts)))
 
     def refused(*args):
-        raise AssertionError("a zero map was split or assembled")
+        raise AssertionError("an S-map made from totals was split or placed")
 
     monkeypatch.setattr(scx.scomplex, "_blocks", refused)
     monkeypatch.setattr(scx.scomplex, "_assemble", refused)
-    for x in xs:
-        for y in xs:
-            k = rng.choice((0, 1, -1, 2))
-            f = SMorphism.zero(x, y, k)
-            _same(f, _oracle_zero(x, y, k))
-            total = f.assemble()
-            assert (total.source, total.target, total.degree, total.entries) == (
-                x.total_module(), y.total_module(), k % 4, {})
-            _same(SHomotopy.zero(f, f), _oracle_homotopy_zero(f, f))
+    made = []  # (S-map, its total's degree, a thunk for its oracle)
+    for x, y, k, f, f2, g, to, parts, m, hparts, hm in inputs:
+        made += [
+            (SMorphism.zero(x, y, k), k, lambda x=x, y=y, k=k: _oracle_zero(x, y, k)),
+            (SMorphism.identity(x), 0, lambda x=x: _oracle_identity(x)),
+            (g.compose_after(f), k, lambda f=f, g=g: _oracle_compose(g, f)),
+            (f + f2, k, lambda f=f, f2=f2: SMorphism(
+                f.source, f.target, f.degree,
+                *(a + b for a, b in zip(_parts(f)[1:], _parts(f2)[1:])))),
+            (-f, k, lambda f=f: SMorphism(f.source, f.target, f.degree,
+                                          *(-a for a in _parts(f)[1:]))),
+            (SMorphism.from_assembled(m, x, y), k,
+             lambda x=x, y=y, k=k, p=parts: SMorphism(x, y, k, *p)),
+            (SHomotopy.zero(f, f), k + 1, lambda f=f: _oracle_homotopy_zero(f, f)),
+            (SHomotopy.from_assembled(hm, f, f), k + 1, lambda f=f, p=hparts: SHomotopy(f, f, *p)),
+            (solve_homotopy(f, to), k + 1, None),
+        ]
+    for obj, degree, _ in made:
+        total = obj.assemble()
+        x, y = obj.source, obj.target
+        assert (total.source, total.target, total.degree) == (
+            x.total_module(), y.total_module(), degree % x.modulus)
+        assert obj.is_zero == (not total.entries)
+        assert not set(obj._NAMES) & set(vars(obj))
+    monkeypatch.undo()
+    # every kind but the two zero maps has a nonzero instance
+    nonzero = [any(not obj.is_zero for obj, _, _ in made[i::9]) for i in range(9)]
+    assert nonzero == [False, True, True, True, True, True, False, True, True]
+    for obj, degree, oracle in made:
+        first = [getattr(obj, name) for name in obj._NAMES]
+        assert [getattr(obj, name) for name in obj._NAMES] == first  # split once, kept
+        assert all(a is b for a, b in zip(first, (vars(obj)[name] for name in obj._NAMES)))
+        if oracle is None:  # the solved homotopy: its blocks verify and place back its total
+            assert _oracle_homotopy_report(obj).ok
+            x, y = obj.source, obj.target
+            _same(_assemble_oracle(x, y, degree, -1, *first), obj.assemble())
+        else:
+            _same(obj, oracle())
+            _same(obj.assemble(), oracle().assemble())
+
+
+@pytest.mark.parametrize("tag", ["Z", "QT"])
+def test_a_sum_of_morphisms_of_different_degrees_is_refused(tag):
+    # a zero summand's total has no entry to carry its degree, so the sum
+    # checks the degrees itself
+    ring = RINGS[tag]
+    rng = random.Random(f"sum degrees {tag}")
+    for modulus in (2, 4):
+        x = rand_scomplex(ring, rng, modulus=modulus, max_rank=5)
+        y = rand_scomplex(ring, rng, modulus=modulus, max_rank=5)
+        f = rand_morphism(x, y, rng, 1)
+        zero0, zero1 = SMorphism.zero(x, y, 0), SMorphism.zero(x, y, 1)
+        for a, b in ((zero0, f), (f, zero0), (zero0, zero1), (rand_morphism(x, y, rng, 0), f)):
+            for op in (lambda a, b: a + b, lambda a, b: a - b):
+                with pytest.raises(ShapeMismatch, match="different degrees"):
+                    op(a, b)
+        for a, b in ((zero1, f), (f, zero1), (f, f)):
+            assert (a + b).degree == (a - b).degree == 1
+            _same((a + b).assemble(), a.assemble() + b.assemble())
 
 
 def _assemble_oracle(x, y, degree, s, a, b, e, c, g):
