@@ -19,8 +19,9 @@ def _sgn(dom, deg, x):
 def _signs(module):
     """The diagonal eps = (-1)^deg of `module`, of degree 0."""
     dom = module.ring.domain
-    return GradedMatrix(module, module, 0, {(i, i): _sgn(dom, d, dom.one)
-                                            for i, (_, d) in enumerate(module.gens)})
+    signs = (dom.one, dom.minus_one)
+    return GradedMatrix._new(module, module, 0, {(i, i): signs[d % 2]
+                                                 for i, (_, d) in enumerate(module.gens)})
 
 
 # ---------------------------------------------------------------------------
@@ -32,12 +33,12 @@ def dual(x):
 
     With the convention m'(f) = -eps(f) f(m), the canonical splitting puts the
     dual of a C-generator of degree a in degree -a-1 and the dual of an
-    R-generator of degree b in degree -b.  Componentwise, for generator
-    degrees a (source) and entries m[t,s]:
+    R-generator of degree b in degree -b.  Componentwise, for entries m[t,s]
+    of X's maps, with deg(s) the degree in X of the source generator s:
 
         d*  [s,t] = -(-1)^deg(s) d[t,s]      v*  [s,t] = v[t,s]
-        delta1* [s,t] = delta2[t,s]          delta2* [s,t] = -(-1)^deg(s) delta1[t,s]
-        r*  [s,t] = -(-1)^deg(s) r[t,s]
+        delta1* [s,t] = delta2[t,s]          delta2* [s,t] = (-1)^deg(s) delta1[t,s]
+        r*  [s,t] = (-1)^deg(s) r[t,s]
     """
     ring, mod = x.ring, x.modulus
     irr = GradedModule(ring, mod, [(f"{n}*", -d - 1) for n, d in x.irr.gens])
@@ -67,136 +68,90 @@ def dual(x):
 
 
 # ---------------------------------------------------------------------------
-# Tensor product, in the fixed block order
-# (C.C', (C.C')[-1], C.R', R.C'); reducible part R.R'.
+# Tensor product.
 
 
-class _TensorLayout:
-    def __init__(self, x, y):
-        if x.ring != y.ring:
-            raise RingMismatch("tensor over different rings")
-        if x.modulus != y.modulus:
-            raise ShapeMismatch("tensor over different moduli")
-        self.x, self.y = x, y
-        ring, mod = x.ring, x.modulus
+def _tensor_module(m, n):
+    """m ⊗ n: generator a⊗b of degree deg a + deg b, in the order a·|n| + b.
+    A compound factor name is parenthesized, so nested tensors cannot produce
+    colliding names."""
+    def factor(a):
+        return f"({a})" if "⊗" in a else a
 
-        def nm(a, b):
-            # compound factor names are parenthesized so nested tensors
-            # cannot produce colliding generator names
-            fa = f"({a})" if "⊗" in a else a
-            fb = f"({b})" if "⊗" in b else b
-            return f"{fa}⊗{fb}"
+    return GradedModule(m.ring, m.modulus, [(f"{factor(a)}⊗{factor(b)}", da + db)
+                                            for a, da in m.gens for b, db in n.gens])
 
-        cc = [(nm(a, b), da + db) for a, da in x.irr.gens for b, db in y.irr.gens]
-        ccs = [(nm(a, b) + "·s", da + db + 1) for a, da in x.irr.gens for b, db in y.irr.gens]
-        cr = [(nm(a, b), da + db) for a, da in x.irr.gens for b, db in y.red.gens]
-        rc = [(nm(a, b), da + db) for a, da in x.red.gens for b, db in y.irr.gens]
-        rr = [(nm(a, b), da + db) for a, da in x.red.gens for b, db in y.red.gens]
-        self.irr = GradedModule(ring, mod, cc + ccs + cr + rc)
-        self.red = GradedModule(ring, mod, rr)
-        nx, ny = x.irr.rank, y.irr.rank
-        self.off = {
-            "cc": 0,
-            "ccs": nx * ny,
-            "cr": 2 * nx * ny,
-            "rc": 2 * nx * ny + nx * y.red.rank,
-            "rr": 0,  # R.R' is all of the reducible module
-        }
-        self.dims = {
-            "cc": (nx, ny), "ccs": (nx, ny),
-            "cr": (nx, y.red.rank), "rc": (x.red.rank, ny),
-            "rr": (x.red.rank, y.red.rank),
-        }
 
-    def idx(self, block, i, j):
-        return self.off[block] + i * self.dims[block][1] + j
+def _kron(a, b, products):
+    """The Kronecker product a ⊗ b, from products[a.source, b.source] to
+    products[a.target, b.target] (`products` maps module pairs to their
+    `_tensor_module`): entry (ta·|b| + tb, sa·|b| + sb) is a[ta,sa]·b[tb,sb].
+    A factor entry of 1 or -1, as in an identity or a sign diagonal, takes the
+    other's value or its negation; no ring product is formed for it."""
+    dom = a.ring.domain
+    one, minus_one, neg, mul = dom.one, dom.minus_one, dom.neg, dom.mul
+    nt, ns = b.target.rank, b.source.rank
+    ent = {}
+    for (ta, sa), p in a.entries.items():
+        rt, rs = ta * nt, sa * ns
+        for (tb, sb), q in b.entries.items():
+            ent[rt + tb, rs + sb] = (q if p == one else neg(q) if p == minus_one
+                                     else p if q == one else neg(p) if q == minus_one
+                                     else mul(p, q))
+    return GradedMatrix._new(products[a.source, b.source], products[a.target, b.target],
+                             a.degree + b.degree, ent)
 
-    def pair(self, entries, m_a, m_b, row_block, col_block, sign=None, negate=False):
-        """Place (m_a ⊗ m_b) with an optional Koszul sign into `entries`.
 
-        m_a / m_b may be None meaning the identity on that factor.  sign is
-        one of None, 'first' ((-1)^deg of the first-factor source generator,
-        for terms eps⊗m'), or 'first_target' ((-1)^deg of m_a's target
-        generator, for terms (eps∘m)⊗1).
-        """
-        dom = self.x.ring.domain
-        a_pairs = (list(m_a.entries.items()) if m_a is not None
-                   else [((i, i), dom.one) for i in range(self.dims[col_block][0])])
-        b_pairs = (list(m_b.entries.items()) if m_b is not None
-                   else [((j, j), dom.one) for j in range(self.dims[col_block][1])])
-        src_degs = self._first_factor_degrees(col_block)
-        tgt_degs = self._first_factor_degrees(row_block)
-        for (ta, sa), va in a_pairs:
-            for (tb, sb), vb in b_pairs:
-                odd = int(negate)  # the sign is (-1)^odd
-                if sign == "first":
-                    odd += src_degs[sa]
-                elif sign == "first_target":
-                    odd += tgt_degs[ta]
-                v = _sgn(dom, odd, dom.mul(va, vb))
-                row = self.idx(row_block, ta, tb)
-                col = self.idx(col_block, sa, sb)
-                cur = entries.get((row, col))
-                entries[(row, col)] = v if cur is None else dom.add(cur, v)
-
-    def _first_factor_degrees(self, block):
-        if block in ("cc", "ccs", "cr"):
-            return [d for _, d in self.x.irr.gens]
-        return [d for _, d in self.x.red.gens]
+def _tensor_bands(x, y):
+    """The offsets of the bands C·C', (C·C')[-1], C·R', R·C' that make up the
+    irreducible module of x ⊗ y, for C, R the modules of x and C', R' those of
+    y; its reducible module is R·R'."""
+    ncc = x.irr.rank * y.irr.rank
+    return 0, ncc, 2 * ncc, 2 * ncc + x.irr.rank * y.red.rank
 
 
 def tensor(x, y):
-    """The tensor S-complex in the fixed block decomposition."""
-    lay = _TensorLayout(x, y)
-    one = None  # identity marker
+    """The tensor S-complex of x (modules C, R) and y (C', R') on the bands of
+    `_tensor_bands`.  Every block is a sum of Koszul-signed Kronecker terms
+    A ⊗ 1 and eps ⊗ B, where eps = (-1)^deg is a sign diagonal of x."""
+    if x.ring != y.ring:
+        raise RingMismatch("tensor over different rings")
+    if x.modulus != y.modulus:
+        raise ShapeMismatch("tensor over different moduli")
+    ps = {(m, n): _tensor_module(m, n) for m in (x.irr, x.red) for n in (y.irr, y.red)}
+    c_c = ps[x.irr, y.irr]
+    irr = GradedModule(x.ring, x.modulus,
+                       c_c.gens + tuple((f"{n}·s", d + 1) for n, d in c_c.gens)
+                       + ps[x.irr, y.red].gens + ps[x.red, y.irr].gens)
+    red = ps[x.red, y.red]
+    _, ccs, cr, rc = _tensor_bands(x, y)
+    one_r = GradedMatrix.identity(x.red)
+    one_c2, one_r2 = GradedMatrix.identity(y.irr), GradedMatrix.identity(y.red)
+    eps_c, eps_r = _signs(x.irr), _signs(x.red)
+    d_1, eps_d, v_1 = _kron(x.d, one_c2, ps), _kron(eps_c, y.d, ps), _kron(x.v, one_c2, ps)
 
-    d_ent = {}
-    # row cc
-    lay.pair(d_ent, x.d, one, "cc", "cc")
-    lay.pair(d_ent, one, y.d, "cc", "cc", sign="first")
-    # row ccs
-    lay.pair(d_ent, x.v, one, "ccs", "cc", sign="first_target", negate=True)
-    lay.pair(d_ent, one, y.v, "ccs", "cc", sign="first")
-    lay.pair(d_ent, x.d, one, "ccs", "ccs")
-    lay.pair(d_ent, one, y.d, "ccs", "ccs", sign="first", negate=True)
-    lay.pair(d_ent, one, y.delta2, "ccs", "cr", sign="first")
-    lay.pair(d_ent, x.delta2, one, "ccs", "rc", sign="first_target", negate=True)
-    # row cr
-    lay.pair(d_ent, one, y.delta1, "cr", "cc", sign="first")
-    lay.pair(d_ent, x.d, one, "cr", "cr")
-    lay.pair(d_ent, one, y.r, "cr", "cr", sign="first")
-    # row rc
-    lay.pair(d_ent, x.delta1, one, "rc", "cc")
-    lay.pair(d_ent, one, y.d, "rc", "rc", sign="first")
-    lay.pair(d_ent, x.r, one, "rc", "rc")
-
-    v_ent = {}
-    lay.pair(v_ent, x.v, one, "cc", "cc")
-    lay.pair(v_ent, x.delta2, one, "cc", "rc")
-    lay.pair(v_ent, x.v, one, "ccs", "ccs")
-    lay.pair(v_ent, x.v, one, "cr", "cr")
-    lay.pair(v_ent, x.delta1, one, "rc", "ccs", sign="first_target")
-    lay.pair(v_ent, one, y.v, "rc", "rc")
-
-    # delta1: C_T -> R_T from blocks cr (delta1 ⊗ 1) and rc (eps ⊗ delta1')
-    d1_ent = {}
-    lay.pair(d1_ent, x.delta1, one, "rr", "cr")
-    lay.pair(d1_ent, one, y.delta1, "rr", "rc", sign="first")
-    # delta2: R_T -> C_T into blocks cr (delta2 ⊗ 1) and rc (1 ⊗ delta2')
-    d2_ent = {}
-    lay.pair(d2_ent, x.delta2, one, "cr", "rr")
-    lay.pair(d2_ent, one, y.delta2, "rc", "rr")
-
-    r_ent = {}
-    lay.pair(r_ent, x.r, one, "rr", "rr")
-    lay.pair(r_ent, one, y.r, "rr", "rr", sign="first")
-
-    dm = GradedMatrix(lay.irr, lay.irr, -1, d_ent)
-    vm = GradedMatrix(lay.irr, lay.irr, -2, v_ent)
-    d1m = GradedMatrix(lay.irr, lay.red, -1, d1_ent)
-    d2m = GradedMatrix(lay.red, lay.irr, -2, d2_ent)
-    rm = GradedMatrix(lay.red, lay.red, -1, r_ent)
-    return SComplex(lay.irr, lay.red, dm, vm, d1m, d2m, rm, None,
+    d = GradedMatrix.from_blocks(
+        irr, irr, -1,
+        (d_1, 0, 0), (eps_d, 0, 0),
+        (_kron(-(eps_c @ x.v), one_c2, ps), ccs, 0), (_kron(eps_c, y.v, ps), ccs, 0),
+        (d_1, ccs, ccs), (-eps_d, ccs, ccs), (_kron(eps_c, y.delta2, ps), ccs, cr),
+        (_kron(-(eps_c @ x.delta2), one_c2, ps), ccs, rc),
+        (_kron(eps_c, y.delta1, ps), cr, 0), (_kron(x.d, one_r2, ps), cr, cr),
+        (_kron(eps_c, y.r, ps), cr, cr),
+        (_kron(x.delta1, one_c2, ps), rc, 0), (_kron(eps_r, y.d, ps), rc, rc),
+        (_kron(x.r, one_c2, ps), rc, rc))
+    v = GradedMatrix.from_blocks(
+        irr, irr, -2,
+        (v_1, 0, 0), (_kron(x.delta2, one_c2, ps), 0, rc), (v_1, ccs, ccs),
+        (_kron(x.v, one_r2, ps), cr, cr), (_kron(eps_r @ x.delta1, one_c2, ps), rc, ccs),
+        (_kron(one_r, y.v, ps), rc, rc))
+    delta1 = GradedMatrix.from_blocks(irr, red, -1, (_kron(x.delta1, one_r2, ps), 0, cr),
+                                      (_kron(eps_r, y.delta1, ps), 0, rc))
+    delta2 = GradedMatrix.from_blocks(red, irr, -2, (_kron(x.delta2, one_r2, ps), cr, 0),
+                                      (_kron(one_r, y.delta2, ps), rc, 0))
+    r = GradedMatrix.from_blocks(red, red, -1, (_kron(x.r, one_r2, ps), 0, 0),
+                                 (_kron(eps_r, y.r, ps), 0, 0))
+    return SComplex(irr, red, d, v, delta1, delta2, r, None,
                     {"tensor_of": [x.metadata.get("name"), y.metadata.get("name")]})
 
 
@@ -341,34 +296,16 @@ def atomic(n, ring=Z, modulus=4):
     """O(n): O(0) has C = 0, R = R_(0); O(1) and O(-1) are the one-step
     suspensions; |n| > 1 is a tensor power."""
     red = GradedModule(ring, modulus, [("w", 0)])
-    empty = GradedModule(ring, modulus, [])
-    o0 = SComplex(
-        empty, red,
-        GradedMatrix.zero(empty, empty, -1), GradedMatrix.zero(empty, empty, -2),
-        GradedMatrix.zero(empty, red, -1), GradedMatrix.zero(red, empty, -2),
-        GradedMatrix.zero(red, red, -1), None, {"name": "O(0)"},
-    )
     if n == 0:
-        return o0
+        return SComplex(GradedModule(ring, modulus, []), red, metadata={"name": "O(0)"})
     if n == 1:
         irr = GradedModule(ring, modulus, [("u", 1)])
-        out = SComplex(
-            irr, red,
-            GradedMatrix.zero(irr, irr, -1), GradedMatrix.zero(irr, irr, -2),
-            GradedMatrix.from_named(irr, red, -1, [("w", "u", ring.one())]),
-            GradedMatrix.zero(red, irr, -2),
-            GradedMatrix.zero(red, red, -1), None, {"name": "O(1)"},
-        )
-        return out
+        d1 = GradedMatrix.from_named(irr, red, -1, [("w", "u", ring.one())])
+        return SComplex(irr, red, delta1=d1, metadata={"name": "O(1)"})
     if n == -1:
         irr = GradedModule(ring, modulus, [("u", -2)])
-        return SComplex(
-            irr, red,
-            GradedMatrix.zero(irr, irr, -1), GradedMatrix.zero(irr, irr, -2),
-            GradedMatrix.zero(irr, red, -1),
-            GradedMatrix.from_named(red, irr, -2, [("u", "w", ring.one())]),
-            GradedMatrix.zero(red, red, -1), None, {"name": "O(-1)"},
-        )
+        d2 = GradedMatrix.from_named(red, irr, -2, [("u", "w", ring.one())])
+        return SComplex(irr, red, delta2=d2, metadata={"name": "O(-1)"})
     step = atomic(1 if n > 0 else -1, ring, modulus)
     out = step
     for _ in range(abs(n) - 1):
@@ -419,13 +356,15 @@ def suspension_witness(x):
     and a homotopy from lambda.lambda' to the identity on the tensor side.
 
     The tensor's irreducible module is the four bands C.u, (C.u)[-1], C.w,
-    R.u of rank nc, nc, nc, nr (its reducible module is R.w), and that of
+    R.u of rank nc, nc, nc, nr, at the offsets `_tensor_bands` gives (its
+    reducible module is R.w), and that of
     Sigma X is C then R; every map places blocks of X, identities and the
     sign diagonals eps = (-1)^deg of C and R."""
-    t = tensor(x, atomic(1, x.ring, x.modulus))
+    o1 = atomic(1, x.ring, x.modulus)
+    t = tensor(x, o1)
     sx = suspend_once(x)
     nc = x.irr.rank
-    ccs, cr, rc = nc, 2 * nc, 3 * nc
+    _, ccs, cr, rc = _tensor_bands(x, o1)
     one_c, one_r = GradedMatrix.identity(x.irr), GradedMatrix.identity(x.red)
     eps_c, eps_r = _signs(x.irr), _signs(x.red)
 

@@ -19,7 +19,7 @@ from .rings import FRAC_LAURENT_Q, LAU_ONE, LAURENT_Z, Q, RingElement, RingMap, 
 class GradedModule:
     """Finitely generated free module with named generators and degrees mod 2 or 4."""
 
-    __slots__ = ("ring", "modulus", "gens", "_index")
+    __slots__ = ("ring", "modulus", "gens", "_index", "_hash")
 
     def __init__(self, ring, modulus, gens):
         if modulus not in (2, 4):
@@ -80,7 +80,13 @@ class GradedModule:
         )
 
     def __hash__(self):
-        return hash((self.ring, self.modulus, self.gens))
+        # computed on first use and kept: `functors.tensor` looks up the
+        # product of two modules for every Kronecker block
+        try:
+            return self._hash
+        except AttributeError:
+            _set_module_hash(self, hash((self.ring, self.modulus, self.gens)))
+            return self._hash
 
     def __repr__(self):
         return f"GradedModule({self.ring!r}, mod {self.modulus}, {list(self.gens)})"
@@ -91,6 +97,7 @@ _set_module_ring = GradedModule.ring.__set__
 _set_module_modulus = GradedModule.modulus.__set__
 _set_module_gens = GradedModule.gens.__set__
 _set_module_index = GradedModule._index.__set__
+_set_module_hash = GradedModule._hash.__set__
 
 
 class GradedMatrix:

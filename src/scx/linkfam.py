@@ -426,7 +426,6 @@ def torus_link_complex(k):
     coeff = _t_unit()
     irr = GradedModule(ring, 4, [(f"xi{i}", 2 * i - 1) for i in range(1, k)])
     red = GradedModule(ring, 4, [("theta+", 0), ("theta-", 2 * k)])
-    d = GradedMatrix.zero(irr, irr, -1)
     v_ent = {}
     for i in range(2, k):
         v_ent[(i - 2, i - 1)] = coeff
@@ -435,8 +434,6 @@ def torus_link_complex(k):
     if k >= 2:
         d1_ent[(0, 0)] = coeff
     d1 = GradedMatrix(irr, red, -1, d1_ent)
-    d2 = GradedMatrix.zero(red, irr, -2)
-    r = GradedMatrix.zero(red, red, -1)
     s = None
     if k == 1:
         s = GradedMatrix(red, red, -2, {(0, 1): coeff})
@@ -450,7 +447,7 @@ def torus_link_complex(k):
             "quasi_orientations": ["o+", "o-"]}
     if k == 1:
         meta["s_map_unit"] = "1 (fixed only up to a unit)"
-    return SComplex(irr, red, d, v, d1, d2, r, s, meta)
+    return SComplex(irr, red, v=v, delta1=d1, s=s, metadata=meta)
 
 
 def torus_knot_summand(k):
@@ -467,11 +464,7 @@ def torus_knot_summand(k):
         v_ent[(i - 2, i - 1)] = coeff
     v = GradedMatrix(irr, irr, -2, v_ent)
     d1 = GradedMatrix(irr, red, -1, {(0, 0): coeff})
-    return SComplex(
-        irr, red,
-        GradedMatrix.zero(irr, irr, -1), v, d1,
-        GradedMatrix.zero(red, irr, -2), GradedMatrix.zero(red, red, -1),
-        None, {"name": f"T(2,{2 * k - 1})"})
+    return SComplex(irr, red, v=v, delta1=d1, metadata={"name": f"T(2,{2 * k - 1})"})
 
 
 def hopf_complex():
@@ -483,11 +476,7 @@ def unknot_complex():
     ring = LAURENT_Z
     irr = GradedModule(ring, 4, [])
     red = GradedModule(ring, 4, [("theta", 0)])
-    return SComplex(
-        irr, red,
-        GradedMatrix.zero(irr, irr, -1), GradedMatrix.zero(irr, irr, -2),
-        GradedMatrix.zero(irr, red, -1), GradedMatrix.zero(red, irr, -2),
-        GradedMatrix.zero(red, red, -1), None, {"name": "U1"})
+    return SComplex(irr, red, metadata={"name": "U1"})
 
 
 # ---------------------------------------------------------------------------

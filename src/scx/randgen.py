@@ -74,8 +74,7 @@ def _rand_split_atom(ring, rng, modulus, r_perfect):
             if (irr.degree(t) - red.degree(s) + 2) % mod == 0 and rng.random() < 0.7:
                 d2_ent[(t, s)] = rand_value(ring, rng)
     d2 = GradedMatrix(red, irr, -2, d2_ent)
-    r = GradedMatrix.zero(red, red, -1)
-    return SComplex(irr, red, d, v, d1, d2, r)
+    return SComplex(irr, red, d, v, d1, d2)
 
 
 def rand_scomplex(ring, rng, modulus=None, max_rank=6, r_perfect=False, allow_cone=True):

@@ -167,11 +167,11 @@ class Domain:
     """The arithmetic of one ring on raw values.  `inv` is defined on units
     only; every result is canonical, so `is_zero(x)` is `x == zero`."""
 
-    __slots__ = ("zero", "one", "from_int", "add", "sub", "mul", "neg", "inv", "is_unit",
-                 "is_zero")
+    __slots__ = ("zero", "one", "minus_one", "from_int", "add", "sub", "mul", "neg", "inv",
+                 "is_unit", "is_zero")
 
     def __init__(self, zero, one, from_int, add, sub, mul, neg, inv, is_unit):
-        self.zero, self.one, self.from_int = zero, one, from_int
+        self.zero, self.one, self.minus_one, self.from_int = zero, one, neg(one), from_int
         self.add, self.sub, self.mul, self.neg = add, sub, mul, neg
         self.inv, self.is_unit = inv, is_unit
         self.is_zero = partial(eq, zero)

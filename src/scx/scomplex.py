@@ -149,12 +149,14 @@ def _relations(residual, x, y, rows):
 
 
 class SComplex:
-    """The tuple (C, R, d, v, delta1, delta2, r) with optional s-map.
+    """The tuple (C, R, d, v, delta1, delta2, r) with optional s-map; a block
+    left out of the constructor is zero.
 
     Immutable (`__setattr__` raises), so the total module and differential,
     each built on first use and kept, cannot go stale."""
 
-    def __init__(self, irr, red, d, v, delta1, delta2, r, s=None, metadata=None):
+    def __init__(self, irr, red, d=None, v=None, delta1=None, delta2=None, r=None, s=None,
+                 metadata=None):
         if irr.ring != red.ring or irr.modulus != red.modulus:
             raise ShapeMismatch("C and R must share ring and modulus")
         _check_components(
@@ -164,8 +166,15 @@ class SComplex:
             (delta1, irr, red, -1, "delta1"),
             (delta2, red, irr, -2, "delta2"),
             (r, red, red, -1, "r"),
-            *([] if s is None else [(s, red, red, -2, "s")]))
-        vars(self).update(irr=irr, red=red, d=d, v=v, delta1=delta1, delta2=delta2, r=r, s=s,
+            (s, red, red, -2, "s"))
+        # a block left out is zero; a missing s stays None (no s-map)
+        zero = GradedMatrix.zero
+        vars(self).update(irr=irr, red=red,
+                          d=zero(irr, irr, -1) if d is None else d,
+                          v=zero(irr, irr, -2) if v is None else v,
+                          delta1=zero(irr, red, -1) if delta1 is None else delta1,
+                          delta2=zero(red, irr, -2) if delta2 is None else delta2,
+                          r=zero(red, red, -1) if r is None else r, s=s,
                           metadata=MappingProxyType(dict(metadata or {})),
                           _total=None, _total_module=None)
 

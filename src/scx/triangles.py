@@ -138,49 +138,39 @@ def les_check(t):
 def cone_triangle(f):
     """(C0, C1, C2) = (X, Cone(f), X') with lam0 = f, lam2 = inclusion,
     lam1 = sign-twisted projection; all witnesses explicit, N maps zero."""
-    from .functors import cone as make_cone
+    from .functors import _signs, cone as make_cone
 
     if f.degree % f.source.modulus != 0:
         raise ShapeMismatch("cone triangles take a degree-0 morphism")
     x, y = f.source, f.target
     cn = make_cone(f)
-    dom = x.ring.domain
-    one, minus_one = dom.one, dom.neg(dom.one)
     nc, nr = x.irr.rank, x.red.rank
-    mc, mr = y.irr.rank, y.red.rank
-
-    def sgn(deg):
-        return one if deg % 2 == 0 else minus_one
 
     # lam2: X' -> Cone, inclusion of the B-blocks.
     lam2 = SMorphism(
         y, cn, 0,
-        GradedMatrix(y.irr, cn.irr, 0, {(nc + i, i): one for i in range(mc)}),
-        rho=GradedMatrix(y.red, cn.red, 0, {(nr + j, j): one for j in range(mr)}),
+        GradedMatrix.from_blocks(y.irr, cn.irr, 0, (GradedMatrix.identity(y.irr), nc, 0)),
+        rho=GradedMatrix.from_blocks(y.red, cn.red, 0, (GradedMatrix.identity(y.red), nr, 0)),
     )
     # lam1: Cone -> X, projection to the A-blocks with the parity sign.
     lam1 = SMorphism(
         cn, x, -1,
-        GradedMatrix(cn.irr, x.irr, -1,
-                     {(i, i): sgn(x.irr.degree(i)) for i in range(nc)}),
-        rho=GradedMatrix(cn.red, x.red, -1,
-                         {(j, j): sgn(x.red.degree(j)) for j in range(nr)}),
+        GradedMatrix.from_blocks(cn.irr, x.irr, -1, (_signs(x.irr), 0, 0)),
+        rho=GradedMatrix.from_blocks(cn.red, x.red, -1, (_signs(x.red), 0, 0)),
     )
     lam0 = f
 
     # K0: X -> Cone, x |-> (-x, 0).
     k0 = SHomotopy(
         SMorphism.zero(x, cn, 0), lam2.compose_after(lam0),
-        GradedMatrix(x.irr, cn.irr, 1, {(i, i): minus_one for i in range(nc)}),
-        J=GradedMatrix(x.red, cn.red, 1, {(j, j): minus_one for j in range(nr)}),
+        GradedMatrix.from_blocks(x.irr, cn.irr, 1, (-GradedMatrix.identity(x.irr), 0, 0)),
+        J=GradedMatrix.from_blocks(x.red, cn.red, 1, (-GradedMatrix.identity(x.red), 0, 0)),
     )
     # K1: Cone -> X', (x, y) |-> -eps(y).
     k1 = SHomotopy(
         SMorphism.zero(cn, y, -1), lam0.compose_after(lam1),
-        GradedMatrix(cn.irr, y.irr, 0,
-                     {(i, nc + i): sgn(y.irr.degree(i) + 1) for i in range(mc)}),
-        J=GradedMatrix(cn.red, y.red, 0,
-                       {(j, nr + j): sgn(y.red.degree(j) + 1) for j in range(mr)}),
+        GradedMatrix.from_blocks(cn.irr, y.irr, 0, (-_signs(y.irr), 0, nc)),
+        J=GradedMatrix.from_blocks(cn.red, y.red, 0, (-_signs(y.red), 0, nr)),
     )
     # K2 = 0 (lam1 . lam2 = 0 on the nose).
     k2 = SHomotopy.zero(SMorphism.zero(y, x, -1), lam1.compose_after(lam2))

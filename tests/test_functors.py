@@ -20,7 +20,7 @@ from scx.gradedlin import GradedMatrix, GradedModule
 from scx.linkfam import hopf_complex, torus_knot_summand, torus_link_complex
 from scx.randgen import RINGS, rand_homotopy_pair, rand_morphism, rand_scomplex
 from scx.rings import FRAC_LAURENT_Q, LAURENT_Z, Q, RingMap, Z, Zp, parse_element
-from scx.scomplex import SComplex, SMorphism
+from scx.scomplex import SComplex, SMorphism, scomplex_json_text
 
 INC = RingMap(RingMap.LAURENT_TO_FRAC, LAURENT_Z, FRAC_LAURENT_Q)
 
@@ -62,6 +62,38 @@ def test_dual_torus_k2_sign():
     assert d.delta1.is_zero
 
 
+def test_dual_entries_follow_the_docstring_formulas():
+    # m*[s,t] = m[t,s], times sign.(-1)^deg(s) where a sign is given, deg(s)
+    # the degree in X of the source generator s of the entry m[t,s]
+    counted = {"delta2*": 0, "r*": 0}
+    for tag in ("Z", "Q", "QT"):
+        ring = RINGS[tag]
+        dom = ring.domain
+        rng = random.Random(f"dual {tag}")
+        xs = [rand_scomplex(ring, rng, max_rank=6, r_perfect=(i % 2 == 0)) for i in range(30)]
+        for _ in range(10):  # cones of random self-maps, for a nonzero r
+            y = rand_scomplex(ring, rng, max_rank=4)
+            xs.append(cone(rand_morphism(y, y, rng)))
+        for x in xs:
+            def flipped(m, source=None, sign=None):
+                out = {}
+                for (t, s), val in m.entries.items():
+                    if sign is not None and (sign == -1) != (source.degree(s) % 2 == 1):
+                        val = dom.neg(val)
+                    out[(s, t)] = val
+                return out
+
+            dx = dual(x)
+            assert dx.d.entries == flipped(x.d, x.irr, -1)
+            assert dx.v.entries == flipped(x.v)
+            assert dx.delta1.entries == flipped(x.delta2)
+            assert dx.delta2.entries == flipped(x.delta1, x.irr, 1)
+            assert dx.r.entries == flipped(x.r, x.red, 1)
+            counted["delta2*"] += len(dx.delta2.entries)
+            counted["r*"] += len(dx.r.entries)
+    assert min(counted.values()) >= 20, counted
+
+
 def test_tensor_unit():
     x = torus_link_complex(3)
     t = connected_sum_model(x, atomic(0, LAURENT_Z, 4))
@@ -95,6 +127,128 @@ def test_tensor_of_random_complexes_verifies():
             x = rand_scomplex(ring, rng, max_rank=4)
             y = rand_scomplex(ring, rng, modulus=x.modulus, max_rank=3)
             assert connected_sum_model(x, y).verify().ok
+
+
+# -- the entry-by-entry tensor builder that the Kronecker blocks replaced,
+# kept as the oracle: each of its `pair` calls places one term at the indices
+# it computes itself, with the Koszul sign chosen by a named mode
+
+
+class _OracleTensorLayout:
+    def __init__(self, x, y):
+        self.x, self.y = x, y
+        ring, mod = x.ring, x.modulus
+
+        def nm(a, b):
+            fa = f"({a})" if "⊗" in a else a
+            fb = f"({b})" if "⊗" in b else b
+            return f"{fa}⊗{fb}"
+
+        cc = [(nm(a, b), da + db) for a, da in x.irr.gens for b, db in y.irr.gens]
+        ccs = [(nm(a, b) + "·s", da + db + 1) for a, da in x.irr.gens for b, db in y.irr.gens]
+        cr = [(nm(a, b), da + db) for a, da in x.irr.gens for b, db in y.red.gens]
+        rc = [(nm(a, b), da + db) for a, da in x.red.gens for b, db in y.irr.gens]
+        rr = [(nm(a, b), da + db) for a, da in x.red.gens for b, db in y.red.gens]
+        self.irr = GradedModule(ring, mod, cc + ccs + cr + rc)
+        self.red = GradedModule(ring, mod, rr)
+        nx, ny = x.irr.rank, y.irr.rank
+        self.off = {"cc": 0, "ccs": nx * ny, "cr": 2 * nx * ny,
+                    "rc": 2 * nx * ny + nx * y.red.rank, "rr": 0}
+        self.dims = {"cc": (nx, ny), "ccs": (nx, ny), "cr": (nx, y.red.rank),
+                     "rc": (x.red.rank, ny), "rr": (x.red.rank, y.red.rank)}
+
+    def idx(self, block, i, j):
+        return self.off[block] + i * self.dims[block][1] + j
+
+    def pair(self, entries, m_a, m_b, row_block, col_block, sign=None, negate=False):
+        """Add (m_a ⊗ m_b) to `entries`, None standing for an identity, with
+        the sign (-1)^negate times, for sign 'first', (-1)^deg of the first
+        factor's source generator or, for 'first_target', of m_a's target."""
+        dom = self.x.ring.domain
+        a_pairs = (list(m_a.entries.items()) if m_a is not None
+                   else [((i, i), dom.one) for i in range(self.dims[col_block][0])])
+        b_pairs = (list(m_b.entries.items()) if m_b is not None
+                   else [((j, j), dom.one) for j in range(self.dims[col_block][1])])
+        first = {b: [d for _, d in (self.x.irr if b in ("cc", "ccs", "cr") else self.x.red).gens]
+                 for b in (row_block, col_block)}
+        for (ta, sa), va in a_pairs:
+            for (tb, sb), vb in b_pairs:
+                odd = int(negate)
+                if sign == "first":
+                    odd += first[col_block][sa]
+                elif sign == "first_target":
+                    odd += first[row_block][ta]
+                v = dom.mul(va, vb)
+                v = v if odd % 2 == 0 else dom.neg(v)
+                key = (self.idx(row_block, ta, tb), self.idx(col_block, sa, sb))
+                cur = entries.get(key)
+                entries[key] = v if cur is None else dom.add(cur, v)
+
+
+def _oracle_tensor(x, y):
+    lay = _OracleTensorLayout(x, y)
+    one = None
+    d_ent, v_ent, d1_ent, d2_ent, r_ent = {}, {}, {}, {}, {}
+    for args in ((x.d, one, "cc", "cc"), (one, y.d, "cc", "cc", "first"),
+                 (x.v, one, "ccs", "cc", "first_target", True),
+                 (one, y.v, "ccs", "cc", "first"), (x.d, one, "ccs", "ccs"),
+                 (one, y.d, "ccs", "ccs", "first", True),
+                 (one, y.delta2, "ccs", "cr", "first"),
+                 (x.delta2, one, "ccs", "rc", "first_target", True),
+                 (one, y.delta1, "cr", "cc", "first"), (x.d, one, "cr", "cr"),
+                 (one, y.r, "cr", "cr", "first"), (x.delta1, one, "rc", "cc"),
+                 (one, y.d, "rc", "rc", "first"), (x.r, one, "rc", "rc")):
+        lay.pair(d_ent, *args)
+    for args in ((x.v, one, "cc", "cc"), (x.delta2, one, "cc", "rc"),
+                 (x.v, one, "ccs", "ccs"), (x.v, one, "cr", "cr"),
+                 (x.delta1, one, "rc", "ccs", "first_target"), (one, y.v, "rc", "rc")):
+        lay.pair(v_ent, *args)
+    lay.pair(d1_ent, x.delta1, one, "rr", "cr")
+    lay.pair(d1_ent, one, y.delta1, "rr", "rc", "first")
+    lay.pair(d2_ent, x.delta2, one, "cr", "rr")
+    lay.pair(d2_ent, one, y.delta2, "rc", "rr")
+    lay.pair(r_ent, x.r, one, "rr", "rr")
+    lay.pair(r_ent, one, y.r, "rr", "rr", "first")
+    irr, red = lay.irr, lay.red
+    return SComplex(irr, red, GradedMatrix(irr, irr, -1, d_ent),
+                    GradedMatrix(irr, irr, -2, v_ent), GradedMatrix(irr, red, -1, d1_ent),
+                    GradedMatrix(red, irr, -2, d2_ent), GradedMatrix(red, red, -1, r_ent),
+                    None, {"tensor_of": [x.metadata.get("name"), y.metadata.get("name")]})
+
+
+def _same_tensor_text(x, y):
+    return scomplex_json_text(tensor(x, y)) == scomplex_json_text(_oracle_tensor(x, y))
+
+
+def test_tensor_equals_the_entry_loop_oracle_on_seeded_pairs():
+    pairs = 0
+    for tag, ring in RINGS.items():
+        for modulus in (2, 4):
+            rng = random.Random(f"tensor {tag} {modulus}")
+            for i in range(125):
+                x = rand_scomplex(ring, rng, modulus=modulus, max_rank=5,
+                                  r_perfect=(i % 3 == 0))
+                y = rand_scomplex(ring, rng, modulus=modulus, max_rank=5)
+                assert _same_tensor_text(x, y), (tag, modulus, i)
+                pairs += 1
+    assert pairs >= 1000
+
+
+def test_tensor_equals_the_entry_loop_oracle_on_nested_and_link_tensors():
+    for n in (3, -3):
+        o = atomic(1 if n > 0 else -1)
+        want = _oracle_tensor(_oracle_tensor(o, o), o)
+        assert _same_tensor_text(tensor(o, o), o)
+        assert scomplex_json_text(tensor(tensor(o, o), o)) == scomplex_json_text(want)
+        got = atomic(n)  # the same triple tensor, renamed O(n)
+        assert (got.irr, got.red) == (want.irr, want.red)
+        assert all(getattr(got, b) == getattr(want, b) for b in ("d", "v", "delta1", "delta2", "r"))
+    k = torus_knot_summand(2)  # T(2,3)
+    assert _same_tensor_text(tensor(k, k), k)
+    assert scomplex_json_text(tensor(tensor(k, k), k)) == scomplex_json_text(
+        _oracle_tensor(_oracle_tensor(k, k), k))
+    for a, b in ((3, 5), (4, 4), (5, 3), (4, 6), (6, 4)):  # T(2,2a) ⊗ dual T(2,2b)
+        assert _same_tensor_text(torus_link_complex(a), dual(torus_link_complex(b))), (a, b)
 
 
 def test_cone_of_identity_is_acyclic():

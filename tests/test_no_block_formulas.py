@@ -71,9 +71,10 @@ def test_no_relation_is_written_block_by_block():
 
 # An S-morphism or homotopy stores only its total: a block left out of the
 # constructor is zero, so no `GradedMatrix.zero(...)` is handed to
-# `SMorphism(` or `SHomotopy(`, and a total is split into blocks (`_blocks`)
-# only by the block view, by `_relations` to name a failed relation's first
-# offender, and by `HeightMorphism.verify` for the same.
+# `SMorphism(` or `SHomotopy(` (nor to `SComplex(`, whose left-out blocks are
+# zero too), and a total is split into blocks (`_blocks`) only by the block
+# view, by `_relations` to name a failed relation's first offender, and by
+# `HeightMorphism.verify` for the same.
 
 SPLITTERS = {("scomplex.py", "_SMap.__getattr__"), ("scomplex.py", "_relations"),
              ("heights.py", "HeightMorphism.verify")}
@@ -90,8 +91,8 @@ def _called(func):
 
 class _TotalsOnly(ast.NodeVisitor):
     """(enclosing class and function scope, line) of every `_blocks(...)`
-    call and of every `GradedMatrix.zero(...)` passed to `SMorphism(...)` or
-    `SHomotopy(...)`."""
+    call and of every `GradedMatrix.zero(...)` passed to `SMorphism(...)`,
+    `SHomotopy(...)` or `SComplex(...)`."""
 
     def __init__(self):
         self.scope = []
@@ -110,7 +111,7 @@ class _TotalsOnly(ast.NodeVisitor):
         name = _called(node.func)
         if name.rsplit(".", 1)[-1] == "_blocks":
             self.splits.append(where)
-        if name.rsplit(".", 1)[-1] in ("SMorphism", "SHomotopy"):
+        if name.rsplit(".", 1)[-1] in ("SMorphism", "SHomotopy", "SComplex"):
             args = node.args + [kw.value for kw in node.keywords]
             if any(isinstance(a, ast.Call) and _called(a.func) == "GradedMatrix.zero"
                    for a in args):
@@ -133,9 +134,11 @@ def test_the_visitor_finds_splits_and_zero_blocks():
         "    return scomplex.SMorphism(x, y, 0, lam,\n"
         "                              rho=GradedMatrix.zero(a, b, 0)), scomplex._blocks(m, x, y)\n"
         "SHomotopy(f, g, GradedMatrix.zero(a, b, 1))\n"
-        "SHomotopy(f, g, K, L=GradedMatrix.identity(a))\n")
+        "SHomotopy(f, g, K, L=GradedMatrix.identity(a))\n"
+        "SComplex(c, r, d, v, d1, GradedMatrix.zero(r, c, -2))\n"
+        "SComplex(c, r, d, v, metadata={'name': 'x'})\n")
     assert splits == [("HeightMorphism.verify", 3), ("lift", 6)]
-    assert zero_args == [("lift", 5), ("<module>", 7)]
+    assert zero_args == [("lift", 5), ("<module>", 7), ("<module>", 9)]
 
 
 def test_s_maps_get_no_zero_block_and_are_split_only_by_the_view_and_the_reports():
