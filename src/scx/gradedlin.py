@@ -199,16 +199,22 @@ class GradedMatrix:
     def from_blocks(cls, source, target, degree, *blocks):
         """The matrix with each block (sub, row_offset, col_offset) placed at
         its offsets; where blocks overlap their entries add."""
-        add = source.ring.domain.add
+        return cls(source, target, degree, cls._place(source.ring, blocks))
+
+    @staticmethod
+    def _place(ring, blocks):
+        """The entries of `from_blocks`, unchecked: a caller that hands them
+        to `_new` vouches that each is in range and homogeneous."""
+        add = ring.domain.add
         ent = {}
         for sub, row_offset, col_offset in blocks:
-            if sub.ring != source.ring:
+            if sub.ring != ring:
                 raise RingMismatch("block from the wrong ring")
             for (t, s), x in sub.entries.items():
                 key = (t + row_offset, s + col_offset)
                 cur = ent.get(key)
                 ent[key] = x if cur is None else add(cur, x)
-        return cls(source, target, degree, ent)
+        return ent
 
     # -- basic algebra
 
@@ -267,6 +273,8 @@ class GradedMatrix:
         """self after other: requires other.target == self.source."""
         if other.target != self.source:
             raise ShapeMismatch("composition shape mismatch")
+        if not self.entries or not other.entries:
+            return GradedMatrix._new(other.source, self.target, self.degree + other.degree, {})
         dom = self.ring.domain
         add, mul = dom.add, dom.mul
         by_col = {}

@@ -18,8 +18,9 @@ P_1 = Delta2 : R -> C' and Q_1 = delta2 : R -> C,
 
 so P_i = v'^{i-1}.Delta2 + sum_{j=0}^{i-2} v'^j.mu.v^{i-2-j}.delta2 and
 Q_i = v^{i-1}.delta2.  A zero pair (P_i, Q_i) = (0, 0) stays zero, so from
-the first one on every tau_j is zero and the sweep stops there: tau_1..tau_n
-take at most 5 products per index up to that pair, and none past it.
+the first one on every tau_j is zero and the sweep stops there: it returns
+tau_1..tau_{i-1}, at most 5 products per index, and its readers take a tau
+past the list, like one missing from a datum's `tau`, as zero.
 
 One lift carries the rest.  When the nonpositive tau reach down to tau_{-m}
 (the depth m is 0 when none is nonzero), the datum X -> Y is one S-morphism
@@ -30,7 +31,9 @@ C_{Sigma^m Y} = C' + R'_0 + ... + R'_{m-1},
     mu_F = [mu; Delta1],  Delta1_F = 0,  Delta2_F = [Delta2; tau_0; ...; tau_{1-m}],
     rho_F = tau_{-m},
 
-and F = (lambda, mu, Delta1, Delta2, tau_0) when m = 0.  `_unlift(h, z, m)`
+and F = (lambda, mu, Delta1, Delta2, tau_0) when m = 0.  F is placed
+straight into its total from the checked components and kept on the datum;
+Sigma^m Y is built once, by the suspensions kept on Y.  `_unlift(h, z, m)`
 goes back: it is kappa_m . h, the height morphism X -> Z of an S-morphism
 h: X -> Sigma^m Z.  Three identities follow.
 
@@ -85,16 +88,14 @@ def _rows(m, target, degree, offset=0):
 
 def tau_closed_formula(x, y, lam, mu, delta1, delta2, n):
     """The determined [tau_1, ..., tau_n], by the sweep in the module
-    docstring.  At the first i with P_i = Q_i = 0 the sweep stops: tau_i and
-    every later tau are zero matrices, of degree k - 2i."""
+    docstring.  At the first i with P_i = Q_i = 0 the sweep stops and the
+    list ends before tau_i: that tau and every later one are zero."""
     taus = []
     p, q = delta2, x.delta2
     for i in range(n):
         if i:
             p, q = y.v @ p + mu @ q, x.v @ q
         if p.is_zero and q.is_zero:
-            deg = y.delta1.degree + p.degree  # k - 2(i + 1), that of delta1'.P_{i+1}
-            taus += [GradedMatrix.zero(x.red, y.red, deg - 2 * j) for j in range(n - i)]
             break
         taus.append(y.delta1 @ p + delta1 @ q)
     return taus
@@ -102,7 +103,8 @@ def tau_closed_formula(x, y, lam, mu, delta1, delta2, n):
 
 class HeightMorphism:
     """Components plus the tau family; height = least index with tau nonzero
-    cleared below it.  Degree must be even."""
+    cleared below it.  Degree must be even.  Immutable (`__setattr__`
+    raises), so the lifts, built on first use and kept, cannot go stale."""
 
     def __init__(self, source, target, degree, lam, mu, delta1, delta2, tau, height):
         source.require_r_perfect("height morphism")
@@ -127,15 +129,12 @@ class HeightMorphism:
                 raise ShapeMismatch("tau maps R to R'")
             if t.entries and t.degree != (k - 2 * i) % mod:
                 raise ShapeMismatch(f"tau_{i} needs degree {k - 2 * i} mod {mod}")
-        self.source = source
-        self.target = target
-        self.degree = k
-        self.lam = lam
-        self.mu = mu
-        self.delta1 = delta1
-        self.delta2 = delta2
-        self.tau = {i: t for i, t in sorted(tau.items()) if not t.is_zero}
-        self.height = height
+        vars(self).update(source=source, target=target, degree=k, lam=lam, mu=mu,
+                          delta1=delta1, delta2=delta2, height=height, _lifts={},
+                          tau={i: t for i, t in sorted(tau.items()) if not t.is_zero})
+
+    def __setattr__(self, *a):
+        raise AttributeError("HeightMorphism is immutable")
 
     @classmethod
     def from_components(cls, source, target, degree, lam, mu, delta1, delta2,
@@ -147,13 +146,8 @@ class HeightMorphism:
         for i, t in enumerate(tau_closed_formula(source, target, lam, mu, delta1, delta2, bound), 1):
             if not t.is_zero:
                 tau[i] = t
-        height = None
-        for i in sorted(tau):
-            if not tau[i].is_zero:
-                height = i
-                break
-        if height is None:
-            height = bound  # the zero morphism has every height; report the bound
+        # the zero morphism has every height; report the bound
+        height = min((i for i, t in tau.items() if not t.is_zero), default=bound)
         return cls(source, target, degree, lam, mu, delta1, delta2, tau, height)
 
     @classmethod
@@ -181,27 +175,30 @@ class HeightMorphism:
 
     def _lift(self, m):
         """The S-morphism X -> Sigma^m Y of the module docstring, for m at
-        least the depth of the nonpositive tau (deeper ones are not read).
-        The L_t are made by L_{m-1} = tau_{-m}.delta1 and
-        L_t = L_{t+1}.v + tau_{-(t+1)}.delta1, with no power of v."""
-        x, y = self.source, self.target
-        if m == 0:
-            return SMorphism(x, y, self.degree, self.lam, self.mu, self.delta1,
-                             self.delta2, self.tau_at(0))
-        sy = suspend(y, m)
-        mc, mr = y.irr.rank, y.red.rank
-        k = self.degree + 2 * m
-        lam = [(self.lam, 0, 0)]
-        acc = GradedMatrix.zero(x.irr, y.red, k)
-        for t in reversed(range(m)):
-            acc = acc @ x.v + self.tau_at(-(t + 1)) @ x.delta1
-            lam.append((acc, mc + t * mr, 0))
-        return SMorphism(
-            x, sy, k, GradedMatrix.from_blocks(x.irr, sy.irr, k, *lam),
-            GradedMatrix.from_blocks(x.irr, sy.irr, k - 1, (self.mu, 0, 0), (self.delta1, mc, 0)),
-            delta2=GradedMatrix.from_blocks(x.red, sy.irr, k - 1, (self.delta2, 0, 0),
-                                            *((self.tau_at(-t), mc + t * mr, 0) for t in range(m))),
-            rho=GradedMatrix(x.red, sy.red, k, dict(self.tau_at(-m).entries)))
+        least the depth of the nonpositive tau (deeper ones are not read),
+        built on first use and kept.  The L_t are made by
+        L_{m-1} = tau_{-m}.delta1 and L_t = L_{t+1}.v + tau_{-(t+1)}.delta1,
+        with no power of v."""
+        if m not in self._lifts:
+            x, y, tau = self.source, self.target, self.tau
+            sy = suspend(y, m)
+            nc, mc, mr = x.irr.rank, y.irr.rank, y.red.rank
+            big = sy.irr.rank  # where the C[-1] band starts
+            k = self.degree + 2 * m
+            lam = [(self.lam, 0, 0)]
+            acc = GradedMatrix.zero(x.irr, y.red, k)
+            for t in reversed(range(m)):
+                acc = acc @ x.v if -(t + 1) not in tau else acc @ x.v + tau[-(t + 1)] @ x.delta1
+                lam.append((acc, mc + t * mr, 0))
+            # Delta1 at row big + mc is mu_F's lower block (E when m = 0); in
+            # the R column, Delta2_F's tau_{-t} sit at rows big + mc + t.mr,
+            # and rho_F = tau_{-m} at 2 big, where R's row band starts
+            blocks = [*lam, *((b, big + row, nc + col) for b, row, col in lam),
+                      (self.mu, big, 0), (self.delta1, big + mc, 0), (self.delta2, big, 2 * nc),
+                      *((tau[-t], big + mc + t * mr, 2 * nc) for t in range(m + 1) if -t in tau)]
+            self._lifts[m] = SMorphism.from_assembled(GradedMatrix._new(
+                x.total_module(), sy.total_module(), k, GradedMatrix._place(x.ring, blocks)), x, sy)
+        return self._lifts[m]
 
     def verify(self, claimed_height=None):
         """All four relations, the tau closed formula, and the height claim.
@@ -227,12 +224,14 @@ class HeightMorphism:
                 -_rows(b, y.irr, k - 2)))]
         bound = _tau_bound(x, y)
         taus = tau_closed_formula(x, y, self.lam, self.mu, self.delta1, self.delta2, bound)
-        for i, want in enumerate(taus, 1):
-            got = self.tau_at(i)
+        for i in range(1, bound + 1):
+            got = self.tau.get(i)  # a zero or missing tau is None
+            want = taus[i - 1] if i <= len(taus) and taus[i - 1].entries else None
             name = f"tau_{i} closed formula"
-            checks.append((name, True, None) if got == want else _rel(name, got - want))
+            checks.append((name, True, None) if got == want else _rel(
+                name, -want if got is None else got if want is None else got - want))
         if claimed_height is not None:
-            ok = all(self.tau_at(i).is_zero for i in range(-bound, min(claimed_height, bound + 1)))
+            ok = not any(-bound <= i < min(claimed_height, bound + 1) for i in self.tau)
             checks.append((f"height >= {claimed_height}", ok, None))
         return RelationReport(checks)
 
@@ -354,10 +353,8 @@ def height_to_json(h):
 
 def heights_equal(a, b):
     """Componentwise equality including the tau families."""
-    keys = set(a.tau) | set(b.tau)
     return (a.lam == b.lam and a.mu == b.mu and a.delta1 == b.delta1
-            and a.delta2 == b.delta2
-            and all(a.tau_at(i) == b.tau_at(i) for i in keys))
+            and a.delta2 == b.delta2 and a.tau == b.tau)  # tau holds no zero
 
 
 # ---------------------------------------------------------------------------

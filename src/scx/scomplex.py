@@ -3,9 +3,10 @@
 An S-complex is a free graded module C + C[-1] + R whose differential has
 block components (d, v, delta1, delta2, r) of degrees (-1, -2, -1, -2, -1),
 stored componentwise.  A morphism or homotopy stores one map, its assembled
-total [[A,0,0],[B,sA,C],[E,0,G]] on C + C[-1] + R; its blocks are views,
-split from the total on first read.  A block left out of a constructor is
-zero.
+total [[A,0,0],[B,sA,C],[E,0,G]] on C + C[-1] + R; its blocks are views:
+those handed to a componentwise constructor are kept as given, and the
+rest are split from the total on first read.  A block left out of a
+constructor is zero.
 """
 
 from __future__ import annotations
@@ -152,8 +153,8 @@ class SComplex:
     """The tuple (C, R, d, v, delta1, delta2, r) with optional s-map; a block
     left out of the constructor is zero.
 
-    Immutable (`__setattr__` raises), so the total module and differential,
-    each built on first use and kept, cannot go stale."""
+    Immutable (`__setattr__` raises), so the total module and differential
+    and the suspension (`functors.suspend_once`), kept once built, stay valid."""
 
     def __init__(self, irr, red, d=None, v=None, delta1=None, delta2=None, r=None, s=None,
                  metadata=None):
@@ -176,7 +177,7 @@ class SComplex:
                           delta2=zero(red, irr, -2) if delta2 is None else delta2,
                           r=zero(red, red, -1) if r is None else r, s=s,
                           metadata=MappingProxyType(dict(metadata or {})),
-                          _total=None, _total_module=None)
+                          _total=None, _total_module=None, _suspension=None)
 
     def __setattr__(self, *a):
         raise AttributeError("SComplex is immutable")
@@ -332,19 +333,21 @@ class _SMap:
     """What `SMorphism` and `SHomotopy` share: besides its `source` and
     `target` complexes, the one stored map is the assembled total
     [[A,0,0],[B,sA,C],[E,0,G]].  The blocks, named by `_NAMES` in `_blocks`'
-    order, are views: the first read of any block splits the total once and
-    keeps all five.  Immutable (`__setattr__` raises), so the kept blocks
-    cannot go stale."""
+    order, are views: a componentwise constructor keeps the blocks it was
+    handed, and the first read of any other block splits the total once and
+    keeps the blocks not yet held.  Immutable (`__setattr__` raises), so the
+    kept blocks cannot go stale."""
 
     _NAMES = _LABELS = ()  # the blocks' attribute names and their names in messages
 
     def _place(self, x, y, k, s, blocks, **fields):
         """Check the blocks (A, B, E, C, G; None is zero) for their
-        `_block_layout` endpoints and their degrees, k - 1 for B and C and k
-        for the rest, and store their total of degree k, assembled once."""
+        `_block_layout` endpoints and degrees, k - 1 for B and C and k for
+        the rest; store their total of degree k and keep them as views."""
         layout = _block_layout(x, y)
         _check_components(x.modulus, *((m, *layout[b][:2], k - (b in "BC"), label)
                                        for b, label, m in zip("ABECG", self._LABELS, blocks)))
+        vars(self).update({name: m for name, m in zip(self._NAMES, blocks) if m is not None})
         vars(self).update(fields, source=x, target=y, _total=_assemble(x, y, k, s, *blocks))
 
     def __setattr__(self, *a):
@@ -354,7 +357,8 @@ class _SMap:
         # reached only for an attribute the instance lacks: a block not yet read
         if name not in self._NAMES:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        vars(self).update(zip(self._NAMES, _blocks(self._total, self.source, self.target)))
+        for view, block in zip(self._NAMES, _blocks(self._total, self.source, self.target)):
+            vars(self).setdefault(view, block)
         return vars(self)[name]
 
     def assemble(self):
@@ -403,8 +407,9 @@ class SMorphism(_SMap):
         Every caller's map has it: the zero map and the identity, a product
         (`compose_after`), sum or negation of totals that have it, a
         scalar multiple of the identity (`randgen.rand_morphism`), a
-        boundary D'.H + H.D (`randgen.boundary_morphism`) and a solved N map
-        (`solve._Unknown.realize`)."""
+        boundary D'.H + H.D (`randgen.boundary_morphism`), a solved N map
+        (`solve._Unknown.realize`), and a lift (`heights`) or Sigma f
+        (`functors.suspend_morphism`), whose lam is placed twice."""
         f = object.__new__(cls)
         vars(f).update(source=x, target=y, degree=m.degree, _total=m)
         return f

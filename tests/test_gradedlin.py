@@ -90,6 +90,23 @@ def test_compose_identity_and_zero():
     assert (GradedMatrix.zero(m, m, 1) @ b).is_zero
 
 
+def test_a_product_with_an_empty_factor_keeps_its_endpoints_and_degree():
+    # an empty factor returns the zero product at once: from the right
+    # factor's source to the left factor's target, of the summed degree
+    a = GradedModule(Z, 4, [("a", 0), ("b", 1)])
+    b = GradedModule(Z, 4, [("c", 2), ("d", 3), ("e", 0)])
+    m = GradedMatrix(a, b, 2, {(0, 0): 3, (1, 1): -1})
+    n = GradedMatrix(b, a, 2, {(0, 0): 5})
+    for left, right in ((GradedMatrix.zero(b, a, 1), m), (m, GradedMatrix.zero(a, a, 3)),
+                        (GradedMatrix.zero(a, b, 3), GradedMatrix.zero(b, a, 2)), (m, n)):
+        p = left @ right
+        assert (p.source, p.target, p.degree) == (right.source, left.target,
+                                                  (left.degree + right.degree) % 4)
+        assert p.is_zero == (not left.entries or not right.entries)
+    with pytest.raises(ShapeMismatch):  # the shape is checked before the entries
+        GradedMatrix.zero(a, a, 0) @ GradedMatrix.zero(a, b, 0)
+
+
 def test_delta1_after_v_on_torus_k3():
     # by hand: delta1(v(xi^2)) = (T^2 - T^-2)^2 theta+
     x = torus_link_complex(3)

@@ -269,9 +269,14 @@ def _sweep_matches_oracle(h):
     n = _tau_bound(x, y) + 2  # past the bound too
     args = (x, y, h.lam, h.mu, h.delta1, h.delta2)
     taus = tau_closed_formula(*args, n)
-    assert len(taus) == n
-    for i, t in enumerate(taus, 1):
-        assert t == tau_closed_formula_oracle(*args, i), i
+    _, first_zero = tau_sweep_oracle(*args, n)
+    assert len(taus) == (n if first_zero is None else first_zero)  # ends at the first zero pair
+    for i in range(1, n + 1):
+        want = tau_closed_formula_oracle(*args, i)
+        if i <= len(taus):
+            assert taus[i - 1] == want, i
+        else:  # past the list, tau_i reads as zero
+            assert want.is_zero, i
     return taus
 
 
@@ -375,9 +380,10 @@ def test_tau_sweep_makes_at_most_five_products_per_index(monkeypatch):
 
     monkeypatch.setattr(GradedMatrix, "__matmul__", counted)
     for n in (1, 2, 5, 12, 30):
+        _, first_zero = tau_sweep_oracle(x, y, h.lam, h.mu, h.delta1, h.delta2, n)
         calls.clear()
         taus = tau_closed_formula(x, y, h.lam, h.mu, h.delta1, h.delta2, n)
-        assert len(taus) == n
+        assert len(taus) == (n if first_zero is None else first_zero)
         assert len(calls) <= 5 * n
 
 
@@ -436,8 +442,11 @@ def test_tau_sweep_stops_at_the_first_zero_pair(ring, monkeypatch):
         calls.clear()
         got = tau_closed_formula(*args, n)
         monkeypatch.setattr(GradedMatrix, "__matmul__", real)
+        # the list ends at the first zero pair, and the oracle's tau past it are zero
+        assert len(got) == (n if first_zero is None else first_zero)
         assert [(t.source, t.target, t.degree, t.entries) for t in got] == [
-            (t.source, t.target, t.degree, t.entries) for t in want]
+            (t.source, t.target, t.degree, t.entries) for t in want[:len(got)]]
+        assert all(t.is_zero for t in want[len(got):])
         if first_zero is None:
             assert x.v.power(n).entries  # only a non-nilpotent v keeps (P, Q) nonzero
             endless += 1
@@ -797,3 +806,91 @@ def test_relations_vanish_exactly_when_the_lift_is_a_chain_map(ring):
                     valid += residual.is_zero
                     broken += not residual.is_zero
     assert valid >= 18 and broken >= 10
+
+
+def lift_oracle(h, m):
+    """Test oracle: `HeightMorphism._lift(m)` by the componentwise, checked
+    `SMorphism` constructor, with lambda_F, mu_F and Delta2_F made by
+    `from_blocks` and every missing tau read as a zero matrix.  The library
+    places the blocks straight into the total instead."""
+    x, y = h.source, h.target
+    if m == 0:
+        return SMorphism(x, y, h.degree, h.lam, h.mu, h.delta1, h.delta2, h.tau_at(0))
+    sy = suspend(y, m)
+    mc, mr = y.irr.rank, y.red.rank
+    k = h.degree + 2 * m
+    lam = [(h.lam, 0, 0)]
+    acc = GradedMatrix.zero(x.irr, y.red, k)
+    for t in reversed(range(m)):
+        acc = acc @ x.v + h.tau_at(-(t + 1)) @ x.delta1
+        lam.append((acc, mc + t * mr, 0))
+    return SMorphism(
+        x, sy, k, GradedMatrix.from_blocks(x.irr, sy.irr, k, *lam),
+        GradedMatrix.from_blocks(x.irr, sy.irr, k - 1, (h.mu, 0, 0), (h.delta1, mc, 0)),
+        delta2=GradedMatrix.from_blocks(x.red, sy.irr, k - 1, (h.delta2, 0, 0),
+                                        *((h.tau_at(-t), mc + t * mr, 0) for t in range(m))),
+        rho=GradedMatrix(x.red, sy.red, k, dict(h.tau_at(-m).entries)))
+
+
+@pytest.mark.parametrize("ring", [Z, Zp(2), Q, FRAC_LAURENT_Q], ids=str)
+def test_the_lift_is_the_componentwise_morphism_and_is_kept(ring):
+    from scx.heights import _depth
+
+    rng = random.Random(61)
+    seen = set()
+    for depth in range(4):
+        for _ in range(2):
+            x, y = _rich_complex(ring, rng), _rich_complex(ring, rng)
+            k = rng.choice((0, 2))
+            # some tau_{-i} above the depth are left out: they read as zero
+            tau = {-i: _rand_homogeneous(x.red, y.red, k + 2 * i, rng)
+                   for i in range(depth + 1) if i == depth or rng.random() < 0.5}
+            h = HeightMorphism.from_components(
+                x, y, k, _rand_homogeneous(x.irr, y.irr, k, rng),
+                _rand_homogeneous(x.irr, y.irr, k - 1, rng),
+                _rand_homogeneous(x.irr, y.red, k, rng),
+                _rand_homogeneous(x.red, y.irr, k - 1, rng), tau)
+            for g in (h, kappa(x, depth or 1)):
+                for m in range(_depth(g.tau), 4):
+                    got, want = g._lift(m), lift_oracle(g, m)
+                    assert (got.source, got.target, got.degree) == (
+                        want.source, want.target, want.degree)
+                    assert got.assemble() == want.assemble()
+                    assert g._lift(m) is got  # kept
+                    seen.add(m)
+                # the kept lift equals one rebuilt from the components, which
+                # cannot be changed under it
+                m = _depth(g.tau)
+                again = HeightMorphism(g.source, g.target, g.degree, g.lam, g.mu,
+                                       g.delta1, g.delta2, g.tau, g.height)
+                assert again._lift(m).assemble() == g._lift(m).assemble()
+                for name in ("lam", "tau", "height", "_lifts"):
+                    with pytest.raises(AttributeError):
+                        setattr(g, name, None)
+    assert seen == {0, 1, 2, 3}
+
+
+def test_a_compose_and_verify_build_each_suspension_once(monkeypatch):
+    # every Sigma of a complex is built once and kept on it: iota_2, kappa_2,
+    # the lifts at depth 2, the tower of suspended morphisms and the
+    # composite's verify all share Sigma X and Sigma^2 X
+    import scx.functors
+
+    built = []
+    real = scx.functors._suspension
+
+    def counted(x):
+        built.append(x)
+        return real(x)
+
+    monkeypatch.setattr(scx.functors, "_suspension", counted)
+    rng = random.Random(67)
+    x = rand_scomplex(Q, rng, max_rank=4, r_perfect=True, allow_cone=False)
+    s2 = suspend(x, 2)
+    f = compose_heights(kappa(x, 2), HeightMorphism.from_morphism(rand_morphism(s2, s2, rng, 0)))
+    g = HeightMorphism.from_morphism(rand_morphism(x, x, rng, 0))
+    assert [id(c) for c in built] == [id(x), id(suspend_once(x))]
+    comp = compose_heights(g, f)
+    assert comp.height == -2 and comp.verify().ok and f.verify().ok
+    assert comp.verify(claimed_height=-2).ok and iota(x, 2).verify().ok
+    assert [id(c) for c in built] == [id(x), id(suspend_once(x))]

@@ -9,6 +9,7 @@ from scx.linkfam import hopf_complex, torus_knot_summand, torus_link_complex, un
 from scx.randgen import RINGS, rand_homotopy_pair, rand_morphism, rand_scomplex, rand_value
 from scx.rings import Q, Z, Zp, eval_t_at_one
 from scx.scomplex import SHomotopy, SMorphism
+from scx.scomplex import _blocks as _real_blocks
 from scx.solve import solve_triangle_homotopy, solve_triangle_witnesses
 from scx.triangles import (
     ExactTriangleData,
@@ -164,6 +165,34 @@ def test_relation_checks_assemble_each_s_map_once_and_check_no_matrix(monkeypatc
     assert not checked
     assert placed and len(set(placed)) == len(placed)
     assert set(placed) <= given
+
+
+@pytest.mark.parametrize("tag", ["Z", "Z2", "Q", "QT"])
+def test_componentwise_maps_keep_their_blocks_so_les_check_splits_no_total(tag, monkeypatch):
+    # the componentwise constructors keep the blocks they were handed as
+    # views: the exactness rows read lam and rho of f and of the cone
+    # triangle's lam1 and lam2, and the cone reads all of f, with no split
+    from scx import scomplex
+
+    def no_split(*args):
+        raise AssertionError("a total was split")
+
+    rng = random.Random(f"kept views {tag}")
+    for _ in range(4):
+        x = rand_scomplex(RINGS[tag], rng, max_rank=4)
+        g = rand_morphism(x, x, rng, 0)
+        blocks = (g.lam, g.mu, g.delta1, g.delta2, g.rho)
+        monkeypatch.setattr(scomplex, "_blocks", no_split)
+        f = SMorphism(x, x, 0, *blocks)
+        assert all(view is block for view, block in
+                   zip((f.lam, f.mu, f.delta1, f.delta2, f.rho), blocks))
+        t = cone_triangle(f)
+        assert les_check(t).ok and verify_triangle(t).ok
+        monkeypatch.setattr(scomplex, "_blocks", _real_blocks)
+        # a block left out is split on its first read, and the kept one stays
+        lam2 = t.morphisms[2]
+        kept = lam2.lam
+        assert lam2.mu.is_zero and lam2.lam is kept
 
 
 def test_joint_solve_finds_witnesses_that_need_a_nonzero_mu():
