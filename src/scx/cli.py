@@ -36,8 +36,8 @@ from .linkfam import (
 )
 from .rings import FRAC_LAURENT_Q, LAURENT_Z, Q, RingMap, Z, Zp, eval_t_at_one
 from .scomplex import (
-    SHomotopy,
     SMorphism,
+    homotopy_from_json,
     load_scomplex,
     matrix_from_json,
     morphism_from_json,
@@ -220,9 +220,6 @@ def cmd_heights_compose(args):
     return 0 if rep.ok else VERIFY_ERROR
 
 
-_HOMOTOPY_KEYS = ("K", "L", "M1", "M2", "J")
-
-
 def _triangle_from_file(path):
     doc = read_json(path)
     what = "triangle document"
@@ -232,22 +229,10 @@ def _triangle_from_file(path):
         morphisms.append(morphism_from_json(m, complexes[i], complexes[(i - 1) % 3]))
     homotopies = []
     for i, h in enumerate(_triple(doc, "homotopies", what)):
-        if not isinstance(h, dict):
-            raise errors.SchemaError("a homotopy must be an object")
-        extra = set(h).difference(_HOMOTOPY_KEYS)
-        if extra:
-            raise errors.SchemaError(f"unknown homotopy keys {errors.clip(sorted(extra))}")
-        src, tgt = complexes[i], complexes[(i - 2) % 3]
+        # homotopy i runs from 0 to lambda_{i-1}.lambda_i
         comp = morphisms[(i - 1) % 3].compose_after(morphisms[i])
-        zero = SMorphism.zero(src, tgt, comp.degree)
-        k = comp.degree
-        homotopies.append(SHomotopy(
-            zero, comp,
-            matrix_from_json(h.get("K", []), src.irr, tgt.irr, k + 1),
-            matrix_from_json(h.get("L", []), src.irr, tgt.irr, k),
-            matrix_from_json(h.get("M1", []), src.irr, tgt.red, k + 1),
-            matrix_from_json(h.get("M2", []), src.red, tgt.irr, k),
-            matrix_from_json(h.get("J", []), src.red, tgt.red, k + 1)))
+        zero = SMorphism.zero(comp.source, comp.target, comp.degree)
+        homotopies.append(homotopy_from_json(h, zero, comp))
     n_maps = [None, None, None]
     n_docs = _field(doc, "n_maps", what, list, [])
     if len(n_docs) > 3:

@@ -163,7 +163,7 @@ def connected_sum_model(x, y):
 
 def _with_metadata(x, **extra):
     """x with `extra` added to its metadata, as a new complex."""
-    return SComplex(x.irr, x.red, x.d, x.v, x.delta1, x.delta2, x.r, x.s,
+    return SComplex(x.irr, x.red, *[getattr(x, name) for name in SComplex._NAMES], x.s,
                     {**x.metadata, **extra})
 
 
@@ -252,7 +252,7 @@ def _suspension(x):
     ring, mod = x.ring, x.modulus
     irr = GradedModule(ring, mod, [(f"s.{n}", d + 2) for n, d in x.irr.gens]
                        + [(f"q.{n}", d + 1) for n, d in x.red.gens])
-    red = GradedModule(ring, mod, list(x.red.gens))
+    red = x.red
     nc = x.irr.rank
 
     d_m = GradedMatrix.from_blocks(irr, irr, -1, (x.d, 0, 0), (-x.delta2, 0, nc),
@@ -261,8 +261,7 @@ def _suspension(x):
     d2_m = GradedMatrix.from_blocks(red, irr, -2, (x.v @ x.delta2, 0, 0),
                                     (x.delta1 @ x.delta2, nc, 0))
     d1_m = GradedMatrix.from_blocks(irr, red, -1, (GradedMatrix.identity(x.red), 0, nc))
-    r_m = GradedMatrix(red, red, -1, dict(x.r.entries))
-    return SComplex(irr, red, d_m, v_m, d1_m, d2_m, r_m, None, {"suspended": 1})
+    return SComplex(irr, red, d_m, v_m, d1_m, d2_m, x.r, None, {"suspended": 1})
 
 
 def desuspend_once(x):
@@ -274,7 +273,7 @@ def desuspend_once(x):
     ring, mod = x.ring, x.modulus
     irr = GradedModule(ring, mod, [(f"s.{n}", d - 2) for n, d in x.irr.gens]
                        + [(f"q.{n}", d - 2) for n, d in x.red.gens])
-    red = GradedModule(ring, mod, list(x.red.gens))
+    red = x.red
     nc = x.irr.rank
 
     d_m = GradedMatrix.from_blocks(irr, irr, -1, (x.d, 0, 0), (x.delta1, nc, 0),
@@ -283,8 +282,7 @@ def desuspend_once(x):
     d2_m = GradedMatrix.from_blocks(red, irr, -2, (GradedMatrix.identity(x.red), nc, 0))
     d1_m = GradedMatrix.from_blocks(irr, red, -1, (x.delta1 @ x.v, 0, 0),
                                     (x.delta1 @ x.delta2, 0, nc))
-    r_m = GradedMatrix(red, red, -1, dict(x.r.entries))
-    return SComplex(irr, red, d_m, v_m, d1_m, d2_m, r_m, None, {"suspended": -1})
+    return SComplex(irr, red, d_m, v_m, d1_m, d2_m, x.r, None, {"suspended": -1})
 
 
 def suspend(x, n):
@@ -469,5 +467,4 @@ def suspend_homotopy(h):
     M2 = GradedMatrix.from_blocks(src.red, tgt.irr, k,
                                   (y.v @ h.M2 + h.L @ x.delta2, 0, 0),
                                   (y.delta1 @ h.M2 + h.M1 @ x.delta2, mc, 0))
-    J = GradedMatrix(src.red, tgt.red, k + 1, dict(h.J.entries))
-    return SHomotopy(sf, sg, K, L, M2=M2, J=J)
+    return SHomotopy(sf, sg, K, L, M2=M2, J=h.J)

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from .errors import ShapeMismatch
 from .gradedlin import GradedMatrix, Sweep, is_invertible
-from .scomplex import RelationReport, SMorphism, _blocks, _check_components, _rel
+from .scomplex import RelationReport, SMorphism, _block_shapes, _blocks, _check_blocks, _rel
 from .functors import suspend, suspend_morphism, suspend_once
 
 
@@ -118,12 +118,8 @@ class HeightMorphism:
             if abs(i) > bound:
                 raise ShapeMismatch(
                     f"declared tau support |{i}| exceeds the bound {bound}")
-        _check_components(
-            mod,
-            (lam, source.irr, target.irr, k, "lambda"),
-            (mu, source.irr, target.irr, k - 1, "mu"),
-            (delta1, source.irr, target.red, k, "Delta1"),
-            (delta2, source.red, target.irr, k - 1, "Delta2"))
+        _check_blocks(mod, _block_shapes((source.irr, source.red), (target.irr, target.red), k),
+                      (lam, mu, delta1, delta2), SMorphism._LABELS)
         for i, t in tau.items():
             if t.source != source.red or t.target != target.red:
                 raise ShapeMismatch("tau maps R to R'")
@@ -404,5 +400,4 @@ def odd_to_suspension_morphism(g):
     d1 = GradedMatrix.from_blocks(syp.irr, z.red, k, (gm.delta1, 0, 0), (g.nu, 0, nc))
 
     d2 = gm.mu @ yp.delta2 + z.v @ gm.delta2 + z.delta2 @ g.nu
-    d2 = GradedMatrix(syp.red, z.irr, k - 1, dict(d2.entries))
     return SMorphism(syp, z, k, lam, mu, d1, d2)

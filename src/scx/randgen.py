@@ -12,7 +12,7 @@ from __future__ import annotations
 from .functors import atomic, cone, direct_sum, dual, suspend_once, tensor
 from .gradedlin import GradedMatrix, GradedModule
 from .rings import FRAC_LAURENT_Q, LAU_ONE, Q, Ring, Z, Zp
-from .scomplex import SComplex, SHomotopy, SMorphism, _assemble
+from .scomplex import SComplex, SHomotopy, SMorphism, _assemble, _block_shapes
 
 RINGS = {
     "Z": Z,
@@ -105,7 +105,8 @@ def rand_scomplex(ring, rng, modulus=None, max_rank=6, r_perfect=False, allow_co
 
 
 def rand_homotopy_shape(x, y, rng, degree, density=0.4):
-    """Random homotopy-shaped data (K, L, M1, M2, J) of the given degree."""
+    """Random homotopy-shaped data (K, L, M1, M2, J) of the given degree,
+    drawn block by block in that order."""
     mod = x.modulus
 
     def fill(src, tgt, deg):
@@ -116,9 +117,7 @@ def rand_homotopy_shape(x, y, rng, degree, density=0.4):
                     ent[(t, s)] = rand_value(x.ring, rng)
         return GradedMatrix(src, tgt, deg, ent)
 
-    return (fill(x.irr, y.irr, degree + 1), fill(x.irr, y.irr, degree),
-            fill(x.irr, y.red, degree + 1), fill(x.red, y.irr, degree),
-            fill(x.red, y.red, degree + 1))
+    return [fill(*shape) for shape in _block_shapes((x.irr, x.red), (y.irr, y.red), degree + 1)]
 
 
 def boundary_morphism(x, y, rng, degree=0):

@@ -62,79 +62,96 @@ def _rel(name, matrix):
     return (name, matrix.is_zero, matrix.first_nonzero())
 
 
-def _check_components(mod, *expect):
-    """Each (matrix, source, target, degree, name) must have those endpoints
-    and, when nonzero, that degree mod `mod`; a matrix left out (None) is
-    zero and passes."""
-    for m, src, tgt, deg, name in expect:
+# The one block shape of the differential, the morphisms and the homotopies:
+# a map [[A,0,0],[B,sA,C],[E,0,G]] on C + C[-1] + R, whose bands 0, 1, 2 are
+# C, C[-1] and R.  Each block, in constructor order -> (source band, target
+# band, degree offset): the block of a map of total degree k has degree
+# k + offset.  sA repeats A from band 1 to band 1.
+_SHAPE = {"A": (0, 0, 0), "B": (0, 1, -1), "E": (0, 2, 0), "C": (2, 1, -1), "G": (2, 2, 0)}
+
+# _SHAPE read three ways: each block's (source in R, target in R, degree
+# offset), to pick its endpoints from (C, R) pairs; the placed blocks, sA as
+# index 5, as (index in _SHAPE order, source band, target band), row band by
+# row band; and (target band, source band) -> index in _SHAPE order
+_ENDS = tuple((src == 2, tgt == 2, off) for src, tgt, off in _SHAPE.values())
+_PLACES = tuple(sorted([(i, src, tgt) for i, (src, tgt, _) in enumerate(_SHAPE.values())]
+                       + [(5, 1, 1)], key=lambda p: (p[2], p[1])))
+_BANDS = {(tgt, src): i for i, (src, tgt, _) in enumerate(_SHAPE.values())}
+
+
+def _block_shapes(x, y, k):
+    """Each block's (source, target, degree) for a map of total degree k, in
+    `_SHAPE` order; x and y are the (C, R) pairs of its source and target,
+    modules or anything else kept per band."""
+    return [(x[src], y[tgt], k + off) for src, tgt, off in _ENDS]
+
+
+def _check_blocks(mod, shapes, blocks, labels):
+    """Each block must have the endpoints of its (source, target, degree) in
+    `shapes` and, when nonzero, that degree mod `mod`; a block left out
+    (None) is zero and passes.  `labels` name the blocks in messages."""
+    for m, (src, tgt, deg), label in zip(blocks, shapes, labels):
         if m is None:
             continue
-        if m.source != src or m.target != tgt:
-            raise ShapeMismatch(f"component {name} has wrong endpoints")
+        if (m.source, m.target) != (src, tgt):  # the tuples compare by identity first
+            raise ShapeMismatch(f"component {label} has wrong endpoints")
         if m.entries and m.degree != deg % mod:
-            raise ShapeMismatch(f"component {name} must have degree {deg} mod {mod}")
+            raise ShapeMismatch(f"component {label} must have degree {deg} mod {mod}")
 
 
 def _block_layout(x, y):
-    """Where the blocks of a map [[A,0,0],[B,sA,C],[E,0,G]] from the total
-    module C + C[-1] + R of x to that of y sit, in the order they are
-    placed: name -> (block source, block target, row offset, column
-    offset).  The differential, morphisms and homotopies all take this
-    shape; at total degree k, A, E and G have component degree k and B and
-    C degree k-1."""
+    """Where the blocks of a map from the total module of x to that of y sit,
+    row band by row band: name -> (block source, block target, row offset,
+    column offset).  Band b starts at b times the rank of C."""
     nc, mc = x.irr.rank, y.irr.rank
-    return {"A": (x.irr, y.irr, 0, 0), "B": (x.irr, y.irr, mc, 0),
-            "sA": (x.irr, y.irr, mc, nc), "C": (x.red, y.irr, mc, 2 * nc),
-            "E": (x.irr, y.red, 2 * mc, 0), "G": (x.red, y.red, 2 * mc, 2 * nc)}
+    xs, ys, names = (x.irr, x.irr, x.red), (y.irr, y.irr, y.red), (*_SHAPE, "sA")
+    return {names[i]: (xs[src], ys[tgt], tgt * mc, src * nc) for i, src, tgt in _PLACES}
 
 
-def _assemble(x, y, degree, s, a, b, e, c, g):
-    """The map [[a,0,0],[b,s.a,c],[e,0,g]] of total degree `degree` from the
-    total module of x to that of y; s is 1 or -1, and a block left out
-    (None) is zero.
+def _assemble(x, y, degree, s, *blocks):
+    """The map [[A,0,0],[B,sA,C],[E,0,G]] of total degree `degree` from the
+    total module of x to that of y, of the blocks A, B, E, C, G; s is 1 or
+    -1, and a block left out (None) is zero.
 
     Built by `GradedMatrix._new`, unchecked.  The caller vouches for the
-    blocks: each has its `_block_layout` endpoints and, when nonzero, its
-    component degree, k = `degree` for a, e and g and k - 1 for b and c
-    (mod the modulus).  Two kinds of caller place blocks: the `SComplex`,
-    `SMorphism` and `SHomotopy` constructors, which check them first with
-    `_check_components`, and `randgen.boundary_morphism`, whose blocks
-    `randgen.rand_homotopy_shape` draws with those endpoints and degrees.
-    Every other S-map is made from totals and placed by no one.  Then every
-    placed entry is in range, inside its block's bands, and homogeneous of
-    total degree k: the C[-1] band's generators sit one degree above C's, so
-    b and c, of degree k - 1, land in that row band at degree k, and sA,
-    from the C[-1] column band to that row band, keeps a's degree k.  The
-    blocks sit at disjoint offsets, so no two entries add and none cancels."""
-    blocks = {"A": a, "B": b, "sA": a if s == 1 or a is None else -a, "C": c, "E": e, "G": g}
+    blocks: each has its `_block_shapes` endpoints and degree.  Two kinds of
+    caller place blocks: the `SComplex`, `SMorphism` and `SHomotopy`
+    constructors, which check them first with `_check_blocks`, and
+    `randgen.boundary_morphism`, whose blocks `randgen.rand_homotopy_shape`
+    draws with those shapes.  Every other S-map is made from totals and
+    placed by no one.  Then every placed entry is in range, inside its
+    block's bands, and homogeneous of total degree k: the C[-1] band's
+    generators sit one degree above C's, so B and C, of degree k - 1, land
+    in that row band at degree k, and sA, from the C[-1] column band to that
+    row band, keeps A's degree k.  The blocks sit at disjoint offsets, so no
+    two entries add and none cancels."""
+    a = blocks[0]
+    blocks = (*blocks, a if s == 1 or a is None else -a)
+    nc, mc = x.irr.rank, y.irr.rank
     ent = {}
-    for name, (_, _, row, col) in _block_layout(x, y).items():
-        if blocks[name] is not None:
-            ent.update({(t + row, u + col): val for (t, u), val in blocks[name].entries.items()})
+    for i, src, tgt in _PLACES:
+        m = blocks[i]
+        if m is not None:
+            row, col = tgt * mc, src * nc
+            ent.update({(t + row, u + col): val for (t, u), val in m.entries.items()})
     return GradedMatrix._new(x.total_module(), y.total_module(), degree, ent)
 
 
-# (row band, column band) -> block of a total map, the bands being C, C[-1], R
-_BANDS = {(0, 0): "A", (1, 0): "B", (1, 2): "C", (2, 0): "E", (2, 2): "G"}
-
-
 def _blocks(m, x, y):
-    """The blocks A, B, E, C, G (in `SMorphism`'s and `SHomotopy`'s order),
-    A, E, G of m's degree and B, C one less, of a total map m from x to y of
-    shape [[A,0,0],[B,sA,C],[E,0,G]]: the inverse of `_assemble`.  Neither
-    sA nor the blocks that are zero in this shape are read."""
-    layout = _block_layout(x, y)
+    """The blocks A, B, E, C, G of a total map m from x to y of shape
+    [[A,0,0],[B,sA,C],[E,0,G]], with their `_block_shapes`: the inverse of
+    `_assemble`.  Neither sA nor the blocks that are zero in this shape are
+    read."""
     nc, mc = x.irr.rank, y.irr.rank
-    parts = {name: {} for name in _BANDS.values()}
+    parts = [{} for _ in _SHAPE]
     for (t, s), val in m.entries.items():
-        name = _BANDS.get(((t >= mc) + (t >= 2 * mc), (s >= nc) + (s >= 2 * nc)))
-        if name is not None:
-            _, _, row, col = layout[name]
-            parts[name][(t - row, s - col)] = val
-    new, k = GradedMatrix._new, m.degree
-    return (new(x.irr, y.irr, k, parts["A"]), new(x.irr, y.irr, k - 1, parts["B"]),
-            new(x.irr, y.red, k, parts["E"]), new(x.red, y.irr, k - 1, parts["C"]),
-            new(x.red, y.red, k, parts["G"]))
+        tb, sb = (t >= mc) + (t >= 2 * mc), (s >= nc) + (s >= 2 * nc)
+        i = _BANDS.get((tb, sb))
+        if i is not None:
+            parts[i][(t - tb * mc, s - sb * nc)] = val
+    new = GradedMatrix._new
+    return [new(src, tgt, deg, part) for (src, tgt, deg), part
+            in zip(_block_shapes((x.irr, x.red), (y.irr, y.red), m.degree), parts)]
 
 
 def _relations(residual, x, y, rows):
@@ -145,7 +162,7 @@ def _relations(residual, x, y, rows):
     are read only to name a failed relation's first offender."""
     if not residual.entries:
         return RelationReport((name, True, None) for name, _, _ in rows)
-    blocks = dict(zip("ABECG", _blocks(residual, x, y)))
+    blocks = dict(zip(_SHAPE, _blocks(residual, x, y)))
     return RelationReport(_rel(name, -blocks[b] if neg else blocks[b]) for name, b, neg in rows)
 
 
@@ -156,26 +173,23 @@ class SComplex:
     Immutable (`__setattr__` raises), so the total module and differential
     and the suspension (`functors.suspend_once`), kept once built, stay valid."""
 
+    # the blocks' attribute names, also their document keys, in `_SHAPE` order
+    _NAMES = _LABELS = ("d", "v", "delta1", "delta2", "r")
+
     def __init__(self, irr, red, d=None, v=None, delta1=None, delta2=None, r=None, s=None,
                  metadata=None):
         if irr.ring != red.ring or irr.modulus != red.modulus:
             raise ShapeMismatch("C and R must share ring and modulus")
-        _check_components(
-            irr.modulus,
-            (d, irr, irr, -1, "d"),
-            (v, irr, irr, -2, "v"),
-            (delta1, irr, red, -1, "delta1"),
-            (delta2, red, irr, -2, "delta2"),
-            (r, red, red, -1, "r"),
-            (s, red, red, -2, "s"))
+        ends, blocks = (irr, red), (d, v, delta1, delta2, r)
+        shapes = _block_shapes(ends, ends, -1)
+        _check_blocks(irr.modulus, shapes, blocks, self._NAMES)
+        if s is not None:  # the s-map, of degree -2 on R
+            _check_blocks(irr.modulus, [(red, red, -2)], [s], ["s"])
         # a block left out is zero; a missing s stays None (no s-map)
-        zero = GradedMatrix.zero
-        vars(self).update(irr=irr, red=red,
-                          d=zero(irr, irr, -1) if d is None else d,
-                          v=zero(irr, irr, -2) if v is None else v,
-                          delta1=zero(irr, red, -1) if delta1 is None else delta1,
-                          delta2=zero(red, irr, -2) if delta2 is None else delta2,
-                          r=zero(red, red, -1) if r is None else r, s=s,
+        new = GradedMatrix._new
+        d, v, delta1, delta2, r = [new(src, tgt, deg, {}) if m is None else m
+                                   for m, (src, tgt, deg) in zip(blocks, shapes)]
+        vars(self).update(irr=irr, red=red, d=d, v=v, delta1=delta1, delta2=delta2, r=r, s=s,
                           metadata=MappingProxyType(dict(metadata or {})),
                           _total=None, _total_module=None, _suspension=None)
 
@@ -277,40 +291,33 @@ class SComplex:
     def reduce_mod2(self):
         if self.modulus == 2:
             return self
-        irr = self.irr.reduce_mod2()
-        red = self.red.reduce_mod2()
-        fix = lambda m, s, t: GradedMatrix(s, t, m.degree % 2, dict(m.entries))
-        return SComplex(irr, red,
-                        fix(self.d, irr, irr), fix(self.v, irr, irr),
-                        fix(self.delta1, irr, red), fix(self.delta2, red, irr),
-                        fix(self.r, red, red),
-                        None if self.s is None else fix(self.s, red, red),
-                        self.metadata)
+        return self._on_modules(self.irr.reduce_mod2(), self.red.reduce_mod2(),
+                                lambda m, s, t: GradedMatrix(s, t, m.degree % 2, dict(m.entries)))
 
     def base_change(self, ring_map: RingMap):
         if ring_map.source != self.ring:
             raise RingMismatch("base change source ring mismatch")
         tgt = ring_map.target
-        irr = GradedModule(tgt, self.modulus, self.irr.gens)
-        red = GradedModule(tgt, self.modulus, self.red.gens)
-        conv = lambda m, s, t: m.map_entries(ring_map.raw, s, t)
-        return SComplex(irr, red,
-                        conv(self.d, irr, irr), conv(self.v, irr, irr),
-                        conv(self.delta1, irr, red), conv(self.delta2, red, irr),
-                        conv(self.r, red, red),
-                        None if self.s is None else conv(self.s, red, red),
-                        self.metadata)
+        return self._on_modules(GradedModule(tgt, self.modulus, self.irr.gens),
+                                GradedModule(tgt, self.modulus, self.red.gens),
+                                lambda m, s, t: m.map_entries(ring_map.raw, s, t))
+
+    def _on_modules(self, irr, red, move):
+        """The complex on C = irr and R = red whose blocks and s-map are
+        move(block, new source, new target) of this one's."""
+        ends = (irr, red)
+        blocks = [move(getattr(self, name), src, tgt)
+                  for name, (src, tgt, _) in zip(self._NAMES, _block_shapes(ends, ends, -1))]
+        s = None if self.s is None else move(self.s, red, red)
+        return SComplex(irr, red, *blocks, s, self.metadata)
 
     def same_shape_as(self, other):
         """Positional equality of all structure (names ignored)."""
         return (
             [d for _, d in self.irr.gens] == [d for _, d in other.irr.gens]
             and [d for _, d in self.red.gens] == [d for _, d in other.red.gens]
-            and self.d.same_entries_as(other.d)
-            and self.v.same_entries_as(other.v)
-            and self.delta1.same_entries_as(other.delta1)
-            and self.delta2.same_entries_as(other.delta2)
-            and self.r.same_entries_as(other.r)
+            and all(getattr(self, name).same_entries_as(getattr(other, name))
+                    for name in self._NAMES)
         )
 
     def __repr__(self):
@@ -341,12 +348,11 @@ class _SMap:
     _NAMES = _LABELS = ()  # the blocks' attribute names and their names in messages
 
     def _place(self, x, y, k, s, blocks, **fields):
-        """Check the blocks (A, B, E, C, G; None is zero) for their
-        `_block_layout` endpoints and degrees, k - 1 for B and C and k for
-        the rest; store their total of degree k and keep them as views."""
-        layout = _block_layout(x, y)
-        _check_components(x.modulus, *((m, *layout[b][:2], k - (b in "BC"), label)
-                                       for b, label, m in zip("ABECG", self._LABELS, blocks)))
+        """Check the blocks (in `_SHAPE` order; None is zero) for their
+        `_block_shapes` at total degree k, store their total and keep them as
+        views."""
+        _check_blocks(x.modulus, _block_shapes((x.irr, x.red), (y.irr, y.red), k), blocks,
+                      self._LABELS)
         vars(self).update({name: m for name, m in zip(self._NAMES, blocks) if m is not None})
         vars(self).update(fields, source=x, target=y, _total=_assemble(x, y, k, s, *blocks))
 
@@ -591,6 +597,13 @@ def matrix_to_json(m, by_name=True):
     return rows
 
 
+def blocks_to_json(f, by_name=True):
+    """The blocks of f, an `SComplex`, `SMorphism` or `SHomotopy`, as
+    {document key: `matrix_to_json` rows} in `_SHAPE` order."""
+    return {key: matrix_to_json(getattr(f, name), by_name)
+            for name, key in zip(f._NAMES, f._LABELS)}
+
+
 def scomplex_to_json(x):
     bigr = {"gr_z": x.metadata.get("gr_z", {}), "gr_i": x.metadata.get("gr_i", {})}
     doc = {
@@ -598,11 +611,7 @@ def scomplex_to_json(x):
         "modulus": x.modulus,
         "irreducible": _gens_to_json(x.irr, bigr),
         "reducible": _gens_to_json(x.red, bigr),
-        "d": matrix_to_json(x.d),
-        "v": matrix_to_json(x.v),
-        "delta1": matrix_to_json(x.delta1),
-        "delta2": matrix_to_json(x.delta2),
-        "r": matrix_to_json(x.r),
+        **blocks_to_json(x),
     }
     if x.s is not None:
         doc["s"] = matrix_to_json(x.s)
@@ -698,17 +707,11 @@ def scomplex_json_text(x):
     grz, gri = x.metadata.get("gr_z", {}), x.metadata.get("gr_i", {})
     irr_text, irr = _gens_text(x.irr, grz, gri)
     red_text, red = _gens_text(x.red, grz, gri)
-    fields = {
-        "d": _matrix_text(x.d, irr, irr),
-        "delta1": _matrix_text(x.delta1, red, irr),
-        "delta2": _matrix_text(x.delta2, irr, red),
-        "irreducible": irr_text,
-        "modulus": _json_value(x.modulus, 1),
-        "r": _matrix_text(x.r, red, red),
-        "reducible": red_text,
-        "ring": _json_value(ring_to_json(x.ring), 1),
-        "v": _matrix_text(x.v, irr, irr),
-    }
+    ends = (irr, red)
+    fields = {key: _matrix_text(getattr(x, key), ends[tgt], ends[src])
+              for key, (src, tgt, _) in zip(x._LABELS, _ENDS)}
+    fields.update(irreducible=irr_text, modulus=_json_value(x.modulus, 1), reducible=red_text,
+                  ring=_json_value(ring_to_json(x.ring), 1))
     if x.s is not None:
         fields["s"] = _matrix_text(x.s, red, red)
     meta = {k: v for k, v in x.metadata.items() if k not in ("gr_z", "gr_i")}
@@ -717,8 +720,8 @@ def scomplex_json_text(x):
     return "{\n" + ",\n".join(f" \"{k}\": {fields[k]}" for k in sorted(fields)) + "\n}\n"
 
 
-_COMPLEX_KEYS = {"ring", "modulus", "irreducible", "reducible",
-                 "d", "v", "delta1", "delta2", "r", "s", "metadata"}
+_COMPLEX_NEEDS = ("ring", "modulus", "irreducible", "reducible", *SComplex._LABELS)
+_COMPLEX_KEYS = {*_COMPLEX_NEEDS, "s", "metadata"}
 
 
 def _check_gr_i(name, value):
@@ -796,13 +799,21 @@ def matrix_from_json(items, source, target, degree, values=None):
     return GradedMatrix(source, target, degree, ent)
 
 
+def _blocks_from_json(doc, keys, x, y, k, values):
+    """The blocks of a map of total degree k between the (C, R) pairs x and
+    y, read in `_SHAPE` order from the document keys `keys`, each at its
+    `_block_shapes` endpoints and degree; a left-out key is zero."""
+    return [matrix_from_json(doc.get(key, []), x[src], y[tgt], k + off, values)
+            for key, (src, tgt, off) in zip(keys, _ENDS)]
+
+
 def scomplex_from_json(doc):
     if not isinstance(doc, dict):
         raise SchemaError("complex document must be an object")
     extra = set(doc) - _COMPLEX_KEYS
     if extra:
         raise SchemaError(f"unknown keys {clip(sorted(extra))}")
-    for k in ("ring", "modulus", "irreducible", "reducible", "d", "v", "delta1", "delta2", "r"):
+    for k in _COMPLEX_NEEDS:
         if k not in doc:
             raise SchemaError(f"missing key {k!r}")
     ring = ring_from_json(doc["ring"])
@@ -818,11 +829,7 @@ def scomplex_from_json(doc):
     irr = GradedModule(ring, modulus, _gens_from_json(doc["irreducible"], modulus, grz, gri))
     red = GradedModule(ring, modulus, _gens_from_json(doc["reducible"], modulus, grz, gri))
     values = {}  # each distinct coefficient of the document is parsed once
-    d = matrix_from_json(doc["d"], irr, irr, -1, values)
-    v = matrix_from_json(doc["v"], irr, irr, -2, values)
-    d1 = matrix_from_json(doc["delta1"], irr, red, -1, values)
-    d2 = matrix_from_json(doc["delta2"], red, irr, -2, values)
-    r = matrix_from_json(doc["r"], red, red, -1, values)
+    blocks = _blocks_from_json(doc, SComplex._LABELS, (irr, red), (irr, red), -1, values)
     s = None
     if "s" in doc:
         s = matrix_from_json(doc["s"], red, red, -2, values)
@@ -831,7 +838,7 @@ def scomplex_from_json(doc):
         meta["gr_z"] = grz
     if gri:
         meta["gr_i"] = gri
-    return SComplex(irr, red, d, v, d1, d2, r, s, meta)
+    return SComplex(irr, red, *blocks, s, meta)
 
 
 def save_scomplex(x, path):
@@ -862,22 +869,14 @@ def load_scomplex(path):
 
 
 def morphism_to_json(f, include_complexes=True):
-    doc = {
-        "degree": f.degree,
-        "lambda": matrix_to_json(f.lam),
-        "mu": matrix_to_json(f.mu),
-        "Delta1": matrix_to_json(f.delta1),
-        "Delta2": matrix_to_json(f.delta2),
-        "rho": matrix_to_json(f.rho),
-    }
+    doc = {"degree": f.degree, **blocks_to_json(f)}
     if include_complexes:
         doc["source"] = scomplex_to_json(f.source)
         doc["target"] = scomplex_to_json(f.target)
     return doc
 
 
-_MORPHISM_KEYS = {"degree", "lambda", "mu", "Delta1", "Delta2", "rho",
-                  "source", "target", "height", "tau", "nu"}
+_MORPHISM_KEYS = {"degree", *SMorphism._LABELS, "source", "target", "height", "tau", "nu"}
 
 
 def morphism_from_json(doc, source=None, target=None):
@@ -897,12 +896,18 @@ def morphism_from_json(doc, source=None, target=None):
     k = doc.get("degree")
     if type(k) is not int:
         raise SchemaError(f"morphism degree must be an integer, got {clip(k)}")
-    values = {}
-    return SMorphism(
-        source, target, k,
-        matrix_from_json(doc.get("lambda", []), source.irr, target.irr, k, values),
-        matrix_from_json(doc.get("mu", []), source.irr, target.irr, k - 1, values),
-        matrix_from_json(doc.get("Delta1", []), source.irr, target.red, k, values),
-        matrix_from_json(doc.get("Delta2", []), source.red, target.irr, k - 1, values),
-        matrix_from_json(doc.get("rho", []), source.red, target.red, k, values),
-    )
+    return SMorphism(source, target, k, *_blocks_from_json(
+        doc, SMorphism._LABELS, (source.irr, source.red), (target.irr, target.red), k, {}))
+
+
+def homotopy_from_json(doc, frm, to):
+    """The homotopy from the morphism frm to the morphism to whose blocks the
+    document keys K, L, M1, M2 and J hold; a left-out key is zero."""
+    if not isinstance(doc, dict):
+        raise SchemaError("a homotopy must be an object")
+    extra = set(doc).difference(SHomotopy._LABELS)
+    if extra:
+        raise SchemaError(f"unknown homotopy keys {clip(sorted(extra))}")
+    x, y = frm.source, frm.target
+    return SHomotopy(frm, to, *_blocks_from_json(
+        doc, SHomotopy._LABELS, (x.irr, x.red), (y.irr, y.red), frm.degree + 1, {}))

@@ -9,14 +9,16 @@ from .errors import (
     NotRPerfect,
     ShapeMismatch,
 )
-from .gradedlin import (
-    GradedMatrix,
-    GradedModule,
-    exactness_at,
-    homology_of_pair,
-    is_invertible,
+from .functors import _signs, cone, desuspend_once, suspend_once
+from .gradedlin import GradedMatrix, exactness_at, is_invertible
+from .scomplex import (
+    RelationReport,
+    SHomotopy,
+    SMorphism,
+    blocks_to_json,
+    morphism_to_json,
+    scomplex_to_json,
 )
-from .scomplex import RelationReport, SHomotopy, SMorphism
 
 
 class ExactTriangleData:
@@ -106,17 +108,11 @@ class ExactTriangleData:
 def triangle_to_json(t):
     """Bundle: three inline complexes, three morphism blocks, three homotopy
     blocks, and optional N-map blocks."""
-    from .scomplex import matrix_to_json, morphism_to_json, scomplex_to_json
-
-    def hom_doc(h):
-        return {name: matrix_to_json(getattr(h, name), by_name=False)
-                for name in ("K", "L", "M1", "M2", "J")}
-
     return {
         "complexes": [scomplex_to_json(c) for c in t.complexes],
         "morphisms": [morphism_to_json(f, include_complexes=False)
                       for f in t.morphisms],
-        "homotopies": [hom_doc(h) for h in t.homotopies],
+        "homotopies": [blocks_to_json(h, by_name=False) for h in t.homotopies],
         "n_maps": [None if n is None else morphism_to_json(n, include_complexes=False)
                    for n in t.n_maps],
     }
@@ -138,12 +134,10 @@ def les_check(t):
 def cone_triangle(f):
     """(C0, C1, C2) = (X, Cone(f), X') with lam0 = f, lam2 = inclusion,
     lam1 = sign-twisted projection; all witnesses explicit, N maps zero."""
-    from .functors import _signs, cone as make_cone
-
     if f.degree % f.source.modulus != 0:
         raise ShapeMismatch("cone triangles take a degree-0 morphism")
     x, y = f.source, f.target
-    cn = make_cone(f)
+    cn = cone(f)
     nc, nr = x.irr.rank, x.red.rank
 
     # lam2: X' -> Cone, inclusion of the B-blocks.
@@ -187,34 +181,20 @@ def sum_triangle(x, y):
 # The one-sided homologies I+ and I-.
 
 
-def _mod2_module(ring, gens):
-    return GradedModule(ring, 2, gens)
-
-
 def i_plus(x):
-    """H of (C + R(1), [[d, delta2],[0, 0]]) with Z/2 gradings; isomorphic to
-    the irreducible homology of the suspension."""
+    """The irreducible homology of the suspension with Z/2 gradings, H of
+    (C + R(1), [[d, -delta2], [0, 0]]); needs r = 0."""
     if not x.r.is_zero:
         raise NotRPerfect("I+ needs r = 0")
-    ring = x.ring
-    gens = [(f"c.{n}", d % 2) for n, d in x.irr.gens]
-    gens += [(f"q.{n}", (d + 1) % 2) for n, d in x.red.gens]
-    mod = _mod2_module(ring, gens)
-    dm = GradedMatrix.from_blocks(mod, mod, 1, (x.d, 0, 0), (x.delta2, 0, x.irr.rank))
-    return homology_of_pair(dm, dm)
+    return suspend_once(x).reduce_mod2().irreducible_homology()
 
 
 def i_minus(x):
-    """H of (C + R(0), [[d, 0],[delta1, 0]]) with Z/2 gradings; isomorphic to
-    the irreducible homology of the negative suspension."""
+    """The irreducible homology of the negative suspension with Z/2
+    gradings, H of (C + R(0), [[d, 0], [delta1, 0]]); needs r = 0."""
     if not x.r.is_zero:
         raise NotRPerfect("I- needs r = 0")
-    ring = x.ring
-    gens = [(f"c.{n}", d % 2) for n, d in x.irr.gens]
-    gens += [(f"q.{n}", d % 2) for n, d in x.red.gens]
-    mod = _mod2_module(ring, gens)
-    dm = GradedMatrix.from_blocks(mod, mod, 1, (x.d, 0, 0), (x.delta1, x.irr.rank, 0))
-    return homology_of_pair(dm, dm)
+    return desuspend_once(x).reduce_mod2().irreducible_homology()
 
 
 # ---------------------------------------------------------------------------

@@ -827,6 +827,26 @@ def test_triangle_homotopy_with_an_unknown_key_is_a_usage_error(tmp_path, capsys
     assert capsys.readouterr().err == "error: unknown homotopy keys ['A', 'Kx']\n"
 
 
+@pytest.mark.parametrize("key, row, text", [
+    ("K", ["B.xi1", "xi1", "1"], "inhomogeneous entry at (B.xi1,xi1): 1 - 1 != 1 mod 4"),
+    ("M2", ["A.xi1", "theta+", "1"], "inhomogeneous entry at (A.xi1,theta+): 2 - 0 != 0 mod 4"),
+    ("J", ["xi1", "theta+", "1"], "unknown target generator 'xi1'"),
+])
+def test_triangle_homotopy_block_of_the_wrong_shape_is_a_usage_error(tmp_path, capsys, key,
+                                                                     row, text):
+    from scx.linkfam import torus_link_complex
+    from scx.scomplex import SMorphism
+    from scx.triangles import cone_triangle, triangle_to_json
+
+    doc = triangle_to_json(cone_triangle(SMorphism.identity(torus_link_complex(2))))
+    doc["homotopies"][0][key] = [row]
+    path = tmp_path / "tri.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("triangle-verify", "--in", str(path)) == 2
+    assert capsys.readouterr().err == f"error: {text}\n"
+
+
 @pytest.mark.parametrize("degree", [0, 3, -1, "1", True, None])
 def test_triangle_n_map_of_a_degree_other_than_1_is_a_usage_error(tmp_path, capsys, degree):
     # the N map's degree was overwritten with 1 without a word

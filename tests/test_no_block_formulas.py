@@ -149,3 +149,66 @@ def test_s_maps_get_no_zero_block_and_are_split_only_by_the_view_and_the_reports
         zero_args += [(path.name, scope, line) for scope, line in found_zeros]
     assert not zero_args, zero_args
     assert set(splits) == SPLITTERS, splits
+
+
+# The block shape (source, target and degree of each block) is written out
+# once, in `scomplex._SHAPE`.  Outside scomplex.py no module reads blocks
+# from a document by hand (`matrix_from_json`; the one exception is the tau
+# reader of height documents, whose tau_i are not S-map blocks) or checks
+# them (`_check_blocks`, which `HeightMorphism.__init__` calls with the
+# table's shapes).
+
+READERS = [("cli.py", "_height_from_file")]
+CHECKERS = [("heights.py", "HeightMorphism.__init__")]
+
+
+class _Calls(ast.NodeVisitor):
+    """(enclosing class and function scope, line) of every call of a
+    function named `name`, plain or dotted."""
+
+    def __init__(self, name):
+        self.name = name
+        self.scope = []
+        self.found = []
+
+    def _scoped(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _scoped
+
+    def visit_Call(self, node):
+        if _called(node.func).rsplit(".", 1)[-1] == self.name:
+            self.found.append((".".join(self.scope) or "<module>", node.lineno))
+        self.generic_visit(node)
+
+
+def _calls(source, name):
+    visitor = _Calls(name)
+    visitor.visit(ast.parse(source))
+    return visitor.found
+
+
+def test_the_visitor_finds_calls_by_name():
+    found = _calls("class HeightMorphism:\n"
+                   "    def __init__(self):\n"
+                   "        scomplex._check_blocks(4, shapes, blocks, labels)\n"
+                   "def read(doc):\n"
+                   "    return [matrix_from_json(doc['K'], a, b, 1)]\n"
+                   "matrix_from_json_text(doc)\n", "_check_blocks")
+    assert found == [("HeightMorphism.__init__", 3)]
+    assert _calls("def read(doc):\n    return [matrix_from_json(doc, a, b, 1)]\n",
+                  "matrix_from_json") == [("read", 2)]
+
+
+def test_blocks_are_read_and_checked_by_the_table_outside_scomplex():
+    readers, checkers = [], []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "scomplex.py":
+            continue
+        text = path.read_text()
+        readers += [(path.name, scope) for scope, _ in _calls(text, "matrix_from_json")]
+        checkers += [(path.name, scope) for scope, _ in _calls(text, "_check_blocks")]
+    assert readers == READERS, readers
+    assert checkers == CHECKERS, checkers

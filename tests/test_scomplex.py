@@ -31,17 +31,22 @@ from scx.rings import (
     eval_t_at_one,
     parse_element,
 )
+from scx.heights import HeightMorphism
 from scx.scomplex import (
+    _SHAPE,
     RelationReport,
     SComplex,
     SHomotopy,
     SMorphism,
     _assemble,
     _blocks,
+    blocks_to_json,
+    homotopy_from_json,
     s_map_discrepancy,
     scomplex_from_json,
     scomplex_to_json,
 )
+from scx.triangles import cone_triangle
 from scx.solve import solve_homotopy
 
 
@@ -677,3 +682,129 @@ def test_from_assembled_keeps_its_map_as_the_total(tag):
         for h in (SMorphism.identity(x), SMorphism.zero(x, y, k), g.compose_after(f), f):
             _same(h.assemble(), _assemble(h.source, h.target, h.degree, 1,
                                           h.lam, h.mu, h.delta1, h.delta2, h.rho))
+
+
+# ---------------------------------------------------------------------------
+# The block table `_SHAPE`: the endpoints, degrees, placement, split, checks
+# and document keys of the differential, the morphisms and the homotopies
+# are all read from it.
+
+# the paper's shape, written out here: [[d,0,0],[v,-d,delta2],[delta1,0,r]]
+# places d, v, delta1, delta2 and r from C to C, C to C[-1], C to R, R to
+# C[-1] and R to R, at the total degree -1 plus (0, -1, 0, -1, 0)
+_PAPER_SHAPE = {"A": ("C", "C", 0), "B": ("C", "C[-1]", -1), "E": ("C", "R", 0),
+                "C": ("R", "C[-1]", -1), "G": ("R", "R", 0)}
+
+
+def test_the_table_is_the_papers_block_shape_in_constructor_order():
+    bands = ("C", "C[-1]", "R")
+    assert {b: (bands[src], bands[tgt], off) for b, (src, tgt, off) in _SHAPE.items()} == (
+        _PAPER_SHAPE)
+    assert list(_SHAPE) == list(_PAPER_SHAPE)
+
+
+@pytest.mark.parametrize("tag", ["Z", "Z2", "Q", "QT"])
+def test_split_blocks_have_the_table_endpoints_and_degrees(tag):
+    ring = RINGS[tag]
+    rng = random.Random(f"block table {tag}")
+    nonzero = [False] * 3
+    for _ in range(10):
+        x = rand_scomplex(ring, rng, max_rank=5)
+        y = rand_scomplex(ring, rng, modulus=x.modulus, max_rank=5)
+        f = rand_morphism(x, y, rng, rng.choice((0, 1, 2, 3)))
+        _, h = rand_homotopy_pair(f, rng)
+        maps = [(x, x, -1, -1, _parts(x)), (x, y, f.degree, 1, _parts(f)[1:]),
+                (x, y, f.degree + 1, -1, _parts(h))]
+        for i, (src, tgt, k, sign, parts) in enumerate(maps):
+            total = _assemble(src, tgt, k, sign, *parts)
+            _same(total, _assemble_oracle(src, tgt, k, sign, *parts))
+            nonzero[i] = nonzero[i] or not total.is_zero
+            for (s_band, t_band, off), block, given in zip(
+                    _SHAPE.values(), _blocks(total, src, tgt), parts, strict=True):
+                assert block.source == (src.red if s_band == 2 else src.irr)
+                assert block.target == (tgt.red if t_band == 2 else tgt.irr)
+                assert block.degree == (k + off) % x.modulus
+                assert block.entries == given.entries
+    assert all(nonzero)
+
+
+@pytest.mark.parametrize("tag", ["Z", "Z2", "Q", "QT"])
+def test_homotopy_documents_round_trip_and_a_left_out_key_is_zero(tag):
+    ring = RINGS[tag]
+    rng = random.Random(f"homotopy documents {tag}")
+    nonzero = set()
+    for _ in range(12):
+        x = rand_scomplex(ring, rng, max_rank=5)
+        y = rand_scomplex(ring, rng, modulus=x.modulus, max_rank=5)
+        f = rand_morphism(x, y, rng, rng.choice((0, 1, 2, 3)))
+        g, h = rand_homotopy_pair(f, rng)
+        doc = json.loads(json.dumps(blocks_to_json(h, by_name=False)))
+        assert list(doc) == ["K", "L", "M1", "M2", "J"]
+        back = homotopy_from_json(doc, f, g)
+        _same(back, h)
+        _same(back.assemble(), h.assemble())
+        assert back.verify().ok
+        for key in doc:
+            part = homotopy_from_json({k: v for k, v in doc.items() if k != key}, f, g)
+            for name, got, want in zip(SHomotopy._NAMES, _parts(part), _parts(h), strict=True):
+                assert got.entries == ({} if name == key else want.entries)
+            if doc[key]:
+                nonzero.add(key)
+    assert nonzero == set(SHomotopy._NAMES)
+
+
+# the refusals of homotopy 0 of the cone triangle of the identity of
+# T(2,4) (C = xi1 in degree 1, R = theta+-; the cone has A.xi1 in degree 2,
+# B.xi1 in 1, A.theta+- in 1 and B.theta+- in 0): (document, error, text)
+_BAD_HOMOTOPIES = [
+    ({"K": [["B.xi1", "xi1", "1"]]}, ShapeMismatch,
+     "inhomogeneous entry at (B.xi1,xi1): 1 - 1 != 1 mod 4"),
+    ({"L": [["A.xi1", "xi1", "1"]]}, ShapeMismatch,
+     "inhomogeneous entry at (A.xi1,xi1): 2 - 1 != 0 mod 4"),
+    ({"M1": [["A.theta+", "xi1", "1"]]}, ShapeMismatch,
+     "inhomogeneous entry at (A.theta+,xi1): 1 - 1 != 1 mod 4"),
+    ({"M2": [["A.xi1", "theta+", "1"]]}, ShapeMismatch,
+     "inhomogeneous entry at (A.xi1,theta+): 2 - 0 != 0 mod 4"),
+    ({"J": [["B.theta+", "theta+", "1"]]}, ShapeMismatch,
+     "inhomogeneous entry at (B.theta+,theta+): 0 - 0 != 1 mod 4"),
+    ({"M1": [["B.xi1", "xi1", "1"]]}, SchemaError, "unknown target generator 'B.xi1'"),
+    ({"K": "x"}, SchemaError, "matrix entries must be a list"),
+    ({"Q": []}, SchemaError, "unknown homotopy keys ['Q']"),
+    ([1], SchemaError, "a homotopy must be an object"),
+]
+
+
+@pytest.mark.parametrize("bad, error, text", _BAD_HOMOTOPIES)
+def test_homotopy_documents_refuse_a_block_of_the_wrong_shape(bad, error, text):
+    h = cone_triangle(SMorphism.identity(torus_link_complex(2))).homotopies[0]
+    doc = dict(blocks_to_json(h, by_name=False), **bad) if isinstance(bad, dict) else bad
+    with pytest.raises(error) as info:
+        homotopy_from_json(doc, h.frm, h.to)
+    assert str(info.value) == text
+    assert homotopy_from_json(dict(blocks_to_json(h), K=[["A.xi1", "xi1", "1"]]),
+                              h.frm, h.to).K.entries == {(0, 0): LAURENT_Z.domain.one}
+
+
+def test_constructors_name_the_block_of_the_wrong_shape():
+    x = torus_link_complex(2)
+    one = x.ring.domain.one
+    ci, cr, ident = GradedMatrix.identity(x.irr), GradedMatrix.identity(x.red), SMorphism.identity(x)
+    mu0, d10 = GradedMatrix.zero(x.irr, x.irr, -1), GradedMatrix.zero(x.irr, x.red, 0)
+    cases = [
+        (lambda: SComplex(x.irr, x.red, v=ci), "component v must have degree -2 mod 4"),
+        (lambda: SComplex(x.irr, x.red, delta1=GradedMatrix.zero(x.red, x.irr, -1)),
+         "component delta1 has wrong endpoints"),
+        (lambda: SComplex(x.irr, x.red, s=cr), "component s must have degree -2 mod 4"),
+        (lambda: SMorphism(x, x, 0, mu=ci), "component mu must have degree -1 mod 4"),
+        (lambda: SMorphism(x, x, 2, delta1=ci), "component Delta1 has wrong endpoints"),
+        (lambda: SHomotopy(ident, ident, K=ci), "component K must have degree 1 mod 4"),
+        (lambda: SHomotopy(ident, ident, J=ci), "component J has wrong endpoints"),
+        (lambda: HeightMorphism(x, x, 0, ci, mu0, d10, GradedMatrix(x.red, x.irr, 1, {(0, 0): one}),
+                                {}, 0), "component Delta2 must have degree -1 mod 4"),
+        (lambda: HeightMorphism(x, x, 0, cr, mu0, d10, GradedMatrix.zero(x.red, x.irr, -1), {}, 0),
+         "component lambda has wrong endpoints"),
+    ]
+    for build, text in cases:
+        with pytest.raises(ShapeMismatch) as info:
+            build()
+        assert str(info.value) == text
