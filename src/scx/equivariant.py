@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .errors import PlateauNotReached, UnsupportedRing
+from .errors import PlateauNotReached, ScxError, UnsupportedRing
 from .gradedlin import (
     ELIMINATIONS,
     GradedMatrix,
@@ -61,7 +61,7 @@ class SmallEquivariantComplex:
     def __init__(self, base, flavor, powers):
         base.require_r_perfect("small equivariant complex")
         if flavor not in ("hat", "check", "bar"):
-            raise UnsupportedRing(f"unknown flavor {flavor!r}")
+            raise ScxError(f"unknown flavor {flavor!r}")
         self.base = base
         self.flavor = flavor
         self.powers = list(powers)
@@ -133,7 +133,7 @@ class SmallEquivariantComplex:
 def build_small(x, flavor, n):
     """Materialize a small equivariant complex with tail order n >= 1."""
     if n < 1:
-        raise UnsupportedRing("tail order must be >= 1")
+        raise ScxError("tail order must be >= 1")
     if flavor == "hat":
         return SmallEquivariantComplex(x, "hat", range(0, n))
     if flavor == "check":

@@ -130,27 +130,20 @@ def tensor(x, y):
     eps_c, eps_r = _signs(x.irr), _signs(x.red)
     d_1, eps_d, v_1 = _kron(x.d, one_c2, ps), _kron(eps_c, y.d, ps), _kron(x.v, one_c2, ps)
 
-    d = GradedMatrix.from_blocks(
-        irr, irr, -1,
-        (d_1, 0, 0), (eps_d, 0, 0),
-        (_kron(-(eps_c @ x.v), one_c2, ps), ccs, 0), (_kron(eps_c, y.v, ps), ccs, 0),
-        (d_1, ccs, ccs), (-eps_d, ccs, ccs), (_kron(eps_c, y.delta2, ps), ccs, cr),
-        (_kron(-(eps_c @ x.delta2), one_c2, ps), ccs, rc),
-        (_kron(eps_c, y.delta1, ps), cr, 0), (_kron(x.d, one_r2, ps), cr, cr),
-        (_kron(eps_c, y.r, ps), cr, cr),
-        (_kron(x.delta1, one_c2, ps), rc, 0), (_kron(eps_r, y.d, ps), rc, rc),
-        (_kron(x.r, one_c2, ps), rc, rc))
-    v = GradedMatrix.from_blocks(
-        irr, irr, -2,
-        (v_1, 0, 0), (_kron(x.delta2, one_c2, ps), 0, rc), (v_1, ccs, ccs),
-        (_kron(x.v, one_r2, ps), cr, cr), (_kron(eps_r @ x.delta1, one_c2, ps), rc, ccs),
-        (_kron(one_r, y.v, ps), rc, rc))
-    delta1 = GradedMatrix.from_blocks(irr, red, -1, (_kron(x.delta1, one_r2, ps), 0, cr),
-                                      (_kron(eps_r, y.delta1, ps), 0, rc))
-    delta2 = GradedMatrix.from_blocks(red, irr, -2, (_kron(x.delta2, one_r2, ps), cr, 0),
-                                      (_kron(one_r, y.delta2, ps), rc, 0))
-    r = GradedMatrix.from_blocks(red, red, -1, (_kron(x.r, one_r2, ps), 0, 0),
-                                 (_kron(eps_r, y.r, ps), 0, 0))
+    d = [(d_1, 0, 0), (eps_d, 0, 0),
+         (_kron(-(eps_c @ x.v), one_c2, ps), ccs, 0), (_kron(eps_c, y.v, ps), ccs, 0),
+         (d_1, ccs, ccs), (-eps_d, ccs, ccs), (_kron(eps_c, y.delta2, ps), ccs, cr),
+         (_kron(-(eps_c @ x.delta2), one_c2, ps), ccs, rc),
+         (_kron(eps_c, y.delta1, ps), cr, 0), (_kron(x.d, one_r2, ps), cr, cr),
+         (_kron(eps_c, y.r, ps), cr, cr),
+         (_kron(x.delta1, one_c2, ps), rc, 0), (_kron(eps_r, y.d, ps), rc, rc),
+         (_kron(x.r, one_c2, ps), rc, rc)]
+    v = [(v_1, 0, 0), (_kron(x.delta2, one_c2, ps), 0, rc), (v_1, ccs, ccs),
+         (_kron(x.v, one_r2, ps), cr, cr), (_kron(eps_r @ x.delta1, one_c2, ps), rc, ccs),
+         (_kron(one_r, y.v, ps), rc, rc)]
+    delta1 = [(_kron(x.delta1, one_r2, ps), 0, cr), (_kron(eps_r, y.delta1, ps), 0, rc)]
+    delta2 = [(_kron(x.delta2, one_r2, ps), cr, 0), (_kron(one_r, y.delta2, ps), rc, 0)]
+    r = [(_kron(x.r, one_r2, ps), 0, 0), (_kron(eps_r, y.r, ps), 0, 0)]
     return SComplex(irr, red, d, v, delta1, delta2, r, None,
                     {"tensor_of": [x.metadata.get("name"), y.metadata.get("name")]})
 
@@ -187,17 +180,13 @@ def cone(f):
     red = GradedModule(ring, mod, [(f"A.{n}", d + shift) for n, d in x.red.gens]
                        + [(f"B.{n}", d) for n, d in y.red.gens])
     na, nr = x.irr.rank, x.red.rank
-
-    def corner(top, low, right, src, tgt, deg, top_rows, right_col):
-        return GradedMatrix.from_blocks(src, tgt, deg, (top, 0, 0), (low, top_rows, 0),
-                                        (right, top_rows, right_col))
-
-    d_m = corner(-x.d, f.lam, y.d, irr, irr, -1, na, na)
-    v_m = corner(x.v, f.mu, y.v, irr, irr, -2, na, na)
-    r_m = corner(-x.r, f.rho, y.r, red, red, -1, nr, nr)
-    d1_m = corner(-x.delta1, f.delta1, y.delta1, irr, red, -1, nr, na)
-    d2_m = corner(x.delta2, f.delta2, y.delta2, red, irr, -2, na, nr)
-    return SComplex(irr, red, d_m, v_m, d1_m, d2_m, r_m, None, {"cone_degree": k})
+    return SComplex(irr, red,
+                    [(-x.d, 0, 0), (f.lam, na, 0), (y.d, na, na)],
+                    [(x.v, 0, 0), (f.mu, na, 0), (y.v, na, na)],
+                    [(-x.delta1, 0, 0), (f.delta1, nr, 0), (y.delta1, nr, na)],
+                    [(x.delta2, 0, 0), (f.delta2, na, 0), (y.delta2, na, nr)],
+                    [(-x.r, 0, 0), (f.rho, nr, 0), (y.r, nr, nr)],
+                    None, {"cone_degree": k})
 
 
 def direct_sum(x, y):
@@ -212,24 +201,15 @@ def direct_sum(x, y):
                        + [(f"B.{n}", d) for n, d in y.irr.gens])
     red = GradedModule(ring, mod, [(f"A.{n}", d) for n, d in x.red.gens]
                        + [(f"B.{n}", d) for n, d in y.red.gens])
-
-    def diag(a, b, src, tgt, deg, ra, ca):
-        return GradedMatrix.from_blocks(src, tgt, deg, (a, 0, 0), (b, ra, ca))
-
     na, nr = x.irr.rank, x.red.rank
     s = None
     if x.s is not None and y.s is not None:
-        s = diag(x.s, y.s, red, red, -2, nr, nr)
-    return SComplex(
-        irr, red,
-        diag(x.d, y.d, irr, irr, -1, na, na),
-        diag(x.v, y.v, irr, irr, -2, na, na),
-        diag(x.delta1, y.delta1, irr, red, -1, nr, na),
-        diag(x.delta2, y.delta2, red, irr, -2, na, nr),
-        diag(x.r, y.r, red, red, -1, nr, nr),
-        s,
-        {"sum_of": [x.metadata.get("name"), y.metadata.get("name")]},
-    )
+        s = [(x.s, 0, 0), (y.s, nr, nr)]
+    return SComplex(irr, red,
+                    [(x.d, 0, 0), (y.d, na, na)], [(x.v, 0, 0), (y.v, na, na)],
+                    [(x.delta1, 0, 0), (y.delta1, nr, na)], [(x.delta2, 0, 0), (y.delta2, na, nr)],
+                    [(x.r, 0, 0), (y.r, nr, nr)], s,
+                    {"sum_of": [x.metadata.get("name"), y.metadata.get("name")]})
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +232,11 @@ def _suspension(x):
     ring, mod = x.ring, x.modulus
     irr = GradedModule(ring, mod, [(f"s.{n}", d + 2) for n, d in x.irr.gens]
                        + [(f"q.{n}", d + 1) for n, d in x.red.gens])
-    red = x.red
     nc = x.irr.rank
-
-    d_m = GradedMatrix.from_blocks(irr, irr, -1, (x.d, 0, 0), (-x.delta2, 0, nc),
-                                   (-x.r, nc, nc))
-    v_m = GradedMatrix.from_blocks(irr, irr, -2, (x.v, 0, 0), (x.delta1, nc, 0))
-    d2_m = GradedMatrix.from_blocks(red, irr, -2, (x.v @ x.delta2, 0, 0),
-                                    (x.delta1 @ x.delta2, nc, 0))
-    d1_m = GradedMatrix.from_blocks(irr, red, -1, (GradedMatrix.identity(x.red), 0, nc))
-    return SComplex(irr, red, d_m, v_m, d1_m, d2_m, x.r, None, {"suspended": 1})
+    return SComplex(irr, x.red, [(x.d, 0, 0), (-x.delta2, 0, nc), (-x.r, nc, nc)],
+                    [(x.v, 0, 0), (x.delta1, nc, 0)], [(GradedMatrix.identity(x.red), 0, nc)],
+                    [(x.v @ x.delta2, 0, 0), (x.delta1 @ x.delta2, nc, 0)], x.r, None,
+                    {"suspended": 1})
 
 
 def desuspend_once(x):
@@ -273,16 +248,11 @@ def desuspend_once(x):
     ring, mod = x.ring, x.modulus
     irr = GradedModule(ring, mod, [(f"s.{n}", d - 2) for n, d in x.irr.gens]
                        + [(f"q.{n}", d - 2) for n, d in x.red.gens])
-    red = x.red
     nc = x.irr.rank
-
-    d_m = GradedMatrix.from_blocks(irr, irr, -1, (x.d, 0, 0), (x.delta1, nc, 0),
-                                   (x.r, nc, nc))
-    v_m = GradedMatrix.from_blocks(irr, irr, -2, (x.v, 0, 0), (x.delta2, 0, nc))
-    d2_m = GradedMatrix.from_blocks(red, irr, -2, (GradedMatrix.identity(x.red), nc, 0))
-    d1_m = GradedMatrix.from_blocks(irr, red, -1, (x.delta1 @ x.v, 0, 0),
-                                    (x.delta1 @ x.delta2, 0, nc))
-    return SComplex(irr, red, d_m, v_m, d1_m, d2_m, x.r, None, {"suspended": -1})
+    return SComplex(irr, x.red, [(x.d, 0, 0), (x.delta1, nc, 0), (x.r, nc, nc)],
+                    [(x.v, 0, 0), (x.delta2, 0, nc)],
+                    [(x.delta1 @ x.v, 0, 0), (x.delta1 @ x.delta2, 0, nc)],
+                    [(GradedMatrix.identity(x.red), nc, 0)], x.r, None, {"suspended": -1})
 
 
 def suspend(x, n):
@@ -374,28 +344,19 @@ def suspension_witness(x):
     eps_c, eps_r = _signs(x.irr), _signs(x.red)
 
     # forward: Sigma X -> X.O(1)
-    lam = GradedMatrix.from_blocks(sx.irr, t.irr, 0, (one_c, ccs, 0), (eps_r, rc, nc))
-    mu = GradedMatrix.from_blocks(sx.irr, t.irr, -1, (x.r, rc, nc))
-    d2 = GradedMatrix.from_blocks(sx.red, t.irr, -1, (eps_c @ x.delta2, 0, 0),
-                                  (eps_c @ x.delta2 @ x.r, ccs, 0))
-    fwd = SMorphism(sx, t, 0, lam, mu, delta2=d2,
-                    rho=GradedMatrix.from_blocks(sx.red, t.red, 0, (one_r, 0, 0)))
+    fwd = SMorphism(sx, t, 0, [(one_c, ccs, 0), (eps_r, rc, nc)], [(x.r, rc, nc)],
+                    delta2=[(eps_c @ x.delta2, 0, 0), (eps_c @ x.delta2 @ x.r, ccs, 0)],
+                    rho=[(one_r, 0, 0)])
 
     # backward: X.O(1) -> Sigma X, with lambda' = [[d, 1, v, 0], [0, 0, delta1, eps]]
-    lam_b = GradedMatrix.from_blocks(t.irr, sx.irr, 0, (x.d, 0, 0), (one_c, 0, ccs),
-                                     (x.v, 0, cr), (x.delta1, nc, cr), (eps_r, nc, rc))
-    mu_b = GradedMatrix.from_blocks(t.irr, sx.irr, -1, (x.delta1, nc, 0), (x.r, nc, rc))
-    bwd = SMorphism(t, sx, 0, lam_b, mu_b,
-                    rho=GradedMatrix.from_blocks(t.red, sx.red, 0, (one_r, 0, 0)))
+    bwd = SMorphism(t, sx, 0, [(x.d, 0, 0), (one_c, 0, ccs), (x.v, 0, cr), (x.delta1, nc, cr),
+                               (eps_r, nc, rc)],
+                    [(x.delta1, nc, 0), (x.r, nc, rc)], rho=[(one_r, 0, 0)])
 
     # homotopy on the tensor side from fwd.bwd to the identity
-    K = GradedMatrix.from_blocks(t.irr, t.irr, 1, (-eps_c, 0, cr), (-eps_c @ x.d, ccs, cr))
-    L = GradedMatrix.from_blocks(t.irr, t.irr, 0, (eps_r, rc, rc))
-    M2 = GradedMatrix.from_blocks(t.red, t.irr, 0, (-eps_c @ x.delta2, ccs, 0),
-                                  (x.r + x.r, rc, 0))
-
-    comp = fwd.compose_after(bwd)
-    hfb = SHomotopy(comp, SMorphism.identity(t), K, L, M2=M2)
+    hfb = SHomotopy(fwd.compose_after(bwd), SMorphism.identity(t),
+                    [(-eps_c, 0, cr), (-eps_c @ x.d, ccs, cr)], [(eps_r, rc, rc)],
+                    M2=[(-eps_c @ x.delta2, ccs, 0), (x.r + x.r, rc, 0)])
     return EquivalenceWitness(fwd, bwd, homotopy_fwd_back=hfb, homotopy_back_fwd=None)
 
 
@@ -404,15 +365,11 @@ def o1_o_minus1_witness(ring=Z, modulus=4):
     explicit homotopy from lambda'.lambda to the identity on the tensor."""
     t = tensor(atomic(1, ring, modulus), atomic(-1, ring, modulus))
     o0 = atomic(0, ring, modulus)
-    one = ring.domain.one
+    one = GradedMatrix.identity(o0.red)  # the 1 x 1 identity, placed as each 1 below
     # forward: tensor -> O(0): rho = 1, Delta1 = [0,1,0,0]
-    d1 = GradedMatrix(t.irr, o0.red, 0, {(0, 1): one})
-    rho = GradedMatrix(t.red, o0.red, 0, {(0, 0): one})
-    fwd = SMorphism(t, o0, 0, delta1=d1, rho=rho)
+    fwd = SMorphism(t, o0, 0, delta1=[(one, 0, 1)], rho=[(one, 0, 0)])
     # backward: O(0) -> tensor: rho = 1, Delta2 = [1,0,0,0]^T
-    d2 = GradedMatrix(o0.red, t.irr, -1, {(0, 0): one})
-    rho_b = GradedMatrix(o0.red, t.red, 0, {(0, 0): one})
-    bwd = SMorphism(o0, t, 0, delta2=d2, rho=rho_b)
+    bwd = SMorphism(o0, t, 0, delta2=[(one, 0, 0)], rho=[(one, 0, 0)])
     # homotopy from bwd.fwd to 1 on the tensor, solved from the five graded
     # homotopy equations (deterministic particular solution)
     from .solve import solve_homotopy
@@ -458,13 +415,7 @@ def suspend_homotopy(h):
     y.require_r_perfect("suspension of a homotopy")
     sf, sg = suspend_morphism(f), suspend_morphism(g)
     nc, mc = x.irr.rank, y.irr.rank
-    k = f.degree
-    src, tgt = sf.source, sf.target
-
-    K = GradedMatrix.from_blocks(src.irr, tgt.irr, k + 1, (h.K, 0, 0), (-h.M2, 0, nc),
-                                 (-h.J, mc, nc))
-    L = GradedMatrix.from_blocks(src.irr, tgt.irr, k, (h.L, 0, 0), (h.M1, mc, 0))
-    M2 = GradedMatrix.from_blocks(src.red, tgt.irr, k,
-                                  (y.v @ h.M2 + h.L @ x.delta2, 0, 0),
-                                  (y.delta1 @ h.M2 + h.M1 @ x.delta2, mc, 0))
-    return SHomotopy(sf, sg, K, L, M2=M2, J=h.J)
+    return SHomotopy(sf, sg, [(h.K, 0, 0), (-h.M2, 0, nc), (-h.J, mc, nc)],
+                     [(h.L, 0, 0), (h.M1, mc, 0)],
+                     M2=[(y.v @ h.M2 + h.L @ x.delta2, 0, 0),
+                         (y.delta1 @ h.M2 + h.M1 @ x.delta2, mc, 0)], J=h.J)

@@ -103,8 +103,10 @@ def tau_closed_formula(x, y, lam, mu, delta1, delta2, n):
 
 class HeightMorphism:
     """Components plus the tau family; height = least index with tau nonzero
-    cleared below it.  Degree must be even.  Immutable (`__setattr__`
-    raises), so the lifts, built on first use and kept, cannot go stale."""
+    cleared below it.  Degree must be even.  Each block lambda, mu, Delta1,
+    Delta2 may be a list of pieces, placed by `scomplex._check_blocks`, and
+    one left out (None) is zero.  Immutable (`__setattr__` raises), so the
+    lifts, built on first use and kept, cannot go stale."""
 
     def __init__(self, source, target, degree, lam, mu, delta1, delta2, tau, height):
         source.require_r_perfect("height morphism")
@@ -118,8 +120,10 @@ class HeightMorphism:
             if abs(i) > bound:
                 raise ShapeMismatch(
                     f"declared tau support |{i}| exceeds the bound {bound}")
-        _check_blocks(mod, _block_shapes((source.irr, source.red), (target.irr, target.red), k),
-                      (lam, mu, delta1, delta2), SMorphism._LABELS)
+        shapes = _block_shapes((source.irr, source.red), (target.irr, target.red), k)
+        blocks = _check_blocks(mod, shapes, (lam, mu, delta1, delta2), SMorphism._LABELS)
+        lam, mu, delta1, delta2 = [GradedMatrix._new(src, tgt, deg, {}) if m is None else m
+                                   for m, (src, tgt, deg) in zip(blocks, shapes)]
         for i, t in tau.items():
             if t.source != source.red or t.target != target.red:
                 raise ShapeMismatch("tau maps R to R'")
@@ -133,18 +137,21 @@ class HeightMorphism:
         raise AttributeError("HeightMorphism is immutable")
 
     @classmethod
-    def from_components(cls, source, target, degree, lam, mu, delta1, delta2,
-                        declared_tau=None):
-        """Fill positive taus from the closed formula; declared_tau supplies
-        the data for i <= 0."""
-        tau = dict(declared_tau or {})
+    def from_components(cls, source, target, degree, lam=None, mu=None, delta1=None,
+                        delta2=None, declared_tau=None):
+        """The datum with the blocks as the constructor takes them, the
+        declared_tau supplying the data for i <= 0, and the positive taus
+        filled from the closed formula."""
+        h = cls(source, target, degree, lam, mu, delta1, delta2, declared_tau or {}, None)
+        tau = dict(h.tau)  # the declared taus, zeros dropped
         bound = _tau_bound(source, target)
-        for i, t in enumerate(tau_closed_formula(source, target, lam, mu, delta1, delta2, bound), 1):
+        for i, t in enumerate(tau_closed_formula(source, target, h.lam, h.mu, h.delta1, h.delta2,
+                                                 bound), 1):
             if not t.is_zero:
                 tau[i] = t
         # the zero morphism has every height; report the bound
-        height = min((i for i, t in tau.items() if not t.is_zero), default=bound)
-        return cls(source, target, degree, lam, mu, delta1, delta2, tau, height)
+        vars(h).update(tau=dict(sorted(tau.items())), height=min(tau, default=bound))
+        return h
 
     @classmethod
     def from_morphism(cls, f):
@@ -237,19 +244,10 @@ def iota(x, n):
     if n < 1:
         raise ShapeMismatch("iota is defined for n >= 1")
     x.require_r_perfect("iota")
-    sx = suspend(x, n)
-    nc, nr = x.irr.rank, x.red.rank
-    one = x.ring.domain.one
     # C sits as the deepest block of C_{Sigma^n}; block 2 is R[-2n+1].
-    lam = GradedMatrix(x.irr, sx.irr, 2 * n,
-                       {(i, i): one for i in range(nc)})
-    d2 = GradedMatrix(x.red, sx.irr, 2 * n - 1,
-                      {(nc + j, j): one for j in range(nr)})
     return HeightMorphism.from_components(
-        x, sx, 2 * n, lam,
-        GradedMatrix.zero(x.irr, sx.irr, 2 * n - 1),
-        GradedMatrix.zero(x.irr, sx.red, 2 * n),
-        d2, {})
+        x, suspend(x, n), 2 * n, [(GradedMatrix.identity(x.irr), 0, 0)],
+        delta2=[(GradedMatrix.identity(x.red), x.irr.rank, 0)])
 
 
 def kappa(x, n):
@@ -257,18 +255,9 @@ def kappa(x, n):
     if n < 1:
         raise ShapeMismatch("kappa is defined for n >= 1")
     x.require_r_perfect("kappa")
-    sx = suspend(x, n)
-    nc = x.irr.rank
-    one = x.ring.domain.one
-    lam = GradedMatrix(sx.irr, x.irr, -2 * n,
-                       {(i, i): one for i in range(nc)})
-    tau = {-n: GradedMatrix.identity(x.red)}
     return HeightMorphism.from_components(
-        sx, x, -2 * n, lam,
-        GradedMatrix.zero(sx.irr, x.irr, -2 * n - 1),
-        GradedMatrix.zero(sx.irr, x.red, -2 * n),
-        GradedMatrix.zero(sx.red, x.irr, -2 * n - 1),
-        tau)
+        suspend(x, n), x, -2 * n, [(GradedMatrix.identity(x.irr), 0, 0)],
+        declared_tau={-n: GradedMatrix.identity(x.red)})
 
 
 def _unlift(h, z, m):
@@ -394,10 +383,6 @@ def odd_to_suspension_morphism(g):
     syp = suspend_once(yp)
     nc = yp.irr.rank
     k = (gm.degree - 2) % yp.modulus
-
-    lam = GradedMatrix.from_blocks(syp.irr, z.irr, k, (gm.lam, 0, 0), (gm.delta2, 0, nc))
-    mu = GradedMatrix.from_blocks(syp.irr, z.irr, k - 1, (gm.mu, 0, 0))
-    d1 = GradedMatrix.from_blocks(syp.irr, z.red, k, (gm.delta1, 0, 0), (g.nu, 0, nc))
-
     d2 = gm.mu @ yp.delta2 + z.v @ gm.delta2 + z.delta2 @ g.nu
-    return SMorphism(syp, z, k, lam, mu, d1, d2)
+    return SMorphism(syp, z, k, [(gm.lam, 0, 0), (gm.delta2, 0, nc)], [(gm.mu, 0, 0)],
+                     [(gm.delta1, 0, 0), (g.nu, 0, nc)], d2)

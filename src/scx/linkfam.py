@@ -422,21 +422,10 @@ def torus_link_complex(k):
     s(theta-) = (T^2 - T^-2) theta+ (unit choice 1)."""
     if k < 1:
         raise UnsupportedFamily("torus link complex needs k >= 1")
-    ring = LAURENT_Z
-    coeff = _t_unit()
-    irr = GradedModule(ring, 4, [(f"xi{i}", 2 * i - 1) for i in range(1, k)])
-    red = GradedModule(ring, 4, [("theta+", 0), ("theta-", 2 * k)])
-    v_ent = {}
-    for i in range(2, k):
-        v_ent[(i - 2, i - 1)] = coeff
-    v = GradedMatrix(irr, irr, -2, v_ent)
-    d1_ent = {}
-    if k >= 2:
-        d1_ent[(0, 0)] = coeff
-    d1 = GradedMatrix(irr, red, -1, d1_ent)
+    red = GradedModule(LAURENT_Z, 4, [("theta+", 0), ("theta-", 2 * k)])
     s = None
     if k == 1:
-        s = GradedMatrix(red, red, -2, {(0, 1): coeff})
+        s = GradedMatrix(red, red, -2, {(0, 1): _t_unit()})
     grz = {f"xi{i}": 2 * i - 1 for i in range(1, k)}
     grz["theta+"] = 0
     grz["theta-"] = 2 * k
@@ -447,7 +436,7 @@ def torus_link_complex(k):
             "quasi_orientations": ["o+", "o-"]}
     if k == 1:
         meta["s_map_unit"] = "1 (fixed only up to a unit)"
-    return SComplex(irr, red, v=v, delta1=d1, s=s, metadata=meta)
+    return _xi_chain(k, red, s, meta)
 
 
 def torus_knot_summand(k):
@@ -455,16 +444,20 @@ def torus_knot_summand(k):
     unknot-summand reducible removed."""
     if k < 2:
         raise UnsupportedFamily("torus knot summand needs k >= 2")
-    ring = LAURENT_Z
+    return _xi_chain(k, GradedModule(LAURENT_Z, 4, [("theta", 0)]), None,
+                     {"name": f"T(2,{2 * k - 1})"})
+
+
+def _xi_chain(k, red, s, metadata):
+    """The complex of the torus models over Z[T^{+-1}] mod 4 on the
+    generators xi^1..xi^{k-1} (xi^i of degree 2i - 1) and the reducible
+    module `red`, with v(xi^i) = (T^2 - T^-2) xi^{i-1} and, when k >= 2,
+    delta1(xi^1) = (T^2 - T^-2) times the first generator of `red`."""
     coeff = _t_unit()
-    irr = GradedModule(ring, 4, [(f"xi{i}", 2 * i - 1) for i in range(1, k)])
-    red = GradedModule(ring, 4, [("theta", 0)])
-    v_ent = {}
-    for i in range(2, k):
-        v_ent[(i - 2, i - 1)] = coeff
-    v = GradedMatrix(irr, irr, -2, v_ent)
-    d1 = GradedMatrix(irr, red, -1, {(0, 0): coeff})
-    return SComplex(irr, red, v=v, delta1=d1, metadata={"name": f"T(2,{2 * k - 1})"})
+    irr = GradedModule(LAURENT_Z, 4, [(f"xi{i}", 2 * i - 1) for i in range(1, k)])
+    v = GradedMatrix(irr, irr, -2, {(i - 2, i - 1): coeff for i in range(2, k)})
+    d1 = GradedMatrix(irr, red, -1, {(0, 0): coeff} if k >= 2 else {})
+    return SComplex(irr, red, v=v, delta1=d1, s=s, metadata=metadata)
 
 
 def hopf_complex():

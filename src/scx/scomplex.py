@@ -6,7 +6,8 @@ stored componentwise.  A morphism or homotopy stores one map, its assembled
 total [[A,0,0],[B,sA,C],[E,0,G]] on C + C[-1] + R; its blocks are views:
 those handed to a componentwise constructor are kept as given, and the
 rest are split from the total on first read.  A block left out of a
-constructor is zero.
+constructor is zero, and any block may be handed over as (matrix, row,
+column) pieces, which the constructor places at the block's shape.
 """
 
 from __future__ import annotations
@@ -87,16 +88,24 @@ def _block_shapes(x, y, k):
 
 
 def _check_blocks(mod, shapes, blocks, labels):
-    """Each block must have the endpoints of its (source, target, degree) in
-    `shapes` and, when nonzero, that degree mod `mod`; a block left out
-    (None) is zero and passes.  `labels` name the blocks in messages."""
-    for m, (src, tgt, deg), label in zip(blocks, shapes, labels):
+    """The blocks, each placed at or checked against its (source, target,
+    degree) in `shapes`.  A block may be a list of (matrix, row, column)
+    pieces, which `GradedMatrix.from_blocks` places at that shape, checking
+    every entry's range and degree; a matrix must have those endpoints and,
+    when nonzero, that degree mod `mod`; a block left out (None) is zero and
+    stays None.  `labels` name the blocks in messages."""
+    placed = list(blocks)
+    for i, m in enumerate(blocks):
         if m is None:
             continue
-        if (m.source, m.target) != (src, tgt):  # the tuples compare by identity first
-            raise ShapeMismatch(f"component {label} has wrong endpoints")
-        if m.entries and m.degree != deg % mod:
-            raise ShapeMismatch(f"component {label} must have degree {deg} mod {mod}")
+        src, tgt, deg = shapes[i]
+        if type(m) is list:
+            placed[i] = GradedMatrix.from_blocks(src, tgt, deg, *m)
+        elif (m.source, m.target) != (src, tgt):  # the tuples compare by identity first
+            raise ShapeMismatch(f"component {labels[i]} has wrong endpoints")
+        elif m.entries and m.degree != deg % mod:
+            raise ShapeMismatch(f"component {labels[i]} must have degree {deg} mod {mod}")
+    return placed
 
 
 def _block_layout(x, y):
@@ -116,7 +125,7 @@ def _assemble(x, y, degree, s, *blocks):
     Built by `GradedMatrix._new`, unchecked.  The caller vouches for the
     blocks: each has its `_block_shapes` endpoints and degree.  Two kinds of
     caller place blocks: the `SComplex`, `SMorphism` and `SHomotopy`
-    constructors, which check them first with `_check_blocks`, and
+    constructors, which place or check them first with `_check_blocks`, and
     `randgen.boundary_morphism`, whose blocks `randgen.rand_homotopy_shape`
     draws with those shapes.  Every other S-map is made from totals and
     placed by no one.  Then every placed entry is in range, inside its
@@ -168,7 +177,8 @@ def _relations(residual, x, y, rows):
 
 class SComplex:
     """The tuple (C, R, d, v, delta1, delta2, r) with optional s-map; a block
-    left out of the constructor is zero.
+    left out of the constructor is zero, and any block or s may be a list
+    of pieces (`_check_blocks`).
 
     Immutable (`__setattr__` raises), so the total module and differential
     and the suspension (`functors.suspend_once`), kept once built, stay valid."""
@@ -182,9 +192,9 @@ class SComplex:
             raise ShapeMismatch("C and R must share ring and modulus")
         ends, blocks = (irr, red), (d, v, delta1, delta2, r)
         shapes = _block_shapes(ends, ends, -1)
-        _check_blocks(irr.modulus, shapes, blocks, self._NAMES)
+        blocks = _check_blocks(irr.modulus, shapes, blocks, self._NAMES)
         if s is not None:  # the s-map, of degree -2 on R
-            _check_blocks(irr.modulus, [(red, red, -2)], [s], ["s"])
+            [s] = _check_blocks(irr.modulus, [(red, red, -2)], [s], ["s"])
         # a block left out is zero; a missing s stays None (no s-map)
         new = GradedMatrix._new
         d, v, delta1, delta2, r = [new(src, tgt, deg, {}) if m is None else m
@@ -348,11 +358,11 @@ class _SMap:
     _NAMES = _LABELS = ()  # the blocks' attribute names and their names in messages
 
     def _place(self, x, y, k, s, blocks, **fields):
-        """Check the blocks (in `_SHAPE` order; None is zero) for their
-        `_block_shapes` at total degree k, store their total and keep them as
-        views."""
-        _check_blocks(x.modulus, _block_shapes((x.irr, x.red), (y.irr, y.red), k), blocks,
-                      self._LABELS)
+        """Place or check the blocks (in `_SHAPE` order; None is zero) at
+        their `_block_shapes` for total degree k, store their total and keep
+        them as views."""
+        blocks = _check_blocks(x.modulus, _block_shapes((x.irr, x.red), (y.irr, y.red), k),
+                               blocks, self._LABELS)
         vars(self).update({name: m for name, m in zip(self._NAMES, blocks) if m is not None})
         vars(self).update(fields, source=x, target=y, _total=_assemble(x, y, k, s, *blocks))
 

@@ -141,31 +141,19 @@ def cone_triangle(f):
     nc, nr = x.irr.rank, x.red.rank
 
     # lam2: X' -> Cone, inclusion of the B-blocks.
-    lam2 = SMorphism(
-        y, cn, 0,
-        GradedMatrix.from_blocks(y.irr, cn.irr, 0, (GradedMatrix.identity(y.irr), nc, 0)),
-        rho=GradedMatrix.from_blocks(y.red, cn.red, 0, (GradedMatrix.identity(y.red), nr, 0)),
-    )
+    lam2 = SMorphism(y, cn, 0, [(GradedMatrix.identity(y.irr), nc, 0)],
+                     rho=[(GradedMatrix.identity(y.red), nr, 0)])
     # lam1: Cone -> X, projection to the A-blocks with the parity sign.
-    lam1 = SMorphism(
-        cn, x, -1,
-        GradedMatrix.from_blocks(cn.irr, x.irr, -1, (_signs(x.irr), 0, 0)),
-        rho=GradedMatrix.from_blocks(cn.red, x.red, -1, (_signs(x.red), 0, 0)),
-    )
+    lam1 = SMorphism(cn, x, -1, [(_signs(x.irr), 0, 0)], rho=[(_signs(x.red), 0, 0)])
     lam0 = f
 
     # K0: X -> Cone, x |-> (-x, 0).
-    k0 = SHomotopy(
-        SMorphism.zero(x, cn, 0), lam2.compose_after(lam0),
-        GradedMatrix.from_blocks(x.irr, cn.irr, 1, (-GradedMatrix.identity(x.irr), 0, 0)),
-        J=GradedMatrix.from_blocks(x.red, cn.red, 1, (-GradedMatrix.identity(x.red), 0, 0)),
-    )
+    k0 = SHomotopy(SMorphism.zero(x, cn, 0), lam2.compose_after(lam0),
+                   [(-GradedMatrix.identity(x.irr), 0, 0)],
+                   J=[(-GradedMatrix.identity(x.red), 0, 0)])
     # K1: Cone -> X', (x, y) |-> -eps(y).
-    k1 = SHomotopy(
-        SMorphism.zero(cn, y, -1), lam0.compose_after(lam1),
-        GradedMatrix.from_blocks(cn.irr, y.irr, 0, (-_signs(y.irr), 0, nc)),
-        J=GradedMatrix.from_blocks(cn.red, y.red, 0, (-_signs(y.red), 0, nr)),
-    )
+    k1 = SHomotopy(SMorphism.zero(cn, y, -1), lam0.compose_after(lam1),
+                   [(-_signs(y.irr), 0, nc)], J=[(-_signs(y.red), 0, nr)])
     # K2 = 0 (lam1 . lam2 = 0 on the nose).
     k2 = SHomotopy.zero(SMorphism.zero(y, x, -1), lam1.compose_after(lam2))
     return ExactTriangleData([x, cn, y], [lam0, lam1, lam2], [k0, k1, k2],

@@ -294,6 +294,16 @@ def test_equivariant_exactness_names_the_offender_of_a_failing_square(tmp_path, 
     assert lines[1] == "FAIL  hat differential squares  (first offender c.c <- c.a: 1)"
 
 
+def test_equivariant_tail_order_below_one_is_a_usage_error(tmp_path, capsys):
+    # a bad tail order is a usage error (exit 2), not an unsupported ring or family
+    o = tmp_path / "o1.json"
+    run("atomic", "--n", "1", "--out", str(o))
+    capsys.readouterr()
+    for n, extra in (("0", []), ("-2", ["--exactness"]), ("-1", ["--json"])):
+        assert run("equivariant", "--in", str(o), "--n", n, *extra) == 2
+        assert capsys.readouterr() == ("", "error: tail order must be >= 1\n")
+
+
 def test_skein_chi_verb(tmp_path, capsys):
     tree = {"triple": {"eps1": 1, "eps2": -1, "solve": "Lpp",
                        "L": {"leaf": {"components": 2, "xi": -1, "name": "T(2,4)"}},

@@ -20,7 +20,7 @@ from scx.equivariant import (
     j_nesting_ok,
     susequivar_witness,
 )
-from scx.errors import NotRPerfect, UnsupportedRing
+from scx.errors import NotRPerfect, ScxError, UnsupportedRing
 from scx.functors import atomic, direct_sum, dual, suspend, suspend_once, tensor
 from scx.gradedlin import (
     GradedMatrix,
@@ -51,6 +51,18 @@ def test_build_small_examples():
     assert all(t.startswith("x-1.") for t, s, v in entries) or not entries
     bar = build_small(tre, "bar", 2)
     assert bar.diff.is_zero
+
+
+def test_bad_tail_order_and_flavor_are_usage_errors():
+    # refused as bad arguments (exit 2 in the CLI), not as an unsupported ring
+    o0 = atomic(0, Q, 4)
+    for refuse, text in ((lambda: build_small(o0, "hat", 0), "tail order must be >= 1"),
+                         (lambda: build_small(o0, "bar", -3), "tail order must be >= 1"),
+                         (lambda: SmallEquivariantComplex(o0, "tilde", range(2)),
+                          "unknown flavor 'tilde'")):
+        with pytest.raises(ScxError) as err:
+            refuse()
+        assert not isinstance(err.value, UnsupportedRing) and str(err.value) == text
 
 
 def test_small_models_require_r_perfect():

@@ -12,6 +12,7 @@ from scx.heights import (
     compose_heights,
     compose_odd_after_height_minus1,
     factor_through_suspension,
+    height_to_json,
     heights_equal,
     iota,
     kappa,
@@ -894,3 +895,41 @@ def test_a_compose_and_verify_build_each_suspension_once(monkeypatch):
     assert comp.height == -2 and comp.verify().ok and f.verify().ok
     assert comp.verify(claimed_height=-2).ok and iota(x, 2).verify().ok
     assert [id(c) for c in built] == [id(x), id(suspend_once(x))]
+
+
+# Test oracle: `iota` and `kappa` as they were written before they handed
+# their blocks to `from_components` as pieces: each identity placed by an
+# index loop and each block they leave out written as a zero of its shape.
+
+
+def _iota_oracle(x, n):
+    sx = suspend(x, n)
+    nc, nr = x.irr.rank, x.red.rank
+    one = x.ring.domain.one
+    lam = GradedMatrix(x.irr, sx.irr, 2 * n, {(i, i): one for i in range(nc)})
+    d2 = GradedMatrix(x.red, sx.irr, 2 * n - 1, {(nc + j, j): one for j in range(nr)})
+    return HeightMorphism.from_components(
+        x, sx, 2 * n, lam, GradedMatrix.zero(x.irr, sx.irr, 2 * n - 1),
+        GradedMatrix.zero(x.irr, sx.red, 2 * n), d2, {})
+
+
+def _kappa_oracle(x, n):
+    sx = suspend(x, n)
+    one = x.ring.domain.one
+    lam = GradedMatrix(sx.irr, x.irr, -2 * n, {(i, i): one for i in range(x.irr.rank)})
+    return HeightMorphism.from_components(
+        sx, x, -2 * n, lam, GradedMatrix.zero(sx.irr, x.irr, -2 * n - 1),
+        GradedMatrix.zero(sx.irr, x.red, -2 * n), GradedMatrix.zero(sx.red, x.irr, -2 * n - 1),
+        {-n: GradedMatrix.identity(x.red)})
+
+
+@pytest.mark.parametrize("ring", [Z, Zp(2), Q, FRAC_LAURENT_Q], ids=str)
+def test_iota_and_kappa_equal_the_index_loop_oracle(ring):
+    rng = random.Random(31)
+    for _ in range(4):
+        x = rand_scomplex(ring, rng, max_rank=5, r_perfect=True, allow_cone=False)
+        for n in (1, 2, 3):
+            for build, oracle in ((iota, _iota_oracle), (kappa, _kappa_oracle)):
+                got, want = build(x, n), oracle(x, n)
+                assert height_to_json(got) == height_to_json(want)
+                assert heights_equal(got, want) and got.height == want.height

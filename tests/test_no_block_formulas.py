@@ -212,3 +212,70 @@ def test_blocks_are_read_and_checked_by_the_table_outside_scomplex():
         checkers += [(path.name, scope) for scope, _ in _calls(text, "_check_blocks")]
     assert readers == READERS, readers
     assert checkers == CHECKERS, checkers
+
+
+# The builders hand each block to a componentwise constructor as a matrix or
+# as a list of (matrix, row, column) pieces, which `scomplex._check_blocks`
+# places at the block's shape; none of them writes a block's source, target
+# and degree out itself with `GradedMatrix.from_blocks`, `GradedMatrix(...)`
+# or `GradedMatrix.zero(...)`, in its own body or in a helper defined in it.
+
+BUILDERS = {"functors.py": {"tensor", "cone", "direct_sum", "_suspension", "desuspend_once",
+                            "suspension_witness", "o1_o_minus1_witness", "suspend_homotopy"},
+            "triangles.py": {"cone_triangle"},
+            "heights.py": {"iota", "kappa", "odd_to_suspension_morphism"}}
+SHAPED = {"GradedMatrix", "GradedMatrix.from_blocks", "GradedMatrix.zero"}
+
+
+class _ShapedCalls(ast.NodeVisitor):
+    """(enclosing functions, outermost first, line) of every call of
+    `GradedMatrix`, `GradedMatrix.from_blocks` or `GradedMatrix.zero`, by
+    name or through a module attribute."""
+
+    def __init__(self):
+        self.scope = []
+        self.found = []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        name = _called(node.func)
+        if any(name == s or name.endswith("." + s) for s in SHAPED):
+            self.found.append((tuple(self.scope), node.lineno))
+        self.generic_visit(node)
+
+
+def _shaped_calls(source, functions):
+    visitor = _ShapedCalls()
+    visitor.visit(ast.parse(source))
+    return [(scope[-1], line) for scope, line in visitor.found if functions.intersection(scope)]
+
+
+def test_the_visitor_finds_shaped_matrices_in_builders():
+    source = ("def cone(f):\n"
+              "    def corner(a, b):\n"
+              "        return GradedMatrix.from_blocks(s, t, -1, (a, 0, 0), (b, 1, 0))\n"
+              "    one = GradedMatrix.identity(x.red)\n"
+              "    return SComplex(c, r, [(one, 0, 0)], gradedlin.GradedMatrix.zero(c, c, -2))\n"
+              "def iota(x, n):\n"
+              "    return from_components(x, y, 2, GradedMatrix(a, b, 2, {(0, 0): 1}))\n"
+              "def other():\n"
+              "    return GradedMatrix.zero(a, b, 0)\n")
+    assert _shaped_calls(source, {"cone", "iota"}) == [("corner", 3), ("cone", 5), ("iota", 7)]
+    assert _shaped_calls(source, {"other"}) == [("other", 9)]
+
+
+def test_builders_hand_blocks_as_pieces():
+    found = []
+    for name, functions in BUILDERS.items():
+        source = (SRC / name).read_text()
+        defined = {node.name for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.FunctionDef)}
+        assert functions <= defined, functions - defined
+        found += [(name, *hit) for hit in _shaped_calls(source, functions)]
+    assert not found, found

@@ -3,9 +3,12 @@ witnesses are placed band by band: `_build_diff`, `_build_x`,
 `_ijp_matrices`, `_suspension_maps` and `susequivar_witness` of
 `scx.equivariant`, and `suspension_witness` of `scx.functors`, call no raw
 `GradedMatrix(...)` constructor (so they write no entry at an index of their
-own).  They place whole blocks with `GradedMatrix.from_blocks`; the entry
-rules they replaced live only in the oracles of tests/test_equivariant.py
-and tests/test_functors.py."""
+own).  The equivariant ones place whole blocks with
+`GradedMatrix.from_blocks`; `suspension_witness` hands its blocks to the
+`SMorphism` and `SHomotopy` constructors as (matrix, row, column) pieces,
+which they place (tests/test_no_block_formulas.py checks that it calls no
+`from_blocks` either).  The entry rules they replaced live only in the
+oracles of tests/test_equivariant.py and tests/test_functors.py."""
 
 import ast
 from pathlib import Path

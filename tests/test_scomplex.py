@@ -19,6 +19,7 @@ from scx.randgen import (
     rand_homotopy_shape,
     rand_morphism,
     rand_scomplex,
+    rand_value,
 )
 from scx.rings import (
     FRAC_LAURENT_Q,
@@ -31,7 +32,7 @@ from scx.rings import (
     eval_t_at_one,
     parse_element,
 )
-from scx.heights import HeightMorphism
+from scx.heights import HeightMorphism, heights_equal
 from scx.scomplex import (
     _SHAPE,
     RelationReport,
@@ -808,3 +809,149 @@ def test_constructors_name_the_block_of_the_wrong_shape():
         with pytest.raises(ShapeMismatch) as info:
             build()
         assert str(info.value) == text
+
+
+# ---------------------------------------------------------------------------
+# The piece form: a block handed to a constructor as a list of (matrix, row,
+# column) pieces is placed at the block's table shape, as
+# `GradedMatrix.from_blocks` places it at that source, target and degree.
+
+
+def _pieces(m, rng):
+    """m cut at a random row and column into four (matrix, row, column)
+    pieces, each a matrix between the generators it covers."""
+    rows, cols = rng.randint(0, m.target.rank), rng.randint(0, m.source.rank)
+    pieces = []
+    for r0, r1 in ((0, rows), (rows, m.target.rank)):
+        for c0, c1 in ((0, cols), (cols, m.source.rank)):
+            src = GradedModule(m.ring, m.source.modulus, m.source.gens[c0:c1])
+            tgt = GradedModule(m.ring, m.target.modulus, m.target.gens[r0:r1])
+            pieces.append((GradedMatrix(src, tgt, m.degree, {
+                (t - r0, s - c0): val for (t, s), val in m.entries.items()
+                if r0 <= t < r1 and c0 <= s < c1}), r0, c0))
+    return pieces
+
+
+def _rand_s(x, rng):
+    """A random map R -> R of degree -2, an s-map for x."""
+    red = x.red
+    return GradedMatrix(red, red, -2, {
+        (t, s): rand_value(x.ring, rng) for t in range(red.rank) for s in range(red.rank)
+        if (red.degree(t) - red.degree(s) + 2) % x.modulus == 0 and rng.random() < 0.7})
+
+
+def _placed_like(got, want, pieces):
+    """got is the block want, and what `from_blocks` makes of the pieces at
+    want's source, target and degree."""
+    _same(got, want)
+    _same(got, GradedMatrix.from_blocks(want.source, want.target, want.degree, *pieces))
+
+
+@pytest.mark.parametrize("tag", ["Z", "Z2", "Q", "QT"])
+def test_a_piece_list_gives_the_block_that_from_blocks_gives(tag):
+    ring = RINGS[tag]
+    rng = random.Random(f"pieces {tag}")
+    nonzero = set()
+    for _ in range(10):
+        x = rand_scomplex(ring, rng, max_rank=5, r_perfect=True, allow_cone=False)
+        y = rand_scomplex(ring, rng, modulus=x.modulus, max_rank=5, r_perfect=True,
+                          allow_cone=False)
+        k = rng.choice((0, 2))  # even, for the height datum
+        f = rand_morphism(x, y, rng, k)
+        _, h = rand_homotopy_pair(f, rng)
+        blocks = [*_parts(x), _rand_s(x, rng)]
+        cut = [_pieces(m, rng) for m in blocks]
+        c = SComplex(x.irr, x.red, *cut, x.metadata)
+        for got, want, pieces in zip([*_parts(c), c.s], blocks, cut, strict=True):
+            _placed_like(got, want, pieces)
+        blocks = _parts(f)[1:]
+        cut = [_pieces(m, rng) for m in blocks]
+        g = SMorphism(x, y, k, *cut)
+        for got, want, pieces in zip(_parts(g)[1:], blocks, cut, strict=True):
+            _placed_like(got, want, pieces)
+        _same(g.assemble(), f.assemble())
+        cut = [_pieces(m, rng) for m in _parts(h)]
+        hp = SHomotopy(h.frm, h.to, *cut)
+        for got, want, pieces in zip(_parts(hp), _parts(h), cut, strict=True):
+            _placed_like(got, want, pieces)
+        _same(hp.assemble(), h.assemble())
+        blocks = _parts(f)[1:5]
+        cut = [_pieces(m, rng) for m in blocks]
+        tau = {0: f.rho} if f.rho.entries else {}
+        got = HeightMorphism.from_components(x, y, k, *cut, tau)
+        want = HeightMorphism.from_components(x, y, k, *blocks, tau)
+        assert heights_equal(got, want) and got.height == want.height
+        for m, b, pieces in zip((got.lam, got.mu, got.delta1, got.delta2), blocks, cut):
+            _placed_like(m, b, pieces)
+        nonzero |= {name for name, ms in (
+            ("complex", _parts(c)), ("s", [c.s]), ("morphism", _parts(g)[1:]),
+            ("homotopy", _parts(hp)), ("height", [got.lam, got.mu, got.delta1, got.delta2]))
+            if any(m.entries for m in ms)}
+    assert nonzero == {"complex", "s", "morphism", "homotopy", "height"}
+
+
+@pytest.mark.parametrize("tag", ["Z", "Z2", "Q", "QT"])
+def test_a_piece_out_of_range_or_of_the_wrong_degree_is_refused(tag):
+    # C = a (degree 1), b (0); R = t (0), u (2); every block zero
+    ring = RINGS[tag]
+    irr = GradedModule(ring, 4, [("a", 1), ("b", 0)])
+    red = GradedModule(ring, 4, [("t", 0), ("u", 2)])
+    x = SComplex(irr, red)
+    ident = SMorphism.identity(x)
+    ci, cr = GradedMatrix.identity(irr), GradedMatrix.identity(red)
+    cases = [  # (build, the pieces, their shape, the refusal)
+        (lambda p: SComplex(irr, red, d=p), [(ci, 0, 0)], (irr, irr, -1),
+         "inhomogeneous entry at (a,a): 1 - 1 != 3 mod 4"),
+        (lambda p: SComplex(irr, red, d=p), [(ci, 2, 0)], (irr, irr, -1),
+         "entry (2,0) out of range"),
+        (lambda p: SComplex(irr, red, s=p), [(cr, 0, 0)], (red, red, -2),
+         "inhomogeneous entry at (t,t): 0 - 0 != 2 mod 4"),
+        (lambda p: SComplex(irr, red, s=p), [(cr, 0, 1)], (red, red, -2),
+         "entry (1,2) out of range"),
+        (lambda p: SMorphism(x, x, 0, mu=p), [(ci, 0, 0)], (irr, irr, -1),
+         "inhomogeneous entry at (a,a): 1 - 1 != 3 mod 4"),
+        (lambda p: SMorphism(x, x, 0, rho=p), [(cr, 2, 0)], (red, red, 0),
+         "entry (2,0) out of range"),
+        (lambda p: SHomotopy(ident, ident, K=p), [(ci, 0, 0)], (irr, irr, 1),
+         "inhomogeneous entry at (a,a): 1 - 1 != 1 mod 4"),
+        (lambda p: SHomotopy(ident, ident, J=p), [(cr, 0, 2)], (red, red, 1),
+         "entry (0,2) out of range"),
+        (lambda p: HeightMorphism.from_components(x, x, 0, delta2=p), [(cr, 0, 0)],
+         (red, irr, -1), "inhomogeneous entry at (a,t): 1 - 0 != 3 mod 4"),
+        (lambda p: HeightMorphism.from_components(x, x, 0, p), [(ci, 0, 2)], (irr, irr, 0),
+         "entry (0,2) out of range"),
+    ]
+    for build, pieces, shape, text in cases:
+        with pytest.raises(ShapeMismatch) as info:
+            GradedMatrix.from_blocks(*shape, *pieces)
+        assert str(info.value) == text
+        with pytest.raises(ShapeMismatch) as info:
+            build(pieces)
+        assert str(info.value) == text
+
+
+@pytest.mark.parametrize("tag", ["Z", "Z2", "Q", "QT"])
+def test_a_block_left_out_of_from_components_is_zero(tag):
+    ring = RINGS[tag]
+    rng = random.Random(f"left out {tag}")
+    for _ in range(6):
+        x = rand_scomplex(ring, rng, max_rank=5, r_perfect=True, allow_cone=False)
+        y = rand_scomplex(ring, rng, modulus=x.modulus, max_rank=5, r_perfect=True,
+                          allow_cone=False)
+        k = rng.choice((0, 2))
+        f = rand_morphism(x, y, rng, k)
+        blocks = _parts(f)[1:5]
+        tau = {0: f.rho} if f.rho.entries else {}
+        for i in range(4):
+            zeros = [GradedMatrix.zero(b.source, b.target, b.degree) if j == i else b
+                     for j, b in enumerate(blocks)]
+            got = HeightMorphism.from_components(
+                x, y, k, *[None if j == i else b for j, b in enumerate(blocks)], tau)
+            want = HeightMorphism.from_components(x, y, k, *zeros, tau)
+            assert heights_equal(got, want) and got.height == want.height
+            _same((got.lam, got.mu, got.delta1, got.delta2), tuple(zeros))
+        bare = HeightMorphism.from_components(x, y, k)
+        _same((bare.lam, bare.mu, bare.delta1, bare.delta2),
+              tuple(GradedMatrix.zero(b.source, b.target, b.degree) for b in blocks))
+        assert not bare.tau and bare.height == HeightMorphism.from_morphism(
+            SMorphism.zero(x, y, k)).height
