@@ -388,23 +388,16 @@ def o1_o_minus1_witness(ring=Z, modulus=4):
 def suspend_morphism(f):
     """Sigma f between suspensions: lambda_S = [[lambda, Delta2], [0, rho]],
     mu_S = [[mu, 0], [Delta1, 0]], Delta2_S = [mu delta2 + v' Delta2;
-    Delta1 delta2 + delta1' Delta2] and rho_S = rho, placed straight into
-    the total [[lambda_S,0,0],[mu_S,lambda_S,Delta2_S],[0,0,rho_S]]."""
+    Delta1 delta2 + delta1' Delta2] and rho_S = rho, blockwise."""
     x, y = f.source, f.target
     x.require_r_perfect("suspension of a morphism")
     y.require_r_perfect("suspension of a morphism")
-    sx, sy = suspend_once(x), suspend_once(y)
     nc, mc = x.irr.rank, y.irr.rank
-    big_n, big_m = sx.irr.rank, sy.irr.rank  # where the C[-1] bands start
-    lam = ((f.lam, 0, 0), (f.delta2, 0, nc), (f.rho, mc, nc))
-    blocks = (*lam, *((b, big_m + row, big_n + col) for b, row, col in lam),
-              (f.mu, big_m, 0), (f.delta1, big_m + mc, 0),
-              (f.mu @ x.delta2 + y.v @ f.delta2, big_m, 2 * big_n),
-              (f.delta1 @ x.delta2 + y.delta1 @ f.delta2, big_m + mc, 2 * big_n),
-              (f.rho, 2 * big_m, 2 * big_n))
-    total = GradedMatrix._new(sx.total_module(), sy.total_module(), f.degree,
-                              GradedMatrix._place(x.ring, blocks))
-    return SMorphism.from_assembled(total, sx, sy)
+    return SMorphism(suspend_once(x), suspend_once(y), f.degree,
+                     [(f.lam, 0, 0), (f.delta2, 0, nc), (f.rho, mc, nc)],
+                     [(f.mu, 0, 0), (f.delta1, mc, 0)],
+                     delta2=[(f.mu @ x.delta2 + y.v @ f.delta2, 0, 0),
+                             (f.delta1 @ x.delta2 + y.delta1 @ f.delta2, mc, 0)], rho=f.rho)
 
 
 def suspend_homotopy(h):

@@ -199,22 +199,15 @@ class GradedMatrix:
     def from_blocks(cls, source, target, degree, *blocks):
         """The matrix with each block (sub, row_offset, col_offset) placed at
         its offsets; where blocks overlap their entries add."""
-        return cls(source, target, degree, cls._place(source.ring, blocks))
-
-    @staticmethod
-    def _place(ring, blocks):
-        """The entries of `from_blocks`, unchecked: a caller that hands them
-        to `_new` vouches that each is in range and homogeneous."""
-        add = ring.domain.add
-        ent = {}
+        add, ent = source.ring.domain.add, {}
         for sub, row_offset, col_offset in blocks:
-            if sub.ring != ring:
+            if sub.ring != source.ring:
                 raise RingMismatch("block from the wrong ring")
             for (t, s), x in sub.entries.items():
                 key = (t + row_offset, s + col_offset)
                 cur = ent.get(key)
                 ent[key] = x if cur is None else add(cur, x)
-        return ent
+        return cls(source, target, degree, ent)
 
     # -- basic algebra
 

@@ -31,9 +31,10 @@ C_{Sigma^m Y} = C' + R'_0 + ... + R'_{m-1},
     mu_F = [mu; Delta1],  Delta1_F = 0,  Delta2_F = [Delta2; tau_0; ...; tau_{1-m}],
     rho_F = tau_{-m},
 
-and F = (lambda, mu, Delta1, Delta2, tau_0) when m = 0.  F is placed
-straight into its total from the checked components and kept on the datum;
-Sigma^m Y is built once, by the suspensions kept on Y.  `_unlift(h, z, m)`
+and F = (lambda, mu, Delta1, Delta2, tau_0) when m = 0: the datum's plain
+morphism, which holds its components.  Each F is built by the `SMorphism`
+constructor from these blocks, as pieces, and kept on the datum; Sigma^m Y
+is built once, by the suspensions kept on Y.  `_unlift(h, z, m)`
 goes back: it is kappa_m . h, the height morphism X -> Z of an S-morphism
 h: X -> Sigma^m Z.  Three identities follow.
 
@@ -58,7 +59,7 @@ from __future__ import annotations
 
 from .errors import ShapeMismatch
 from .gradedlin import GradedMatrix, Sweep, is_invertible
-from .scomplex import RelationReport, SMorphism, _block_shapes, _blocks, _check_blocks, _rel
+from .scomplex import RelationReport, SMorphism, _blocks, _rel
 from .functors import suspend, suspend_morphism, suspend_once
 
 
@@ -103,34 +104,37 @@ def tau_closed_formula(x, y, lam, mu, delta1, delta2, n):
 
 class HeightMorphism:
     """Components plus the tau family; height = least index with tau nonzero
-    cleared below it.  Degree must be even.  Each block lambda, mu, Delta1,
-    Delta2 may be a list of pieces, placed by `scomplex._check_blocks`, and
-    one left out (None) is zero.  Immutable (`__setattr__` raises), so the
-    lifts, built on first use and kept, cannot go stale."""
+    cleared below it.  Degree must be even.  lambda, mu, Delta1, Delta2 are
+    read from the plain morphism `_lift(0)`, built by `SMorphism`: each may
+    be a list of pieces, and one left out (None) is zero.  Immutable
+    (`__setattr__` raises), so the lifts, kept once built, cannot go stale."""
+
+    lam = property(lambda self: self._lifts[0].lam)
+    mu = property(lambda self: self._lifts[0].mu)
+    delta1 = property(lambda self: self._lifts[0].delta1)
+    delta2 = property(lambda self: self._lifts[0].delta2)
 
     def __init__(self, source, target, degree, lam, mu, delta1, delta2, tau, height):
         source.require_r_perfect("height morphism")
         target.require_r_perfect("height morphism")
-        mod = source.modulus
-        k = degree % mod
+        k = degree % source.modulus
         if degree % 2 != 0:
             raise ShapeMismatch("height morphisms have even degree")
         bound = _tau_bound(source, target)
         for i in tau:
             if abs(i) > bound:
-                raise ShapeMismatch(
-                    f"declared tau support |{i}| exceeds the bound {bound}")
-        shapes = _block_shapes((source.irr, source.red), (target.irr, target.red), k)
-        blocks = _check_blocks(mod, shapes, (lam, mu, delta1, delta2), SMorphism._LABELS)
-        lam, mu, delta1, delta2 = [GradedMatrix._new(src, tgt, deg, {}) if m is None else m
-                                   for m, (src, tgt, deg) in zip(blocks, shapes)]
-        for i, t in tau.items():
-            if t.source != source.red or t.target != target.red:
-                raise ShapeMismatch("tau maps R to R'")
-            if t.entries and t.degree != (k - 2 * i) % mod:
-                raise ShapeMismatch(f"tau_{i} needs degree {k - 2 * i} mod {mod}")
-        vars(self).update(source=source, target=target, degree=k, lam=lam, mu=mu,
-                          delta1=delta1, delta2=delta2, height=height, _lifts={},
+                raise ShapeMismatch(f"declared tau support |{i}| exceeds the bound {bound}")
+        # the first tau_i that is not a map R -> R' of degree k - 2i is
+        # refused after the blocks; tau_0 is the plain morphism's rho
+        ends, mod = (source.red, target.red), source.modulus
+        bad = next((i for i, t in tau.items() if (t.source, t.target) != ends
+                    or t.entries and t.degree != (k - 2 * i) % mod), None)
+        plain = SMorphism(source, target, k, lam, mu, delta1, delta2,
+                          tau.get(0) if bad is None else None)
+        if bad is not None:
+            raise ShapeMismatch("tau maps R to R'" if (tau[bad].source, tau[bad].target) != ends
+                                else f"tau_{bad} needs degree {k - 2 * bad} mod {mod}")
+        vars(self).update(source=source, target=target, degree=k, height=height, _lifts={0: plain},
                           tau={i: t for i, t in sorted(tau.items()) if not t.is_zero})
 
     def __setattr__(self, *a):
@@ -145,10 +149,8 @@ class HeightMorphism:
         h = cls(source, target, degree, lam, mu, delta1, delta2, declared_tau or {}, None)
         tau = dict(h.tau)  # the declared taus, zeros dropped
         bound = _tau_bound(source, target)
-        for i, t in enumerate(tau_closed_formula(source, target, h.lam, h.mu, h.delta1, h.delta2,
-                                                 bound), 1):
-            if not t.is_zero:
-                tau[i] = t
+        taus = tau_closed_formula(source, target, h.lam, h.mu, h.delta1, h.delta2, bound)
+        tau.update((i, t) for i, t in enumerate(taus, 1) if t.entries)
         # the zero morphism has every height; report the bound
         vars(h).update(tau=dict(sorted(tau.items())), height=min(tau, default=bound))
         return h
@@ -157,8 +159,7 @@ class HeightMorphism:
     def from_morphism(cls, f):
         """An ordinary even morphism as a height >= 0 datum (tau_0 = rho)."""
         return cls.from_components(f.source, f.target, f.degree,
-                                   f.lam, f.mu, f.delta1, f.delta2,
-                                   {0: f.rho} if not f.rho.is_zero else {})
+                                   f.lam, f.mu, f.delta1, f.delta2, {0: f.rho})
 
     def to_morphism(self):
         """Forget positive taus; valid when height >= 0."""
@@ -169,8 +170,7 @@ class HeightMorphism:
     def tau_at(self, i):
         if i in self.tau:
             return self.tau[i]
-        return GradedMatrix.zero(self.source.red, self.target.red,
-                                 self.degree - 2 * i)
+        return GradedMatrix.zero(self.source.red, self.target.red, self.degree - 2 * i)
 
     @property
     def is_strong(self):
@@ -184,23 +184,17 @@ class HeightMorphism:
         with no power of v."""
         if m not in self._lifts:
             x, y, tau = self.source, self.target, self.tau
-            sy = suspend(y, m)
-            nc, mc, mr = x.irr.rank, y.irr.rank, y.red.rank
-            big = sy.irr.rank  # where the C[-1] band starts
-            k = self.degree + 2 * m
-            lam = [(self.lam, 0, 0)]
-            acc = GradedMatrix.zero(x.irr, y.red, k)
+            mc, mr = y.irr.rank, y.red.rank
+            lam, acc = [(self.lam, 0, 0)], None
             for t in reversed(range(m)):
-                acc = acc @ x.v if -(t + 1) not in tau else acc @ x.v + tau[-(t + 1)] @ x.delta1
+                step = self.tau_at(-(t + 1)) @ x.delta1
+                acc = step if acc is None else acc @ x.v + step
                 lam.append((acc, mc + t * mr, 0))
-            # Delta1 at row big + mc is mu_F's lower block (E when m = 0); in
-            # the R column, Delta2_F's tau_{-t} sit at rows big + mc + t.mr,
-            # and rho_F = tau_{-m} at 2 big, where R's row band starts
-            blocks = [*lam, *((b, big + row, nc + col) for b, row, col in lam),
-                      (self.mu, big, 0), (self.delta1, big + mc, 0), (self.delta2, big, 2 * nc),
-                      *((tau[-t], big + mc + t * mr, 2 * nc) for t in range(m + 1) if -t in tau)]
-            self._lifts[m] = SMorphism.from_assembled(GradedMatrix._new(
-                x.total_module(), sy.total_module(), k, GradedMatrix._place(x.ring, blocks)), x, sy)
+            delta2 = [(self.delta2, 0, 0)]
+            delta2 += [(tau[-t], mc + t * mr, 0) for t in range(m) if -t in tau]
+            self._lifts[m] = SMorphism(x, suspend(y, m), self.degree + 2 * m, lam,
+                                       [(self.mu, 0, 0), (self.delta1, mc, 0)],
+                                       delta2=delta2, rho=tau.get(-m))
         return self._lifts[m]
 
     def verify(self, claimed_height=None):

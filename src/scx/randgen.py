@@ -123,7 +123,7 @@ def rand_homotopy_shape(x, y, rng, degree, density=0.4):
 def boundary_morphism(x, y, rng, degree=0):
     """(the chain map d'H + Hd, H) for H the total [[K,0,0],[L,-K,M2],[M1,0,J]]
     of random homotopy-shaped blocks K, L, M1, M2, J of the given degree."""
-    h = _assemble(x, y, degree + 1, -1, *rand_homotopy_shape(x, y, rng, degree))
+    h = _assemble(x, y, degree + 1, -1, rand_homotopy_shape(x, y, rng, degree))
     dh = y.total_differential() @ h + h @ x.total_differential()
     return SMorphism.from_assembled(dh, x, y), h
 

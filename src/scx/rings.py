@@ -540,6 +540,18 @@ def _int(digits, text):
                           f"characters) in {clip(text)}") from None
 
 
+# The widest exponent span (highest minus lowest power of T) that `parse_raw`
+# takes in a Q(T) coefficient's terms, numerator or denominator: reducing a
+# fraction makes a dense list of its span, and `_pgcd` is quadratic in it.
+_MAX_SPAN = 4096
+
+
+def _check_span(text, *exponents):
+    span = max((max(exps) - min(exps) for exps in exponents if exps), default=0)
+    if span > _MAX_SPAN:
+        raise SchemaError(f"exponent span {span} of {clip(text)} exceeds {_MAX_SPAN}")
+
+
 def parse_raw(ring, text):
     """Parse the shared term grammar into a raw value of `ring`: the terms are
     summed by the ring's domain, and no element is made."""
@@ -556,10 +568,13 @@ def parse_raw(ring, text):
                 split = i
                 break
         if split is not None:
-            return ratfun_normalize(parse_raw(LAURENT_Z, text[1:split - 1]),
-                                    parse_raw(LAURENT_Z, text[split + 2:-1]))
+            parts = [parse_raw(LAURENT_Z, part) for part in (text[1:split - 1], text[split + 2:-1])]
+            _check_span(text, *([e for e, _ in part] for part in parts))
+            return ratfun_normalize(*parts)
     terms = _tokenize_terms(text)
     kind, dom = ring.kind, ring.domain
+    if kind == Ring.FRAC:
+        _check_span(text, [exp or 0 for _, _, exp in terms])
     allow_frac = kind in (Ring.RAT, Ring.FRAC)
     allow_t = kind in (Ring.LAURENT, Ring.FRAC)
     total = dom.zero

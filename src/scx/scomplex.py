@@ -7,7 +7,7 @@ total [[A,0,0],[B,sA,C],[E,0,G]] on C + C[-1] + R; its blocks are views:
 those handed to a componentwise constructor are kept as given, and the
 rest are split from the total on first read.  A block left out of a
 constructor is zero, and any block may be handed over as (matrix, row,
-column) pieces, which the constructor places at the block's shape.
+column) pieces, each entry checked where it lands (`_land`).
 """
 
 from __future__ import annotations
@@ -70,13 +70,10 @@ def _rel(name, matrix):
 # k + offset.  sA repeats A from band 1 to band 1.
 _SHAPE = {"A": (0, 0, 0), "B": (0, 1, -1), "E": (0, 2, 0), "C": (2, 1, -1), "G": (2, 2, 0)}
 
-# _SHAPE read three ways: each block's (source in R, target in R, degree
-# offset), to pick its endpoints from (C, R) pairs; the placed blocks, sA as
-# index 5, as (index in _SHAPE order, source band, target band), row band by
-# row band; and (target band, source band) -> index in _SHAPE order
+# _SHAPE read two ways: each block's (source in R, target in R, degree
+# offset), to pick its endpoints from (C, R) pairs; and (target band, source
+# band) -> index in _SHAPE order
 _ENDS = tuple((src == 2, tgt == 2, off) for src, tgt, off in _SHAPE.values())
-_PLACES = tuple(sorted([(i, src, tgt) for i, (src, tgt, _) in enumerate(_SHAPE.values())]
-                       + [(5, 1, 1)], key=lambda p: (p[2], p[1])))
 _BANDS = {(tgt, src): i for i, (src, tgt, _) in enumerate(_SHAPE.values())}
 
 
@@ -87,63 +84,82 @@ def _block_shapes(x, y, k):
     return [(x[src], y[tgt], k + off) for src, tgt, off in _ENDS]
 
 
-def _check_blocks(mod, shapes, blocks, labels):
-    """The blocks, each placed at or checked against its (source, target,
-    degree) in `shapes`.  A block may be a list of (matrix, row, column)
-    pieces, which `GradedMatrix.from_blocks` places at that shape, checking
-    every entry's range and degree; a matrix must have those endpoints and,
-    when nonzero, that degree mod `mod`; a block left out (None) is zero and
-    stays None.  `labels` name the blocks in messages."""
-    placed = list(blocks)
-    for i, m in enumerate(blocks):
-        if m is None:
-            continue
-        src, tgt, deg = shapes[i]
-        if type(m) is list:
-            placed[i] = GradedMatrix.from_blocks(src, tgt, deg, *m)
-        elif (m.source, m.target) != (src, tgt):  # the tuples compare by identity first
-            raise ShapeMismatch(f"component {labels[i]} has wrong endpoints")
-        elif m.entries and m.degree != deg % mod:
-            raise ShapeMismatch(f"component {labels[i]} must have degree {deg} mod {mod}")
-    return placed
+def _check_block(m, shape, label):
+    """The matrix block m, refused unless it has the endpoints of shape, a
+    (source, target, degree) triple, and, when nonzero, its degree."""
+    src, tgt, deg = shape
+    if (m.source, m.target) != (src, tgt):  # the tuples compare by identity first
+        raise ShapeMismatch(f"component {label} has wrong endpoints")
+    if m.entries and m.degree != deg % src.modulus:
+        raise ShapeMismatch(f"component {label} must have degree {deg} mod {src.modulus}")
+    return m
+
+
+def _land(ent, pieces, shape, row, col):
+    """`ent` with the (matrix, row, column) pieces of a block of shape
+    (source, target, degree) added at the block's corner (row, col).  An
+    entry outside the block or not of its degree, checked where it lands,
+    gets `GradedMatrix`'s refusal.  Pieces add; `_new` drops a zero sum."""
+    src, tgt, deg = shape
+    mod, add, tgens, sgens = src.modulus, src.ring.domain.add, tgt.gens, src.gens
+    nt, ns = len(tgens), len(sgens)
+    for sub, r0, c0 in pieces:
+        if sub.ring != src.ring:
+            raise RingMismatch("block from the wrong ring")
+        for (t, s), x in sub.entries.items():
+            t, s = t + r0, s + c0
+            if not (0 <= t < nt and 0 <= s < ns) or (tgens[t][1] - sgens[s][1] - deg) % mod:
+                GradedMatrix(src, tgt, deg, {(t, s): x})  # raises
+            key = (t + row, s + col)
+            cur = ent.get(key)
+            ent[key] = x if cur is None else add(cur, x)
+    return ent
+
+
+def _check_blocks(shapes, blocks, labels):
+    """The blocks of a complex at their (source, target, degree) in `shapes`,
+    named by `labels` in refusals: a block left out (None) is zero, a list of
+    pieces is placed by `_land` and a matrix is checked by `_check_block`."""
+    return [GradedMatrix._new(*shape, _land({}, m or [], shape, 0, 0))
+            if m is None or type(m) is list else _check_block(m, shape, label)
+            for m, shape, label in zip(blocks, shapes, labels)]
 
 
 def _block_layout(x, y):
-    """Where the blocks of a map from the total module of x to that of y sit,
-    row band by row band: name -> (block source, block target, row offset,
-    column offset).  Band b starts at b times the rank of C."""
+    """Where the blocks of a map from the total module of x to that of y sit:
+    name -> (block source, block target, row offset, column offset).  Band b
+    starts at b times the rank of C."""
     nc, mc = x.irr.rank, y.irr.rank
-    xs, ys, names = (x.irr, x.irr, x.red), (y.irr, y.irr, y.red), (*_SHAPE, "sA")
-    return {names[i]: (xs[src], ys[tgt], tgt * mc, src * nc) for i, src, tgt in _PLACES}
+    xs, ys = (x.irr, x.irr, x.red), (y.irr, y.irr, y.red)
+    return {name: (xs[src], ys[tgt], tgt * mc, src * nc)
+            for name, (src, tgt, _) in [*_SHAPE.items(), ("sA", (1, 1, 0))]}
 
 
-def _assemble(x, y, degree, s, *blocks):
-    """The map [[A,0,0],[B,sA,C],[E,0,G]] of total degree `degree` from the
-    total module of x to that of y, of the blocks A, B, E, C, G; s is 1 or
-    -1, and a block left out (None) is zero.
-
-    Built by `GradedMatrix._new`, unchecked.  The caller vouches for the
-    blocks: each has its `_block_shapes` endpoints and degree.  Two kinds of
-    caller place blocks: the `SComplex`, `SMorphism` and `SHomotopy`
-    constructors, which place or check them first with `_check_blocks`, and
-    `randgen.boundary_morphism`, whose blocks `randgen.rand_homotopy_shape`
-    draws with those shapes.  Every other S-map is made from totals and
-    placed by no one.  Then every placed entry is in range, inside its
-    block's bands, and homogeneous of total degree k: the C[-1] band's
-    generators sit one degree above C's, so B and C, of degree k - 1, land
-    in that row band at degree k, and sA, from the C[-1] column band to that
-    row band, keeps A's degree k.  The blocks sit at disjoint offsets, so no
-    two entries add and none cancels."""
-    a = blocks[0]
-    blocks = (*blocks, a if s == 1 or a is None else -a)
-    nc, mc = x.irr.rank, y.irr.rank
-    ent = {}
-    for i, src, tgt in _PLACES:
-        m = blocks[i]
-        if m is not None:
-            row, col = tgt * mc, src * nc
+def _assemble(x, y, k, s, blocks, labels=None):
+    """The map [[A,0,0],[B,sA,C],[E,0,G]] of total degree k from the total
+    module of x to that of y, of the blocks A, B, E, C, G (None is zero); s
+    is 1 or -1.  Each block goes in one pass straight into the total at its
+    bands' offsets, band b at b times the rank of C.  With `labels`, which
+    the S-map constructors give to name blocks in refusals, a matrix is
+    checked by `_check_block` and pieces are placed by `_land`; a complex
+    (checked when built) and `randgen` (drawn at the shapes) hand matrices
+    unchecked.  The entries run row band by row band, sA after B."""
+    nc, mc, neg = x.irr.rank, y.irr.rank, x.ring.domain.neg
+    shapes = labels and _block_shapes((x.irr, x.red), (y.irr, y.red), k)
+    bands = ({}, {}, {})
+    for i, (src, tgt, _) in enumerate(_SHAPE.values()):
+        m, ent, row, col = blocks[i], bands[tgt], tgt * mc, src * nc
+        if type(m) is list:
+            _land(ent, m, shapes[i], row, col)
+        elif m is not None:
+            if labels:
+                _check_block(m, shapes[i], labels[i])
             ent.update({(t + row, u + col): val for (t, u), val in m.entries.items()})
-    return GradedMatrix._new(x.total_module(), y.total_module(), degree, ent)
+        if i == 1 and bands[0]:  # B is placed: sA follows it in row band 1
+            bands[1].update({(t + mc, u + nc): val if s == 1 else neg(val)
+                             for (t, u), val in bands[0].items()})
+    return GradedMatrix._new(x.total_module(), y.total_module(), k,
+                             {**bands[0], **bands[1], **bands[2]})
 
 
 def _blocks(m, x, y):
@@ -190,15 +206,11 @@ class SComplex:
                  metadata=None):
         if irr.ring != red.ring or irr.modulus != red.modulus:
             raise ShapeMismatch("C and R must share ring and modulus")
-        ends, blocks = (irr, red), (d, v, delta1, delta2, r)
-        shapes = _block_shapes(ends, ends, -1)
-        blocks = _check_blocks(irr.modulus, shapes, blocks, self._NAMES)
-        if s is not None:  # the s-map, of degree -2 on R
-            [s] = _check_blocks(irr.modulus, [(red, red, -2)], [s], ["s"])
-        # a block left out is zero; a missing s stays None (no s-map)
-        new = GradedMatrix._new
-        d, v, delta1, delta2, r = [new(src, tgt, deg, {}) if m is None else m
-                                   for m, (src, tgt, deg) in zip(blocks, shapes)]
+        ends = (irr, red)
+        d, v, delta1, delta2, r = _check_blocks(_block_shapes(ends, ends, -1),
+                                                (d, v, delta1, delta2, r), self._NAMES)
+        if s is not None:  # the s-map, of degree -2 on R; a missing s stays None
+            [s] = _check_blocks([(red, red, -2)], [s], ["s"])
         vars(self).update(irr=irr, red=red, d=d, v=v, delta1=delta1, delta2=delta2, r=r, s=s,
                           metadata=MappingProxyType(dict(metadata or {})),
                           _total=None, _total_module=None, _suspension=None)
@@ -252,7 +264,7 @@ class SComplex:
         once."""
         if self._total is None:
             object.__setattr__(self, "_total", _assemble(
-                self, self, -1, -1, self.d, self.v, self.delta1, self.delta2, self.r))
+                self, self, -1, -1, (self.d, self.v, self.delta1, self.delta2, self.r)))
         return self._total
 
     # -- homology projections
@@ -299,10 +311,11 @@ class SComplex:
     # -- restructuring
 
     def reduce_mod2(self):
+        """Degrees read mod 2: an entry homogeneous mod 4 is so mod 2, so blocks move unchecked."""
         if self.modulus == 2:
             return self
         return self._on_modules(self.irr.reduce_mod2(), self.red.reduce_mod2(),
-                                lambda m, s, t: GradedMatrix(s, t, m.degree % 2, dict(m.entries)))
+                                lambda m, s, t: GradedMatrix._new(s, t, m.degree, m.entries))
 
     def base_change(self, ring_map: RingMap):
         if ring_map.source != self.ring:
@@ -351,20 +364,18 @@ class _SMap:
     `target` complexes, the one stored map is the assembled total
     [[A,0,0],[B,sA,C],[E,0,G]].  The blocks, named by `_NAMES` in `_blocks`'
     order, are views: a componentwise constructor keeps the blocks it was
-    handed, and the first read of any other block splits the total once and
-    keeps the blocks not yet held.  Immutable (`__setattr__` raises), so the
-    kept blocks cannot go stale."""
+    handed as matrices, and the first read of any other block splits the
+    total once and keeps the blocks not yet held.  Immutable (`__setattr__`
+    raises), so the kept blocks cannot go stale."""
 
     _NAMES = _LABELS = ()  # the blocks' attribute names and their names in messages
 
     def _place(self, x, y, k, s, blocks, **fields):
-        """Place or check the blocks (in `_SHAPE` order; None is zero) at
-        their `_block_shapes` for total degree k, store their total and keep
-        them as views."""
-        blocks = _check_blocks(x.modulus, _block_shapes((x.irr, x.red), (y.irr, y.red), k),
-                               blocks, self._LABELS)
-        vars(self).update({name: m for name, m in zip(self._NAMES, blocks) if m is not None})
-        vars(self).update(fields, source=x, target=y, _total=_assemble(x, y, k, s, *blocks))
+        """Store the total `_assemble` makes of the blocks; keep those handed as matrices."""
+        vars(self).update(fields, source=x, target=y,
+                          _total=_assemble(x, y, k, s, blocks, self._LABELS))
+        vars(self).update({name: m for name, m in zip(self._NAMES, blocks)
+                           if m is not None and type(m) is not list})
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -419,13 +430,9 @@ class SMorphism(_SMap):
         neither split nor checked.
 
         m must have the full shape [[lam,0,0],[mu,lam,Delta2],[Delta1,0,rho]]:
-        the second lam equal to the first, and no entry off the blocks.
-        Every caller's map has it: the zero map and the identity, a product
-        (`compose_after`), sum or negation of totals that have it, a
-        scalar multiple of the identity (`randgen.rand_morphism`), a
-        boundary D'.H + H.D (`randgen.boundary_morphism`), a solved N map
-        (`solve._Unknown.realize`), and a lift (`heights`) or Sigma f
-        (`functors.suspend_morphism`), whose lam is placed twice."""
+        the second lam equal to the first, and no entry off the blocks, as
+        the zero map, the identity and products, sums and negations of
+        such totals have."""
         f = object.__new__(cls)
         vars(f).update(source=x, target=y, degree=m.degree, _total=m)
         return f
@@ -490,11 +497,9 @@ class SHomotopy(_SMap):
 
     @classmethod
     def from_assembled(cls, m, frm, to):
-        """The homotopy from frm to to whose total is m, stored as it is: m
-        is neither split nor checked.  m must have the full shape
-        [[K,0,0],[L,-K,M2],[M1,0,J]], as the zero map, a random homotopy's
-        assembled blocks (`randgen.rand_homotopy_pair`) and a solved one
-        (`solve._Unknown.realize`) have."""
+        """The homotopy from frm to to whose total is m, stored as it is,
+        neither split nor checked: m must have the full shape
+        [[K,0,0],[L,-K,M2],[M1,0,J]]."""
         x, y = _homotopy_ends(frm, to)
         h = object.__new__(cls)
         vars(h).update(frm=frm, to=to, source=x, target=y, _total=m)

@@ -969,3 +969,27 @@ def test_qa_graded_refusal_names_the_datum():
             qa_graded(det, components, 1)
         assert str(exc.value).startswith("a graded rank is not a nonnegative integer for det ")
         assert len(str(exc.value)) < 100
+
+
+def test_a_too_wide_q_t_coefficient_is_a_usage_error(tmp_path, capsys):
+    # (T^1000000000 + 1)/(T + 1) would allocate a billion coefficients and
+    # reduce them by a quadratic gcd; it is refused with exit 2, at once
+    import time
+
+    from scx.rings import _MAX_SPAN
+
+    good = tmp_path / "o1.json"
+    assert run("atomic", "--n", "1", "--ring", "frac-laurent", "--out", str(good)) == 0
+    doc = json.loads(good.read_text())
+    src = tmp_path / "wide.json"
+    for coeff, code in ((f"(T^{_MAX_SPAN} + 1)/(T + 1)", 0), ("(T^1000000000 + 1)/(T + 1)", 2),
+                        (f"(T + 1)/(T^{_MAX_SPAN + 1} + 1)", 2)):
+        doc["delta1"][0][2] = coeff
+        src.write_text(json.dumps(doc))
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert run("verify", "--in", str(src)) == code  # at the bound it loads and verifies
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err.startswith("error: exponent span ") and err.count("\n") == 1, err

@@ -429,6 +429,46 @@ def test_suspend_morphism_and_homotopy():
         assert szero.lam.is_zero and szero.delta2.is_zero and szero.rho.is_zero
 
 
+def hand_placed_suspend_morphism_oracle(f):
+    """Test oracle: Sigma f as `suspend_morphism` built it before it handed
+    its blocks to the `SMorphism` constructor as pieces.  Every block of the
+    total [[lambda_S,0,0],[mu_S,lambda_S,Delta2_S],[0,0,rho_S]] is placed at
+    offsets written out here, lambda_S twice, by the checked
+    `GradedMatrix.from_blocks` (the original placed them unchecked)."""
+    x, y = f.source, f.target
+    sx, sy = suspend_once(x), suspend_once(y)
+    nc, mc = x.irr.rank, y.irr.rank
+    big_n, big_m = sx.irr.rank, sy.irr.rank  # where the C[-1] bands start
+    lam = ((f.lam, 0, 0), (f.delta2, 0, nc), (f.rho, mc, nc))
+    blocks = (*lam, *((b, big_m + row, big_n + col) for b, row, col in lam),
+              (f.mu, big_m, 0), (f.delta1, big_m + mc, 0),
+              (f.mu @ x.delta2 + y.v @ f.delta2, big_m, 2 * big_n),
+              (f.delta1 @ x.delta2 + y.delta1 @ f.delta2, big_m + mc, 2 * big_n),
+              (f.rho, 2 * big_m, 2 * big_n))
+    return GradedMatrix.from_blocks(sx.total_module(), sy.total_module(), f.degree, *blocks)
+
+
+@pytest.mark.parametrize("tag", ["Z", "Z2", "Q", "QT"])
+def test_suspend_morphism_equals_the_hand_placed_oracle(tag):
+    ring = RINGS[tag]
+    rng = random.Random(f"hand placed sigma {tag}")
+    nonzero = 0
+    for _ in range(10):
+        x = rand_scomplex(ring, rng, max_rank=4, r_perfect=True, allow_cone=False)
+        y = rand_scomplex(ring, rng, modulus=x.modulus, max_rank=4, r_perfect=True,
+                          allow_cone=False)
+        k = rng.choice((0, 2))
+        f, g = rand_morphism(x, y, rng, k), rand_morphism(y, y, rng, 0)
+        for m in (f, g.compose_after(f), SMorphism.identity(x), SMorphism.zero(x, y, k)):
+            got = suspend_morphism(m)
+            assert (got.source, got.target) == (suspend_once(m.source), suspend_once(m.target))
+            want = hand_placed_suspend_morphism_oracle(m)
+            assert (got.assemble().degree, got.assemble().entries) == (want.degree, want.entries)
+            assert got.rho is m.rho  # a block handed as a matrix is kept
+            nonzero += not got.is_zero
+    assert nonzero
+
+
 def test_suspended_composition_homotopic():
     # Sigma(g.f) is homotopic to Sigma(g).Sigma(f): solve the homotopy
     from scx.solve import solve_homotopy

@@ -79,6 +79,37 @@ def test_tau_support_bound_rejected():
                                                 {(0, 0): Q.domain.one})}, 0)
 
 
+@pytest.mark.parametrize("ring", [Z, Zp(2), Q, FRAC_LAURENT_Q], ids=str)
+def test_height_refusals_come_in_the_constructor_order(ring):
+    # the tau bound first, then the blocks (as the S-morphism constructor
+    # refuses them), then the tau in their order; a well-formed tau_0 is the
+    # plain morphism's rho.  C = a (1), b (0); R = t (0), u (2)
+    from scx.gradedlin import GradedModule
+    from scx.scomplex import SComplex
+
+    irr = GradedModule(ring, 4, [("a", 1), ("b", 0)])
+    red = GradedModule(ring, 4, [("t", 0), ("u", 2)])
+    x = SComplex(irr, red)
+    ci, cr = GradedMatrix.identity(irr), GradedMatrix.identity(red)
+    bound = _tau_bound(x, x)
+    cases = [
+        ((cr,), {bound + 1: ci}, f"declared tau support |{bound + 1}| exceeds the bound {bound}"),
+        ((cr,), {0: ci}, "component lambda has wrong endpoints"),
+        ((None, None, None, [(cr, 0, 0)]), {-1: cr},
+         "inhomogeneous entry at (a,t): 1 - 0 != 3 mod 4"),
+        ((ci,), {0: ci}, "tau maps R to R'"),
+        ((ci,), {0: cr, -1: cr}, "tau_-1 needs degree 2 mod 4"),
+        ((ci,), {-1: cr, 0: ci}, "tau_-1 needs degree 2 mod 4"),
+    ]
+    for blocks, tau, text in cases:
+        blocks = (*blocks, *[None] * (4 - len(blocks)))
+        with pytest.raises(ShapeMismatch) as info:
+            HeightMorphism(x, x, 0, *blocks, tau, 0)
+        assert str(info.value) == text
+    h = HeightMorphism(x, x, 0, ci, None, None, None, {0: cr}, 0)
+    assert h.lam is ci and h._lift(0).rho is cr and h.tau == {0: cr}
+
+
 def test_heights_need_r_perfect():
     rng = random.Random(11)
     from scx.functors import cone
@@ -813,7 +844,7 @@ def lift_oracle(h, m):
     """Test oracle: `HeightMorphism._lift(m)` by the componentwise, checked
     `SMorphism` constructor, with lambda_F, mu_F and Delta2_F made by
     `from_blocks` and every missing tau read as a zero matrix.  The library
-    places the blocks straight into the total instead."""
+    hands the blocks to the constructor as pieces instead."""
     x, y = h.source, h.target
     if m == 0:
         return SMorphism(x, y, h.degree, h.lam, h.mu, h.delta1, h.delta2, h.tau_at(0))
@@ -869,6 +900,58 @@ def test_the_lift_is_the_componentwise_morphism_and_is_kept(ring):
                     with pytest.raises(AttributeError):
                         setattr(g, name, None)
     assert seen == {0, 1, 2, 3}
+
+
+def hand_placed_lift_oracle(h, m):
+    """Test oracle: `HeightMorphism._lift(m)` as it was built before it
+    handed its blocks to the `SMorphism` constructor as pieces.  Every block
+    of the total is placed at offsets written out here, lambda_F twice, by
+    the checked `GradedMatrix.from_blocks` (the original placed them
+    unchecked)."""
+    x, y, tau = h.source, h.target, h.tau
+    sy = suspend(y, m)
+    nc, mc, mr = x.irr.rank, y.irr.rank, y.red.rank
+    big = sy.irr.rank  # where the C[-1] band starts
+    k = h.degree + 2 * m
+    lam = [(h.lam, 0, 0)]
+    acc = GradedMatrix.zero(x.irr, y.red, k)
+    for t in reversed(range(m)):
+        acc = acc @ x.v if -(t + 1) not in tau else acc @ x.v + tau[-(t + 1)] @ x.delta1
+        lam.append((acc, mc + t * mr, 0))
+    # Delta1 at row big + mc is mu_F's lower block (E when m = 0); in the R
+    # column, Delta2_F's tau_{-t} sit at rows big + mc + t.mr, and
+    # rho_F = tau_{-m} at 2 big, where R's row band starts
+    blocks = [*lam, *((b, big + row, nc + col) for b, row, col in lam),
+              (h.mu, big, 0), (h.delta1, big + mc, 0), (h.delta2, big, 2 * nc),
+              *((tau[-t], big + mc + t * mr, 2 * nc) for t in range(m + 1) if -t in tau)]
+    return GradedMatrix.from_blocks(x.total_module(), sy.total_module(), k, *blocks)
+
+
+@pytest.mark.parametrize("ring", [Z, Zp(2), Q, FRAC_LAURENT_Q], ids=str)
+def test_the_lift_equals_the_hand_placed_oracle(ring):
+    from scx.heights import _depth
+
+    rng = random.Random(67)
+    nonzero = set()
+    for depth in range(4):
+        for _ in range(2):
+            x, y = _rich_complex(ring, rng), _rich_complex(ring, rng)
+            k = rng.choice((0, 2))
+            tau = {-i: _rand_homogeneous(x.red, y.red, k + 2 * i, rng)
+                   for i in range(depth + 1) if i == depth or rng.random() < 0.5}
+            h = HeightMorphism.from_components(
+                x, y, k, _rand_homogeneous(x.irr, y.irr, k, rng),
+                _rand_homogeneous(x.irr, y.irr, k - 1, rng),
+                _rand_homogeneous(x.irr, y.red, k, rng),
+                _rand_homogeneous(x.red, y.irr, k - 1, rng), tau)
+            for g in (h, kappa(x, depth or 1), iota(x, depth or 1)):
+                for m in range(_depth(g.tau), 4):
+                    got, want = g._lift(m).assemble(), hand_placed_lift_oracle(g, m)
+                    assert (got.source, got.target, got.degree, got.entries) == (
+                        want.source, want.target, want.degree, want.entries)
+                    if got.entries:
+                        nonzero.add(m)
+    assert nonzero == {0, 1, 2, 3}
 
 
 def test_a_compose_and_verify_build_each_suspension_once(monkeypatch):

@@ -155,11 +155,11 @@ def test_s_maps_get_no_zero_block_and_are_split_only_by_the_view_and_the_reports
 # once, in `scomplex._SHAPE`.  Outside scomplex.py no module reads blocks
 # from a document by hand (`matrix_from_json`; the one exception is the tau
 # reader of height documents, whose tau_i are not S-map blocks) or checks
-# them (`_check_blocks`, which `HeightMorphism.__init__` calls with the
-# table's shapes).
+# them (`_check_blocks`; a `HeightMorphism` hands its blocks to the
+# `SMorphism` constructor).
 
 READERS = [("cli.py", "_height_from_file")]
-CHECKERS = [("heights.py", "HeightMorphism.__init__")]
+CHECKERS = []
 
 
 class _Calls(ast.NodeVisitor):
@@ -215,22 +215,25 @@ def test_blocks_are_read_and_checked_by_the_table_outside_scomplex():
 
 
 # The builders hand each block to a componentwise constructor as a matrix or
-# as a list of (matrix, row, column) pieces, which `scomplex._check_blocks`
-# places at the block's shape; none of them writes a block's source, target
-# and degree out itself with `GradedMatrix.from_blocks`, `GradedMatrix(...)`
-# or `GradedMatrix.zero(...)`, in its own body or in a helper defined in it.
+# as a list of (matrix, row, column) pieces, which the constructor places at
+# the block's shape; none of them writes a block's source, target and degree
+# out itself with `GradedMatrix.from_blocks`, `GradedMatrix(...)` or
+# `GradedMatrix.zero(...)`, or places a total unchecked with
+# `GradedMatrix._new` or `from_assembled`, in its own body or in a helper
+# defined in it.
 
 BUILDERS = {"functors.py": {"tensor", "cone", "direct_sum", "_suspension", "desuspend_once",
-                            "suspension_witness", "o1_o_minus1_witness", "suspend_homotopy"},
+                            "suspension_witness", "o1_o_minus1_witness", "suspend_homotopy",
+                            "suspend_morphism"},
             "triangles.py": {"cone_triangle"},
-            "heights.py": {"iota", "kappa", "odd_to_suspension_morphism"}}
-SHAPED = {"GradedMatrix", "GradedMatrix.from_blocks", "GradedMatrix.zero"}
+            "heights.py": {"iota", "kappa", "odd_to_suspension_morphism", "_lift"}}
+SHAPED = {"GradedMatrix", "GradedMatrix.from_blocks", "GradedMatrix.zero", "GradedMatrix._new",
+          "SMorphism.from_assembled", "SHomotopy.from_assembled"}
 
 
 class _ShapedCalls(ast.NodeVisitor):
-    """(enclosing functions, outermost first, line) of every call of
-    `GradedMatrix`, `GradedMatrix.from_blocks` or `GradedMatrix.zero`, by
-    name or through a module attribute."""
+    """(enclosing functions, outermost first, line) of every call of a name
+    in `SHAPED`, by name or through a module attribute."""
 
     def __init__(self):
         self.scope = []
@@ -265,9 +268,13 @@ def test_the_visitor_finds_shaped_matrices_in_builders():
               "def iota(x, n):\n"
               "    return from_components(x, y, 2, GradedMatrix(a, b, 2, {(0, 0): 1}))\n"
               "def other():\n"
-              "    return GradedMatrix.zero(a, b, 0)\n")
+              "    return GradedMatrix.zero(a, b, 0)\n"
+              "def _lift(self, m):\n"
+              "    t = gradedlin.GradedMatrix._new(a, b, 0, {})\n"
+              "    return scomplex.SMorphism.from_assembled(t, x, y), SMorphism(x, y, 0)\n")
     assert _shaped_calls(source, {"cone", "iota"}) == [("corner", 3), ("cone", 5), ("iota", 7)]
     assert _shaped_calls(source, {"other"}) == [("other", 9)]
+    assert _shaped_calls(source, {"_lift"}) == [("_lift", 11), ("_lift", 12)]
 
 
 def test_builders_hand_blocks_as_pieces():

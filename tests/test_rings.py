@@ -523,3 +523,42 @@ def test_parse_raw_refuses_what_int_cannot_read_with_a_schema_error(ring):
     for text in ("1/2/3", "\u00b2", "T^\u00b2"):
         with pytest.raises(SchemaError):
             parse_raw(ring, text)
+
+
+def test_a_q_t_coefficient_wider_than_the_span_bound_is_refused_up_front(monkeypatch):
+    # a numerator, a denominator or the terms of a Q(T) coefficient may
+    # span at most _MAX_SPAN exponents: at the bound it is read and reduced
+    # as before, one past it is refused before any reduction
+    import time
+
+    from scx import rings
+    from scx.rings import _MAX_SPAN, parse_raw
+
+    n = _MAX_SPAN
+    at_bound = [(f"(T^{n} + 1)/(T + 1)", f"T^{n} + 1", "T + 1"),
+                (f"(2*T + 1)/(T^{n - 1} - T^-1)", "2*T + 1", f"T^{n - 1} - T^-1")]
+    for text, num, den in at_bound:
+        assert parse_raw(FRAC_LAURENT_Q, text) == ratfun_normalize(
+            parse_raw(LAURENT_Z, num), parse_raw(LAURENT_Z, den))
+    assert parse_raw(FRAC_LAURENT_Q, f"1/2*T^{n} + 1/3") == FRAC_LAURENT_Q.domain.add(
+        parse_raw(FRAC_LAURENT_Q, f"1/2*T^{n}"), parse_raw(FRAC_LAURENT_Q, "1/3"))
+    # past the bound nothing is reduced
+    def refused(*args):
+        raise AssertionError("a refused coefficient was reduced")
+
+    monkeypatch.setattr(rings, "ratfun_normalize", refused)
+    monkeypatch.setattr(rings, "_pgcd", refused)
+    over = [f"(T^{n + 1} + 1)/(T + 1)", f"(T + 1)/(T^{n + 1} - 1)", f"(T^-1 + T^{n})/(2)",
+            f"1/2*T^{n + 1} + 1/3", f"T^-{n} - T", "(T^1000000000 + 1)/(T + 1)"]
+    for text in over:
+        start = time.perf_counter()
+        with pytest.raises(SchemaError) as exc:
+            parse_raw(FRAC_LAURENT_Q, text)
+        assert time.perf_counter() - start < 1
+        assert str(exc.value).startswith("exponent span ") and f"exceeds {n}" in str(exc.value)
+    # Z[T^+-1] values are sparse and stay unbounded; an unreadable exponent
+    # keeps its own refusal
+    assert parse_raw(LAURENT_Z, f"T^{n + 1} + 1") == ((0, 1), (n + 1, 1))
+    with pytest.raises(SchemaError) as exc:
+        parse_raw(FRAC_LAURENT_Q, f"(T^{'1' * 5000} + 1)/(T + 1)")
+    assert str(exc.value).startswith("cannot read the integer ")

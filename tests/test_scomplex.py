@@ -40,6 +40,7 @@ from scx.scomplex import (
     SHomotopy,
     SMorphism,
     _assemble,
+    _block_shapes,
     _blocks,
     blocks_to_json,
     homotopy_from_json,
@@ -530,7 +531,7 @@ def test_blocks_undo_assemble():
                 for s in (1, -1):
                     k = rng.choice((0, 1, 2, 3))
                     parts = rand_homotopy_shape(x, y, rng, k - 1, density=0.8)
-                    m = _assemble(x, y, k, s, *parts)
+                    m = _assemble(x, y, k, s, parts)
                     for got, want in zip(_blocks(m, x, y), parts, strict=True):
                         assert (got.source, got.target, got.entries) == (
                             want.source, want.target, want.entries)
@@ -655,7 +656,7 @@ def test_assemble_equals_the_checked_from_blocks_route(tag):
         pairs.append((h.assemble(), _assemble_oracle(x, y, k + 1, -1, *_parts(h))))
         for s in (1, -1):
             parts = rand_homotopy_shape(x, y, rng, k - 1, density=0.8)
-            pairs.append((_assemble(x, y, k, s, *parts), _assemble_oracle(x, y, k, s, *parts)))
+            pairs.append((_assemble(x, y, k, s, parts), _assemble_oracle(x, y, k, s, *parts)))
         for i, (got, want) in enumerate(pairs):
             _same(got, want)
             nonzero[i] = nonzero[i] or not got.is_zero
@@ -679,10 +680,9 @@ def test_from_assembled_keeps_its_map_as_the_total(tag):
         for m, src, tgt in maps:
             h = SMorphism.from_assembled(m, src, tgt)
             assert h.assemble() is m
-            _same(m, _assemble(src, tgt, h.degree, 1, h.lam, h.mu, h.delta1, h.delta2, h.rho))
+            _same(m, _assemble(src, tgt, h.degree, 1, _parts(h)[1:]))
         for h in (SMorphism.identity(x), SMorphism.zero(x, y, k), g.compose_after(f), f):
-            _same(h.assemble(), _assemble(h.source, h.target, h.degree, 1,
-                                          h.lam, h.mu, h.delta1, h.delta2, h.rho))
+            _same(h.assemble(), _assemble(h.source, h.target, h.degree, 1, _parts(h)[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +717,7 @@ def test_split_blocks_have_the_table_endpoints_and_degrees(tag):
         maps = [(x, x, -1, -1, _parts(x)), (x, y, f.degree, 1, _parts(f)[1:]),
                 (x, y, f.degree + 1, -1, _parts(h))]
         for i, (src, tgt, k, sign, parts) in enumerate(maps):
-            total = _assemble(src, tgt, k, sign, *parts)
+            total = _assemble(src, tgt, k, sign, parts)
             _same(total, _assemble_oracle(src, tgt, k, sign, *parts))
             nonzero[i] = nonzero[i] or not total.is_zero
             for (s_band, t_band, off), block, given in zip(
@@ -955,3 +955,139 @@ def test_a_block_left_out_of_from_components_is_zero(tag):
               tuple(GradedMatrix.zero(b.source, b.target, b.degree) for b in blocks))
         assert not bare.tau and bare.height == HeightMorphism.from_morphism(
             SMorphism.zero(x, y, k)).height
+
+
+# ---------------------------------------------------------------------------
+# One placement path: the S-map constructors place every block, matrix or
+# pieces, in one pass straight into the stored total, each piece entry
+# checked where it lands, against its block's bands.
+
+
+def _two_band_complex(ring):
+    """C = a (degree 1), b (0); R = t (0), u (2); every block zero.  Its
+    total module is a, b | a, b shifted | t, u: rows 4 and 5 are R's."""
+    irr = GradedModule(ring, 4, [("a", 1), ("b", 0)])
+    red = GradedModule(ring, 4, [("t", 0), ("u", 2)])
+    return SComplex(irr, red)
+
+
+@pytest.mark.parametrize("tag", ["Z", "Z2", "Q", "QT"])
+def test_a_piece_spilling_into_the_next_band_is_refused(tag):
+    # mu (B: C -> C[-1], degree -1) with a piece placed one row down: its
+    # entry lands on block row 2, past C's two rows.  In the total that is
+    # row 2 + 2 = 4, R's t, and the position (t, b) has total degree 0 - 0 =
+    # 0, so a check against the total alone would let it through
+    ring = RINGS[tag]
+    x = _two_band_complex(ring)
+    one = ring.domain.one
+    pm = GradedModule(ring, 4, [("p", 0), ("q", 0)])
+    piece = GradedMatrix(pm, pm, 0, {(1, 1): one})
+    GradedMatrix(x.total_module(), x.total_module(), 0, {(4, 1): one})  # fine in the total
+    ident = SMorphism.identity(x)
+    for build in (lambda p: SMorphism(x, x, 0, mu=p), lambda p: SHomotopy(ident, ident, L=p)):
+        with pytest.raises(ShapeMismatch) as info:
+            build([(piece, 1, 0)])
+        assert str(info.value) == "entry (2,1) out of range"
+    # placed in range, the same piece is refused by its degree instead
+    with pytest.raises(ShapeMismatch) as info:
+        SMorphism(x, x, 0, mu=[(piece, 0, 0)])
+    assert str(info.value) == "inhomogeneous entry at (b,b): 0 - 0 != 3 mod 4"
+
+
+@pytest.mark.parametrize("tag", ["Z", "Z2", "Q", "QT"])
+def test_refusals_follow_the_block_order_not_the_row_bands(tag):
+    # Delta1 (E, row band 2) comes before Delta2 (C, row band 1) in the
+    # constructor's order, and so does its refusal; one bad block alone is
+    # refused with its own text
+    ring = RINGS[tag]
+    x = _two_band_complex(ring)
+    ci, cr = GradedMatrix.identity(x.irr), GradedMatrix.identity(x.red)
+    p = GradedModule(ring, 4, [("p", 0)])
+    one = GradedMatrix.identity(p)
+    bad_e = [(one, 1, 1)]  # Delta1: C -> R of degree 0, at (u, b): 2 - 0
+    bad_c = [(one, 2, 0)]  # Delta2: R -> C[-1], row 2 of a rank-2 block
+    cases = [({"delta1": bad_e, "delta2": bad_c}, "inhomogeneous entry at (u,b): 2 - 0 != 0 mod 4"),
+             ({"delta2": bad_c}, "entry (2,0) out of range"),
+             ({"delta2": bad_c, "mu": ci}, "component mu must have degree -1 mod 4"),
+             ({"rho": cr, "delta2": [(cr, 0, 0)]}, "inhomogeneous entry at (a,t): 1 - 0 != 3 mod 4")]
+    for blocks, text in cases:
+        with pytest.raises(ShapeMismatch) as info:
+            SMorphism(x, x, 0, **blocks)
+        assert str(info.value) == text
+
+
+@pytest.mark.parametrize("tag", ["Z", "Z2", "Q", "QT"])
+def test_overlapping_pieces_add_and_cancelling_pieces_leave_no_entry(tag):
+    ring = RINGS[tag]
+    rng = random.Random(f"overlap {tag}")
+    nonzero = [0, 0]
+    for _ in range(8):
+        x = rand_scomplex(ring, rng, max_rank=5)
+        y = x if rng.random() < 0.5 else rand_scomplex(ring, rng, modulus=x.modulus, max_rank=5)
+        k = rng.choice((0, 1, 2, 3))
+        f, g = rand_morphism(x, y, rng, k), rand_morphism(x, y, rng, k)
+        # each block handed as two pieces, f's and g's, adds to f + g
+        both = SMorphism(x, y, k, *([(a, 0, 0), (b, 0, 0)] for a, b in
+                                    zip(_parts(f)[1:], _parts(g)[1:])))
+        _same(both.assemble(), (f + g).assemble())
+        _same(both, f + g)
+        # f's blocks and their negations cancel: no entry is left, sA included
+        gone = SMorphism(x, y, k, *([(a, 0, 0), (-a, 0, 0)] for a in _parts(f)[1:]))
+        assert gone.assemble().entries == {} and gone.is_zero
+        assert all(m.entries == {} for m in _parts(gone)[1:])
+        _, h = rand_homotopy_pair(f, rng)
+        halves = SHomotopy(h.frm, h.to, *([(a, 0, 0), (a, 0, 0), (-a, 0, 0)] for a in _parts(h)))
+        _same(halves.assemble(), h.assemble())
+        nonzero[0] += not f.is_zero
+        nonzero[1] += not h.is_zero
+    assert all(nonzero)
+
+
+@pytest.mark.parametrize("tag", ["Z", "Z2", "Q", "QT"])
+def test_matrix_blocks_are_kept_and_piece_blocks_are_split_once(tag, monkeypatch):
+    from scx import scomplex
+
+    ring = RINGS[tag]
+    rng = random.Random(f"kept {tag}")
+    split = []
+    monkeypatch.setattr(scomplex, "_blocks", lambda m, *ends: split.append(m) or _blocks(m, *ends))
+    for _ in range(6):
+        x = rand_scomplex(ring, rng, max_rank=5)
+        f = rand_morphism(x, x, rng, rng.choice((0, 1)))
+        blocks = _parts(f)[1:]
+        split.clear()
+        kept = SMorphism(x, x, f.degree, *blocks)
+        assert all(getattr(kept, n) is b for n, b in zip(kept._NAMES, blocks)) and not split
+        cut = SMorphism(x, x, f.degree, *(_pieces(m, rng) for m in blocks))
+        assert not split
+        _same(cut, f)
+        _same(cut, f)
+        assert split == [cut.assemble()]
+
+
+@pytest.mark.parametrize("tag", ["Z", "Z2", "Q", "QT"])
+def test_reduce_mod2_equals_the_checked_route(tag):
+    # the blocks move to modulus 2 unchecked; the checked constructor,
+    # block by block, gives the same complex
+    ring = RINGS[tag]
+    rng = random.Random(f"mod 2 {tag}")
+    moved = 0
+    for _ in range(12):
+        x = rand_scomplex(ring, rng, modulus=4, max_rank=6)
+        if rng.random() < 0.5:
+            x = SComplex(x.irr, x.red, *_parts(x), _rand_s(x, rng), x.metadata)
+        got = x.reduce_mod2()
+        irr, red = x.irr.reduce_mod2(), x.red.reduce_mod2()
+        shapes = _block_shapes((irr, red), (irr, red), -1)
+        want = SComplex(irr, red, *(GradedMatrix(*shape, dict(b.entries))
+                                    for shape, b in zip(shapes, _parts(x))),
+                        None if x.s is None else GradedMatrix(red, red, -2, dict(x.s.entries)),
+                        x.metadata)
+        assert got.modulus == 2 and got.metadata == x.metadata
+        _same(tuple(_parts(got)), tuple(_parts(want)))
+        assert (got.s is None) == (x.s is None)
+        if x.s is not None:
+            _same(got.s, want.s)
+        assert got.verify().ok == want.verify().ok
+        moved += any(b.entries for b in _parts(x))
+    assert moved

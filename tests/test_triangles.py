@@ -150,9 +150,9 @@ def test_relation_checks_assemble_each_s_map_once_and_check_no_matrix(monkeypatc
         checked.append(1)
         real_init(self, *args)
 
-    def counted_assemble(x, y, degree, s, *blocks):
+    def counted_assemble(x, y, degree, s, blocks):
         placed.append(tuple(map(id, blocks)))
-        return real_assemble(x, y, degree, s, *blocks)
+        return real_assemble(x, y, degree, s, blocks)
 
     monkeypatch.setattr(GradedMatrix, "__init__", counted_init)
     monkeypatch.setattr(scomplex, "_assemble", counted_assemble)
@@ -167,29 +167,31 @@ def test_relation_checks_assemble_each_s_map_once_and_check_no_matrix(monkeypatc
 
 
 @pytest.mark.parametrize("tag", ["Z", "Z2", "Q", "QT"])
-def test_componentwise_maps_keep_their_blocks_so_les_check_splits_no_total(tag, monkeypatch):
-    # the componentwise constructors keep the blocks they were handed as
-    # views: the exactness rows read lam and rho of f and of the cone
-    # triangle's lam1 and lam2, and the cone reads all of f, with no split
+def test_les_check_splits_a_total_at_most_once_and_no_map_of_matrix_blocks(tag, monkeypatch):
+    # the componentwise constructors keep the blocks handed as matrices as
+    # views, so f, built of matrices, is never split; a map whose blocks were
+    # handed as pieces (the cone triangle's lam1 and lam2) is split on the
+    # first read of a block and never again
     from scx import scomplex
-
-    def no_split(*args):
-        raise AssertionError("a total was split")
 
     rng = random.Random(f"kept views {tag}")
     for _ in range(4):
         x = rand_scomplex(RINGS[tag], rng, max_rank=4)
         g = rand_morphism(x, x, rng, 0)
         blocks = (g.lam, g.mu, g.delta1, g.delta2, g.rho)
-        monkeypatch.setattr(scomplex, "_blocks", no_split)
+        split = []
+        monkeypatch.setattr(scomplex, "_blocks",
+                            lambda m, *ends: split.append(m) or _real_blocks(m, *ends))
         f = SMorphism(x, x, 0, *blocks)
         assert all(view is block for view, block in
                    zip((f.lam, f.mu, f.delta1, f.delta2, f.rho), blocks))
         t = cone_triangle(f)
-        assert les_check(t).ok and verify_triangle(t).ok
+        for _ in range(2):
+            assert les_check(t).ok and verify_triangle(t).ok
         monkeypatch.setattr(scomplex, "_blocks", _real_blocks)
-        # a block left out is split on its first read, and the kept one stays
-        lam2 = t.morphisms[2]
+        lam1, lam2 = t.morphisms[1:]
+        assert sorted(map(id, split)) == sorted(map(id, (lam1.assemble(), lam2.assemble())))
+        # lam2's mu, left out, was split with the rest and is kept
         kept = lam2.lam
         assert lam2.mu.is_zero and lam2.lam is kept
 
