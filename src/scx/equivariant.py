@@ -8,8 +8,9 @@ The three small models attached to an r-perfect S-complex are
     bar:   R[[x^-1, x]         d = 0
 
 with x of degree -2.  Truncated windows of x-powers are materialized for
-display and witness checking; every invariant computation (the J_i modules
-and the d-function) uses finite linear systems and never truncates.
+display and witness checking; no invariant computation truncates: the
+d-function comes from ranks of finite matrices and the J_i modules from
+finite linear systems.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from .gradedlin import (
     field_kernel_basis,
     int_kernel_basis,
     Sweep,
+    raw_cols,
+    raw_rows,
     raw_vectors,
     span_contains,
     sparse_kernel_basis,
@@ -297,25 +300,72 @@ def susequivar_witness(x, n=None):
 
 
 # ---------------------------------------------------------------------------
-# Froyshov-type invariants via finite linear systems.
+# Froyshov-type invariants: the d-function from ranks, the J_i modules from
+# finite linear systems.
 
 
 class FroyshovProfile:
-    """The d-function, the J_i bases, and (when R has rank one) h.
+    """The d-function, h (when R has rank one), and the J_i bases.
 
-    `raw_bases[i]` is the basis of J_i as {index: raw value} vectors, read
-    only (one list may stand for several indices).  `j_bases` boxes them on
-    its first read: each basis column of J_i is a list of rank R elements of
-    the ring.
+    d and h come from rank increments (`froyshov_profile`).  `raw_bases[i]`
+    is the basis of J_i as {index: raw value} vectors, read only (one list
+    may stand for several indices), solved on its first read.  `j_bases`
+    boxes them on its first read: each basis column of J_i is a list of
+    rank R elements of the ring.
     """
 
-    def __init__(self, ring, window, d, raw_bases, nr, h):
-        self.ring = ring
-        self.window = window
+    def __init__(self, x, d, h):
+        nr = x.red.rank
+        w = x.irr.rank + nr + 1
+        self.ring = x.ring
+        self.window = (-w, w)
         self.d = dict(d)
-        self.raw_bases = dict(raw_bases)
         self.nr = nr
         self.h = h
+        self._x = x
+
+    @cached_property
+    def raw_bases(self):
+        """The basis of every J_i of the window, from its finite system
+        (`_j_module`) and `column_basis`.  The sweeps are made again here:
+        a profile kept for d alone does not hold them (11.6 MB on
+        `torus_link_complex(400)` over Q(T)).
+
+        A system whose last block is zero is not solved.  That block is a
+        term of the sweeps the systems read, and each sweep's first zero
+        term is found once, so the test adds no product:
+
+        - i >= 1 with delta1 v^(i-1) = 0: J_i is that map applied to a
+          kernel, so J_i = 0 and its basis is empty.
+        - i = -m <= 0 with v^m delta2 = 0: the theta_m variables stand in
+          no equation, so J_i = R and its basis is the unit vectors in
+          order.
+
+        The second basis is the one the system would give.  The theta_m
+        columns are empty and come last, so the elimination (Smith form
+        over Z, row reduction over a field) never pivots on, swaps or
+        operates on them: its last rank R kernel vectors are their unit
+        vectors and every other kernel vector is zero on theta_m.  The J_i
+        columns are then empty columns followed by the unit vectors, and
+        `column_basis` of those is the unit vectors in order over Z and
+        over a field.
+        """
+        x, ring, nr = self._x, self.ring, self.nr
+        lo, hi = self.window
+        sweeps = left, right_neg = _sweeps(x)
+        # J_i = 0 for i > zero_left, J_i = R for i <= -zero_right
+        zero_left = left.first_zero(hi - 1)
+        zero_right = right_neg.first_zero(hi)
+        units = [{g: ring.domain.one} for g in range(nr)]
+        bases = {}
+        for i in range(lo, hi + 1):
+            if i > zero_left:
+                bases[i] = []
+            elif -i >= zero_right:
+                bases[i] = units
+            else:
+                bases[i], _ = _module_basis_and_rank(_j_module(x, i, sweeps), nr, ring)
+        return bases
 
     @cached_property
     def j_bases(self):
@@ -387,52 +437,73 @@ def _module_basis_and_rank(cols, n, ring):
     return basis, len(basis)
 
 
+def _rank_steps(elim, d, sweep, vectors, limit, full):
+    """The rank each term sweep[0], ..., sweep[limit] adds, in turn, to one
+    incremental echelon (`elim.echelon()`) that starts with the vectors of
+    d; `vectors(m)` are the vectors a matrix m adds.
+
+    No term is read once the rank is `full`, the length of the vectors, or
+    from the first zero term on: no later term can add to the rank then,
+    and every term after a zero one is zero, so no product is made for it.
+    The echelon is started at the first nonzero term.
+    """
+    ech = None
+    steps = []
+    for j in range(limit + 1):
+        term = sweep[j]
+        if not term.entries:
+            break
+        if ech is None:
+            ech = elim.echelon()
+            for vec in vectors(d):
+                ech.add(vec)
+        if ech.rank == full:
+            break
+        before = ech.rank
+        for vec in vectors(term):
+            ech.add(vec)
+        steps.append(ech.rank - before)
+    return steps + [0] * (limit + 1 - len(steps))
+
+
 def froyshov_profile(x):
-    """The d-function of the complex, its J_i bases, and h when rank R = 1.
+    """The d-function of the complex and h when rank R = 1; the J_i bases
+    are solved when first read (`FroyshovProfile.raw_bases`).
 
     Computed on the window |i| <= rank C + rank R + 1; if the plateaus
     d = rank R (below) and d = 0 (above) are not visible at the window ends a
     PlateauNotReached error is raised rather than guessing.
 
-    A system whose last block is zero is not solved.  That block is a term
-    of the sweeps the systems read, and each sweep's first zero term is
-    found once, so the test adds no product:
+    d needs ranks only (Daemi-Scaduto, arXiv:1912.08982):
 
-    - i >= 1 with delta1 v^(i-1) = 0: J_i is that map applied to a kernel,
-      so J_i = 0, its basis is empty and d(i) = 0.
-    - i = -m <= 0 with v^m delta2 = 0: the theta_m variables stand in no
-      equation, so J_i = R, its basis is the unit vectors in order and
-      d(i) = rank R.
+    - i >= 1: J_i = B_i(ker S_i), with S_1 = d, B_i = delta1 v^(i-1) and
+      S_(i+1) = [S_i; B_i] (rows stacked).  As dim B(ker S) =
+      rank [S; B] - rank S, d(i) = rank S_(i+1) - rank S_i.
+    - i = -m <= 0: J_i is the projection onto theta_m of ker A_m, with
+      A_m = [d | -delta2 | -v delta2 | ... | -v^m delta2], and the kernel
+      of that projection is ker A_(m-1), with A_(-1) = d.  So
+      d(-m) = rank R - (rank A_m - rank A_(m-1)).
 
-    The second basis is the one the system would give.  The theta_m columns
-    are empty and come last, so the elimination (Smith form over Z, row
-    reduction over a field) never pivots on, swaps or operates on them:
-    its last rank R kernel vectors are their unit vectors and every other
-    kernel vector is zero on theta_m.  The J_i columns are then empty
-    columns followed by the unit vectors, and `column_basis` of those is the
-    unit vectors in order over Z and over a field.
+    Over Z, d(i) = rank_Z J_i = dim_Q (J_i tensor Q) by flat base change:
+    Q is flat over Z, so the kernels and images that define J_i commute
+    with tensoring by Q, and every rank above is a rank over Q.
+
+    So each side is one incremental echelon over the ring's field
+    (`_rank_steps`): the rows of d, then the rows of each delta1 v^j; the
+    columns of d, then the columns of each -v^m delta2.  No kernel, Smith
+    form or column basis is computed.
     """
     x.require_r_perfect("Froyshov profile")
     ring = x.ring
-    if ELIMINATIONS[ring] is None:
+    elim = ELIMINATIONS[ring]
+    if elim is None:
         raise UnsupportedRing("Froyshov profile needs Z or field coefficients")
-    nr = x.red.rank
-    w = x.irr.rank + nr + 1
-    sweeps = left, right_neg = _sweeps(x)
-    # J_i = 0 for i > zero_left, J_i = R for i <= -zero_right
-    zero_left = left.first_zero(w - 1)
-    zero_right = right_neg.first_zero(w)
-    units = [{g: ring.domain.one} for g in range(nr)]
-    d = {}
-    bases = {}
-    for i in range(-w, w + 1):
-        if i > zero_left:
-            basis, d[i] = [], 0
-        elif -i >= zero_right:
-            basis, d[i] = units, nr
-        else:
-            basis, d[i] = _module_basis_and_rank(_j_module(x, i, sweeps), nr, ring)
-        bases[i] = basis
+    nc, nr = x.irr.rank, x.red.rank
+    w = nc + nr + 1
+    left, right_neg = _sweeps(x)
+    up = _rank_steps(elim, x.d, left, raw_rows, w - 1, nc)
+    down = _rank_steps(elim, x.d, right_neg, raw_cols, w, nc)
+    d = {i: up[i - 1] if i >= 1 else nr - down[-i] for i in range(-w, w + 1)}
     if d[-w] != nr or d[w] != 0:
         raise PlateauNotReached(f"window [{-w}, {w}] too small: "
                                 f"d({-w})={d[-w]}, d({w})={d[w]}")
@@ -442,7 +513,7 @@ def froyshov_profile(x):
     h = None
     if nr == 1:
         h = max(i for i in range(-w, w + 1) if d[i] == 1)
-    return FroyshovProfile(ring, (-w, w), d, bases, nr, h)
+    return FroyshovProfile(x, d, h)
 
 
 def j_nesting_ok(profile, ring, nr):

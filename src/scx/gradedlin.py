@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import compress
+from math import gcd
 
 from .errors import (
     NotAComplex,
@@ -714,6 +715,56 @@ def _hermite(vecs):
     return out
 
 
+class _IntEchelon:
+    """{index: int} vectors taken in one at a time: the stored rows are a
+    semi-echelon basis over Q of the vectors added so far, and `rank` is
+    their number.  Each stored row has a positive pivot, is zero at the
+    pivots of the rows stored before it, and is primitive (the gcd of its
+    entries is 1); it is kept as (pivot column, pivot, the other entries).
+
+    `add` reduces a copy of the vector by the stored rows in order, by
+    cross-multiplication with gcd(pivot, entry) taken out first, and stores
+    what is left, if anything, divided by its content, with its pivot at
+    its least entry in absolute value.  A stored row is then a primitive
+    vector of minors, within Hadamard's bound.  Without the gcd and the
+    content, fraction-free reduction lets the entries grow without bound:
+    on 20 random rows of length 20 with entries in [-5, 5] they reached
+    288,906 bits, against 49."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows = []
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def add(self, vec):
+        """Take in `vec` (left unchanged); whether the rank grew."""
+        if not vec:
+            return False
+        vec = dict(vec)
+        for c, p, rest in self.rows:
+            f = vec.pop(c, 0)
+            if f:
+                g = gcd(p, f)
+                if g != p:
+                    a = p // g
+                    for k in vec:
+                        vec[k] *= a
+                _add_multiple(vec, -(f // g), rest)
+                if not vec:
+                    return False
+        c = min(vec, key=lambda k: abs(vec[k]))
+        g = gcd(*vec.values())
+        if vec[c] < 0:
+            g = -g
+        p = vec.pop(c) // g
+        self.rows.append((c, p, {k: y // g for k, y in vec.items()}))
+        return True
+
+
 class _SmithElimination:
     """The elimination over Z: one `smith_form` per call, but for
     `canonical`, which is the Hermite normal form.  Its `field`, for
@@ -750,6 +801,11 @@ class _SmithElimination:
 
     def diagonal(self, a, n):
         return [x for x in smith_form(a, n).diag if x]
+
+    @staticmethod
+    def echelon():
+        """An empty `_IntEchelon`: rank over Z is rank over Q."""
+        return _IntEchelon()
 
 
 def int_kernel_basis(rows, ncols=None):
@@ -814,6 +870,54 @@ def _rref(a, dom):
     return a, pivots
 
 
+class _FieldEchelon:
+    """{index: raw value} vectors over a field taken in one at a time: the
+    stored rows are a semi-echelon basis of the vectors added so far, and
+    `rank` is their number.  Each stored row has its pivot set to one and
+    is zero at the pivots of the rows stored before it; it is kept as
+    (pivot column, the other entries).  `add` reduces a copy of the vector
+    by the stored rows in order and stores what is left, if anything."""
+
+    __slots__ = ("dom", "rows")
+
+    def __init__(self, dom):
+        self.dom = dom
+        self.rows = []
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def add(self, vec):
+        """Take in `vec` (left unchanged); whether the rank grew."""
+        if not vec:
+            return False
+        dom = self.dom
+        zero, mul, add = dom.zero, dom.mul, dom.add
+        vec = dict(vec)
+        for c, rest in self.rows:
+            f = vec.pop(c, None)
+            if f is None:
+                continue
+            f = dom.neg(f)
+            for k, y in rest.items():
+                x = vec.get(k)
+                x = mul(f, y) if x is None else add(x, mul(f, y))
+                if x == zero:
+                    del vec[k]
+                else:
+                    vec[k] = x
+            if not vec:
+                return False
+        c = next(iter(vec))
+        p = vec.pop(c)
+        if p != dom.one:
+            iv = dom.inv(p)
+            vec = {k: mul(x, iv) for k, x in vec.items()}
+        self.rows.append((c, vec))
+        return True
+
+
 class _FieldElimination:
     """The elimination over a field: one `_rref` per call, which reduces the
     rows it is given in place.  The field is its own `field`."""
@@ -860,6 +964,10 @@ class _FieldElimination:
         """One 1 per pivot."""
         return [1] * len(_rref(a, self.dom)[1])
 
+    def echelon(self):
+        """An empty `_FieldEchelon` over the field."""
+        return _FieldEchelon(self.dom)
+
 
 def field_rref(rows, ring):
     """Reduced row echelon form of dense rows of ring elements: (rref rows,
@@ -882,9 +990,11 @@ def field_kernel_basis(rows, ring, ncols=None):
 # {column: nonzero raw value} rows, each passed with its length n.  The ring
 # decides only which elimination runs, once, in `ELIMINATIONS`: Z maps to
 # the Smith form, each field to `_rref` over its domain, Z[T^{+-1}] to None.
-# Each offers `kernel`, `solve`, `basis`, `canonical`, `diagonal`, `field`
-# and `to_field`; `canonical` is the one basis of a span in canonical form,
-# the Hermite normal form over Z and the reduced echelon rows over a field.
+# Each offers `kernel`, `solve`, `basis`, `canonical`, `diagonal`,
+# `echelon`, `field` and `to_field`; `canonical` is the one basis of a span
+# in canonical form, the Hermite normal form over Z and the reduced echelon
+# rows over a field, and `echelon` an empty incremental echelon, which
+# takes vectors in one at a time and counts the rank.
 # Ring elements are made, by `boxed`, only for a result that leaves the
 # library.
 

@@ -1,5 +1,7 @@
 import random
 import time
+from collections import Counter
+from math import log2
 
 import pytest
 
@@ -20,9 +22,10 @@ from scx.equivariant import (
     j_nesting_ok,
     susequivar_witness,
 )
-from scx.errors import NotRPerfect, ScxError, UnsupportedRing
+from scx.errors import NotRPerfect, PlateauNotReached, ScxError, UnsupportedRing
 from scx.functors import atomic, direct_sum, dual, suspend, suspend_once, tensor
 from scx.gradedlin import (
+    ELIMINATIONS,
     GradedMatrix,
     GradedModule,
     Sweep,
@@ -442,7 +445,8 @@ def test_trefoil_fifth_power_profile_over_frac_is_fast():
 def full_profile(x):
     """Oracle for `froyshov_profile`: the d-function, J_i bases and h from
     the column basis of every J_i system of the window, each one solved,
-    with no index answered without its elimination."""
+    with no index answered without its elimination and no rank taken
+    outside it."""
     nr = x.red.rank
     w = x.irr.rank + nr + 1
     sweeps = _sweeps(x)
@@ -478,6 +482,8 @@ def test_profile_solves_only_the_open_systems(monkeypatch):
     for x in xs + non_nilpotent:
         solved.clear()
         prof = froyshov_profile(x)
+        assert not solved  # the systems are solved on the first read of raw_bases
+        prof.raw_bases
         d, j_bases, h = full_profile(x)
         assert (prof.d, prof.h) == (d, h)
         assert {i: [[e.val for e in col] for col in cols] for i, cols in prof.j_bases.items()} \
@@ -492,6 +498,163 @@ def test_profile_solves_only_the_open_systems(monkeypatch):
             assert {lo, hi} <= skipped
         skipped_total += len(skipped)
     assert skipped_total > 500
+
+
+def _fixed_profile_shapes():
+    """Torus links and knot summands at T = 1 and over Q(T), their duals,
+    O(+-1..+-4) over Z and Q, T(2,3)^2 and T(2,3)^3 over Q(T), and the
+    complexes with an invertible v over Z and Q."""
+    at_one = eval_t_at_one()
+    xs = []
+    for k in range(2, 8):
+        for base in (torus_link_complex(k), torus_knot_summand(k)):
+            xs += [base.base_change(at_one), base.base_change(INC)]
+    xs += [dual(x) for x in xs]
+    xs += [atomic(n, ring, 4) for ring in (Z, Q) for n in (1, 2, 3, 4, -1, -2, -3, -4)]
+    xs += [_trefoil_power(2), _trefoil_power(3)]
+    xs += [_non_nilpotent_s_complex(ring) for ring in (Z, Q)]
+    return xs
+
+
+def test_d_and_h_from_ranks_match_every_system_solved():
+    # the rank increments against the oracle that solves every J_i system,
+    # on seeded complexes over each ring and on the fixed shapes
+    xs = _fixed_profile_shapes()
+    rng = random.Random(2031)
+    for ring in (Z, Zp(2), Q, FRAC_LAURENT_Q):
+        xs += [rand_scomplex(ring, rng, max_rank=6, r_perfect=True, allow_cone=False)
+               for _ in range(200)]
+    assert all(x.verify().ok for x in xs)
+    rising = nonzero_d = 0
+    for x in xs:
+        prof = froyshov_profile(x)
+        d, _, h = full_profile(x)
+        assert (prof.d, prof.h) == (d, h), x.ring
+        lo, hi = prof.window
+        rising += any(0 < d[i] < x.red.rank for i in range(lo, hi + 1))
+        nonzero_d += not x.d.is_zero
+    assert len(xs) > 800 and rising > 150 and nonzero_d > 150
+
+
+def _rising_s_complex(ring):
+    """_non_nilpotent_s_complex with d = v = 0: delta1 a = r and delta2 r = b,
+    so d.v - v.d = delta2.delta1 fails, and d(0) = 0 < d(1) = 1."""
+    x = _non_nilpotent_s_complex(ring)
+    return SComplex(x.irr, x.red, delta1=x.delta1, delta2=x.delta2)
+
+
+@pytest.mark.parametrize("ring", [Z, Q], ids=str)
+def test_a_rising_d_function_is_refused(ring):
+    # the complexes with an invertible v reach both plateaus in the window
+    assert froyshov_profile(_non_nilpotent_s_complex(ring)).h == 0
+    x = _rising_s_complex(ring)
+    assert not x.verify().ok
+    d, _, _ = full_profile(x)
+    assert (d[0], d[1]) == (0, 1)  # every system solved says the same
+    with pytest.raises(PlateauNotReached) as err:
+        froyshov_profile(x)
+    assert str(err.value) == "d-function failed to be non-increasing"
+
+
+@pytest.mark.parametrize("ring", [Z, Q], ids=str)
+@pytest.mark.parametrize("read", ["raw_bases", "j_bases"])
+def test_profile_solves_nothing_until_the_bases_are_read(ring, read, monkeypatch):
+    import scx.equivariant as equivariant
+    import scx.gradedlin as gradedlin
+
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, **kw: calls.update([name]) or real(*args, **kw))
+
+    count(gradedlin, "smith_form")
+    count(gradedlin, "_rref")
+    count(equivariant, "_j_module")
+    count(equivariant, "column_basis")
+    to_ring = {Z: lambda x: x, Q: lambda x: x.base_change(_TO_Q)}[ring]
+    xs = [to_ring(torus_link_complex(k).base_change(eval_t_at_one())) for k in (3, 6)]
+    xs += [atomic(n, ring, 4) for n in (3, -3)]
+    xs += [_non_nilpotent_s_complex(ring)]
+    rng = random.Random(37)
+    xs += [rand_scomplex(ring, rng, max_rank=5, r_perfect=True, allow_cone=False)
+           for _ in range(20)]
+    seen = Counter()
+    for x in xs:
+        calls.clear()
+        prof = froyshov_profile(x)
+        assert not calls, x
+        getattr(prof, read)
+        seen.update(calls)
+    assert set(seen) == {"smith_form" if ring == Z else "_rref", "_j_module", "column_basis"}
+
+
+def test_atomic_7_d_function_is_fast_over_every_ring():
+    # O(7) as a tensor power, rank C 1,093: the echelons bound the growth of
+    # their entries (contents and gcds over Z, unit pivots over a field);
+    # fraction-free elimination without them did not finish in 15 minutes
+    # over Z, nor in 30 s over Q or Q(T)
+    for ring in (Z, Q, FRAC_LAURENT_Q):
+        x = atomic(7, ring)
+        t0 = time.perf_counter()
+        prof = froyshov_profile(x)
+        dt = time.perf_counter() - t0
+        assert prof.h == 7
+        assert dt < 2, f"froyshov_profile on O(7) over {ring} took {dt:.1f}s (limit 2s)"
+
+
+def test_sigma_400_of_o0_profile_over_z_is_fast():
+    # rank C 400; solving every J_i system took about 5 s
+    x = suspend(atomic(0, Z), 400)
+    t0 = time.perf_counter()
+    prof = froyshov_profile(x)
+    dt = time.perf_counter() - t0
+    lo, hi = prof.window
+    assert prof.h == 400 and prof.d == {i: 1 if i <= 400 else 0 for i in range(lo, hi + 1)}
+    assert dt < 1, f"froyshov_profile on Sigma^400 O(0) over Z took {dt:.1f}s (limit 1s)"
+
+
+def test_torus_link_400_profile_over_frac_is_fast():
+    # rank C 399 over Q(T): d = 2 up to 0 and 1 up to 399; solving every
+    # J_i system took about 8 s
+    x = torus_link_complex(400).base_change(INC)
+    t0 = time.perf_counter()
+    prof = froyshov_profile(x)
+    dt = time.perf_counter() - t0
+    lo, hi = prof.window
+    assert prof.d == {i: 2 if i <= 0 else (1 if i <= 399 else 0) for i in range(lo, hi + 1)}
+    assert dt < 3, f"froyshov_profile on T(2,400) over Q(T) took {dt:.1f}s (limit 3s)"
+
+
+@pytest.mark.parametrize("ring", [Z, Q], ids=str)
+def test_echelon_entries_stay_within_hadamards_bound(ring):
+    # a stored row is a vector of minors of the rows added (over Z a
+    # primitive one, over a field one divided by its pivot's minor), so no
+    # numerator or denominator needs more bits than the product of the
+    # rows' norms; reduction without gcds, contents or unit pivots reached
+    # 288,906 bits on 20 such rows of length 20
+    rng = random.Random(41)
+    n = 40
+    rows = [{j: rng.randint(-5, 5) for j in range(n) if rng.random() < 0.6} for _ in range(30)]
+    rows = [{j: y for j, y in row.items() if y} for row in rows]
+    for _ in range(15):  # rank stays 30
+        a, b = rng.sample(rows, 2)
+        rows.append({j: y for j in range(n) if (y := 2 * a.get(j, 0) - 3 * b.get(j, 0))})
+    bound = sum(log2(sum(y * y for y in row.values())) / 2 for row in rows[:30]) + 1
+    raw = (lambda y: y) if ring == Z else Q.domain.from_int
+    rows = [{j: raw(y) for j, y in row.items()} for row in rows]
+    elim = ELIMINATIONS[ring]
+    ech = elim.echelon()
+    grew = [ech.add(row) for row in rows]
+    assert grew.count(True) == ech.rank == len(elim.diagonal([dict(r) for r in rows], n)) == 30
+    assert not any(grew[30:])
+    if ring == Z:
+        sizes = [abs(y).bit_length() for _, p, rest in ech.rows for y in (p, *rest.values())]
+    else:
+        sizes = [abs(part).bit_length() for _, rest in ech.rows for y in rest.values()
+                 for part in y]
+    assert 0 < max(sizes) <= bound, (max(sizes), bound)
 
 
 def test_profile_makes_no_ring_element(monkeypatch):
