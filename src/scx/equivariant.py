@@ -40,15 +40,13 @@ from .scomplex import RelationReport, _rel
 
 
 def _nilpotency(v):
-    """Least e with v^e = 0, or None if v is not nilpotent within rank+1."""
-    if v.is_zero:
-        return 1 if v.source.rank else 0
-    p = v
-    for e in range(2, v.source.rank + 2):
-        p = p @ v
-        if p.is_zero:
-            return e
-    return None
+    """Least e with v^e = 0, or None if v is not nilpotent within rank+1:
+    term j of the sweep of v by v is v^(j+1)."""
+    n = v.source.rank
+    if not n:
+        return 0
+    j = Sweep(v, v).first_zero(n)
+    return j + 1 if j <= n else None
 
 
 class SmallEquivariantComplex:
@@ -364,7 +362,7 @@ class FroyshovProfile:
             elif -i >= zero_right:
                 bases[i] = units
             else:
-                bases[i], _ = _module_basis_and_rank(_j_module(x, i, sweeps), nr, ring)
+                bases[i] = _module_basis_and_rank(_j_module(x, i, sweeps), nr, ring)
         return bases
 
     @cached_property
@@ -433,8 +431,9 @@ def _j_module(x, i, sweeps=None):
 
 
 def _module_basis_and_rank(cols, n, ring):
-    basis = column_basis(cols, n, ring)
-    return basis, len(basis)
+    """A basis of the module the columns `cols` span (`column_basis`); its
+    length is the rank."""
+    return column_basis(cols, n, ring)
 
 
 def _rank_steps(elim, d, sweep, vectors, limit, full):

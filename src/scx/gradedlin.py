@@ -821,62 +821,29 @@ def int_kernel_basis(rows, ncols=None):
 # (see `rings.Domain`).
 
 
-def _rref(a, dom):
-    """Reduced row echelon form of the matrix whose rows are the
-    {column: nonzero raw value} dicts of `a`, over the field whose domain is
-    `dom`: `a`, reduced in place, and the pivot columns.
-
-    Only the pivot row's nonzero entries are scaled, the pivot itself is set
-    to one, and a row is updated only if its pivot-column entry is nonzero,
-    at the pivot row's other nonzero columns; that entry becomes zero.
-    Canonical values make x - f*0 == x, 0*inv == 0 and p*inv(p) == one, so
-    the result equals the dense elimination's.
-    """
-    m = len(a)
-    zero, one, add, mul, neg, inv = dom.zero, dom.one, dom.add, dom.mul, dom.neg, dom.inv
-    pivots = []
-    r = 0
-    # a column that holds no entry at the start never gains one
-    for c in sorted(set().union(*a)):
-        for pr in range(r, m):
-            if c in a[pr]:
-                break
+def _add_field_multiple(row, f, other, dom):
+    """row += f * other on {index: raw value} dicts over the field whose
+    domain is `dom`, for f != 0; zeros are dropped."""
+    zero, add, mul = dom.zero, dom.add, dom.mul
+    for k, y in other.items():
+        x = row.get(k)
+        x = mul(f, y) if x is None else add(x, mul(f, y))
+        if x == zero:
+            del row[k]
         else:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        prow = a[r]
-        p = prow.pop(c)
-        if p != one:
-            iv = inv(p)
-            prow = a[r] = {k: mul(x, iv) for k, x in prow.items()}
-        rest = list(prow.items())  # the pivot row without its pivot
-        prow[c] = one
-        for i in range(m):
-            row = a[i]
-            if i == r or c not in row:
-                continue
-            f = neg(row.pop(c))
-            for k, y in rest:
-                x = row.get(k)
-                x = mul(f, y) if x is None else add(x, mul(f, y))
-                if x == zero:
-                    del row[k]
-                else:
-                    row[k] = x
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return a, pivots
+            row[k] = x
 
 
 class _FieldEchelon:
     """{index: raw value} vectors over a field taken in one at a time: the
     stored rows are a semi-echelon basis of the vectors added so far, and
-    `rank` is their number.  Each stored row has its pivot set to one and
-    is zero at the pivots of the rows stored before it; it is kept as
-    (pivot column, the other entries).  `add` reduces a copy of the vector
-    by the stored rows in order and stores what is left, if anything."""
+    `rank` is their number.  Each stored row has its pivot at its least
+    column, set to one, and is zero at the pivots of the rows stored before
+    it; it is kept as (pivot column, the other entries).  So the pivots are
+    the leading columns of the span, the pivot columns of its reduced row
+    echelon form.  `add` reduces a copy of the vector by the stored rows in
+    order and stores what is left, if anything; `reduced` gives the reduced
+    row echelon form."""
 
     __slots__ = ("dom", "rows")
 
@@ -893,34 +860,55 @@ class _FieldEchelon:
         if not vec:
             return False
         dom = self.dom
-        zero, mul, add = dom.zero, dom.mul, dom.add
         vec = dict(vec)
         for c, rest in self.rows:
-            f = vec.pop(c, None)
-            if f is None:
-                continue
-            f = dom.neg(f)
-            for k, y in rest.items():
-                x = vec.get(k)
-                x = mul(f, y) if x is None else add(x, mul(f, y))
-                if x == zero:
-                    del vec[k]
-                else:
-                    vec[k] = x
-            if not vec:
-                return False
-        c = next(iter(vec))
+            if c in vec:
+                _add_field_multiple(vec, dom.neg(vec.pop(c)), rest, dom)
+                if not vec:
+                    return False
+        c = min(vec)
         p = vec.pop(c)
         if p != dom.one:
-            iv = dom.inv(p)
+            iv, mul = dom.inv(p), dom.mul
             vec = {k: mul(x, iv) for k, x in vec.items()}
         self.rows.append((c, vec))
         return True
 
+    def reduced(self):
+        """The reduced row echelon form of the span: its rows in pivot
+        order, each with its pivot, and the pivot columns.
+
+        The stored rows are back-substituted from the last: each is zero at
+        the pivots stored before it, so clearing it at the pivots stored
+        after it, by their reduced rows, leaves it zero at every pivot but
+        its own.  A vector of the span is fixed by its entries at the
+        pivots, so these are the span's reduced echelon rows."""
+        dom = self.dom
+        one, neg = dom.one, dom.neg
+        done = {}  # pivot column -> its reduced row without the pivot
+        for c, rest in reversed(self.rows):
+            later = [k for k in rest if k in done]
+            if later:
+                rest = dict(rest)
+                for k in later:
+                    _add_field_multiple(rest, neg(rest.pop(k)), done[k], dom)
+            done[c] = rest
+        pivots = sorted(done)
+        return [{c: one, **done[c]} for c in pivots], pivots
+
+
+def _field_echelon(vecs, dom):
+    """A `_FieldEchelon` over `dom` that has taken in the vectors `vecs`."""
+    ech = _FieldEchelon(dom)
+    for vec in vecs:
+        ech.add(vec)
+    return ech
+
 
 class _FieldElimination:
-    """The elimination over a field: one `_rref` per call, which reduces the
-    rows it is given in place.  The field is its own `field`."""
+    """The elimination over a field: one `_FieldEchelon` per call, which
+    takes the vectors it is given in and leaves them unchanged.  The field
+    is its own `field`."""
 
     def __init__(self, field):
         self.field, self.dom = field, field.domain
@@ -932,37 +920,36 @@ class _FieldElimination:
     def kernel(self, a, n):
         """One vector per free column, read from the reduced rows."""
         one, neg = self.dom.one, self.dom.neg
-        rr, piv = _rref(a, self.dom)
+        rr, piv = _field_echelon(a, self.dom).reduced()
         pivset = set(piv)
         basis = {fc: {fc: one} for fc in range(n) if fc not in pivset}
-        for r, pc in enumerate(piv):
-            for k, x in rr[r].items():
+        for row, pc in zip(rr, piv):
+            for k, x in row.items():
                 if k != pc:  # a free column: the other pivot columns are zero here
                     basis[k][pc] = neg(x)
         return list(basis.values())
 
     def solve(self, a, rhs, n):
         """rhs's entries join the rows of `a` as column n."""
-        for i, x in rhs.items():
-            a[i][n] = x
-        rr, piv = _rref(a, self.dom)
+        rr, piv = _field_echelon((row if i not in rhs else {**row, n: rhs[i]}
+                                  for i, row in enumerate(a)), self.dom).reduced()
         if piv and piv[-1] == n:  # the pivots ascend
             return None
-        return {pc: rr[r][n] for r, pc in enumerate(piv) if n in rr[r]}
+        return {pc: row[n] for row, pc in zip(rr, piv) if n in row}
 
     def basis(self, cols, n):
-        """The pivot columns."""
-        return [cols[j] for j in _rref(_side_by_side(cols, n), self.dom)[1]]
+        """The pivot columns: the columns outside the span of those before."""
+        ech = self.echelon()
+        return [col for col in cols if ech.add(col)]
 
     def canonical(self, vecs, n):
-        """The nonzero rows of the reduced row echelon form with the vectors
-        as rows: the reduced echelon basis of their span."""
-        rr, piv = _rref(list(map(dict, vecs)), self.dom)
-        return rr[:len(piv)]
+        """The reduced row echelon form with the vectors as rows, without
+        its zero rows: the reduced echelon basis of their span."""
+        return _field_echelon(vecs, self.dom).reduced()[0]
 
     def diagonal(self, a, n):
         """One 1 per pivot."""
-        return [1] * len(_rref(a, self.dom)[1])
+        return [1] * _field_echelon(a, self.dom).rank
 
     def echelon(self):
         """An empty `_FieldEchelon` over the field."""
@@ -971,10 +958,10 @@ class _FieldElimination:
 
 def field_rref(rows, ring):
     """Reduced row echelon form of dense rows of ring elements: (rref rows,
-    pivot column list), by `_rref`."""
-    rr, pivots = _rref(raw_vectors(rows, ring), ring.domain)
+    pivot column list), by `_FieldEchelon.reduced`."""
+    rr, pivots = _field_echelon(raw_vectors(rows, ring), ring.domain).reduced()
     n = len(rows[0]) if rows else 0
-    return boxed(rr, n, ring), pivots
+    return boxed(rr + [{}] * (len(rows) - len(rr)), n, ring), pivots
 
 
 def field_kernel_basis(rows, ring, ncols=None):
@@ -989,7 +976,8 @@ def field_kernel_basis(rows, ring, ncols=None):
 # vector is an {index: nonzero raw value} dict and a matrix a list of
 # {column: nonzero raw value} rows, each passed with its length n.  The ring
 # decides only which elimination runs, once, in `ELIMINATIONS`: Z maps to
-# the Smith form, each field to `_rref` over its domain, Z[T^{+-1}] to None.
+# the Smith form, each field to `_FieldEchelon` over its domain, Z[T^{+-1}]
+# to None.
 # Each offers `kernel`, `solve`, `basis`, `canonical`, `diagonal`,
 # `echelon`, `field` and `to_field`; `canonical` is the one basis of a span
 # in canonical form, the Hermite normal form over Z and the reduced echelon
@@ -1062,9 +1050,9 @@ def apply(m, vecs):
 
 def sparse_kernel_basis(a, n, ring):
     """Basis of the kernel of the matrix with n columns and rows `a`, as
-    {index: raw value} vectors (a saturated lattice over Z).  Over a field
-    `a` is reduced in place.  Read only: a vector may be held by the
-    elimination's result.
+    {index: raw value} vectors (a saturated lattice over Z); `a` is left
+    unchanged.  Read only: a vector may be held by the elimination's
+    result.
 
     A matrix without entries is not eliminated: its kernel basis is the
     unit vectors in order, which is what both eliminations return for it
@@ -1125,8 +1113,9 @@ def is_invertible(m):
         aug = [{n + t: one} for t in range(n)]
         for (t, s), x in m.entries.items():
             aug[t][s] = to_frac(x)
-        rr, piv = _rref(aug, FRAC_LAURENT_Q.domain)
-        return piv == list(range(n)) and all(x[1] == LAU_ONE for row in rr for x in row.values())
+        rr = ELIMINATIONS[FRAC_LAURENT_Q].canonical(aug, 2 * n)
+        return ([min(row) for row in rr] == list(range(n))
+                and all(x[1] == LAU_ONE for row in rr for x in row.values()))
     one = ring.domain.one
     return ELIMINATIONS[ring].canonical(raw_rows(m), n) == [{i: one} for i in range(n)]
 
@@ -1290,15 +1279,14 @@ class HomologyMaps:
         field_kern = list(map(self._lift, kern))
         # boundaries live in the same module only when d is an endomorphism
         img = [self._lift(c) for c in raw_cols(d_mid) if c] if d_mid.target == self.module else []
-        bounds = column_basis(img, n, self.field)
-        # a kernel vector is a representative iff it is outside the span of
-        # the boundaries and the kernel vectors before it: iff its column of
-        # [boundaries | kernel] is a pivot column (the boundaries are all
-        # pivots, being a basis)
-        nb = len(bounds)
-        chosen = [j - nb for j in _rref(_side_by_side(bounds + field_kern, n), self.field.domain)[1]
-                  if j >= nb]
-        self.boundaries = bounds
+        # one echelon over the field takes in the image columns, then the
+        # kernel vectors: the boundaries are the image columns outside the
+        # span of those before them, and a kernel vector is a representative
+        # iff it is outside the span of the boundaries and the kernel vectors
+        # before it
+        ech = ELIMINATIONS[self.field].echelon()
+        self.boundaries = [c for c in img if ech.add(c)]
+        chosen = [j for j, vec in enumerate(field_kern) if ech.add(vec)]
         self.reps = [kern[j] for j in chosen]
         self._field_reps = [field_kern[j] for j in chosen]
 

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -11,9 +12,9 @@ from scx.gradedlin import (
     GradedMatrix,
     GradedModule,
     HomologyMaps,
+    _FieldEchelon,
     _check_snf,
     _homology_elimination,
-    _rref,
     _side_by_side,
     _snf_solve,
     boxed,
@@ -349,7 +350,7 @@ def test_bases_without_elimination_equal_the_eliminations(ring, monkeypatch):
         if ring == Z:
             return dense_int_column_lattice_basis(
                 [[row.get(j, 0) for j in range(len(cols))] for row in rows])
-        return [cols[j] for j in _rref(rows, dom)[1]]
+        return gl.ELIMINATIONS[ring].basis(cols, n)
 
     want_kernels = [eliminated_kernel(a, n) for a, n in empty]
     want_columns = [eliminated_columns(cols, n) for cols, n in one_col]
@@ -358,7 +359,7 @@ def test_bases_without_elimination_equal_the_eliminations(ring, monkeypatch):
         raise AssertionError("eliminated")
 
     monkeypatch.setattr(gl, "smith_form", refused)
-    monkeypatch.setattr(gl, "_rref", refused)
+    monkeypatch.setattr(gl, "_FieldEchelon", refused)
     for (a, n), want in zip(empty, want_kernels):
         got = sparse_kernel_basis(a, n, ring)
         assert (got if ring != Z else [_dense_ints(v, n) for v in got]) == want
@@ -719,7 +720,7 @@ def test_homology_of_pair_eliminates_each_degree_block_once(monkeypatch, ring):
     import scx.gradedlin as gl
 
     x = _read_over(_tensor_shapes()[1], ring)
-    calls = {"smith_form": 0, "_rref": 0}
+    calls = {"smith_form": 0, "_FieldEchelon": 0}
 
     def counted(name):
         real = getattr(gl, name)
@@ -738,11 +739,11 @@ def test_homology_of_pair_eliminates_each_degree_block_once(monkeypatch, ring):
     monkeypatch.setattr(gl, "_snf_solve", refused)
     # r = 0 here: no block holds an entry, and nothing is eliminated
     for d in (x.total_differential(), x.d, x.r):
-        calls.update(smith_form=0, _rref=0)
+        calls.update(smith_form=0, _FieldEchelon=0)
         homology_of_pair(d, d)
         want = len({d.source.degree(s) for _, s in d.entries})
-        assert calls == ({"smith_form": want, "_rref": 0} if ring == Z
-                         else {"smith_form": 0, "_rref": want})
+        assert calls == ({"smith_form": want, "_FieldEchelon": 0} if ring == Z
+                         else {"smith_form": 0, "_FieldEchelon": want})
     assert x.total_differential().entries
 
 
@@ -1150,32 +1151,44 @@ def test_homology_reps_match_the_greedy_oracle(ring, monkeypatch):
     assert with_boundaries and induced
 
 
-@pytest.mark.parametrize("ring", [Q, Zp(3), FRAC_LAURENT_Q], ids=str)
+@pytest.mark.parametrize("ring", [Q, Zp(2), Zp(3), FRAC_LAURENT_Q], ids=str)
 def test_raw_rref_equals_dense_oracle(ring):
-    # _rref on {column: raw value} rows against the dense elimination on ring
-    # elements, and its kernel against A x = 0
+    # a matrix has exactly one reduced row echelon form: _FieldEchelon's, on
+    # {column: raw value} rows taken in any order, is the dense elimination's
+    # on ring elements; `basis` keeps the oracle's pivot columns, in order;
+    # and the kernel solves A x = 0
     rng = random.Random(406)
     dom = ring.domain
-    ran = 0
-    for m, n in [(0, 0), (1, 1), (3, 5), (5, 3), (6, 6), (8, 4)]:
-        for trial in range(5 if ring != FRAC_LAURENT_Q else 3):
-            rows = _rand_field_matrix(ring, rng, m, n, rank=None if trial % 2 else min(m, n) // 2)
-            raw = [{c: x.val for c, x in enumerate(row) if not x.is_zero} for row in rows]
-            kernel = ELIMINATIONS[ring].kernel([dict(row) for row in raw], n)
-            rr, piv = _rref(raw, dom)
-            want, want_piv = dense_field_rref(rows, ring)
-            assert piv == want_piv
-            assert [[row.get(c, dom.zero) for c in range(n)] for row in rr] == [
-                [x.val for x in row] for row in want]
-            assert all(x != dom.zero for row in rr for x in row.values())  # no stored zeros
-            for vec in kernel:
+    ran = set()
+    for m, n in [(0, 0), (1, 1), (2, 5), (5, 2), (3, 3), (3, 7), (7, 3), (6, 6)]:
+        for rank in (None, 0, 1, min(m, n) // 2):
+            rows = _rand_field_matrix(ring, rng, m, n, rank=rank)
+            if rows:
+                rows += [[ring.zero()] * n, list(rows[0])]  # a zero row and a repeated row
+            raw = raw_vectors(rows, ring)
+            want, piv = dense_field_rref(rows, ring)
+            want = raw_vectors(want[:len(piv)], ring)
+            orders = (list(permutations(raw)) if len(raw) <= 5
+                      else [rng.sample(raw, len(raw)) for _ in range(12)])
+            for order in orders:
+                ech = _FieldEchelon(dom)
+                for vec in order:
+                    ech.add(vec)
+                assert ech.reduced() == (want, piv)
+                assert ech.rank == len(piv)
+            assert raw == raw_vectors(rows, ring)  # the rows taken in are unchanged
+            cols = [{i: row[j] for i, row in enumerate(raw) if j in row} for j in range(n)]
+            kept = ELIMINATIONS[ring].basis(cols, len(raw))
+            assert len(kept) == len(piv) and all(a is cols[j] for a, j in zip(kept, piv))
+            for vec in ELIMINATIONS[ring].kernel(raw, n):
                 for row in rows:
                     acc = dom.zero
                     for c, x in vec.items():
                         acc = dom.add(acc, dom.mul(row[c].val, x))
                     assert acc == dom.zero
-            ran += 1
-    assert ran
+            ran.add("deficient" if len(piv) < min(len(raw), n) else "full")
+            ran.add("wide" if n > m else "tall" if n < m else "square")
+    assert ran == {"deficient", "full", "wide", "tall", "square"}
 
 
 @pytest.mark.parametrize("ring", [Q, Zp(5), FRAC_LAURENT_Q], ids=str)

@@ -164,12 +164,11 @@ def test_every_entry_point_eliminates_through_the_table(ring, monkeypatch):
             return real(*args)
         return wrapper
 
-    for engine in ("smith_form", "_rref"):
+    for engine in ("smith_form", "_IntEchelon", "_FieldEchelon"):
         monkeypatch.setattr(gl, engine, watched(engine))
     for name, run in runs.items():
         calls.clear()
         assert run() == want[name], name
         assert calls, name
-    # the one elimination outside the table: HomologyMaps picks its
-    # representatives by the pivots of one row reduction over its field
-    assert outside == [("class_coords", "_rref")]
+    # every Smith form and echelon is made by a method of the table's entries
+    assert outside == []
