@@ -438,29 +438,31 @@ def _module_basis_and_rank(cols, n, ring):
 
 def _rank_steps(elim, d, sweep, vectors, limit, full):
     """The rank each term sweep[0], ..., sweep[limit] adds, in turn, to one
-    incremental echelon (`elim.echelon()`) that starts with the vectors of
-    d; `vectors(m)` are the vectors a matrix m adds.
+    incremental echelon over the ring's field (the echelon of
+    `ELIMINATIONS[elim.field]`, which takes each vector by `elim.to_field`)
+    that starts with the vectors of d; `vectors(m)` are the vectors a
+    matrix m adds.
 
     No term is read once the rank is `full`, the length of the vectors, or
     from the first zero term on: no later term can add to the rank then,
     and every term after a zero one is zero, so no product is made for it.
     The echelon is started at the first nonzero term.
     """
-    ech = None
+    ech, to_field = None, elim.to_field
     steps = []
     for j in range(limit + 1):
         term = sweep[j]
         if not term.entries:
             break
         if ech is None:
-            ech = elim.echelon()
+            ech = ELIMINATIONS[elim.field].echelon()
             for vec in vectors(d):
-                ech.add(vec)
+                ech.add(to_field(vec))
         if ech.rank == full:
             break
         before = ech.rank
         for vec in vectors(term):
-            ech.add(vec)
+            ech.add(to_field(vec))
         steps.append(ech.rank - before)
     return steps + [0] * (limit + 1 - len(steps))
 
@@ -487,7 +489,7 @@ def froyshov_profile(x):
     Q is flat over Z, so the kernels and images that define J_i commute
     with tensoring by Q, and every rank above is a rank over Q.
 
-    So each side is one incremental echelon over the ring's field
+    So each side is one incremental echelon over the ring's field, Q for Z
     (`_rank_steps`): the rows of d, then the rows of each delta1 v^j; the
     columns of d, then the columns of each -v^m delta2.  No kernel, Smith
     form or column basis is computed.

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import compress
-from math import gcd
 
 from .errors import (
     NotAComplex,
@@ -715,60 +714,12 @@ def _hermite(vecs):
     return out
 
 
-class _IntEchelon:
-    """{index: int} vectors taken in one at a time: the stored rows are a
-    semi-echelon basis over Q of the vectors added so far, and `rank` is
-    their number.  Each stored row has a positive pivot, is zero at the
-    pivots of the rows stored before it, and is primitive (the gcd of its
-    entries is 1); it is kept as (pivot column, pivot, the other entries).
-
-    `add` reduces a copy of the vector by the stored rows in order, by
-    cross-multiplication with gcd(pivot, entry) taken out first, and stores
-    what is left, if anything, divided by its content, with its pivot at
-    its least entry in absolute value.  A stored row is then a primitive
-    vector of minors, within Hadamard's bound.  Without the gcd and the
-    content, fraction-free reduction lets the entries grow without bound:
-    on 20 random rows of length 20 with entries in [-5, 5] they reached
-    288,906 bits, against 49."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self):
-        self.rows = []
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-    def add(self, vec):
-        """Take in `vec` (left unchanged); whether the rank grew."""
-        if not vec:
-            return False
-        vec = dict(vec)
-        for c, p, rest in self.rows:
-            f = vec.pop(c, 0)
-            if f:
-                g = gcd(p, f)
-                if g != p:
-                    a = p // g
-                    for k in vec:
-                        vec[k] *= a
-                _add_multiple(vec, -(f // g), rest)
-                if not vec:
-                    return False
-        c = min(vec, key=lambda k: abs(vec[k]))
-        g = gcd(*vec.values())
-        if vec[c] < 0:
-            g = -g
-        p = vec.pop(c) // g
-        self.rows.append((c, p, {k: y // g for k, y in vec.items()}))
-        return True
-
-
 class _SmithElimination:
     """The elimination over Z: one `smith_form` per call, but for
-    `canonical`, which is the Hermite normal form.  Its `field`, for
-    `HomologyMaps`, is Q.  `diagonal` is the nonzero Smith diagonal."""
+    `canonical`, which is the Hermite normal form.  `diagonal` is the
+    nonzero Smith diagonal.  It has no `echelon`: a rank over Z is the rank
+    over Q (Q is flat over Z), so `HomologyMaps` and `froyshov_profile`
+    read ranks from its `field`, Q, taking vectors in by `to_field`."""
 
     field = Q
 
@@ -801,11 +752,6 @@ class _SmithElimination:
 
     def diagonal(self, a, n):
         return [x for x in smith_form(a, n).diag if x]
-
-    @staticmethod
-    def echelon():
-        """An empty `_IntEchelon`: rank over Z is rank over Q."""
-        return _IntEchelon()
 
 
 def int_kernel_basis(rows, ncols=None):
@@ -978,11 +924,13 @@ def field_kernel_basis(rows, ring, ncols=None):
 # decides only which elimination runs, once, in `ELIMINATIONS`: Z maps to
 # the Smith form, each field to `_FieldEchelon` over its domain, Z[T^{+-1}]
 # to None.
-# Each offers `kernel`, `solve`, `basis`, `canonical`, `diagonal`,
-# `echelon`, `field` and `to_field`; `canonical` is the one basis of a span
-# in canonical form, the Hermite normal form over Z and the reduced echelon
-# rows over a field, and `echelon` an empty incremental echelon, which
-# takes vectors in one at a time and counts the rank.
+# Each offers `kernel`, `solve`, `basis`, `canonical`, `diagonal`, `field`
+# and `to_field`; `canonical` is the one basis of a span in canonical form,
+# the Hermite normal form over Z and the reduced echelon rows over a field,
+# and `field` is Q for Z and the field itself for a field, which `to_field`
+# takes a vector to.  A field's entry also offers `echelon`, an empty
+# incremental echelon, which takes vectors in one at a time and counts the
+# rank; every rank over Z is read from Q's.
 # Ring elements are made, by `boxed`, only for a result that leaves the
 # library.
 

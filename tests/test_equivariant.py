@@ -602,6 +602,17 @@ def test_profile_solves_nothing_until_the_bases_are_read(ring, read, monkeypatch
     count(gradedlin._FieldEchelon, "reduced")  # the rank echelons add, and never reduce
     count(equivariant, "_j_module")
     count(equivariant, "column_basis")
+
+    class Counted(gradedlin._FieldEchelon):
+        __slots__ = ()
+
+        def __init__(self, dom):
+            calls.update(["_FieldEchelon"])
+            super().__init__(dom)
+
+    monkeypatch.setattr(gradedlin, "_FieldEchelon", Counted)
+    # over Z too every rank is read from Q's echelon: Z's entry has none
+    assert not hasattr(ELIMINATIONS[Z], "echelon") and hasattr(ELIMINATIONS[Q], "echelon")
     to_ring = {Z: lambda x: x, Q: lambda x: x.base_change(_TO_Q)}[ring]
     xs = [to_ring(torus_link_complex(k).base_change(eval_t_at_one())) for k in (3, 6)]
     xs += [atomic(n, ring, 4) for n in (3, -3)]
@@ -609,14 +620,18 @@ def test_profile_solves_nothing_until_the_bases_are_read(ring, read, monkeypatch
     rng = random.Random(37)
     xs += [rand_scomplex(ring, rng, max_rank=5, r_perfect=True, allow_cone=False)
            for _ in range(20)]
-    seen = Counter()
+    seen, built = Counter(), 0
     for x in xs:
         calls.clear()
         prof = froyshov_profile(x)
-        assert not calls, x
+        made = calls.pop("_FieldEchelon", 0)
+        assert made <= 2 and not calls, x  # one echelon per side
+        built += made
         getattr(prof, read)
         seen.update(calls)
-    assert set(seen) == {"smith_form" if ring == Z else "reduced", "_j_module", "column_basis"}
+    assert built
+    assert set(seen) == ({"smith_form"} if ring == Z else {"_FieldEchelon", "reduced"}) \
+        | {"_j_module", "column_basis"}
 
 
 def test_atomic_7_d_function_is_fast_over_every_ring():
@@ -658,11 +673,11 @@ def test_torus_link_400_profile_over_frac_is_fast():
 
 @pytest.mark.parametrize("ring", [Z, Q], ids=str)
 def test_echelon_entries_stay_within_hadamards_bound(ring):
-    # a stored row is a vector of minors of the rows added (over Z a
-    # primitive one, over a field one divided by its pivot's minor), so no
+    # a stored row is a vector of minors of the rows added divided by its
+    # pivot's minor (over Z the rows are taken to Q by `to_field`), so no
     # numerator or denominator needs more bits than the product of the
-    # rows' norms; reduction without gcds, contents or unit pivots reached
-    # 288,906 bits on 20 such rows of length 20
+    # rows' norms; fraction-free reduction without gcds, contents or unit
+    # pivots reached 288,906 bits on 20 such rows of length 20
     rng = random.Random(41)
     n = 40
     rows = [{j: rng.randint(-5, 5) for j in range(n) if rng.random() < 0.6} for _ in range(30)]
@@ -674,15 +689,11 @@ def test_echelon_entries_stay_within_hadamards_bound(ring):
     raw = (lambda y: y) if ring == Z else Q.domain.from_int
     rows = [{j: raw(y) for j, y in row.items()} for row in rows]
     elim = ELIMINATIONS[ring]
-    ech = elim.echelon()
-    grew = [ech.add(row) for row in rows]
+    ech = ELIMINATIONS[elim.field].echelon()
+    grew = [ech.add(elim.to_field(row)) for row in rows]
     assert grew.count(True) == ech.rank == len(elim.diagonal([dict(r) for r in rows], n)) == 30
     assert not any(grew[30:])
-    if ring == Z:
-        sizes = [abs(y).bit_length() for _, p, rest in ech.rows for y in (p, *rest.values())]
-    else:
-        sizes = [abs(part).bit_length() for _, rest in ech.rows for y in rest.values()
-                 for part in y]
+    sizes = [abs(part).bit_length() for _, rest in ech.rows for y in rest.values() for part in y]
     assert 0 < max(sizes) <= bound, (max(sizes), bound)
 
 

@@ -164,7 +164,7 @@ def test_every_entry_point_eliminates_through_the_table(ring, monkeypatch):
             return real(*args)
         return wrapper
 
-    for engine in ("smith_form", "_IntEchelon", "_FieldEchelon"):
+    for engine in ("smith_form", "_FieldEchelon"):
         monkeypatch.setattr(gl, engine, watched(engine))
     for name, run in runs.items():
         calls.clear()
