@@ -29,8 +29,6 @@ from .gradedlin import (
     field_kernel_basis,
     int_kernel_basis,
     Sweep,
-    raw_cols,
-    raw_rows,
     raw_vectors,
     span_contains,
     sparse_kernel_basis,
@@ -317,7 +315,7 @@ class FroyshovProfile:
         w = x.irr.rank + nr + 1
         self.ring = x.ring
         self.window = (-w, w)
-        self.d = dict(d)
+        self.d = d
         self.nr = nr
         self.h = h
         self._x = x
@@ -384,8 +382,10 @@ class FroyshovProfile:
 
 
 def _sweeps(x):
-    """The sweeps a J_i system reads: delta1 v^j, and v^j (-delta2), which is
-    -v^j delta2 entry for entry with delta2 negated once."""
+    """The sweeps a J_i system reads (and the hat model's differential):
+    delta1 v^j, and v^j (-delta2), which is -v^j delta2 entry for entry
+    with delta2 negated once.  The d-function reads ranks only, and sweeps
+    v^j delta2 unnegated (`froyshov_profile`)."""
     return Sweep(x.delta1, x.v), Sweep(-x.delta2, x.v, before=True)
 
 
@@ -436,17 +436,43 @@ def _module_basis_and_rank(cols, n, ring):
     return column_basis(cols, n, ring)
 
 
+def _entry_rows(m):
+    """m's nonzero rows as {column: raw value} vectors, read from its entries."""
+    rows = {}
+    for (t, s), x in m.entries.items():
+        row = rows.get(t)
+        if row is None:
+            rows[t] = {s: x}
+        else:
+            row[s] = x
+    return rows.values()
+
+
+def _entry_cols(m):
+    """m's nonzero columns as {row: raw value} vectors, read from its entries."""
+    cols = {}
+    for (t, s), x in m.entries.items():
+        col = cols.get(s)
+        if col is None:
+            cols[s] = {t: x}
+        else:
+            col[t] = x
+    return cols.values()
+
+
 def _rank_steps(elim, d, sweep, vectors, limit, full):
     """The rank each term sweep[0], ..., sweep[limit] adds, in turn, to one
     incremental echelon over the ring's field (the echelon of
     `ELIMINATIONS[elim.field]`, which takes each vector by `elim.to_field`)
-    that starts with the vectors of d; `vectors(m)` are the vectors a
-    matrix m adds.
+    that starts with the vectors of d; `vectors(m)` are the nonzero rows or
+    columns of a matrix m, read from its entries (`_entry_rows`,
+    `_entry_cols`).
 
     No term is read once the rank is `full`, the length of the vectors, or
     from the first zero term on: no later term can add to the rank then,
     and every term after a zero one is zero, so no product is made for it.
-    The echelon is started at the first nonzero term.
+    The echelon is started at the first nonzero term, so a complex whose
+    sweep starts at zero builds none.
     """
     ech, to_field = None, elim.to_field
     steps = []
@@ -471,7 +497,7 @@ def froyshov_profile(x):
     """The d-function of the complex and h when rank R = 1; the J_i bases
     are solved when first read (`FroyshovProfile.raw_bases`).
 
-    Computed on the window |i| <= rank C + rank R + 1; if the plateaus
+    Computed on the window |i| <= rank C + rank R + 1 = w; if the plateaus
     d = rank R (below) and d = 0 (above) are not visible at the window ends a
     PlateauNotReached error is raised rather than guessing.
 
@@ -483,7 +509,10 @@ def froyshov_profile(x):
     - i = -m <= 0: J_i is the projection onto theta_m of ker A_m, with
       A_m = [d | -delta2 | -v delta2 | ... | -v^m delta2], and the kernel
       of that projection is ker A_(m-1), with A_(-1) = d.  So
-      d(-m) = rank R - (rank A_m - rank A_(m-1)).
+      d(-m) = rank R - (rank A_m - rank A_(m-1)).  Negating a column does
+      not change the span it adds to, so the rank of A_m is that of
+      [d | delta2 | v delta2 | ... | v^m delta2], and the sweep of
+      v^m delta2 is read without negating delta2.
 
     Over Z, d(i) = rank_Z J_i = dim_Q (J_i tensor Q) by flat base change:
     Q is flat over Z, so the kernels and images that define J_i commute
@@ -491,7 +520,11 @@ def froyshov_profile(x):
 
     So each side is one incremental echelon over the ring's field, Q for Z
     (`_rank_steps`): the rows of d, then the rows of each delta1 v^j; the
-    columns of d, then the columns of each -v^m delta2.  No kernel, Smith
+    columns of d, then the columns of each v^m delta2.  The two lists of
+    rank steps give d(-w), ..., d(w) as one list, and the rest is read off
+    it: the plateaus at its ends, the non-increasing check (the list is its
+    own descending sort) and, when rank R = 1, h (d is then 1 up to h and
+    0 above, so h is the number of ones less w + 1).  No kernel, Smith
     form or column basis is computed.
     """
     x.require_r_perfect("Froyshov profile")
@@ -501,20 +534,16 @@ def froyshov_profile(x):
         raise UnsupportedRing("Froyshov profile needs Z or field coefficients")
     nc, nr = x.irr.rank, x.red.rank
     w = nc + nr + 1
-    left, right_neg = _sweeps(x)
-    up = _rank_steps(elim, x.d, left, raw_rows, w - 1, nc)
-    down = _rank_steps(elim, x.d, right_neg, raw_cols, w, nc)
-    d = {i: up[i - 1] if i >= 1 else nr - down[-i] for i in range(-w, w + 1)}
-    if d[-w] != nr or d[w] != 0:
+    up = _rank_steps(elim, x.d, Sweep(x.delta1, x.v), _entry_rows, w - 1, nc)
+    down = _rank_steps(elim, x.d, Sweep(x.delta2, x.v, before=True), _entry_cols, w, nc)
+    vals = [nr - s for s in reversed(down)] + up  # d(-w), ..., d(w)
+    if vals[0] != nr or vals[-1] != 0:
         raise PlateauNotReached(f"window [{-w}, {w}] too small: "
-                                f"d({-w})={d[-w]}, d({w})={d[w]}")
-    for i in range(-w, w):
-        if d[i] < d[i + 1]:
-            raise PlateauNotReached("d-function failed to be non-increasing")
-    h = None
-    if nr == 1:
-        h = max(i for i in range(-w, w + 1) if d[i] == 1)
-    return FroyshovProfile(x, d, h)
+                                f"d({-w})={vals[0]}, d({w})={vals[-1]}")
+    if vals != sorted(vals, reverse=True):
+        raise PlateauNotReached("d-function failed to be non-increasing")
+    h = vals.count(1) - w - 1 if nr == 1 else None
+    return FroyshovProfile(x, dict(enumerate(vals, -w)), h)
 
 
 def j_nesting_ok(profile, ring, nr):

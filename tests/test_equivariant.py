@@ -565,6 +565,57 @@ def test_d_and_h_from_ranks_match_every_system_solved():
     assert len(xs) > 800 and rising > 150 and nonzero_d > 150
 
 
+def test_h_from_the_count_of_ones_is_the_last_index_with_d_one():
+    # with rank R = 1, h is read as the number of indices with d = 1, less
+    # w + 1; on the complexes of the oracle test it is the last such index
+    xs = _fixed_profile_shapes()
+    rng = random.Random(2031)
+    for ring in (Z, Zp(2), Q, FRAC_LAURENT_Q):
+        xs += [rand_scomplex(ring, rng, max_rank=6, r_perfect=True, allow_cone=False)
+               for _ in range(200)]
+    checked = 0
+    for x in xs:
+        if x.red.rank != 1:
+            continue
+        prof = froyshov_profile(x)
+        assert prof.h == max(i for i, di in prof.d.items() if di == 1), x.ring
+        checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("k", [2, 5, 9, 15])
+def test_a_profile_with_zero_deltas_builds_no_echelon(k, monkeypatch):
+    # at T = 1 the torus links have delta1 = delta2 = 0: both sweeps start
+    # at zero, so no echelon is built, no product made and no block negated
+    import scx.gradedlin as gradedlin
+
+    x = torus_link_complex(k).base_change(eval_t_at_one())
+    y = direct_sum(atomic(3, Z), atomic(-3, Z))
+    calls = Counter()
+
+    class Counted(gradedlin._FieldEchelon):
+        __slots__ = ()
+
+        def __init__(self, dom):
+            calls.update(["_FieldEchelon"])
+            super().__init__(dom)
+
+    monkeypatch.setattr(gradedlin, "_FieldEchelon", Counted)
+    for name in ("__matmul__", "__neg__"):
+        real = getattr(GradedMatrix, name)
+        monkeypatch.setattr(GradedMatrix, name,
+                            lambda *a, real=real, name=name: calls.update([name]) or real(*a))
+    assert x.delta1.is_zero and x.delta2.is_zero
+    prof = froyshov_profile(x)
+    assert not calls
+    lo, hi = prof.window
+    assert prof.d == {i: 2 if i <= 0 else 0 for i in range(lo, hi + 1)}
+    # the counters see what they count: with nonzero deltas each side
+    # builds its echelon and sweeps by products, still negating nothing
+    froyshov_profile(y)
+    assert calls["_FieldEchelon"] == 2 and calls["__matmul__"] and not calls["__neg__"]
+
+
 def _rising_s_complex(ring):
     """_non_nilpotent_s_complex with d = v = 0: delta1 a = r and delta2 r = b,
     so d.v - v.d = delta2.delta1 fails, and d(0) = 0 < d(1) = 1."""
@@ -636,7 +687,8 @@ def test_profile_solves_nothing_until_the_bases_are_read(ring, read, monkeypatch
 
 def test_atomic_7_d_function_is_fast_over_every_ring():
     # O(7) as a tensor power, rank C 1,093: the echelons bound the growth of
-    # their entries (contents and gcds over Z, unit pivots over a field);
+    # their entries (Z's ranks go through Q's echelon, and every echelon
+    # sets its pivots to one);
     # fraction-free elimination without them did not finish in 15 minutes
     # over Z, nor in 30 s over Q or Q(T)
     for ring in (Z, Q, FRAC_LAURENT_Q):
