@@ -28,6 +28,8 @@ from .gradedlin import (
     exactness_at,
     field_kernel_basis,
     int_kernel_basis,
+    nonzero_cols,
+    nonzero_rows,
     Sweep,
     raw_vectors,
     span_contains,
@@ -436,37 +438,12 @@ def _module_basis_and_rank(cols, n, ring):
     return column_basis(cols, n, ring)
 
 
-def _entry_rows(m):
-    """m's nonzero rows as {column: raw value} vectors, read from its entries."""
-    rows = {}
-    for (t, s), x in m.entries.items():
-        row = rows.get(t)
-        if row is None:
-            rows[t] = {s: x}
-        else:
-            row[s] = x
-    return rows.values()
-
-
-def _entry_cols(m):
-    """m's nonzero columns as {row: raw value} vectors, read from its entries."""
-    cols = {}
-    for (t, s), x in m.entries.items():
-        col = cols.get(s)
-        if col is None:
-            cols[s] = {t: x}
-        else:
-            col[t] = x
-    return cols.values()
-
-
 def _rank_steps(elim, d, sweep, vectors, limit, full):
     """The rank each term sweep[0], ..., sweep[limit] adds, in turn, to one
     incremental echelon over the ring's field (the echelon of
     `ELIMINATIONS[elim.field]`, which takes each vector by `elim.to_field`)
     that starts with the vectors of d; `vectors(m)` are the nonzero rows or
-    columns of a matrix m, read from its entries (`_entry_rows`,
-    `_entry_cols`).
+    columns of a matrix m (`nonzero_rows`, `nonzero_cols`).
 
     No term is read once the rank is `full`, the length of the vectors, or
     from the first zero term on: no later term can add to the rank then,
@@ -534,8 +511,8 @@ def froyshov_profile(x):
         raise UnsupportedRing("Froyshov profile needs Z or field coefficients")
     nc, nr = x.irr.rank, x.red.rank
     w = nc + nr + 1
-    up = _rank_steps(elim, x.d, Sweep(x.delta1, x.v), _entry_rows, w - 1, nc)
-    down = _rank_steps(elim, x.d, Sweep(x.delta2, x.v, before=True), _entry_cols, w, nc)
+    up = _rank_steps(elim, x.d, Sweep(x.delta1, x.v), nonzero_rows, w - 1, nc)
+    down = _rank_steps(elim, x.d, Sweep(x.delta2, x.v, before=True), nonzero_cols, w, nc)
     vals = [nr - s for s in reversed(down)] + up  # d(-w), ..., d(w)
     if vals[0] != nr or vals[-1] != 0:
         raise PlateauNotReached(f"window [{-w}, {w}] too small: "

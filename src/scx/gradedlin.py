@@ -976,6 +976,31 @@ def raw_cols(m):
     return cols
 
 
+def nonzero_rows(m):
+    """m's nonzero rows as {column: raw value} vectors, read from its
+    entries in their order: no empty row is made, and no row's index kept."""
+    rows = {}
+    for (t, s), x in m.entries.items():
+        row = rows.get(t)
+        if row is None:
+            rows[t] = {s: x}
+        else:
+            row[s] = x
+    return rows.values()
+
+
+def nonzero_cols(m):
+    """m's nonzero columns as {row: raw value} vectors, as `nonzero_rows`."""
+    cols = {}
+    for (t, s), x in m.entries.items():
+        col = cols.get(s)
+        if col is None:
+            cols[s] = {t: x}
+        else:
+            col[t] = x
+    return cols.values()
+
+
 def apply(m, vecs):
     """m applied to each {index: raw value} vector of `vecs`."""
     dom = m.ring.domain

@@ -739,18 +739,11 @@ _COMPLEX_NEEDS = ("ring", "modulus", "irreducible", "reducible", *SComplex._LABE
 _COMPLEX_KEYS = {*_COMPLEX_NEEDS, "s", "metadata"}
 
 
-def _check_gr_i(name, value, read):
-    """A gr_i grading is a str or an int (not a bool) that Fraction reads.
-    Values repeat, so each distinct one is read once: `read` holds the
-    values accepted so far, and the loader keeps one per document.  The
-    type is checked first, and a str never equals an int, so the value
-    alone keys it."""
+def _check_gr_i(name, value):
+    """A gr_i grading is a str or an int (not a bool) that Fraction reads."""
     if type(value) in (str, int):
-        if value in read:
-            return value
         try:
             Fraction(value)
-            read.add(value)
             return value
         except (ValueError, ZeroDivisionError):
             pass
@@ -761,7 +754,7 @@ def _check_gr_i(name, value, read):
 _GEN_KEYS = frozenset({"name", "degree", "gr_z", "gr_i"})
 
 
-def _gens_from_json(items, modulus, grz, gri, gri_read):
+def _gens_from_json(items, modulus, grz, gri):
     if not isinstance(items, list):
         raise SchemaError("generators must be a list")
     gens = []
@@ -781,7 +774,7 @@ def _gens_from_json(items, modulus, grz, gri, gri_read):
         if "gr_z" in g:
             grz[name] = g["gr_z"]
         if "gr_i" in g:
-            gri[name] = _check_gr_i(name, g["gr_i"], gri_read)
+            gri[name] = _check_gr_i(name, g["gr_i"])
     return gens
 
 
@@ -847,11 +840,9 @@ def scomplex_from_json(doc):
     for k in ("gr_z", "gr_i"):
         if k in doc.get("metadata", {}):
             raise SchemaError(f"metadata may not hold {k!r}; it is a generator key")
-    grz, gri, gri_read = {}, {}, set()
-    irr = GradedModule(ring, modulus,
-                       _gens_from_json(doc["irreducible"], modulus, grz, gri, gri_read))
-    red = GradedModule(ring, modulus,
-                       _gens_from_json(doc["reducible"], modulus, grz, gri, gri_read))
+    grz, gri = {}, {}
+    irr = GradedModule(ring, modulus, _gens_from_json(doc["irreducible"], modulus, grz, gri))
+    red = GradedModule(ring, modulus, _gens_from_json(doc["reducible"], modulus, grz, gri))
     values = {}  # each distinct coefficient of the document is parsed once
     blocks = _blocks_from_json(doc, SComplex._LABELS, (irr, red), (irr, red), -1, values)
     s = None

@@ -565,24 +565,6 @@ def test_d_and_h_from_ranks_match_every_system_solved():
     assert len(xs) > 800 and rising > 150 and nonzero_d > 150
 
 
-def test_h_from_the_count_of_ones_is_the_last_index_with_d_one():
-    # with rank R = 1, h is read as the number of indices with d = 1, less
-    # w + 1; on the complexes of the oracle test it is the last such index
-    xs = _fixed_profile_shapes()
-    rng = random.Random(2031)
-    for ring in (Z, Zp(2), Q, FRAC_LAURENT_Q):
-        xs += [rand_scomplex(ring, rng, max_rank=6, r_perfect=True, allow_cone=False)
-               for _ in range(200)]
-    checked = 0
-    for x in xs:
-        if x.red.rank != 1:
-            continue
-        prof = froyshov_profile(x)
-        assert prof.h == max(i for i, di in prof.d.items() if di == 1), x.ring
-        checked += 1
-    assert checked > 100
-
-
 @pytest.mark.parametrize("k", [2, 5, 9, 15])
 def test_a_profile_with_zero_deltas_builds_no_echelon(k, monkeypatch):
     # at T = 1 the torus links have delta1 = delta2 = 0: both sweeps start
