@@ -41,12 +41,13 @@ from .scomplex import RelationReport, _rel
 
 def _nilpotency(v):
     """Least e with v^e = 0, or None if v is not nilpotent within rank+1:
-    term j of the sweep of v by v is v^(j+1)."""
+    term j of the sweep of v by v is v^(j+1), and the sweep makes no
+    product past its first zero term."""
     n = v.source.rank
     if not n:
         return 0
-    j = Sweep(v, v).first_zero(n)
-    return j + 1 if j <= n else None
+    sweep = Sweep(v, v)
+    return next((j + 1 for j in range(n + 1) if not sweep[j].entries), None)
 
 
 class SmallEquivariantComplex:
@@ -306,10 +307,9 @@ class FroyshovProfile:
     """The d-function, h (when R has rank one), and the J_i bases.
 
     d and h come from rank increments (`froyshov_profile`).  `raw_bases[i]`
-    is the basis of J_i as {index: raw value} vectors, read only (one list
-    may stand for several indices), solved on its first read.  `j_bases`
-    boxes them on its first read: each basis column of J_i is a list of
-    rank R elements of the ring.
+    is the basis of J_i as {index: raw value} vectors, solved on its first
+    read.  `j_bases` boxes them on its first read: each basis column of J_i
+    is a list of rank R elements of the ring.
     """
 
     def __init__(self, x, d, h):
@@ -324,46 +324,16 @@ class FroyshovProfile:
 
     @cached_property
     def raw_bases(self):
-        """The basis of every J_i of the window, from its finite system
-        (`_j_module`) and `column_basis`.  The sweeps are made again here:
-        a profile kept for d alone does not hold them (11.6 MB on
-        `torus_link_complex(400)` over Q(T)).
-
-        A system whose last block is zero is not solved.  That block is a
-        term of the sweeps the systems read, and each sweep's first zero
-        term is found once, so the test adds no product:
-
-        - i >= 1 with delta1 v^(i-1) = 0: J_i is that map applied to a
-          kernel, so J_i = 0 and its basis is empty.
-        - i = -m <= 0 with v^m delta2 = 0: the theta_m variables stand in
-          no equation, so J_i = R and its basis is the unit vectors in
-          order.
-
-        The second basis is the one the system would give.  The theta_m
-        columns are empty and come last, so the elimination (Smith form
-        over Z, row reduction over a field) never pivots on, swaps or
-        operates on them: its last rank R kernel vectors are their unit
-        vectors and every other kernel vector is zero on theta_m.  The J_i
-        columns are then empty columns followed by the unit vectors, and
-        `column_basis` of those is the unit vectors in order over Z and
-        over a field.
-        """
+        """The basis of every J_i of the window: its finite system
+        (`_j_module`), solved, and the ring's elimination `basis` of the
+        columns (`_module_basis_and_rank`).  The sweeps are made again
+        here: a profile kept for d alone does not hold them (11.6 MB on
+        `torus_link_complex(400)` over Q(T))."""
         x, ring, nr = self._x, self.ring, self.nr
         lo, hi = self.window
-        sweeps = left, right_neg = _sweeps(x)
-        # J_i = 0 for i > zero_left, J_i = R for i <= -zero_right
-        zero_left = left.first_zero(hi - 1)
-        zero_right = right_neg.first_zero(hi)
-        units = [{g: ring.domain.one} for g in range(nr)]
-        bases = {}
-        for i in range(lo, hi + 1):
-            if i > zero_left:
-                bases[i] = []
-            elif -i >= zero_right:
-                bases[i] = units
-            else:
-                bases[i] = _module_basis_and_rank(_j_module(x, i, sweeps), nr, ring)
-        return bases
+        sweeps = _sweeps(x)
+        return {i: _module_basis_and_rank(_j_module(x, i, sweeps), nr, ring)
+                for i in range(lo, hi + 1)}
 
     @cached_property
     def j_bases(self):

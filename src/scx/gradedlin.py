@@ -358,27 +358,12 @@ class Sweep:
         self._before = before
         self._terms = [a]
 
-    def _extend(self):
-        last = self._terms[-1]
-        self._terms.append(self._v @ last if self._before else last @ self._v)
-
     def __getitem__(self, j):
-        terms = self._terms
+        terms, v = self._terms, self._v
         while len(terms) <= j and terms[-1].entries:
-            self._extend()
+            last = terms[-1]
+            terms.append(v @ last if self._before else last @ v)
         return terms[min(j, len(terms) - 1)]
-
-    def first_zero(self, limit):
-        """The least j <= limit with sweep[j] zero, or limit + 1 if there is
-        none.  It makes the products that reading sweep[0..limit] makes: none
-        past the first zero term and none past `limit`."""
-        terms = self._terms
-        for j in range(limit + 1):
-            if j == len(terms):  # terms[j - 1] is nonzero
-                self._extend()
-            if not terms[j].entries:
-                return j
-        return limit + 1
 
 
 # ---------------------------------------------------------------------------
@@ -1038,16 +1023,7 @@ def sparse_kernel_basis(a, n, ring):
 
 def column_basis(cols, n, ring):
     """Basis of the lattice (over Z) or the space spanned by the vectors
-    `cols` of length n, by the ring's elimination (`basis`).
-
-    Without elimination when at most one column is nonzero: that column
-    (if any) is the basis either way.  Over a field it is the one pivot
-    column; over Z the Smith form's only column operation swaps it to the
-    front, so V's first column is its unit vector, and every other d_j is
-    zero."""
-    nonzero = [col for col in cols if col]
-    if len(nonzero) <= 1:
-        return [dict(col) for col in nonzero]
+    `cols` of length n, by the ring's elimination (`basis`)."""
     return ELIMINATIONS[ring].basis(cols, n)
 
 

@@ -196,8 +196,9 @@ class SComplex:
     left out of the constructor is zero, and any block or s may be a list
     of pieces (`_check_blocks`).
 
-    Immutable (`__setattr__` raises), so the total module and differential
-    and the suspension (`functors.suspend_once`), kept once built, stay valid."""
+    Immutable (`__setattr__` raises), so `is_r_perfect`, set once, and the
+    total module and differential and the suspension
+    (`functors.suspend_once`), kept once built, stay valid."""
 
     # the blocks' attribute names, also their document keys, in `_SHAPE` order
     _NAMES = _LABELS = ("d", "v", "delta1", "delta2", "r")
@@ -213,6 +214,7 @@ class SComplex:
             [s] = _check_blocks([(red, red, -2)], [s], ["s"])
         vars(self).update(irr=irr, red=red, d=d, v=v, delta1=delta1, delta2=delta2, r=r, s=s,
                           metadata=MappingProxyType(dict(metadata or {})),
+                          is_r_perfect=r.is_zero and all(deg % 2 == 0 for _, deg in red.gens),
                           _total=None, _total_module=None, _suspension=None)
 
     def __setattr__(self, *a):
@@ -225,12 +227,6 @@ class SComplex:
     @property
     def modulus(self):
         return self.irr.modulus
-
-    @property
-    def is_r_perfect(self):
-        if not self.r.is_zero:
-            return False
-        return all(deg % 2 == 0 for _, deg in self.red.gens)
 
     def require_r_perfect(self, what="operation"):
         if not self.is_r_perfect:
